@@ -1,13 +1,11 @@
-//! The unified benchmark CLI: dispatches evaluation scenarios by name.
+//! The benchmark CLI — the only entry point to the evaluation scenarios,
+//! dispatched by name.
 //!
 //! ```text
 //! totoro-bench --list
 //! totoro-bench fig7 --nodes 300 --jobs 8
 //! totoro-bench table3 --json
 //! ```
-//!
-//! The historical per-figure binaries (`fig5_scalability`, ...) are thin
-//! shims over the same registry.
 
 use totoro_bench::scenario::run_scenario;
 use totoro_bench::{logging, report, scenarios};

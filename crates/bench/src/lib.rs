@@ -6,22 +6,22 @@
 //! parallel trial engine runs on `--jobs` worker threads with bit-identical
 //! output regardless of worker count.
 //!
-//! The `totoro-bench` binary dispatches scenarios by name (`totoro-bench
-//! fig7 --nodes 300 --jobs 8`; `--list` enumerates them). The historical
-//! per-figure binaries remain as thin shims over the same registrations:
+//! The `totoro-bench` binary is the one entry point: it dispatches
+//! scenarios by name (`totoro-bench fig7 --nodes 300 --jobs 8`; `--list`
+//! enumerates them):
 //!
-//! | Scenario | Shim binary | Paper artifact |
-//! |----------|-------------|----------------|
-//! | `fig5` | `fig5_scalability` | Fig. 5a–d: zones, master distribution, branch balance |
-//! | `fig6` | `fig6_dissemination` | Fig. 6a–c: dissemination/aggregation time vs N, fanout; O(log N) hops |
-//! | `fig7` | `fig7_traffic` | Fig. 7: per-node TCP/UDP traffic vs number of trees |
-//! | `table3` | `table3_speedup` | Table 3: time-to-accuracy speedups vs OpenFL/FedScale |
-//! | `fig8`, `fig9` | `fig8_fig9_tta` | Figs. 8–9: time-to-accuracy curves |
-//! | `fig10` | `fig10_regret` | Fig. 10: regret comparison of path-planning algorithms |
-//! | `fig11` | `fig11_path_freq` | Fig. 11: path-selection frequencies |
-//! | `fig12` | `fig12_recovery` | Fig. 12: failure-recovery time vs number of trees |
-//! | `fig13` | `fig13_overhead` | Fig. 13a–b: CPU and memory overhead vs OpenFL |
-//! | `ablation` | `ablation_aggregation` | In-network aggregation vs star ablation |
+//! | Scenario | Paper artifact |
+//! |----------|----------------|
+//! | `fig5` | Fig. 5a–d: zones, master distribution, branch balance |
+//! | `fig6` | Fig. 6a–c: dissemination/aggregation time vs N, fanout; O(log N) hops |
+//! | `fig7` | Fig. 7: per-node TCP/UDP traffic vs number of trees |
+//! | `table3` | Table 3: time-to-accuracy speedups vs OpenFL/FedScale |
+//! | `fig8`, `fig9` | Figs. 8–9: time-to-accuracy curves (speech, femnist) |
+//! | `fig10` | Fig. 10: regret comparison of path-planning algorithms |
+//! | `fig11` | Fig. 11: path-selection frequencies |
+//! | `fig12` | Fig. 12: failure-recovery time vs number of trees |
+//! | `fig13` | Fig. 13a–b: CPU and memory overhead vs OpenFL |
+//! | `ablation` | In-network aggregation vs star ablation |
 //!
 //! Criterion micro-benchmarks live under `benches/`.
 

@@ -586,8 +586,8 @@ pub fn parse_params(defaults: Params, args: &[String]) -> Result<Params, String>
 /// Expands, executes, and renders a scenario; returns the output text.
 ///
 /// This is the whole experiment pipeline behind one call, shared by the
-/// `totoro-bench` CLI, the per-figure shim binaries, and the determinism
-/// tests (which compare its output byte-for-byte across `jobs` settings).
+/// `totoro-bench` CLI and the determinism tests (which compare its output
+/// byte-for-byte across `jobs` settings).
 pub fn execute(scenario: &dyn Scenario, params: &Params) -> String {
     execute_traced(scenario, params).0
 }

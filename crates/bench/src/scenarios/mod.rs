@@ -1,11 +1,10 @@
 //! The scenario registry: every evaluation artifact as a [`Scenario`].
 //!
-//! Each module ports one former stand-alone binary onto the shared
-//! trial-engine API. [`all`] lists them in paper order; [`run_named`] is
-//! the entry point shared by the `totoro-bench` CLI and the per-figure
-//! shim binaries.
+//! Each module puts one evaluation artifact on the shared trial-engine
+//! API. [`all`] lists them in paper order; the `totoro-bench` CLI looks
+//! them up with [`find`].
 
-use crate::scenario::{run_scenario, Scenario};
+use crate::scenario::Scenario;
 
 pub mod ablation;
 pub mod fig10;
@@ -41,13 +40,4 @@ pub fn all() -> Vec<Box<dyn Scenario>> {
 /// Looks up a scenario by its registry name.
 pub fn find(name: &str) -> Option<Box<dyn Scenario>> {
     all().into_iter().find(|s| s.name() == name)
-}
-
-/// Runs the named scenario through the shared CLI driver.
-///
-/// Panics if `name` is not registered — shim binaries pass a constant name,
-/// so a miss is a build-time mistake, not user input.
-pub fn run_named(name: &str, args: &[String]) {
-    let scenario = find(name).unwrap_or_else(|| panic!("no scenario named {name:?}"));
-    run_scenario(scenario.as_ref(), args);
 }

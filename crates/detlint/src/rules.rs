@@ -591,8 +591,8 @@ fn scan_atomic_ordering(s: &mut Scan, findings: &mut Vec<Finding>) {
 /// violation (DET006 catches the `Mutex` *type*; this catches
 /// acquisitions through aliases or passed-in guards). Inside the shard
 /// runner, acquisitions must follow the canonical mailbox order — writer
-/// locks its own row `mailboxes[core.id][j]`, reader drains its own
-/// column `row[core.id]` — and guard scopes must never nest.
+/// locks its own row `mailboxes[core.part.id][j]`, reader drains its own
+/// column `row[core.part.id]` — and guard scopes must never nest.
 fn scan_lock_discipline(s: &mut Scan, findings: &mut Vec<Finding>) {
     let sites: Vec<usize> = find_method_calls(s.masked, "lock")
         .into_iter()
@@ -623,7 +623,7 @@ fn scan_lock_discipline(s: &mut Scan, findings: &mut Vec<Finding>) {
     for (i, &off) in sites.iter().enumerate() {
         let groups = index_groups_before(s.masked, off);
         let ok = match groups.len() {
-            1 | 2 => groups[0] == "core.id",
+            1 | 2 => groups[0] == "core.part.id",
             _ => false,
         };
         if ok {
@@ -643,8 +643,8 @@ fn scan_lock_discipline(s: &mut Scan, findings: &mut Vec<Finding>) {
             format!(
                 "non-canonical mailbox acquisition in the shard runner ({shape}): the \
                  deadlock-freedom argument (DESIGN.md §16) requires writers to lock \
-                 their own row `mailboxes[core.id][j]` and readers their own column \
-                 `row[core.id]`; or add `// det: allow(lock: <deadlock-freedom proof>)`"
+                 their own row `mailboxes[core.part.id][j]` and readers their own column \
+                 `row[core.part.id]`; or add `// det: allow(lock: <deadlock-freedom proof>)`"
             ),
         );
         s.push(findings, f);
@@ -973,8 +973,8 @@ fn call_args(masked: &str, from: usize) -> Option<(usize, usize)> {
 }
 
 /// The `[..]` index groups textually preceding a `.lock` call, outermost
-/// first, whitespace removed: `mailboxes[core.id][j].lock()` yields
-/// `["core.id", "j"]`, `row[core.id].lock()` yields `["core.id"]`.
+/// first, whitespace removed: `mailboxes[core.part.id][j].lock()` yields
+/// `["core.part.id", "j"]`, `row[core.part.id].lock()` yields `["core.part.id"]`.
 fn index_groups_before(masked: &str, lock_off: usize) -> Vec<String> {
     let b = masked.as_bytes();
     // Step back over whitespace and the `.` introducing the call.
@@ -1592,7 +1592,7 @@ mod tests {
         let ok = scan(
             "crates/simnet/src/shard.rs",
             "simnet",
-            "fn exchange() {\n    mailboxes[core.id][j].lock().unwrap().append(out);\n}\nfn drain() {\n    for row in mailboxes.iter() {\n        let mut inbox = row[core.id].lock().unwrap();\n        inbox.clear();\n    }\n}\n",
+            "fn exchange() {\n    mailboxes[core.part.id][j].lock().unwrap().append(out);\n}\nfn drain() {\n    for row in mailboxes.iter() {\n        let mut inbox = row[core.part.id].lock().unwrap();\n        inbox.clear();\n    }\n}\n",
         );
         assert!(ok.is_empty(), "{ok:?}");
     }
@@ -1602,7 +1602,7 @@ mod tests {
         let f = scan(
             "crates/simnet/src/shard.rs",
             "simnet",
-            "fn exchange() {\n    mailboxes[j][core.id].lock().unwrap().append(out);\n}\n",
+            "fn exchange() {\n    mailboxes[j][core.part.id].lock().unwrap().append(out);\n}\n",
         );
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, RuleId::LockDiscipline);
@@ -1625,7 +1625,7 @@ mod tests {
         let f = scan(
             "crates/simnet/src/shard.rs",
             "simnet",
-            "fn nested() {\n    let a = mailboxes[core.id][j].lock().unwrap();\n    let b = mailboxes[core.id][k].lock().unwrap();\n}\n",
+            "fn nested() {\n    let a = mailboxes[core.part.id][j].lock().unwrap();\n    let b = mailboxes[core.part.id][k].lock().unwrap();\n}\n",
         );
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 3);
@@ -1637,7 +1637,7 @@ mod tests {
         let ok = scan(
             "crates/simnet/src/shard.rs",
             "simnet",
-            "fn seq() {\n    mailboxes[core.id][j].lock().unwrap().append(a);\n    mailboxes[core.id][k].lock().unwrap().append(b);\n}\n",
+            "fn seq() {\n    mailboxes[core.part.id][j].lock().unwrap().append(a);\n    mailboxes[core.part.id][k].lock().unwrap().append(b);\n}\n",
         );
         assert!(ok.is_empty(), "{ok:?}");
     }

@@ -35,7 +35,7 @@ fn fixture_tree_yields_exactly_one_violation_per_rule_site() {
         ("DET007", "crates/simnet/src/atomics.rs", 21, 18),
         ("DET010", "crates/simnet/src/clock.rs", 6, 14),
         ("DET006", "crates/simnet/src/runner.rs", 5, 18),
-        ("DET008", "crates/simnet/src/shard.rs", 22, 35),
+        ("DET008", "crates/simnet/src/shard.rs", 22, 40),
         ("DET002", "crates/simnet/src/sim.rs", 5, 17),
     ]
     .into_iter()

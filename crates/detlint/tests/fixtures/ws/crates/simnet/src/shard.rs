@@ -10,15 +10,15 @@ pub fn sanctioned() {
 }
 
 pub fn exchange(core: &Core, mailboxes: &Rows, out: Vec<u8>) {
-    mailboxes[core.id][1].lock().unwrap().append(out);
+    mailboxes[core.part.id][1].lock().unwrap().append(out);
     for row in mailboxes.iter() {
-        let mut inbox = row[core.id].lock().unwrap();
+        let mut inbox = row[core.part.id].lock().unwrap();
         inbox.clear();
     }
 }
 
 pub fn nested(core: &Core, mailboxes: &Rows) {
-    let a = mailboxes[core.id][0].lock().unwrap();
-    let b = mailboxes[core.id][1].lock().unwrap();
+    let a = mailboxes[core.part.id][0].lock().unwrap();
+    let b = mailboxes[core.part.id][1].lock().unwrap();
     drop((a, b));
 }

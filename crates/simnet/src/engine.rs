@@ -1,0 +1,655 @@
+//! The per-partition event core: the one `dispatch` and the one
+//! `apply_actions` in the crate.
+//!
+//! An [`Engine`] owns everything one event loop needs — application
+//! state, liveness bits, the event queue and payload slab, causal-meta
+//! slots, the action scratch buffer, drop counters, the chaos injector
+//! and the profiling collector — for the nodes of one *partition*. The
+//! sequential [`Simulator`](crate::sim::Simulator) is an engine whose
+//! single partition holds every node; the sharded
+//! [`ShardedSim`](crate::shard::ShardedSim) is `K` engines under the
+//! window/mailbox driver in [`crate::shard`]. This module is thread-free:
+//! an engine is plain owned data that its driver moves between threads.
+//!
+//! The two engines differ in exactly the six places the [`Partition`]
+//! trait names (DESIGN.md §12 carries the table); everything else — loss
+//! and delay sampling, the chaos verdict, the fault filter, the
+//! dead-destination bounce, causal-meta derivation, every trace record,
+//! the profiling hooks — is written once, here.
+//!
+//! # Hot-path layout
+//!
+//! * Queues order small `(EventKey, slot)` records; message payloads live
+//!   in an [`EventSlab`] indexed by `slot`, so reordering never moves a
+//!   model update, and freed slots are recycled so a steady-state run
+//!   stops allocating.
+//! * Every event source — sends, timers, churn transitions, failure
+//!   bounces — goes through [`Engine::schedule`], which applies the
+//!   partition's due-time rule, mints the tie-break key, classifies the
+//!   wheel band, and places the event locally or hands it to the
+//!   partition for another shard.
+//! * Callback side effects accumulate in a reusable scratch buffer that
+//!   is drained in place (no per-event `Vec`).
+
+use rand::rngs::StdRng;
+
+use crate::bitset::BitSet;
+use crate::chaos::{ChaosInjector, FaultFilter};
+use crate::obs::prof::{EngineProf, BAND_NONE};
+use crate::obs::{DropReason, MsgMeta, TraceBody, TraceRecord, ROOT_PARENT};
+use crate::queue::{EventKey, EventQueue};
+use crate::sim::{Action, Application, ComputeKind, Ctx, Payload};
+use crate::time::{SimDuration, SimTime};
+use crate::topology::{NodeIdx, Topology};
+
+#[derive(Debug)]
+pub(crate) enum EventKind<M> {
+    Start,
+    Deliver { src: NodeIdx, msg: M },
+    SendFailed { peer: NodeIdx },
+    Timer { token: u64 },
+    Down,
+    Up,
+}
+
+/// A pending event's payload, parked in the slab while its key moves
+/// through the event queue.
+pub(crate) struct PendingEvent<M> {
+    pub(crate) node: NodeIdx,
+    pub(crate) kind: EventKind<M>,
+}
+
+/// Free-list slab holding the payloads of queued events.
+///
+/// Slots freed by dispatched events are recycled before the backing vector
+/// grows, so a simulation whose in-flight event population has peaked stops
+/// allocating on the event path altogether.
+pub(crate) struct EventSlab<M> {
+    slots: Vec<Option<PendingEvent<M>>>,
+    free: Vec<u32>,
+}
+
+impl<M> EventSlab<M> {
+    fn with_capacity(cap: usize) -> Self {
+        EventSlab {
+            slots: Vec::with_capacity(cap),
+            free: Vec::new(),
+        }
+    }
+
+    /// Heap bytes currently reserved by the slab (capacity-based, for
+    /// memory accounting in million-node trials).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Option<PendingEvent<M>>>()
+            + self.free.capacity() * std::mem::size_of::<u32>()
+    }
+
+    /// Number of slots ever allocated (live plus recycled).
+    #[cfg(test)]
+    pub(crate) fn slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn insert(&mut self, ev: PendingEvent<M>) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                debug_assert!(self.slots[slot as usize].is_none());
+                self.slots[slot as usize] = Some(ev);
+                slot
+            }
+            None => {
+                let slot =
+                    u32::try_from(self.slots.len()).expect("more than u32::MAX events in flight");
+                self.slots.push(Some(ev));
+                slot
+            }
+        }
+    }
+
+    pub(crate) fn take(&mut self, slot: u32) -> PendingEvent<M> {
+        let ev = self.slots[slot as usize]
+            .take()
+            .expect("queue entry references an empty slot");
+        self.free.push(slot);
+        ev
+    }
+
+    /// Inspects a queued event without removing it.
+    pub(crate) fn peek(&self, slot: u32) -> &PendingEvent<M> {
+        self.slots[slot as usize]
+            .as_ref()
+            .expect("queue entry references an empty slot")
+    }
+}
+
+/// An event whose queue key, causal meta and wheel band were fixed at
+/// creation. All three are creation-site facts, so they travel with the
+/// event when it crosses to another shard.
+pub(crate) struct Stamped<M> {
+    pub(crate) key: EventKey,
+    pub(crate) dst: NodeIdx,
+    pub(crate) kind: EventKind<M>,
+    pub(crate) meta: MsgMeta,
+    pub(crate) band: u8,
+}
+
+/// What distinguishes the sequential engine's single partition from one
+/// shard of the sharded engine — these six things and nothing else.
+/// Crate-private, hence sealed: the two implementations live next to
+/// their drivers in [`crate::sim`] and [`crate::shard`].
+pub(crate) trait Partition<M> {
+    // 1. Tie-break key and trace message id.
+
+    /// Mints the tie-break word of the next event created by `origin`
+    /// (partition-local index `local`).
+    fn mint_seq(&mut self, local: usize, origin: NodeIdx) -> u64;
+
+    /// Mints the trace id of the next message sent by `origin`. Only
+    /// called when [`Partition::traced`]; ids start at 1, never 0.
+    fn mint_msg_id(&mut self, local: usize, origin: NodeIdx) -> u64;
+
+    // 2. Due-time rule.
+
+    /// When an event asked for at `at` while the clock reads `now`
+    /// actually fires. Idempotent.
+    fn due(at: SimTime, now: SimTime) -> SimTime;
+
+    // 3. Placement.
+
+    /// Partition-local index of member `node`.
+    fn local(&self, node: NodeIdx) -> usize;
+
+    /// Global index of the member at `local`.
+    fn global(&self, local: usize) -> NodeIdx;
+
+    /// Whether `node` is a member of this partition.
+    fn owns(&self, node: NodeIdx) -> bool;
+
+    /// Takes an event bound for a node this partition does not own.
+    fn park(&mut self, ev: Stamped<M>);
+
+    // 4. Ledgers.
+
+    /// Accounts a `bytes`-byte message sent by `src`.
+    fn record_send(&mut self, topology: &Topology, src: NodeIdx, bytes: usize);
+
+    /// Accounts a `bytes`-byte message delivered to `dst`.
+    fn record_recv(&mut self, topology: &Topology, dst: NodeIdx, bytes: usize);
+
+    /// Charges simulated CPU time to `node`.
+    fn charge(&mut self, topology: &Topology, node: NodeIdx, kind: ComputeKind, us: SimDuration);
+
+    // 5. Trace emission.
+
+    /// Whether trace records (and causal meta) are wanted at all.
+    fn traced(&self) -> bool;
+
+    /// Marks the start of the dispatch whose records follow.
+    fn begin_event(&mut self, key: EventKey);
+
+    /// Receives one record. Only called when [`Partition::traced`].
+    fn record(&mut self, rec: TraceRecord);
+
+    // 6. Presize hint.
+
+    /// Queue and slab reserve this many events per member node.
+    const PRESIZE: usize;
+}
+
+/// One event loop over the member nodes of partition `P`.
+pub(crate) struct Engine<A: Application, P, Q> {
+    pub(crate) part: P,
+    /// Application state of member nodes, local index order.
+    pub(crate) nodes: Vec<A>,
+    // Liveness packed one bit per node (1 MB -> 125 KB at a million
+    // nodes), local index order; see `crate::bitset`.
+    pub(crate) alive: BitSet,
+    pub(crate) queue: Q,
+    pub(crate) slab: EventSlab<A::Msg>,
+    pub(crate) now: SimTime,
+    pub(crate) rng: StdRng,
+    // Causal meta of queued events, parallel to the slab slots. Kept out
+    // of `EventKind` so an untraced run's slab slots stay small; stays
+    // empty (never resized) while the partition is untraced.
+    pub(crate) meta_slots: Vec<MsgMeta>,
+    pub(crate) scratch: Vec<Action<A::Msg>>,
+    pub(crate) events_processed: u64,
+    pub(crate) dropped_loss: u64,
+    pub(crate) dropped_dead: u64,
+    pub(crate) chaos: Option<ChaosInjector>,
+    pub(crate) fault_filter: Option<FaultFilter<A::Msg>>,
+    // Deterministic engine self-profiling (`obs::prof`), enabled on
+    // demand; `None` costs one predictable branch per hot-path site.
+    pub(crate) prof: Option<Box<EngineProf>>,
+}
+
+impl<A: Application, P: Partition<A::Msg>, Q: EventQueue> Engine<A, P, Q> {
+    /// Builds the engine over `nodes` (local index order) and queues each
+    /// member's time-zero `Start`, keyed by the member itself.
+    pub(crate) fn new(part: P, nodes: Vec<A>, rng: StdRng) -> Self {
+        let n = nodes.len();
+        // The steady-state in-flight event population is a small multiple
+        // of the node count (heartbeats, timers, a few messages per node);
+        // reserving that up front avoids the early doubling cascade.
+        let event_cap = n.saturating_mul(P::PRESIZE).max(64);
+        let mut engine = Engine {
+            alive: BitSet::filled(n, true),
+            nodes,
+            queue: Q::with_capacity(event_cap),
+            slab: EventSlab::with_capacity(event_cap),
+            now: SimTime::ZERO,
+            rng,
+            // Sized to the slab's reservation when tracing is on from the
+            // start, so the side table never doubles mid-run.
+            meta_slots: if part.traced() {
+                Vec::with_capacity(event_cap)
+            } else {
+                Vec::new()
+            },
+            // One callback can address every peer (a server-style fan-out),
+            // but typical bursts are small; clamp the reservation.
+            scratch: Vec::with_capacity(n.clamp(16, 1_024)),
+            events_processed: 0,
+            dropped_loss: 0,
+            dropped_dead: 0,
+            chaos: None,
+            fault_filter: None,
+            prof: None,
+            part,
+        };
+        // Starts are placed, not scheduled: time zero is not yet closed.
+        for local in 0..n {
+            let dst = engine.part.global(local);
+            let seq = engine.part.mint_seq(local, dst);
+            let key = EventKey {
+                time: SimTime::ZERO,
+                seq,
+            };
+            engine.insert(key, dst, EventKind::Start, MsgMeta::NONE, BAND_NONE);
+        }
+        engine
+    }
+
+    /// Turns on engine self-profiling, seeded with the *topology's*
+    /// lookahead bound so the profile does not depend on the shard plan.
+    pub(crate) fn enable_profiling(&mut self, topology: &Topology) {
+        let lookahead = topology
+            .min_inter_region_delay()
+            .map_or(0, |d| d.as_micros());
+        self.prof = Some(Box::new(EngineProf::new(lookahead)));
+    }
+
+    /// Files an event whose key and band are already fixed in the slab and
+    /// queue — the arrival end of [`Engine::schedule`], also used for
+    /// events stamped by another shard.
+    pub(crate) fn insert(
+        &mut self,
+        key: EventKey,
+        node: NodeIdx,
+        kind: EventKind<A::Msg>,
+        meta: MsgMeta,
+        band: u8,
+    ) {
+        let slot = self.slab.insert(PendingEvent { node, kind });
+        if self.part.traced() {
+            let i = slot as usize;
+            if self.meta_slots.len() <= i {
+                self.meta_slots.resize(i + 1, MsgMeta::NONE);
+            }
+            self.meta_slots[i] = meta;
+        }
+        if let Some(p) = self.prof.as_mut() {
+            p.note_band(slot, band);
+        }
+        self.queue.push(key, slot);
+    }
+
+    /// The causal meta parked with `slot` ([`MsgMeta::NONE`] when untraced).
+    #[inline]
+    pub(crate) fn meta_of(&self, slot: u32) -> MsgMeta {
+        if self.part.traced() {
+            self.meta_slots
+                .get(slot as usize)
+                .copied()
+                .unwrap_or(MsgMeta::NONE)
+        } else {
+            MsgMeta::NONE
+        }
+    }
+
+    /// The single scheduling choke point: every event source — sends,
+    /// timers, churn transitions, failure bounces — lands here. Applies
+    /// the partition's due-time rule to `at`, mints `origin`'s next
+    /// tie-break key, classifies the wheel band, and places the event in
+    /// this engine or hands it to the partition for `dst`'s shard.
+    /// Returns the key the event was filed under.
+    // Inlined at its call sites, as the per-engine `enqueue`/`route` it
+    // replaced were; `insert` is the one out-of-line call per event.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)] // The event tuple plus its origin.
+    pub(crate) fn schedule(
+        &mut self,
+        topology: &Topology,
+        local: usize,
+        origin: NodeIdx,
+        at: SimTime,
+        dst: NodeIdx,
+        kind: EventKind<A::Msg>,
+        meta: MsgMeta,
+    ) -> EventKey {
+        let at = P::due(at, self.now);
+        let seq = self.part.mint_seq(local, origin);
+        let mut band = BAND_NONE;
+        if let Some(p) = self.prof.as_mut() {
+            band = p.classify(self.now.as_micros(), at.as_micros());
+            // Regions, not shards: the profile must not depend on the plan.
+            let (ra, rb) = (topology.region(origin), topology.region(dst));
+            if ra != rb {
+                p.on_remote(ra, rb);
+            }
+        }
+        let key = EventKey { time: at, seq };
+        if dst == origin || self.part.owns(dst) {
+            self.insert(key, dst, kind, meta, band);
+        } else {
+            self.part.park(Stamped {
+                key,
+                dst,
+                kind,
+                meta,
+                band,
+            });
+        }
+        key
+    }
+
+    /// Dispatches every queued event due at or before `bound`, returning
+    /// how many ran.
+    pub(crate) fn run_before(&mut self, topology: &Topology, bound: SimTime) -> u64 {
+        let before = self.events_processed;
+        while let Some((key, slot)) = self.queue.pop_before(bound) {
+            self.dispatch(topology, key, slot);
+        }
+        self.events_processed - before
+    }
+
+    #[inline]
+    fn emit(&mut self, node: NodeIdx, tags: (&'static str, &'static str), body: TraceBody) {
+        self.part.record(TraceRecord {
+            at_us: self.now.as_micros(),
+            node,
+            layer: tags.0,
+            kind: tags.1,
+            body,
+        });
+    }
+
+    /// Emits a drop record for a message from `src` that never reached
+    /// `to`'s handler.
+    pub(crate) fn record_drop(
+        &mut self,
+        src: NodeIdx,
+        to: NodeIdx,
+        msg: &A::Msg,
+        reason: DropReason,
+        meta: MsgMeta,
+    ) {
+        let body = TraceBody::Drop {
+            to,
+            bytes: msg.size_bytes(),
+            reason,
+            meta,
+        };
+        self.emit(src, tag(msg), body);
+    }
+
+    /// Runs the event popped under `key` at `key.time`: advances the
+    /// clock, emits its trace record, invokes the destination's callback
+    /// and applies what the callback asked for.
+    pub(crate) fn dispatch(&mut self, topology: &Topology, key: EventKey, slot: u32) {
+        if let Some(p) = self.prof.as_mut() {
+            let ev = self.slab.peek(slot);
+            let groupable = !matches!(ev.kind, EventKind::Down | EventKind::Up);
+            p.on_dispatch(slot, key.time.as_micros(), ev.node, groupable);
+        }
+        // Read before the slot can be recycled.
+        let meta = self.meta_of(slot);
+        let PendingEvent { node, kind } = self.slab.take(slot);
+        debug_assert!(key.time >= self.now, "time went backwards");
+        self.now = key.time;
+        self.events_processed += 1;
+        self.part.begin_event(key);
+        let local = self.part.local(node);
+        let up = self.alive.get(local);
+        // Records are emitted here, in dispatch order — the total order
+        // the determinism contract pins — before the callback runs.
+        if self.part.traced() {
+            match &kind {
+                EventKind::Deliver { src, msg } => {
+                    if up {
+                        let body = TraceBody::Deliver {
+                            from: *src,
+                            bytes: msg.size_bytes(),
+                            meta,
+                        };
+                        self.emit(node, tag(msg), body);
+                    } else {
+                        self.record_drop(*src, node, msg, DropReason::DeadDest, meta);
+                    }
+                }
+                EventKind::Timer { token } if up => {
+                    self.emit(
+                        node,
+                        ("sim", "timer"),
+                        TraceBody::TimerFire { token: *token },
+                    );
+                }
+                EventKind::Down if up => self.emit(node, ("sim", "down"), TraceBody::NodeDown),
+                EventKind::Up if !up => self.emit(node, ("sim", "up"), TraceBody::NodeUp),
+                _ => {}
+            }
+        }
+        // The delivered message's causal meta is inherited by sends issued
+        // from its handler; every other event kind roots fresh spans.
+        let cause = match &kind {
+            EventKind::Deliver { .. } if up => meta,
+            _ => MsgMeta::NONE,
+        };
+        debug_assert!(self.scratch.is_empty());
+        let mut actions = std::mem::take(&mut self.scratch);
+        let mut bounce: Option<NodeIdx> = None;
+        {
+            let mut ctx = Ctx::scoped(self.now, node, &mut actions, &mut self.rng, topology);
+            let app = &mut self.nodes[local];
+            match kind {
+                EventKind::Start if up => app.on_start(&mut ctx),
+                EventKind::Deliver { src, msg } => {
+                    if up {
+                        self.part.record_recv(topology, node, msg.size_bytes());
+                        app.on_message(&mut ctx, src, msg);
+                    } else {
+                        self.dropped_dead += 1;
+                        bounce = Some(src);
+                    }
+                }
+                EventKind::SendFailed { peer } if up => app.on_send_failed(&mut ctx, peer),
+                EventKind::Timer { token } if up => app.on_timer(&mut ctx, token),
+                EventKind::Down if up => {
+                    self.alive.set(local, false);
+                    app.on_down();
+                }
+                EventKind::Up if !up => {
+                    self.alive.set(local, true);
+                    app.on_up(&mut ctx);
+                }
+                _ => {}
+            }
+        }
+        self.apply_actions(topology, node, local, &mut actions, cause);
+        self.scratch = actions;
+        if let Some(src) = bounce {
+            // TCP-RST-like failure bounce back to the sender, originated
+            // by the dead destination; it travels one network delay (so a
+            // shard's lookahead bound still covers it). A direct schedule,
+            // not a scratch action.
+            let delay = topology.sample_delay(node, src, 64, &mut self.rng);
+            let at = self.now + delay;
+            let kind = EventKind::SendFailed { peer: node };
+            self.schedule(topology, local, node, at, src, kind, MsgMeta::NONE);
+        }
+    }
+
+    /// Applies one callback's buffered side effects, draining the buffer in
+    /// place. The buffer is the caller's loan of `self.scratch`, so the hot
+    /// path performs no allocation: capacity survives across events.
+    ///
+    /// `cause` is the causal meta of the delivered message whose handler
+    /// produced these actions ([`MsgMeta::NONE`] for timers, starts, driver
+    /// injections, ...): sends inherit its trace, or root a new one.
+    pub(crate) fn apply_actions(
+        &mut self,
+        topology: &Topology,
+        src: NodeIdx,
+        local: usize,
+        actions: &mut Vec<Action<A::Msg>>,
+        cause: MsgMeta,
+    ) {
+        let traced = self.part.traced();
+        for action in actions.drain(..) {
+            match action {
+                Action::Send { to, msg, extra } => {
+                    let size = msg.size_bytes();
+                    self.part.record_send(topology, src, size);
+                    // Causal identity, computed only when tracing is on;
+                    // drops too get ids, so a span shows where it died.
+                    let mut meta = MsgMeta::NONE;
+                    if traced {
+                        let id = self.part.mint_msg_id(local, src);
+                        meta = if cause.is_traced() {
+                            MsgMeta {
+                                trace: cause.trace,
+                                id,
+                                parent: cause.id,
+                                hop: cause.hop.saturating_add(1),
+                            }
+                        } else {
+                            MsgMeta {
+                                trace: id,
+                                id,
+                                parent: ROOT_PARENT,
+                                hop: 0,
+                            }
+                        };
+                    }
+                    if topology.sample_loss(&mut self.rng) {
+                        self.dropped_loss += 1;
+                        if traced {
+                            self.record_drop(src, to, &msg, DropReason::Loss, meta);
+                        }
+                        continue;
+                    }
+                    // The base loss/delay draws above always happen first,
+                    // so installing no chaos leaves the main RNG stream —
+                    // and every golden fixture — untouched.
+                    let mut delay = topology.sample_delay(src, to, size, &mut self.rng);
+                    let mut duplicate = false;
+                    if let Some(chaos) = self.chaos.as_mut() {
+                        let verdict = chaos.on_send(self.now, src, to, topology);
+                        if verdict.drop {
+                            self.dropped_loss += 1;
+                            if traced {
+                                self.record_drop(src, to, &msg, DropReason::Chaos, meta);
+                            }
+                            continue;
+                        }
+                        if verdict.delay_factor > 1 {
+                            delay = delay.saturating_mul(verdict.delay_factor);
+                            if traced {
+                                let effect = "delay";
+                                self.emit(src, tag(&msg), TraceBody::ChaosEffect { to, effect });
+                            }
+                        }
+                        duplicate = verdict.duplicate;
+                        if duplicate && traced {
+                            let effect = "duplicate";
+                            self.emit(src, tag(&msg), TraceBody::ChaosEffect { to, effect });
+                        }
+                    }
+                    if let Some(filter) = self.fault_filter.as_mut() {
+                        if filter(self.now, src, to, &msg) {
+                            self.dropped_loss += 1;
+                            if traced {
+                                self.record_drop(src, to, &msg, DropReason::Filter, meta);
+                            }
+                            continue;
+                        }
+                    }
+                    // Pre-applied (the rule is idempotent) so the record
+                    // reports the arrival time the event is filed under.
+                    let at = P::due(self.now + extra + delay, self.now);
+                    if traced {
+                        let body = TraceBody::Send {
+                            to,
+                            bytes: size,
+                            meta,
+                            arrive_at_us: at.as_micros(),
+                        };
+                        self.emit(src, tag(&msg), body);
+                    }
+                    if duplicate {
+                        // Same arrival time; minted first, so the copy's
+                        // key orders the pair deterministically. It gets
+                        // its own message id so the span shows both
+                        // arrivals, but shares trace/parent/hop.
+                        let mut dup_meta = MsgMeta::NONE;
+                        if traced {
+                            let id = self.part.mint_msg_id(local, src);
+                            dup_meta = MsgMeta { id, ..meta };
+                            let body = TraceBody::Send {
+                                to,
+                                bytes: size,
+                                meta: dup_meta,
+                                arrive_at_us: at.as_micros(),
+                            };
+                            self.emit(src, tag(&msg), body);
+                        }
+                        let kind = EventKind::Deliver {
+                            src,
+                            msg: msg.clone(),
+                        };
+                        self.schedule(topology, local, src, at, to, kind, dup_meta);
+                    }
+                    let kind = EventKind::Deliver { src, msg };
+                    self.schedule(topology, local, src, at, to, kind, meta);
+                }
+                Action::Timer { delay, token } => {
+                    let at = self.now + delay;
+                    let kind = EventKind::Timer { token };
+                    self.schedule(topology, local, src, at, src, kind, MsgMeta::NONE);
+                }
+                Action::Compute { kind, amount } => {
+                    self.part.charge(topology, src, kind, amount);
+                    if traced {
+                        let task = match kind {
+                            ComputeKind::FlTask => "fl",
+                            ComputeKind::DhtTask => "dht",
+                        };
+                        let us = amount.as_micros();
+                        self.emit(src, ("sim", "compute"), TraceBody::Compute { task, us });
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Normalizes a payload's layer/kind tags for record emission.
+#[inline]
+pub(crate) fn tag<M: Payload>(msg: &M) -> (&'static str, &'static str) {
+    let layer = msg.layer();
+    let kind = msg.kind();
+    (
+        if layer.is_empty() { "app" } else { layer },
+        if kind.is_empty() { "msg" } else { kind },
+    )
+}

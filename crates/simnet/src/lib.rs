@@ -23,6 +23,7 @@ pub mod binning;
 pub mod bitset;
 pub mod chaos;
 pub mod churn;
+mod engine;
 pub mod geo;
 pub mod numeric;
 pub mod obs;

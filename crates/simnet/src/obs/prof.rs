@@ -33,10 +33,10 @@
 //!   whole run — the model surrogate for drain-buffer sort sizes.
 //! * **Delivery groups** (`groups` / `singletons` / `batched_events`):
 //!   a group is the set of dispatched events sharing one
-//!   `(time, destination)`, excluding churn transitions (which the
-//!   batched delivery path dispatches singly). Groups are counted from
-//!   the dispatched multiset, not from realized batch boundaries, so the
-//!   singleton fast-path ratio is engine- and shard-count-invariant.
+//!   `(time, destination)`, excluding churn transitions. Groups are
+//!   counted from the dispatched multiset, so the singleton ratio is
+//!   engine- and shard-count-invariant — it is the number that showed
+//!   batched delivery was not worth keeping (DESIGN.md §12).
 //! * **PDES windows**: the logical conservative-window recurrence. A new
 //!   window opens at the first event time `T` at or past the previous
 //!   window's end and spans `[T, min(T + L, deadline + 1))`, where `L` is

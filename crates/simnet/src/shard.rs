@@ -2,16 +2,19 @@
 //!
 //! [`ShardedSim`] partitions the nodes of one simulation into `K` shards
 //! by topology region (zones never split across shards), runs each shard
-//! on its own thread with a private [`WheelQueue`]/[`EventSlab`] pair,
-//! and synchronizes the shards with classic *conservative lookahead*
-//! windows: all shards agree on the earliest pending event time `T`,
-//! then each independently processes every local event in
+//! — one event core (`engine.rs`) with its own queue and slab — on its
+//! own thread, and synchronizes the shards with classic *conservative
+//! lookahead* windows: all shards agree on the earliest pending event
+//! time `T`, then each independently processes every local event in
 //! `[T, T + L)`, where the lookahead `L` is a lower bound on the delay
 //! of any inter-region message
 //! ([`Topology::min_inter_region_delay`]). A message sent during the
 //! window can only arrive at `>= T + L`, so cross-shard sends are parked
 //! in per-pair mailboxes and handed off at the window barrier — before
 //! any event they could possibly precede is dispatched.
+//!
+//! This module is the window/barrier/mailbox *driver* plus the sharded
+//! `Partition`; `dispatch` and `apply_actions` are the shared core's.
 //!
 //! # The shard-invariance contract
 //!
@@ -26,17 +29,19 @@
 //!   Each node lives in exactly one shard, so its counter sequence is
 //!   identical at any shard count, giving one total order
 //!   `(time, origin, counter)` that every `K` dispatches in.
-//! * **Closed timestamps.** An action scheduled with zero effective
-//!   delay lands at `now + 1 µs` (the clock's resolution) instead of
-//!   `now`, so the set of events at a timestamp is closed before that
-//!   timestamp dispatches — the `(origin, counter)` order within a
-//!   timestamp is then causally consistent by construction. This is the
-//!   one scheduling difference from the sequential engine.
+//! * **Closed timestamps.** Anything scheduled with zero effective
+//!   delay — an action, or a churn transition the driver asks for at or
+//!   before the current time — lands at `now + 1 µs` (the clock's
+//!   resolution) instead of `now`, so the set of events at a timestamp is
+//!   closed before that timestamp dispatches — the `(origin, counter)`
+//!   order within a timestamp is then causally consistent by
+//!   construction. This is the one scheduling difference from the
+//!   sequential engine.
 //! * **No global RNG.** The topology must be RNG-free
 //!   ([`Topology::delay_is_deterministic`]), chaos must be *keyed*
 //!   ([`FaultPlan::keyed_injector`]), and applications that want
 //!   identical results across shard counts must not draw from
-//!   [`Ctx::rng`] (each shard has a private stream, so draws are
+//!   [`Ctx::rng`](crate::sim::Ctx::rng) (each shard has a private stream, so draws are
 //!   reproducible per `(seed, K)` but not across `K`).
 //! * **Commutative ledgers.** Traffic and compute are aggregated per
 //!   *zone* ([`ZoneLedger`]); a zone lives wholly inside one shard and
@@ -59,21 +64,17 @@
 //! by the barrier).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 
-use rand::rngs::StdRng;
-
-use crate::bitset::BitSet;
-use crate::chaos::{ChaosInjector, ChaosStats, FaultPlan};
+use crate::chaos::{ChaosStats, FaultPlan};
 use crate::churn::ChurnSchedule;
-use crate::obs::prof::{EngineProf, EngineProfile, ShardWall, WallProfile, BAND_NONE};
-use crate::obs::{DropReason, MsgMeta, TraceBody, TraceRecord, ROOT_PARENT};
+use crate::engine::{Engine, EventKind, Partition, Stamped};
+use crate::obs::prof::{EngineProf, EngineProfile, ShardWall, WallProfile};
+use crate::obs::{MsgMeta, TraceRecord};
 use crate::queue::{EventKey, EventQueue, WheelQueue};
 use crate::rng::sub_rng;
-use crate::sim::{
-    Action, Application, ComputeKind, Ctx, EventKind, EventSlab, Payload, PendingEvent,
-};
+use crate::sim::{Application, ComputeKind};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeIdx, Topology};
 use crate::traffic::{TrafficTotals, ZoneLedger};
@@ -227,106 +228,121 @@ impl ShardPlan {
 
 /// One row of the window-exchange matrix: mailbox `row[j]` holds events
 /// a shard sent toward shard `j`, locked only across a barrier.
-type MailboxRow<M> = Vec<Mutex<Vec<RemoteEvent<M>>>>;
+type MailboxRow<M> = Vec<Mutex<Vec<Stamped<M>>>>;
 
-/// A cross-shard event in flight: its full key is precomputed by the
-/// sending shard, so the receiving shard just inserts it.
-struct RemoteEvent<M> {
-    at: SimTime,
-    seq: u64,
-    dst: NodeIdx,
-    kind: EventKind<M>,
-    meta: MsgMeta,
-    /// Creation-band classification ([`crate::obs::prof`]); the band is a
-    /// creation-site fact, so it travels with the event across shards.
-    band: u8,
-}
+/// One shard: the event core over the shard's member nodes.
+type ShardCore<A> = Engine<A, ShardPart<<A as Application>::Msg>, WheelQueue>;
 
-/// One shard: a self-contained event loop over the shard's member nodes.
-struct ShardCore<A: Application> {
+/// The sharded engine's partition: per-origin creation counters, closed
+/// timestamps, plan-directed placement with an outbox per destination
+/// shard, per-zone ledgers, and a run-time-optional trace buffer.
+struct ShardPart<M> {
     id: usize,
-    /// Application state of member nodes, local index order.
-    nodes: Vec<A>,
-    /// Local index → global node index (ascending).
+    plan: Arc<ShardPlan>,
+    /// Local index → global node index (ascending): this shard's own copy
+    /// of `plan.members[id]`, counted in `state_bytes`.
     globals: Vec<NodeIdx>,
-    /// Liveness bits, local index order.
-    alive: BitSet,
     /// Per-origin event creation counters (the low word of event keys).
     counters: Vec<u64>,
-    queue: WheelQueue,
-    slab: EventSlab<A::Msg>,
-    now: SimTime,
-    rng: StdRng,
+    /// Per-origin message-id counters (traced runs only; ids start at 1
+    /// so `MsgMeta::is_traced` stays meaningful). A separate id space
+    /// from event keys, so tracing never perturbs dispatch order.
+    msg_counters: Vec<u64>,
     traffic: ZoneLedger,
     compute_fl_us: Vec<u64>,
     compute_dht_us: Vec<u64>,
-    scratch: Vec<Action<A::Msg>>,
-    events_processed: u64,
-    dropped_loss: u64,
-    dropped_dead: u64,
-    chaos: Option<ChaosInjector>,
     /// Outgoing cross-shard events, one buffer per destination shard.
-    outbox: Vec<Vec<RemoteEvent<A::Msg>>>,
-    /// Trace collection: `(dispatch key, emission index, record)`;
-    /// `None` when untraced (zero cost, like `NoopSink`).
-    trace: Option<Vec<(EventKey, u32, TraceRecord)>>,
-    /// Per-origin message-id counters (traced runs only; ids start at 1
-    /// so `MsgMeta::is_traced` stays meaningful).
-    msg_counters: Vec<u64>,
-    /// Causal meta parked per slab slot (traced runs only).
-    meta_slots: Vec<MsgMeta>,
-    /// Key of the event currently dispatching (trace merge key).
-    trace_key: EventKey,
-    /// Emission index within the current event.
-    trace_sub: u32,
-    /// Deterministic engine self-profiling (`obs::prof`); `None` costs a
-    /// single predictable branch per hot-path site.
-    prof: Option<Box<EngineProf>>,
-    /// Wall-clock phase timings (side-channel only); `None` when off.
-    wall: Option<ShardWall>,
+    outbox: Vec<Vec<Stamped<M>>>,
     /// Cross-shard events this shard handed off (outbox pushes). Always
     /// counted — one add per handoff — surfaced only via the wall-clock
     /// side channel, never on a golden surface.
     remote_sent: u64,
+    /// Trace collection: `(dispatch key, emission index, record)`;
+    /// `None` when untraced (zero cost, like `NoopSink`).
+    trace: Option<Vec<(EventKey, u32, TraceRecord)>>,
+    /// Key of the event currently dispatching (trace merge key).
+    trace_key: EventKey,
+    /// Emission index within the current event.
+    trace_sub: u32,
+    /// Wall-clock phase timings (side-channel only); `None` when off.
+    wall: Option<ShardWall>,
 }
 
-impl<A: Application> ShardCore<A> {
-    fn new(id: usize, globals: Vec<NodeIdx>, zones: usize, seed: u64) -> Self {
-        let local_n = globals.len();
-        // Steady-state in-flight events per node is small (a timer plus a
-        // couple of messages); a 2x hint keeps slab doubling rare without
-        // paying the sequential engine's 4x reservation at 1M nodes.
-        let event_cap = local_n.saturating_mul(2).max(64);
-        ShardCore {
-            id,
-            nodes: Vec::with_capacity(local_n),
-            alive: BitSet::filled(local_n, true),
-            counters: vec![0; local_n],
-            queue: WheelQueue::with_capacity(event_cap),
-            slab: EventSlab::with_capacity(event_cap),
-            now: SimTime::ZERO,
-            rng: sub_rng(seed, &format!("shard-{id}")),
-            traffic: ZoneLedger::new(zones),
-            compute_fl_us: vec![0; zones],
-            compute_dht_us: vec![0; zones],
-            scratch: Vec::with_capacity(local_n.clamp(16, 1_024)),
-            events_processed: 0,
-            dropped_loss: 0,
-            dropped_dead: 0,
-            chaos: None,
-            outbox: Vec::new(),
-            trace: None,
-            msg_counters: Vec::new(),
-            meta_slots: Vec::new(),
-            globals,
-            trace_key: EventKey {
-                time: SimTime::ZERO,
-                seq: 0,
-            },
-            trace_sub: 0,
-            prof: None,
-            wall: None,
-            remote_sent: 0,
+impl<M> ShardPart<M> {
+    /// `(global_index << COUNTER_BITS) | counter`, advancing the counter.
+    #[inline]
+    fn mint(counter: &mut u64, origin: NodeIdx) -> u64 {
+        let c = *counter;
+        *counter = c + 1;
+        debug_assert!(c < 1 << COUNTER_BITS, "per-node counter overflow");
+        ((origin as u64) << COUNTER_BITS) | c
+    }
+}
+
+impl<M> Partition<M> for ShardPart<M> {
+    // Steady-state in-flight events per node is small (a timer plus a
+    // couple of messages); a 2x hint keeps slab doubling rare without
+    // paying the sequential engine's 4x reservation at 1M nodes.
+    const PRESIZE: usize = 2;
+
+    #[inline]
+    fn mint_seq(&mut self, local: usize, origin: NodeIdx) -> u64 {
+        Self::mint(&mut self.counters[local], origin)
+    }
+
+    #[inline]
+    fn mint_msg_id(&mut self, local: usize, origin: NodeIdx) -> u64 {
+        Self::mint(&mut self.msg_counters[local], origin)
+    }
+
+    /// Closes the current timestamp: anything scheduled at or before
+    /// `now` lands at `now + 1 µs` (see the module docs).
+    #[inline]
+    fn due(at: SimTime, now: SimTime) -> SimTime {
+        if at <= now {
+            now + SimDuration::from_micros(1)
+        } else {
+            at
+        }
+    }
+
+    #[inline]
+    fn local(&self, node: NodeIdx) -> usize {
+        self.plan.local_index[node] as usize
+    }
+
+    #[inline]
+    fn global(&self, local: usize) -> NodeIdx {
+        self.globals[local]
+    }
+
+    #[inline]
+    fn owns(&self, node: NodeIdx) -> bool {
+        self.plan.node_shard[node] as usize == self.id
+    }
+
+    #[inline]
+    fn park(&mut self, ev: Stamped<M>) {
+        self.remote_sent += 1;
+        self.outbox[self.plan.node_shard[ev.dst] as usize].push(ev);
+    }
+
+    #[inline]
+    fn record_send(&mut self, topology: &Topology, src: NodeIdx, bytes: usize) {
+        self.traffic.record_send(topology.region(src), bytes);
+    }
+
+    #[inline]
+    fn record_recv(&mut self, topology: &Topology, dst: NodeIdx, bytes: usize) {
+        self.traffic.record_recv(topology.region(dst), bytes);
+    }
+
+    #[inline]
+    fn charge(&mut self, topology: &Topology, node: NodeIdx, kind: ComputeKind, us: SimDuration) {
+        let zone = topology.region(node) as usize;
+        match kind {
+            ComputeKind::FlTask => self.compute_fl_us[zone] += us.as_micros(),
+            ComputeKind::DhtTask => self.compute_dht_us[zone] += us.as_micros(),
         }
     }
 
@@ -335,117 +351,23 @@ impl<A: Application> ShardCore<A> {
         self.trace.is_some()
     }
 
-    /// Mints the next event-key sequence word for events originated by
-    /// local node `local`: `(global_index << COUNTER_BITS) | counter`.
     #[inline]
-    fn mint_seq(&mut self, local: usize) -> u64 {
-        let c = self.counters[local];
-        self.counters[local] = c + 1;
-        debug_assert!(c < 1 << COUNTER_BITS, "per-node counter overflow");
-        ((self.globals[local] as u64) << COUNTER_BITS) | c
+    fn begin_event(&mut self, key: EventKey) {
+        self.trace_key = key;
+        self.trace_sub = 0;
     }
 
-    /// Mints a message id for traced sends (a separate id space from
-    /// event keys, so tracing never perturbs dispatch order).
     #[inline]
-    fn mint_msg_id(&mut self, local: usize) -> u64 {
-        let c = self.msg_counters[local];
-        self.msg_counters[local] = c + 1;
-        ((self.globals[local] as u64) << COUNTER_BITS) | c
-    }
-
-    /// Closes the current timestamp: anything scheduled at or before
-    /// `now` lands at `now + 1 µs` (see the module docs).
-    #[inline]
-    fn close(&self, at: SimTime) -> SimTime {
-        if at <= self.now {
-            self.now + SimDuration::from_micros(1)
-        } else {
-            at
+    fn record(&mut self, rec: TraceRecord) {
+        if let Some(tr) = self.trace.as_mut() {
+            tr.push((self.trace_key, self.trace_sub, rec));
+            self.trace_sub += 1;
         }
     }
+}
 
-    fn enqueue(
-        &mut self,
-        at: SimTime,
-        seq: u64,
-        node: NodeIdx,
-        kind: EventKind<A::Msg>,
-        meta: MsgMeta,
-        band: u8,
-    ) {
-        let slot = self.slab.insert(PendingEvent { node, kind });
-        if self.traced() {
-            let i = slot as usize;
-            if self.meta_slots.len() <= i {
-                self.meta_slots.resize(i + 1, MsgMeta::NONE);
-            }
-            self.meta_slots[i] = meta;
-        }
-        if let Some(p) = self.prof.as_mut() {
-            p.note_band(slot, band);
-        }
-        self.queue.push(EventKey { time: at, seq }, slot);
-    }
-
-    /// Classifies an event created *now* and due at `at` into a scheduler
-    /// band ([`crate::obs::prof`]). [`BAND_NONE`] unless profiling is on.
-    #[inline]
-    fn prof_classify(&mut self, at: SimTime) -> u8 {
-        match self.prof.as_mut() {
-            Some(p) => p.classify(self.now.as_micros(), at.as_micros()),
-            None => BAND_NONE,
-        }
-    }
-
-    /// Counts a cross-region message from `from` to `to` in the engine
-    /// profiler (regions, not shards: the profile must not depend on the
-    /// shard plan). A no-op unless profiling is on or regions match.
-    #[inline]
-    fn prof_note_remote(&mut self, topology: &Topology, from: NodeIdx, to: NodeIdx) {
-        if self.prof.is_some() {
-            let (ra, rb) = (topology.region(from), topology.region(to));
-            if ra != rb {
-                if let Some(p) = self.prof.as_mut() {
-                    p.on_remote(ra, rb);
-                }
-            }
-        }
-    }
-
-    /// Enqueues locally or parks in the outbox for the owning shard.
-    #[allow(clippy::too_many_arguments)] // Mirrors the event-tuple fields plus the wheel band.
-    fn route(
-        &mut self,
-        plan: &ShardPlan,
-        at: SimTime,
-        seq: u64,
-        dst: NodeIdx,
-        kind: EventKind<A::Msg>,
-        meta: MsgMeta,
-        band: u8,
-    ) {
-        let shard = plan.node_shard[dst] as usize;
-        if shard == self.id {
-            self.enqueue(at, seq, dst, kind, meta, band);
-        } else {
-            self.remote_sent += 1;
-            self.outbox[shard].push(RemoteEvent {
-                at,
-                seq,
-                dst,
-                kind,
-                meta,
-                band,
-            });
-        }
-    }
-
-    fn enqueue_remote(&mut self, ev: RemoteEvent<A::Msg>) {
-        debug_assert!(ev.at > self.now, "cross-shard event inside the window");
-        self.enqueue(ev.at, ev.seq, ev.dst, ev.kind, ev.meta, ev.band);
-    }
-
+/// What only the window driver asks of a core.
+impl<A: Application> ShardCore<A> {
     /// Earliest pending event time in microseconds (`u64::MAX` if idle).
     fn next_due_us(&mut self) -> u64 {
         self.queue
@@ -453,17 +375,9 @@ impl<A: Application> ShardCore<A> {
             .map_or(u64::MAX, |(key, _)| key.time.as_micros())
     }
 
-    #[inline]
-    fn record(&mut self, r: TraceRecord) {
-        if let Some(tr) = self.trace.as_mut() {
-            tr.push((self.trace_key, self.trace_sub, r));
-            self.trace_sub += 1;
-        }
-    }
-
-    /// Dispatches every local event with time strictly below
-    /// `end_us` (exclusive).
-    fn process_window(&mut self, end_us: u64, topology: &Topology, plan: &ShardPlan) {
+    /// Dispatches every local event with time strictly below `end_us`
+    /// (exclusive), accounting the host time when wall profiling is on.
+    fn process_window(&mut self, end_us: u64, topology: &Topology) {
         debug_assert!(end_us > 0);
         if let Some(p) = self.prof.as_mut() {
             // Single-shard runs open windows lazily at dispatch; clamping
@@ -472,408 +386,31 @@ impl<A: Application> ShardCore<A> {
             // runs pre-open every window and never consult the clamp.)
             p.set_window_clamp(end_us);
         }
-        let bound = SimTime::from_micros(end_us.saturating_sub(1));
-        while let Some((key, slot)) = self.queue.pop_before(bound) {
-            self.dispatch(key, slot, topology, plan);
-        }
-    }
-
-    fn dispatch(&mut self, key: EventKey, slot: u32, topology: &Topology, plan: &ShardPlan) {
-        if self.prof.is_some() {
-            let ev = self.slab.peek(slot);
-            let dst = ev.node;
-            let groupable = !matches!(ev.kind, EventKind::Down | EventKind::Up);
-            if let Some(p) = self.prof.as_mut() {
-                p.on_dispatch(slot, key.time.as_micros(), dst, groupable);
-            }
-        }
-        let meta = if self.traced() {
-            self.meta_slots
-                .get(slot as usize)
-                .copied()
-                .unwrap_or(MsgMeta::NONE)
-        } else {
-            MsgMeta::NONE
-        };
-        let PendingEvent { node, kind } = self.slab.take(slot);
-        debug_assert!(key.time >= self.now, "time went backwards");
-        self.now = key.time;
-        self.events_processed += 1;
-        self.trace_key = key;
-        self.trace_sub = 0;
-        let local = plan.local_index[node] as usize;
-        let up = self.alive.get(local);
-        // Records first (mirroring the sequential engine), then callbacks.
-        if self.traced() {
-            match &kind {
-                EventKind::Deliver { src, msg } => {
-                    let (layer, mkind) = tag(msg);
-                    let (about, body) = if up {
-                        (
-                            node,
-                            TraceBody::Deliver {
-                                from: *src,
-                                bytes: msg.size_bytes(),
-                                meta,
-                            },
-                        )
-                    } else {
-                        (
-                            *src,
-                            TraceBody::Drop {
-                                to: node,
-                                bytes: msg.size_bytes(),
-                                reason: DropReason::DeadDest,
-                                meta,
-                            },
-                        )
-                    };
-                    self.record(TraceRecord {
-                        at_us: self.now.as_micros(),
-                        node: about,
-                        layer,
-                        kind: mkind,
-                        body,
-                    });
-                }
-                EventKind::Timer { token } => {
-                    if up {
-                        self.record(TraceRecord {
-                            at_us: self.now.as_micros(),
-                            node,
-                            layer: "sim",
-                            kind: "timer",
-                            body: TraceBody::TimerFire { token: *token },
-                        });
-                    }
-                }
-                EventKind::Down => {
-                    if up {
-                        self.record(TraceRecord {
-                            at_us: self.now.as_micros(),
-                            node,
-                            layer: "sim",
-                            kind: "down",
-                            body: TraceBody::NodeDown,
-                        });
-                    }
-                }
-                EventKind::Up => {
-                    if !up {
-                        self.record(TraceRecord {
-                            at_us: self.now.as_micros(),
-                            node,
-                            layer: "sim",
-                            kind: "up",
-                            body: TraceBody::NodeUp,
-                        });
-                    }
-                }
-                EventKind::Start | EventKind::SendFailed { .. } => {}
-            }
-        }
-        let cause = match &kind {
-            EventKind::Deliver { .. } if up => meta,
-            _ => MsgMeta::NONE,
-        };
-        debug_assert!(self.scratch.is_empty());
-        let mut actions = std::mem::take(&mut self.scratch);
-        let mut bounce: Option<NodeIdx> = None;
-        {
-            let mut ctx = Ctx::scoped(self.now, node, &mut actions, &mut self.rng, topology);
-            match kind {
-                EventKind::Start => {
-                    if up {
-                        self.nodes[local].on_start(&mut ctx);
-                    }
-                }
-                EventKind::Deliver { src, msg } => {
-                    if up {
-                        self.traffic
-                            .record_recv(topology.region(node), msg.size_bytes());
-                        self.nodes[local].on_message(&mut ctx, src, msg);
-                    } else {
-                        self.dropped_dead += 1;
-                        bounce = Some(src);
-                    }
-                }
-                EventKind::SendFailed { peer } => {
-                    if up {
-                        self.nodes[local].on_send_failed(&mut ctx, peer);
-                    }
-                }
-                EventKind::Timer { token } => {
-                    if up {
-                        self.nodes[local].on_timer(&mut ctx, token);
-                    }
-                }
-                EventKind::Down => {
-                    if up {
-                        self.alive.set(local, false);
-                        self.nodes[local].on_down();
-                    }
-                }
-                EventKind::Up => {
-                    if !up {
-                        self.alive.set(local, true);
-                        self.nodes[local].on_up(&mut ctx);
-                    }
-                }
-            }
-        }
-        self.apply_actions(node, local, &mut actions, cause, topology, plan);
-        self.scratch = actions;
-        if let Some(src) = bounce {
-            // TCP-RST-like failure bounce, originated by the dead
-            // destination's shard; it re-crosses the shard boundary with
-            // at least one full network delay, so the lookahead bound
-            // still covers it.
-            let delay = topology.sample_delay(node, src, 64, &mut self.rng);
-            let at = self.close(self.now + delay);
-            let seq = self.mint_seq(local);
-            let band = self.prof_classify(at);
-            self.prof_note_remote(topology, node, src);
-            self.route(
-                plan,
-                at,
-                seq,
-                src,
-                EventKind::SendFailed { peer: node },
-                MsgMeta::NONE,
-                band,
-            );
-        }
-    }
-
-    fn apply_actions(
-        &mut self,
-        src: NodeIdx,
-        local: usize,
-        actions: &mut Vec<Action<A::Msg>>,
-        cause: MsgMeta,
-        topology: &Topology,
-        plan: &ShardPlan,
-    ) {
-        let zone = topology.region(src);
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { to, msg, extra } => {
-                    let size = msg.size_bytes();
-                    self.traffic.record_send(zone, size);
-                    let mut meta = MsgMeta::NONE;
-                    if self.traced() {
-                        let id = self.mint_msg_id(local);
-                        meta = if cause.is_traced() {
-                            MsgMeta {
-                                trace: cause.trace,
-                                id,
-                                parent: cause.id,
-                                hop: cause.hop.saturating_add(1),
-                            }
-                        } else {
-                            MsgMeta {
-                                trace: id,
-                                id,
-                                parent: ROOT_PARENT,
-                                hop: 0,
-                            }
-                        };
-                    }
-                    // No loss sampling: `delay_is_deterministic` pins the
-                    // base loss probability to zero, and the delay sample
-                    // below consumes no RNG.
-                    let mut delay = topology.sample_delay(src, to, size, &mut self.rng);
-                    let mut duplicate = false;
-                    if let Some(chaos) = self.chaos.as_mut() {
-                        let verdict = chaos.on_send(self.now, src, to, topology);
-                        if verdict.drop {
-                            self.dropped_loss += 1;
-                            if self.traced() {
-                                let (layer, kind) = tag(&msg);
-                                let body = TraceBody::Drop {
-                                    to,
-                                    bytes: size,
-                                    reason: DropReason::Chaos,
-                                    meta,
-                                };
-                                self.record(TraceRecord {
-                                    at_us: self.now.as_micros(),
-                                    node: src,
-                                    layer,
-                                    kind,
-                                    body,
-                                });
-                            }
-                            continue;
-                        }
-                        if verdict.delay_factor > 1 {
-                            delay = delay.saturating_mul(verdict.delay_factor);
-                            if self.traced() {
-                                let (layer, kind) = tag(&msg);
-                                self.record(TraceRecord {
-                                    at_us: self.now.as_micros(),
-                                    node: src,
-                                    layer,
-                                    kind,
-                                    body: TraceBody::ChaosEffect {
-                                        to,
-                                        effect: "delay",
-                                    },
-                                });
-                            }
-                        }
-                        duplicate = verdict.duplicate;
-                        if duplicate && self.traced() {
-                            let (layer, kind) = tag(&msg);
-                            self.record(TraceRecord {
-                                at_us: self.now.as_micros(),
-                                node: src,
-                                layer,
-                                kind,
-                                body: TraceBody::ChaosEffect {
-                                    to,
-                                    effect: "duplicate",
-                                },
-                            });
-                        }
-                    }
-                    let at = self.close(self.now + extra + delay);
-                    if self.traced() {
-                        let (layer, kind) = tag(&msg);
-                        self.record(TraceRecord {
-                            at_us: self.now.as_micros(),
-                            node: src,
-                            layer,
-                            kind,
-                            body: TraceBody::Send {
-                                to,
-                                bytes: size,
-                                meta,
-                                arrive_at_us: at.as_micros(),
-                            },
-                        });
-                    }
-                    if duplicate {
-                        let mut dup_meta = MsgMeta::NONE;
-                        if self.traced() {
-                            let id = self.mint_msg_id(local);
-                            dup_meta = MsgMeta { id, ..meta };
-                            let (layer, kind) = tag(&msg);
-                            self.record(TraceRecord {
-                                at_us: self.now.as_micros(),
-                                node: src,
-                                layer,
-                                kind,
-                                body: TraceBody::Send {
-                                    to,
-                                    bytes: size,
-                                    meta: dup_meta,
-                                    arrive_at_us: at.as_micros(),
-                                },
-                            });
-                        }
-                        let seq = self.mint_seq(local);
-                        let band = self.prof_classify(at);
-                        self.prof_note_remote(topology, src, to);
-                        self.route(
-                            plan,
-                            at,
-                            seq,
-                            to,
-                            EventKind::Deliver {
-                                src,
-                                msg: msg.clone(),
-                            },
-                            dup_meta,
-                            band,
-                        );
-                    }
-                    let seq = self.mint_seq(local);
-                    let band = self.prof_classify(at);
-                    self.prof_note_remote(topology, src, to);
-                    self.route(
-                        plan,
-                        at,
-                        seq,
-                        to,
-                        EventKind::Deliver { src, msg },
-                        meta,
-                        band,
-                    );
-                }
-                Action::Timer { delay, token } => {
-                    let at = self.close(self.now + delay);
-                    let seq = self.mint_seq(local);
-                    let band = self.prof_classify(at);
-                    self.enqueue(
-                        at,
-                        seq,
-                        src,
-                        EventKind::Timer { token },
-                        MsgMeta::NONE,
-                        band,
-                    );
-                }
-                Action::Compute { kind, amount } => {
-                    match kind {
-                        ComputeKind::FlTask => {
-                            self.compute_fl_us[zone as usize] += amount.as_micros()
-                        }
-                        ComputeKind::DhtTask => {
-                            self.compute_dht_us[zone as usize] += amount.as_micros()
-                        }
-                    }
-                    if self.traced() {
-                        let task = match kind {
-                            ComputeKind::FlTask => "fl",
-                            ComputeKind::DhtTask => "dht",
-                        };
-                        self.record(TraceRecord {
-                            at_us: self.now.as_micros(),
-                            node: src,
-                            layer: "sim",
-                            kind: "compute",
-                            body: TraceBody::Compute {
-                                task,
-                                us: amount.as_micros(),
-                            },
-                        });
-                    }
-                }
-            }
+        let t0 = self.part.wall.is_some().then(Instant::now); // det: allow(entropy: wall-clock phase timing, surfaced only via the --profile-wall side channel)
+        self.run_before(topology, SimTime::from_micros(end_us.saturating_sub(1)));
+        if let (Some(t0), Some(w)) = (t0, self.part.wall.as_mut()) {
+            w.process_ns += t0.elapsed().as_nanos() as u64;
         }
     }
 
     /// Heap bytes reserved by this shard's hot state.
     fn heap_bytes(&self) -> usize {
         self.nodes.capacity() * std::mem::size_of::<A>()
-            + self.globals.capacity() * std::mem::size_of::<NodeIdx>()
+            + self.part.globals.capacity() * std::mem::size_of::<NodeIdx>()
             + self.alive.heap_bytes()
-            + self.counters.capacity() * 8
+            + self.part.counters.capacity() * 8
             + self.queue.heap_bytes()
             + self.slab.heap_bytes()
-            + self.msg_counters.capacity() * 8
+            + self.part.msg_counters.capacity() * 8
             + self.meta_slots.capacity() * std::mem::size_of::<MsgMeta>()
     }
-}
-
-/// Normalizes a payload's layer/kind tags for record emission (the same
-/// normalization as the sequential engine).
-#[inline]
-fn tag<M: Payload>(msg: &M) -> (&'static str, &'static str) {
-    let layer = msg.layer();
-    let kind = msg.kind();
-    (
-        if layer.is_empty() { "app" } else { layer },
-        if kind.is_empty() { "msg" } else { kind },
-    )
 }
 
 /// The sharded simulator: `K` conservative-parallel event loops over one
 /// topology. See the module docs for the invariance contract.
 pub struct ShardedSim<A: Application> {
     topology: Topology,
-    plan: ShardPlan,
+    plan: Arc<ShardPlan>,
     cores: Vec<ShardCore<A>>,
 }
 
@@ -894,36 +431,43 @@ impl<A: Application> ShardedSim<A> {
         if !topology.delay_is_deterministic() {
             return Err(ShardError::StochasticTopology);
         }
-        let plan = ShardPlan::new(&topology, shards)?;
+        let plan = Arc::new(ShardPlan::new(&topology, shards)?);
         let k = plan.shards();
         let zones = topology.num_regions().max(1);
-        let mut cores: Vec<ShardCore<A>> = (0..k)
-            .map(|id| ShardCore::new(id, plan.members[id].clone(), zones, seed))
-            .collect();
-        for core in &mut cores {
-            core.outbox = (0..k).map(|_| Vec::new()).collect();
-        }
         // Nodes are constructed in global order (construction may be
         // index-sensitive), then moved to their shard.
+        let mut nodes: Vec<Vec<A>> = (0..k)
+            .map(|s| Vec::with_capacity(plan.shard_len(s)))
+            .collect();
         for g in 0..topology.len() {
-            let app = make_node(g);
-            cores[plan.node_shard[g] as usize].nodes.push(app);
+            nodes[plan.shard_of(g)].push(make_node(g));
         }
-        // Time-zero Start events, one per node, keyed by the node itself.
-        for core in &mut cores {
-            for local in 0..core.globals.len() {
-                let seq = core.mint_seq(local);
-                let node = core.globals[local];
-                core.enqueue(
-                    SimTime::ZERO,
-                    seq,
-                    node,
-                    EventKind::Start,
-                    MsgMeta::NONE,
-                    BAND_NONE,
-                );
-            }
-        }
+        let cores = nodes
+            .into_iter()
+            .enumerate()
+            .map(|(id, nodes)| {
+                let part = ShardPart {
+                    id,
+                    plan: Arc::clone(&plan),
+                    globals: plan.members[id].clone(),
+                    counters: vec![0; nodes.len()],
+                    msg_counters: Vec::new(),
+                    traffic: ZoneLedger::new(zones),
+                    compute_fl_us: vec![0; zones],
+                    compute_dht_us: vec![0; zones],
+                    outbox: (0..k).map(|_| Vec::new()).collect(),
+                    remote_sent: 0,
+                    trace: None,
+                    trace_key: EventKey {
+                        time: SimTime::ZERO,
+                        seq: 0,
+                    },
+                    trace_sub: 0,
+                    wall: None,
+                };
+                Engine::new(part, nodes, sub_rng(seed, &format!("shard-{id}")))
+            })
+            .collect();
         Ok(ShardedSim {
             topology,
             plan,
@@ -935,8 +479,8 @@ impl<A: Application> ShardedSim<A> {
     /// [`ShardedSim::take_trace`]). Must be called before running.
     pub fn with_tracing(mut self) -> Self {
         for core in &mut self.cores {
-            core.trace = Some(Vec::new());
-            core.msg_counters = vec![1; core.globals.len()];
+            core.part.trace = Some(Vec::new());
+            core.part.msg_counters = vec![1; core.part.globals.len()];
         }
         self
     }
@@ -949,12 +493,8 @@ impl<A: Application> ShardedSim<A> {
     /// shard counts for a fixed `(scenario, seed)`. Time-zero Start events
     /// predate the collector and stay band-unclassified, uniformly.
     pub fn with_profiling(mut self) -> Self {
-        let lookahead = self
-            .topology
-            .min_inter_region_delay()
-            .map_or(0, |d| d.as_micros());
         for core in &mut self.cores {
-            core.prof = Some(Box::new(EngineProf::new(lookahead)));
+            core.enable_profiling(&self.topology);
         }
         self
     }
@@ -965,7 +505,7 @@ impl<A: Application> ShardedSim<A> {
     /// only ever surface through the `--profile-wall` side channel.
     pub fn with_wall_profiling(mut self) -> Self {
         for core in &mut self.cores {
-            core.wall = Some(ShardWall::default());
+            core.part.wall = Some(ShardWall::default());
         }
         self
     }
@@ -984,7 +524,7 @@ impl<A: Application> ShardedSim<A> {
     /// enabled. Implementation-level by design: reports the *executed*
     /// shard count, per-shard handoff counts, and host-time phase totals.
     pub fn wall_profile(&self) -> Option<WallProfile> {
-        if self.cores.iter().all(|c| c.wall.is_none()) {
+        if self.cores.iter().all(|c| c.part.wall.is_none()) {
             return None;
         }
         Some(WallProfile {
@@ -994,8 +534,8 @@ impl<A: Application> ShardedSim<A> {
                 .cores
                 .iter()
                 .map(|c| {
-                    let mut w = c.wall.clone().unwrap_or_default();
-                    w.remote_sent = c.remote_sent;
+                    let mut w = c.part.wall.clone().unwrap_or_default();
+                    w.remote_sent = c.part.remote_sent;
                     w.events = c.events_processed;
                     w
                 })
@@ -1059,8 +599,7 @@ impl<A: Application> ShardedSim<A> {
 
     /// Read access to a node's application state.
     pub fn app(&self, i: NodeIdx) -> &A {
-        let core = &self.cores[self.plan.node_shard[i] as usize];
-        &core.nodes[self.plan.local_index[i] as usize]
+        &self.cores[self.plan.shard_of(i)].nodes[self.plan.local_index[i] as usize]
     }
 
     /// Iterates over all application states in global node order.
@@ -1070,15 +609,16 @@ impl<A: Application> ShardedSim<A> {
 
     /// Whether node `i` is currently up.
     pub fn alive(&self, i: NodeIdx) -> bool {
-        let core = &self.cores[self.plan.node_shard[i] as usize];
-        core.alive.get(self.plan.local_index[i] as usize)
+        self.cores[self.plan.shard_of(i)]
+            .alive
+            .get(self.plan.local_index[i] as usize)
     }
 
     /// The merged per-zone traffic ledger.
     pub fn traffic(&self) -> ZoneLedger {
         let mut merged = ZoneLedger::new(self.topology.num_regions().max(1));
         for core in &self.cores {
-            merged.merge(&core.traffic);
+            merged.merge(&core.part.traffic);
         }
         merged
     }
@@ -1090,12 +630,9 @@ impl<A: Application> ShardedSim<A> {
 
     /// Total simulated compute microseconds, `(fl, dht)`.
     pub fn compute_totals(&self) -> (u64, u64) {
-        let fl = self.cores.iter().flat_map(|c| c.compute_fl_us.iter()).sum();
-        let dht = self
-            .cores
-            .iter()
-            .flat_map(|c| c.compute_dht_us.iter())
-            .sum();
+        let parts = || self.cores.iter().map(|c| &c.part);
+        let fl = parts().flat_map(|p| p.compute_fl_us.iter()).sum();
+        let dht = parts().flat_map(|p| p.compute_dht_us.iter()).sum();
         (fl, dht)
     }
 
@@ -1112,26 +649,27 @@ impl<A: Application> ShardedSim<A> {
         total
     }
 
-    /// Schedules node `i` to go down at `at` (call before running).
+    /// Schedules node `i` to go down at `at`. Like every scheduled event
+    /// it obeys the closed-timestamp rule: an `at` at or before the
+    /// current time lands 1 µs after it.
     pub fn schedule_down(&mut self, i: NodeIdx, at: SimTime) {
         self.schedule_transition(i, at, true);
     }
 
-    /// Schedules node `i` to come back up at `at` (call before running).
+    /// Schedules node `i` to come back up at `at` (same due-time rule as
+    /// [`ShardedSim::schedule_down`]).
     pub fn schedule_up(&mut self, i: NodeIdx, at: SimTime) {
         self.schedule_transition(i, at, false);
     }
 
     fn schedule_transition(&mut self, i: NodeIdx, at: SimTime, down: bool) {
-        let core = &mut self.cores[self.plan.node_shard[i] as usize];
+        let core = &mut self.cores[self.plan.shard_of(i)];
         let local = self.plan.local_index[i] as usize;
-        let seq = core.mint_seq(local);
         let kind = if down { EventKind::Down } else { EventKind::Up };
-        let band = core.prof_classify(at);
-        core.enqueue(at, seq, i, kind, MsgMeta::NONE, band);
+        core.schedule(&self.topology, local, i, at, i, kind, MsgMeta::NONE);
     }
 
-    /// Applies a whole churn schedule (call before running).
+    /// Applies a whole churn schedule.
     pub fn apply_churn(&mut self, schedule: &ChurnSchedule) {
         for ev in schedule.events() {
             self.schedule_transition(ev.node, ev.at, ev.down);
@@ -1156,7 +694,7 @@ impl<A: Application> ShardedSim<A> {
     pub fn take_trace(&mut self) -> Vec<TraceRecord> {
         let mut all: Vec<(EventKey, u32, TraceRecord)> = Vec::new();
         for core in &mut self.cores {
-            if let Some(tr) = core.trace.as_mut() {
+            if let Some(tr) = core.part.trace.as_mut() {
                 all.append(tr);
             }
         }
@@ -1188,14 +726,17 @@ where
             // Single shard: no windows, no threads, no handoff — the
             // zero-cost baseline path.
             let end = deadline.as_micros().saturating_add(1);
-            let core = &mut self.cores[0];
-            let t0 = core.wall.is_some().then(Instant::now); // det: allow(entropy: wall-clock phase timing, surfaced only via the --profile-wall side channel)
-            core.process_window(end, &self.topology, &self.plan);
-            if let (Some(t0), Some(w)) = (t0, core.wall.as_mut()) {
-                w.process_ns += t0.elapsed().as_nanos() as u64;
-            }
+            self.cores[0].process_window(end, &self.topology);
         } else {
             self.run_parallel(deadline);
+        }
+        // Between runs every shard's clock reads the simulation's: a
+        // driver-scheduled event is then closed against the same instant
+        // at any shard count. (Everything still queued is past `deadline`,
+        // so no clock moves beyond a pending event.)
+        let now = self.now();
+        for core in &mut self.cores {
+            core.now = now;
         }
         self.events_processed() - before
     }
@@ -1218,7 +759,6 @@ where
             .collect();
         let barrier = Barrier::new(k);
         let topology = &self.topology;
-        let plan = &self.plan;
         std::thread::scope(|scope| {
             for core in self.cores.iter_mut() {
                 let next_due = &next_due;
@@ -1228,11 +768,11 @@ where
                     // Wall-clock phase timing is taken only when enabled
                     // and only surfaces via the --profile-wall side
                     // channel; it never touches simulated state.
-                    let timed = core.wall.is_some();
-                    next_due[core.id].store(core.next_due_us(), Ordering::SeqCst);
+                    let timed = core.part.wall.is_some();
+                    next_due[core.part.id].store(core.next_due_us(), Ordering::SeqCst);
                     let t0 = timed.then(Instant::now); // det: allow(entropy: wall-clock phase timing, surfaced only via the --profile-wall side channel)
                     barrier.wait();
-                    if let (Some(t0), Some(w)) = (t0, core.wall.as_mut()) {
+                    if let (Some(t0), Some(w)) = (t0, core.part.wall.as_mut()) {
                         w.barrier_ns += t0.elapsed().as_nanos() as u64;
                     }
                     // Every worker computes the same window from the same
@@ -1254,41 +794,41 @@ where
                         // stay index-aligned and merge shard-invariantly.
                         p.window_open(end_us);
                     }
+                    core.process_window(end_us, topology);
                     let t0 = timed.then(Instant::now); // det: allow(entropy: wall-clock phase timing, surfaced only via the --profile-wall side channel)
-                    core.process_window(end_us, topology, plan);
-                    if let (Some(t0), Some(w)) = (t0, core.wall.as_mut()) {
-                        w.process_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                    let t0 = timed.then(Instant::now); // det: allow(entropy: wall-clock phase timing, surfaced only via the --profile-wall side channel)
-                    for (j, out) in core.outbox.iter_mut().enumerate() {
+                    for (j, out) in core.part.outbox.iter_mut().enumerate() {
                         if !out.is_empty() {
-                            mailboxes[core.id][j]
+                            mailboxes[core.part.id][j]
                                 .lock()
                                 .expect("mailbox poisoned")
                                 .append(out);
                         }
                     }
-                    if let (Some(t0), Some(w)) = (t0, core.wall.as_mut()) {
+                    if let (Some(t0), Some(w)) = (t0, core.part.wall.as_mut()) {
                         w.exchange_ns += t0.elapsed().as_nanos() as u64;
                     }
                     let t0 = timed.then(Instant::now); // det: allow(entropy: wall-clock phase timing, surfaced only via the --profile-wall side channel)
                     barrier.wait();
-                    if let (Some(t0), Some(w)) = (t0, core.wall.as_mut()) {
+                    if let (Some(t0), Some(w)) = (t0, core.part.wall.as_mut()) {
                         w.barrier_ns += t0.elapsed().as_nanos() as u64;
                     }
                     let t0 = timed.then(Instant::now); // det: allow(entropy: wall-clock phase timing, surfaced only via the --profile-wall side channel)
                     for row in mailboxes.iter() {
-                        let mut inbox = row[core.id].lock().expect("mailbox poisoned");
+                        let mut inbox = row[core.part.id].lock().expect("mailbox poisoned");
                         for ev in inbox.drain(..) {
-                            core.enqueue_remote(ev);
+                            debug_assert!(
+                                ev.key.time > core.now,
+                                "cross-shard event inside the window"
+                            );
+                            core.insert(ev.key, ev.dst, ev.kind, ev.meta, ev.band);
                         }
                     }
-                    if let (Some(t0), Some(w)) = (t0, core.wall.as_mut()) {
+                    if let (Some(t0), Some(w)) = (t0, core.part.wall.as_mut()) {
                         w.exchange_ns += t0.elapsed().as_nanos() as u64;
                     }
                     let t0 = timed.then(Instant::now); // det: allow(entropy: wall-clock phase timing, surfaced only via the --profile-wall side channel)
                     barrier.wait();
-                    if let (Some(t0), Some(w)) = (t0, core.wall.as_mut()) {
+                    if let (Some(t0), Some(w)) = (t0, core.part.wall.as_mut()) {
                         w.barrier_ns += t0.elapsed().as_nanos() as u64;
                     }
                 });
@@ -1301,7 +841,7 @@ where
 mod tests {
     use super::*;
     use crate::geo::GeoPoint;
-    use crate::sim::Simulator;
+    use crate::sim::{Ctx, Payload, Simulator};
     use crate::topology::{LatencyModel, NodeProfile};
 
     /// A two-zone topology with fixed latency: `n` nodes split evenly,

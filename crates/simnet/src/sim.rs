@@ -1,4 +1,4 @@
-//! The discrete-event simulator core.
+//! The sequential discrete-event simulator.
 //!
 //! Every edge node is a state machine implementing [`Application`]. Nodes
 //! interact *only* by exchanging messages through the simulator, which
@@ -6,42 +6,22 @@
 //! events in deterministic `(time, sequence)` order. This models the paper's
 //! EC2 emulation (1 JVM = 1 edge node, §7.1) while staying reproducible.
 //!
-//! # Hot-path layout
-//!
-//! Simulator throughput bounds every experiment, so the event loop is built
-//! to avoid per-event allocation and large memmoves:
-//!
-//! * Event ordering lives behind the pluggable [`EventQueue`] API: queues
-//!   order small fixed-size `(EventKey, slot)` records (`time, seq, slot` —
-//!   24 bytes); message payloads live in an [`EventSlab`] indexed by `slot`,
-//!   so reordering never moves a model update. The default [`WheelQueue`]
-//!   buckets the near-horizon band in a hierarchical timer wheel (`O(1)`
-//!   pushes, one contiguous sort per due bucket); [`HeapQueue`](crate::queue::HeapQueue) is the
-//!   binary-heap reference with identical `(time, seq)` order. Freed slab
-//!   slots are recycled, so a steady-state simulation stops allocating
-//!   entirely.
-//! * Every schedule source — sends, timers, churn, failure bounces — routes
-//!   through one typed `enqueue(time, node, EventKind)` choke point, which
-//!   assigns the sequence number and clamps the due time; no call site
-//!   hand-rolls a queue entry.
-//! * The run loops dispatch in *batches*: all queued events sharing the
-//!   same `(time, destination)` drain into a reusable scratch batch and are
-//!   processed in one pass — the destination's liveness check, traffic-
-//!   ledger arithmetic, and scratch-buffer loan happen once per batch
-//!   instead of once per message, while per-message callback order, trace
-//!   emission, and RNG draws stay exactly as in single-step dispatch.
-//! * Callback side effects accumulate in a reusable scratch buffer that is
-//!   drained in place (no per-event `Vec`).
-//! * [`Simulator::step_before`] pops an event only if it is due
-//!   ([`EventQueue::pop_before`]), replacing the peek-then-pop pattern in
-//!   deadline-bounded loops.
+//! [`Simulator`] is the event core (`engine.rs`) with one partition
+//! that holds every node, driven by plain `pop` → `dispatch` loops: one
+//! global creation counter breaks same-time ties, past due times clamp to
+//! `now`, and traffic and compute are accounted per node. The event loop
+//! itself — slab, scheduling choke point, `dispatch`, `apply_actions` — is
+//! documented there. This module adds what only the sequential engine
+//! offers: a statically dispatched [`TraceSink`], a pluggable
+//! [`EventQueue`], driver injection ([`Simulator::with_app`]), a protocol
+//! fault filter, and the model checker's out-of-order hooks.
 
 use rand::rngs::StdRng;
 
-use crate::bitset::BitSet;
 use crate::chaos::{ChaosInjector, FaultFilter};
-use crate::obs::prof::{EngineProf, EngineProfile};
-use crate::obs::{DropReason, MsgMeta, NoopSink, TraceBody, TraceRecord, TraceSink, ROOT_PARENT};
+use crate::engine::{tag, Engine, EventKind, Partition, Stamped};
+use crate::obs::prof::EngineProfile;
+use crate::obs::{DropReason, MsgMeta, NoopSink, TraceRecord, TraceSink};
 use crate::queue::{EventKey, EventQueue, WheelQueue};
 use crate::rng::sub_rng;
 use crate::time::{SimDuration, SimTime};
@@ -155,9 +135,8 @@ pub(crate) enum Action<M> {
 }
 
 impl<'a, M> Ctx<'a, M> {
-    /// Assembles a context for one callback invocation. Crate-internal:
-    /// the sharded engine ([`crate::shard`]) builds contexts over its own
-    /// per-shard action buffers and RNG streams.
+    /// Assembles a context for one callback invocation over the calling
+    /// engine's action buffer and RNG stream.
     pub(crate) fn scoped(
         now: SimTime,
         me: NodeIdx,
@@ -223,23 +202,6 @@ impl<'a, M> Ctx<'a, M> {
     }
 }
 
-#[derive(Debug)]
-pub(crate) enum EventKind<M> {
-    Start,
-    Deliver { src: NodeIdx, msg: M },
-    SendFailed { peer: NodeIdx },
-    Timer { token: u64 },
-    Down,
-    Up,
-}
-
-/// A pending event's payload, parked in the slab while its key moves
-/// through the event queue.
-pub(crate) struct PendingEvent<M> {
-    pub(crate) node: NodeIdx,
-    pub(crate) kind: EventKind<M>,
-}
-
 /// Payload-free classification of a queued event, exposed to exploration
 /// tooling ([`Simulator::pending_summaries`]). Mirrors the private
 /// [`EventKind`] without leaking the message type: deliveries carry their
@@ -290,65 +252,6 @@ pub struct PendingSummary {
     pub class: PendingClass,
 }
 
-/// Free-list slab holding the payloads of queued events.
-///
-/// Slots freed by dispatched events are recycled before the backing vector
-/// grows, so a simulation whose in-flight event population has peaked stops
-/// allocating on the event path altogether.
-pub(crate) struct EventSlab<M> {
-    slots: Vec<Option<PendingEvent<M>>>,
-    free: Vec<u32>,
-}
-
-impl<M> EventSlab<M> {
-    pub(crate) fn with_capacity(cap: usize) -> Self {
-        EventSlab {
-            slots: Vec::with_capacity(cap),
-            free: Vec::new(),
-        }
-    }
-
-    /// Heap bytes currently reserved by the slab (capacity-based, for
-    /// memory accounting in million-node trials).
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<Option<PendingEvent<M>>>()
-            + self.free.capacity() * std::mem::size_of::<u32>()
-    }
-
-    pub(crate) fn insert(&mut self, ev: PendingEvent<M>) -> u32 {
-        match self.free.pop() {
-            Some(slot) => {
-                debug_assert!(self.slots[slot as usize].is_none());
-                self.slots[slot as usize] = Some(ev);
-                slot
-            }
-            None => {
-                let slot =
-                    u32::try_from(self.slots.len()).expect("more than u32::MAX events in flight");
-                self.slots.push(Some(ev));
-                slot
-            }
-        }
-    }
-
-    pub(crate) fn take(&mut self, slot: u32) -> PendingEvent<M> {
-        let ev = self.slots[slot as usize]
-            .take()
-            .expect("queue entry references an empty slot");
-        self.free.push(slot);
-        ev
-    }
-
-    /// Inspects a queued event without removing it — used by the batch
-    /// collector to decide whether the queue head extends the current
-    /// `(time, destination)` batch before committing to the pop.
-    pub(crate) fn peek(&self, slot: u32) -> &PendingEvent<M> {
-        self.slots[slot as usize]
-            .as_ref()
-            .expect("queue entry references an empty slot")
-    }
-}
-
 /// Cumulative simulated CPU time per node, split by [`ComputeKind`].
 #[derive(Clone, Debug, Default)]
 pub struct ComputeLedger {
@@ -376,6 +279,91 @@ impl ComputeLedger {
     }
 }
 
+/// The sequential engine's single partition: one global creation counter,
+/// identity placement, per-node ledgers, and the statically dispatched
+/// trace sink.
+pub(crate) struct SeqPart<S> {
+    seq: u64,
+    // Message-id counter for causal spans. Starts at 1 (0 is the "not
+    // traced" sentinel) and only advances when the sink is enabled.
+    msg_seq: u64,
+    traffic: TrafficLedger,
+    compute: ComputeLedger,
+    sink: S,
+}
+
+impl<M, S: TraceSink> Partition<M> for SeqPart<S> {
+    const PRESIZE: usize = 4;
+
+    #[inline]
+    fn mint_seq(&mut self, _local: usize, _origin: NodeIdx) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    #[inline]
+    fn mint_msg_id(&mut self, _local: usize, _origin: NodeIdx) -> u64 {
+        let id = self.msg_seq;
+        self.msg_seq += 1;
+        id
+    }
+
+    #[inline]
+    fn due(at: SimTime, now: SimTime) -> SimTime {
+        at.max(now)
+    }
+
+    #[inline]
+    fn local(&self, node: NodeIdx) -> usize {
+        node
+    }
+
+    #[inline]
+    fn global(&self, local: usize) -> NodeIdx {
+        local
+    }
+
+    #[inline]
+    fn owns(&self, _node: NodeIdx) -> bool {
+        true
+    }
+
+    fn park(&mut self, _ev: Stamped<M>) {
+        unreachable!("the single partition owns every node");
+    }
+
+    #[inline]
+    fn record_send(&mut self, _topology: &Topology, src: NodeIdx, bytes: usize) {
+        self.traffic.record_send(src, bytes);
+    }
+
+    #[inline]
+    fn record_recv(&mut self, _topology: &Topology, dst: NodeIdx, bytes: usize) {
+        self.traffic.record_recv(dst, bytes);
+    }
+
+    #[inline]
+    fn charge(&mut self, _: &Topology, node: NodeIdx, kind: ComputeKind, amount: SimDuration) {
+        self.compute.charge(node, kind, amount);
+    }
+
+    // An associated constant underneath, so with `NoopSink` every traced
+    // branch in the engine folds away at compile time.
+    #[inline(always)]
+    fn traced(&self) -> bool {
+        S::ENABLED
+    }
+
+    #[inline(always)]
+    fn begin_event(&mut self, _key: EventKey) {}
+
+    #[inline(always)]
+    fn record(&mut self, rec: TraceRecord) {
+        self.sink.record(rec);
+    }
+}
+
 /// The discrete-event simulator.
 ///
 /// The second type parameter selects the installed [`TraceSink`]; with the
@@ -389,40 +377,8 @@ impl ComputeLedger {
 /// them changes throughput only. Use [`Simulator::with_queue`] to pick one
 /// explicitly.
 pub struct Simulator<A: Application, S: TraceSink = NoopSink, Q: EventQueue = WheelQueue> {
-    nodes: Vec<A>,
-    // Liveness packed one bit per node (1 MB -> 125 KB at a million
-    // nodes); see `crate::bitset`.
-    alive: BitSet,
     topology: Topology,
-    queue: Q,
-    slab: EventSlab<A::Msg>,
-    now: SimTime,
-    seq: u64,
-    // Message-id counter for causal spans. Starts at 1 (0 is the "not
-    // traced" sentinel) and only advances when the sink is enabled.
-    msg_seq: u64,
-    // Causal meta of queued Deliver events, parallel to the slab slots.
-    // Kept out of `EventKind` so an untraced build's slab slots stay as
-    // small as before observability existed; stays empty (never resized)
-    // when the sink is disabled.
-    meta_slots: Vec<MsgMeta>,
-    rng: StdRng,
-    traffic: TrafficLedger,
-    compute: ComputeLedger,
-    scratch: Vec<Action<A::Msg>>,
-    // Reusable batch buffer for same-(time, destination) dispatch runs;
-    // like `scratch`, its capacity survives across batches so the run loop
-    // performs no per-batch allocation.
-    batch: Vec<(EventKind<A::Msg>, MsgMeta)>,
-    events_processed: u64,
-    dropped_loss: u64,
-    dropped_dead: u64,
-    chaos: Option<ChaosInjector>,
-    fault_filter: Option<FaultFilter<A::Msg>>,
-    // Deterministic engine self-profiling (`obs::prof`), enabled on
-    // demand; `None` costs one predictable branch per hot-path site.
-    prof: Option<Box<EngineProf>>,
-    sink: S,
+    core: Engine<A, SeqPart<S>, Q>,
 }
 
 impl<A: Application> Simulator<A, NoopSink> {
@@ -457,66 +413,37 @@ impl<A: Application, S: TraceSink, Q: EventQueue> Simulator<A, S, Q> {
         topology: Topology,
         seed: u64,
         sink: S,
-        mut make_node: impl FnMut(NodeIdx) -> A,
+        make_node: impl FnMut(NodeIdx) -> A,
     ) -> Self {
         let n = topology.len();
-        let nodes: Vec<A> = (0..n).map(&mut make_node).collect();
-        // The steady-state in-flight event population is a small multiple
-        // of the node count (heartbeats, timers, a few messages per node);
-        // reserving that up front avoids the early doubling cascade.
-        let event_cap = n.saturating_mul(4).max(64);
-        let mut sim = Simulator {
-            alive: BitSet::filled(n, true),
-            nodes,
-            queue: Q::with_capacity(event_cap),
-            slab: EventSlab::with_capacity(event_cap),
-            now: SimTime::ZERO,
+        let part = SeqPart {
             seq: 0,
             msg_seq: 1,
-            // Sized to the slab's reservation when tracing is on, so the
-            // side table never doubles mid-run; untraced builds keep it
-            // empty forever and pay no per-node meta cost.
-            meta_slots: if S::ENABLED {
-                Vec::with_capacity(event_cap)
-            } else {
-                Vec::new()
-            },
-            rng: sub_rng(seed, "simulator"),
             traffic: TrafficLedger::new(n),
             compute: ComputeLedger::new(n),
-            // One callback can address every peer (a server-style fan-out),
-            // but typical bursts are small; clamp the reservation.
-            scratch: Vec::with_capacity(n.clamp(16, 1_024)),
-            batch: Vec::new(),
-            topology,
-            events_processed: 0,
-            dropped_loss: 0,
-            dropped_dead: 0,
-            chaos: None,
-            fault_filter: None,
-            prof: None,
             sink,
         };
-        for node in 0..n {
-            sim.enqueue(SimTime::ZERO, node, EventKind::Start);
+        let nodes: Vec<A> = (0..n).map(make_node).collect();
+        Simulator {
+            core: Engine::new(part, nodes, sub_rng(seed, "simulator")),
+            topology,
         }
-        sim
     }
 
     /// The installed trace sink.
     pub fn sink(&self) -> &S {
-        &self.sink
+        &self.core.part.sink
     }
 
     /// Mutable access to the installed trace sink (e.g. to take records).
     pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink
+        &mut self.core.part.sink
     }
 
     /// Consumes the simulator, returning the sink with everything it
     /// observed.
     pub fn into_sink(self) -> S {
-        self.sink
+        self.core.part.sink
     }
 
     /// Enables deterministic engine self-profiling ([`crate::obs::prof`]).
@@ -527,79 +454,75 @@ impl<A: Application, S: TraceSink, Q: EventQueue> Simulator<A, S, Q> {
     /// already queued (the time-zero starts) predate the collector and
     /// stay band-unclassified, uniformly across engines.
     pub fn enable_profiling(&mut self) {
-        let lookahead = self
-            .topology
-            .min_inter_region_delay()
-            .map_or(0, |d| d.as_micros());
-        self.prof = Some(Box::new(EngineProf::new(lookahead)));
+        self.core.enable_profiling(&self.topology);
     }
 
     /// The engine-profile snapshot, if profiling was enabled.
     pub fn engine_profile(&self) -> Option<EngineProfile> {
-        self.prof.as_ref().map(|p| p.snapshot())
+        self.core.prof.as_ref().map(|p| p.snapshot())
     }
 
     /// Installs a fault injector consulted on every message send (after the
     /// topology's own loss/delay sampling, so the main RNG stream is
     /// unaffected). See [`crate::chaos::FaultPlan`].
     pub fn install_chaos(&mut self, injector: ChaosInjector) {
-        self.chaos = Some(injector);
+        self.core.chaos = Some(injector);
     }
 
     /// The installed fault injector, if any (e.g. to read its stats).
     pub fn chaos(&self) -> Option<&ChaosInjector> {
-        self.chaos.as_ref()
+        self.core.chaos.as_ref()
     }
 
     /// Installs a protocol-aware message filter (return `true` to drop).
     /// Used to plant deliberate bugs that the chaos oracles must catch.
     pub fn set_fault_filter(&mut self, filter: FaultFilter<A::Msg>) {
-        self.fault_filter = Some(filter);
+        self.core.fault_filter = Some(filter);
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.core.now
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.core.nodes.len()
     }
 
     /// Whether the simulator has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.core.nodes.is_empty()
     }
 
     /// Read access to a node's application state.
     pub fn app(&self, i: NodeIdx) -> &A {
-        &self.nodes[i]
+        &self.core.nodes[i]
     }
 
     /// Iterates over all application states.
     pub fn apps(&self) -> impl Iterator<Item = &A> {
-        self.nodes.iter()
+        self.core.nodes.iter()
     }
 
     /// Whether node `i` is currently up.
     pub fn alive(&self, i: NodeIdx) -> bool {
-        self.alive.get(i)
+        self.core.alive.get(i)
     }
 
     /// The traffic ledger.
     pub fn traffic(&self) -> &TrafficLedger {
-        &self.traffic
+        &self.core.part.traffic
     }
 
     /// Mutable access to the traffic ledger (e.g. to reset after warm-up).
     pub fn traffic_mut(&mut self) -> &mut TrafficLedger {
-        &mut self.traffic
+        &mut self.core.part.traffic
     }
 
     /// The compute ledger.
     pub fn compute(&self) -> &ComputeLedger {
-        &self.compute
+        &self.core.part.compute
     }
 
     /// The topology.
@@ -609,38 +532,51 @@ impl<A: Application, S: TraceSink, Q: EventQueue> Simulator<A, S, Q> {
 
     /// Total events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.core.events_processed
     }
 
     /// Number of events currently queued.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.core.queue.len()
     }
 
     /// Total messages dropped so far, for any reason.
     pub fn messages_dropped(&self) -> u64 {
-        self.dropped_loss + self.dropped_dead
+        self.core.dropped_loss + self.core.dropped_dead
     }
 
     /// Messages dropped in flight: stochastic link loss, chaos faults, and
     /// installed fault filters.
     pub fn dropped_loss(&self) -> u64 {
-        self.dropped_loss
+        self.core.dropped_loss
     }
 
     /// Messages dropped on arrival because the destination was down.
     pub fn dropped_dead(&self) -> u64 {
-        self.dropped_dead
+        self.core.dropped_dead
     }
 
-    /// Schedules node `i` to go down at absolute time `at`.
+    /// Schedules node `i` to go down at absolute time `at` (clamped to
+    /// the current time if already past).
     pub fn schedule_down(&mut self, i: NodeIdx, at: SimTime) {
-        self.enqueue(at, i, EventKind::Down);
+        self.schedule_own(i, at, EventKind::Down, MsgMeta::NONE);
     }
 
-    /// Schedules node `i` to come back up at absolute time `at`.
+    /// Schedules node `i` to come back up at absolute time `at` (clamped
+    /// to the current time if already past).
     pub fn schedule_up(&mut self, i: NodeIdx, at: SimTime) {
-        self.enqueue(at, i, EventKind::Up);
+        self.schedule_own(i, at, EventKind::Up, MsgMeta::NONE);
+    }
+
+    /// Schedules a driver-created event for node `i`, keyed like any other.
+    fn schedule_own(
+        &mut self,
+        i: NodeIdx,
+        at: SimTime,
+        kind: EventKind<A::Msg>,
+        meta: MsgMeta,
+    ) -> EventKey {
+        self.core.schedule(&self.topology, i, i, at, i, kind, meta)
     }
 
     // ------------------------------------------------- exploration hooks --
@@ -655,11 +591,11 @@ impl<A: Application, S: TraceSink, Q: EventQueue> Simulator<A, S, Q> {
     /// without exposing message payloads. Takes `&mut self` because lazily
     /// ordered queues normalize their head on observation.
     pub fn pending_summaries(&mut self) -> Vec<PendingSummary> {
-        let entries = self.queue.snapshot();
+        let entries = self.core.queue.snapshot();
         entries
             .into_iter()
             .map(|(key, slot)| {
-                let ev = self.slab.peek(slot);
+                let ev = self.core.slab.peek(slot);
                 let class = match &ev.kind {
                     EventKind::Start => PendingClass::Start,
                     EventKind::Deliver { src, msg } => {
@@ -691,10 +627,34 @@ impl<A: Application, S: TraceSink, Q: EventQueue> Simulator<A, S, Q> {
     /// pulls it forward to the current instant, never backwards. Returns
     /// `None` if no event is queued under `key`.
     pub fn dispatch_pending(&mut self, key: EventKey) -> Option<SimTime> {
-        let slot = self.queue.remove(key)?;
-        self.prof_note_dispatch(key.time.max(self.now), slot);
-        let (ev, meta) = self.take_event(slot);
-        Some(self.dispatch(key.time.max(self.now), ev, meta))
+        let slot = self.core.queue.remove(key)?;
+        let key = EventKey {
+            time: key.time.max(self.core.now),
+            ..key
+        };
+        self.core.dispatch(&self.topology, key, slot);
+        Some(self.core.now)
+    }
+
+    /// The queued *delivery* filed under `key` as `(slot, destination,
+    /// source, message)`, or `None` — leaving the queue as it was — when
+    /// `key` is absent or names a non-Deliver event. `keep` says whether a
+    /// delivery stays queued.
+    fn pending_delivery(
+        &mut self,
+        key: EventKey,
+        keep: bool,
+    ) -> Option<(u32, NodeIdx, NodeIdx, A::Msg)> {
+        let slot = self.core.queue.remove(key)?;
+        let ev = self.core.slab.peek(slot);
+        let found = match &ev.kind {
+            EventKind::Deliver { src, msg } => Some((slot, ev.node, *src, msg.clone())),
+            _ => None,
+        };
+        if keep || found.is_none() {
+            self.core.queue.push(key, slot);
+        }
+        found
     }
 
     /// Removes the queued *delivery* with exactly `key`, counting it as an
@@ -702,20 +662,15 @@ impl<A: Application, S: TraceSink, Q: EventQueue> Simulator<A, S, Q> {
     /// untouched — when `key` is absent or names a non-Deliver event:
     /// timers, churn transitions, and bounces cannot be "lost".
     pub fn drop_pending(&mut self, key: EventKey) -> bool {
-        let Some(slot) = self.queue.remove(key) else {
+        let Some((slot, node, src, msg)) = self.pending_delivery(key, false) else {
             return false;
         };
-        if !matches!(self.slab.peek(slot).kind, EventKind::Deliver { .. }) {
-            self.queue.push(key, slot);
-            return false;
-        }
-        let (ev, meta) = self.take_event(slot);
-        let EventKind::Deliver { src, msg } = ev.kind else {
-            unreachable!("checked above");
-        };
-        self.dropped_loss += 1;
+        let meta = self.core.meta_of(slot);
+        self.core.slab.take(slot);
+        self.core.dropped_loss += 1;
         if S::ENABLED {
-            self.record_drop(src, ev.node, &msg, DropReason::Filter, meta);
+            self.core
+                .record_drop(src, node, &msg, DropReason::Filter, meta);
         }
         true
     }
@@ -727,31 +682,9 @@ impl<A: Application, S: TraceSink, Q: EventQueue> Simulator<A, S, Q> {
     /// original's causal meta. Returns the copy's key, or `None` when `key`
     /// is absent or names a non-Deliver event.
     pub fn duplicate_pending(&mut self, key: EventKey) -> Option<EventKey> {
-        let slot = self.queue.remove(key)?;
-        let copy = match &self.slab.peek(slot).kind {
-            EventKind::Deliver { src, msg } => {
-                let node = self.slab.peek(slot).node;
-                Some((node, *src, msg.clone()))
-            }
-            _ => None,
-        };
-        self.queue.push(key, slot);
-        let (node, src, msg) = copy?;
-        let meta = if S::ENABLED {
-            self.meta_slots
-                .get(slot as usize)
-                .copied()
-                .unwrap_or(MsgMeta::NONE)
-        } else {
-            MsgMeta::NONE
-        };
-        let time = key.time.max(self.now);
-        let seq = self.seq;
-        let new_slot = self.enqueue(time, node, EventKind::Deliver { src, msg });
-        if S::ENABLED {
-            self.set_deliver_meta(new_slot, meta);
-        }
-        Some(EventKey { time, seq })
+        let (slot, node, src, msg) = self.pending_delivery(key, true)?;
+        let meta = self.core.meta_of(slot);
+        Some(self.schedule_own(node, key.time, EventKind::Deliver { src, msg }, meta))
     }
 
     /// Runs an application callback "from the outside" at the current time —
@@ -767,34 +700,26 @@ impl<A: Application, S: TraceSink, Q: EventQueue> Simulator<A, S, Q> {
         i: NodeIdx,
         f: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg>) -> R,
     ) -> Option<R> {
-        if !self.alive.get(i) {
+        let core = &mut self.core;
+        if !core.alive.get(i) {
             return None;
         }
-        debug_assert!(self.scratch.is_empty());
-        let mut actions = std::mem::take(&mut self.scratch);
+        debug_assert!(core.scratch.is_empty());
+        let mut actions = std::mem::take(&mut core.scratch);
         let r = {
-            let mut ctx = Ctx {
-                now: self.now,
-                me: i,
-                actions: &mut actions,
-                rng: &mut self.rng,
-                topology: &self.topology,
-            };
-            f(&mut self.nodes[i], &mut ctx)
+            let mut ctx = Ctx::scoped(core.now, i, &mut actions, &mut core.rng, &self.topology);
+            f(&mut core.nodes[i], &mut ctx)
         };
         // Driver-injected work roots fresh causal spans.
-        self.apply_actions(i, &mut actions, MsgMeta::NONE);
-        self.scratch = actions;
+        core.apply_actions(&self.topology, i, i, &mut actions, MsgMeta::NONE);
+        core.scratch = actions;
         Some(r)
     }
 
     /// Processes the next event, returning its timestamp, or `None` if the
     /// queue is empty.
     pub fn step(&mut self) -> Option<SimTime> {
-        let (key, slot) = self.queue.pop()?;
-        self.prof_note_dispatch(key.time, slot);
-        let (ev, meta) = self.take_event(slot);
-        Some(self.dispatch(key.time, ev, meta))
+        self.step_before(SimTime::MAX)
     }
 
     /// Processes the next event only if it is due at or before `deadline`,
@@ -802,676 +727,38 @@ impl<A: Application, S: TraceSink, Q: EventQueue> Simulator<A, S, Q> {
     /// ([`EventQueue::pop_before`]) — the deadline-bounded analogue of
     /// [`Simulator::step`].
     pub fn step_before(&mut self, deadline: SimTime) -> Option<SimTime> {
-        let (key, slot) = self.queue.pop_before(deadline)?;
-        self.prof_note_dispatch(key.time, slot);
-        let (ev, meta) = self.take_event(slot);
-        Some(self.dispatch(key.time, ev, meta))
+        let (key, slot) = self.core.queue.pop_before(deadline)?;
+        self.core.dispatch(&self.topology, key, slot);
+        Some(key.time)
     }
 
     /// Runs until the queue drains or simulated time exceeds `deadline`.
     /// Returns the number of events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        if let Some(p) = self.prof.as_mut() {
+        if let Some(p) = self.core.prof.as_mut() {
             // Mirror the sharded engine's window clamp (`deadline + 1`,
             // exclusive) so the lazy window recurrence matches it.
             p.set_window_clamp(deadline.as_micros().saturating_add(1));
         }
-        let mut processed = 0;
-        loop {
-            let n = self.step_batch(deadline, u64::MAX);
-            if n == 0 {
-                return processed;
-            }
-            processed += n;
-        }
+        self.core.run_before(&self.topology, deadline)
     }
 
     /// Runs for `dur` of simulated time from the current instant.
     pub fn run_for(&mut self, dur: SimDuration) -> u64 {
-        let deadline = self.now + dur;
+        let deadline = self.core.now + dur;
         self.run_until(deadline)
     }
 
     /// Runs until the event queue is empty or `max_events` were processed.
     /// Returns `true` if the queue drained.
     pub fn run_until_quiet(&mut self, max_events: u64) -> bool {
-        let mut remaining = max_events;
-        while remaining > 0 {
-            let n = self.step_batch(SimTime::MAX, remaining);
-            if n == 0 {
+        for _ in 0..max_events {
+            if self.step().is_none() {
                 return true;
             }
-            remaining -= n;
         }
-        self.queue.is_empty()
+        self.core.queue.is_empty()
     }
-
-    /// Feeds one about-to-dispatch event into the engine profiler: window
-    /// recurrence, tick occupancy, overflow-migration readback, delivery
-    /// grouping. Must run before [`Simulator::take_event`] recycles the
-    /// slot. A no-op (one predictable branch) unless profiling is on.
-    #[inline]
-    fn prof_note_dispatch(&mut self, time: SimTime, slot: u32) {
-        if self.prof.is_some() {
-            let ev = self.slab.peek(slot);
-            let node = ev.node;
-            let groupable = !matches!(ev.kind, EventKind::Down | EventKind::Up);
-            if let Some(p) = self.prof.as_mut() {
-                p.on_dispatch(slot, time.as_micros(), node, groupable);
-            }
-        }
-    }
-
-    /// Counts one cross-region message from `from` to `to` in the engine
-    /// profiler, when the two nodes live in different topology regions.
-    #[inline]
-    fn prof_note_remote(&mut self, from: NodeIdx, to: NodeIdx) {
-        if self.prof.is_some() {
-            let (ra, rb) = (self.topology.region(from), self.topology.region(to));
-            if ra != rb {
-                if let Some(p) = self.prof.as_mut() {
-                    p.on_remote(ra, rb);
-                }
-            }
-        }
-    }
-
-    /// Takes a popped event's payload out of the slab, along with its
-    /// parked causal meta (read before the slot can be recycled).
-    #[inline]
-    fn take_event(&mut self, slot: u32) -> (PendingEvent<A::Msg>, MsgMeta) {
-        let meta = if S::ENABLED {
-            self.meta_slots
-                .get(slot as usize)
-                .copied()
-                .unwrap_or(MsgMeta::NONE)
-        } else {
-            MsgMeta::NONE
-        };
-        (self.slab.take(slot), meta)
-    }
-
-    /// Pops and dispatches one *batch*: the maximal run of due queue-head
-    /// events sharing the same `(time, destination)`, excluding liveness
-    /// transitions (`Down`/`Up`, which dispatch singly so the batch-wide
-    /// alive check stays sound). Returns the number of events processed
-    /// (0 when nothing is due), never more than `budget` (callers pass a
-    /// positive budget).
-    ///
-    /// Batching flattens per-message bookkeeping — destination liveness,
-    /// traffic-ledger arithmetic, the scratch-buffer loan — into one pass
-    /// per batch while preserving per-message callback order, trace
-    /// emission, and RNG draws, so results are byte-identical to repeated
-    /// [`Simulator::step`]. Collecting ahead is sound because a callback
-    /// can only enqueue with a *larger* sequence number: nothing it
-    /// schedules can sort before an event already popped into the batch.
-    fn step_batch(&mut self, deadline: SimTime, budget: u64) -> u64 {
-        debug_assert!(budget > 0);
-        let Some((key, slot)) = self.queue.pop_before(deadline) else {
-            return 0;
-        };
-        self.prof_note_dispatch(key.time, slot);
-        let (ev, meta) = self.take_event(slot);
-        if matches!(ev.kind, EventKind::Down | EventKind::Up) {
-            self.dispatch(key.time, ev, meta);
-            return 1;
-        }
-        let node = ev.node;
-        // Singleton fast path: when the next head does not share this
-        // event's `(time, destination)` (the common case for staggered
-        // timers), skip the batch machinery entirely — `dispatch` and a
-        // one-element `dispatch_batch` are observationally identical.
-        let extends = budget > 1
-            && match self.queue.peek() {
-                Some((next_key, next_slot)) if next_key.time == key.time => {
-                    let head = self.slab.peek(next_slot);
-                    head.node == node && !matches!(head.kind, EventKind::Down | EventKind::Up)
-                }
-                _ => false,
-            };
-        if !extends {
-            self.dispatch(key.time, ev, meta);
-            return 1;
-        }
-        debug_assert!(self.batch.is_empty());
-        let mut batch = std::mem::take(&mut self.batch);
-        batch.push((ev.kind, meta));
-        while (batch.len() as u64) < budget {
-            let Some((next_key, next_slot)) = self.queue.peek() else {
-                break;
-            };
-            if next_key.time != key.time {
-                break;
-            }
-            let head = self.slab.peek(next_slot);
-            if head.node != node || matches!(head.kind, EventKind::Down | EventKind::Up) {
-                break;
-            }
-            self.queue.pop().expect("peeked queue head vanished");
-            self.prof_note_dispatch(key.time, next_slot);
-            let (ev2, meta2) = self.take_event(next_slot);
-            batch.push((ev2.kind, meta2));
-        }
-        let count = batch.len() as u64;
-        self.dispatch_batch(key.time, node, &mut batch);
-        debug_assert!(batch.is_empty());
-        self.batch = batch;
-        count
-    }
-
-    /// Dispatches a collected same-`(time, destination)` batch in one pass,
-    /// draining it. See [`Simulator::step_batch`] for the equivalence
-    /// argument.
-    fn dispatch_batch(
-        &mut self,
-        time: SimTime,
-        node: NodeIdx,
-        batch: &mut Vec<(EventKind<A::Msg>, MsgMeta)>,
-    ) {
-        debug_assert!(time >= self.now, "time went backwards");
-        self.now = time;
-        self.events_processed += batch.len() as u64;
-        if self.alive.get(node) {
-            // Flattened ledger bookkeeping: one read-modify-write of the
-            // destination's traffic counters per batch, not per message.
-            let mut recv_msgs = 0u64;
-            let mut recv_bytes = 0u64;
-            for (kind, _) in batch.iter() {
-                if let EventKind::Deliver { msg, .. } = kind {
-                    recv_msgs += 1;
-                    recv_bytes += msg.size_bytes() as u64;
-                }
-            }
-            if recv_msgs > 0 {
-                self.traffic.record_recv_batch(node, recv_msgs, recv_bytes);
-            }
-            debug_assert!(self.scratch.is_empty());
-            let mut actions = std::mem::take(&mut self.scratch);
-            for (kind, meta) in batch.drain(..) {
-                // Records are emitted per message, in dispatch order — the
-                // (sim_time, seq) total order the determinism contract pins.
-                if S::ENABLED {
-                    match &kind {
-                        EventKind::Deliver { src, msg } => {
-                            let (layer, mkind) = tag(msg);
-                            self.sink.record(TraceRecord {
-                                at_us: self.now.as_micros(),
-                                node,
-                                layer,
-                                kind: mkind,
-                                body: TraceBody::Deliver {
-                                    from: *src,
-                                    bytes: msg.size_bytes(),
-                                    meta,
-                                },
-                            });
-                        }
-                        EventKind::Timer { token } => {
-                            self.sink.record(TraceRecord {
-                                at_us: self.now.as_micros(),
-                                node,
-                                layer: "sim",
-                                kind: "timer",
-                                body: TraceBody::TimerFire { token: *token },
-                            });
-                        }
-                        EventKind::Start | EventKind::SendFailed { .. } => {}
-                        EventKind::Down | EventKind::Up => unreachable!("never batched"),
-                    }
-                }
-                // The delivered message's causal meta is inherited by sends
-                // issued from its handler; other kinds root fresh spans.
-                let cause = match &kind {
-                    EventKind::Deliver { .. } => meta,
-                    _ => MsgMeta::NONE,
-                };
-                {
-                    let mut ctx = Ctx {
-                        now: self.now,
-                        me: node,
-                        actions: &mut actions,
-                        rng: &mut self.rng,
-                        topology: &self.topology,
-                    };
-                    match kind {
-                        EventKind::Start => self.nodes[node].on_start(&mut ctx),
-                        EventKind::Deliver { src, msg } => {
-                            self.nodes[node].on_message(&mut ctx, src, msg)
-                        }
-                        EventKind::SendFailed { peer } => {
-                            self.nodes[node].on_send_failed(&mut ctx, peer)
-                        }
-                        EventKind::Timer { token } => self.nodes[node].on_timer(&mut ctx, token),
-                        EventKind::Down | EventKind::Up => unreachable!("never batched"),
-                    }
-                }
-                self.apply_actions(node, &mut actions, cause);
-            }
-            self.scratch = actions;
-        } else {
-            // Dead destination: deliveries drop and bounce a failure
-            // notification per message (in order, matching single-step
-            // dispatch RNG draw for RNG draw); other kinds are silent.
-            for (kind, meta) in batch.drain(..) {
-                if let EventKind::Deliver { src, msg } = kind {
-                    if S::ENABLED {
-                        let (layer, mkind) = tag(&msg);
-                        self.sink.record(TraceRecord {
-                            at_us: self.now.as_micros(),
-                            node: src,
-                            layer,
-                            kind: mkind,
-                            body: TraceBody::Drop {
-                                to: node,
-                                bytes: msg.size_bytes(),
-                                reason: DropReason::DeadDest,
-                                meta,
-                            },
-                        });
-                    }
-                    self.dropped_dead += 1;
-                    // TCP-RST-like bounce back to the sender; one network
-                    // delay away. A direct enqueue, not a scratch action.
-                    let delay = self.topology.sample_delay(node, src, 64, &mut self.rng);
-                    let at = self.now + delay;
-                    self.prof_note_remote(node, src);
-                    self.enqueue(at, src, EventKind::SendFailed { peer: node });
-                }
-            }
-        }
-    }
-
-    fn dispatch(&mut self, time: SimTime, ev: PendingEvent<A::Msg>, meta: MsgMeta) -> SimTime {
-        let PendingEvent { node, kind } = ev;
-        debug_assert!(time >= self.now, "time went backwards");
-        self.now = time;
-        self.events_processed += 1;
-        let mut notify_failure: Option<NodeIdx> = None;
-        // The delivered message's causal meta, inherited by sends issued
-        // from its handler; every other event kind roots fresh spans.
-        let mut cause = MsgMeta::NONE;
-        // Records are emitted here, in dispatch order — which is the
-        // (sim_time, seq) total order the determinism contract pins.
-        if S::ENABLED {
-            match &kind {
-                EventKind::Deliver { src, msg } => {
-                    let (layer, mkind) = tag(msg);
-                    let body = if self.alive.get(node) {
-                        cause = meta;
-                        TraceBody::Deliver {
-                            from: *src,
-                            bytes: msg.size_bytes(),
-                            meta,
-                        }
-                    } else {
-                        TraceBody::Drop {
-                            to: node,
-                            bytes: msg.size_bytes(),
-                            reason: DropReason::DeadDest,
-                            meta,
-                        }
-                    };
-                    let about = if self.alive.get(node) { node } else { *src };
-                    self.sink.record(TraceRecord {
-                        at_us: self.now.as_micros(),
-                        node: about,
-                        layer,
-                        kind: mkind,
-                        body,
-                    });
-                }
-                EventKind::Timer { token } => {
-                    if self.alive.get(node) {
-                        self.sink.record(TraceRecord {
-                            at_us: self.now.as_micros(),
-                            node,
-                            layer: "sim",
-                            kind: "timer",
-                            body: TraceBody::TimerFire { token: *token },
-                        });
-                    }
-                }
-                EventKind::Down => {
-                    if self.alive.get(node) {
-                        self.sink.record(TraceRecord {
-                            at_us: self.now.as_micros(),
-                            node,
-                            layer: "sim",
-                            kind: "down",
-                            body: TraceBody::NodeDown,
-                        });
-                    }
-                }
-                EventKind::Up => {
-                    if !self.alive.get(node) {
-                        self.sink.record(TraceRecord {
-                            at_us: self.now.as_micros(),
-                            node,
-                            layer: "sim",
-                            kind: "up",
-                            body: TraceBody::NodeUp,
-                        });
-                    }
-                }
-                EventKind::Start | EventKind::SendFailed { .. } => {}
-            }
-        }
-        debug_assert!(self.scratch.is_empty());
-        let mut actions = std::mem::take(&mut self.scratch);
-        {
-            let mut ctx = Ctx {
-                now: self.now,
-                me: node,
-                actions: &mut actions,
-                rng: &mut self.rng,
-                topology: &self.topology,
-            };
-            match kind {
-                EventKind::Start => {
-                    if self.alive.get(node) {
-                        self.nodes[node].on_start(&mut ctx);
-                    }
-                }
-                EventKind::Deliver { src, msg } => {
-                    if self.alive.get(node) {
-                        self.traffic.record_recv(node, msg.size_bytes());
-                        self.nodes[node].on_message(&mut ctx, src, msg);
-                    } else {
-                        self.dropped_dead += 1;
-                        notify_failure = Some(src);
-                    }
-                }
-                EventKind::SendFailed { peer } => {
-                    if self.alive.get(node) {
-                        self.nodes[node].on_send_failed(&mut ctx, peer);
-                    }
-                }
-                EventKind::Timer { token } => {
-                    if self.alive.get(node) {
-                        self.nodes[node].on_timer(&mut ctx, token);
-                    }
-                }
-                EventKind::Down => {
-                    if self.alive.get(node) {
-                        self.alive.set(node, false);
-                        self.nodes[node].on_down();
-                    }
-                }
-                EventKind::Up => {
-                    if !self.alive.get(node) {
-                        self.alive.set(node, true);
-                        self.nodes[node].on_up(&mut ctx);
-                    }
-                }
-            }
-        }
-        self.apply_actions(node, &mut actions, cause);
-        self.scratch = actions;
-        if let Some(src) = notify_failure {
-            // Bounce a connection-failure notification back to the sender
-            // (TCP-RST-like); it travels one network delay. This is a single
-            // direct enqueue — it does not go through the action scratch.
-            let delay = self.topology.sample_delay(node, src, 64, &mut self.rng);
-            let at = self.now + delay;
-            self.prof_note_remote(node, src);
-            self.enqueue(at, src, EventKind::SendFailed { peer: node });
-        }
-        self.now
-    }
-
-    /// The single typed scheduling choke point: every event source — sends,
-    /// timers, churn transitions, failure bounces, the time-zero starts —
-    /// lands here. Assigns the next sequence number (the `(time, seq)`
-    /// tie-break the determinism contract pins), clamps the due time to
-    /// `now`, parks the payload in the slab, and pushes the key into the
-    /// installed [`EventQueue`]. Returns the slab slot so Deliver sites can
-    /// park causal meta alongside it.
-    fn enqueue(&mut self, time: SimTime, node: NodeIdx, kind: EventKind<A::Msg>) -> u32 {
-        let time = time.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        let slot = self.slab.insert(PendingEvent { node, kind });
-        self.queue.push(EventKey { time, seq }, slot);
-        if let Some(p) = self.prof.as_mut() {
-            let band = p.classify(self.now.as_micros(), time.as_micros());
-            p.note_band(slot, band);
-        }
-        slot
-    }
-
-    /// Parks a Deliver event's causal meta alongside its slab slot. Only
-    /// called when the sink is enabled; slots recycled by non-Deliver
-    /// events may hold stale meta, but every Deliver write refreshes its
-    /// slot before the corresponding dispatch reads it.
-    fn set_deliver_meta(&mut self, slot: u32, meta: MsgMeta) {
-        let i = slot as usize;
-        if self.meta_slots.len() <= i {
-            self.meta_slots.resize(i + 1, MsgMeta::NONE);
-        }
-        self.meta_slots[i] = meta;
-    }
-
-    /// Emits a send-side drop record (loss, chaos, or filter).
-    #[inline]
-    fn record_drop(
-        &mut self,
-        src: NodeIdx,
-        to: NodeIdx,
-        msg: &A::Msg,
-        reason: DropReason,
-        meta: MsgMeta,
-    ) {
-        let (layer, kind) = tag(msg);
-        self.sink.record(TraceRecord {
-            at_us: self.now.as_micros(),
-            node: src,
-            layer,
-            kind,
-            body: TraceBody::Drop {
-                to,
-                bytes: msg.size_bytes(),
-                reason,
-                meta,
-            },
-        });
-    }
-
-    /// Applies one callback's buffered side effects, draining the buffer in
-    /// place. The buffer is the caller's loan of `self.scratch`, so the hot
-    /// path performs no allocation: capacity survives across events.
-    ///
-    /// `cause` is the causal meta of the delivered message whose handler
-    /// produced these actions ([`MsgMeta::NONE`] for timers, starts, driver
-    /// injections, ...): sends inherit its trace, or root a new one.
-    fn apply_actions(&mut self, src: NodeIdx, actions: &mut Vec<Action<A::Msg>>, cause: MsgMeta) {
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { to, msg, extra } => {
-                    let size = msg.size_bytes();
-                    self.traffic.record_send(src, size);
-                    // Causal identity, computed only when tracing is on;
-                    // drops too get ids, so a span shows where it died.
-                    let mut meta = MsgMeta::NONE;
-                    if S::ENABLED {
-                        let id = self.msg_seq;
-                        self.msg_seq += 1;
-                        meta = if cause.is_traced() {
-                            MsgMeta {
-                                trace: cause.trace,
-                                id,
-                                parent: cause.id,
-                                hop: cause.hop.saturating_add(1),
-                            }
-                        } else {
-                            MsgMeta {
-                                trace: id,
-                                id,
-                                parent: ROOT_PARENT,
-                                hop: 0,
-                            }
-                        };
-                    }
-                    if self.topology.sample_loss(&mut self.rng) {
-                        self.dropped_loss += 1;
-                        if S::ENABLED {
-                            self.record_drop(src, to, &msg, DropReason::Loss, meta);
-                        }
-                        continue;
-                    }
-                    // The base loss/delay draws above always happen first,
-                    // so installing no chaos leaves the main RNG stream —
-                    // and every golden fixture — untouched.
-                    let mut delay = self.topology.sample_delay(src, to, size, &mut self.rng);
-                    let mut duplicate = false;
-                    if let Some(chaos) = self.chaos.as_mut() {
-                        let verdict = chaos.on_send(self.now, src, to, &self.topology);
-                        if verdict.drop {
-                            self.dropped_loss += 1;
-                            if S::ENABLED {
-                                self.record_drop(src, to, &msg, DropReason::Chaos, meta);
-                            }
-                            continue;
-                        }
-                        if verdict.delay_factor > 1 {
-                            delay = delay.saturating_mul(verdict.delay_factor);
-                            if S::ENABLED {
-                                let (layer, kind) = tag(&msg);
-                                self.sink.record(TraceRecord {
-                                    at_us: self.now.as_micros(),
-                                    node: src,
-                                    layer,
-                                    kind,
-                                    body: TraceBody::ChaosEffect {
-                                        to,
-                                        effect: "delay",
-                                    },
-                                });
-                            }
-                        }
-                        duplicate = verdict.duplicate;
-                        if duplicate && S::ENABLED {
-                            let (layer, kind) = tag(&msg);
-                            self.sink.record(TraceRecord {
-                                at_us: self.now.as_micros(),
-                                node: src,
-                                layer,
-                                kind,
-                                body: TraceBody::ChaosEffect {
-                                    to,
-                                    effect: "duplicate",
-                                },
-                            });
-                        }
-                    }
-                    if let Some(filter) = self.fault_filter.as_mut() {
-                        if filter(self.now, src, to, &msg) {
-                            self.dropped_loss += 1;
-                            if S::ENABLED {
-                                self.record_drop(src, to, &msg, DropReason::Filter, meta);
-                            }
-                            continue;
-                        }
-                    }
-                    let at = self.now + extra + delay;
-                    if self.prof.is_some() {
-                        self.prof_note_remote(src, to);
-                        if duplicate {
-                            self.prof_note_remote(src, to);
-                        }
-                    }
-                    if S::ENABLED {
-                        let (layer, kind) = tag(&msg);
-                        self.sink.record(TraceRecord {
-                            at_us: self.now.as_micros(),
-                            node: src,
-                            layer,
-                            kind,
-                            body: TraceBody::Send {
-                                to,
-                                bytes: size,
-                                meta,
-                                arrive_at_us: at.as_micros(),
-                            },
-                        });
-                    }
-                    if duplicate {
-                        // Same arrival time; the heap sequence number keeps
-                        // the pair ordered deterministically. The duplicate
-                        // gets its own message id so the span shows both
-                        // arrivals, but shares trace/parent/hop.
-                        let mut dup_meta = MsgMeta::NONE;
-                        if S::ENABLED {
-                            let id = self.msg_seq;
-                            self.msg_seq += 1;
-                            dup_meta = MsgMeta { id, ..meta };
-                            let (layer, kind) = tag(&msg);
-                            self.sink.record(TraceRecord {
-                                at_us: self.now.as_micros(),
-                                node: src,
-                                layer,
-                                kind,
-                                body: TraceBody::Send {
-                                    to,
-                                    bytes: size,
-                                    meta: dup_meta,
-                                    arrive_at_us: at.as_micros(),
-                                },
-                            });
-                        }
-                        let slot = self.enqueue(
-                            at,
-                            to,
-                            EventKind::Deliver {
-                                src,
-                                msg: msg.clone(),
-                            },
-                        );
-                        if S::ENABLED {
-                            self.set_deliver_meta(slot, dup_meta);
-                        }
-                    }
-                    let slot = self.enqueue(at, to, EventKind::Deliver { src, msg });
-                    if S::ENABLED {
-                        self.set_deliver_meta(slot, meta);
-                    }
-                }
-                Action::Timer { delay, token } => {
-                    let at = self.now + delay;
-                    self.enqueue(at, src, EventKind::Timer { token });
-                }
-                Action::Compute { kind, amount } => {
-                    self.compute.charge(src, kind, amount);
-                    if S::ENABLED {
-                        let task = match kind {
-                            ComputeKind::FlTask => "fl",
-                            ComputeKind::DhtTask => "dht",
-                        };
-                        self.sink.record(TraceRecord {
-                            at_us: self.now.as_micros(),
-                            node: src,
-                            layer: "sim",
-                            kind: "compute",
-                            body: TraceBody::Compute {
-                                task,
-                                us: amount.as_micros(),
-                            },
-                        });
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Normalizes a payload's layer/kind tags for record emission.
-#[inline]
-fn tag<M: Payload>(msg: &M) -> (&'static str, &'static str) {
-    let layer = msg.layer();
-    let kind = msg.kind();
-    (
-        if layer.is_empty() { "app" } else { layer },
-        if kind.is_empty() { "msg" } else { kind },
-    )
 }
 
 #[cfg(test)]
@@ -1828,9 +1115,9 @@ mod tests {
         sim.run_until_quiet(10_000);
         assert!(sim.events_processed() > 500);
         assert!(
-            sim.slab.slots.len() <= 64,
+            sim.core.slab.slots() <= 64,
             "slab grew to {} slots for a 1-message workload",
-            sim.slab.slots.len()
+            sim.core.slab.slots()
         );
     }
 }

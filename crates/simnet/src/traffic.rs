@@ -79,15 +79,6 @@ impl TrafficLedger {
         t.payload_recv += payload as u64;
     }
 
-    /// Records `msgs` messages totalling `payload` bytes received at `dst`
-    /// in one ledger update — the batched-delivery fast path, equivalent to
-    /// `msgs` calls to [`TrafficLedger::record_recv`].
-    pub fn record_recv_batch(&mut self, dst: NodeIdx, msgs: u64, payload: u64) {
-        let t = &mut self.per_node[dst];
-        t.msgs_recv += msgs;
-        t.payload_recv += payload;
-    }
-
     /// Returns the counters for node `i`.
     pub fn node(&self, i: NodeIdx) -> NodeTraffic {
         self.per_node[i]

@@ -7,13 +7,16 @@
 //! scenario additionally pins the merged-trace digest to a constant so
 //! the contract cannot drift silently; and a collision-free scenario is
 //! cross-checked against the sequential [`Simulator`] on all
-//! order-insensitive observables.
+//! order-insensitive observables, the multiset of trace records included.
+//! Two regressions of the shared event core ride along: past-scheduled
+//! churn transitions and the `run_until_quiet` event budget.
 
 use proptest::prelude::*;
 use totoro_simnet::obs::jsonl_trace;
 use totoro_simnet::{
     keyed_unit, Application, ChaosStats, Ctx, Fault, FaultKind, FaultPlan, GeoPoint, LatencyModel,
-    NodeIdx, NodeProfile, Payload, ShardedSim, SimDuration, SimTime, Simulator, Topology,
+    NodeIdx, NodeProfile, Payload, RecordingSink, ShardedSim, SimDuration, SimTime, Simulator,
+    Topology, TraceBody, TraceRecord,
 };
 
 /// An `n`-node topology with `zones` round-robin regions and a fixed
@@ -283,15 +286,43 @@ fn golden_trace_digest_is_pinned_across_shard_counts() {
 /// Pinned by the test above (FNV-1a of the K=1 merged JSONL trace).
 const GOLDEN_TRACE_DIGEST: u64 = 13_264_027_526_420_172_575;
 
+/// Payload-free shape of one trace record: `(at_us, node, layer, kind,
+/// body variant)`. Message ids are left out on purpose — the two engines
+/// mint them from different counters (DESIGN.md §12, row 1).
+type RecordShape = (u64, NodeIdx, &'static str, &'static str, &'static str);
+
+fn shapes(records: &[TraceRecord]) -> Vec<RecordShape> {
+    let mut out: Vec<RecordShape> = records
+        .iter()
+        .map(|r| {
+            let variant = match r.body {
+                TraceBody::Send { .. } => "send",
+                TraceBody::Deliver { .. } => "deliver",
+                TraceBody::Drop { reason, .. } => reason.name(),
+                TraceBody::ChaosEffect { effect, .. } => effect,
+                TraceBody::TimerFire { .. } => "timer",
+                TraceBody::NodeDown => "down",
+                TraceBody::NodeUp => "up",
+                TraceBody::Compute { .. } => "compute",
+            };
+            (r.at_us, r.node, r.layer, r.kind, variant)
+        })
+        .collect();
+    out.sort_unstable();
+    out
+}
+
 /// Sequential cross-check on a collision-free schedule: fixed even
 /// latency, odd timer phases and odd churn instants mean no Deliver ever
 /// shares an instant with a Down/Up, so the sequential engine and the
 /// sharded engine agree on every order-insensitive observable (the
-/// closed-timestamp rule never fires because no action has zero delay).
+/// closed-timestamp rule never fires because no action has zero delay) —
+/// including, with tracing on, the multiset of trace records at every
+/// shard count.
 #[test]
 fn sharded_agrees_with_sequential_under_churn_and_keyed_chaos() {
     let n = 24;
-    let zones = 3;
+    let zones = 4;
     let seed = 99;
     let rounds = 6;
     let make = |_: NodeIdx| Mixer {
@@ -315,32 +346,126 @@ fn sharded_agrees_with_sequential_under_churn_and_keyed_chaos() {
             SimTime::from_micros(30_000),
             FaultKind::Duplicate { prob: 0.15 },
         ));
-    let mut seq = Simulator::new(zoned(n, zones, 500), seed, make);
+    let mut seq = Simulator::with_sink(zoned(n, zones, 500), seed, RecordingSink::new(n), make);
     seq.install_chaos(plan.keyed_injector(seed));
-    seq.schedule_down(5, SimTime::from_micros(2_500));
+    seq.schedule_down(5, SimTime::from_micros(500));
     seq.schedule_up(5, SimTime::from_micros(10_500));
     assert!(seq.run_until_quiet(10_000_000));
-
-    let mut sh = ShardedSim::new(zoned(n, zones, 500), seed, 3, make).unwrap();
-    sh.apply_plan(&plan, seed);
-    sh.schedule_down(5, SimTime::from_micros(2_500));
-    sh.schedule_up(5, SimTime::from_micros(10_500));
-    sh.run_to_quiescence();
-
-    assert_eq!(seq.events_processed(), sh.events_processed());
-    assert_eq!(seq.now(), sh.now());
-    assert_eq!(seq.dropped_loss(), sh.dropped_loss());
-    assert_eq!(seq.dropped_dead(), sh.dropped_dead());
-    assert_eq!(seq.traffic().totals(), sh.traffic_totals());
     let seq_chaos = seq.chaos().expect("installed").stats;
-    let sh_chaos: ChaosStats = sh.chaos_stats();
-    assert_eq!(seq_chaos.dropped, sh_chaos.dropped);
-    assert_eq!(seq_chaos.duplicated, sh_chaos.duplicated);
+    assert!(seq_chaos.dropped > 0 && seq_chaos.duplicated > 0);
+    assert!(seq.dropped_dead() > 0, "churn must drop something");
     // Order-insensitive per-node state: counts, not digests (same-instant
     // tie-break order may differ between the two engines).
     let seq_counts: Vec<(u64, u64, u64)> =
         seq.apps().map(|a| (a.fired, a.recvd, a.failed)).collect();
-    let sh_counts: Vec<(u64, u64, u64)> = sh.apps().map(|a| (a.fired, a.recvd, a.failed)).collect();
-    assert_eq!(seq_counts, sh_counts);
-    assert!(seq_chaos.dropped > 0 && seq_chaos.duplicated > 0);
+    let seq_shapes = shapes(&seq.sink_mut().take_records());
+
+    for k in [1, 2, 4] {
+        let mut sh = ShardedSim::new(zoned(n, zones, 500), seed, k, make)
+            .unwrap()
+            .with_tracing();
+        assert_eq!(sh.shards(), k);
+        sh.apply_plan(&plan, seed);
+        sh.schedule_down(5, SimTime::from_micros(500));
+        sh.schedule_up(5, SimTime::from_micros(10_500));
+        sh.run_to_quiescence();
+
+        assert_eq!(seq.events_processed(), sh.events_processed());
+        assert_eq!(seq.now(), sh.now());
+        assert_eq!(seq.dropped_loss(), sh.dropped_loss());
+        assert_eq!(seq.dropped_dead(), sh.dropped_dead());
+        assert_eq!(seq.traffic().totals(), sh.traffic_totals());
+        let sh_chaos: ChaosStats = sh.chaos_stats();
+        assert_eq!(seq_chaos.dropped, sh_chaos.dropped);
+        assert_eq!(seq_chaos.duplicated, sh_chaos.duplicated);
+        let sh_counts: Vec<(u64, u64, u64)> =
+            sh.apps().map(|a| (a.fired, a.recvd, a.failed)).collect();
+        assert_eq!(seq_counts, sh_counts);
+        assert_eq!(seq_shapes, shapes(&sh.take_trace()), "shards = {k}");
+    }
+}
+
+/// A churn transition scheduled in the past, after a run, must not move
+/// any engine's clock backwards: the sequential engine clamps it to `now`,
+/// the sharded engine closes it to `now + 1 µs` — against the simulation
+/// clock, so the outcome is the same at every shard count.
+#[test]
+fn past_transitions_keep_the_clock_monotone_on_both_engines() {
+    let n = 12;
+    let zones = 2;
+    let make = |_: NodeIdx| Mixer {
+        n,
+        zones,
+        rounds: 40,
+        behavior: 7,
+        fired: 0,
+        recvd: 0,
+        failed: 0,
+        digest: 0,
+    };
+    let pause = SimTime::from_micros(5_000);
+    let past = SimTime::from_micros(100);
+
+    let mut seq = Simulator::new(zoned(n, zones, 500), 1, make);
+    seq.run_until(pause);
+    let before = seq.now();
+    assert!(before > past && seq.pending_events() > 0);
+    seq.schedule_down(3, past);
+    assert_eq!(seq.step(), Some(before), "clamped to now, not rewound");
+    assert!(!seq.alive(3));
+    assert!(seq.run_until_quiet(1_000_000));
+    assert!(seq.now() >= before);
+
+    let run_k = |k: usize| {
+        let mut sh = ShardedSim::new(zoned(n, zones, 500), 1, k, make).unwrap();
+        sh.run_until(pause);
+        let before = sh.now();
+        assert!(before > past);
+        // Node 3 lives in zone 1; at K = 2 its shard may have stopped
+        // earlier than the other one, and must still close against `before`.
+        sh.schedule_down(3, past);
+        sh.run_until(before + SimDuration::from_micros(1));
+        assert!(!sh.alive(3), "shards = {k}");
+        assert_eq!(sh.now(), before + SimDuration::from_micros(1));
+        sh.run_to_quiescence();
+        let counts: Vec<(u64, u64, u64)> =
+            sh.apps().map(|a| (a.fired, a.recvd, a.failed)).collect();
+        (before, sh.now(), sh.events_processed(), counts)
+    };
+    let base = run_k(1);
+    assert_eq!(base, run_k(2));
+    assert!(base.1 >= base.0);
+}
+
+/// `run_until_quiet(max_events)` stops after exactly `max_events` even when
+/// the budget runs out in the middle of a run of events sharing one
+/// `(time, destination)`.
+#[test]
+fn run_until_quiet_budget_splits_a_same_instant_same_destination_run() {
+    struct Fan {
+        recvd: u64,
+    }
+    impl Application for Fan {
+        type Msg = Pkt;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Pkt>) {
+            if ctx.me() != 0 {
+                ctx.send(0, Pkt(ctx.me() as u64));
+            }
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, Pkt>, _: NodeIdx, _: Pkt) {
+            self.recvd += 1;
+        }
+    }
+    // Four starts at t = 0, then three deliveries to node 0 one hop later.
+    let mut sim = Simulator::new(zoned(4, 1, 500), 3, |_| Fan { recvd: 0 });
+    assert!(!sim.run_until_quiet(5));
+    assert_eq!(sim.events_processed(), 5);
+    assert_eq!((sim.app(0).recvd, sim.pending_events()), (1, 2));
+    let arrival = sim.now();
+    assert!(arrival > SimTime::ZERO);
+    assert!(!sim.run_until_quiet(1));
+    assert_eq!((sim.events_processed(), sim.app(0).recvd), (6, 2));
+    assert!(sim.run_until_quiet(1), "the last event drains the queue");
+    assert_eq!((sim.events_processed(), sim.app(0).recvd), (7, 3));
+    assert_eq!(sim.now(), arrival, "all three shared one instant");
 }

@@ -122,7 +122,7 @@ else
 fi
 
 # Engine self-profile sanity: fresh runs must carry the deterministic
-# profile block, and its batched-delivery singleton ratio must be a real
+# profile block, and its delivery-group singleton ratio must be a real
 # ratio. A value outside 0..=1 (or a missing block) means the profiling
 # counters desynced from the event loop.
 ratio=$(sed -n 's/.*"engine_profile":.*"singleton_ratio":\([0-9.]*\).*/\1/p' "${fresh[0]}")
