@@ -96,7 +96,7 @@ fn fig13_small_output_matches_golden() {
 }
 
 #[test]
-#[ignore = "~20 s in release (fixed n=640 fanout sweep); CI runs it via `--include-ignored`"]
+#[ignore = "1-2 min in debug (fixed n=640 fanout sweep); CI runs it in release via `--include-ignored` and in debug by name"]
 fn fig6_small_output_matches_golden() {
     let got = run("fig6", &["--nodes", "40", "--model-kb", "8"]);
     assert_eq!(got, include_str!("golden/fig6_n40_mk8_seed1.txt"));
@@ -136,7 +136,7 @@ fn fig9_small_output_matches_golden() {
 }
 
 #[test]
-#[ignore = "~30 s in debug; CI runs it in release via `--include-ignored`"]
+#[ignore = "10-20 s in debug; CI runs it in release via `--include-ignored` and in debug by name"]
 fn fig12_small_output_matches_golden() {
     let got = run("fig12", &["--nodes", "50"]);
     assert_eq!(got, include_str!("golden/fig12_n50_seed42.txt"));

@@ -5,14 +5,31 @@
 //! sees three primitives, mirroring what FreePastry offered the original
 //! implementation: key-based routing with per-hop interception (the hook
 //! Scribe trees are built on), direct messages, and failure notifications.
-
-use std::collections::HashMap; // det: allow(unordered: import only; every declaration and construction site below carries its own proof)
+//!
+//! # The keep-alive receive path
+//!
+//! Steady-state maintenance is the workload: a settled overlay spends over
+//! 80 % of its events on `Heartbeat` and `LeafExchange`, and every one of
+//! them re-offers contacts the node already knows (one per heartbeat, ~25
+//! per exchange). That path is O(1) per offered contact:
+//!
+//! * [`DhtNode`] is the only thing that mutates its [`DhtState`] during a
+//!   run ([`DhtApi::state`] is a shared reference), and it does so only
+//!   through a [`NoOpMemo`], which remembers the peers whose last offer
+//!   changed nothing and forgets them all the moment anything changes. A
+//!   remembered contact is skipped before the RTT lookup, the leaf-set
+//!   scans and the four `consider` calls; [`DhtStats::offers_skipped`]
+//!   counts how often. See [`NoOpMemo`] for why that is exact, and why the
+//!   cheaper "forget on removal only" rule is not.
+//! * Liveness (`last_seen`) and the memo are address-sorted `Vec`s probed
+//!   by binary search — no hashing, so nothing here depends on a hasher's
+//!   iteration order — and each message costs one liveness probe.
 
 use totoro_simnet::{ComputeKind, Ctx, NodeIdx, Payload, Shared, SimDuration, SimTime};
 
 use crate::id::Id;
 use crate::routing::{next_hop, NextHop};
-use crate::state::{DhtConfig, DhtState};
+use crate::state::{DhtConfig, DhtState, NoOpMemo, Offer};
 use crate::table::Contact;
 use crate::two_level::BoundaryDecision;
 
@@ -146,13 +163,19 @@ pub struct DhtStats {
     pub hops_max: u16,
     /// Leaf-set peers declared failed.
     pub peers_failed: u64,
+    /// Contacts of other nodes offered to the routing state (one per
+    /// keep-alive sender, gossiped member, join or announce).
+    pub offers: u64,
+    /// Offers skipped because the [`NoOpMemo`] knew them to change nothing.
+    pub offers_skipped: u64,
 }
 
 /// The interface the DHT exposes to its upper layer during callbacks.
 pub struct DhtApi<'a, 'b, P: Payload> {
-    /// The node's routing state (read access is common; mutation is for
-    /// maintenance logic).
-    pub state: &'a mut DhtState,
+    /// The node's routing state. Read-only: during a run only the
+    /// [`DhtNode`] itself mutates it, so its [`NoOpMemo`] cannot be
+    /// invalidated behind its back.
+    pub state: &'a DhtState,
     stats: &'a mut DhtStats,
     ctx: &'a mut Ctx<'b, DhtMsg<P>>,
     pending_local: &'a mut Vec<(Id, NodeIdx, P)>,
@@ -330,9 +353,68 @@ impl Default for MaintenanceConfig {
     }
 }
 
+/// When each tracked peer was last heard from, ascending by address and
+/// probed by binary search.
+#[derive(Default)]
+struct LastSeen(Vec<(NodeIdx, SimTime)>);
+
+impl LastSeen {
+    fn slot(&self, addr: NodeIdx) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&addr, |&(a, _)| a)
+    }
+
+    /// Refreshes `addr` if it is tracked; returns whether it was.
+    fn refresh(&mut self, addr: NodeIdx, now: SimTime) -> bool {
+        match self.slot(addr) {
+            Ok(i) => {
+                self.0[i].1 = now;
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// Refreshes `addr`, starting to track it if it was not.
+    fn set(&mut self, addr: NodeIdx, now: SimTime) {
+        match self.slot(addr) {
+            Ok(i) => self.0[i].1 = now,
+            Err(i) => self.0.insert(i, (addr, now)),
+        }
+    }
+
+    /// When `addr` was last heard from; an untracked peer starts at `now`.
+    fn get_or_set(&mut self, addr: NodeIdx, now: SimTime) -> SimTime {
+        match self.slot(addr) {
+            Ok(i) => self.0[i].1,
+            Err(i) => {
+                self.0.insert(i, (addr, now));
+                now
+            }
+        }
+    }
+
+    fn remove(&mut self, addr: NodeIdx) {
+        if let Ok(i) = self.slot(addr) {
+            self.0.remove(i);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
 /// A DHT node with upper layer `U`, runnable on the simulator.
+///
+/// The node's [`NoOpMemo`] and liveness table are keyed by network address
+/// alone. That identifies the whole [`Contact`] because address → id is a
+/// function here: a contact is only ever minted by its owner's
+/// [`DhtState::contact`], and a node's id never changes. Debug builds check
+/// it on every memo hit (see [`NoOpMemo`]).
 pub struct DhtNode<U: UpperLayer> {
-    /// Routing state.
+    /// Routing state. Once the node runs, every mutation goes through the
+    /// node's [`NoOpMemo`]; replace it wholesale only before the run starts
+    /// (bulk construction), while the memo is still empty.
     pub state: DhtState,
     /// The layered application.
     pub upper: U,
@@ -342,8 +424,8 @@ pub struct DhtNode<U: UpperLayer> {
     bootstrap: Option<NodeIdx>,
     joined: bool,
     tick: u64,
-    // det: allow(unordered: keyed insert/remove/contains/entry by peer address only; liveness sweeps iterate the ordered leaf set and probe this map per key, so hash order never decides any protocol step)
-    last_seen: HashMap<NodeIdx, SimTime>,
+    last_seen: LastSeen,
+    memo: NoOpMemo,
     pending_local: Vec<(Id, NodeIdx, U::P)>,
 }
 
@@ -365,7 +447,8 @@ impl<U: UpperLayer> DhtNode<U> {
             bootstrap,
             joined: bootstrap.is_none(),
             tick: 0,
-            last_seen: HashMap::new(), // det: allow(unordered: construction of the key-only map proven at its field declaration)
+            last_seen: LastSeen::default(),
+            memo: NoOpMemo::default(),
             pending_local: Vec::new(),
         }
     }
@@ -396,7 +479,7 @@ impl<U: UpperLayer> DhtNode<U> {
     }
 
     fn api<'a, 'b>(
-        state: &'a mut DhtState,
+        state: &'a DhtState,
         stats: &'a mut DhtStats,
         pending_local: &'a mut Vec<(Id, NodeIdx, U::P)>,
         ctx: &'a mut Ctx<'b, DhtMsg<U::P>>,
@@ -416,12 +499,7 @@ impl<U: UpperLayer> DhtNode<U> {
         f: impl FnOnce(&mut U, &mut DhtApi<'_, '_, U::P>) -> R,
     ) -> R {
         let r = {
-            let mut api = Self::api(
-                &mut self.state,
-                &mut self.stats,
-                &mut self.pending_local,
-                ctx,
-            );
+            let mut api = Self::api(&self.state, &mut self.stats, &mut self.pending_local, ctx);
             f(&mut self.upper, &mut api)
         };
         self.drain_local(ctx);
@@ -431,12 +509,7 @@ impl<U: UpperLayer> DhtNode<U> {
     fn drain_local(&mut self, ctx: &mut Ctx<'_, DhtMsg<U::P>>) {
         while let Some((key, origin, payload)) = self.pending_local.pop() {
             self.note_delivery(0);
-            let mut api = Self::api(
-                &mut self.state,
-                &mut self.stats,
-                &mut self.pending_local,
-                ctx,
-            );
+            let mut api = Self::api(&self.state, &mut self.stats, &mut self.pending_local, ctx);
             self.upper.on_deliver(&mut api, key, origin, payload);
         }
     }
@@ -452,15 +525,36 @@ impl<U: UpperLayer> DhtNode<U> {
     }
 
     fn learn(&mut self, ctx: &Ctx<'_, DhtMsg<U::P>>, c: Contact) {
-        if c.addr == self.state.addr() {
+        let me = self.state.addr();
+        if c.addr == me {
             return;
         }
-        let rtt = Self::measured_rtt_us(ctx, self.state.addr(), c.addr);
-        let was_leaf = self.state.leaf_set.members().any(|m| m.addr == c.addr);
-        self.state.add_contact(c, Some(rtt));
-        let is_leaf = self.state.leaf_set.members().any(|m| m.addr == c.addr);
-        if is_leaf && !was_leaf {
-            self.last_seen.insert(c.addr, ctx.now());
+        self.stats.offers += 1;
+        let rtt = || Self::measured_rtt_us(ctx, me, c.addr);
+        match self.memo.offer(&mut self.state, c, rtt) {
+            Offer::Skipped => self.stats.offers_skipped += 1,
+            Offer::Changed {
+                joined_leaf_set: true,
+            } => self.last_seen.set(c.addr, ctx.now()),
+            Offer::Unchanged | Offer::Changed { .. } => {}
+        }
+    }
+
+    /// The part every keep-alive shares: fold the claimed sender in and
+    /// mark it heard from, whether or not it was tracked. `src` is the
+    /// network source, already refreshed by `on_message`'s probe if
+    /// `src_refreshed`; when the claimed sender is that source, marking it
+    /// again would be the same write.
+    fn keep_alive(
+        &mut self,
+        ctx: &Ctx<'_, DhtMsg<U::P>>,
+        src: NodeIdx,
+        src_refreshed: bool,
+        peer: Contact,
+    ) {
+        self.learn(ctx, peer);
+        if !(src_refreshed && peer.addr == src) {
+            self.last_seen.set(peer.addr, ctx.now());
         }
     }
 
@@ -478,24 +572,18 @@ impl<U: UpperLayer> DhtNode<U> {
             .maintenance
             .heartbeat_interval
             .saturating_mul(u64::from(self.maintenance.failure_after_ticks));
-        let leafs: Vec<Contact> = self.state.leaf_set.members().collect();
         let mut failed: Vec<NodeIdx> = Vec::new();
-        for c in &leafs {
-            let seen = *self.last_seen.entry(c.addr).or_insert(now);
+        for c in self.state.leaf_set.members() {
+            let seen = self.last_seen.get_or_set(c.addr, now);
             if now.saturating_since(seen) > timeout {
                 failed.push(c.addr);
             }
         }
         for addr in failed {
-            self.state.remove_addr(addr);
-            self.last_seen.remove(&addr);
+            self.memo.remove_addr(&mut self.state, addr);
+            self.last_seen.remove(addr);
             self.stats.peers_failed += 1;
-            let mut api = Self::api(
-                &mut self.state,
-                &mut self.stats,
-                &mut self.pending_local,
-                ctx,
-            );
+            let mut api = Self::api(&self.state, &mut self.stats, &mut self.pending_local, ctx);
             self.upper.on_peer_failed(&mut api, addr);
         }
         self.drain_local(ctx);
@@ -504,15 +592,14 @@ impl<U: UpperLayer> DhtNode<U> {
         let gossip = self
             .tick
             .is_multiple_of(u64::from(self.maintenance.gossip_every_ticks.max(1)));
-        let members: Vec<Contact> = self.state.leaf_set.members().collect();
-        let count = members.len();
+        let count = self.state.leaf_set.len();
         if gossip {
             // One shared snapshot for the whole fan-out: each member's copy
             // of the gossip is a reference-count bump, not a Vec clone.
-            let members = Shared::new(members);
-            for i in 0..count {
+            let members = Shared::new(self.state.leaf_set.members().collect::<Vec<_>>());
+            for c in members.iter() {
                 ctx.send(
-                    members[i].addr,
+                    c.addr,
                     DhtMsg::LeafExchange {
                         from: me,
                         members: members.clone(),
@@ -520,7 +607,7 @@ impl<U: UpperLayer> DhtNode<U> {
                 );
             }
         } else {
-            for c in &members {
+            for c in self.state.leaf_set.members() {
                 ctx.send(c.addr, DhtMsg::Heartbeat { from: me });
             }
         }
@@ -561,23 +648,14 @@ impl<U: UpperLayer> DhtNode<U> {
         match decision {
             NextHop::Deliver => {
                 self.note_delivery(hops);
-                let mut api = Self::api(
-                    &mut self.state,
-                    &mut self.stats,
-                    &mut self.pending_local,
-                    ctx,
-                );
+                let mut api = Self::api(&self.state, &mut self.stats, &mut self.pending_local, ctx);
                 self.upper.on_deliver(&mut api, key, origin, payload);
                 self.drain_local(ctx);
             }
             NextHop::Forward(c) => {
                 let cont = {
-                    let mut api = Self::api(
-                        &mut self.state,
-                        &mut self.stats,
-                        &mut self.pending_local,
-                        ctx,
-                    );
+                    let mut api =
+                        Self::api(&self.state, &mut self.stats, &mut self.pending_local, ctx);
                     self.upper.on_forward(&mut api, key, prev, &mut payload, c)
                 };
                 self.drain_local(ctx);
@@ -614,20 +692,15 @@ impl<U: UpperLayer> totoro_simnet::Application for DhtNode<U> {
             );
         }
         self.start_maintenance(ctx);
-        let mut api = Self::api(
-            &mut self.state,
-            &mut self.stats,
-            &mut self.pending_local,
-            ctx,
-        );
+        let mut api = Self::api(&self.state, &mut self.stats, &mut self.pending_local, ctx);
         self.upper.on_start(&mut api);
         self.drain_local(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Self::Msg>, from: NodeIdx, msg: Self::Msg) {
-        if self.last_seen.contains_key(&from) {
-            self.last_seen.insert(from, ctx.now());
-        }
+        // The one liveness probe most messages need: refresh the network
+        // source if it is tracked.
+        let refreshed = self.last_seen.refresh(from, ctx.now());
         match msg {
             DhtMsg::Join {
                 joiner,
@@ -707,13 +780,14 @@ impl<U: UpperLayer> totoro_simnet::Application for DhtNode<U> {
             DhtMsg::Announce { contact } => {
                 self.learn(ctx, contact);
             }
-            DhtMsg::Heartbeat { from } => {
-                self.learn(ctx, from);
-                self.last_seen.insert(from.addr, ctx.now());
+            DhtMsg::Heartbeat { from: peer } => {
+                self.keep_alive(ctx, from, refreshed, peer);
             }
-            DhtMsg::LeafExchange { from, members } => {
-                self.learn(ctx, from);
-                self.last_seen.insert(from.addr, ctx.now());
+            DhtMsg::LeafExchange {
+                from: peer,
+                members,
+            } => {
+                self.keep_alive(ctx, from, refreshed, peer);
                 for &c in members.iter() {
                     self.learn(ctx, c);
                 }
@@ -728,12 +802,7 @@ impl<U: UpperLayer> totoro_simnet::Application for DhtNode<U> {
                 self.handle_route(ctx, from, key, origin, hops, zone_restricted, payload);
             }
             DhtMsg::Direct { payload } => {
-                let mut api = Self::api(
-                    &mut self.state,
-                    &mut self.stats,
-                    &mut self.pending_local,
-                    ctx,
-                );
+                let mut api = Self::api(&self.state, &mut self.stats, &mut self.pending_local, ctx);
                 self.upper.on_direct(&mut api, from, payload);
                 self.drain_local(ctx);
             }
@@ -742,12 +811,7 @@ impl<U: UpperLayer> totoro_simnet::Application for DhtNode<U> {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self::Msg>, token: u64) {
         if token >= UPPER_TIMER_BASE {
-            let mut api = Self::api(
-                &mut self.state,
-                &mut self.stats,
-                &mut self.pending_local,
-                ctx,
-            );
+            let mut api = Self::api(&self.state, &mut self.stats, &mut self.pending_local, ctx);
             self.upper.on_timer(&mut api, token - UPPER_TIMER_BASE);
             self.drain_local(ctx);
         } else if token == TIMER_MAINTENANCE {
@@ -759,16 +823,11 @@ impl<U: UpperLayer> totoro_simnet::Application for DhtNode<U> {
         // Transport-level failure (the paper's substrate reacts to broken
         // TCP connections): purge the peer from all routing structures and
         // tell the upper layer so trees can repair immediately.
-        if self.state.remove_addr(peer) {
-            self.last_seen.remove(&peer);
+        if self.memo.remove_addr(&mut self.state, peer) {
+            self.last_seen.remove(peer);
             self.stats.peers_failed += 1;
         }
-        let mut api = Self::api(
-            &mut self.state,
-            &mut self.stats,
-            &mut self.pending_local,
-            ctx,
-        );
+        let mut api = Self::api(&self.state, &mut self.stats, &mut self.pending_local, ctx);
         self.upper.on_peer_failed(&mut api, peer);
         self.drain_local(ctx);
     }
@@ -795,16 +854,14 @@ impl<U: UpperLayer> totoro_simnet::Application for DhtNode<U> {
         for addr in peers {
             ctx.send(addr, DhtMsg::Announce { contact: me });
         }
-        let mut api = Self::api(
-            &mut self.state,
-            &mut self.stats,
-            &mut self.pending_local,
-            ctx,
-        );
+        let mut api = Self::api(&self.state, &mut self.stats, &mut self.pending_local, ctx);
         self.upper.on_up(&mut api);
         self.drain_local(ctx);
     }
 
+    /// Protocol state only: the [`NoOpMemo`] is derived, rebuildable
+    /// simulator state and is not counted (its real cost shows in the
+    /// process's peak RSS).
     fn memory_bytes(&self) -> usize {
         self.state.memory_bytes()
             + self.upper.memory_bytes()

@@ -2,9 +2,208 @@
 
 use proptest::prelude::*;
 use totoro_dht::{closest_on_ring, Id, LeafSet, RoutingTable};
-use totoro_dht::{Contact, DhtConfig, DhtState, NextHop};
+use totoro_dht::{Contact, DhtConfig, DhtState, NextHop, NoOpMemo, Offer};
+
+/// Everything the four routing structures list, each in its own order.
+fn listing(s: &DhtState) -> [Vec<Contact>; 4] {
+    [
+        s.routing_table.contacts().collect(),
+        s.leaf_set.members().collect(),
+        s.two_level.contacts().collect(),
+        s.neighborhood.members().collect(),
+    ]
+}
+
+/// `(zoned, leaf_half, neighborhood_size)` -> a config whose sets range
+/// from tiny (every offer is at a boundary) to the paper's sizes.
+fn shaped_config((zoned, leaf_half, neighborhood_size): (bool, usize, usize)) -> DhtConfig {
+    DhtConfig {
+        zone_bits: if zoned { 4 } else { 0 },
+        leaf_set_size: 2 * leaf_half,
+        neighborhood_size,
+        ..DhtConfig::default()
+    }
+}
+
+/// A small pool of contacts built to collide: arbitrary ids, ids adjacent
+/// to `me` on either ring side, ids repeated under a second address, and
+/// RTTs drawn from three values so neighbourhood ties are the norm. A
+/// contact's RTT is a function of its address, as in the simulator.
+fn contact_pool(me: Id, raw: &[(u128, u8, u64)]) -> Vec<(Contact, u64)> {
+    let mut pool: Vec<(Contact, u64)> = Vec::new();
+    for (i, &(r, kind, rtt)) in raw.iter().enumerate() {
+        let id = match kind {
+            0 => Id::new(r),
+            1 => Id::new(me.raw().wrapping_add(1 + r % 64)),
+            2 => Id::new(me.raw().wrapping_sub(1 + r % 64)),
+            _ => pool.last().map_or(Id::new(r), |(c, _)| c.id),
+        };
+        pool.push((Contact { id, addr: i + 1 }, 100 * (1 + rtt)));
+    }
+    pool
+}
+
+/// The `k`-th of a family of contacts half a ring away from id 0 that all
+/// map to one routing-table slot and one level-2 finger, both of which
+/// `far(0)` wins (nearest clockwise). Addresses start at 3.
+fn far(k: usize) -> Contact {
+    Contact {
+        id: Id::new((8u128 << 124) + ((k as u128) << 100)),
+        addr: 3 + k,
+    }
+}
+
+/// A node at id 0 that is closed to the far contacts `a` and `b` everywhere
+/// but in its two-slot neighbourhood set, where they tie: ring-adjacent ids
+/// fill the one-per-side leaf set, and `x` holds both the routing-table
+/// slot and the level-2 finger that `a` and `b` map to, and one of the two
+/// neighbourhood slots. Returns the state and `[x, a, b]` with their RTTs.
+fn state_closed_but_for_a_tie() -> (DhtState, [(Contact, u64); 3]) {
+    let config = DhtConfig {
+        leaf_set_size: 2,
+        neighborhood_size: 2,
+        ..DhtConfig::default()
+    };
+    let mut st = DhtState::new(Id::ZERO, 0, config);
+    let (x, a, b) = (far(0), far(1), far(2));
+    for (id, addr) in [(u128::MAX, 1), (1, 2)] {
+        st.add_contact(
+            Contact {
+                id: Id::new(id),
+                addr,
+            },
+            Some(1_000),
+        );
+    }
+    st.add_contact(x, Some(50));
+    (st, [(x, 50), (a, 100), (b, 100)])
+}
+
+/// The invalidation rule that must not ship. "Forget only on removal,
+/// because every structure's accept-set only shrinks between removals" is
+/// false for the neighbourhood set, where an equal-RTT newcomer displaces
+/// the incumbent: on this sequence the removal-only memo skips an offer
+/// that changes the state, while [`NoOpMemo`] (forget on any change) tracks
+/// the always-offered state exactly.
+#[test]
+fn removal_only_invalidation_diverges_on_rtt_ties() {
+    let (start, [_, a, b]) = state_closed_but_for_a_tie();
+    let (mut always, mut shipped, mut removal_only) = (start.clone(), start.clone(), start);
+    let mut memo = NoOpMemo::default();
+    let mut remembered = std::collections::BTreeSet::new();
+    // a enters; b ties and displaces it; b again is a no-op (remembered by
+    // both rules); a displaces b; b would displace a again.
+    for (c, rtt) in [a, b, b, a, b] {
+        always.add_contact(c, Some(rtt));
+        memo.offer(&mut shipped, c, || rtt);
+        assert_eq!(listing(&shipped), listing(&always));
+        if !remembered.contains(&c.addr) && !removal_only.add_contact(c, Some(rtt)) {
+            remembered.insert(c.addr);
+        }
+    }
+    assert_eq!(listing(&always)[3].last(), Some(&b.0));
+    assert_eq!(listing(&removal_only)[3].last(), Some(&a.0));
+}
+
+/// A removal re-opens slots, so it must forget no-ops: once `x` leaves,
+/// the contact that kept bouncing off `x`'s routing-table slot is admitted.
+#[test]
+fn removal_forgets_and_the_freed_slot_refills() {
+    let (mut st, [x, a, _]) = state_closed_but_for_a_tie();
+    let mut memo = NoOpMemo::default();
+    let offer = |memo: &mut NoOpMemo, st: &mut DhtState| memo.offer(st, a.0, || a.1);
+    // The first offer lands in the neighbourhood set only.
+    assert!(matches!(offer(&mut memo, &mut st), Offer::Changed { .. }));
+    assert_eq!(offer(&mut memo, &mut st), Offer::Unchanged);
+    assert_eq!(offer(&mut memo, &mut st), Offer::Skipped);
+    assert!(!st.routing_table.contacts().any(|c| c == a.0));
+    assert!(memo.remove_addr(&mut st, x.0.addr));
+    assert!(matches!(offer(&mut memo, &mut st), Offer::Changed { .. }));
+    assert!(st.routing_table.contacts().any(|c| c == a.0));
+}
+
+/// The memo is bounded: at capacity, one more distinct no-op makes it
+/// forget everything else, which costs misses and nothing more.
+#[test]
+fn memo_forgets_everything_when_full() {
+    let (mut st, [_, a, _]) = state_closed_but_for_a_tie();
+    let mut memo = NoOpMemo::default();
+    // With `a` in the second neighbourhood slot, any slower far contact
+    // bounces off every structure.
+    memo.offer(&mut st, a.0, || a.1);
+    let mut offer = |k: usize| memo.offer(&mut st, far(2 + k), || 1_000);
+    for k in 1..=NoOpMemo::CAPACITY {
+        assert_eq!(offer(k), Offer::Unchanged);
+    }
+    assert_eq!(offer(1), Offer::Skipped);
+    assert_eq!(offer(NoOpMemo::CAPACITY + 1), Offer::Unchanged);
+    assert_eq!(offer(NoOpMemo::CAPACITY + 1), Offer::Skipped);
+    assert_eq!(offer(1), Offer::Unchanged);
+}
 
 proptest! {
+    /// `add_contact` and `remove_addr` return `false` exactly when the
+    /// listings of all four structures are unchanged.
+    #[test]
+    fn mutators_report_exactly_the_changes(
+        me in any::<u128>(),
+        shape in (any::<bool>(), 1usize..13, 1usize..17),
+        raw in prop::collection::vec((any::<u128>(), 0u8..4, 0u64..3), 2..16),
+        steps in prop::collection::vec((0usize..64, 0u8..6), 1..160),
+    ) {
+        let me = Id::new(me);
+        let pool = contact_pool(me, &raw);
+        let mut st = DhtState::new(me, 0, shaped_config(shape));
+        for (i, op) in steps {
+            let (c, rtt) = pool[i % pool.len()];
+            let before = listing(&st);
+            let changed = if op == 0 {
+                st.remove_addr(c.addr)
+            } else {
+                st.add_contact(c, Some(rtt))
+            };
+            prop_assert_eq!(changed, listing(&st) != before);
+        }
+    }
+
+    /// A state driven through the memo ("skip if remembered, forget on any
+    /// change") equals, after every step, one that is always offered.
+    #[test]
+    fn memoized_state_tracks_the_always_offered_state(
+        me in any::<u128>(),
+        shape in (any::<bool>(), 1usize..13, 1usize..17),
+        raw in prop::collection::vec((any::<u128>(), 0u8..4, 0u64..3), 2..16),
+        steps in prop::collection::vec((0usize..64, 0u8..6), 1..160),
+    ) {
+        let me = Id::new(me);
+        let pool = contact_pool(me, &raw);
+        let mut always = DhtState::new(me, 0, shaped_config(shape));
+        let mut memoized = always.clone();
+        let mut memo = NoOpMemo::default();
+        for (i, op) in steps {
+            let (c, rtt) = pool[i % pool.len()];
+            if op == 0 {
+                prop_assert_eq!(
+                    memo.remove_addr(&mut memoized, c.addr),
+                    always.remove_addr(c.addr)
+                );
+            } else {
+                let was_leaf = always.leaf_set.members().any(|m| m == c);
+                let changed = always.add_contact(c, Some(rtt));
+                let joined = !was_leaf && always.leaf_set.members().any(|m| m == c);
+                match memo.offer(&mut memoized, c, || rtt) {
+                    Offer::Skipped | Offer::Unchanged => prop_assert!(!changed),
+                    Offer::Changed { joined_leaf_set } => {
+                        prop_assert!(changed);
+                        prop_assert_eq!(joined_leaf_set, joined);
+                    }
+                }
+            }
+            prop_assert_eq!(listing(&memoized), listing(&always));
+        }
+        prop_assert_eq!(format!("{memoized:?}"), format!("{always:?}"));
+    }
+
     /// Digits decompose and recompose ids for every base.
     #[test]
     fn digits_round_trip(raw in any::<u128>(), b in 1u32..=8) {

@@ -344,3 +344,79 @@ fn staggered_joins_grow_a_healthy_overlay() {
     let delivered: usize = (0..n).map(|i| sim.app(i).upper.delivered.len()).sum();
     assert_eq!(delivered, 10, "some packets were lost");
 }
+
+/// Guards the O(1) keep-alive receive path with counts, not wall time: on a
+/// settled overlay nearly every offer is a remembered no-op and is skipped;
+/// a failure makes its neighbours forget (their next offers run in full),
+/// and the skip ratio recovers once the leaf sets have refilled.
+#[test]
+fn settled_overlay_skips_known_no_op_offers() {
+    use totoro_simnet::geo::{eua_regions_scaled, generate};
+    use totoro_simnet::LatencyModel;
+
+    // Geographic RTTs: a uniform topology ties every pair, and a tied
+    // neighbourhood set never settles (see `NeighborhoodSet::consider`).
+    let mut placed = generate(&eua_regions_scaled(64), &mut sub_rng(21, "memo"));
+    placed.truncate(64);
+    let latency = LatencyModel::Geo {
+        base_us: 200,
+        per_km_us: 10.0,
+    };
+    let topology = Topology::from_placements(&placed, latency);
+    let n = topology.len();
+    let (mut sim, _ids) =
+        totoro_dht::spawn_overlay(topology, 21, DhtConfig::default(), None, |_| {
+            Recorder::default()
+        });
+
+    // (offers, offers skipped) over all nodes, and one node's full offers.
+    let totals = |sim: &Simulator<Node>| {
+        (0..n).fold((0, 0), |(o, s), i| {
+            let st = sim.app(i).stats;
+            (o + st.offers, s + st.offers_skipped)
+        })
+    };
+    let full = |sim: &Simulator<Node>, i: usize| {
+        let st = sim.app(i).stats;
+        st.offers - st.offers_skipped
+    };
+    let skip_ratio = |sim: &mut Simulator<Node>, from_s: u64| {
+        converge(sim, from_s);
+        let (o0, s0) = totals(sim);
+        converge(sim, from_s + 60);
+        let (o1, s1) = totals(sim);
+        (s1 - s0) as f64 / (o1 - o0) as f64
+    };
+
+    let settled = skip_ratio(&mut sim, 60);
+    assert!(settled >= 0.95, "settled skip ratio {settled}");
+
+    let victim = sim.app(0).state.leaf_set.successor().unwrap().addr;
+    let neighbours: Vec<usize> = (0..n)
+        .filter(|&i| {
+            sim.app(i)
+                .state
+                .leaf_set
+                .members()
+                .any(|c| c.addr == victim)
+        })
+        .collect();
+    assert!(neighbours.len() >= 2);
+    let before: Vec<u64> = neighbours.iter().map(|&i| full(&sim, i)).collect();
+    sim.schedule_down(victim, SimTime::from_micros(121_000_000));
+    converge(&mut sim, 135);
+    for (&i, &before) in neighbours.iter().zip(&before) {
+        let node = sim.app(i);
+        assert!(!node.state.leaf_set.members().any(|c| c.addr == victim));
+        // Forgetting everything means each leaf member's next keep-alive
+        // is offered in full again.
+        let refilled = full(&sim, i) - before;
+        assert!(
+            refilled >= node.state.leaf_set.len() as u64,
+            "node {i} ran only {refilled} offers in full after losing {victim}"
+        );
+    }
+
+    let recovered = skip_ratio(&mut sim, 150);
+    assert!(recovered >= 0.95, "recovered skip ratio {recovered}");
+}
