@@ -369,7 +369,7 @@ impl Client {
         let speed = ctx.topology().profile(me).compute_speed;
         let train_time = compute_time(flops, speed);
         ctx.charge_compute(ComputeKind::FlTask, train_time);
-        let update = ModelUpdate::from_client(&replica.to_weights(), shard.len() as u64);
+        let update = ModelUpdate::from_client_owned(replica.to_weights(), shard.len() as u64);
         ctx.send_after(
             self.server,
             CentralMsg::Upload { app, round, update },

@@ -170,6 +170,13 @@ impl FlAppConfig {
         }
     }
 
+    /// Parameter count of the model `model_dims` describes (weights plus
+    /// biases of every layer) — [`totoro_ml::Mlp::num_params`] without
+    /// building the model.
+    pub fn model_params(&self) -> usize {
+        self.model_dims.windows(2).map(|d| d[0] * d[1] + d[1]).sum()
+    }
+
     /// A reasonable default configuration for `name` over `test_set`.
     pub fn new(name: &str, model_dims: Vec<usize>, test_set: Arc<Dataset>) -> Self {
         FlAppConfig {
@@ -206,6 +213,18 @@ mod tests {
         let mut c = FlAppConfig::new(name, vec![4, 8, 2], Arc::new(Dataset::default()));
         c.salt = salt;
         c
+    }
+
+    #[test]
+    fn model_params_counts_what_the_model_holds() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        for dims in [vec![48, 35], vec![48, 48, 35], vec![40, 64, 32, 62]] {
+            let mut c = cfg("sized", 0);
+            c.model_dims = dims.clone();
+            let model = totoro_ml::Mlp::new(&dims, &mut rng);
+            assert_eq!(c.model_params(), model.num_params(), "{dims:?}");
+        }
     }
 
     #[test]

@@ -217,7 +217,7 @@ impl FlEngine {
         api.charge_compute(ComputeKind::FlTask, train_time);
         self.stats.updates_contributed += 1;
 
-        let mut update = ModelUpdate::from_client(&weights, shard_len as u64);
+        let mut update = ModelUpdate::from_client_owned(weights, shard_len as u64);
         if config.privacy == totoro_ml::Privacy::SecureAggregation {
             totoro_ml::apply_pairwise_masks(
                 &mut update.weighted,
@@ -243,8 +243,7 @@ impl ForestApp for FlEngine {
     ) -> Option<(FlData, SimDuration)> {
         let app = self.app_of_topic(topic)?;
         self.stats.models_received += 1;
-        let weights = data.values.clone();
-        self.train_update(api, app, round, &weights)
+        self.train_update(api, app, round, &data.values)
     }
 
     fn on_aggregated(
@@ -260,8 +259,7 @@ impl ForestApp for FlEngine {
         };
         let config = Arc::clone(&self.registry[app]);
         // Evaluation cost at the master.
-        let eval_flops =
-            (config.test_set.len() as u64) * 2 * (Self::fresh_model(&config).num_params() as u64);
+        let eval_flops = (config.test_set.len() as u64) * 2 * (config.model_params() as u64);
         let me = api.addr();
         let eval_time = api.topology().profile(me).compute_time(eval_flops);
         let Some(master) = self.masters.get_mut(&app) else {

@@ -58,9 +58,19 @@ pub struct ModelUpdate {
 impl ModelUpdate {
     /// A single client's contribution.
     pub fn from_client(weights: &[f32], samples: u64) -> Self {
+        Self::from_client_owned(weights.to_vec(), samples)
+    }
+
+    /// A single client's contribution, scaled in place in the client's own
+    /// weight buffer (a worker that has just flattened its replica has no
+    /// other use for it).
+    pub fn from_client_owned(mut weights: Vec<f32>, samples: u64) -> Self {
         let s = samples.max(1);
+        for w in &mut weights {
+            *w *= s as f32;
+        }
         ModelUpdate {
-            weighted: weights.iter().map(|w| w * s as f32).collect(),
+            weighted: weights,
             samples: s,
         }
     }

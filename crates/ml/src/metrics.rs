@@ -1,33 +1,46 @@
 //! Evaluation metrics.
 
 use crate::data::Dataset;
-use crate::nn::Mlp;
+use crate::nn::{argmax, softmax_into, Mlp};
 
 /// Top-1 accuracy of `model` on `ds` (0 when the set is empty).
+///
+/// # Panics
+/// Panics if a sample or label does not fit the model, naming the first
+/// offender.
 pub fn accuracy(model: &Mlp, ds: &Dataset) -> f64 {
     if ds.is_empty() {
         return 0.0;
     }
+    model.check_samples(&ds.xs, &ds.ys);
+    let mut eval = model.evaluator();
     let correct = ds
         .xs
         .iter()
         .zip(&ds.ys)
-        .filter(|(x, &y)| model.predict(x) == y)
+        .filter(|(x, &y)| argmax(eval.logits(x)) == y)
         .count();
     correct as f64 / ds.len() as f64
 }
 
 /// Mean cross-entropy loss of `model` on `ds`.
+///
+/// # Panics
+/// Panics if a sample or label does not fit the model, naming the first
+/// offender.
 pub fn mean_loss(model: &Mlp, ds: &Dataset) -> f64 {
     if ds.is_empty() {
         return 0.0;
     }
+    model.check_samples(&ds.xs, &ds.ys);
+    let mut eval = model.evaluator();
+    let mut p = vec![0.0; model.classes()];
     let total: f64 = ds
         .xs
         .iter()
         .zip(&ds.ys)
         .map(|(x, &y)| {
-            let p = crate::nn::softmax(&model.forward(x));
+            softmax_into(eval.logits(x), &mut p);
             -(f64::from(p[y].max(1e-12))).ln()
         })
         // det: allow(float: left-to-right over the dataset Vec in example-index order — canonical, identical on every run)

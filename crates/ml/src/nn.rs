@@ -5,6 +5,25 @@
 //! curves from a model that learns, while the per-round compute cost is
 //! charged on the simulated clock (see `totoro::timing`). A compact MLP on
 //! synthetic features provides exactly that with exact reproducibility.
+//!
+//! # Kernels: tile, never reorder
+//!
+//! Training and evaluation are the wall time of every FL scenario, so both
+//! run on minibatch kernels that keep their accumulators in `LANES`-wide
+//! register tiles. The numbers they produce are part of the repository's
+//! byte-identical goldens, which fixes the one rule every kernel follows:
+//! **a reduction is one chain of `+`, in ascending index order, seeded with
+//! `0.0`** — the order the obvious per-sample loops use. IEEE `+` and `×`
+//! are deterministic and `×` is commutative, so a value computed by the same
+//! chain is the same to the bit; tiling only changes *which independent
+//! chains advance side by side*. Each kernel's doc comment names its
+//! reduction index and its vector axis. What would move bits, and is
+//! therefore not done: `f32::mul_add`/FMA, partial sums folded at the end
+//! (`chunks_exact(4)` accumulators), summing a minibatch's gradient in any
+//! order but sample `0, 1, 2, …`, updating a layer's weights before the
+//! layer below has back-propagated through them, or another `exp`/`ln`.
+//! `crates/ml/tests/kernels.rs` holds the per-sample implementation these
+//! kernels replaced and compares the two bit for bit.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -37,24 +56,232 @@ impl Dense {
         }
     }
 
-    /// Forward pass for one sample.
-    pub fn forward(&self, x: &[f32]) -> Vec<f32> {
-        debug_assert_eq!(x.len(), self.in_dim);
-        let mut y = self.b.clone();
-        for (o, yo) in y.iter_mut().enumerate() {
-            let row = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
-            let mut acc = 0.0;
-            for (wi, xi) in row.iter().zip(x) {
-                acc += wi * xi;
-            }
-            *yo += acc;
-        }
-        y
-    }
-
     /// Number of parameters.
     pub fn num_params(&self) -> usize {
         self.w.len() + self.b.len()
+    }
+}
+
+/// Width of the kernels' register tiles: this many independent reductions
+/// advance side by side. Plain loops over `[f32; LANES]` are all the
+/// compiler needs to emit SIMD for the default target. A constant, not a
+/// knob: results do not depend on it, only speed does.
+const LANES: usize = 16;
+
+/// `n` rounded up to a whole number of tiles. Scratch rows are this wide
+/// (zero beyond `n`), so only loads from and stores to the model's own
+/// unpadded `w`/`b` ever see a partial tile.
+fn padded(n: usize) -> usize {
+    n.div_ceil(LANES) * LANES
+}
+
+/// The tile of `v` starting at `at`.
+#[inline(always)]
+fn tile(v: &[f32], at: usize) -> &[f32; LANES] {
+    v[at..at + LANES].try_into().expect("LANES wide")
+}
+
+/// `acc[j] += s · v[j]`: one step of [`LANES`] independent reductions.
+#[inline(always)]
+fn axpy(acc: &mut [f32; LANES], s: f32, v: &[f32; LANES]) {
+    for (a, v) in acc.iter_mut().zip(v) {
+        *a += s * v;
+    }
+}
+
+/// Writes `layer.w` transposed into `wt`, `padded(out_dim)` columns per
+/// input: `wt[i][o] = w[o][i]`. Columns beyond `out_dim` are left as they
+/// are (zero, from allocation).
+fn transpose(layer: &Dense, wt: &mut [f32]) {
+    let stride = padded(layer.out_dim);
+    for (o, row) in layer.w.chunks_exact(layer.in_dim).enumerate() {
+        for (i, &w) in row.iter().enumerate() {
+            wt[i * stride + o] = w;
+        }
+    }
+}
+
+/// Zeroed transposed-weight buffers for layers of the given dimensions.
+fn transposed_buffers(dims: &[usize]) -> Vec<Vec<f32>> {
+    dims.windows(2)
+        .map(|d| vec![0.0; d[0] * padded(d[1])])
+        .collect()
+}
+
+/// [`transpose`]s every layer into its buffer.
+fn transpose_all(layers: &[Dense], wt: &mut [Vec<f32>]) {
+    for (layer, wt) in layers.iter().zip(wt) {
+        transpose(layer, wt);
+    }
+}
+
+/// The forward kernel — the only one: one dense layer applied to one
+/// sample, `y[o] = b[o] + Σ_i wt[i][o] · x[i]`, followed by ReLU when
+/// `relu`.
+///
+/// Reduction index: `i`, ascending, each output's sum seeded with `0.0` and
+/// the bias added to the finished sum. Vector axis: `o` (which is why the
+/// weights come transposed). `y` is `padded(b.len())` wide; lanes beyond
+/// `b.len()` are not written.
+fn dense_forward(wt: &[f32], b: &[f32], x: &[f32], y: &mut [f32], relu: bool) {
+    let stride = y.len();
+    debug_assert_eq!(stride, padded(b.len()));
+    debug_assert_eq!(wt.len(), x.len() * stride);
+    for (c, (y, b)) in y.chunks_exact_mut(LANES).zip(b.chunks(LANES)).enumerate() {
+        let mut acc = [0.0f32; LANES];
+        for (row, &xi) in wt.chunks_exact(stride).zip(x) {
+            axpy(&mut acc, xi, tile(row, c * LANES));
+        }
+        for ((y, b), acc) in y.iter_mut().zip(b).zip(&acc) {
+            let v = b + acc;
+            *y = if relu { v.max(0.0) } else { v };
+        }
+    }
+}
+
+/// Back-propagates a minibatch's deltas through one layer's (pre-update)
+/// weights and the ReLU below it: `prev_k[i] = Σ_o δ_k[o] · w[o][i]`, zeroed
+/// where the layer's input `a_k[i]` (a post-ReLU activation) is not
+/// positive.
+///
+/// Reduction index: `o`, ascending, seeded with `0.0`. Vector axis: `i`.
+/// `delta` rows are `padded(out_dim)` wide, `input` and `prev` rows
+/// `padded(in_dim)`.
+fn backprop(layer: &Dense, rows: usize, delta: &[f32], input: &[f32], prev: &mut [f32]) {
+    let (in_dim, d_stride, stride) = (layer.in_dim, padded(layer.out_dim), padded(layer.in_dim));
+    for k in 0..rows {
+        let delta = &delta[k * d_stride..][..layer.out_dim];
+        let input = &input[k * stride..][..stride];
+        let prev = &mut prev[k * stride..][..stride];
+        let tiles = prev.chunks_exact_mut(LANES).zip(input.chunks_exact(LANES));
+        for (c, (prev, input)) in tiles.enumerate() {
+            let at = c * LANES;
+            let mut acc = [0.0f32; LANES];
+            if at + LANES <= in_dim {
+                for (row, &d) in layer.w.chunks_exact(in_dim).zip(delta) {
+                    axpy(&mut acc, d, tile(row, at));
+                }
+            } else {
+                // The row's last, partial tile.
+                for (row, &d) in layer.w.chunks_exact(in_dim).zip(delta) {
+                    for (acc, w) in acc.iter_mut().zip(&row[at..]) {
+                        *acc += d * w;
+                    }
+                }
+            }
+            for ((p, a), acc) in prev.iter_mut().zip(input).zip(&acc) {
+                *p = if *a <= 0.0 { 0.0 } else { *acc };
+            }
+        }
+    }
+}
+
+/// Computes one layer's minibatch gradient tile by tile and hands each
+/// finished tile to `step` together with the parameters it belongs to and
+/// their offset in the flattened layout (`base` is the layer's):
+/// `g[o][i] = Σ_k δ_k[o] · a_k[i]` for the weights, `g[o] = Σ_k δ_k[o]` for
+/// the biases.
+///
+/// Reduction index: the sample `k`, ascending, seeded with `0.0` — the
+/// order per-sample accumulation into a zeroed gradient vector produces.
+/// Vector axis: `i` for the weights, `o` for the biases. The gradient never
+/// exists as a vector: a tile lives in registers from its first sample to
+/// `step`. `delta` rows are `padded(out_dim)` wide, `input` rows
+/// `padded(in_dim)`.
+fn gradient_step(
+    layer: &mut Dense,
+    base: usize,
+    rows: usize,
+    delta: &[f32],
+    input: &[f32],
+    step: &mut impl FnMut(&mut [f32], usize, &[f32]),
+) {
+    let (in_dim, d_stride, stride) = (layer.in_dim, padded(layer.out_dim), padded(layer.in_dim));
+    for (o, row) in layer.w.chunks_exact_mut(in_dim).enumerate() {
+        for (c, w) in row.chunks_mut(LANES).enumerate() {
+            let at = c * LANES;
+            let mut g = [0.0f32; LANES];
+            for k in 0..rows {
+                axpy(
+                    &mut g,
+                    delta[k * d_stride + o],
+                    tile(input, k * stride + at),
+                );
+            }
+            step(w, base + o * in_dim + at, &g[..w.len()]);
+        }
+    }
+    let base = base + layer.w.len();
+    for (c, b) in layer.b.chunks_mut(LANES).enumerate() {
+        let at = c * LANES;
+        let mut g = [0.0f32; LANES];
+        for k in 0..rows {
+            for (g, d) in g.iter_mut().zip(tile(delta, k * d_stride + at)) {
+                *g += d;
+            }
+        }
+        step(b, base + at, &g[..b.len()]);
+    }
+}
+
+/// Working memory of one [`Mlp::train_epoch`] call, sized for one
+/// minibatch. Allocated per call and freed on return — never stored in a
+/// model: a deployment holds thousands of replicas and this is twice the
+/// size of one.
+struct Scratch {
+    /// Per layer, the weights transposed for [`dense_forward`].
+    wt: Vec<Vec<f32>>,
+    /// Per layer boundary, the minibatch's activations, sample-major
+    /// (`acts[0]` is the input), rows `padded(dims[l])` wide.
+    acts: Vec<Vec<f32>>,
+    /// Deltas at the current layer's output, sample-major.
+    delta: Vec<f32>,
+    /// Deltas being computed for the layer below.
+    prev: Vec<f32>,
+}
+
+impl Scratch {
+    fn new(dims: &[usize], rows: usize) -> Self {
+        let widest = dims.iter().copied().map(padded).max().unwrap_or(0);
+        Scratch {
+            wt: transposed_buffers(dims),
+            acts: dims.iter().map(|&d| vec![0.0; rows * padded(d)]).collect(),
+            delta: vec![0.0; rows * widest],
+            prev: vec![0.0; rows * widest],
+        }
+    }
+}
+
+/// A model prepared for repeated forward passes: weights transposed once,
+/// activations in two reused buffers.
+pub(crate) struct Evaluator<'a> {
+    layers: &'a [Dense],
+    wt: Vec<Vec<f32>>,
+    /// The current layer's input (after the first layer) and output.
+    bufs: [Vec<f32>; 2],
+}
+
+impl Evaluator<'_> {
+    /// The logits for one sample.
+    ///
+    /// # Panics
+    /// Panics if `x` is not as wide as the model's input.
+    pub(crate) fn logits(&mut self, x: &[f32]) -> &[f32] {
+        let width = self.layers[0].in_dim;
+        assert!(
+            x.len() == width,
+            "sample has {} features, the model takes {width}",
+            x.len()
+        );
+        let [input, output] = &mut self.bufs;
+        let last = self.layers.len() - 1;
+        for (l, (layer, wt)) in self.layers.iter().zip(&self.wt).enumerate() {
+            let x = if l == 0 { x } else { &input[..layer.in_dim] };
+            let y = &mut output[..padded(layer.out_dim)];
+            dense_forward(wt, &layer.b, x, y, l < last);
+            std::mem::swap(input, output);
+        }
+        &input[..self.layers[last].out_dim]
     }
 }
 
@@ -71,8 +298,12 @@ pub type Gradients = Vec<f32>;
 
 impl Mlp {
     /// Builds an MLP with the given layer dimensions.
+    ///
+    /// # Panics
+    /// Panics on fewer than two dimensions or a zero-width layer.
     pub fn new(dims: &[usize], rng: &mut StdRng) -> Self {
         assert!(dims.len() >= 2, "need at least input and output dims");
+        assert!(dims.iter().all(|&d| d > 0), "zero-width layer in {dims:?}");
         let layers = dims
             .windows(2)
             .map(|w| Dense::new(w[0], w[1], rng))
@@ -95,83 +326,130 @@ impl Mlp {
         6 * self.layers.iter().map(|l| l.w.len() as u64).sum::<u64>()
     }
 
+    /// Width of the output layer.
+    pub(crate) fn classes(&self) -> usize {
+        self.dims[self.dims.len() - 1]
+    }
+
+    /// Prepares the model for forward passes over many samples.
+    pub(crate) fn evaluator(&self) -> Evaluator<'_> {
+        let mut wt = transposed_buffers(&self.dims);
+        transpose_all(&self.layers, &mut wt);
+        let widest = self.dims[1..].iter().copied().map(padded).max();
+        let buf = vec![0.0; widest.expect("at least two dims")];
+        Evaluator {
+            layers: &self.layers,
+            wt,
+            bufs: [buf.clone(), buf],
+        }
+    }
+
     /// Forward pass returning the logits.
     pub fn forward(&self, x: &[f32]) -> Vec<f32> {
-        let mut h = x.to_vec();
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(&h);
-            if i + 1 < self.layers.len() {
-                for v in &mut h {
-                    *v = v.max(0.0);
-                }
-            }
-        }
-        h
+        self.evaluator().logits(x).to_vec()
     }
 
     /// Predicted class for one sample.
     pub fn predict(&self, x: &[f32]) -> usize {
-        argmax(&self.forward(x))
+        argmax(self.evaluator().logits(x))
+    }
+
+    /// Panics unless every sample is as wide as the model's input and every
+    /// label is one of its classes. Once per batch, up front: inside the
+    /// kernels a short sample would read its neighbour's padding and train
+    /// on garbage.
+    pub(crate) fn check_samples<X: AsRef<[f32]>>(&self, xs: &[X], ys: &[usize]) {
+        let (width, classes) = (self.dims[0], self.classes());
+        for (k, (x, &y)) in xs.iter().zip(ys).enumerate() {
+            let len = x.as_ref().len();
+            assert!(
+                len == width,
+                "sample {k} has {len} features, the model takes {width}"
+            );
+            assert!(
+                y < classes,
+                "sample {k} has label {y}, the model has {classes} classes"
+            );
+        }
+    }
+
+    /// Runs one (checked) minibatch forward: activations of every layer into
+    /// `scratch.acts`, the head's `softmax − one_hot(label)` into
+    /// `scratch.delta`, and each sample's cross-entropy loss to `on_loss`,
+    /// in sample order.
+    fn forward_batch<X: AsRef<[f32]>>(
+        &self,
+        scratch: &mut Scratch,
+        xs: &[X],
+        ys: &[usize],
+        mut on_loss: impl FnMut(f32),
+    ) {
+        transpose_all(&self.layers, &mut scratch.wt);
+        let last = self.layers.len() - 1;
+        let classes = self.classes();
+        for (k, (x, &label)) in xs.iter().zip(ys).enumerate() {
+            let x = x.as_ref();
+            scratch.acts[0][k * padded(x.len())..][..x.len()].copy_from_slice(x);
+            for (l, (layer, wt)) in self.layers.iter().zip(&scratch.wt).enumerate() {
+                let (below, above) = scratch.acts.split_at_mut(l + 1);
+                let x = &below[l][k * padded(layer.in_dim)..][..layer.in_dim];
+                let stride = padded(layer.out_dim);
+                let y = &mut above[0][k * stride..][..stride];
+                dense_forward(wt, &layer.b, x, y, l < last);
+            }
+            let stride = padded(classes);
+            let logits = &scratch.acts[last + 1][k * stride..][..classes];
+            let delta = &mut scratch.delta[k * stride..][..classes];
+            softmax_into(logits, delta);
+            on_loss(-(delta[label].max(1e-12)).ln());
+            delta[label] -= 1.0;
+        }
+    }
+
+    /// Runs one minibatch backward over what [`Mlp::forward_batch`] left in
+    /// `scratch`, head first. Per layer: back-propagate the deltas through
+    /// the layer's weights, and only then let [`gradient_step`] hand them
+    /// (tile by tile, with their gradient) to `step`, which may update them.
+    fn backward_batch(
+        layers: &mut [Dense],
+        scratch: &mut Scratch,
+        rows: usize,
+        mut step: impl FnMut(&mut [f32], usize, &[f32]),
+    ) {
+        let mut base: usize = layers.iter().map(Dense::num_params).sum();
+        for (l, layer) in layers.iter_mut().enumerate().rev() {
+            base -= layer.num_params();
+            let input = &scratch.acts[l];
+            if l > 0 {
+                backprop(layer, rows, &scratch.delta, input, &mut scratch.prev);
+            }
+            gradient_step(layer, base, rows, &scratch.delta, input, &mut step);
+            std::mem::swap(&mut scratch.delta, &mut scratch.prev);
+        }
     }
 
     /// Cross-entropy loss and parameter gradients for one sample,
     /// accumulated into `grads` (flattened layout, see
-    /// [`Mlp::to_weights`]). Returns the loss.
+    /// [`Mlp::to_weights`]). Returns the loss. A minibatch of one through
+    /// the training kernels, with a `step` that reads the gradient out
+    /// instead of applying it.
+    ///
+    /// # Panics
+    /// Panics if `x`, `label` or `grads` do not fit the model.
     pub fn loss_grad(&self, x: &[f32], label: usize, grads: &mut [f32]) -> f32 {
-        // Forward with cached activations.
-        let mut acts: Vec<Vec<f32>> = vec![x.to_vec()];
-        for (i, layer) in self.layers.iter().enumerate() {
-            let mut h = layer.forward(acts.last().expect("non-empty"));
-            if i + 1 < self.layers.len() {
-                for v in &mut h {
-                    *v = v.max(0.0);
-                }
+        self.check_samples(&[x], &[label]);
+        assert_eq!(grads.len(), self.num_params(), "gradient length mismatch");
+        let mut scratch = Scratch::new(&self.dims, 1);
+        let mut loss = 0.0;
+        self.forward_batch(&mut scratch, &[x], &[label], |l| loss = l);
+        // The kernels lend `step` each parameter tile mutably; nothing is
+        // written here, but the borrow needs layers of its own.
+        let mut layers = self.layers.clone();
+        Self::backward_batch(&mut layers, &mut scratch, 1, |_, at, g| {
+            for (sum, g) in grads[at..at + g.len()].iter_mut().zip(g) {
+                *sum += g;
             }
-            acts.push(h);
-        }
-        let logits = acts.last().expect("non-empty");
-        let probs = softmax(logits);
-        let loss = -(probs[label].max(1e-12)).ln();
-
-        // Backward.
-        let mut delta: Vec<f32> = probs;
-        delta[label] -= 1.0;
-        let mut offset_end = grads.len();
-        for (i, layer) in self.layers.iter().enumerate().rev() {
-            let params = layer.num_params();
-            let offset = offset_end - params;
-            let input = &acts[i];
-            let gw = &mut grads[offset..offset + layer.w.len()];
-            for o in 0..layer.out_dim {
-                let d = delta[o];
-                let row = &mut gw[o * layer.in_dim..(o + 1) * layer.in_dim];
-                for (g, xi) in row.iter_mut().zip(input) {
-                    *g += d * xi;
-                }
-            }
-            let gb = &mut grads[offset + layer.w.len()..offset_end];
-            for (g, d) in gb.iter_mut().zip(&delta) {
-                *g += d;
-            }
-            if i > 0 {
-                // Propagate to the previous layer through W^T and the ReLU
-                // derivative of its (post-activation) output.
-                let mut prev = vec![0.0f32; layer.in_dim];
-                for (o, &d) in delta.iter().enumerate().take(layer.out_dim) {
-                    let row = &layer.w[o * layer.in_dim..(o + 1) * layer.in_dim];
-                    for (p, wi) in prev.iter_mut().zip(row) {
-                        *p += d * wi;
-                    }
-                }
-                for (p, a) in prev.iter_mut().zip(&acts[i]) {
-                    if *a <= 0.0 {
-                        *p = 0.0;
-                    }
-                }
-                delta = prev;
-            }
-            offset_end = offset;
-        }
+        });
         loss
     }
 
@@ -207,6 +485,16 @@ impl Mlp {
     /// `batch_size`, optionally with a FedProx proximal term
     /// `μ (w − w_global)` (§4.3's application-specific aggregation
     /// flexibility). Returns the mean loss.
+    ///
+    /// Each minibatch is one forward over all its samples, then one
+    /// backward that applies the update to each parameter tile as soon as
+    /// its gradient is complete (see the module docs for the order
+    /// contract that makes this bit-identical to per-sample accumulation).
+    ///
+    /// # Panics
+    /// Panics if `xs` and `ys` differ in length, a sample or label does not
+    /// fit the model (naming the first offender), or the FedProx reference
+    /// is not [`Mlp::num_params`] long.
     pub fn train_epoch(
         &mut self,
         xs: &[Vec<f32>],
@@ -220,31 +508,34 @@ impl Mlp {
         if n == 0 {
             return 0.0;
         }
-        let p = self.num_params();
-        let mut grads = vec![0.0f32; p];
+        self.check_samples(xs, ys);
+        if let Some((_, global)) = prox {
+            assert_eq!(global.len(), self.num_params(), "FedProx reference length");
+        }
+        let bs = batch_size.clamp(1, n);
+        let mut scratch = Scratch::new(&self.dims, bs);
         let mut total_loss = 0.0;
-        let bs = batch_size.max(1);
-        let mut i = 0;
-        while i < n {
-            let end = (i + bs).min(n);
-            grads.iter_mut().for_each(|g| *g = 0.0);
-            for k in i..end {
-                total_loss += self.loss_grad(&xs[k], ys[k], &mut grads);
-            }
-            let scale = lr / (end - i) as f32;
-            let mut w = self.to_weights();
-            if let Some((mu, global)) = prox {
-                debug_assert_eq!(global.len(), w.len());
-                for ((wi, gi), glob) in w.iter_mut().zip(&grads).zip(global) {
-                    *wi -= scale * gi + lr * mu * (*wi - glob);
+        for (xs, ys) in xs.chunks(bs).zip(ys.chunks(bs)) {
+            let rows = xs.len();
+            self.forward_batch(&mut scratch, xs, ys, |loss| total_loss += loss);
+            let scale = lr / rows as f32;
+            match prox {
+                Some((mu, global)) => {
+                    Self::backward_batch(&mut self.layers, &mut scratch, rows, |w, at, g| {
+                        let global = &global[at..at + w.len()];
+                        for ((wi, gi), glob) in w.iter_mut().zip(g).zip(global) {
+                            *wi -= scale * gi + lr * mu * (*wi - glob);
+                        }
+                    });
                 }
-            } else {
-                for (wi, gi) in w.iter_mut().zip(&grads) {
-                    *wi -= scale * gi;
+                None => {
+                    Self::backward_batch(&mut self.layers, &mut scratch, rows, |w, _, g| {
+                        for (wi, gi) in w.iter_mut().zip(g) {
+                            *wi -= scale * gi;
+                        }
+                    });
                 }
             }
-            self.from_weights(&w);
-            i = end;
         }
         total_loss / n as f32
     }
@@ -263,12 +554,24 @@ pub fn argmax(v: &[f32]) -> usize {
 
 /// Numerically stable softmax.
 pub fn softmax(logits: &[f32]) -> Vec<f32> {
+    let mut probs = vec![0.0; logits.len()];
+    softmax_into(logits, &mut probs);
+    probs
+}
+
+/// [`softmax`] into a caller's buffer of the same length.
+pub(crate) fn softmax_into(logits: &[f32], probs: &mut [f32]) {
+    debug_assert_eq!(logits.len(), probs.len());
     // det: allow(float: f32::max is exactly commutative and associative; fold order cannot change the result)
     let m = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = logits.iter().map(|&x| (x - m).exp()).collect();
-    // det: allow(float: left-to-right over the exps Vec, whose slice order mirrors the caller's logit order — canonical, never an unordered container)
-    let sum: f32 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
+    for (p, &x) in probs.iter_mut().zip(logits) {
+        *p = (x - m).exp();
+    }
+    // det: allow(float: left-to-right over the exps slice, whose order mirrors the caller's logit order — canonical, never an unordered container)
+    let sum: f32 = probs.iter().sum();
+    for p in probs {
+        *p /= sum;
+    }
 }
 
 #[cfg(test)]
@@ -286,6 +589,12 @@ mod tests {
         assert_eq!(m.num_params(), 8 * 16 + 16 + 16 * 4 + 4);
         assert_eq!(m.forward(&[0.1; 8]).len(), 4);
         assert!(m.flops_per_sample() > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero-width layer")]
+    fn zero_width_layer_is_rejected() {
+        Mlp::new(&[4, 0, 2], &mut rng(1));
     }
 
     #[test]
