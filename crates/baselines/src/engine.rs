@@ -219,16 +219,14 @@ impl Server {
         run.last_proc = ctx.now();
         let weights = Shared::new(run.model.to_weights());
         let round = run.round;
-        for &c in &run.participants {
-            ctx.send(
-                c,
-                CentralMsg::Download {
-                    app,
-                    round,
-                    weights: weights.clone(),
-                },
-            );
-        }
+        ctx.send_all(
+            run.participants.iter().copied(),
+            CentralMsg::Download {
+                app,
+                round,
+                weights,
+            },
+        );
     }
 
     fn on_upload(

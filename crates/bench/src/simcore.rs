@@ -486,6 +486,17 @@ mod tests {
     }
 
     #[test]
+    fn slab_slot_sizes_are_pinned() {
+        // `simnet.state_bytes` is slab capacity x slot size, and the
+        // benchmark's exact ledger pins it: `engine_gossip`'s message, and
+        // the overlay workloads' (`dissemination`, `churn_recovery`).
+        use totoro_simnet::event_slot_bytes;
+        type OverlayMsg = totoro_dht::DhtMsg<totoro_pubsub::TreeMsg<crate::setups::Blob>>;
+        assert_eq!(event_slot_bytes::<Beat>(), 24);
+        assert_eq!(event_slot_bytes::<OverlayMsg>(), 128);
+    }
+
+    #[test]
     fn timer_storm_fires_every_timer() {
         let events = run_timer_storm(20, 8, 3);
         // n starts + n × (timers + timers × refires − 1) firings.

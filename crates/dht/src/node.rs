@@ -261,6 +261,12 @@ impl<P: Payload> DhtApi<'_, '_, P> {
         self.ctx.send(to, DhtMsg::Direct { payload });
     }
 
+    /// Sends the one `payload` directly to every address of `dsts`, in
+    /// order (see [`Ctx::send_all`]).
+    pub fn send_direct_all(&mut self, dsts: impl IntoIterator<Item = NodeIdx>, payload: P) {
+        self.ctx.send_all(dsts, DhtMsg::Direct { payload });
+    }
+
     /// Like [`DhtApi::send_direct`] with an extra local processing delay
     /// before the message enters the network (models local compute such as
     /// training before an upload).
@@ -597,19 +603,18 @@ impl<U: UpperLayer> DhtNode<U> {
             // One shared snapshot for the whole fan-out: each member's copy
             // of the gossip is a reference-count bump, not a Vec clone.
             let members = Shared::new(self.state.leaf_set.members().collect::<Vec<_>>());
-            for c in members.iter() {
-                ctx.send(
-                    c.addr,
-                    DhtMsg::LeafExchange {
-                        from: me,
-                        members: members.clone(),
-                    },
-                );
-            }
+            ctx.send_all(
+                members.iter().map(|c| c.addr),
+                DhtMsg::LeafExchange {
+                    from: me,
+                    members: members.clone(),
+                },
+            );
         } else {
-            for c in self.state.leaf_set.members() {
-                ctx.send(c.addr, DhtMsg::Heartbeat { from: me });
-            }
+            ctx.send_all(
+                self.state.leaf_set.members().map(|c| c.addr),
+                DhtMsg::Heartbeat { from: me },
+            );
         }
         ctx.charge_compute(
             ComputeKind::DhtTask,
@@ -773,9 +778,7 @@ impl<U: UpperLayer> totoro_simnet::Application for DhtNode<U> {
                     v.dedup();
                     v
                 };
-                for addr in peers {
-                    ctx.send(addr, DhtMsg::Announce { contact: me });
-                }
+                ctx.send_all(peers, DhtMsg::Announce { contact: me });
             }
             DhtMsg::Announce { contact } => {
                 self.learn(ctx, contact);
@@ -850,10 +853,10 @@ impl<U: UpperLayer> totoro_simnet::Application for DhtNode<U> {
             }
         }
         let me = self.state.contact();
-        let peers: Vec<NodeIdx> = self.state.leaf_set.members().map(|c| c.addr).collect();
-        for addr in peers {
-            ctx.send(addr, DhtMsg::Announce { contact: me });
-        }
+        ctx.send_all(
+            self.state.leaf_set.members().map(|c| c.addr),
+            DhtMsg::Announce { contact: me },
+        );
         let mut api = Self::api(&self.state, &mut self.stats, &mut self.pending_local, ctx);
         self.upper.on_up(&mut api);
         self.drain_local(ctx);

@@ -331,17 +331,15 @@ impl<D: TreeData> ForestApi<'_, '_, '_, D> {
             });
         }
         let m = self.forest.membership(topic).expect("tree exists");
-        for c in &m.children {
-            self.dht.send_direct(
-                c.addr,
-                TreeMsg::Broadcast {
-                    topic,
-                    round,
-                    depth,
-                    data: data.clone(),
-                },
-            );
-        }
+        self.dht.send_direct_all(
+            m.children.iter().map(|c| c.addr),
+            TreeMsg::Broadcast {
+                topic,
+                round,
+                depth,
+                data,
+            },
+        );
         self.forest.stats.broadcasts_forwarded += n_children as u64;
         self.arm_round_timer(topic, round, agg_timeout);
     }
@@ -637,21 +635,19 @@ impl<F: ForestApp> Forest<F> {
         let ra = m.rounds.entry(round).or_default();
         ra.expected = n_children;
 
-        // Forward down the tree: the payload is already `Shared`, so each
-        // per-child clone is a reference-count bump, and `dht` is a
+        // Forward down the tree: the payload is already `Shared`, so the
+        // one message costs a reference-count bump, and `dht` is a
         // separate borrow from the membership, so the child list is
         // iterated in place rather than cloned.
-        for c in &m.children {
-            dht.send_direct(
-                c.addr,
-                TreeMsg::Broadcast {
-                    topic,
-                    round,
-                    depth: my_depth,
-                    data: data.clone(),
-                },
-            );
-        }
+        dht.send_direct_all(
+            m.children.iter().map(|c| c.addr),
+            TreeMsg::Broadcast {
+                topic,
+                round,
+                depth: my_depth,
+                data: data.clone(),
+            },
+        );
         self.state.stats.broadcasts_forwarded += n_children as u64;
 
         if record {
@@ -926,16 +922,14 @@ impl<F: ForestApp> Forest<F> {
         for (&topic, m) in self.state.trees.iter_mut() {
             // Keep-alive toward children.
             let depth = if m.is_root { 0 } else { m.depth };
-            for c in &m.children {
-                dht.send_direct(
-                    c.addr,
-                    TreeMsg::ParentHeartbeat {
-                        topic,
-                        depth,
-                        sender: me,
-                    },
-                );
-            }
+            dht.send_direct_all(
+                m.children.iter().map(|c| c.addr),
+                TreeMsg::ParentHeartbeat {
+                    topic,
+                    depth,
+                    sender: me,
+                },
+            );
             // Parent liveness: hard timeout, plus bandit bookkeeping (one
             // semi-bandit "attempt" per tick; success = heard this tick).
             if m.parent.is_some() {

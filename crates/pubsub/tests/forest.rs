@@ -777,3 +777,53 @@ fn node_downed_mid_join_retries_after_revival() {
         "the leaf never retried its join after revival"
     );
 }
+
+/// Guards the forest's fan-outs (parent heartbeats every tick, broadcasts
+/// down the tree) the way `keep_alive_fan_outs_park_once_and_change_nothing`
+/// guards the DHT's: the loops they replaced are private to the crate, so
+/// the oracle is their own run — the digest and event count below were
+/// printed by this body at 639e267, the last commit that sent one
+/// `ParentHeartbeat` and one `Broadcast` per child.
+#[test]
+fn forest_fan_outs_change_no_counter() {
+    use totoro_simnet::Application;
+
+    let n = 64;
+    let mut sim = build(n, 33, ForestConfig::default());
+    let topics: Vec<Id> = (0..3)
+        .map(|t| app_id("fan-out", "forest-test", t))
+        .collect();
+    let everyone: Vec<usize> = (0..n).collect();
+    for &topic in &topics {
+        subscribe_all(&mut sim, topic, &everyone);
+    }
+    run_secs(&mut sim, 20);
+    for round in 1..=3 {
+        for &topic in &topics {
+            let root = find_root(&sim, topic).expect("tree has a root");
+            broadcast_from(&mut sim, root, topic, round);
+        }
+        run_secs(&mut sim, 20 + 5 * round);
+    }
+    let ledger: String = sim
+        .apps()
+        .map(|node| {
+            let forest = node.upper.state.stats;
+            format!("{forest:?} {:?} {}\n", node.stats, node.memory_bytes())
+        })
+        .collect();
+    let digest = ledger.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    let forwarded: u64 = sim
+        .apps()
+        .map(|node| node.upper.state.stats.broadcasts_forwarded)
+        .sum();
+    assert_eq!(
+        forwarded,
+        3 * 3 * (n as u64 - 1),
+        "every round reached everyone"
+    );
+    assert_eq!(sim.events_processed(), 38_009);
+    assert_eq!(digest, 10_397_288_057_434_175_931);
+}

@@ -19,15 +19,20 @@
 //!
 //! # Hot-path layout
 //!
-//! * Queues order small `(EventKey, slot)` records; message payloads live
-//!   in an [`EventSlab`] indexed by `slot`, so reordering never moves a
-//!   model update, and freed slots are recycled so a steady-state run
+//! * Queues order small `(EventKey, slot, dst)` records; message payloads
+//!   live in an [`EventSlab`] indexed by `slot`, so reordering never moves
+//!   a model update, and freed slots are recycled so a steady-state run
 //!   stops allocating.
+//! * The queue record is the delivery, the slab slot the payload: a
+//!   message sent to `k` nodes ([`Ctx::send_all`]) is `k` records naming
+//!   one reference-counted slot, so a keep-alive fan-out is parked once
+//!   and read from cache `k` times (DESIGN.md §8, *park once, deliver
+//!   many*).
 //! * Every event source — sends, timers, churn transitions, failure
-//!   bounces — goes through [`Engine::schedule`], which applies the
-//!   partition's due-time rule, mints the tie-break key, classifies the
-//!   wheel band, and places the event locally or hands it to the
-//!   partition for another shard.
+//!   bounces — goes through [`Engine::schedule`] (a send's destinations
+//!   through its per-leg twin), which applies the partition's due-time
+//!   rule, mints the tie-break key, classifies the wheel band, and places
+//!   the event locally or hands it to the partition for another shard.
 //! * Callback side effects accumulate in a reusable scratch buffer that
 //!   is drained in place (no per-event `Vec`).
 
@@ -38,11 +43,11 @@ use crate::chaos::{ChaosInjector, FaultFilter};
 use crate::obs::prof::{EngineProf, BAND_NONE};
 use crate::obs::{DropReason, MsgMeta, TraceBody, TraceRecord, ROOT_PARENT};
 use crate::queue::{EventKey, EventQueue};
-use crate::sim::{Action, Application, ComputeKind, Ctx, Payload};
+use crate::sim::{Action, Application, ComputeKind, Ctx, Outbox, Payload};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeIdx, Topology};
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) enum EventKind<M> {
     Start,
     Deliver { src: NodeIdx, msg: M },
@@ -52,11 +57,19 @@ pub(crate) enum EventKind<M> {
     Up,
 }
 
-/// A pending event's payload, parked in the slab while its key moves
-/// through the event queue.
-pub(crate) struct PendingEvent<M> {
-    pub(crate) node: NodeIdx,
-    pub(crate) kind: EventKind<M>,
+/// A queued event's payload, parked in the slab while the queue records
+/// naming it move through the event queue.
+struct PendingEvent<M> {
+    /// Queue records still naming this slot: the undelivered legs of a
+    /// fan-out, 1 for every other event.
+    refs: u32,
+    kind: EventKind<M>,
+}
+
+/// Bytes one queued event's payload occupies in the event slab — what
+/// `state_bytes` multiplies the slab's capacity by.
+pub const fn event_slot_bytes<M>() -> usize {
+    std::mem::size_of::<Option<PendingEvent<M>>>()
 }
 
 /// Free-list slab holding the payloads of queued events.
@@ -80,46 +93,90 @@ impl<M> EventSlab<M> {
     /// Heap bytes currently reserved by the slab (capacity-based, for
     /// memory accounting in million-node trials).
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<Option<PendingEvent<M>>>()
+        self.slots.capacity() * event_slot_bytes::<M>()
             + self.free.capacity() * std::mem::size_of::<u32>()
     }
 
-    /// Number of slots ever allocated (live plus recycled).
-    #[cfg(test)]
+    /// Number of slots ever allocated (live plus recycled): the high-water
+    /// mark of concurrently parked payloads.
     pub(crate) fn slots(&self) -> usize {
         self.slots.len()
     }
 
-    fn insert(&mut self, ev: PendingEvent<M>) -> u32 {
+    /// Number of slots holding (or reserved for) a payload right now.
+    #[cfg(test)]
+    pub(crate) fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// Claims an empty slot, to be [`EventSlab::fill`]ed before anything
+    /// is dispatched: a fan-out learns how many records name its slot only
+    /// after it has pushed them.
+    fn reserve(&mut self) -> u32 {
         match self.free.pop() {
-            Some(slot) => {
-                debug_assert!(self.slots[slot as usize].is_none());
-                self.slots[slot as usize] = Some(ev);
-                slot
-            }
+            Some(slot) => slot,
             None => {
                 let slot =
                     u32::try_from(self.slots.len()).expect("more than u32::MAX events in flight");
-                self.slots.push(Some(ev));
+                self.slots.push(None);
                 slot
             }
         }
     }
 
-    pub(crate) fn take(&mut self, slot: u32) -> PendingEvent<M> {
-        let ev = self.slots[slot as usize]
-            .take()
-            .expect("queue entry references an empty slot");
-        self.free.push(slot);
-        ev
+    /// Parks `kind` in reserved `slot` on behalf of `refs` queue records.
+    fn fill(&mut self, slot: u32, refs: u32, kind: EventKind<M>) {
+        debug_assert!(refs > 0 && self.slots[slot as usize].is_none());
+        self.slots[slot as usize] = Some(PendingEvent { refs, kind });
+    }
+
+    fn insert(&mut self, kind: EventKind<M>) -> u32 {
+        let slot = self.reserve();
+        self.fill(slot, 1, kind);
+        slot
     }
 
     /// Inspects a queued event without removing it.
-    pub(crate) fn peek(&self, slot: u32) -> &PendingEvent<M> {
-        self.slots[slot as usize]
+    pub(crate) fn peek(&self, slot: u32) -> &EventKind<M> {
+        &self.slots[slot as usize]
             .as_ref()
             .expect("queue entry references an empty slot")
+            .kind
     }
+}
+
+impl<M: Clone> EventSlab<M> {
+    /// The payload of one queue record naming `slot`: moved out, freeing
+    /// the slot, for the last such record, cloned for those before it.
+    pub(crate) fn take(&mut self, slot: u32) -> EventKind<M> {
+        let cell = &mut self.slots[slot as usize];
+        match cell {
+            Some(ev) if ev.refs > 1 => {
+                ev.refs -= 1;
+                ev.kind.clone()
+            }
+            _ => {
+                self.free.push(slot);
+                cell.take()
+                    .expect("queue entry references an empty slot")
+                    .kind
+            }
+        }
+    }
+}
+
+/// The message of one `Action::Send` while its destinations are worked
+/// through.
+struct Fanout<M> {
+    /// `None` once the final leg has taken the message by move.
+    msg: Option<M>,
+    /// Whether this engine's legs may name one slot. Not when it is traced
+    /// or profiled: the causal-meta and wheel-band side tables are indexed
+    /// by slot, so each leg then parks a payload of its own.
+    share: bool,
+    /// The shared slot, reserved by the first leg that uses it, and the
+    /// queue records pushed against it so far.
+    parked: Option<(u32, u32)>,
 }
 
 /// An event whose queue key, causal meta and wheel band were fixed at
@@ -212,7 +269,7 @@ pub(crate) struct Engine<A: Application, P, Q> {
     // of `EventKind` so an untraced run's slab slots stay small; stays
     // empty (never resized) while the partition is untraced.
     pub(crate) meta_slots: Vec<MsgMeta>,
-    pub(crate) scratch: Vec<Action<A::Msg>>,
+    pub(crate) scratch: Outbox<A::Msg>,
     pub(crate) events_processed: u64,
     pub(crate) dropped_loss: u64,
     pub(crate) dropped_dead: u64,
@@ -248,7 +305,7 @@ impl<A: Application, P: Partition<A::Msg>, Q: EventQueue> Engine<A, P, Q> {
             },
             // One callback can address every peer (a server-style fan-out),
             // but typical bursts are small; clamp the reservation.
-            scratch: Vec::with_capacity(n.clamp(16, 1_024)),
+            scratch: Outbox::with_capacity(n.clamp(16, 1_024)),
             events_processed: 0,
             dropped_loss: 0,
             dropped_dead: 0,
@@ -290,7 +347,7 @@ impl<A: Application, P: Partition<A::Msg>, Q: EventQueue> Engine<A, P, Q> {
         meta: MsgMeta,
         band: u8,
     ) {
-        let slot = self.slab.insert(PendingEvent { node, kind });
+        let slot = self.slab.insert(kind);
         if self.part.traced() {
             let i = slot as usize;
             if self.meta_slots.len() <= i {
@@ -301,7 +358,7 @@ impl<A: Application, P: Partition<A::Msg>, Q: EventQueue> Engine<A, P, Q> {
         if let Some(p) = self.prof.as_mut() {
             p.note_band(slot, band);
         }
-        self.queue.push(key, slot);
+        self.queue.push(key, slot, node);
     }
 
     /// The causal meta parked with `slot` ([`MsgMeta::NONE`] when untraced).
@@ -317,8 +374,9 @@ impl<A: Application, P: Partition<A::Msg>, Q: EventQueue> Engine<A, P, Q> {
         }
     }
 
-    /// The single scheduling choke point: every event source — sends,
-    /// timers, churn transitions, failure bounces — lands here. Applies
+    /// The scheduling choke point: every event source — timers, churn
+    /// transitions, failure bounces, and through [`Engine::schedule_leg`]
+    /// each destination of a send — lands here. Applies
     /// the partition's due-time rule to `at`, mints `origin`'s next
     /// tie-break key, classifies the wheel band, and places the event in
     /// this engine or hands it to the partition for `dst`'s shard.
@@ -337,6 +395,23 @@ impl<A: Application, P: Partition<A::Msg>, Q: EventQueue> Engine<A, P, Q> {
         kind: EventKind<A::Msg>,
         meta: MsgMeta,
     ) -> EventKey {
+        let (key, band) = self.stamp(topology, local, origin, at, dst);
+        self.place(key, self.owns(origin, dst), dst, kind, meta, band);
+        key
+    }
+
+    /// The creation-site half of [`Engine::schedule`], shared with
+    /// [`Engine::schedule_leg`]: the key and wheel band of the event
+    /// `origin` creates for `dst`, asked for at `at`.
+    #[inline(always)]
+    fn stamp(
+        &mut self,
+        topology: &Topology,
+        local: usize,
+        origin: NodeIdx,
+        at: SimTime,
+        dst: NodeIdx,
+    ) -> (EventKey, u8) {
         let at = P::due(at, self.now);
         let seq = self.part.mint_seq(local, origin);
         let mut band = BAND_NONE;
@@ -348,8 +423,28 @@ impl<A: Application, P: Partition<A::Msg>, Q: EventQueue> Engine<A, P, Q> {
                 p.on_remote(ra, rb);
             }
         }
-        let key = EventKey { time: at, seq };
-        if dst == origin || self.part.owns(dst) {
+        (EventKey { time: at, seq }, band)
+    }
+
+    /// Whether an event `origin` creates for `dst` stays in this engine.
+    #[inline(always)]
+    fn owns(&self, origin: NodeIdx, dst: NodeIdx) -> bool {
+        dst == origin || self.part.owns(dst)
+    }
+
+    /// The placement half of [`Engine::schedule`]: files a stamped event
+    /// here when `own`, else hands it to the partition for `dst`'s shard.
+    #[inline(always)]
+    fn place(
+        &mut self,
+        key: EventKey,
+        own: bool,
+        dst: NodeIdx,
+        kind: EventKind<A::Msg>,
+        meta: MsgMeta,
+        band: u8,
+    ) {
+        if own {
             self.insert(key, dst, kind, meta, band);
         } else {
             self.part.park(Stamped {
@@ -360,15 +455,49 @@ impl<A: Application, P: Partition<A::Msg>, Q: EventQueue> Engine<A, P, Q> {
                 band,
             });
         }
-        key
+    }
+
+    /// Schedules one delivery of `fan`'s message from `src` to `to`. A leg
+    /// that stays in an engine whose legs may share pushes one more queue
+    /// record against the fan-out's slot; any other leg carries a payload
+    /// of its own — the message itself when `last` says no later leg will
+    /// read it and no shared slot is waiting for it, a clone otherwise.
+    #[inline]
+    #[allow(clippy::too_many_arguments)] // `schedule`'s tuple, by fan-out.
+    fn schedule_leg(
+        &mut self,
+        topology: &Topology,
+        local: usize,
+        src: NodeIdx,
+        at: SimTime,
+        to: NodeIdx,
+        meta: MsgMeta,
+        fan: &mut Fanout<A::Msg>,
+        last: bool,
+    ) {
+        let (key, band) = self.stamp(topology, local, src, at, to);
+        let own = self.owns(src, to);
+        if own && fan.share {
+            let (slot, refs) = fan.parked.get_or_insert_with(|| (self.slab.reserve(), 0));
+            *refs += 1;
+            self.queue.push(key, *slot, to);
+            return;
+        }
+        let msg = if last && fan.parked.is_none() {
+            fan.msg.take()
+        } else {
+            fan.msg.clone()
+        };
+        let msg = msg.expect("only the final leg takes the message");
+        self.place(key, own, to, EventKind::Deliver { src, msg }, meta, band);
     }
 
     /// Dispatches every queued event due at or before `bound`, returning
     /// how many ran.
     pub(crate) fn run_before(&mut self, topology: &Topology, bound: SimTime) -> u64 {
         let before = self.events_processed;
-        while let Some((key, slot)) = self.queue.pop_before(bound) {
-            self.dispatch(topology, key, slot);
+        while let Some((key, slot, dst)) = self.queue.pop_before(bound) {
+            self.dispatch(topology, key, slot, dst);
         }
         self.events_processed - before
     }
@@ -403,18 +532,23 @@ impl<A: Application, P: Partition<A::Msg>, Q: EventQueue> Engine<A, P, Q> {
         self.emit(src, tag(msg), body);
     }
 
-    /// Runs the event popped under `key` at `key.time`: advances the
-    /// clock, emits its trace record, invokes the destination's callback
-    /// and applies what the callback asked for.
-    pub(crate) fn dispatch(&mut self, topology: &Topology, key: EventKey, slot: u32) {
+    /// Runs the event popped as `(key, slot, node)` at `key.time`: advances
+    /// the clock, emits its trace record, invokes the destination's
+    /// callback and applies what the callback asked for.
+    pub(crate) fn dispatch(
+        &mut self,
+        topology: &Topology,
+        key: EventKey,
+        slot: u32,
+        node: NodeIdx,
+    ) {
         if let Some(p) = self.prof.as_mut() {
-            let ev = self.slab.peek(slot);
-            let groupable = !matches!(ev.kind, EventKind::Down | EventKind::Up);
-            p.on_dispatch(slot, key.time.as_micros(), ev.node, groupable);
+            let groupable = !matches!(self.slab.peek(slot), EventKind::Down | EventKind::Up);
+            p.on_dispatch(slot, key.time.as_micros(), node, groupable);
         }
         // Read before the slot can be recycled.
         let meta = self.meta_of(slot);
-        let PendingEvent { node, kind } = self.slab.take(slot);
+        let kind = self.slab.take(slot);
         debug_assert!(key.time >= self.now, "time went backwards");
         self.now = key.time;
         self.events_processed += 1;
@@ -456,10 +590,10 @@ impl<A: Application, P: Partition<A::Msg>, Q: EventQueue> Engine<A, P, Q> {
             _ => MsgMeta::NONE,
         };
         debug_assert!(self.scratch.is_empty());
-        let mut actions = std::mem::take(&mut self.scratch);
+        let mut out = std::mem::take(&mut self.scratch);
         let mut bounce: Option<NodeIdx> = None;
         {
-            let mut ctx = Ctx::scoped(self.now, node, &mut actions, &mut self.rng, topology);
+            let mut ctx = Ctx::scoped(self.now, node, &mut out, &mut self.rng, topology);
             let app = &mut self.nodes[local];
             match kind {
                 EventKind::Start if up => app.on_start(&mut ctx),
@@ -485,8 +619,8 @@ impl<A: Application, P: Partition<A::Msg>, Q: EventQueue> Engine<A, P, Q> {
                 _ => {}
             }
         }
-        self.apply_actions(topology, node, local, &mut actions, cause);
-        self.scratch = actions;
+        self.apply_actions(topology, node, local, &mut out, cause);
+        self.scratch = out;
         if let Some(src) = bounce {
             // TCP-RST-like failure bounce back to the sender, originated
             // by the dead destination; it travels one network delay (so a
@@ -511,116 +645,15 @@ impl<A: Application, P: Partition<A::Msg>, Q: EventQueue> Engine<A, P, Q> {
         topology: &Topology,
         src: NodeIdx,
         local: usize,
-        actions: &mut Vec<Action<A::Msg>>,
+        out: &mut Outbox<A::Msg>,
         cause: MsgMeta,
     ) {
         let traced = self.part.traced();
-        for action in actions.drain(..) {
+        for action in out.actions.drain(..) {
             match action {
-                Action::Send { to, msg, extra } => {
-                    let size = msg.size_bytes();
-                    self.part.record_send(topology, src, size);
-                    // Causal identity, computed only when tracing is on;
-                    // drops too get ids, so a span shows where it died.
-                    let mut meta = MsgMeta::NONE;
-                    if traced {
-                        let id = self.part.mint_msg_id(local, src);
-                        meta = if cause.is_traced() {
-                            MsgMeta {
-                                trace: cause.trace,
-                                id,
-                                parent: cause.id,
-                                hop: cause.hop.saturating_add(1),
-                            }
-                        } else {
-                            MsgMeta {
-                                trace: id,
-                                id,
-                                parent: ROOT_PARENT,
-                                hop: 0,
-                            }
-                        };
-                    }
-                    if topology.sample_loss(&mut self.rng) {
-                        self.dropped_loss += 1;
-                        if traced {
-                            self.record_drop(src, to, &msg, DropReason::Loss, meta);
-                        }
-                        continue;
-                    }
-                    // The base loss/delay draws above always happen first,
-                    // so installing no chaos leaves the main RNG stream —
-                    // and every golden fixture — untouched.
-                    let mut delay = topology.sample_delay(src, to, size, &mut self.rng);
-                    let mut duplicate = false;
-                    if let Some(chaos) = self.chaos.as_mut() {
-                        let verdict = chaos.on_send(self.now, src, to, topology);
-                        if verdict.drop {
-                            self.dropped_loss += 1;
-                            if traced {
-                                self.record_drop(src, to, &msg, DropReason::Chaos, meta);
-                            }
-                            continue;
-                        }
-                        if verdict.delay_factor > 1 {
-                            delay = delay.saturating_mul(verdict.delay_factor);
-                            if traced {
-                                let effect = "delay";
-                                self.emit(src, tag(&msg), TraceBody::ChaosEffect { to, effect });
-                            }
-                        }
-                        duplicate = verdict.duplicate;
-                        if duplicate && traced {
-                            let effect = "duplicate";
-                            self.emit(src, tag(&msg), TraceBody::ChaosEffect { to, effect });
-                        }
-                    }
-                    if let Some(filter) = self.fault_filter.as_mut() {
-                        if filter(self.now, src, to, &msg) {
-                            self.dropped_loss += 1;
-                            if traced {
-                                self.record_drop(src, to, &msg, DropReason::Filter, meta);
-                            }
-                            continue;
-                        }
-                    }
-                    // Pre-applied (the rule is idempotent) so the record
-                    // reports the arrival time the event is filed under.
-                    let at = P::due(self.now + extra + delay, self.now);
-                    if traced {
-                        let body = TraceBody::Send {
-                            to,
-                            bytes: size,
-                            meta,
-                            arrive_at_us: at.as_micros(),
-                        };
-                        self.emit(src, tag(&msg), body);
-                    }
-                    if duplicate {
-                        // Same arrival time; minted first, so the copy's
-                        // key orders the pair deterministically. It gets
-                        // its own message id so the span shows both
-                        // arrivals, but shares trace/parent/hop.
-                        let mut dup_meta = MsgMeta::NONE;
-                        if traced {
-                            let id = self.part.mint_msg_id(local, src);
-                            dup_meta = MsgMeta { id, ..meta };
-                            let body = TraceBody::Send {
-                                to,
-                                bytes: size,
-                                meta: dup_meta,
-                                arrive_at_us: at.as_micros(),
-                            };
-                            self.emit(src, tag(&msg), body);
-                        }
-                        let kind = EventKind::Deliver {
-                            src,
-                            msg: msg.clone(),
-                        };
-                        self.schedule(topology, local, src, at, to, kind, dup_meta);
-                    }
-                    let kind = EventKind::Deliver { src, msg };
-                    self.schedule(topology, local, src, at, to, kind, meta);
+                Action::Send { dsts, msg, extra } => {
+                    let dsts = &out.dsts[dsts.start as usize..dsts.end as usize];
+                    self.fan_out(topology, src, local, dsts, msg, extra, cause);
                 }
                 Action::Timer { delay, token } => {
                     let at = self.now + delay;
@@ -640,6 +673,136 @@ impl<A: Application, P: Partition<A::Msg>, Q: EventQueue> Engine<A, P, Q> {
                 }
             }
         }
+        out.dsts.clear();
+    }
+
+    /// Sends `msg` from `src` to each of `dsts` in order — the one
+    /// per-destination routine, a single send being a fan-out of one. Every
+    /// destination gets the steps, RNG draws, ids and records of a send of
+    /// its own; only where the payload is parked differs.
+    #[allow(clippy::too_many_arguments)] // One `Action::Send`, spread out.
+    fn fan_out(
+        &mut self,
+        topology: &Topology,
+        src: NodeIdx,
+        local: usize,
+        dsts: &[NodeIdx],
+        msg: A::Msg,
+        extra: SimDuration,
+        cause: MsgMeta,
+    ) {
+        let traced = self.part.traced();
+        let size = msg.size_bytes();
+        let mut fan = Fanout {
+            msg: Some(msg),
+            share: !traced && self.prof.is_none(),
+            parked: None,
+        };
+        for (i, &to) in dsts.iter().enumerate() {
+            let last = i + 1 == dsts.len();
+            let msg = fan.msg.as_ref().expect("only the final leg takes it");
+            self.part.record_send(topology, src, size);
+            // Causal identity, computed only when tracing is on;
+            // drops too get ids, so a span shows where it died.
+            let mut meta = MsgMeta::NONE;
+            if traced {
+                let id = self.part.mint_msg_id(local, src);
+                meta = if cause.is_traced() {
+                    MsgMeta {
+                        trace: cause.trace,
+                        id,
+                        parent: cause.id,
+                        hop: cause.hop.saturating_add(1),
+                    }
+                } else {
+                    MsgMeta {
+                        trace: id,
+                        id,
+                        parent: ROOT_PARENT,
+                        hop: 0,
+                    }
+                };
+            }
+            if topology.sample_loss(&mut self.rng) {
+                self.dropped_loss += 1;
+                if traced {
+                    self.record_drop(src, to, msg, DropReason::Loss, meta);
+                }
+                continue;
+            }
+            // The base loss/delay draws above always happen first,
+            // so installing no chaos leaves the main RNG stream —
+            // and every golden fixture — untouched.
+            let mut delay = topology.sample_delay(src, to, size, &mut self.rng);
+            let mut duplicate = false;
+            if let Some(chaos) = self.chaos.as_mut() {
+                let verdict = chaos.on_send(self.now, src, to, topology);
+                if verdict.drop {
+                    self.dropped_loss += 1;
+                    if traced {
+                        self.record_drop(src, to, msg, DropReason::Chaos, meta);
+                    }
+                    continue;
+                }
+                if verdict.delay_factor > 1 {
+                    delay = delay.saturating_mul(verdict.delay_factor);
+                    if traced {
+                        let effect = "delay";
+                        self.emit(src, tag(msg), TraceBody::ChaosEffect { to, effect });
+                    }
+                }
+                duplicate = verdict.duplicate;
+                if duplicate && traced {
+                    let effect = "duplicate";
+                    self.emit(src, tag(msg), TraceBody::ChaosEffect { to, effect });
+                }
+            }
+            if let Some(filter) = self.fault_filter.as_mut() {
+                if filter(self.now, src, to, msg) {
+                    self.dropped_loss += 1;
+                    if traced {
+                        self.record_drop(src, to, msg, DropReason::Filter, meta);
+                    }
+                    continue;
+                }
+            }
+            // Pre-applied (the rule is idempotent) so the record
+            // reports the arrival time the event is filed under.
+            let at = P::due(self.now + extra + delay, self.now);
+            if traced {
+                let body = TraceBody::Send {
+                    to,
+                    bytes: size,
+                    meta,
+                    arrive_at_us: at.as_micros(),
+                };
+                self.emit(src, tag(msg), body);
+            }
+            if duplicate {
+                // Same arrival time; minted first, so the copy's
+                // key orders the pair deterministically. It gets
+                // its own message id so the span shows both
+                // arrivals, but shares trace/parent/hop.
+                let mut dup_meta = MsgMeta::NONE;
+                if traced {
+                    let id = self.part.mint_msg_id(local, src);
+                    dup_meta = MsgMeta { id, ..meta };
+                    let body = TraceBody::Send {
+                        to,
+                        bytes: size,
+                        meta: dup_meta,
+                        arrive_at_us: at.as_micros(),
+                    };
+                    self.emit(src, tag(msg), body);
+                }
+                self.schedule_leg(topology, local, src, at, to, dup_meta, &mut fan, false);
+            }
+            self.schedule_leg(topology, local, src, at, to, meta, &mut fan, last);
+        }
+        if let Some((slot, refs)) = fan.parked {
+            let msg = fan.msg.take().expect("a shared slot keeps the message");
+            self.slab.fill(slot, refs, EventKind::Deliver { src, msg });
+        }
     }
 }
 
@@ -652,4 +815,51 @@ pub(crate) fn tag<M: Payload>(msg: &M) -> (&'static str, &'static str) {
         if layer.is_empty() { "app" } else { layer },
         if kind.is_empty() { "msg" } else { kind },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shared_slot_is_freed_by_its_last_record() {
+        let mut slab: EventSlab<String> = EventSlab::with_capacity(4);
+        let slot = slab.reserve();
+        let kind = EventKind::Deliver {
+            src: 3,
+            msg: "hello".to_string(),
+        };
+        slab.fill(slot, 3, kind);
+        for left in [1, 1, 0] {
+            match slab.take(slot) {
+                EventKind::Deliver { src: 3, msg } => assert_eq!(msg, "hello"),
+                other => panic!("unexpected {other:?}"),
+            }
+            assert_eq!(slab.live(), left);
+        }
+        // The freed slot is the next one handed out, for any kind of event.
+        assert_eq!(slab.insert(EventKind::Timer { token: 9 }), slot);
+        assert!(matches!(slab.take(slot), EventKind::Timer { token: 9 }));
+        assert_eq!((slab.live(), slab.slots()), (0, 1));
+    }
+
+    #[test]
+    fn reference_count_fits_where_the_destination_was() {
+        // `state_bytes` is slab capacity x slot size, so the slot must not
+        // grow for any message type: `refs: u32` took the place of the
+        // `node: usize` that moved into the queue record.
+        fn same_as_before<M>() {
+            let before = std::mem::size_of::<Option<(NodeIdx, EventKind<M>)>>();
+            assert_eq!(event_slot_bytes::<M>(), before);
+        }
+        same_as_before::<()>();
+        same_as_before::<u8>();
+        same_as_before::<u64>();
+        same_as_before::<[u8; 3]>();
+        same_as_before::<[u64; 12]>();
+        same_as_before::<String>();
+        same_as_before::<Option<Box<u64>>>();
+        same_as_before::<(u32, std::sync::Arc<Vec<u8>>)>();
+        assert_eq!(event_slot_bytes::<u64>(), 32);
+    }
 }

@@ -44,6 +44,7 @@ pub use chaos::{
     FaultKind, FaultPlan, Invariant, InvariantPhase, SendVerdict, Violation,
 };
 pub use churn::{ChurnEvent, ChurnSchedule};
+pub use engine::event_slot_bytes;
 pub use geo::{GeoPoint, PlacedNode, Region};
 pub use obs::prof::{EngineProf, EngineProfile, ShardWall, WallProfile};
 pub use obs::{

@@ -2,10 +2,19 @@
 //!
 //! Every pending event is identified by an [`EventKey`] — the `(time, seq)`
 //! pair that the determinism contract pins as the *total* dispatch order —
-//! plus the `u32` slot of its payload in the simulator's event slab. An
-//! [`EventQueue`] stores `(key, slot)` pairs and yields them in ascending
-//! key order; the simulator never touches the queue's internals, so the
-//! implementation can be swapped without perturbing a single golden byte.
+//! plus the `u32` slot of its payload in the simulator's event slab and the
+//! node it is bound for. An [`EventQueue`] stores `(key, slot, dst)`
+//! records and yields them in ascending key order; the simulator never
+//! touches the queue's internals, so the implementation can be swapped
+//! without perturbing a single golden byte.
+//!
+//! The record *is* the delivery: the destination lives here, not in the
+//! slab, so the legs of one fan-out are `k` records naming one slot, and
+//! the slab parks their common payload once (DESIGN.md §8, *park once,
+//! deliver many*). The destination is stored in the four bytes that used
+//! to pad `(key, slot)` to 24, so the record did not grow; both simulators
+//! check at construction that every node index fits
+//! ([`check_node_count`]).
 //!
 //! Two implementations ship behind the API:
 //!
@@ -20,7 +29,7 @@
 //!   workloads (every node ticking maintenance) off the heap bottleneck.
 //!
 //! The two must agree **exactly**: for any interleaving of pushes and pops,
-//! both yield the same `(key, slot)` sequence. `tests/queue_equiv.rs`
+//! both yield the same `(key, slot, dst)` sequence. `tests/queue_equiv.rs`
 //! replays random schedules through both and asserts just that, and the
 //! `simcore` benchmark times them head to head (`timer_storm` vs
 //! `timer_storm_heap`). The trait is sealed: queue behaviour is part of the
@@ -30,6 +39,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
+use crate::topology::NodeIdx;
 
 /// The total-order key of one queued event: primary `time`, tie-broken by
 /// the simulator's monotone sequence number. `seq` is unique per simulator,
@@ -52,12 +62,51 @@ impl EventKey {
     }
 }
 
-/// A `(key, slot)` record ordered by key only — `slot` is storage, not
-/// identity, exactly as in the pre-API `HeapEntry`.
+/// A `(key, slot, dst)` record ordered by key only — `slot` is storage and
+/// `dst` is cargo, not identity. 24 bytes: `dst` fills what was padding.
 #[derive(Clone, Copy, Debug)]
 struct Entry {
     key: EventKey,
     slot: u32,
+    dst: u32,
+}
+
+impl Entry {
+    #[inline]
+    fn new(key: EventKey, slot: u32, dst: NodeIdx) -> Self {
+        debug_assert!(u32::try_from(dst).is_ok(), "see check_node_count");
+        Entry {
+            key,
+            slot,
+            dst: dst as u32,
+        }
+    }
+
+    #[inline]
+    fn unpack(self) -> Queued {
+        (self.key, self.slot, self.dst as NodeIdx)
+    }
+
+    /// What [`EventQueue::remove`] hands back: everything but the key.
+    fn cargo(self) -> (u32, NodeIdx) {
+        (self.slot, self.dst as NodeIdx)
+    }
+}
+
+/// One queued event as the queue hands it back: its key, its payload's
+/// slab slot, and its destination node.
+pub type Queued = (EventKey, u32, NodeIdx);
+
+/// Panics unless every index of an `n`-node topology fits the queue
+/// record's 32-bit destination field. Both simulators call this once at
+/// construction, which is what lets [`EventQueue::push`] narrow without a
+/// per-event check.
+pub(crate) fn check_node_count(n: usize) {
+    assert!(
+        u32::try_from(n).is_ok(),
+        "topology has {n} nodes; the event queue addresses at most {} (u32::MAX)",
+        u32::MAX
+    );
 }
 
 impl PartialEq for Entry {
@@ -86,8 +135,8 @@ mod sealed {
     impl Sealed for super::WheelQueue {}
 }
 
-/// Priority queue of `(EventKey, slot)` pairs, popped in ascending key
-/// order.
+/// Priority queue of `(EventKey, slot, dst)` records, popped in ascending
+/// key order.
 ///
 /// `peek`/`pop`/`pop_before` take `&mut self` deliberately: lazily-ordered
 /// implementations (the timer wheel) normalize their head on observation.
@@ -99,23 +148,24 @@ pub trait EventQueue: sealed::Sealed {
     /// Creates a queue sized for roughly `cap` concurrently pending events.
     fn with_capacity(cap: usize) -> Self;
 
-    /// Enqueues `slot` under `key`. Keys may arrive in any order, but a
-    /// pushed key is never smaller than the last popped key (the simulator
-    /// clamps event times to `now`); implementations may rely on that.
-    fn push(&mut self, key: EventKey, slot: u32);
+    /// Enqueues `slot`, bound for node `dst`, under `key`. Keys may arrive
+    /// in any order, but a pushed key is never smaller than the last popped
+    /// key (the simulator clamps event times to `now`); implementations may
+    /// rely on that. `dst` must fit in 32 bits.
+    fn push(&mut self, key: EventKey, slot: u32, dst: NodeIdx);
 
-    /// The smallest queued key and its slot, without removing it.
-    fn peek(&mut self) -> Option<(EventKey, u32)>;
+    /// The record with the smallest queued key, without removing it.
+    fn peek(&mut self) -> Option<Queued>;
 
-    /// Removes and returns the smallest queued key and its slot.
-    fn pop(&mut self) -> Option<(EventKey, u32)>;
+    /// Removes and returns the record with the smallest queued key.
+    fn pop(&mut self) -> Option<Queued>;
 
     /// Pops the head only if it is due at or before `deadline` — the
     /// deadline-bounded analogue of [`EventQueue::pop`], one observation
     /// deciding and popping.
-    fn pop_before(&mut self, deadline: SimTime) -> Option<(EventKey, u32)> {
+    fn pop_before(&mut self, deadline: SimTime) -> Option<Queued> {
         match self.peek() {
-            Some((key, _)) if key.time <= deadline => self.pop(),
+            Some((key, ..)) if key.time <= deadline => self.pop(),
             _ => None,
         }
     }
@@ -128,20 +178,20 @@ pub trait EventQueue: sealed::Sealed {
         self.len() == 0
     }
 
-    /// Every queued `(key, slot)` pair in ascending key order, without
-    /// removing anything. `O(n log n)` — an exploration hook for the
-    /// bounded model checker, never called on the hot dispatch path.
-    fn snapshot(&mut self) -> Vec<(EventKey, u32)>;
+    /// Every queued record in ascending key order, without removing
+    /// anything. `O(n log n)` — an exploration hook for the bounded model
+    /// checker, never called on the hot dispatch path.
+    fn snapshot(&mut self) -> Vec<Queued>;
 
-    /// Removes the entry queued under exactly `key` (keys are unique —
-    /// `seq` is a per-simulator monotone counter) and returns its slot.
-    /// `O(n)` worst case; exploration hook only.
-    fn remove(&mut self, key: EventKey) -> Option<u32>;
+    /// Removes the record queued under exactly `key` (keys are unique —
+    /// `seq` is a per-simulator monotone counter) and returns its slot and
+    /// destination. `O(n)` worst case; exploration hook only.
+    fn remove(&mut self, key: EventKey) -> Option<(u32, NodeIdx)>;
 }
 
 // ------------------------------------------------------------------ heap --
 
-/// The reference queue: a `BinaryHeap` of 24-byte `(key, slot)` records.
+/// The reference queue: a `BinaryHeap` of 24-byte `(key, slot, dst)` records.
 ///
 /// This is byte-for-byte the pre-API scheduler (PR 2): heap sifts move
 /// small fixed-size records while payloads stay parked in the slab. It
@@ -161,43 +211,51 @@ impl EventQueue for HeapQueue {
     }
 
     #[inline]
-    fn push(&mut self, key: EventKey, slot: u32) {
-        self.heap.push(Reverse(Entry { key, slot }));
+    fn push(&mut self, key: EventKey, slot: u32, dst: NodeIdx) {
+        self.heap.push(Reverse(Entry::new(key, slot, dst)));
     }
 
     #[inline]
-    fn peek(&mut self) -> Option<(EventKey, u32)> {
-        self.heap.peek().map(|Reverse(e)| (e.key, e.slot))
+    fn peek(&mut self) -> Option<Queued> {
+        self.heap.peek().map(|Reverse(e)| e.unpack())
     }
 
     #[inline]
-    fn pop(&mut self) -> Option<(EventKey, u32)> {
-        self.heap.pop().map(|Reverse(e)| (e.key, e.slot))
+    fn pop(&mut self) -> Option<Queued> {
+        self.heap.pop().map(|Reverse(e)| e.unpack())
     }
 
     fn len(&self) -> usize {
         self.heap.len()
     }
 
-    fn snapshot(&mut self) -> Vec<(EventKey, u32)> {
-        let mut out: Vec<(EventKey, u32)> =
-            self.heap.iter().map(|Reverse(e)| (e.key, e.slot)).collect();
-        out.sort_unstable_by_key(|(k, _)| k.packed());
+    fn snapshot(&mut self) -> Vec<Queued> {
+        let mut out: Vec<Queued> = self.heap.iter().map(|Reverse(e)| e.unpack()).collect();
+        out.sort_unstable_by_key(|(k, ..)| k.packed());
         out
     }
 
-    fn remove(&mut self, key: EventKey) -> Option<u32> {
-        let mut slot = None;
-        self.heap.retain(|Reverse(e)| {
-            if e.key == key {
-                slot = Some(e.slot);
-                false
-            } else {
-                true
-            }
-        });
-        slot
+    fn remove(&mut self, key: EventKey) -> Option<(u32, NodeIdx)> {
+        remove_from_heap(&mut self.heap, key)
     }
+}
+
+/// Removes the entry keyed `key` from a binary heap of entries, returning
+/// its slot and destination.
+fn remove_from_heap(
+    heap: &mut BinaryHeap<Reverse<Entry>>,
+    key: EventKey,
+) -> Option<(u32, NodeIdx)> {
+    let mut found = None;
+    heap.retain(|Reverse(e)| {
+        if e.key == key {
+            found = Some(e.cargo());
+            false
+        } else {
+            true
+        }
+    });
+    found
 }
 
 // ----------------------------------------------------------------- wheel --
@@ -400,8 +458,8 @@ impl EventQueue for WheelQueue {
         }
     }
 
-    fn push(&mut self, key: EventKey, slot: u32) {
-        let e = Entry { key, slot };
+    fn push(&mut self, key: EventKey, slot: u32, dst: NodeIdx) {
+        let e = Entry::new(key, slot, dst);
         self.len += 1;
         let tick = tick_of(key.time);
         if tick < self.base_tick {
@@ -418,22 +476,22 @@ impl EventQueue for WheelQueue {
         }
     }
 
-    fn peek(&mut self) -> Option<(EventKey, u32)> {
+    fn peek(&mut self) -> Option<Queued> {
         self.settle();
-        self.drain.get(self.drain_pos).map(|e| (e.key, e.slot))
+        self.drain.get(self.drain_pos).map(|e| e.unpack())
     }
 
-    fn pop(&mut self) -> Option<(EventKey, u32)> {
+    fn pop(&mut self) -> Option<Queued> {
         self.settle();
         let e = self.drain.get(self.drain_pos)?;
         self.drain_pos += 1;
         self.len -= 1;
-        Some((e.key, e.slot))
+        Some(e.unpack())
     }
 
     // Overrides the peek-then-pop default so the dispatch loop settles the
     // drain buffer once per event instead of twice.
-    fn pop_before(&mut self, deadline: SimTime) -> Option<(EventKey, u32)> {
+    fn pop_before(&mut self, deadline: SimTime) -> Option<Queued> {
         self.settle();
         let e = self.drain.get(self.drain_pos)?;
         if e.key.time > deadline {
@@ -441,25 +499,25 @@ impl EventQueue for WheelQueue {
         }
         self.drain_pos += 1;
         self.len -= 1;
-        Some((e.key, e.slot))
+        Some(e.unpack())
     }
 
     fn len(&self) -> usize {
         self.len
     }
 
-    fn snapshot(&mut self) -> Vec<(EventKey, u32)> {
+    fn snapshot(&mut self) -> Vec<Queued> {
         let mut out = Vec::with_capacity(self.len);
-        out.extend(self.drain[self.drain_pos..].iter().map(|e| (e.key, e.slot)));
+        out.extend(self.drain[self.drain_pos..].iter().map(|e| e.unpack()));
         for bucket in &self.slots {
-            out.extend(bucket.iter().map(|e| (e.key, e.slot)));
+            out.extend(bucket.iter().map(|e| e.unpack()));
         }
-        out.extend(self.overflow.iter().map(|Reverse(e)| (e.key, e.slot)));
-        out.sort_unstable_by_key(|(k, _)| k.packed());
+        out.extend(self.overflow.iter().map(|Reverse(e)| e.unpack()));
+        out.sort_unstable_by_key(|(k, ..)| k.packed());
         out
     }
 
-    fn remove(&mut self, key: EventKey) -> Option<u32> {
+    fn remove(&mut self, key: EventKey) -> Option<(u32, NodeIdx)> {
         // The three bands are disjoint by tick: drained/late entries sit
         // below `base_tick`, bucketed entries inside the window, spilled
         // entries at or beyond its end — so each band is probed at most
@@ -470,7 +528,7 @@ impl EventQueue for WheelQueue {
         if let Ok(i) = tail.binary_search_by(|e| e.key.cmp(&key)) {
             let e = self.drain.remove(self.drain_pos + i);
             self.len -= 1;
-            return Some(e.slot);
+            return Some(e.cargo());
         }
         let tick = tick_of(key.time);
         if tick < self.window_end() {
@@ -482,21 +540,13 @@ impl EventQueue for WheelQueue {
             }
             self.wheel_len -= 1;
             self.len -= 1;
-            return Some(e.slot);
+            return Some(e.cargo());
         }
-        let mut slot = None;
-        self.overflow.retain(|Reverse(e)| {
-            if e.key == key {
-                slot = Some(e.slot);
-                false
-            } else {
-                true
-            }
-        });
-        if slot.is_some() {
+        let found = remove_from_heap(&mut self.overflow, key);
+        if found.is_some() {
             self.len -= 1;
         }
-        slot
+        found
     }
 }
 
@@ -511,8 +561,14 @@ mod tests {
         }
     }
 
-    /// Pops everything from a queue, returning the key sequence.
-    fn drain_all<Q: EventQueue>(q: &mut Q) -> Vec<(EventKey, u32)> {
+    /// The destination the tests file slot `slot` under: distinct per slot,
+    /// so a record that came back with another record's cargo shows.
+    fn dst_of(slot: u32) -> NodeIdx {
+        slot as NodeIdx * 7 + 1
+    }
+
+    /// Pops everything from a queue, returning the record sequence.
+    fn drain_all<Q: EventQueue>(q: &mut Q) -> Vec<Queued> {
         let mut out = Vec::new();
         while let Some(kv) = q.pop() {
             out.push(kv);
@@ -524,8 +580,8 @@ mod tests {
         let mut heap = HeapQueue::with_capacity(8);
         let mut wheel = WheelQueue::with_capacity(8);
         for &(us, seq, slot) in pushes {
-            heap.push(key(us, seq), slot);
-            wheel.push(key(us, seq), slot);
+            heap.push(key(us, seq), slot, dst_of(slot));
+            wheel.push(key(us, seq), slot, dst_of(slot));
         }
         assert_eq!(drain_all(&mut heap), drain_all(&mut wheel));
     }
@@ -565,16 +621,19 @@ mod tests {
     #[test]
     fn pop_before_respects_deadline() {
         let mut wheel = WheelQueue::with_capacity(4);
-        wheel.push(key(100, 0), 0);
-        wheel.push(key(200, 1), 1);
+        wheel.push(key(100, 0), 0, dst_of(0));
+        wheel.push(key(200, 1), 1, dst_of(1));
         assert_eq!(wheel.pop_before(SimTime::from_micros(50)), None);
         assert_eq!(
             wheel.pop_before(SimTime::from_micros(100)),
-            Some((key(100, 0), 0))
+            Some((key(100, 0), 0, dst_of(0)))
         );
         assert_eq!(wheel.pop_before(SimTime::from_micros(150)), None);
         assert_eq!(wheel.len(), 1);
-        assert_eq!(wheel.pop_before(SimTime::MAX), Some((key(200, 1), 1)));
+        assert_eq!(
+            wheel.pop_before(SimTime::MAX),
+            Some((key(200, 1), 1, dst_of(1)))
+        );
         assert!(wheel.is_empty());
     }
 
@@ -589,8 +648,8 @@ mod tests {
         // Pop the first event, then push into the same (now drained) bucket
         // at a time between the two — the late-push insertion path.
         assert_eq!(heap.pop(), wheel.pop());
-        heap.push(key(20, 2), 2);
-        wheel.push(key(20, 2), 2);
+        heap.push(key(20, 2), 2, dst_of(2));
+        wheel.push(key(20, 2), 2, dst_of(2));
         assert_eq!(heap.peek(), wheel.peek());
         assert_eq!(drain_all(&mut heap), drain_all(&mut wheel));
     }
@@ -601,12 +660,12 @@ mod tests {
     }
     impl FnPush for HeapQueue {
         fn do_push(&mut self, key: EventKey, slot: u32) {
-            self.push(key, slot);
+            self.push(key, slot, dst_of(slot));
         }
     }
     impl FnPush for WheelQueue {
         fn do_push(&mut self, key: EventKey, slot: u32) {
-            self.push(key, slot);
+            self.push(key, slot, dst_of(slot));
         }
     }
 
@@ -620,11 +679,11 @@ mod tests {
         let mut now = 0u64;
         for round in 0..10_000u64 {
             let delay = 97 + (round % 13) * 33;
-            heap.push(key(now + delay, round), round as u32);
-            wheel.push(key(now + delay, round), round as u32);
-            let (hk, hs) = heap.pop().unwrap();
-            let (wk, ws) = wheel.pop().unwrap();
-            assert_eq!((hk, hs), (wk, ws), "diverged at round {round}");
+            heap.push(key(now + delay, round), round as u32, dst_of(round as u32));
+            wheel.push(key(now + delay, round), round as u32, dst_of(round as u32));
+            let h = heap.pop().unwrap();
+            assert_eq!(h, wheel.pop().unwrap(), "diverged at round {round}");
+            let hk = h.0;
             now = hk.time.as_micros();
         }
         assert!(heap.is_empty() && wheel.is_empty());
@@ -638,25 +697,25 @@ mod tests {
         // overflow migration that `settle` performs at the boundary.
         let span = (NUM_SLOTS as u64) << GRANULARITY_SHIFT;
         let mut wheel = WheelQueue::with_capacity(4);
-        wheel.push(key(span - 1, 0), 0);
-        wheel.push(key(span, 1), 1);
-        wheel.push(key(2 * span + 5, 2), 2);
+        wheel.push(key(span - 1, 0), 0, dst_of(0));
+        wheel.push(key(span, 1), 1, dst_of(1));
+        wheel.push(key(2 * span + 5, 2), 2, dst_of(2));
         assert_eq!(wheel.pop_before(SimTime::from_micros(span - 2)), None);
         assert_eq!(
             wheel.pop_before(SimTime::from_micros(span - 1)),
-            Some((key(span - 1, 0), 0))
+            Some((key(span - 1, 0), 0, dst_of(0)))
         );
         // The overflow head migrates into the advanced window but is not
         // yet due at the old deadline.
         assert_eq!(wheel.pop_before(SimTime::from_micros(span - 1)), None);
         assert_eq!(
             wheel.pop_before(SimTime::from_micros(span)),
-            Some((key(span, 1), 1))
+            Some((key(span, 1), 1, dst_of(1)))
         );
         assert_eq!(wheel.pop_before(SimTime::from_micros(2 * span)), None);
         assert_eq!(
             wheel.pop_before(SimTime::MAX),
-            Some((key(2 * span + 5, 2), 2))
+            Some((key(2 * span + 5, 2), 2, dst_of(2)))
         );
         assert!(wheel.is_empty());
     }
@@ -672,8 +731,8 @@ mod tests {
         let stride = ((NUM_SLOTS as u64) << GRANULARITY_SHIFT) / 3 + 61;
         let mut now = 0u64;
         for round in 0..2_000u64 {
-            heap.push(key(now + stride, round), round as u32);
-            wheel.push(key(now + stride, round), round as u32);
+            heap.push(key(now + stride, round), round as u32, dst_of(round as u32));
+            wheel.push(key(now + stride, round), round as u32, dst_of(round as u32));
             let early = SimTime::from_micros(now + stride - 1);
             assert_eq!(wheel.pop_before(early), None, "early pop at {round}");
             let h = heap.pop_before(SimTime::from_micros(now + stride));
@@ -697,13 +756,13 @@ mod tests {
             (3 * span, 4, 4),
         ];
         for &(us, seq, slot) in &pushes {
-            heap.push(key(us, seq), slot);
-            wheel.push(key(us, seq), slot);
+            heap.push(key(us, seq), slot, dst_of(slot));
+            wheel.push(key(us, seq), slot, dst_of(slot));
         }
         // Pop one to open the drain band, then land a late push in it.
         assert_eq!(heap.pop(), wheel.pop());
-        heap.push(key(12, 5), 5);
-        wheel.push(key(12, 5), 5);
+        heap.push(key(12, 5), 5, dst_of(5));
+        wheel.push(key(12, 5), 5, dst_of(5));
         assert_eq!(heap.snapshot(), wheel.snapshot());
         // Remove from each band — drain tail, bucket, overflow — plus a
         // miss; lengths and snapshots must stay in lockstep.
@@ -731,8 +790,8 @@ mod tests {
             (40 * span + 1, 3, 13),
         ];
         for &(us, seq, slot) in &far {
-            heap.push(key(us, seq), slot);
-            wheel.push(key(us, seq), slot);
+            heap.push(key(us, seq), slot, dst_of(slot));
+            wheel.push(key(us, seq), slot, dst_of(slot));
         }
         // Snapshot with *everything* in overflow: sorted, complete.
         assert_eq!(heap.snapshot(), wheel.snapshot());
@@ -767,8 +826,8 @@ mod tests {
             (2 * span + 64, 3, 3), // a full window further out
         ];
         for &(us, seq, slot) in &events {
-            heap.push(key(us, seq), slot);
-            wheel.push(key(us, seq), slot);
+            heap.push(key(us, seq), slot, dst_of(slot));
+            wheel.push(key(us, seq), slot, dst_of(slot));
         }
         // Remove one overflow event pre-migration.
         assert_eq!(
@@ -802,14 +861,14 @@ mod tests {
     fn len_tracks_through_all_bands() {
         let span = (NUM_SLOTS as u64) << GRANULARITY_SHIFT;
         let mut wheel = WheelQueue::with_capacity(4);
-        wheel.push(key(5, 0), 0); // wheel band
-        wheel.push(key(2 * span, 1), 1); // overflow band
+        wheel.push(key(5, 0), 0, dst_of(0)); // wheel band
+        wheel.push(key(2 * span, 1), 1, dst_of(1)); // overflow band
         assert_eq!(wheel.len(), 2);
-        assert_eq!(wheel.pop().map(|(k, _)| k.seq), Some(0));
-        wheel.push(key(3, 2), 2); // late push → drain band
+        assert_eq!(wheel.pop().map(|(k, ..)| k.seq), Some(0));
+        wheel.push(key(3, 2), 2, dst_of(2)); // late push → drain band
         assert_eq!(wheel.len(), 2);
-        assert_eq!(wheel.pop().map(|(k, _)| k.seq), Some(2));
-        assert_eq!(wheel.pop().map(|(k, _)| k.seq), Some(1));
+        assert_eq!(wheel.pop().map(|(k, ..)| k.seq), Some(2));
+        assert_eq!(wheel.pop().map(|(k, ..)| k.seq), Some(1));
         assert_eq!(wheel.len(), 0);
     }
 }

@@ -72,7 +72,7 @@ use crate::churn::ChurnSchedule;
 use crate::engine::{Engine, EventKind, Partition, Stamped};
 use crate::obs::prof::{EngineProf, EngineProfile, ShardWall, WallProfile};
 use crate::obs::{MsgMeta, TraceRecord};
-use crate::queue::{EventKey, EventQueue, WheelQueue};
+use crate::queue::{check_node_count, EventKey, EventQueue, WheelQueue};
 use crate::rng::sub_rng;
 use crate::sim::{Application, ComputeKind};
 use crate::time::{SimDuration, SimTime};
@@ -372,7 +372,7 @@ impl<A: Application> ShardCore<A> {
     fn next_due_us(&mut self) -> u64 {
         self.queue
             .peek()
-            .map_or(u64::MAX, |(key, _)| key.time.as_micros())
+            .map_or(u64::MAX, |(key, ..)| key.time.as_micros())
     }
 
     /// Dispatches every local event with time strictly below `end_us`
@@ -431,6 +431,7 @@ impl<A: Application> ShardedSim<A> {
         if !topology.delay_is_deterministic() {
             return Err(ShardError::StochasticTopology);
         }
+        check_node_count(topology.len());
         let plan = Arc::new(ShardPlan::new(&topology, shards)?);
         let k = plan.shards();
         let zones = topology.num_regions().max(1);

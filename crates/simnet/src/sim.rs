@@ -22,7 +22,7 @@ use crate::chaos::{ChaosInjector, FaultFilter};
 use crate::engine::{tag, Engine, EventKind, Partition, Stamped};
 use crate::obs::prof::EngineProfile;
 use crate::obs::{DropReason, MsgMeta, NoopSink, TraceRecord, TraceSink};
-use crate::queue::{EventKey, EventQueue, WheelQueue};
+use crate::queue::{check_node_count, EventKey, EventQueue, WheelQueue};
 use crate::rng::sub_rng;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeIdx, Topology};
@@ -113,14 +113,42 @@ pub trait Application: Sized {
 pub struct Ctx<'a, M> {
     now: SimTime,
     me: NodeIdx,
-    actions: &'a mut Vec<Action<M>>,
+    out: &'a mut Outbox<M>,
     rng: &'a mut StdRng,
     topology: &'a Topology,
 }
 
+/// One callback's buffered side effects: its actions in issue order, and
+/// the destination lists its sends name by range.
+pub(crate) struct Outbox<M> {
+    pub(crate) actions: Vec<Action<M>>,
+    pub(crate) dsts: Vec<NodeIdx>,
+}
+
+impl<M> Outbox<M> {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
+        Outbox {
+            actions: Vec::with_capacity(cap),
+            dsts: Vec::with_capacity(cap),
+        }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.actions.is_empty() && self.dsts.is_empty()
+    }
+}
+
+// Not derived: that would ask `M: Default`.
+impl<M> Default for Outbox<M> {
+    fn default() -> Self {
+        Outbox::with_capacity(0)
+    }
+}
+
 pub(crate) enum Action<M> {
+    /// One message to every node of `Outbox::dsts[dsts]`, in that order.
     Send {
-        to: NodeIdx,
+        dsts: std::ops::Range<u32>,
         msg: M,
         extra: SimDuration,
     },
@@ -140,14 +168,14 @@ impl<'a, M> Ctx<'a, M> {
     pub(crate) fn scoped(
         now: SimTime,
         me: NodeIdx,
-        actions: &'a mut Vec<Action<M>>,
+        out: &'a mut Outbox<M>,
         rng: &'a mut StdRng,
         topology: &'a Topology,
     ) -> Self {
         Ctx {
             now,
             me,
-            actions,
+            out,
             rng,
             topology,
         }
@@ -176,29 +204,43 @@ impl<'a, M> Ctx<'a, M> {
     /// Sends `msg` to node `to`; delivery is delayed by the sampled network
     /// delay (or dropped if the link loses it or `to` is down on arrival).
     pub fn send(&mut self, to: NodeIdx, msg: M) {
-        self.actions.push(Action::Send {
-            to,
-            msg,
-            extra: SimDuration::ZERO,
-        });
+        self.push_send([to], msg, SimDuration::ZERO);
+    }
+
+    /// Sends the one `msg` to every node of `dsts`, in order: exactly
+    /// `for d in dsts { send(d, msg.clone()) }` — each destination has its
+    /// own loss, delay and fault draws, in that order, and repeats and the
+    /// sender itself are allowed — except that the simulator parks the
+    /// message once for all of them instead of once each. The way to send
+    /// a keep-alive or a tree broadcast.
+    pub fn send_all(&mut self, dsts: impl IntoIterator<Item = NodeIdx>, msg: M) {
+        self.push_send(dsts, msg, SimDuration::ZERO);
     }
 
     /// Like [`Ctx::send`], but the message additionally waits `extra`
     /// simulated time before entering the network — used to model local
     /// compute (e.g. training) that precedes a reply.
     pub fn send_after(&mut self, to: NodeIdx, msg: M, extra: SimDuration) {
-        self.actions.push(Action::Send { to, msg, extra });
+        self.push_send([to], msg, extra);
+    }
+
+    fn push_send(&mut self, dsts: impl IntoIterator<Item = NodeIdx>, msg: M, extra: SimDuration) {
+        let start = self.out.dsts.len();
+        self.out.dsts.extend(dsts);
+        let bound = |i: usize| u32::try_from(i).expect("more than u32::MAX sends in a callback");
+        let dsts = bound(start)..bound(self.out.dsts.len());
+        self.out.actions.push(Action::Send { dsts, msg, extra });
     }
 
     /// Arms a one-shot timer that fires `delay` from now with `token`.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        self.actions.push(Action::Timer { delay, token });
+        self.out.actions.push(Action::Timer { delay, token });
     }
 
     /// Charges `amount` of simulated CPU time of the given kind to this
     /// node's compute ledger (accounting only; does not delay anything).
     pub fn charge_compute(&mut self, kind: ComputeKind, amount: SimDuration) {
-        self.actions.push(Action::Compute { kind, amount });
+        self.out.actions.push(Action::Compute { kind, amount });
     }
 }
 
@@ -416,6 +458,7 @@ impl<A: Application, S: TraceSink, Q: EventQueue> Simulator<A, S, Q> {
         make_node: impl FnMut(NodeIdx) -> A,
     ) -> Self {
         let n = topology.len();
+        check_node_count(n);
         let part = SeqPart {
             seq: 0,
             msg_seq: 1,
@@ -540,6 +583,13 @@ impl<A: Application, S: TraceSink, Q: EventQueue> Simulator<A, S, Q> {
         self.core.queue.len()
     }
 
+    /// Payload slots the event slab has allocated so far — the most
+    /// payloads that were ever parked at once. A fan-out
+    /// ([`Ctx::send_all`]) parks one for all its destinations.
+    pub fn event_slots(&self) -> usize {
+        self.core.slab.slots()
+    }
+
     /// Total messages dropped so far, for any reason.
     pub fn messages_dropped(&self) -> u64 {
         self.core.dropped_loss + self.core.dropped_dead
@@ -594,9 +644,8 @@ impl<A: Application, S: TraceSink, Q: EventQueue> Simulator<A, S, Q> {
         let entries = self.core.queue.snapshot();
         entries
             .into_iter()
-            .map(|(key, slot)| {
-                let ev = self.core.slab.peek(slot);
-                let class = match &ev.kind {
+            .map(|(key, slot, node)| {
+                let class = match self.core.slab.peek(slot) {
                     EventKind::Start => PendingClass::Start,
                     EventKind::Deliver { src, msg } => {
                         let (layer, kind) = tag(msg);
@@ -612,11 +661,7 @@ impl<A: Application, S: TraceSink, Q: EventQueue> Simulator<A, S, Q> {
                     EventKind::Down => PendingClass::Down,
                     EventKind::Up => PendingClass::Up,
                 };
-                PendingSummary {
-                    key,
-                    node: ev.node,
-                    class,
-                }
+                PendingSummary { key, node, class }
             })
             .collect()
     }
@@ -627,12 +672,12 @@ impl<A: Application, S: TraceSink, Q: EventQueue> Simulator<A, S, Q> {
     /// pulls it forward to the current instant, never backwards. Returns
     /// `None` if no event is queued under `key`.
     pub fn dispatch_pending(&mut self, key: EventKey) -> Option<SimTime> {
-        let slot = self.core.queue.remove(key)?;
+        let (slot, node) = self.core.queue.remove(key)?;
         let key = EventKey {
             time: key.time.max(self.core.now),
             ..key
         };
-        self.core.dispatch(&self.topology, key, slot);
+        self.core.dispatch(&self.topology, key, slot, node);
         Some(self.core.now)
     }
 
@@ -645,14 +690,13 @@ impl<A: Application, S: TraceSink, Q: EventQueue> Simulator<A, S, Q> {
         key: EventKey,
         keep: bool,
     ) -> Option<(u32, NodeIdx, NodeIdx, A::Msg)> {
-        let slot = self.core.queue.remove(key)?;
-        let ev = self.core.slab.peek(slot);
-        let found = match &ev.kind {
-            EventKind::Deliver { src, msg } => Some((slot, ev.node, *src, msg.clone())),
+        let (slot, node) = self.core.queue.remove(key)?;
+        let found = match self.core.slab.peek(slot) {
+            EventKind::Deliver { src, msg } => Some((slot, node, *src, msg.clone())),
             _ => None,
         };
         if keep || found.is_none() {
-            self.core.queue.push(key, slot);
+            self.core.queue.push(key, slot, node);
         }
         found
     }
@@ -666,6 +710,7 @@ impl<A: Application, S: TraceSink, Q: EventQueue> Simulator<A, S, Q> {
             return false;
         };
         let meta = self.core.meta_of(slot);
+        // One queue record gone: the other legs of a fan-out keep the slot.
         self.core.slab.take(slot);
         self.core.dropped_loss += 1;
         if S::ENABLED {
@@ -705,14 +750,14 @@ impl<A: Application, S: TraceSink, Q: EventQueue> Simulator<A, S, Q> {
             return None;
         }
         debug_assert!(core.scratch.is_empty());
-        let mut actions = std::mem::take(&mut core.scratch);
+        let mut out = std::mem::take(&mut core.scratch);
         let r = {
-            let mut ctx = Ctx::scoped(core.now, i, &mut actions, &mut core.rng, &self.topology);
+            let mut ctx = Ctx::scoped(core.now, i, &mut out, &mut core.rng, &self.topology);
             f(&mut core.nodes[i], &mut ctx)
         };
         // Driver-injected work roots fresh causal spans.
-        core.apply_actions(&self.topology, i, i, &mut actions, MsgMeta::NONE);
-        core.scratch = actions;
+        core.apply_actions(&self.topology, i, i, &mut out, MsgMeta::NONE);
+        core.scratch = out;
         Some(r)
     }
 
@@ -727,8 +772,8 @@ impl<A: Application, S: TraceSink, Q: EventQueue> Simulator<A, S, Q> {
     /// ([`EventQueue::pop_before`]) — the deadline-bounded analogue of
     /// [`Simulator::step`].
     pub fn step_before(&mut self, deadline: SimTime) -> Option<SimTime> {
-        let (key, slot) = self.core.queue.pop_before(deadline)?;
-        self.core.dispatch(&self.topology, key, slot);
+        let (key, slot, node) = self.core.queue.pop_before(deadline)?;
+        self.core.dispatch(&self.topology, key, slot, node);
         Some(key.time)
     }
 
@@ -1115,9 +1160,97 @@ mod tests {
         sim.run_until_quiet(10_000);
         assert!(sim.events_processed() > 500);
         assert!(
-            sim.core.slab.slots() <= 64,
+            sim.event_slots() <= 64,
             "slab grew to {} slots for a 1-message workload",
-            sim.core.slab.slots()
+            sim.event_slots()
         );
+        assert_eq!(sim.core.slab.live(), 0);
+    }
+
+    /// Node 0 fans one token out to `dsts` at start; everyone logs what
+    /// arrives.
+    struct FanNode {
+        dsts: Vec<NodeIdx>,
+        got: Vec<u64>,
+    }
+
+    impl Application for FanNode {
+        type Msg = Token;
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Token>) {
+            if ctx.me() == 0 {
+                ctx.send_all(self.dsts.iter().copied(), Token(7));
+            }
+        }
+
+        fn on_message(&mut self, _: &mut Ctx<'_, Token>, _from: NodeIdx, msg: Token) {
+            self.got.push(msg.0);
+        }
+    }
+
+    /// A 6-node simulator whose starts have run, leaving node 0's fan-out
+    /// to `dsts` as the only queued events.
+    fn fan_sim(dsts: &[NodeIdx]) -> Simulator<FanNode> {
+        let mut sim = Simulator::new(Topology::uniform(6, 1_000, 2_000), 5, |_| FanNode {
+            dsts: dsts.to_vec(),
+            got: Vec::new(),
+        });
+        for _ in 0..6 {
+            assert_eq!(sim.step(), Some(SimTime::ZERO));
+        }
+        assert_eq!(sim.pending_events(), dsts.len());
+        sim
+    }
+
+    #[test]
+    fn fan_out_parks_one_slot_until_its_last_leg() {
+        // Repeats and the sender itself are legs like any other.
+        let dsts = [1, 2, 2, 0, 5];
+        let mut sim = fan_sim(&dsts);
+        for _ in 1..dsts.len() {
+            assert_eq!(sim.core.slab.live(), 1);
+            assert!(sim.step().is_some());
+        }
+        assert_eq!(sim.core.slab.live(), 1);
+        assert!(sim.step().is_some());
+        assert_eq!(sim.core.slab.live(), 0);
+        assert_eq!(sim.step(), None);
+        let got: Vec<usize> = sim.apps().map(|a| a.got.len()).collect();
+        assert_eq!(got, vec![1, 1, 2, 0, 0, 1]);
+        assert!(sim.apps().all(|a| a.got.iter().all(|&t| t == 7)));
+        assert_eq!(sim.traffic().total_msgs(), 5);
+    }
+
+    #[test]
+    fn exploration_hooks_act_on_one_leg_of_a_fan_out() {
+        let mut sim = fan_sim(&[1, 2, 3, 4]);
+        let key_to = |sim: &mut Simulator<FanNode>, node| {
+            let pending = sim.pending_summaries();
+            pending.iter().find(|p| p.node == node).expect("leg").key
+        };
+        // Losing one leg leaves the payload parked for the other three.
+        let k1 = key_to(&mut sim, 1);
+        assert!(sim.drop_pending(k1));
+        assert_eq!((sim.pending_events(), sim.core.slab.live()), (3, 1));
+        // A duplicate is an event of its own, with a payload of its own.
+        let k2 = key_to(&mut sim, 2);
+        assert!(sim.duplicate_pending(k2).is_some());
+        assert_eq!((sim.pending_events(), sim.core.slab.live()), (4, 2));
+        // Dispatching a leg out of turn delivers to that leg's node only.
+        let k4 = key_to(&mut sim, 4);
+        assert!(sim.dispatch_pending(k4).is_some());
+        assert_eq!(sim.app(4).got, vec![7]);
+        assert_eq!((sim.pending_events(), sim.core.slab.live()), (3, 2));
+        // (Out of turn moved the clock past the rest; stay on the hook.)
+        while let Some(next) = sim.pending_summaries().first().copied() {
+            assert!(sim.dispatch_pending(next.key).is_some());
+        }
+        let got: Vec<Vec<u64>> = sim.apps().map(|a| a.got.clone()).collect();
+        assert_eq!(
+            got,
+            vec![vec![], vec![], vec![7, 7], vec![7], vec![7], vec![]]
+        );
+        assert_eq!(sim.core.slab.live(), 0);
+        assert_eq!(sim.dropped_loss(), 1);
     }
 }

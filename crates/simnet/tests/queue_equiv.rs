@@ -1,6 +1,6 @@
 //! Differential tests pinning the [`EventQueue`] equivalence contract:
 //! for any schedule, [`HeapQueue`] and [`WheelQueue`] yield the identical
-//! `(time, seq)` → slot sequence, so swapping the simulator's queue can
+//! `(time, seq)` → `(slot, dst)` sequence, so swapping the simulator's queue can
 //! never change a result byte. Random schedules (including re-arming
 //! rotations, cancellations, wheel-overflow spill, and same-bucket ties)
 //! are replayed through both queues, and whole simulations are run once
@@ -57,6 +57,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     (0u8..8, any::<u64>()).prop_map(|(sel, raw)| decode(sel, raw))
 }
 
+/// The destination filed with `slot`: distinct per slot, so a record that
+/// came back carrying another record's cargo is caught.
+fn dst_of(slot: u32) -> NodeIdx {
+    slot as NodeIdx * 3 + 1
+}
+
 /// Replays `ops` through both queues in lockstep, asserting every
 /// observation — peeks, pops, lengths — is identical.
 fn replay(ops: &[Op]) -> Result<(), TestCaseError> {
@@ -72,15 +78,16 @@ fn replay(ops: &[Op]) -> Result<(), TestCaseError> {
                     time: SimTime::from_micros(now + delta),
                     seq,
                 };
-                heap.push(key, slot);
-                wheel.push(key, slot);
+                heap.push(key, slot, dst_of(slot));
+                wheel.push(key, slot, dst_of(slot));
                 seq += 1;
                 slot = slot.wrapping_add(1);
             }
             Op::Pop => {
                 let (h, w) = (heap.pop(), wheel.pop());
                 prop_assert_eq!(h, w);
-                if let Some((key, _)) = h {
+                if let Some((key, s, dst)) = h {
+                    prop_assert_eq!(dst, dst_of(s), "record lost its destination");
                     prop_assert!(key.time.as_micros() >= now, "time went backwards");
                     now = key.time.as_micros();
                 }
@@ -89,7 +96,7 @@ fn replay(ops: &[Op]) -> Result<(), TestCaseError> {
                 let deadline = SimTime::from_micros(now + window);
                 let (h, w) = (heap.pop_before(deadline), wheel.pop_before(deadline));
                 prop_assert_eq!(h, w);
-                if let Some((key, _)) = h {
+                if let Some((key, ..)) = h {
                     prop_assert!(key.time <= deadline, "popped past the deadline");
                     now = key.time.as_micros();
                 }
@@ -97,14 +104,14 @@ fn replay(ops: &[Op]) -> Result<(), TestCaseError> {
             Op::Rotate { delta } => {
                 let (h, w) = (heap.pop(), wheel.pop());
                 prop_assert_eq!(h, w);
-                if let Some((key, s)) = h {
+                if let Some((key, s, dst)) = h {
                     now = key.time.as_micros();
                     let rekey = EventKey {
                         time: SimTime::from_micros(now + delta),
                         seq,
                     };
-                    heap.push(rekey, s);
-                    wheel.push(rekey, s);
+                    heap.push(rekey, s, dst);
+                    wheel.push(rekey, s, dst);
                     seq += 1;
                 }
             }
@@ -144,8 +151,8 @@ proptest! {
         let mut wheel = WheelQueue::with_capacity(16);
         for (seq, t) in times.iter().enumerate() {
             let key = EventKey { time: SimTime::from_micros(*t), seq: seq as u64 };
-            heap.push(key, seq as u32);
-            wheel.push(key, seq as u32);
+            heap.push(key, seq as u32, dst_of(seq as u32));
+            wheel.push(key, seq as u32, dst_of(seq as u32));
         }
         for _ in 0..pops {
             prop_assert_eq!(heap.pop(), wheel.pop());
@@ -155,8 +162,8 @@ proptest! {
         let reseq = times.len() as u64;
         for (i, t) in times.iter().take(8).enumerate() {
             let key = EventKey { time: SimTime::from_micros(*t), seq: reseq + i as u64 };
-            heap.push(key, 1_000 + i as u32);
-            wheel.push(key, 1_000 + i as u32);
+            heap.push(key, 1_000 + i as u32, dst_of(i as u32));
+            wheel.push(key, 1_000 + i as u32, dst_of(i as u32));
         }
         loop {
             let (h, w) = (heap.pop(), wheel.pop());
