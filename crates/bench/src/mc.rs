@@ -436,7 +436,7 @@ impl<S: TraceSink> World for McWorld<S> {
                 put(&mut h, addr);
             }
             tag(&mut h, "forest");
-            // BTreeMap: topic-sorted iteration, already canonical.
+            // Topic-sorted iteration, already canonical.
             for m in node.upper.state.memberships() {
                 put(&mut h, m.topic.0 as u64);
                 put(&mut h, (m.topic.0 >> 64) as u64);

@@ -15,21 +15,23 @@
 //!
 //! * [`DhtNode`] is the only thing that mutates its [`DhtState`] during a
 //!   run ([`DhtApi::state`] is a shared reference), and it does so only
-//!   through a [`NoOpMemo`], which remembers the peers whose last offer
-//!   changed nothing and forgets them all the moment anything changes. A
-//!   remembered contact is skipped before the RTT lookup, the leaf-set
-//!   scans and the four `consider` calls; [`DhtStats::offers_skipped`]
-//!   counts how often. See [`NoOpMemo`] for why that is exact, and why the
-//!   cheaper "forget on removal only" rule is not.
-//! * Liveness (`last_seen`) and the memo are address-sorted `Vec`s probed
-//!   by binary search — no hashing, so nothing here depends on a hasher's
-//!   iteration order — and each message costs one liveness probe.
+//!   through its [`PeerRecord`], whose memo remembers the peers whose last
+//!   offer changed nothing and forgets them all the moment anything
+//!   changes. A remembered contact is skipped before the RTT lookup, the
+//!   leaf-set scans and the four `consider` calls;
+//!   [`DhtStats::offers_skipped`] counts how often. See [`PeerRecord`] for
+//!   why that is exact, and why the cheaper "forget on removal only" rule
+//!   is not.
+//! * Liveness and the memo share that one record, stored inline in the
+//!   node: a keep-alive's sender is found by one compare over 32 inline
+//!   slots that hold its address, its stamp and its memo bit, with no
+//!   pointer to follow and no hashing.
 
 use totoro_simnet::{ComputeKind, Ctx, NodeIdx, Payload, Shared, SimDuration, SimTime};
 
 use crate::id::Id;
 use crate::routing::{next_hop, NextHop};
-use crate::state::{DhtConfig, DhtState, NoOpMemo, Offer};
+use crate::state::{DhtConfig, DhtState, Offer, PeerRecord};
 use crate::table::Contact;
 use crate::two_level::BoundaryDecision;
 
@@ -166,14 +168,14 @@ pub struct DhtStats {
     /// Contacts of other nodes offered to the routing state (one per
     /// keep-alive sender, gossiped member, join or announce).
     pub offers: u64,
-    /// Offers skipped because the [`NoOpMemo`] knew them to change nothing.
+    /// Offers skipped because the [`PeerRecord`] knew them to change nothing.
     pub offers_skipped: u64,
 }
 
 /// The interface the DHT exposes to its upper layer during callbacks.
 pub struct DhtApi<'a, 'b, P: Payload> {
     /// The node's routing state. Read-only: during a run only the
-    /// [`DhtNode`] itself mutates it, so its [`NoOpMemo`] cannot be
+    /// [`DhtNode`] itself mutates it, so its [`PeerRecord`]'s memo cannot be
     /// invalidated behind its back.
     pub state: &'a DhtState,
     stats: &'a mut DhtStats,
@@ -359,67 +361,16 @@ impl Default for MaintenanceConfig {
     }
 }
 
-/// When each tracked peer was last heard from, ascending by address and
-/// probed by binary search.
-#[derive(Default)]
-struct LastSeen(Vec<(NodeIdx, SimTime)>);
-
-impl LastSeen {
-    fn slot(&self, addr: NodeIdx) -> Result<usize, usize> {
-        self.0.binary_search_by_key(&addr, |&(a, _)| a)
-    }
-
-    /// Refreshes `addr` if it is tracked; returns whether it was.
-    fn refresh(&mut self, addr: NodeIdx, now: SimTime) -> bool {
-        match self.slot(addr) {
-            Ok(i) => {
-                self.0[i].1 = now;
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Refreshes `addr`, starting to track it if it was not.
-    fn set(&mut self, addr: NodeIdx, now: SimTime) {
-        match self.slot(addr) {
-            Ok(i) => self.0[i].1 = now,
-            Err(i) => self.0.insert(i, (addr, now)),
-        }
-    }
-
-    /// When `addr` was last heard from; an untracked peer starts at `now`.
-    fn get_or_set(&mut self, addr: NodeIdx, now: SimTime) -> SimTime {
-        match self.slot(addr) {
-            Ok(i) => self.0[i].1,
-            Err(i) => {
-                self.0.insert(i, (addr, now));
-                now
-            }
-        }
-    }
-
-    fn remove(&mut self, addr: NodeIdx) {
-        if let Ok(i) = self.slot(addr) {
-            self.0.remove(i);
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-}
-
 /// A DHT node with upper layer `U`, runnable on the simulator.
 ///
-/// The node's [`NoOpMemo`] and liveness table are keyed by network address
+/// The node's [`PeerRecord`] (memo and liveness) is keyed by network address
 /// alone. That identifies the whole [`Contact`] because address → id is a
 /// function here: a contact is only ever minted by its owner's
 /// [`DhtState::contact`], and a node's id never changes. Debug builds check
-/// it on every memo hit (see [`NoOpMemo`]).
+/// it on every memo hit (see [`PeerRecord`]).
 pub struct DhtNode<U: UpperLayer> {
     /// Routing state. Once the node runs, every mutation goes through the
-    /// node's [`NoOpMemo`]; replace it wholesale only before the run starts
+    /// node's [`PeerRecord`]; replace it wholesale only before the run starts
     /// (bulk construction), while the memo is still empty.
     pub state: DhtState,
     /// The layered application.
@@ -430,8 +381,7 @@ pub struct DhtNode<U: UpperLayer> {
     bootstrap: Option<NodeIdx>,
     joined: bool,
     tick: u64,
-    last_seen: LastSeen,
-    memo: NoOpMemo,
+    peers: PeerRecord,
     pending_local: Vec<(Id, NodeIdx, U::P)>,
 }
 
@@ -453,8 +403,7 @@ impl<U: UpperLayer> DhtNode<U> {
             bootstrap,
             joined: bootstrap.is_none(),
             tick: 0,
-            last_seen: LastSeen::default(),
-            memo: NoOpMemo::default(),
+            peers: PeerRecord::default(),
             pending_local: Vec::new(),
         }
     }
@@ -537,11 +486,11 @@ impl<U: UpperLayer> DhtNode<U> {
         }
         self.stats.offers += 1;
         let rtt = || Self::measured_rtt_us(ctx, me, c.addr);
-        match self.memo.offer(&mut self.state, c, rtt) {
+        match self.peers.offer(&mut self.state, c, rtt) {
             Offer::Skipped => self.stats.offers_skipped += 1,
             Offer::Changed {
                 joined_leaf_set: true,
-            } => self.last_seen.set(c.addr, ctx.now()),
+            } => self.peers.set(c.addr, ctx.now()),
             Offer::Unchanged | Offer::Changed { .. } => {}
         }
     }
@@ -560,7 +509,7 @@ impl<U: UpperLayer> DhtNode<U> {
     ) {
         self.learn(ctx, peer);
         if !(src_refreshed && peer.addr == src) {
-            self.last_seen.set(peer.addr, ctx.now());
+            self.peers.set(peer.addr, ctx.now());
         }
     }
 
@@ -580,14 +529,14 @@ impl<U: UpperLayer> DhtNode<U> {
             .saturating_mul(u64::from(self.maintenance.failure_after_ticks));
         let mut failed: Vec<NodeIdx> = Vec::new();
         for c in self.state.leaf_set.members() {
-            let seen = self.last_seen.get_or_set(c.addr, now);
+            let seen = self.peers.get_or_set(c.addr, now);
             if now.saturating_since(seen) > timeout {
                 failed.push(c.addr);
             }
         }
         for addr in failed {
-            self.memo.remove_addr(&mut self.state, addr);
-            self.last_seen.remove(addr);
+            self.peers.remove_addr(&mut self.state, addr);
+            self.peers.remove(addr);
             self.stats.peers_failed += 1;
             let mut api = Self::api(&self.state, &mut self.stats, &mut self.pending_local, ctx);
             self.upper.on_peer_failed(&mut api, addr);
@@ -705,7 +654,7 @@ impl<U: UpperLayer> totoro_simnet::Application for DhtNode<U> {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Self::Msg>, from: NodeIdx, msg: Self::Msg) {
         // The one liveness probe most messages need: refresh the network
         // source if it is tracked.
-        let refreshed = self.last_seen.refresh(from, ctx.now());
+        let refreshed = self.peers.refresh(from, ctx.now());
         match msg {
             DhtMsg::Join {
                 joiner,
@@ -826,8 +775,8 @@ impl<U: UpperLayer> totoro_simnet::Application for DhtNode<U> {
         // Transport-level failure (the paper's substrate reacts to broken
         // TCP connections): purge the peer from all routing structures and
         // tell the upper layer so trees can repair immediately.
-        if self.memo.remove_addr(&mut self.state, peer) {
-            self.last_seen.remove(peer);
+        if self.peers.remove_addr(&mut self.state, peer) {
+            self.peers.remove(peer);
             self.stats.peers_failed += 1;
         }
         let mut api = Self::api(&self.state, &mut self.stats, &mut self.pending_local, ctx);
@@ -862,12 +811,75 @@ impl<U: UpperLayer> totoro_simnet::Application for DhtNode<U> {
         self.drain_local(ctx);
     }
 
-    /// Protocol state only: the [`NoOpMemo`] is derived, rebuildable
-    /// simulator state and is not counted (its real cost shows in the
-    /// process's peak RSS).
+    /// Protocol state only: each tracked peer counts as the `(address,
+    /// stamp)` pair liveness needs, and the [`PeerRecord`]'s memo and spare
+    /// slots are derived, rebuildable simulator state that is not counted
+    /// (their real cost shows in the process's peak RSS).
     fn memory_bytes(&self) -> usize {
         self.state.memory_bytes()
             + self.upper.memory_bytes()
-            + self.last_seen.len() * std::mem::size_of::<(NodeIdx, SimTime)>()
+            + self.peers.len() * std::mem::size_of::<(NodeIdx, SimTime)>()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use totoro_simnet::Application;
+
+    #[derive(Clone, Debug)]
+    struct Nothing;
+
+    impl Payload for Nothing {
+        fn size_bytes(&self) -> usize {
+            0
+        }
+    }
+
+    struct Quiet;
+
+    impl UpperLayer for Quiet {
+        type P = Nothing;
+
+        fn on_deliver(&mut self, _: &mut DhtApi<'_, '_, Nothing>, _: Id, _: NodeIdx, _: Nothing) {}
+
+        fn on_direct(&mut self, _: &mut DhtApi<'_, '_, Nothing>, _: NodeIdx, _: Nothing) {}
+    }
+
+    /// Each tracked peer costs one `(address, stamp)` pair, wherever the
+    /// record keeps it (inline or spilled); the memo costs nothing.
+    #[test]
+    fn memory_bytes_counts_tracked_peers_as_pairs() {
+        let mut node = DhtNode::new(Id::new(7 << 100), 0, DhtConfig::default(), None, Quiet);
+        let pair = std::mem::size_of::<(NodeIdx, SimTime)>();
+        let counted = |node: &DhtNode<Quiet>, tracked: usize| {
+            assert_eq!(node.peers.len(), tracked);
+            assert_eq!(
+                node.memory_bytes(),
+                node.state.memory_bytes() + tracked * pair
+            );
+        };
+        counted(&node, 0);
+        let wide = u32::MAX as NodeIdx + 1;
+        for addr in (1..=40).chain([wide]) {
+            node.peers.set(addr, SimTime::ZERO);
+        }
+        counted(&node, 41);
+        // Remembered but not tracked: the first offer changes the state, the
+        // second is remembered.
+        let c = Contact {
+            id: Id::new(9 << 100),
+            addr: 99,
+        };
+        assert!(matches!(
+            node.peers.offer(&mut node.state, c, || 1),
+            Offer::Changed { .. }
+        ));
+        assert_eq!(node.peers.offer(&mut node.state, c, || 1), Offer::Unchanged);
+        counted(&node, 41);
+        for addr in [1, 40, wide] {
+            node.peers.remove(addr);
+        }
+        counted(&node, 38);
     }
 }

@@ -1,7 +1,7 @@
 //! Aggregate per-node DHT state.
 
 use serde::{Deserialize, Serialize};
-use totoro_simnet::NodeIdx;
+use totoro_simnet::{NodeIdx, SimTime};
 
 use crate::id::Id;
 use crate::table::{Contact, LeafSet, NeighborhoodSet, RoutingTable};
@@ -115,7 +115,7 @@ impl DhtState {
     /// Offers a contact to every applicable data structure. `rtt_us`, when
     /// known, also feeds the neighborhood set. Returns `true` if any
     /// structure changed; on `false` the state is bit-identical to what it
-    /// was before the call, which is what [`NoOpMemo`] relies on.
+    /// was before the call, which is what [`PeerRecord`]'s memo relies on.
     pub fn add_contact(&mut self, c: Contact, rtt_us: Option<u64>) -> bool {
         if c.id == self.id {
             return false;
@@ -159,7 +159,7 @@ impl DhtState {
     }
 }
 
-/// What [`NoOpMemo::offer`] did with a contact.
+/// What [`PeerRecord::offer`] did with a contact.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Offer {
     /// The contact is remembered as a no-op: nothing was computed.
@@ -175,19 +175,54 @@ pub enum Offer {
     },
 }
 
-/// The known-no-op memo: the peers whose most recent offer to a
-/// [`DhtState`] changed nothing, **emptied the moment that state changes**.
+/// Inline slots of a [`PeerRecord`]: a paper-sized leaf set (24) with room
+/// to spare.
+const SLOTS: usize = 32;
+
+/// The key of a free inline slot. A peer whose address is this wide or
+/// wider is tracked in the spill list.
+const FREE: u32 = u32::MAX;
+
+/// Where a tracked peer lives in a [`PeerRecord`].
+#[derive(Clone, Copy)]
+enum Slot {
+    Inline(usize),
+    Spilled(usize),
+}
+
+/// A tracked peer without an inline slot.
+#[derive(Clone, Copy, Debug)]
+struct Spilled {
+    addr: NodeIdx,
+    seen: SimTime,
+    remembered: bool,
+}
+
+/// What a node knows of its peers besides its [`DhtState`]: when each
+/// *tracked* peer was last heard from, and which peers are *remembered* as
+/// known no-ops. One record, stored inline in the node, so a keep-alive
+/// finds both without following a pointer.
 ///
-/// Keep-alive traffic re-offers the same few dozen contacts to a settled
-/// node forever (over 99.9 % of offers on the benchmark's overlay workloads
-/// change nothing). [`DhtState::add_contact`] is a pure function of
-/// `(state, contact, rtt)`, so while the state is bit-identical to what it
-/// was when a contact's offer was a no-op, offering it again is a no-op
+/// # Liveness
+///
+/// [`PeerRecord::set`] starts tracking a peer and [`PeerRecord::remove`]
+/// stops; [`PeerRecord::refresh`] and [`PeerRecord::get_or_set`] read and
+/// write its stamp. [`PeerRecord::len`] is the tracked count.
+///
+/// # The known-no-op memo
+///
+/// The remembered peers are those whose most recent offer to a
+/// [`DhtState`] changed nothing, **all forgotten the moment that state
+/// changes**. Keep-alive traffic re-offers the same few dozen contacts to a
+/// settled node forever (over 99.9 % of offers on the benchmark's overlay
+/// workloads change nothing). [`DhtState::add_contact`] is a pure function
+/// of `(state, contact, rtt)`, so while the state is bit-identical to what
+/// it was when a contact's offer was a no-op, offering it again is a no-op
 /// too and can be skipped without computing anything. Exactness therefore
 /// holds by construction, provided every mutation goes through
-/// [`NoOpMemo::offer`] / [`NoOpMemo::remove_addr`] — the only two places
-/// that invalidate — and the RTT passed for a contact is a function of its
-/// address (it is: [`totoro_simnet::Topology::rtt`]).
+/// [`PeerRecord::offer`] / [`PeerRecord::remove_addr`] — the only two
+/// places that forget — and the RTT passed for a contact is a function of
+/// its address (it is: [`totoro_simnet::Topology::rtt`]).
 ///
 /// Do **not** weaken the invalidation rule to "forget on removal only" on
 /// the theory that every structure's accept-set shrinks between removals:
@@ -203,21 +238,220 @@ pub enum Offer {
 /// changes. Debug builds do not take that on trust: every hit re-runs the
 /// full offer and asserts it reports no change.
 ///
-/// This is derived, rebuildable simulator state, not protocol state: it is
-/// excluded from every `memory_bytes()` (Figure 13b, `simnet.state_bytes`)
-/// and lives beside the [`DhtState`] rather than inside it, because
-/// [`DhtState::memory_bytes`] counts `size_of::<DhtState>()`.
-#[derive(Clone, Debug, Default)]
-pub struct NoOpMemo {
-    /// Remembered addresses, ascending (binary-searched; no hashing).
-    addrs: Vec<u32>,
+/// The memo is derived, rebuildable simulator state, not protocol state: it
+/// is excluded from every `memory_bytes()` (Figure 13b,
+/// `simnet.state_bytes`) and lives beside the [`DhtState`] rather than
+/// inside it, because [`DhtState::memory_bytes`] counts
+/// `size_of::<DhtState>()`.
+///
+/// # Layout
+///
+/// 32 inline slots each hold a `u32` address, a stamp and a memo bit; one
+/// compare over the whole key array finds a slot (it vectorises: there is
+/// no chain of dependent probes). Tracked peers beyond 32, or with an
+/// address of `u32::MAX` or more, live in an address-sorted spill list;
+/// remembered peers that are not tracked (the non-leaf members a
+/// `LeafExchange` offers) in an address-sorted side list. No hashing, so
+/// nothing here depends on a hasher's iteration order. The layout decides
+/// only *where* each fact is kept: the tracked set and the remembered set
+/// are exactly those of a separate liveness table and memo, the pair
+/// `tests/properties.rs` keeps as the oracle. So a tracked peer that stops
+/// being tracked keeps its memo bit by moving to the side list, and one
+/// that starts being tracked takes its bit from there.
+///
+/// The fields are laid out in cache lines, in the order a lookup reads
+/// them: the keys fill two lines, the memo bits and both lists' headers
+/// the third, and a hit then reads one of the four lines of stamps.
+#[derive(Clone, Debug)]
+#[repr(C, align(64))]
+pub struct PeerRecord {
+    /// Tracked addresses, [`FREE`] in unused slots; in no particular order.
+    keys: [u32; SLOTS],
+    /// Bit `i`: slot `i`'s peer is remembered.
+    remembered: u32,
+    /// Tracked peers without an inline slot, ascending by address.
+    spill: Vec<Spilled>,
+    /// Remembered addresses that are not tracked, ascending.
+    side: Vec<u32>,
+    /// When each slot's peer was last heard from.
+    stamps: [SimTime; SLOTS],
 }
 
-impl NoOpMemo {
-    /// Remembered addresses are dropped wholesale when this many are held.
-    /// A settled node hears of 50–100 distinct contacts, and forgetting is
-    /// only ever slow, never wrong.
+impl Default for PeerRecord {
+    fn default() -> Self {
+        PeerRecord {
+            keys: [FREE; SLOTS],
+            stamps: [SimTime::ZERO; SLOTS],
+            remembered: 0,
+            spill: Vec::new(),
+            side: Vec::new(),
+        }
+    }
+}
+
+impl PeerRecord {
+    /// Remembered addresses are all forgotten when this many are held. A
+    /// settled node remembers 48 (its 24 leaf members and the 24 non-leaf
+    /// ones their gossip offers), and forgetting is only ever slow, never
+    /// wrong.
     pub const CAPACITY: usize = 128;
+
+    #[inline]
+    fn find(&self, addr: NodeIdx) -> Option<Slot> {
+        if let Some(key) = u32::try_from(addr).ok().filter(|&k| k != FREE) {
+            // Every slot compared, no early exit: this is what vectorises.
+            let mut hits = 0u32;
+            for (i, &k) in self.keys.iter().enumerate() {
+                hits |= u32::from(k == key) << i;
+            }
+            if hits != 0 {
+                return Some(Slot::Inline(hits.trailing_zeros() as usize));
+            }
+        }
+        if self.spill.is_empty() {
+            return None;
+        }
+        self.spill
+            .binary_search_by_key(&addr, |s| s.addr)
+            .ok()
+            .map(Slot::Spilled)
+    }
+
+    fn stamp_mut(&mut self, slot: Slot) -> &mut SimTime {
+        match slot {
+            Slot::Inline(i) => &mut self.stamps[i],
+            Slot::Spilled(i) => &mut self.spill[i].seen,
+        }
+    }
+
+    /// Starts tracking `addr` (not tracked yet), taking its memo bit from
+    /// the side list.
+    fn track(&mut self, addr: NodeIdx, now: SimTime) {
+        let key = u32::try_from(addr).ok();
+        let remembered = match key.map(|k| self.side.binary_search(&k)) {
+            Some(Ok(at)) => {
+                self.side.remove(at);
+                true
+            }
+            _ => false,
+        };
+        let free = match key {
+            Some(k) if k != FREE => self.keys.iter().position(|&k| k == FREE),
+            _ => None,
+        };
+        match (free, key) {
+            (Some(i), Some(k)) => {
+                self.keys[i] = k;
+                self.stamps[i] = now;
+                self.remembered |= u32::from(remembered) << i;
+            }
+            _ => {
+                let at = self.spill.partition_point(|s| s.addr < addr);
+                let spilled = Spilled {
+                    addr,
+                    seen: now,
+                    remembered,
+                };
+                self.spill.insert(at, spilled);
+            }
+        }
+    }
+
+    /// Adds `key`, untracked and not yet remembered, to the side list.
+    fn side_insert(&mut self, key: u32) {
+        let at = self.side.partition_point(|&a| a < key);
+        self.side.insert(at, key);
+    }
+
+    /// Refreshes `addr` if it is tracked; returns whether it was.
+    pub fn refresh(&mut self, addr: NodeIdx, now: SimTime) -> bool {
+        match self.find(addr) {
+            Some(slot) => {
+                *self.stamp_mut(slot) = now;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Refreshes `addr`, starting to track it if it was not.
+    pub fn set(&mut self, addr: NodeIdx, now: SimTime) {
+        match self.find(addr) {
+            Some(slot) => *self.stamp_mut(slot) = now,
+            None => self.track(addr, now),
+        }
+    }
+
+    /// When `addr` was last heard from; an untracked peer starts at `now`.
+    pub fn get_or_set(&mut self, addr: NodeIdx, now: SimTime) -> SimTime {
+        match self.find(addr) {
+            Some(slot) => *self.stamp_mut(slot),
+            None => {
+                self.track(addr, now);
+                now
+            }
+        }
+    }
+
+    /// Stops tracking `addr`. A remembered peer stays remembered.
+    pub fn remove(&mut self, addr: NodeIdx) {
+        let remembered = match self.find(addr) {
+            None => return,
+            Some(Slot::Inline(i)) => {
+                self.keys[i] = FREE;
+                let bit = self.remembered >> i & 1 == 1;
+                self.remembered &= !(1 << i);
+                bit
+            }
+            Some(Slot::Spilled(i)) => self.spill.remove(i).remembered,
+        };
+        if remembered {
+            // Only addresses that fit a `u32` are ever remembered.
+            self.side_insert(addr as u32);
+        }
+    }
+
+    /// How many peers are tracked.
+    pub fn len(&self) -> usize {
+        self.keys.iter().filter(|&&k| k != FREE).count() + self.spill.len()
+    }
+
+    /// Whether no peer is tracked.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn is_remembered(&self, slot: Option<Slot>, addr: NodeIdx) -> bool {
+        match slot {
+            Some(Slot::Inline(i)) => self.remembered >> i & 1 == 1,
+            Some(Slot::Spilled(i)) => self.spill[i].remembered,
+            None => u32::try_from(addr).is_ok_and(|key| self.side.binary_search(&key).is_ok()),
+        }
+    }
+
+    /// Remembers `key`, found at `slot`; forgets everything first at
+    /// capacity.
+    fn remember(&mut self, slot: Option<Slot>, key: u32) {
+        let held = self.remembered.count_ones() as usize
+            + self.spill.iter().filter(|s| s.remembered).count()
+            + self.side.len();
+        if held >= Self::CAPACITY {
+            self.forget_all();
+        }
+        match slot {
+            Some(Slot::Inline(i)) => self.remembered |= 1 << i,
+            Some(Slot::Spilled(i)) => self.spill[i].remembered = true,
+            None => self.side_insert(key),
+        }
+    }
+
+    fn forget_all(&mut self) {
+        self.remembered = 0;
+        for s in &mut self.spill {
+            s.remembered = false;
+        }
+        self.side.clear();
+    }
 
     /// Offers `c` to `state` unless it is remembered as a no-op. `rtt_us`
     /// measures the RTT to `c` and is only called when the offer runs.
@@ -227,32 +461,25 @@ impl NoOpMemo {
         c: Contact,
         rtt_us: impl FnOnce() -> u64,
     ) -> Offer {
-        let slot = match self.addrs.binary_search_by_key(&c.addr, |&a| a as NodeIdx) {
-            Ok(_) => {
-                debug_assert!(
-                    !state.add_contact(c, Some(rtt_us())),
-                    "memo hit, but offering {c:?} changes the state"
-                );
-                return Offer::Skipped;
-            }
-            Err(slot) => slot,
-        };
+        let slot = self.find(c.addr);
+        if self.is_remembered(slot, c.addr) {
+            debug_assert!(
+                !state.add_contact(c, Some(rtt_us())),
+                "memo hit, but offering {c:?} changes the state"
+            );
+            return Offer::Skipped;
+        }
         let is_leaf = |s: &DhtState| s.leaf_set.members().any(|m| m.addr == c.addr);
         let was_leaf = is_leaf(state);
         if state.add_contact(c, Some(rtt_us())) {
-            self.addrs.clear();
+            self.forget_all();
             return Offer::Changed {
                 joined_leaf_set: !was_leaf && is_leaf(state),
             };
         }
         // An address too wide for the key is never remembered.
-        if let Ok(addr) = u32::try_from(c.addr) {
-            if self.addrs.len() < Self::CAPACITY {
-                self.addrs.insert(slot, addr);
-            } else {
-                self.addrs.clear();
-                self.addrs.push(addr);
-            }
+        if let Ok(key) = u32::try_from(c.addr) {
+            self.remember(slot, key);
         }
         Offer::Unchanged
     }
@@ -262,7 +489,7 @@ impl NoOpMemo {
     pub fn remove_addr(&mut self, state: &mut DhtState, addr: NodeIdx) -> bool {
         let removed = state.remove_addr(addr);
         if removed {
-            self.addrs.clear();
+            self.forget_all();
         }
         removed
     }

@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use totoro_dht::{closest_on_ring, Id, LeafSet, RoutingTable};
-use totoro_dht::{Contact, DhtConfig, DhtState, NextHop, NoOpMemo, Offer};
+use totoro_dht::{Contact, DhtConfig, DhtState, NextHop, Offer, PeerRecord};
+use totoro_simnet::{NodeIdx, SimTime};
 
 /// Everything the four routing structures list, each in its own order.
 fn listing(s: &DhtState) -> [Vec<Contact>; 4] {
@@ -83,13 +84,13 @@ fn state_closed_but_for_a_tie() -> (DhtState, [(Contact, u64); 3]) {
 /// because every structure's accept-set only shrinks between removals" is
 /// false for the neighbourhood set, where an equal-RTT newcomer displaces
 /// the incumbent: on this sequence the removal-only memo skips an offer
-/// that changes the state, while [`NoOpMemo`] (forget on any change) tracks
-/// the always-offered state exactly.
+/// that changes the state, while [`PeerRecord`] (forget on any change)
+/// tracks the always-offered state exactly.
 #[test]
 fn removal_only_invalidation_diverges_on_rtt_ties() {
     let (start, [_, a, b]) = state_closed_but_for_a_tie();
     let (mut always, mut shipped, mut removal_only) = (start.clone(), start.clone(), start);
-    let mut memo = NoOpMemo::default();
+    let mut memo = PeerRecord::default();
     let mut remembered = std::collections::BTreeSet::new();
     // a enters; b ties and displaces it; b again is a no-op (remembered by
     // both rules); a displaces b; b would displace a again.
@@ -110,8 +111,8 @@ fn removal_only_invalidation_diverges_on_rtt_ties() {
 #[test]
 fn removal_forgets_and_the_freed_slot_refills() {
     let (mut st, [x, a, _]) = state_closed_but_for_a_tie();
-    let mut memo = NoOpMemo::default();
-    let offer = |memo: &mut NoOpMemo, st: &mut DhtState| memo.offer(st, a.0, || a.1);
+    let mut memo = PeerRecord::default();
+    let offer = |memo: &mut PeerRecord, st: &mut DhtState| memo.offer(st, a.0, || a.1);
     // The first offer lands in the neighbourhood set only.
     assert!(matches!(offer(&mut memo, &mut st), Offer::Changed { .. }));
     assert_eq!(offer(&mut memo, &mut st), Offer::Unchanged);
@@ -127,18 +128,301 @@ fn removal_forgets_and_the_freed_slot_refills() {
 #[test]
 fn memo_forgets_everything_when_full() {
     let (mut st, [_, a, _]) = state_closed_but_for_a_tie();
-    let mut memo = NoOpMemo::default();
+    let mut memo = PeerRecord::default();
     // With `a` in the second neighbourhood slot, any slower far contact
     // bounces off every structure.
     memo.offer(&mut st, a.0, || a.1);
     let mut offer = |k: usize| memo.offer(&mut st, far(2 + k), || 1_000);
-    for k in 1..=NoOpMemo::CAPACITY {
+    for k in 1..=PeerRecord::CAPACITY {
         assert_eq!(offer(k), Offer::Unchanged);
     }
     assert_eq!(offer(1), Offer::Skipped);
-    assert_eq!(offer(NoOpMemo::CAPACITY + 1), Offer::Unchanged);
-    assert_eq!(offer(NoOpMemo::CAPACITY + 1), Offer::Skipped);
+    assert_eq!(offer(PeerRecord::CAPACITY + 1), Offer::Unchanged);
+    assert_eq!(offer(PeerRecord::CAPACITY + 1), Offer::Skipped);
     assert_eq!(offer(1), Offer::Unchanged);
+}
+
+/// The separate liveness table and memo that [`PeerRecord`] replaced,
+/// verbatim but for the module they live in: the oracle it is checked
+/// against.
+mod separate_tables {
+    use totoro_dht::{Contact, DhtState, Offer};
+    use totoro_simnet::{NodeIdx, SimTime};
+
+    /// When each tracked peer was last heard from, ascending by address and
+    /// probed by binary search.
+    #[derive(Clone, Default)]
+    pub struct LastSeen(Vec<(NodeIdx, SimTime)>);
+
+    impl LastSeen {
+        fn slot(&self, addr: NodeIdx) -> Result<usize, usize> {
+            self.0.binary_search_by_key(&addr, |&(a, _)| a)
+        }
+
+        /// Refreshes `addr` if it is tracked; returns whether it was.
+        pub fn refresh(&mut self, addr: NodeIdx, now: SimTime) -> bool {
+            match self.slot(addr) {
+                Ok(i) => {
+                    self.0[i].1 = now;
+                    true
+                }
+                Err(_) => false,
+            }
+        }
+
+        /// Refreshes `addr`, starting to track it if it was not.
+        pub fn set(&mut self, addr: NodeIdx, now: SimTime) {
+            match self.slot(addr) {
+                Ok(i) => self.0[i].1 = now,
+                Err(i) => self.0.insert(i, (addr, now)),
+            }
+        }
+
+        /// When `addr` was last heard from; an untracked peer starts at `now`.
+        pub fn get_or_set(&mut self, addr: NodeIdx, now: SimTime) -> SimTime {
+            match self.slot(addr) {
+                Ok(i) => self.0[i].1,
+                Err(i) => {
+                    self.0.insert(i, (addr, now));
+                    now
+                }
+            }
+        }
+
+        pub fn remove(&mut self, addr: NodeIdx) {
+            if let Ok(i) = self.slot(addr) {
+                self.0.remove(i);
+            }
+        }
+
+        pub fn len(&self) -> usize {
+            self.0.len()
+        }
+    }
+
+    /// The known-no-op memo: the peers whose most recent offer changed
+    /// nothing, emptied the moment the state changes.
+    #[derive(Clone, Debug, Default)]
+    pub struct NoOpMemo {
+        /// Remembered addresses, ascending (binary-searched; no hashing).
+        addrs: Vec<u32>,
+    }
+
+    impl NoOpMemo {
+        pub const CAPACITY: usize = 128;
+
+        /// Offers `c` to `state` unless it is remembered as a no-op.
+        pub fn offer(
+            &mut self,
+            state: &mut DhtState,
+            c: Contact,
+            rtt_us: impl FnOnce() -> u64,
+        ) -> Offer {
+            let slot = match self.addrs.binary_search_by_key(&c.addr, |&a| a as NodeIdx) {
+                Ok(_) => {
+                    debug_assert!(
+                        !state.add_contact(c, Some(rtt_us())),
+                        "memo hit, but offering {c:?} changes the state"
+                    );
+                    return Offer::Skipped;
+                }
+                Err(slot) => slot,
+            };
+            let is_leaf = |s: &DhtState| s.leaf_set.members().any(|m| m.addr == c.addr);
+            let was_leaf = is_leaf(state);
+            if state.add_contact(c, Some(rtt_us())) {
+                self.addrs.clear();
+                return Offer::Changed {
+                    joined_leaf_set: !was_leaf && is_leaf(state),
+                };
+            }
+            // An address too wide for the key is never remembered.
+            if let Ok(addr) = u32::try_from(c.addr) {
+                if self.addrs.len() < Self::CAPACITY {
+                    self.addrs.insert(slot, addr);
+                } else {
+                    self.addrs.clear();
+                    self.addrs.push(addr);
+                }
+            }
+            Offer::Unchanged
+        }
+
+        /// [`DhtState::remove_addr`], forgetting everything if it removed
+        /// anything.
+        pub fn remove_addr(&mut self, state: &mut DhtState, addr: NodeIdx) -> bool {
+            let removed = state.remove_addr(addr);
+            if removed {
+                self.addrs.clear();
+            }
+            removed
+        }
+    }
+}
+
+/// One operation on a peer record, on the pool contact it names.
+#[derive(Clone, Copy, Debug)]
+enum PeerOp {
+    Offer,
+    Refresh,
+    Set,
+    GetOrSet,
+    Remove,
+    RemoveAddr,
+}
+
+/// The same state driven through a [`PeerRecord`] and through the separate
+/// tables it replaced, compared after every operation.
+struct PeerTwin {
+    oracle: (
+        DhtState,
+        separate_tables::LastSeen,
+        separate_tables::NoOpMemo,
+    ),
+    record: (DhtState, PeerRecord),
+}
+
+impl PeerTwin {
+    fn new(state: DhtState) -> Self {
+        PeerTwin {
+            oracle: (state.clone(), Default::default(), Default::default()),
+            record: (state, PeerRecord::default()),
+        }
+    }
+
+    /// Applies `op` to both and asserts the same result and tracked count.
+    fn apply(&mut self, op: PeerOp, (c, rtt): (Contact, u64), now: SimTime) -> String {
+        let (os, seen, memo) = &mut self.oracle;
+        let (ns, rec) = &mut self.record;
+        let (old, new) = match op {
+            PeerOp::Offer => (
+                format!("{:?}", memo.offer(os, c, || rtt)),
+                format!("{:?}", rec.offer(ns, c, || rtt)),
+            ),
+            PeerOp::Refresh => (
+                format!("{}", seen.refresh(c.addr, now)),
+                format!("{}", rec.refresh(c.addr, now)),
+            ),
+            PeerOp::Set => {
+                seen.set(c.addr, now);
+                rec.set(c.addr, now);
+                (String::new(), String::new())
+            }
+            PeerOp::GetOrSet => (
+                format!("{:?}", seen.get_or_set(c.addr, now)),
+                format!("{:?}", rec.get_or_set(c.addr, now)),
+            ),
+            PeerOp::Remove => {
+                seen.remove(c.addr);
+                rec.remove(c.addr);
+                (String::new(), String::new())
+            }
+            PeerOp::RemoveAddr => (
+                format!("{}", memo.remove_addr(os, c.addr)),
+                format!("{}", rec.remove_addr(ns, c.addr)),
+            ),
+        };
+        assert_eq!(old, new, "{op:?} of {c:?} at {now:?}");
+        assert_eq!(seen.len(), rec.len(), "tracked count after {op:?} of {c:?}");
+        new
+    }
+
+    /// Asserts every address of `addrs` has the same stamp, or is untracked
+    /// in both (probed on copies, so nothing starts being tracked).
+    fn assert_same_stamps(&self, addrs: impl IntoIterator<Item = NodeIdx>) {
+        let untracked = SimTime::from_micros(u64::MAX);
+        let (mut seen, mut rec) = (self.oracle.1.clone(), self.record.1.clone());
+        for addr in addrs {
+            assert_eq!(
+                seen.get_or_set(addr, untracked),
+                rec.get_or_set(addr, untracked),
+                "stamp of {addr}"
+            );
+            seen.remove(addr);
+            rec.remove(addr);
+        }
+    }
+
+    fn assert_same_state(&self) {
+        assert_eq!(
+            format!("{:?}", self.oracle.0),
+            format!("{:?}", self.record.0)
+        );
+    }
+}
+
+/// The cases a random walk rarely reaches, spelled out: more than 32
+/// tracked peers, addresses at and beyond `u32::MAX`, a remembered peer
+/// that stops being tracked (without any state change) and starts again,
+/// and the forget-all at [`PeerRecord::CAPACITY`].
+#[test]
+fn peer_record_matches_the_separate_tables_at_the_edges() {
+    let (st, [_, a, _]) = state_closed_but_for_a_tie();
+    let mut twin = PeerTwin::new(st);
+    // `a` takes the second neighbourhood slot; every slower far contact
+    // then bounces off every structure.
+    twin.apply(PeerOp::Offer, a, SimTime::ZERO);
+    let bounce = |k: usize| (far(2 + k), 1_000);
+    let wide = |addr: usize| {
+        let c = far(1_000 + (addr & 0xff));
+        (Contact { addr, ..c }, 1_000)
+    };
+    let at = SimTime::from_micros;
+    let mut t = 0;
+    let mut step = |twin: &mut PeerTwin, op, c| {
+        t += 1;
+        twin.apply(op, c, at(t))
+    };
+    // 40 tracked peers: the last 8 spill.
+    for k in 1..=40 {
+        step(&mut twin, PeerOp::Set, bounce(k));
+    }
+    for k in 1..=40 {
+        assert_eq!(step(&mut twin, PeerOp::Offer, bounce(k)), "Unchanged");
+        assert_eq!(step(&mut twin, PeerOp::Offer, bounce(k)), "Skipped");
+    }
+    // A remembered peer that stops being tracked stays remembered: inline,
+    // then spilled. Removing an unknown address changes nothing.
+    for k in [3, 38] {
+        step(&mut twin, PeerOp::Remove, bounce(k));
+        assert_eq!(step(&mut twin, PeerOp::RemoveAddr, bounce(k)), "false");
+        assert_eq!(step(&mut twin, PeerOp::Offer, bounce(k)), "Skipped");
+        assert_eq!(step(&mut twin, PeerOp::Refresh, bounce(k)), "false");
+        // ...and takes its memo bit back when tracked again.
+        step(&mut twin, PeerOp::GetOrSet, bounce(k));
+        assert_eq!(step(&mut twin, PeerOp::Offer, bounce(k)), "Skipped");
+    }
+    // A peer remembered before it is ever tracked.
+    assert_eq!(step(&mut twin, PeerOp::Offer, bounce(41)), "Unchanged");
+    step(&mut twin, PeerOp::Set, bounce(41));
+    assert_eq!(step(&mut twin, PeerOp::Offer, bounce(41)), "Skipped");
+    // Wide addresses are tracked (in the spill list); only `u32::MAX`
+    // itself fits the memo's key.
+    let top = u32::MAX as usize;
+    for addr in [top - 1, top, top + 1, usize::MAX] {
+        step(&mut twin, PeerOp::Set, wide(addr));
+        step(&mut twin, PeerOp::Offer, wide(addr));
+        let again = step(&mut twin, PeerOp::Offer, wide(addr));
+        assert_eq!(again == "Skipped", addr <= top, "{addr}");
+        step(&mut twin, PeerOp::Refresh, wide(addr));
+    }
+    step(&mut twin, PeerOp::Remove, wide(top));
+    assert_eq!(step(&mut twin, PeerOp::Offer, wide(top)), "Skipped");
+    // Up to capacity, then one more distinct no-op forgets all the others,
+    // tracked or not. Re-offering a remembered peer after every new one
+    // pins the exact offer at which that happens.
+    let mut forgot = 0;
+    for k in 42..300 {
+        step(&mut twin, PeerOp::Offer, bounce(k));
+        forgot += usize::from(step(&mut twin, PeerOp::Offer, bounce(1)) == "Unchanged");
+    }
+    assert_eq!(forgot, 2);
+    // A state change forgets everything too.
+    assert_eq!(step(&mut twin, PeerOp::RemoveAddr, a), "true");
+    assert_ne!(step(&mut twin, PeerOp::Offer, bounce(2)), "Skipped");
+    let pool = (1..300).map(|k| bounce(k).0.addr);
+    twin.assert_same_stamps(pool.chain([top - 1, top, top + 1, usize::MAX]));
+    twin.assert_same_state();
 }
 
 proptest! {
@@ -179,7 +463,7 @@ proptest! {
         let pool = contact_pool(me, &raw);
         let mut always = DhtState::new(me, 0, shaped_config(shape));
         let mut memoized = always.clone();
-        let mut memo = NoOpMemo::default();
+        let mut memo = PeerRecord::default();
         for (i, op) in steps {
             let (c, rtt) = pool[i % pool.len()];
             if op == 0 {
@@ -202,6 +486,45 @@ proptest! {
             prop_assert_eq!(listing(&memoized), listing(&always));
         }
         prop_assert_eq!(format!("{memoized:?}"), format!("{always:?}"));
+    }
+
+    /// Random `offer`/`refresh`/`set`/`get_or_set`/`remove`/`remove_addr`
+    /// sequences give the same results, stamps and tracked count through a
+    /// [`PeerRecord`] as through the separate tables it replaced: up to 200
+    /// peers (so more than 32 tracked and the memo's forget-all are
+    /// reachable) plus addresses at and beyond `u32::MAX`.
+    #[test]
+    fn peer_record_matches_the_separate_tables(
+        me in any::<u128>(),
+        shape in (any::<bool>(), 1usize..13, 1usize..17),
+        raw in prop::collection::vec((any::<u128>(), 0u8..4, 0u64..3), 2..200),
+        wide in 0usize..5,
+        steps in prop::collection::vec((0usize..1024, 0u8..10), 1..600),
+    ) {
+        let me = Id::new(me);
+        let mut pool = contact_pool(me, &raw);
+        let top = u32::MAX as usize;
+        for (k, addr) in [top - 1, top, top + 1, usize::MAX].into_iter().take(wide).enumerate() {
+            let (c, rtt) = pool[k % pool.len()];
+            pool.push((Contact { id: Id::new(c.id.raw() ^ 1), addr }, rtt));
+        }
+        let mut twin = PeerTwin::new(DhtState::new(me, 0, shaped_config(shape)));
+        for (t, &(i, op)) in steps.iter().enumerate() {
+            let op = match op {
+                0..=3 => PeerOp::Offer,
+                4 => PeerOp::Refresh,
+                5 | 6 => PeerOp::Set,
+                7 => PeerOp::GetOrSet,
+                8 => PeerOp::Remove,
+                _ => PeerOp::RemoveAddr,
+            };
+            twin.apply(op, pool[i % pool.len()], SimTime::from_micros(t as u64));
+            if t % 64 == 63 {
+                twin.assert_same_stamps(pool.iter().map(|(c, _)| c.addr));
+            }
+        }
+        twin.assert_same_stamps(pool.iter().map(|(c, _)| c.addr));
+        twin.assert_same_state();
     }
 
     /// Digits decompose and recompose ids for every base.

@@ -9,7 +9,7 @@
 //! forwarders/aggregators, leaves as workers. Model broadcast travels down
 //! the tree; gradient aggregation climbs it with in-network combining.
 
-use std::collections::{BTreeMap, HashMap}; // det: allow(unordered: import only; every declaration and construction site below carries its own proof)
+use std::collections::HashMap; // det: allow(unordered: import only; every declaration and construction site below carries its own proof)
 
 use totoro_dht::{Contact, DhtApi, Id, UpperLayer};
 use totoro_simnet::{ComputeKind, NodeIdx, Shared, SimDuration, SimTime};
@@ -125,13 +125,81 @@ pub struct ForestStats {
     pub cycle_breaks: u64,
 }
 
+/// Per-topic values in ascending topic order: a sorted key column beside a
+/// contiguous value column. Finding a topic reads the key column, then
+/// exactly one value, with no tree nodes or per-value allocations on the
+/// way; iteration is ascending by topic, as a `BTreeMap`'s is.
+#[derive(Debug)]
+struct Topics<V> {
+    /// Ascending; `keys[i]` is the topic of `values[i]`.
+    keys: Vec<Id>,
+    values: Vec<V>,
+}
+
+impl<V> Topics<V> {
+    fn new() -> Self {
+        Topics {
+            keys: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+
+    fn get(&self, topic: Id) -> Option<&V> {
+        let i = self.keys.binary_search(&topic).ok()?;
+        Some(&self.values[i])
+    }
+
+    fn get_mut(&mut self, topic: Id) -> Option<&mut V> {
+        let i = self.keys.binary_search(&topic).ok()?;
+        Some(&mut self.values[i])
+    }
+
+    fn get_or_insert_with(&mut self, topic: Id, new: impl FnOnce() -> V) -> &mut V {
+        let i = match self.keys.binary_search(&topic) {
+            Ok(i) => i,
+            Err(i) => {
+                // Grow by one, not by doubling: a node joins few topics,
+                // rarely, and a `Membership` is 192 bytes.
+                self.keys.reserve_exact(1);
+                self.values.reserve_exact(1);
+                self.keys.insert(i, topic);
+                self.values.insert(i, new());
+                i
+            }
+        };
+        &mut self.values[i]
+    }
+
+    fn remove(&mut self, topic: Id) -> Option<V> {
+        let i = self.keys.binary_search(&topic).ok()?;
+        self.keys.remove(i);
+        Some(self.values.remove(i))
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn keys(&self) -> &[Id] {
+        &self.keys
+    }
+
+    fn values(&self) -> std::slice::Iter<'_, V> {
+        self.values.iter()
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = (Id, &mut V)> {
+        self.keys.iter().copied().zip(self.values.iter_mut())
+    }
+}
+
 /// Mutable forest-wide state of one node.
 #[derive(Debug)]
 pub struct ForestState<D> {
-    // BTreeMap, not HashMap: per-tick maintenance iterates topics, and the
-    // resulting message order must not depend on the process's hash seed
-    // (bit-identical reruns are part of the bench contract).
-    trees: BTreeMap<Id, Membership<D>>,
+    // Ordered by topic, not hashed: per-tick maintenance iterates topics,
+    // and the resulting message order must not depend on the process's
+    // hash seed (bit-identical reruns are part of the bench contract).
+    trees: Topics<Membership<D>>,
     // det: allow(unordered: token-keyed insert/remove only — timer fire looks up one token, `memory_bytes` takes len; never iterated, so hash order cannot reach message order or report output)
     round_timers: HashMap<u64, (Id, u64)>,
     next_round_token: u64,
@@ -149,7 +217,7 @@ pub struct ForestState<D> {
 impl<D> ForestState<D> {
     fn new() -> Self {
         ForestState {
-            trees: BTreeMap::new(),
+            trees: Topics::new(),
             round_timers: HashMap::new(), // det: allow(unordered: construction of the key-only map proven at its field declaration)
             next_round_token: 1,
             pending_flush: Vec::new(),
@@ -162,7 +230,7 @@ impl<D> ForestState<D> {
 
     /// Membership in `topic`'s tree, if any.
     pub fn membership(&self, topic: Id) -> Option<&Membership<D>> {
-        self.trees.get(&topic)
+        self.trees.get(topic)
     }
 
     /// Iterates over all tree memberships.
@@ -172,13 +240,14 @@ impl<D> ForestState<D> {
 
     fn tree_mut(&mut self, topic: Id, now: SimTime) -> &mut Membership<D> {
         self.trees
-            .entry(topic)
-            .or_insert_with(|| Membership::new(topic, now))
+            .get_or_insert_with(topic, || Membership::new(topic, now))
     }
 
-    /// Approximate memory footprint (Figure 13b).
+    /// Approximate memory footprint (Figure 13b). The topic key column
+    /// repeats each `Membership::topic`: it is a derived index, so neither
+    /// its entries nor its `Vec` header are counted.
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
+        std::mem::size_of::<Self>() - std::mem::size_of::<Vec<Id>>()
             + self
                 .trees
                 .values()
@@ -889,7 +958,7 @@ impl<F: ForestApp> Forest<F> {
         if !m.subscriber && m.children.is_empty() {
             // A forwarder with no subtree left has nothing to repair: fall
             // out of the tree instead of re-joining.
-            self.state.trees.remove(&topic);
+            self.state.trees.remove(topic);
             return;
         }
         self.state.repair_events.push(RepairEvent {
@@ -919,7 +988,7 @@ impl<F: ForestApp> Forest<F> {
         let mut to_rejoin = Vec::new();
         #[cfg_attr(feature = "mc-bugs", allow(unused_mut))]
         let mut to_break = Vec::new();
-        for (&topic, m) in self.state.trees.iter_mut() {
+        for (topic, m) in self.state.trees.iter_mut() {
             // Keep-alive toward children.
             let depth = if m.is_root { 0 } else { m.depth };
             dht.send_direct_all(
@@ -1248,10 +1317,10 @@ impl<F: ForestApp> UpperLayer for Forest<F> {
     }
 
     fn on_peer_failed(&mut self, api: &mut DhtApi<'_, '_, Self::P>, addr: NodeIdx) {
-        let topics: Vec<Id> = self.state.trees.keys().copied().collect();
+        let topics: Vec<Id> = self.state.trees.keys().to_vec();
         for topic in topics {
             let (was_parent, _had_child) = {
-                let m = self.state.trees.get_mut(&topic).expect("topic exists");
+                let m = self.state.trees.get_mut(topic).expect("topic exists");
                 let was_parent = m.parent.map(|p| p.addr) == Some(addr);
                 let had_child = m.remove_child(addr);
                 (was_parent, had_child)
@@ -1264,5 +1333,85 @@ impl<F: ForestApp> UpperLayer for Forest<F> {
 
     fn memory_bytes(&self) -> usize {
         self.state.memory_bytes() + self.app.memory_bytes()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::membership::RoundAgg;
+
+    /// What `memory_bytes` counts did not move when the per-topic
+    /// `BTreeMap` became a key column beside a value column: this figure
+    /// was printed by the same state at the commit before
+    /// (Figure 13b and `simnet.state_bytes` are built from it).
+    #[test]
+    fn memory_bytes_is_the_btree_layouts_figure() {
+        let mut st: ForestState<u64> = ForestState::new();
+        for (k, topic) in [5u128, 1, 9].into_iter().enumerate() {
+            let m = st.tree_mut(Id::new(topic << 100), SimTime::ZERO);
+            for c in 0..=k {
+                m.add_child(Contact {
+                    id: Id::new(c as u128),
+                    addr: c,
+                });
+            }
+            m.rounds.insert(k as u64, RoundAgg::default());
+        }
+        st.round_timers.insert(1, (Id::new(1), 1));
+        assert_eq!(st.memory_bytes(), 1_208);
+    }
+
+    proptest! {
+        /// The topic column behaves as the `BTreeMap<Id, _>` it replaced:
+        /// the same lookups, insertions and removals, and the same
+        /// ascending iteration.
+        #[test]
+        fn topics_match_a_btree_map(
+            ops in prop::collection::vec((0u8..6, 0u64..24, any::<u32>()), 1..300),
+        ) {
+            let mut column = Topics::new();
+            let mut map = BTreeMap::new();
+            for (op, k, v) in ops {
+                // Keys spread over the ring, inserted in no particular order.
+                let topic = Id::new(u128::from(k).wrapping_mul(0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835));
+                match op {
+                    0 => prop_assert_eq!(column.get(topic), map.get(&topic)),
+                    1 | 2 => {
+                        let x = column.get_or_insert_with(topic, || v);
+                        *x = x.wrapping_add(1);
+                        let y = map.entry(topic).or_insert(v);
+                        *y = y.wrapping_add(1);
+                    }
+                    3 => prop_assert_eq!(column.remove(topic), map.remove(&topic)),
+                    4 => {
+                        if let Some(x) = column.get_mut(topic) {
+                            *x ^= v;
+                        }
+                        if let Some(y) = map.get_mut(&topic) {
+                            *y ^= v;
+                        }
+                    }
+                    _ => {
+                        for (t, x) in column.iter_mut() {
+                            *x = x.wrapping_mul(3) ^ (t.raw() as u32);
+                        }
+                        for (t, y) in map.iter_mut() {
+                            *y = y.wrapping_mul(3) ^ (t.raw() as u32);
+                        }
+                    }
+                }
+                prop_assert_eq!(column.len(), map.len());
+                prop_assert_eq!(column.keys(), map.keys().copied().collect::<Vec<_>>());
+                prop_assert_eq!(
+                    column.values().collect::<Vec<_>>(),
+                    map.values().collect::<Vec<_>>()
+                );
+            }
+        }
     }
 }

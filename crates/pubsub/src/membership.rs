@@ -50,27 +50,34 @@ pub struct RepairEvent {
 }
 
 /// A node's membership in one topic's dataflow tree.
+///
+/// Laid out for the parent heartbeat, the forest's most frequent message:
+/// everything it reads or writes (`parent`, `last_parent_seen`, `depth`
+/// and the role flags) is in the first of the three cache lines a
+/// membership fills, and the 64-byte alignment keeps that line whole. The
+/// size stays 192 bytes, which `memory_bytes` counts.
 #[derive(Clone, Debug)]
+#[repr(C, align(64))]
 pub struct Membership<D> {
-    /// Tree topic (= AppId).
-    pub topic: Id,
     /// Current parent, `None` at the root or while detached.
     pub parent: Option<Contact>,
-    /// Children table: one entry per adopted child (§4.3 step 1c).
-    pub children: Vec<Contact>,
+    /// Last time the parent gave a sign of life.
+    pub last_parent_seen: SimTime,
+    /// Depth in the tree (root = 0, unknown = `u16::MAX`).
+    pub depth: u16,
     /// Whether this node subscribed (participates as a worker) as opposed
     /// to being a pure forwarder recruited by join-path interception.
     pub subscriber: bool,
     /// Whether this node is the rendezvous root (the application master).
     pub is_root: bool,
-    /// Depth in the tree (root = 0, unknown = `u16::MAX`).
-    pub depth: u16,
-    /// Last time the parent gave a sign of life.
-    pub last_parent_seen: SimTime,
     /// Whether a JOIN is in flight.
     pub joining: bool,
+    /// Children table: one entry per adopted child (§4.3 step 1c).
+    pub children: Vec<Contact>,
     /// When the in-flight JOIN was sent (for retry).
     pub join_sent: SimTime,
+    /// Tree topic (= AppId).
+    pub topic: Id,
     /// Per-round aggregation state.
     // det: allow(unordered: keyed entry/get by the round number carried in each message; `prune_rounds`' retain predicate is key-only and side-effect-free, `memory_bytes` takes len — hash order never escapes)
     pub rounds: HashMap<u64, RoundAgg<D>>,
