@@ -371,8 +371,9 @@ pub struct MillionRun {
 
 /// Runs the zone-gossip workload over a prebuilt EUA topology on
 /// `shards` shards. Topology construction is excluded (callers build it
-/// once, outside timing); the clone below is a flat memcpy, negligible
-/// against millions of events.
+/// once, outside timing). The clone below is a flat memcpy: cheap in time,
+/// but not in memory — at 10⁶ nodes it is ~42 MB of resident set, about a
+/// tenth of the run's peak.
 pub fn run_million_node(
     topo: &Topology,
     next: &[u32],

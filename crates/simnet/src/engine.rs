@@ -57,36 +57,42 @@ pub(crate) enum EventKind<M> {
     Up,
 }
 
-/// A queued event's payload, parked in the slab while the queue records
-/// naming it move through the event queue.
-struct PendingEvent<M> {
-    /// Queue records still naming this slot: the undelivered legs of a
-    /// fan-out, 1 for every other event.
-    refs: u32,
-    kind: EventKind<M>,
+/// One slot of the event slab. Occupied, it parks a queued event's payload
+/// while the queue records naming it move through the event queue, and
+/// `link` counts those records: the undelivered legs of a fan-out, 1 for
+/// every other event. Vacant, `kind` is `None` and `link` is the next
+/// vacant slot, so the free list lives in the slots it lists.
+struct SlabSlot<M> {
+    link: u32,
+    kind: Option<EventKind<M>>,
 }
 
 /// Bytes one queued event's payload occupies in the event slab — what
 /// `state_bytes` multiplies the slab's capacity by.
 pub const fn event_slot_bytes<M>() -> usize {
-    std::mem::size_of::<Option<PendingEvent<M>>>()
+    std::mem::size_of::<SlabSlot<M>>()
 }
+
+/// End of the slab's free list.
+const NO_SLOT: u32 = u32::MAX;
 
 /// Free-list slab holding the payloads of queued events.
 ///
-/// Slots freed by dispatched events are recycled before the backing vector
-/// grows, so a simulation whose in-flight event population has peaked stops
-/// allocating on the event path altogether.
+/// Slots freed by dispatched events are recycled, most recently freed
+/// first, before the backing vector grows, so a simulation whose in-flight
+/// event population has peaked stops allocating on the event path
+/// altogether.
 pub(crate) struct EventSlab<M> {
-    slots: Vec<Option<PendingEvent<M>>>,
-    free: Vec<u32>,
+    slots: Vec<SlabSlot<M>>,
+    /// Head of the free list threaded through the vacant slots' `link`s.
+    vacant: u32,
 }
 
 impl<M> EventSlab<M> {
     fn with_capacity(cap: usize) -> Self {
         EventSlab {
             slots: Vec::with_capacity(cap),
-            free: Vec::new(),
+            vacant: NO_SLOT,
         }
     }
 
@@ -94,7 +100,6 @@ impl<M> EventSlab<M> {
     /// memory accounting in million-node trials).
     pub(crate) fn heap_bytes(&self) -> usize {
         self.slots.capacity() * event_slot_bytes::<M>()
-            + self.free.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Number of slots ever allocated (live plus recycled): the high-water
@@ -106,28 +111,43 @@ impl<M> EventSlab<M> {
     /// Number of slots holding (or reserved for) a payload right now.
     #[cfg(test)]
     pub(crate) fn live(&self) -> usize {
-        self.slots.len() - self.free.len()
+        let mut vacant = 0;
+        let mut at = self.vacant;
+        while at != NO_SLOT {
+            vacant += 1;
+            at = self.slots[at as usize].link;
+        }
+        self.slots.len() - vacant
     }
 
     /// Claims an empty slot, to be [`EventSlab::fill`]ed before anything
     /// is dispatched: a fan-out learns how many records name its slot only
     /// after it has pushed them.
     fn reserve(&mut self) -> u32 {
-        match self.free.pop() {
-            Some(slot) => slot,
-            None => {
-                let slot =
-                    u32::try_from(self.slots.len()).expect("more than u32::MAX events in flight");
-                self.slots.push(None);
-                slot
-            }
+        let slot = self.vacant;
+        if slot != NO_SLOT {
+            self.vacant = self.slots[slot as usize].link;
+            return slot;
         }
+        let slot = u32::try_from(self.slots.len())
+            .ok()
+            .filter(|&s| s != NO_SLOT)
+            .expect("more than u32::MAX events in flight");
+        self.slots.push(SlabSlot {
+            link: NO_SLOT,
+            kind: None,
+        });
+        slot
     }
 
     /// Parks `kind` in reserved `slot` on behalf of `refs` queue records.
     fn fill(&mut self, slot: u32, refs: u32, kind: EventKind<M>) {
-        debug_assert!(refs > 0 && self.slots[slot as usize].is_none());
-        self.slots[slot as usize] = Some(PendingEvent { refs, kind });
+        let cell = &mut self.slots[slot as usize];
+        debug_assert!(refs > 0 && cell.kind.is_none());
+        *cell = SlabSlot {
+            link: refs,
+            kind: Some(kind),
+        };
     }
 
     fn insert(&mut self, kind: EventKind<M>) -> u32 {
@@ -138,10 +158,10 @@ impl<M> EventSlab<M> {
 
     /// Inspects a queued event without removing it.
     pub(crate) fn peek(&self, slot: u32) -> &EventKind<M> {
-        &self.slots[slot as usize]
+        self.slots[slot as usize]
+            .kind
             .as_ref()
             .expect("queue entry references an empty slot")
-            .kind
     }
 }
 
@@ -150,18 +170,19 @@ impl<M: Clone> EventSlab<M> {
     /// the slot, for the last such record, cloned for those before it.
     pub(crate) fn take(&mut self, slot: u32) -> EventKind<M> {
         let cell = &mut self.slots[slot as usize];
-        match cell {
-            Some(ev) if ev.refs > 1 => {
-                ev.refs -= 1;
-                ev.kind.clone()
-            }
-            _ => {
-                self.free.push(slot);
-                cell.take()
-                    .expect("queue entry references an empty slot")
-                    .kind
-            }
+        let kind = cell
+            .kind
+            .as_ref()
+            .expect("queue entry references an empty slot");
+        if cell.link > 1 {
+            let kind = kind.clone();
+            cell.link -= 1;
+            return kind;
         }
+        let kind = cell.kind.take().expect("checked above");
+        cell.link = self.vacant;
+        self.vacant = slot;
+        kind
     }
 }
 
@@ -841,6 +862,23 @@ mod tests {
         assert_eq!(slab.insert(EventKind::Timer { token: 9 }), slot);
         assert!(matches!(slab.take(slot), EventKind::Timer { token: 9 }));
         assert_eq!((slab.live(), slab.slots()), (0, 1));
+    }
+
+    #[test]
+    fn freed_slots_are_reused_last_in_first_out() {
+        let mut slab: EventSlab<u64> = EventSlab::with_capacity(4);
+        let slots: Vec<u32> = (0..4)
+            .map(|t| slab.insert(EventKind::Timer { token: t }))
+            .collect();
+        for &s in &[slots[1], slots[3], slots[0]] {
+            slab.take(s);
+        }
+        assert_eq!(slab.live(), 1);
+        let reused: Vec<u32> = (0..4)
+            .map(|t| slab.insert(EventKind::Timer { token: t }))
+            .collect();
+        assert_eq!(reused, [slots[0], slots[3], slots[1], 4]);
+        assert_eq!((slab.live(), slab.slots()), (5, 5));
     }
 
     #[test]

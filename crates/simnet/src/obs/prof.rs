@@ -19,8 +19,8 @@
 //! * **Scheduler bands** (`late` / `near` / `far`): each event is
 //!   classified once, at *creation*, from the creating dispatch's clock
 //!   `now` and the scheduled due time `at`. `tick(at) <= tick(now)` is a
-//!   late push (the wheel would insertion-sort it into the live drain
-//!   tail), a due tick within the wheel window is a bucket push, and
+//!   late push (the wheel would put it in its late heap), a due tick
+//!   within the wheel window is a bucket push, and
 //!   anything beyond spills to the overflow heap. This is the model
 //!   approximation of the wheel's three push bands — the real wheel's
 //!   `base_tick` can lag `now` per shard, which is exactly the

@@ -27,6 +27,8 @@
 //!   are `O(1)` bucket appends; due buckets are drained with one contiguous
 //!   sort instead of per-event heap sifts, which is what lifts timer-heavy
 //!   workloads (every node ticking maintenance) off the heap bottleneck.
+//!   Buckets are lists of fixed chunks drawn from one shared pool, so the
+//!   wheel holds what is in flight, not every bucket's high-water mark.
 //!
 //! The two must agree **exactly**: for any interleaving of pushes and pops,
 //! both yield the same `(key, slot, dst)` sequence. `tests/queue_equiv.rs`
@@ -72,6 +74,16 @@ struct Entry {
 }
 
 impl Entry {
+    /// What fills a freshly allocated bucket chunk before it is written.
+    const VACANT: Entry = Entry {
+        key: EventKey {
+            time: SimTime::ZERO,
+            seq: 0,
+        },
+        slot: 0,
+        dst: 0,
+    };
+
     #[inline]
     fn new(key: EventKey, slot: u32, dst: NodeIdx) -> Self {
         debug_assert!(u32::try_from(dst).is_ok(), "see check_node_count");
@@ -271,6 +283,10 @@ const GRANULARITY_SHIFT: u32 = 6;
 const NUM_SLOTS: usize = 1 << 10;
 /// Words in the bucket-occupancy bitmap.
 const OCC_WORDS: usize = NUM_SLOTS / 64;
+/// Entries per bucket chunk: 64 × 24 B = 1.5 KiB.
+const CHUNK: usize = 64;
+/// End of a chunk list.
+const NIL: u32 = u32::MAX;
 
 /// Wheel bucket granularity, re-exported for model-level profiling
 /// ([`crate::obs::prof`]): each slot covers `2^WHEEL_GRANULARITY_SHIFT` µs.
@@ -285,44 +301,156 @@ pub const WHEEL_NUM_SLOTS: usize = NUM_SLOTS;
 ///
 /// Absolute time is quantized into *ticks* of `2^6 = 64` µs. The wheel
 /// holds the next [`NUM_SLOTS`] ticks starting at `base_tick` (the rotating
-/// window), one `Vec` bucket per tick, with slot index `tick % NUM_SLOTS`;
+/// window), one bucket per tick, with slot index `tick % NUM_SLOTS`;
 /// because the window is exactly `NUM_SLOTS` ticks long, a slot never holds
 /// two ticks at once. Events due beyond the window spill to an overflow
 /// [`HeapQueue`]-style binary heap and migrate into the wheel as the window
 /// advances past their tick.
+///
+/// # Memory
+///
+/// A bucket is a list of fixed [`CHUNK`]-entry chunks drawn from one pool
+/// shared by all slots, and a drained bucket gives its chunks straight
+/// back. The wheel therefore holds the peak number of records in flight
+/// plus at most one partial chunk per occupied slot — not, as one `Vec`
+/// per slot would, every slot's largest bucket ever — and once that peak
+/// has been reached a run allocates nothing.
 ///
 /// # Ordering
 ///
 /// Within a bucket, entries are appended in arrival order, which is *not*
 /// `(time, seq)` order (a bucket spans 64 µs, and overflow migration can
 /// interleave with direct pushes). Ordering is restored at drain time: the
-/// due bucket is moved into a scratch `drain` buffer and sorted once by
-/// `(time, seq)` — a contiguous `sort_unstable` over unique keys, which is
-/// deterministic. Pops then walk the sorted buffer. Late pushes whose tick
-/// already drained (a callback scheduling at the current instant) are
-/// insertion-sorted into the live tail of the buffer, preserving the total
-/// order. The differential proptests in `tests/queue_equiv.rs` hold this
-/// equal to [`HeapQueue`] on random schedules.
+/// due bucket is copied into the persistent `drain` buffer and sorted once
+/// by `(time, seq)` — a contiguous `sort_unstable` over unique keys, which
+/// is deterministic. Pops then walk the sorted buffer. Late pushes whose
+/// tick already drained (a callback scheduling at the current instant) go
+/// to a small `late` heap; the head is the smaller of the two heads, and
+/// both sit below every bucketed key, so the total order holds. The
+/// differential proptests in `tests/queue_equiv.rs` hold this equal to
+/// [`HeapQueue`] on random schedules.
 pub struct WheelQueue {
-    /// One bucket per wheel slot; `slots[tick % NUM_SLOTS]`.
-    slots: Vec<Vec<Entry>>,
-    /// Occupancy bitmap over `slots`, so advancing over empty buckets is a
-    /// word scan, not a `Vec::is_empty` walk.
+    /// One bucket per wheel slot; `buckets[tick % NUM_SLOTS]`.
+    buckets: Vec<Bucket>,
+    /// The chunks every bucket's entries live in.
+    pool: ChunkPool,
+    /// Occupancy bitmap over `buckets`, so advancing over empty buckets is
+    /// a word scan, not a walk over bucket lengths.
     occ: [u64; OCC_WORDS],
     /// First tick of the current wheel window. Every bucketed entry has
-    /// tick in `[base_tick, base_tick + NUM_SLOTS)`; every drained or
-    /// drain-inserted entry has tick `< base_tick`.
+    /// tick in `[base_tick, base_tick + NUM_SLOTS)`; every drained or late
+    /// entry has tick `< base_tick`.
     base_tick: u64,
     /// The sorted drain buffer; live entries are `drain[drain_pos..]`.
     drain: Vec<Entry>,
     /// Cursor into `drain` (everything before it was popped).
     drain_pos: usize,
+    /// Late pushes: entries whose tick had already drained when they
+    /// arrived, ordered by key.
+    late: BinaryHeap<Reverse<Entry>>,
     /// Events with tick at or beyond the window end, ordered by key.
     overflow: BinaryHeap<Reverse<Entry>>,
     /// Entries currently resident in wheel buckets.
     wheel_len: usize,
-    /// Total entries (buckets + drain tail + overflow).
+    /// Total entries (buckets + drain tail + late + overflow).
     len: usize,
+}
+
+/// One wheel slot's entries: a list of pool chunks, every one full but
+/// the tail.
+#[derive(Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+    len: usize,
+}
+
+impl Bucket {
+    const EMPTY: Bucket = Bucket {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+    };
+}
+
+/// Fixed-size entry chunks shared by every bucket. `next` links a chunk to
+/// the next one in its bucket, or — for a free chunk — in the free list.
+/// A bucket's tail link is never followed: walks stop at the bucket's
+/// `len`.
+struct ChunkPool {
+    chunks: Vec<[Entry; CHUNK]>,
+    next: Vec<u32>,
+    /// Head of the free list.
+    free: u32,
+}
+
+impl ChunkPool {
+    /// Appends `e` to bucket `b`, taking a chunk from the free list (or a
+    /// new one) when the tail is full.
+    #[inline]
+    fn push(&mut self, b: &mut Bucket, e: Entry) {
+        let at = b.len % CHUNK;
+        if at == 0 {
+            let c = self.alloc();
+            if b.len == 0 {
+                b.head = c;
+            } else {
+                self.next[b.tail as usize] = c;
+            }
+            b.tail = c;
+        }
+        self.chunks[b.tail as usize][at] = e;
+        b.len += 1;
+    }
+
+    fn alloc(&mut self) -> u32 {
+        let c = self.free;
+        if c != NIL {
+            self.free = self.next[c as usize];
+            return c;
+        }
+        let c = u32::try_from(self.chunks.len())
+            .ok()
+            .filter(|&c| c != NIL)
+            .expect("more than u32::MAX wheel chunks");
+        self.chunks.push([Entry::VACANT; CHUNK]);
+        self.next.push(NIL);
+        c
+    }
+
+    /// The entries of bucket `b`, one chunk slice at a time, in arrival
+    /// order.
+    fn slices(&self, b: Bucket) -> impl Iterator<Item = &[Entry]> + '_ {
+        let (mut c, mut left) = (b.head, b.len);
+        std::iter::from_fn(move || {
+            if left == 0 {
+                return None;
+            }
+            let n = left.min(CHUNK);
+            let chunk = &self.chunks[c as usize][..n];
+            left -= n;
+            c = self.next[c as usize];
+            Some(chunk)
+        })
+    }
+
+    /// Appends bucket `b`'s entries to `out` and returns its chunks to the
+    /// free list, most recently used first.
+    fn take(&mut self, b: Bucket, out: &mut Vec<Entry>) {
+        if b.len == 0 {
+            return;
+        }
+        for chunk in self.slices(b) {
+            out.extend_from_slice(chunk);
+        }
+        self.next[b.tail as usize] = self.free;
+        self.free = b.head;
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.chunks.capacity() * std::mem::size_of::<[Entry; CHUNK]>()
+            + self.next.capacity() * std::mem::size_of::<u32>()
+    }
 }
 
 #[inline]
@@ -331,14 +459,15 @@ fn tick_of(time: SimTime) -> u64 {
 }
 
 impl WheelQueue {
-    /// Heap bytes currently reserved by the wheel (bucket, drain, and
-    /// overflow capacities) — memory accounting for million-node trials.
+    /// Heap bytes currently reserved by the wheel (bucket headers, chunk
+    /// pool, drain buffer, late and overflow heaps) — memory accounting for
+    /// million-node trials.
     pub fn heap_bytes(&self) -> usize {
         let entry = std::mem::size_of::<Entry>();
-        let buckets: usize = self.slots.iter().map(|b| b.capacity() * entry).sum();
-        buckets
-            + self.slots.capacity() * std::mem::size_of::<Vec<Entry>>()
+        self.buckets.capacity() * std::mem::size_of::<Bucket>()
+            + self.pool.heap_bytes()
             + self.drain.capacity() * entry
+            + self.late.capacity() * entry
             + self.overflow.capacity() * entry
     }
 
@@ -365,9 +494,17 @@ impl WheelQueue {
     #[inline]
     fn bucket_push(&mut self, e: Entry) {
         let idx = (tick_of(e.key.time) % NUM_SLOTS as u64) as usize;
-        self.slots[idx].push(e);
+        self.pool.push(&mut self.buckets[idx], e);
         self.occ[idx / 64] |= 1u64 << (idx % 64);
         self.wheel_len += 1;
+    }
+
+    /// Empties bucket `idx` onto `out`, returning its chunks to the pool.
+    fn bucket_take(&mut self, idx: usize, out: &mut Vec<Entry>) {
+        let b = std::mem::replace(&mut self.buckets[idx], Bucket::EMPTY);
+        self.pool.take(b, out);
+        self.occ[idx / 64] &= !(1u64 << (idx % 64));
+        self.wheel_len -= b.len;
     }
 
     /// The smallest occupied tick in the window, or `None` if the wheel is
@@ -398,12 +535,13 @@ impl WheelQueue {
         None
     }
 
-    /// Ensures the head of the queue (if any) sits at `drain[drain_pos]`:
-    /// refills the drain buffer from the next due bucket, advancing the
-    /// window and migrating overflow as needed.
+    /// Ensures the head of the queue (if any) is `drain[drain_pos]` or the
+    /// late heap's head: when both are empty, refills the drain buffer from
+    /// the next due bucket, advancing the window and migrating overflow as
+    /// needed.
     fn settle(&mut self) {
         loop {
-            if self.drain_pos < self.drain.len() {
+            if self.drain_pos < self.drain.len() || !self.late.is_empty() {
                 return;
             }
             self.drain.clear();
@@ -426,19 +564,45 @@ impl WheelQueue {
             }
             let due = self.next_occupied_tick().expect("wheel_len > 0");
             let idx = (due % NUM_SLOTS as u64) as usize;
-            // Swap the bucket into the (empty) drain buffer; the buffer's
-            // old capacity becomes the bucket's, so both recycle.
-            std::mem::swap(&mut self.drain, &mut self.slots[idx]);
-            self.occ[idx / 64] &= !(1u64 << (idx % 64));
-            self.wheel_len -= self.drain.len();
-            self.drain.sort_unstable_by_key(|e| e.key.packed());
+            // Copy the bucket into the (empty) drain buffer, whose capacity
+            // persists; the bucket's chunks go back to the pool.
+            let mut drain = std::mem::take(&mut self.drain);
+            self.bucket_take(idx, &mut drain);
+            drain.sort_unstable_by_key(|e| e.key.packed());
+            self.drain = drain;
             // Advance past the drained tick: later pushes for it are "late"
-            // and insertion-sort into the drain buffer instead.
+            // and go to the late heap instead.
             self.base_tick = due + 1;
             self.migrate_overflow();
             debug_assert!(!self.drain.is_empty());
             return;
         }
+    }
+
+    /// The head after [`Self::settle`], and whether it is the late heap's.
+    /// Late and drained entries are all below `base_tick`, so the smaller
+    /// of the two heads is the queue's.
+    #[inline]
+    fn head(&self) -> Option<(Entry, bool)> {
+        let drained = self.drain.get(self.drain_pos).copied();
+        match self.late.peek() {
+            None => drained.map(|e| (e, false)),
+            Some(&Reverse(l)) => match drained {
+                Some(d) if d.key < l.key => Some((d, false)),
+                _ => Some((l, true)),
+            },
+        }
+    }
+
+    /// Removes the head that [`Self::head`] reported.
+    #[inline]
+    fn advance(&mut self, late: bool) {
+        if late {
+            self.late.pop();
+        } else {
+            self.drain_pos += 1;
+        }
+        self.len -= 1;
     }
 }
 
@@ -447,11 +611,17 @@ impl EventQueue for WheelQueue {
 
     fn with_capacity(cap: usize) -> Self {
         WheelQueue {
-            slots: (0..NUM_SLOTS).map(|_| Vec::new()).collect(),
+            buckets: vec![Bucket::EMPTY; NUM_SLOTS],
+            pool: ChunkPool {
+                chunks: Vec::new(),
+                next: Vec::new(),
+                free: NIL,
+            },
             occ: [0; OCC_WORDS],
             base_tick: 0,
             drain: Vec::new(),
             drain_pos: 0,
+            late: BinaryHeap::new(),
             overflow: BinaryHeap::with_capacity(cap.min(1 << 16)),
             wheel_len: 0,
             len: 0,
@@ -464,11 +634,8 @@ impl EventQueue for WheelQueue {
         let tick = tick_of(key.time);
         if tick < self.base_tick {
             // Late push into an already-drained tick (e.g. a callback
-            // scheduling work at the current instant): insertion-sort into
-            // the live tail of the drain buffer.
-            let tail = &self.drain[self.drain_pos..];
-            let at = self.drain_pos + tail.partition_point(|q| q.key < key);
-            self.drain.insert(at, e);
+            // scheduling work at the current instant).
+            self.late.push(Reverse(e));
         } else if tick < self.window_end() {
             self.bucket_push(e);
         } else {
@@ -478,14 +645,13 @@ impl EventQueue for WheelQueue {
 
     fn peek(&mut self) -> Option<Queued> {
         self.settle();
-        self.drain.get(self.drain_pos).map(|e| e.unpack())
+        self.head().map(|(e, _)| e.unpack())
     }
 
     fn pop(&mut self) -> Option<Queued> {
         self.settle();
-        let e = self.drain.get(self.drain_pos)?;
-        self.drain_pos += 1;
-        self.len -= 1;
+        let (e, late) = self.head()?;
+        self.advance(late);
         Some(e.unpack())
     }
 
@@ -493,12 +659,11 @@ impl EventQueue for WheelQueue {
     // drain buffer once per event instead of twice.
     fn pop_before(&mut self, deadline: SimTime) -> Option<Queued> {
         self.settle();
-        let e = self.drain.get(self.drain_pos)?;
+        let (e, late) = self.head()?;
         if e.key.time > deadline {
             return None;
         }
-        self.drain_pos += 1;
-        self.len -= 1;
+        self.advance(late);
         Some(e.unpack())
     }
 
@@ -509,8 +674,11 @@ impl EventQueue for WheelQueue {
     fn snapshot(&mut self) -> Vec<Queued> {
         let mut out = Vec::with_capacity(self.len);
         out.extend(self.drain[self.drain_pos..].iter().map(|e| e.unpack()));
-        for bucket in &self.slots {
-            out.extend(bucket.iter().map(|e| e.unpack()));
+        out.extend(self.late.iter().map(|Reverse(e)| e.unpack()));
+        for &b in &self.buckets {
+            for chunk in self.pool.slices(b) {
+                out.extend(chunk.iter().map(|e| e.unpack()));
+            }
         }
         out.extend(self.overflow.iter().map(|Reverse(e)| e.unpack()));
         out.sort_unstable_by_key(|(k, ..)| k.packed());
@@ -518,31 +686,32 @@ impl EventQueue for WheelQueue {
     }
 
     fn remove(&mut self, key: EventKey) -> Option<(u32, NodeIdx)> {
-        // The three bands are disjoint by tick: drained/late entries sit
+        // The bands are disjoint by tick: drained and late entries sit
         // below `base_tick`, bucketed entries inside the window, spilled
-        // entries at or beyond its end — so each band is probed at most
-        // once. The drain tail is sorted by key, so probe it by binary
-        // search first (it also covers the in-window tick that was just
-        // swapped out by `settle`).
-        let tail = &self.drain[self.drain_pos..];
-        if let Ok(i) = tail.binary_search_by(|e| e.key.cmp(&key)) {
-            let e = self.drain.remove(self.drain_pos + i);
-            self.len -= 1;
-            return Some(e.cargo());
-        }
+        // entries at or beyond its end — so only one band is probed.
         let tick = tick_of(key.time);
-        if tick < self.window_end() {
-            let idx = (tick % NUM_SLOTS as u64) as usize;
-            let pos = self.slots[idx].iter().position(|e| e.key == key)?;
-            let e = self.slots[idx].swap_remove(pos);
-            if self.slots[idx].is_empty() {
-                self.occ[idx / 64] &= !(1u64 << (idx % 64));
+        let found = if tick < self.base_tick {
+            // The drain tail is sorted by key: binary search it first.
+            let tail = &self.drain[self.drain_pos..];
+            match tail.binary_search_by(|e| e.key.cmp(&key)) {
+                Ok(i) => Some(self.drain.remove(self.drain_pos + i).cargo()),
+                Err(_) => remove_from_heap(&mut self.late, key),
             }
-            self.wheel_len -= 1;
-            self.len -= 1;
-            return Some(e.cargo());
-        }
-        let found = remove_from_heap(&mut self.overflow, key);
+        } else if tick < self.window_end() {
+            // Empty the bucket and re-file all but `key`: arrival order
+            // within a bucket is not observable.
+            let idx = (tick % NUM_SLOTS as u64) as usize;
+            let mut entries = Vec::new();
+            self.bucket_take(idx, &mut entries);
+            let pos = entries.iter().position(|e| e.key == key);
+            let found = pos.map(|p| entries.remove(p).cargo());
+            for e in entries {
+                self.bucket_push(e);
+            }
+            found
+        } else {
+            remove_from_heap(&mut self.overflow, key)
+        };
         if found.is_some() {
             self.len -= 1;
         }
@@ -646,7 +815,7 @@ mod tests {
             q.do_push(key(40, 1), 1);
         }
         // Pop the first event, then push into the same (now drained) bucket
-        // at a time between the two — the late-push insertion path.
+        // at a time between the two — the late-heap path.
         assert_eq!(heap.pop(), wheel.pop());
         heap.push(key(20, 2), 2, dst_of(2));
         wheel.push(key(20, 2), 2, dst_of(2));
@@ -759,14 +928,21 @@ mod tests {
             heap.push(key(us, seq), slot, dst_of(slot));
             wheel.push(key(us, seq), slot, dst_of(slot));
         }
-        // Pop one to open the drain band, then land a late push in it.
+        // Pop one to open the drain band, then land a late push in the
+        // tick just drained.
         assert_eq!(heap.pop(), wheel.pop());
         heap.push(key(12, 5), 5, dst_of(5));
         wheel.push(key(12, 5), 5, dst_of(5));
         assert_eq!(heap.snapshot(), wheel.snapshot());
-        // Remove from each band — drain tail, bucket, overflow — plus a
+        // Remove from each band — late heap, bucket, overflow — plus a
         // miss; lengths and snapshots must stay in lockstep.
-        for k in [key(12, 5), key(span - 1, 2), key(3 * span, 4), key(999, 9)] {
+        for k in [
+            key(12, 5),
+            key(40, 1),
+            key(span - 1, 2),
+            key(3 * span, 4),
+            key(999, 9),
+        ] {
             assert_eq!(heap.remove(k), wheel.remove(k), "removing {k:?}");
             assert_eq!(heap.len(), wheel.len());
         }
@@ -858,6 +1034,58 @@ mod tests {
     }
 
     #[test]
+    fn remove_from_a_bucket_spanning_chunks() {
+        // 150 entries in one tick fill two chunks and part of a third;
+        // removing from the first chunk, the tail and a miss must leave the
+        // bucket draining exactly as the heap does.
+        let mut heap = HeapQueue::with_capacity(4);
+        let mut wheel = WheelQueue::with_capacity(4);
+        for seq in 0..150u64 {
+            let k = key(640 + (seq * 7) % 64, seq);
+            heap.push(k, seq as u32, dst_of(seq as u32));
+            wheel.push(k, seq as u32, dst_of(seq as u32));
+        }
+        for seq in [3, 149, 64, 200] {
+            let k = key(640 + (seq * 7) % 64, seq);
+            assert_eq!(heap.remove(k), wheel.remove(k), "removing {k:?}");
+            assert_eq!(heap.len(), wheel.len());
+        }
+        assert_eq!(heap.snapshot(), wheel.snapshot());
+        assert_eq!(drain_all(&mut heap), drain_all(&mut wheel));
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "2M-entry fill is too slow under Miri")]
+    fn memory_follows_what_is_in_flight() {
+        // 512 consecutive ticks of 4,096 entries, each filled and drained
+        // before the next: one `Vec` per slot would keep 512 ticks' worth
+        // of capacity. The shared pool keeps one tick's chunks, the drain
+        // buffer one more.
+        const PER_TICK: u64 = 4_096;
+        let tick_bytes = PER_TICK as usize * std::mem::size_of::<Entry>();
+        let mut wheel = WheelQueue::with_capacity(16);
+        let empty = wheel.heap_bytes();
+        let mut seq = 0u64;
+        for tick in 0..512u64 {
+            for i in 0..PER_TICK {
+                let k = key((tick << GRANULARITY_SHIFT) + (i * 37) % 64, seq);
+                wheel.push(k, seq as u32, dst_of(seq as u32));
+                seq += 1;
+            }
+            let mut last = None;
+            while let Some((k, ..)) = wheel.pop() {
+                assert!(last < Some(k), "out of order at tick {tick}");
+                last = Some(k);
+            }
+            let held = wheel.heap_bytes() - empty;
+            assert!(
+                held <= 2 * tick_bytes + tick_bytes / 16,
+                "tick {tick}: {held} B held for {tick_bytes} B in flight"
+            );
+        }
+    }
+
+    #[test]
     fn len_tracks_through_all_bands() {
         let span = (NUM_SLOTS as u64) << GRANULARITY_SHIFT;
         let mut wheel = WheelQueue::with_capacity(4);
@@ -865,7 +1093,7 @@ mod tests {
         wheel.push(key(2 * span, 1), 1, dst_of(1)); // overflow band
         assert_eq!(wheel.len(), 2);
         assert_eq!(wheel.pop().map(|(k, ..)| k.seq), Some(0));
-        wheel.push(key(3, 2), 2, dst_of(2)); // late push → drain band
+        wheel.push(key(3, 2), 2, dst_of(2)); // late push → late band
         assert_eq!(wheel.len(), 2);
         assert_eq!(wheel.pop().map(|(k, ..)| k.seq), Some(2));
         assert_eq!(wheel.pop().map(|(k, ..)| k.seq), Some(1));

@@ -280,9 +280,10 @@ impl<M> ShardPart<M> {
 }
 
 impl<M> Partition<M> for ShardPart<M> {
-    // Steady-state in-flight events per node is small (a timer plus a
-    // couple of messages); a 2x hint keeps slab doubling rare without
-    // paying the sequential engine's 4x reservation at 1M nodes.
+    // A floor, not a forecast: `simcore`'s 1M-node gossip peaks at 5.09
+    // slab slots per node, so the slab still doubles past this hint. It
+    // stays at 2x because a reservation is paid at every node count while
+    // a peak is only reached by workloads that burst.
     const PRESIZE: usize = 2;
 
     #[inline]

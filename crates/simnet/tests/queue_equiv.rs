@@ -2,9 +2,10 @@
 //! for any schedule, [`HeapQueue`] and [`WheelQueue`] yield the identical
 //! `(time, seq)` → `(slot, dst)` sequence, so swapping the simulator's queue can
 //! never change a result byte. Random schedules (including re-arming
-//! rotations, cancellations, wheel-overflow spill, and same-bucket ties)
-//! are replayed through both queues, and whole simulations are run once
-//! per queue and compared field for field.
+//! rotations, cancellations, wheel-overflow spill, same-bucket ties, and
+//! one-tick bursts that cross many bucket-chunk boundaries) are replayed
+//! through both queues, and whole simulations are run once per queue and
+//! compared field for field.
 
 use proptest::prelude::*;
 use totoro_simnet::queue::{EventKey, EventQueue, HeapQueue, WheelQueue};
@@ -26,11 +27,16 @@ enum Op {
     /// Pop the head and re-arm it `delta` µs later under a fresh seq — a
     /// timer rotation. Dropping the popped identity is a cancellation.
     Rotate { delta: u64 },
+    /// Push `count` events into the one 64 µs tick starting at the first
+    /// multiple of 64 at or after `now + delta`: many chunks of one bucket,
+    /// or of the late heap when that tick has already drained.
+    Burst { delta: u64, count: u64 },
 }
 
 /// Decodes a `(selector, raw)` pair into an [`Op`]. Push deltas span all
 /// three queue bands: same-bucket ties (< 64 µs), the wheel window
-/// (~65 ms), and far-future overflow spill.
+/// (~65 ms), and far-future overflow spill; bursts land in a drained tick,
+/// a bucket, or the overflow band.
 fn decode(sel: u8, raw: u64) -> Op {
     match sel {
         0 => Op::Push { delta: raw % 64 },
@@ -47,14 +53,21 @@ fn decode(sel: u8, raw: u64) -> Op {
         6 => Op::PopBefore {
             window: raw % 150_000,
         },
-        _ => Op::Rotate {
+        7 => Op::Rotate {
             delta: raw % 200_000,
+        },
+        _ => Op::Burst {
+            delta: match (raw >> 16) % 4 {
+                0 => 0,
+                _ => (raw >> 18) % 140_000,
+            },
+            count: 200 + raw % 4_801,
         },
     }
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..8, any::<u64>()).prop_map(|(sel, raw)| decode(sel, raw))
+    (0u8..9, any::<u64>()).prop_map(|(sel, raw)| decode(sel, raw))
 }
 
 /// The destination filed with `slot`: distinct per slot, so a record that
@@ -115,6 +128,19 @@ fn replay(ops: &[Op]) -> Result<(), TestCaseError> {
                     seq += 1;
                 }
             }
+            Op::Burst { delta, count } => {
+                let tick_start = (now + delta).next_multiple_of(64);
+                for i in 0..*count {
+                    let key = EventKey {
+                        time: SimTime::from_micros(tick_start + (i * 37) % 64),
+                        seq,
+                    };
+                    heap.push(key, slot, dst_of(slot));
+                    wheel.push(key, slot, dst_of(slot));
+                    seq += 1;
+                    slot = slot.wrapping_add(1);
+                }
+            }
         }
         prop_assert_eq!(heap.len(), wheel.len());
         prop_assert_eq!(heap.peek(), wheel.peek());
@@ -173,6 +199,49 @@ proptest! {
             }
         }
     }
+}
+
+/// The sharded engine's start phase at a tenth of `engine_gossip`'s scale:
+/// every node's `Start` at time zero, one pop, then the first callbacks'
+/// sends closed to 1–63 µs — late pushes into the tick just drained, each
+/// landing among 100 k drained keys.
+#[test]
+fn start_phase_late_pushes_agree() {
+    const NODES: u64 = 100_000;
+    let mut heap = HeapQueue::with_capacity(NODES as usize);
+    let mut wheel = WheelQueue::with_capacity(NODES as usize);
+    // Sharded keys: `(origin << 40) | per-origin counter`.
+    for node in 0..NODES {
+        let key = EventKey {
+            time: SimTime::ZERO,
+            seq: node << 40,
+        };
+        heap.push(key, node as u32, dst_of(node as u32));
+        wheel.push(key, node as u32, dst_of(node as u32));
+    }
+    assert_eq!(heap.pop(), wheel.pop());
+    for j in 0..6_300u64 {
+        let origin = (j * 15) % NODES;
+        let key = EventKey {
+            time: SimTime::from_micros(1 + j % 63),
+            seq: (origin << 40) | 1,
+        };
+        let slot = (NODES + j) as u32;
+        heap.push(key, slot, dst_of(slot));
+        wheel.push(key, slot, dst_of(slot));
+    }
+    assert_eq!(heap.len(), wheel.len());
+    assert_eq!(heap.peek(), wheel.peek());
+    let mut drained = 0;
+    loop {
+        let (h, w) = (heap.pop(), wheel.pop());
+        assert_eq!(h, w, "diverged after {drained} pops");
+        if h.is_none() {
+            break;
+        }
+        drained += 1;
+    }
+    assert_eq!(drained, NODES - 1 + 6_300);
 }
 
 // --------------------------------------------------------- sim level ----
