@@ -44,10 +44,6 @@ pub struct Params {
     /// aggregate over every layer). Validated against [`KNOWN_LAYERS`] at
     /// parse time.
     pub trace_filter: Option<String>,
-    /// Write wall-clock engine timings (a nondeterministic side channel,
-    /// never part of golden stdout) to this path. Scenarios that support
-    /// it attach per-trial payloads via [`TrialReport::push_side`].
-    pub profile_wall: Option<String>,
     /// Suppress progress lines on stderr (`--quiet`).
     pub quiet: bool,
     /// Emit debug detail on stderr (`--verbose`).
@@ -65,7 +61,6 @@ impl Default for Params {
             json: false,
             trace: None,
             trace_filter: None,
-            profile_wall: None,
             quiet: false,
             verbose: false,
             extra: Vec::new(),
@@ -129,9 +124,9 @@ impl Params {
 /// A self-contained unit of work: one simulation run.
 ///
 /// A trial is pure data — setup name, ordered parameter point, seed — so the
-/// engine can hand it to any worker thread. `Scenario::run` reconstructs the
-/// full experiment from these fields alone; nothing is shared between trials
-/// except read-only scenario state.
+/// engine can hand it to any worker thread. `Scenario::run_with_sink`
+/// rebuilds the full experiment from these fields alone; nothing is shared
+/// between trials except read-only scenario state.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Trial {
     /// Position in the sweep; render order is ascending `index`.
@@ -218,11 +213,6 @@ pub struct TrialReport {
     pub rows: Vec<Vec<String>>,
     /// Free-form commentary lines (e.g. paper-claim checks).
     pub notes: Vec<String>,
-    /// Named side-channel payloads (`name`, JSON text), excluded from
-    /// [`TrialReport::to_json`]. Wall-clock profiles travel here — they
-    /// are nondeterministic by nature, so the driver routes them to side
-    /// files (`--profile-wall`) and golden stdout never sees them.
-    pub side: Vec<(String, String)>,
 }
 
 impl TrialReport {
@@ -253,22 +243,6 @@ impl TrialReport {
     /// Appends a commentary line.
     pub fn push_note(&mut self, note: impl Into<String>) {
         self.notes.push(note.into());
-    }
-
-    /// Attaches a named side-channel payload (JSON text). Side payloads
-    /// are excluded from [`TrialReport::to_json`] and every rendered
-    /// surface; the driver collects them per trial (see
-    /// [`execute_with_sides`]).
-    pub fn push_side(&mut self, name: &str, payload: String) {
-        self.side.push((name.to_string(), payload));
-    }
-
-    /// Returns the side payload `name`, if the trial attached one.
-    pub fn side(&self, name: &str) -> Option<&str> {
-        self.side
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
     }
 
     /// Returns metric `name`, panicking on a miss (report/render are built
@@ -357,7 +331,7 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// What [`Scenario::run_traced`] should record.
+/// What a traced run ([`SinkSpec::traced`]) should record.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceOptions {
     /// Buffer only records whose layer tag equals this (e.g. `"forest"`);
@@ -415,9 +389,9 @@ impl SinkSpec {
 
 /// One registered experiment: expansion, execution, and rendering.
 ///
-/// Implementations must be `Sync`: `run` is called concurrently from worker
-/// threads with only `&self`, and all trial state must come from the
-/// [`Trial`] value.
+/// Implementations must be `Sync`: `run_with_sink` is called concurrently
+/// from worker threads with only `&self`, and all trial state must come
+/// from the [`Trial`] value.
 pub trait Scenario: Sync {
     /// Registry name (also the CLI subcommand), e.g. `"fig7"`.
     fn name(&self) -> &'static str;
@@ -450,20 +424,6 @@ pub trait Scenario: Sync {
         sink: &SinkSpec,
     ) -> (TrialReport, Option<Vec<TraceRecord>>);
 
-    /// Compat shim: [`Scenario::run_with_sink`] untraced, report only.
-    fn run(&self, trial: &Trial) -> TrialReport {
-        self.run_with_sink(trial, &SinkSpec::untraced()).0
-    }
-
-    /// Compat shim: [`Scenario::run_with_sink`] with tracing requested.
-    fn run_traced(
-        &self,
-        trial: &Trial,
-        opts: &TraceOptions,
-    ) -> (TrialReport, Option<Vec<TraceRecord>>) {
-        self.run_with_sink(trial, &SinkSpec::traced(opts.clone()))
-    }
-
     /// Renders the ordered reports into the artifact text.
     ///
     /// `reports[i]` corresponds to `trials(params)[i]`; rendering must not
@@ -479,7 +439,10 @@ pub trait Scenario: Sync {
 /// `Vec` is ordered by [`Trial::index`] regardless of completion order.
 /// Panics in any trial propagate after all workers stop.
 pub fn run_trials(scenario: &dyn Scenario, trials: &[Trial], jobs: usize) -> Vec<TrialReport> {
-    run_trials_with(trials.len(), jobs, |i| scenario.run(&trials[i]))
+    let untraced = SinkSpec::untraced();
+    run_trials_with(trials.len(), jobs, |i| {
+        scenario.run_with_sink(&trials[i], &untraced).0
+    })
 }
 
 /// The generic trial engine behind [`run_trials`]: runs `run(0..count)` on
@@ -576,7 +539,6 @@ pub fn parse_params(defaults: Params, args: &[String]) -> Result<Params, String>
             "trace-filter" => {
                 params.trace_filter = Some(validate_trace_filter(value)?);
             }
-            "profile-wall" => params.profile_wall = Some(value.clone()),
             _ => params.extra.push((key.to_string(), value.clone())),
         }
     }
@@ -601,19 +563,6 @@ pub fn execute(scenario: &dyn Scenario, params: &Params) -> String {
 /// each tagged with its trial index), anything else → Chrome `trace_event`
 /// JSON with one `pid` per trial.
 pub fn execute_traced(scenario: &dyn Scenario, params: &Params) -> (String, Option<String>) {
-    let (out, trace, _sides) = execute_with_sides(scenario, params);
-    (out, trace)
-}
-
-/// [`execute_traced`] plus the per-trial side-channel payloads, in trial
-/// order as `(trial index, name, payload)`. Side payloads never appear in
-/// [`TrialReport::to_json`]; a scenario's `render` may consult
-/// *deterministic* sides (e.g. an engine profile) but must never render a
-/// wall-clock one — those exist precisely because they cannot be golden.
-pub fn execute_with_sides(
-    scenario: &dyn Scenario,
-    params: &Params,
-) -> (String, Option<String>, Vec<(usize, String, String)>) {
     let trials = Trial::seal(scenario.trials(params));
     let (reports, trace) = if params.trace.is_some() {
         let spec = SinkSpec::traced(TraceOptions::from_params(params));
@@ -654,19 +603,13 @@ pub fn execute_with_sides(
     } else {
         (run_trials(scenario, &trials, params.jobs), None)
     };
-    let mut sides = Vec::new();
-    for (i, report) in reports.iter().enumerate() {
-        for (name, payload) in &report.side {
-            sides.push((i, name.clone(), payload.clone()));
-        }
-    }
     let out = if params.json {
         let lines: Vec<String> = reports.iter().map(TrialReport::to_json).collect();
         format!("[{}]\n", lines.join(",\n "))
     } else {
         scenario.render(params, &reports)
     };
-    (out, trace, sides)
+    (out, trace)
 }
 
 /// CLI driver: parses `args`, runs the scenario, prints the output.
@@ -681,41 +624,7 @@ pub fn run_scenario(scenario: &dyn Scenario, args: &[String]) {
                 params.quiet,
                 params.verbose,
             ));
-            let (out, trace, sides) = execute_with_sides(scenario, &params);
-            if let Some(path) = params.profile_wall.as_deref() {
-                let trials: Vec<String> = sides
-                    .iter()
-                    .filter(|(_, name, _)| name == "wall_profile")
-                    .map(|(i, _, payload)| {
-                        // Payloads are JSON objects; tag each with its trial.
-                        format!("{{\"trial\":{i},{}", &payload[1..])
-                    })
-                    .collect();
-                let doc = format!(
-                    "{{\"schema\":\"totoro-wall-profile/v1\",\"scenario\":\"{}\",\"trials\":[{}]}}\n",
-                    scenario.name(),
-                    trials.join(","),
-                );
-                match std::fs::write(path, &doc) {
-                    Ok(()) => crate::logging::info(format_args!(
-                        "{}: wrote wall profile ({} trials) to {path}",
-                        scenario.name(),
-                        trials.len()
-                    )),
-                    Err(e) => {
-                        crate::logging::error(format_args!(
-                            "cannot write wall profile {path}: {e}"
-                        ));
-                        std::process::exit(1);
-                    }
-                }
-                if trials.is_empty() {
-                    crate::logging::info(format_args!(
-                        "note: scenario {:?} attached no wall profiles; the file is empty",
-                        scenario.name()
-                    ));
-                }
-            }
+            let (out, trace) = execute_traced(scenario, &params);
             if let (Some(path), Some(trace)) = (params.trace.as_deref(), trace) {
                 match std::fs::write(path, &trace) {
                     Ok(()) => crate::logging::info(format_args!(
@@ -735,7 +644,7 @@ pub fn run_scenario(scenario: &dyn Scenario, args: &[String]) {
             crate::logging::error(format_args!("{}: {msg}", scenario.name()));
             crate::logging::info(format_args!(
                 "usage: {} [--nodes N] [--seed S] [--jobs J] [--json] [--trace PATH] \
-                 [--trace-filter L1,L2,...] [--profile-wall PATH] [--quiet] [--verbose] \
+                 [--trace-filter L1,L2,...] [--quiet] [--verbose] \
                  [--key value ...]",
                 scenario.name()
             ));
@@ -816,21 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn compat_shims_delegate_to_run_with_sink() {
-        let params = Params {
-            nodes: 3,
-            ..Params::default()
-        };
-        let trials = Trial::seal(Echo.trials(&params));
-        let (via_sink, records) = Echo.run_with_sink(&trials[1], &SinkSpec::untraced());
-        assert!(records.is_none());
-        assert_eq!(Echo.run(&trials[1]), via_sink);
-        let (traced, records) = Echo.run_traced(&trials[1], &TraceOptions::default());
-        assert_eq!(traced, via_sink);
-        assert!(records.is_none());
-    }
-
-    #[test]
     fn sink_spec_builds_recording_sinks_only_when_traced() {
         assert!(!SinkSpec::untraced().is_traced());
         assert!(SinkSpec::untraced().recording().is_none());
@@ -841,9 +735,9 @@ mod tests {
         assert!(spec.recording().is_some());
     }
 
-    /// Two trials rendezvous at a barrier inside `run`: this can only
-    /// complete if the pool really executes them on distinct threads at the
-    /// same time (a serial engine would deadlock and time out).
+    /// Two trials rendezvous at a barrier inside `run_with_sink`: this can
+    /// only complete if the pool really executes them on distinct threads
+    /// at the same time (a serial engine would deadlock and time out).
     #[test]
     fn workers_actually_run_concurrently() {
         struct Rendezvous(std::sync::Barrier);
@@ -958,65 +852,6 @@ mod tests {
             .collect();
         let err = parse_params(Params::default(), &empty).unwrap_err();
         assert!(err.contains("empty layer"), "{err}");
-    }
-
-    #[test]
-    fn profile_wall_flag_parses() {
-        let args: Vec<String> = ["--profile-wall", "wall.json"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let p = parse_params(Params::default(), &args).unwrap();
-        assert_eq!(p.profile_wall, Some("wall.json".to_string()));
-        assert_eq!(Params::default().profile_wall, None);
-    }
-
-    #[test]
-    fn side_payloads_stay_off_json_and_reach_the_driver() {
-        struct Sided;
-        impl Scenario for Sided {
-            fn name(&self) -> &'static str {
-                "sided"
-            }
-            fn description(&self) -> &'static str {
-                "test"
-            }
-            fn trials(&self, _params: &Params) -> Vec<Trial> {
-                Trial::seal(vec![Trial::new("a", 0), Trial::new("b", 0)])
-            }
-            fn run_with_sink(
-                &self,
-                trial: &Trial,
-                _sink: &SinkSpec,
-            ) -> (TrialReport, Option<Vec<TraceRecord>>) {
-                let mut r = TrialReport::for_trial(trial);
-                if trial.index == 1 {
-                    r.push_side("wall_profile", "{\"wall\":123}".to_string());
-                }
-                (r, None)
-            }
-            fn render(&self, _params: &Params, reports: &[TrialReport]) -> String {
-                format!("{}", reports.len())
-            }
-        }
-        let params = Params {
-            json: true,
-            ..Params::default()
-        };
-        let (out, _trace, sides) = execute_with_sides(&Sided, &params);
-        assert!(
-            !out.contains("wall_profile"),
-            "side leaked into JSON: {out}"
-        );
-        assert_eq!(
-            sides,
-            vec![(1, "wall_profile".to_string(), "{\"wall\":123}".to_string())]
-        );
-        let mut r = TrialReport::default();
-        r.push_side("wall_profile", "{}".to_string());
-        assert_eq!(r.side("wall_profile"), Some("{}"));
-        assert_eq!(r.side("missing"), None);
-        assert!(!r.to_json().contains("wall_profile"));
     }
 
     #[test]

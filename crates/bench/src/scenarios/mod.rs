@@ -14,7 +14,6 @@ pub mod fig13;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
-pub mod simcore;
 pub mod table3;
 pub mod tta;
 
@@ -32,7 +31,6 @@ pub fn all() -> Vec<Box<dyn Scenario>> {
         Box::new(fig12::Fig12),
         Box::new(fig13::Fig13),
         Box::new(ablation::Ablation),
-        Box::new(simcore::Simcore),
         Box::new(crate::chaos::ChaosScenario),
     ]
 }

@@ -1,24 +1,23 @@
-//! Simulator hot-path workloads shared by the `sim_core` criterion group
-//! and the `simcore` perf scenario.
+//! Simulator hot-path workloads: the event-churn and timer-storm probes
+//! and the `engine_gossip` workload of the benchmark harness under
+//! `benchmark/`.
 //!
 //! Each workload is a deterministic pure function from sizes to a finished
-//! [`Simulator`] run, returning the number of events processed; callers
-//! wrap them in wall-clock timing to derive events/sec. Three pressure
-//! points are covered:
+//! run, returning what the run processed; callers wrap them in wall-clock
+//! timing to derive events/sec. Three pressure points are covered:
 //!
 //! * **event churn** — many tiny messages hopping a ring: the raw cost of
-//!   the heap + slab + scratch event loop;
-//! * **multicast fan-out** — a model-sized payload disseminating down a
-//!   k-ary tree, in both clone-per-child (the pre-optimization baseline)
-//!   and [`Shared`] (reference-counted) flavors;
-//! * **timer storm** — thousands of concurrently armed timers: heap
-//!   pressure with zero-byte payloads.
+//!   the queue + slab + scratch event loop;
+//! * **timer storm** — thousands of concurrently armed timers: queue
+//!   pressure with zero-byte payloads;
+//! * **million node** — zone gossip over the EUA geography on the sharded
+//!   engine, at up to 10⁶ nodes.
 
 use totoro_simnet::geo::{eua_regions_scaled, generate};
 use totoro_simnet::{
-    sub_rng, Application, Ctx, EngineProfile, EventQueue, LatencyModel, NodeIdx, NoopSink, Payload,
-    RecordingSink, ShardedSim, Shared, SimDuration, Simulator, Topology, TraceRecord, WallProfile,
-    WheelQueue,
+    sub_rng, Application, Ctx, EngineProfile, LatencyModel, NodeIdx, NoopSink, Payload,
+    RecordingSink, ShardedSim, SimDuration, Simulator, Topology, TraceRecord, TraceSink,
+    WallProfile,
 };
 
 /// Fixed per-hop delay for every workload: `Topology::uniform` with
@@ -53,156 +52,40 @@ impl Application for ChurnNode {
     }
 }
 
+/// Builds the `n`-ring the churn workload runs on.
+fn churn_ring<S: TraceSink>(n: usize, sink: S) -> Simulator<ChurnNode, S> {
+    Simulator::with_sink(flat_topology(n), 1, sink, |_| ChurnNode { n })
+}
+
+/// Launches `tokens` tokens (at most one per node), each with `hops` hops
+/// to go.
+fn launch_tokens<S: TraceSink>(sim: &mut Simulator<ChurnNode, S>, tokens: usize, hops: u64) {
+    let n = sim.len();
+    for t in 0..tokens.min(n) {
+        let _ = sim.with_app(t, |_node, ctx| {
+            let next = (ctx.me() + 1) % n;
+            ctx.send(next, Hop(hops));
+        });
+    }
+}
+
 /// Circulates `tokens` tokens around an `n`-ring, each making `hops + 1`
 /// deliveries. Returns events processed (exactly
 /// `n` starts + `tokens × (hops + 1)` deliveries).
 pub fn run_event_churn(n: usize, tokens: usize, hops: u64) -> u64 {
-    run_event_churn_on::<WheelQueue>(n, tokens, hops)
-}
-
-/// [`run_event_churn`] on an explicit [`EventQueue`] implementation — the
-/// heap-vs-wheel comparison entry point.
-pub fn run_event_churn_on<Q: EventQueue>(n: usize, tokens: usize, hops: u64) -> u64 {
-    let mut sim =
-        Simulator::<ChurnNode, NoopSink, Q>::with_queue(flat_topology(n), 1, NoopSink, |_| {
-            ChurnNode { n }
-        });
-    let tokens = tokens.min(n);
-    for t in 0..tokens {
-        let _ = sim.with_app(t, |_node, ctx| {
-            let next = (ctx.me() + 1) % n;
-            ctx.send(next, Hop(hops));
-        });
-    }
+    let mut sim = churn_ring(n, NoopSink);
+    launch_tokens(&mut sim, tokens, hops);
     assert!(sim.run_until_quiet(u64::MAX));
     sim.events_processed()
 }
 
-/// [`run_event_churn_on`] with a [`RecordingSink`] installed: returns the
-/// buffered trace records instead of the event count. The event stream —
-/// and therefore the trace — is byte-identical across [`EventQueue`]
-/// implementations; `totoro-trace diff` on a wheel-vs-heap pair proves it.
-pub fn run_event_churn_traced<Q: EventQueue>(
-    n: usize,
-    tokens: usize,
-    hops: u64,
-) -> Vec<TraceRecord> {
-    let mut sim = Simulator::<ChurnNode, RecordingSink, Q>::with_queue(
-        flat_topology(n),
-        1,
-        RecordingSink::new(0),
-        |_| ChurnNode { n },
-    );
-    let tokens = tokens.min(n);
-    for t in 0..tokens {
-        let _ = sim.with_app(t, |_node, ctx| {
-            let next = (ctx.me() + 1) % n;
-            ctx.send(next, Hop(hops));
-        });
-    }
+/// [`run_event_churn`] with a [`RecordingSink`] installed: returns the
+/// buffered trace records instead of the event count.
+pub fn run_event_churn_traced(n: usize, tokens: usize, hops: u64) -> Vec<TraceRecord> {
+    let mut sim = churn_ring(n, RecordingSink::new(0));
+    launch_tokens(&mut sim, tokens, hops);
     assert!(sim.run_until_quiet(u64::MAX));
     sim.into_sink().take_records()
-}
-
-/// [`run_event_churn`] with engine self-profiling enabled: returns the
-/// deterministic [`EngineProfile`] of the run. Kept separate from the
-/// timed entry points so profiling bookkeeping never shadows a
-/// measurement.
-pub fn profile_event_churn(n: usize, tokens: usize, hops: u64) -> EngineProfile {
-    let mut sim = Simulator::<ChurnNode, NoopSink, WheelQueue>::with_queue(
-        flat_topology(n),
-        1,
-        NoopSink,
-        |_| ChurnNode { n },
-    );
-    sim.enable_profiling();
-    let tokens = tokens.min(n);
-    for t in 0..tokens {
-        let _ = sim.with_app(t, |_node, ctx| {
-            let next = (ctx.me() + 1) % n;
-            ctx.send(next, Hop(hops));
-        });
-    }
-    assert!(sim.run_until_quiet(u64::MAX));
-    sim.engine_profile().expect("profiling enabled")
-}
-
-// ------------------------------------------------------------ multicast --
-
-/// Multicast payload: either deep-copied per child (the pre-optimization
-/// baseline) or reference-counted via [`Shared`].
-#[derive(Clone)]
-enum McMsg {
-    Cloned(Vec<f32>),
-    Shared(Shared<Vec<f32>>),
-}
-
-impl McMsg {
-    fn weights(&self) -> usize {
-        match self {
-            McMsg::Cloned(w) => w.len(),
-            McMsg::Shared(w) => w.len(),
-        }
-    }
-}
-
-impl Payload for McMsg {
-    fn size_bytes(&self) -> usize {
-        16 + self.weights() * 4
-    }
-}
-
-struct TreeNode {
-    fanout: usize,
-    n: usize,
-    received: u64,
-}
-
-impl TreeNode {
-    fn forward(&self, ctx: &mut Ctx<'_, McMsg>, msg: &McMsg) {
-        let first = ctx.me() * self.fanout + 1;
-        for c in first..(first + self.fanout).min(self.n) {
-            // The measured operation: for `Cloned` this deep-copies the
-            // weights per child; for `Shared` it bumps a refcount.
-            ctx.send(c, msg.clone());
-        }
-    }
-}
-
-impl Application for TreeNode {
-    type Msg = McMsg;
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, McMsg>, _from: NodeIdx, msg: McMsg) {
-        self.received += 1;
-        self.forward(ctx, &msg);
-    }
-}
-
-/// Disseminates a `weights`-float payload down a complete `fanout`-ary tree
-/// of `n` nodes, `rounds` times; `shared` picks the payload flavor.
-/// Returns events processed. Panics if any node missed a round.
-pub fn run_multicast(n: usize, fanout: usize, weights: usize, rounds: u64, shared: bool) -> u64 {
-    let mut sim = Simulator::new(flat_topology(n), 2, |_| TreeNode {
-        fanout,
-        n,
-        received: 0,
-    });
-    for _ in 0..rounds {
-        let _ = sim.with_app(0, |node, ctx| {
-            let w = vec![0.5f32; weights];
-            let msg = if shared {
-                McMsg::Shared(Shared::new(w))
-            } else {
-                McMsg::Cloned(w)
-            };
-            node.forward(ctx, &msg);
-        });
-        assert!(sim.run_until_quiet(u64::MAX));
-    }
-    for i in 1..n {
-        assert_eq!(sim.app(i).received, rounds, "node {i} missed a round");
-    }
-    sim.events_processed()
 }
 
 // ---------------------------------------------------------- timer storm --
@@ -251,20 +134,11 @@ impl Application for TimerNode {
 /// timers drain (so each node fires `timers + timers × refires − 1` times
 /// in total). Returns events processed.
 pub fn run_timer_storm(n: usize, timers: u64, refires: u64) -> u64 {
-    run_timer_storm_on::<WheelQueue>(n, timers, refires)
-}
-
-/// [`run_timer_storm`] on an explicit [`EventQueue`] implementation — the
-/// heap-vs-wheel comparison entry point.
-pub fn run_timer_storm_on<Q: EventQueue>(n: usize, timers: u64, refires: u64) -> u64 {
-    let mut sim =
-        Simulator::<TimerNode, NoopSink, Q>::with_queue(flat_topology(n), 3, NoopSink, |_| {
-            TimerNode {
-                timers,
-                refires,
-                fired: 0,
-            }
-        });
+    let mut sim = Simulator::new(flat_topology(n), 3, |_| TimerNode {
+        timers,
+        refires,
+        fired: 0,
+    });
     assert!(sim.run_until_quiet(u64::MAX));
     sim.events_processed()
 }
@@ -477,16 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn multicast_flavors_process_identical_events() {
-        let cloned = run_multicast(85, 4, 256, 2, false);
-        let shared = run_multicast(85, 4, 256, 2, true);
-        // The sharing optimization must be invisible to the event stream.
-        assert_eq!(cloned, shared);
-        // n starts + 2 rounds × (n - 1) deliveries.
-        assert_eq!(cloned, 85 + 2 * 84);
-    }
-
-    #[test]
     fn slab_slot_sizes_are_pinned() {
         // `simnet.state_bytes` is slab capacity x slot size, and the
         // benchmark's exact ledger pins it: `engine_gossip`'s message, and
@@ -505,18 +369,15 @@ mod tests {
     }
 
     #[test]
-    fn traced_churn_is_queue_invariant() {
-        use totoro_simnet::{jsonl_trace, HeapQueue};
-        let wheel = run_event_churn_traced::<WheelQueue>(50, 4, 40);
-        let heap = run_event_churn_traced::<HeapQueue>(50, 4, 40);
-        assert!(!wheel.is_empty());
-        assert_eq!(jsonl_trace(&wheel), jsonl_trace(&heap));
-    }
-
-    #[test]
     fn churn_profile_is_deterministic_and_counts_events() {
-        let a = profile_event_churn(50, 4, 40);
-        let b = profile_event_churn(50, 4, 40);
+        let profile = || {
+            let mut sim = churn_ring(50, NoopSink);
+            sim.enable_profiling();
+            launch_tokens(&mut sim, 4, 40);
+            assert!(sim.run_until_quiet(u64::MAX));
+            sim.engine_profile().expect("profiling enabled")
+        };
+        let (a, b) = (profile(), profile());
         assert_eq!(a.to_json(), b.to_json());
         assert!(a.groups > 0);
         let ratio = a.singleton_ratio();
@@ -540,18 +401,5 @@ mod tests {
         assert_eq!(w4.shards, 4);
         assert!(p1.windows > 0);
         assert!(p1.remote_msgs > 0);
-    }
-
-    #[test]
-    fn queue_choice_is_invisible_to_event_counts() {
-        use totoro_simnet::HeapQueue;
-        assert_eq!(
-            run_event_churn_on::<HeapQueue>(50, 4, 100),
-            run_event_churn_on::<WheelQueue>(50, 4, 100),
-        );
-        assert_eq!(
-            run_timer_storm_on::<HeapQueue>(20, 8, 3),
-            run_timer_storm_on::<WheelQueue>(20, 8, 3),
-        );
     }
 }

@@ -7,8 +7,8 @@ use totoro_bench::scenario::{execute, Params, Scenario, SinkSpec, Trial, TrialRe
 use totoro_bench::simcore::{build_eua_topology, run_event_churn_traced};
 use totoro_bench::traceview;
 use totoro_simnet::{
-    chrome_trace, jsonl_trace, Application, Ctx, Fault, FaultKind, FaultPlan, HeapQueue, NodeIdx,
-    Payload, ShardedSim, SimTime, TraceRecord, TrialReport as SimAccounting, WheelQueue,
+    chrome_trace, jsonl_trace, Application, Ctx, Fault, FaultKind, FaultPlan, NodeIdx, Payload,
+    ShardedSim, SimTime, TraceRecord, TrialReport as SimAccounting,
 };
 
 #[derive(Clone)]
@@ -137,7 +137,7 @@ fn engine_profile_is_shard_invariant_under_chaos() {
 
 #[test]
 fn chrome_trace_is_valid_json_with_monotone_timestamps() {
-    let records = run_event_churn_traced::<WheelQueue>(50, 4, 40);
+    let records = run_event_churn_traced(50, 4, 40);
     let text = chrome_trace(&records);
     let doc = traceview::parse_json(&text).expect("chrome trace must be valid JSON");
     let events = doc
@@ -174,25 +174,20 @@ fn critical_path_render_matches_committed_fixture() {
 }
 
 #[test]
-fn wheel_and_heap_churn_traces_diff_clean() {
-    let wheel = run_event_churn_traced::<WheelQueue>(60, 4, 30);
-    let heap = run_event_churn_traced::<HeapQueue>(60, 4, 30);
-    let wheel_text = jsonl_trace(&wheel);
-    let heap_text = jsonl_trace(&heap);
-    assert_eq!(
-        wheel_text, heap_text,
-        "queue choice must be trace-invisible"
-    );
-    let ew = traceview::parse_jsonl(&wheel_text).unwrap();
-    let eh = traceview::parse_jsonl(&heap_text).unwrap();
-    let diff = traceview::render_diff("wheel", &wheel_text, &ew, "heap", &heap_text, &eh);
+fn churn_trace_reruns_diff_clean() {
+    let first = jsonl_trace(&run_event_churn_traced(60, 4, 30));
+    let rerun = jsonl_trace(&run_event_churn_traced(60, 4, 30));
+    assert_eq!(first, rerun, "a rerun must reproduce the trace");
+    let ef = traceview::parse_jsonl(&first).unwrap();
+    let er = traceview::parse_jsonl(&rerun).unwrap();
+    let diff = traceview::render_diff("first", &first, &ef, "rerun", &rerun, &er);
     assert!(
         diff.contains("verdict: traces are byte-identical"),
         "diff verdict missing:\n{diff}"
     );
     // Each token makes hops + 1 sends; the longest causal chain follows
     // one token end to end: 31 × 100 us links + 31 × 3 us handler dwell.
-    let p = traceview::critical_path(&ew).expect("churn traces carry spans");
+    let p = traceview::critical_path(&ef).expect("churn traces carry spans");
     assert_eq!(
         traceview::path_summary(&p),
         "critical path: trial 0 trace 1: 31 hops, 3193 us end-to-end (0 -> 3193 us)"

@@ -1293,8 +1293,8 @@ mod tests {
     #[test]
     fn instant_import_alone_is_not_flagged() {
         let f = scan(
-            "crates/bench/src/scenarios/simcore.rs",
-            "bench",
+            "crates/simnet/src/shard.rs",
+            "simnet",
             "use std::time::Instant;\n",
         );
         assert!(f.is_empty(), "{f:?}");

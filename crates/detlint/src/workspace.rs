@@ -144,7 +144,7 @@ mod tests {
         let sf = classify("crates/bench/tests/golden.rs").unwrap();
         assert_eq!(sf.kind, FileKind::Tests);
 
-        let sf = classify("crates/bench/benches/sim_core.rs").unwrap();
+        let sf = classify("crates/bench/benches/microbench.rs").unwrap();
         assert_eq!(sf.kind, FileKind::Benches);
 
         let sf = classify("tests/tests/full_stack.rs").unwrap();

@@ -251,9 +251,9 @@ impl FaultPlan {
 
     /// Installs the whole plan on `sim`: the fault injector (seeded from
     /// `seed`) plus the churn schedule's down/up events.
-    pub fn apply<A: Application, S: crate::obs::TraceSink, Q: crate::queue::EventQueue>(
+    pub fn apply<A: Application, S: crate::obs::TraceSink>(
         &self,
-        sim: &mut Simulator<A, S, Q>,
+        sim: &mut Simulator<A, S>,
         seed: u64,
     ) {
         sim.install_chaos(self.injector(seed));
@@ -421,12 +421,7 @@ pub struct Violation {
 /// Implementations may keep state across checkpoints (e.g. "coverage held
 /// at the previous checkpoint, so repair traffic must have stopped"), which
 /// is why `check` takes `&mut self`.
-pub trait Invariant<
-    A: Application,
-    S: crate::obs::TraceSink = crate::obs::NoopSink,
-    Q: crate::queue::EventQueue = crate::queue::WheelQueue,
->
-{
+pub trait Invariant<A: Application, S: crate::obs::TraceSink = crate::obs::NoopSink> {
     /// Short stable name, used in violation reports.
     fn name(&self) -> &'static str;
 
@@ -437,7 +432,7 @@ pub trait Invariant<
 
     /// Checks the invariant against the current simulator state, returning
     /// a human-readable description of the violation if it does not hold.
-    fn check(&mut self, sim: &Simulator<A, S, Q>) -> Result<(), String>;
+    fn check(&mut self, sim: &Simulator<A, S>) -> Result<(), String>;
 }
 
 /// Checkpoint schedule for [`run_with_invariants`].
@@ -459,15 +454,11 @@ pub struct CheckpointConfig {
 /// Each invariant records at most its *first* violation — after firing it
 /// is retired, so a persistent breakage yields one report, not hundreds.
 /// Returns all recorded violations in checkpoint order.
-pub fn run_with_invariants<
-    A: Application,
-    S: crate::obs::TraceSink,
-    Q: crate::queue::EventQueue,
->(
-    sim: &mut Simulator<A, S, Q>,
+pub fn run_with_invariants<A: Application, S: crate::obs::TraceSink>(
+    sim: &mut Simulator<A, S>,
     cfg: &CheckpointConfig,
-    invariants: &mut [Box<dyn Invariant<A, S, Q> + '_>],
-    mut driver: impl FnMut(&mut Simulator<A, S, Q>),
+    invariants: &mut [Box<dyn Invariant<A, S> + '_>],
+    mut driver: impl FnMut(&mut Simulator<A, S>),
 ) -> Vec<Violation> {
     let mut violations = Vec::new();
     let mut tripped = vec![false; invariants.len()];

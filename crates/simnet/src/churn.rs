@@ -139,13 +139,9 @@ impl ChurnSchedule {
     }
 
     /// Applies the schedule to a simulator.
-    pub fn apply<
-        A: crate::sim::Application,
-        S: crate::obs::TraceSink,
-        Q: crate::queue::EventQueue,
-    >(
+    pub fn apply<A: crate::sim::Application, S: crate::obs::TraceSink>(
         &self,
-        sim: &mut crate::sim::Simulator<A, S, Q>,
+        sim: &mut crate::sim::Simulator<A, S>,
     ) {
         for e in &self.events {
             if e.down {

@@ -19,7 +19,7 @@
 //!
 //! # Hot-path layout
 //!
-//! * Queues order small `(EventKey, slot, dst)` records; message payloads
+//! * The queue orders small `(EventKey, slot, dst)` records; message payloads
 //!   live in an [`EventSlab`] indexed by `slot`, so reordering never moves
 //!   a model update, and freed slots are recycled so a steady-state run
 //!   stops allocating.
@@ -42,7 +42,7 @@ use crate::bitset::BitSet;
 use crate::chaos::{ChaosInjector, FaultFilter};
 use crate::obs::prof::{EngineProf, BAND_NONE};
 use crate::obs::{DropReason, MsgMeta, TraceBody, TraceRecord, ROOT_PARENT};
-use crate::queue::{EventKey, EventQueue};
+use crate::queue::{EventKey, WheelQueue};
 use crate::sim::{Action, Application, ComputeKind, Ctx, Outbox, Payload};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeIdx, Topology};
@@ -275,14 +275,14 @@ pub(crate) trait Partition<M> {
 }
 
 /// One event loop over the member nodes of partition `P`.
-pub(crate) struct Engine<A: Application, P, Q> {
+pub(crate) struct Engine<A: Application, P> {
     pub(crate) part: P,
     /// Application state of member nodes, local index order.
     pub(crate) nodes: Vec<A>,
     // Liveness packed one bit per node (1 MB -> 125 KB at a million
     // nodes), local index order; see `crate::bitset`.
     pub(crate) alive: BitSet,
-    pub(crate) queue: Q,
+    pub(crate) queue: WheelQueue,
     pub(crate) slab: EventSlab<A::Msg>,
     pub(crate) now: SimTime,
     pub(crate) rng: StdRng,
@@ -301,7 +301,7 @@ pub(crate) struct Engine<A: Application, P, Q> {
     pub(crate) prof: Option<Box<EngineProf>>,
 }
 
-impl<A: Application, P: Partition<A::Msg>, Q: EventQueue> Engine<A, P, Q> {
+impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
     /// Builds the engine over `nodes` (local index order) and queues each
     /// member's time-zero `Start`, keyed by the member itself.
     pub(crate) fn new(part: P, nodes: Vec<A>, rng: StdRng) -> Self {
@@ -313,7 +313,7 @@ impl<A: Application, P: Partition<A::Msg>, Q: EventQueue> Engine<A, P, Q> {
         let mut engine = Engine {
             alive: BitSet::filled(n, true),
             nodes,
-            queue: Q::with_capacity(event_cap),
+            queue: WheelQueue::with_capacity(event_cap),
             slab: EventSlab::with_capacity(event_cap),
             now: SimTime::ZERO,
             rng,

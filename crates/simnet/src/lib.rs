@@ -3,8 +3,8 @@
 //! Deterministic discrete-event network simulator underlying the Totoro
 //! reproduction. It provides:
 //!
-//! * a virtual clock and pluggable event queue ([`sim::Simulator`],
-//!   [`queue`] — timer wheel by default, binary heap as reference);
+//! * a virtual clock and a timer-wheel event queue ([`sim::Simulator`],
+//!   [`queue`]);
 //! * a geographic topology with latency/bandwidth/loss models
 //!   ([`topology::Topology`], [`geo`]);
 //! * Ratnasamy-Shenker distributed binning and edge-zone formation
@@ -53,7 +53,7 @@ pub use obs::{
     MetricsSnapshot, MsgMeta, NoopSink, RecordingSink, TraceBody, TraceRecord, TraceSink,
 };
 pub use payload::Shared;
-pub use queue::{EventKey, EventQueue, HeapQueue, WheelQueue};
+pub use queue::EventKey;
 pub use rng::{derive_seed, keyed_unit, sub_rng};
 pub use shard::{ShardError, ShardPlan, ShardedSim};
 pub use sim::{Application, ComputeKind, Ctx, Payload, PendingClass, PendingSummary, Simulator};

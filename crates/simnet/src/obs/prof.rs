@@ -483,8 +483,9 @@ pub struct ShardWall {
     pub events: u64,
 }
 
-/// The wall-clock side channel: per-shard phase timings for one run,
-/// written only behind `--profile-wall PATH`.
+/// Per-shard wall-clock phase timings for one run
+/// ([`ShardedSim::wall_profile`](crate::shard::ShardedSim::wall_profile)).
+/// Host time, so never part of a golden surface.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WallProfile {
     /// Shard count actually executed (after region clamping).

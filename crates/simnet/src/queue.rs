@@ -1,12 +1,10 @@
-//! The simulator's pluggable event-queue API.
+//! The simulator's event queue.
 //!
 //! Every pending event is identified by an [`EventKey`] — the `(time, seq)`
 //! pair that the determinism contract pins as the *total* dispatch order —
 //! plus the `u32` slot of its payload in the simulator's event slab and the
-//! node it is bound for. An [`EventQueue`] stores `(key, slot, dst)`
-//! records and yields them in ascending key order; the simulator never
-//! touches the queue's internals, so the implementation can be swapped
-//! without perturbing a single golden byte.
+//! node it is bound for. The queue stores `(key, slot, dst)` records and
+//! yields them in ascending key order.
 //!
 //! The record *is* the delivery: the destination lives here, not in the
 //! slab, so the legs of one fan-out are `k` records naming one slot, and
@@ -16,26 +14,19 @@
 //! check at construction that every node index fits
 //! ([`check_node_count`]).
 //!
-//! Two implementations ship behind the API:
+//! Both engines run on [`WheelQueue`], a hierarchical timer wheel for the
+//! near-horizon band with a heap spill for far-future events. Pushes into
+//! the wheel window are `O(1)` bucket appends; due buckets are drained with
+//! one contiguous sort instead of per-event heap sifts, which is what lifts
+//! timer-heavy workloads (every node ticking maintenance) off the heap
+//! bottleneck. Buckets are lists of fixed chunks drawn from one shared
+//! pool, so the wheel holds what is in flight, not every bucket's
+//! high-water mark.
 //!
-//! * [`HeapQueue`] — the slab-indexed `BinaryHeap` that powered the
-//!   simulator through PR 2–6. `O(log n)` push/pop with small fixed-size
-//!   sift records; kept as the reference implementation and the
-//!   differential-testing oracle.
-//! * [`WheelQueue`] — a hierarchical timer wheel for the near-horizon band
-//!   with a heap spill for far-future events. Pushes into the wheel window
-//!   are `O(1)` bucket appends; due buckets are drained with one contiguous
-//!   sort instead of per-event heap sifts, which is what lifts timer-heavy
-//!   workloads (every node ticking maintenance) off the heap bottleneck.
-//!   Buckets are lists of fixed chunks drawn from one shared pool, so the
-//!   wheel holds what is in flight, not every bucket's high-water mark.
-//!
-//! The two must agree **exactly**: for any interleaving of pushes and pops,
-//! both yield the same `(key, slot, dst)` sequence. `tests/queue_equiv.rs`
-//! replays random schedules through both and asserts just that, and the
-//! `simcore` benchmark times them head to head (`timer_storm` vs
-//! `timer_storm_heap`). The trait is sealed: queue behaviour is part of the
-//! determinism contract, so implementations live here, next to the proofs.
+//! [`HeapQueue`], a plain `BinaryHeap` of the same records, is the oracle:
+//! for any interleaving of pushes and pops, both yield the same
+//! `(key, slot, dst)` sequence. The tests below and `tests/queue_equiv.rs`
+//! replay schedules through both and assert just that.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -99,7 +90,7 @@ impl Entry {
         (self.key, self.slot, self.dst as NodeIdx)
     }
 
-    /// What [`EventQueue::remove`] hands back: everything but the key.
+    /// What [`WheelQueue::remove`] hands back: everything but the key.
     fn cargo(self) -> (u32, NodeIdx) {
         (self.slot, self.dst as NodeIdx)
     }
@@ -111,7 +102,7 @@ pub type Queued = (EventKey, u32, NodeIdx);
 
 /// Panics unless every index of an `n`-node topology fits the queue
 /// record's 32-bit destination field. Both simulators call this once at
-/// construction, which is what lets [`EventQueue::push`] narrow without a
+/// construction, which is what lets [`WheelQueue::push`] narrow without a
 /// per-event check.
 pub(crate) fn check_node_count(n: usize) {
     assert!(
@@ -138,44 +129,43 @@ impl Ord for Entry {
     }
 }
 
-mod sealed {
-    /// Seals [`super::EventQueue`]: the queue order is part of the
-    /// determinism contract, so implementations must live in this module
-    /// tree where the differential tests can see them.
-    pub trait Sealed {}
-    impl Sealed for super::HeapQueue {}
-    impl Sealed for super::WheelQueue {}
+// ------------------------------------------------------------------ heap --
+
+/// The oracle: a `BinaryHeap` of 24-byte `(key, slot, dst)` records with
+/// the same methods as [`WheelQueue`]. No engine runs on it; the
+/// differential tests replay schedules through both.
+pub struct HeapQueue {
+    heap: BinaryHeap<Reverse<Entry>>,
 }
 
-/// Priority queue of `(EventKey, slot, dst)` records, popped in ascending
-/// key order.
-///
-/// `peek`/`pop`/`pop_before` take `&mut self` deliberately: lazily-ordered
-/// implementations (the timer wheel) normalize their head on observation.
-/// The trait is sealed — see the module docs.
-pub trait EventQueue: sealed::Sealed {
-    /// Short stable name for benchmark labels and reports.
-    const NAME: &'static str;
-
+impl HeapQueue {
     /// Creates a queue sized for roughly `cap` concurrently pending events.
-    fn with_capacity(cap: usize) -> Self;
+    pub fn with_capacity(cap: usize) -> Self {
+        HeapQueue {
+            heap: BinaryHeap::with_capacity(cap),
+        }
+    }
 
-    /// Enqueues `slot`, bound for node `dst`, under `key`. Keys may arrive
-    /// in any order, but a pushed key is never smaller than the last popped
-    /// key (the simulator clamps event times to `now`); implementations may
-    /// rely on that. `dst` must fit in 32 bits.
-    fn push(&mut self, key: EventKey, slot: u32, dst: NodeIdx);
+    /// Enqueues `slot`, bound for node `dst`, under `key`.
+    #[inline]
+    pub fn push(&mut self, key: EventKey, slot: u32, dst: NodeIdx) {
+        self.heap.push(Reverse(Entry::new(key, slot, dst)));
+    }
 
     /// The record with the smallest queued key, without removing it.
-    fn peek(&mut self) -> Option<Queued>;
+    #[inline]
+    pub fn peek(&mut self) -> Option<Queued> {
+        self.heap.peek().map(|Reverse(e)| e.unpack())
+    }
 
     /// Removes and returns the record with the smallest queued key.
-    fn pop(&mut self) -> Option<Queued>;
+    #[inline]
+    pub fn pop(&mut self) -> Option<Queued> {
+        self.heap.pop().map(|Reverse(e)| e.unpack())
+    }
 
-    /// Pops the head only if it is due at or before `deadline` — the
-    /// deadline-bounded analogue of [`EventQueue::pop`], one observation
-    /// deciding and popping.
-    fn pop_before(&mut self, deadline: SimTime) -> Option<Queued> {
+    /// Pops the head only if it is due at or before `deadline`.
+    pub fn pop_before(&mut self, deadline: SimTime) -> Option<Queued> {
         match self.peek() {
             Some((key, ..)) if key.time <= deadline => self.pop(),
             _ => None,
@@ -183,71 +173,24 @@ pub trait EventQueue: sealed::Sealed {
     }
 
     /// Number of queued events.
-    fn len(&self) -> usize;
-
-    /// Whether the queue is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Every queued record in ascending key order, without removing
-    /// anything. `O(n log n)` — an exploration hook for the bounded model
-    /// checker, never called on the hot dispatch path.
-    fn snapshot(&mut self) -> Vec<Queued>;
-
-    /// Removes the record queued under exactly `key` (keys are unique —
-    /// `seq` is a per-simulator monotone counter) and returns its slot and
-    /// destination. `O(n)` worst case; exploration hook only.
-    fn remove(&mut self, key: EventKey) -> Option<(u32, NodeIdx)>;
-}
-
-// ------------------------------------------------------------------ heap --
-
-/// The reference queue: a `BinaryHeap` of 24-byte `(key, slot, dst)` records.
-///
-/// This is byte-for-byte the pre-API scheduler (PR 2): heap sifts move
-/// small fixed-size records while payloads stay parked in the slab. It
-/// remains the differential-testing oracle and the spill store inside
-/// [`WheelQueue`].
-pub struct HeapQueue {
-    heap: BinaryHeap<Reverse<Entry>>,
-}
-
-impl EventQueue for HeapQueue {
-    const NAME: &'static str = "heap";
-
-    fn with_capacity(cap: usize) -> Self {
-        HeapQueue {
-            heap: BinaryHeap::with_capacity(cap),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, key: EventKey, slot: u32, dst: NodeIdx) {
-        self.heap.push(Reverse(Entry::new(key, slot, dst)));
-    }
-
-    #[inline]
-    fn peek(&mut self) -> Option<Queued> {
-        self.heap.peek().map(|Reverse(e)| e.unpack())
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<Queued> {
-        self.heap.pop().map(|Reverse(e)| e.unpack())
-    }
-
-    fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    fn snapshot(&mut self) -> Vec<Queued> {
+    /// Whether the queue is empty.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Every queued record in ascending key order.
+    pub fn snapshot(&mut self) -> Vec<Queued> {
         let mut out: Vec<Queued> = self.heap.iter().map(|Reverse(e)| e.unpack()).collect();
         out.sort_unstable_by_key(|(k, ..)| k.packed());
         out
     }
 
-    fn remove(&mut self, key: EventKey) -> Option<(u32, NodeIdx)> {
+    /// Removes the record queued under exactly `key`.
+    pub fn remove(&mut self, key: EventKey) -> Option<(u32, NodeIdx)> {
         remove_from_heap(&mut self.heap, key)
     }
 }
@@ -606,10 +549,11 @@ impl WheelQueue {
     }
 }
 
-impl EventQueue for WheelQueue {
-    const NAME: &'static str = "timer_wheel";
-
-    fn with_capacity(cap: usize) -> Self {
+/// The queue's public surface. `peek`/`pop`/`pop_before` take `&mut self`
+/// deliberately: the wheel normalizes its head on observation.
+impl WheelQueue {
+    /// Creates a queue sized for roughly `cap` concurrently pending events.
+    pub fn with_capacity(cap: usize) -> Self {
         WheelQueue {
             buckets: vec![Bucket::EMPTY; NUM_SLOTS],
             pool: ChunkPool {
@@ -628,7 +572,11 @@ impl EventQueue for WheelQueue {
         }
     }
 
-    fn push(&mut self, key: EventKey, slot: u32, dst: NodeIdx) {
+    /// Enqueues `slot`, bound for node `dst`, under `key`. Keys may arrive
+    /// in any order, but a pushed key is never smaller than the last popped
+    /// key (the simulator clamps event times to `now`). `dst` must fit in
+    /// 32 bits.
+    pub fn push(&mut self, key: EventKey, slot: u32, dst: NodeIdx) {
         let e = Entry::new(key, slot, dst);
         self.len += 1;
         let tick = tick_of(key.time);
@@ -643,21 +591,24 @@ impl EventQueue for WheelQueue {
         }
     }
 
-    fn peek(&mut self) -> Option<Queued> {
+    /// The record with the smallest queued key, without removing it.
+    pub fn peek(&mut self) -> Option<Queued> {
         self.settle();
         self.head().map(|(e, _)| e.unpack())
     }
 
-    fn pop(&mut self) -> Option<Queued> {
+    /// Removes and returns the record with the smallest queued key.
+    pub fn pop(&mut self) -> Option<Queued> {
         self.settle();
         let (e, late) = self.head()?;
         self.advance(late);
         Some(e.unpack())
     }
 
-    // Overrides the peek-then-pop default so the dispatch loop settles the
-    // drain buffer once per event instead of twice.
-    fn pop_before(&mut self, deadline: SimTime) -> Option<Queued> {
+    /// Pops the head only if it is due at or before `deadline`: one
+    /// settle deciding and popping, so the dispatch loop settles the drain
+    /// buffer once per event instead of twice.
+    pub fn pop_before(&mut self, deadline: SimTime) -> Option<Queued> {
         self.settle();
         let (e, late) = self.head()?;
         if e.key.time > deadline {
@@ -667,11 +618,20 @@ impl EventQueue for WheelQueue {
         Some(e.unpack())
     }
 
-    fn len(&self) -> usize {
+    /// Number of queued events.
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    fn snapshot(&mut self) -> Vec<Queued> {
+    /// Whether the queue is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Every queued record in ascending key order, without removing
+    /// anything. `O(n log n)` — an exploration hook for the bounded model
+    /// checker, never called on the hot dispatch path.
+    pub fn snapshot(&mut self) -> Vec<Queued> {
         let mut out = Vec::with_capacity(self.len);
         out.extend(self.drain[self.drain_pos..].iter().map(|e| e.unpack()));
         out.extend(self.late.iter().map(|Reverse(e)| e.unpack()));
@@ -685,7 +645,10 @@ impl EventQueue for WheelQueue {
         out
     }
 
-    fn remove(&mut self, key: EventKey) -> Option<(u32, NodeIdx)> {
+    /// Removes the record queued under exactly `key` (keys are unique —
+    /// `seq` is a per-simulator monotone counter) and returns its slot and
+    /// destination. `O(n)` worst case; exploration hook only.
+    pub fn remove(&mut self, key: EventKey) -> Option<(u32, NodeIdx)> {
         // The bands are disjoint by tick: drained and late entries sit
         // below `base_tick`, bucketed entries inside the window, spilled
         // entries at or beyond its end — so only one band is probed.
@@ -737,12 +700,10 @@ mod tests {
     }
 
     /// Pops everything from a queue, returning the record sequence.
-    fn drain_all<Q: EventQueue>(q: &mut Q) -> Vec<Queued> {
-        let mut out = Vec::new();
-        while let Some(kv) = q.pop() {
-            out.push(kv);
-        }
-        out
+    macro_rules! drain_all {
+        ($q:expr) => {
+            std::iter::from_fn(|| $q.pop()).collect::<Vec<Queued>>()
+        };
     }
 
     fn both_agree(pushes: &[(u64, u64, u32)]) {
@@ -752,7 +713,7 @@ mod tests {
             heap.push(key(us, seq), slot, dst_of(slot));
             wheel.push(key(us, seq), slot, dst_of(slot));
         }
-        assert_eq!(drain_all(&mut heap), drain_all(&mut wheel));
+        assert_eq!(drain_all!(heap), drain_all!(wheel));
     }
 
     #[test]
@@ -820,7 +781,7 @@ mod tests {
         heap.push(key(20, 2), 2, dst_of(2));
         wheel.push(key(20, 2), 2, dst_of(2));
         assert_eq!(heap.peek(), wheel.peek());
-        assert_eq!(drain_all(&mut heap), drain_all(&mut wheel));
+        assert_eq!(drain_all!(heap), drain_all!(wheel));
     }
 
     /// Object-safe push shim so the test above can loop over both queues.
@@ -947,7 +908,7 @@ mod tests {
             assert_eq!(heap.len(), wheel.len());
         }
         assert_eq!(heap.snapshot(), wheel.snapshot());
-        assert_eq!(drain_all(&mut heap), drain_all(&mut wheel));
+        assert_eq!(drain_all!(heap), drain_all!(wheel));
     }
 
     #[test]
@@ -983,7 +944,7 @@ mod tests {
             assert_eq!(heap.len(), wheel.len());
         }
         assert_eq!(heap.snapshot(), wheel.snapshot());
-        assert_eq!(drain_all(&mut heap), drain_all(&mut wheel));
+        assert_eq!(drain_all!(heap), drain_all!(wheel));
     }
 
     #[test]
@@ -1030,7 +991,7 @@ mod tests {
             wheel.remove(key(span + 5, 2))
         );
         assert_eq!(heap.len(), wheel.len());
-        assert_eq!(drain_all(&mut heap), drain_all(&mut wheel));
+        assert_eq!(drain_all!(heap), drain_all!(wheel));
     }
 
     #[test]
@@ -1051,7 +1012,7 @@ mod tests {
             assert_eq!(heap.len(), wheel.len());
         }
         assert_eq!(heap.snapshot(), wheel.snapshot());
-        assert_eq!(drain_all(&mut heap), drain_all(&mut wheel));
+        assert_eq!(drain_all!(heap), drain_all!(wheel));
     }
 
     #[test]

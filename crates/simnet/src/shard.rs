@@ -72,7 +72,7 @@ use crate::churn::ChurnSchedule;
 use crate::engine::{Engine, EventKind, Partition, Stamped};
 use crate::obs::prof::{EngineProf, EngineProfile, ShardWall, WallProfile};
 use crate::obs::{MsgMeta, TraceRecord};
-use crate::queue::{check_node_count, EventKey, EventQueue, WheelQueue};
+use crate::queue::{check_node_count, EventKey};
 use crate::rng::sub_rng;
 use crate::sim::{Application, ComputeKind};
 use crate::time::{SimDuration, SimTime};
@@ -231,7 +231,7 @@ impl ShardPlan {
 type MailboxRow<M> = Vec<Mutex<Vec<Stamped<M>>>>;
 
 /// One shard: the event core over the shard's member nodes.
-type ShardCore<A> = Engine<A, ShardPart<<A as Application>::Msg>, WheelQueue>;
+type ShardCore<A> = Engine<A, ShardPart<<A as Application>::Msg>>;
 
 /// The sharded engine's partition: per-origin creation counters, closed
 /// timestamps, plan-directed placement with an outbox per destination
@@ -254,8 +254,8 @@ struct ShardPart<M> {
     /// Outgoing cross-shard events, one buffer per destination shard.
     outbox: Vec<Vec<Stamped<M>>>,
     /// Cross-shard events this shard handed off (outbox pushes). Always
-    /// counted — one add per handoff — surfaced only via the wall-clock
-    /// side channel, never on a golden surface.
+    /// counted — one add per handoff — surfaced only via
+    /// [`ShardedSim::wall_profile`], never on a golden surface.
     remote_sent: u64,
     /// Trace collection: `(dispatch key, emission index, record)`;
     /// `None` when untraced (zero cost, like `NoopSink`).
@@ -264,7 +264,7 @@ struct ShardPart<M> {
     trace_key: EventKey,
     /// Emission index within the current event.
     trace_sub: u32,
-    /// Wall-clock phase timings (side-channel only); `None` when off.
+    /// Wall-clock phase timings (`wall_profile` only); `None` when off.
     wall: Option<ShardWall>,
 }
 
@@ -280,8 +280,9 @@ impl<M> ShardPart<M> {
 }
 
 impl<M> Partition<M> for ShardPart<M> {
-    // A floor, not a forecast: `simcore`'s 1M-node gossip peaks at 5.09
-    // slab slots per node, so the slab still doubles past this hint. It
+    // A floor, not a forecast: the 1M-node zone gossip of the benchmark's
+    // `engine_gossip` workload peaks at 5.09 slab slots per node, so the
+    // slab still doubles past this hint. It
     // stays at 2x because a reservation is paid at every node count while
     // a peak is only reached by workloads that burst.
     const PRESIZE: usize = 2;
@@ -387,7 +388,7 @@ impl<A: Application> ShardCore<A> {
             // runs pre-open every window and never consult the clamp.)
             p.set_window_clamp(end_us);
         }
-        let t0 = self.part.wall.is_some().then(Instant::now); // det: allow(entropy: wall-clock phase timing, surfaced only via the --profile-wall side channel)
+        let t0 = self.part.wall.is_some().then(Instant::now); // det: allow(entropy: wall-clock phase timing, returned only by wall_profile and never read by simulated state)
         self.run_before(topology, SimTime::from_micros(end_us.saturating_sub(1)));
         if let (Some(t0), Some(w)) = (t0, self.part.wall.as_mut()) {
             w.process_ns += t0.elapsed().as_nanos() as u64;
@@ -504,7 +505,7 @@ impl<A: Application> ShardedSim<A> {
     /// Enables wall-clock per-phase timing (process/barrier/exchange per
     /// shard worker), retrieved with [`ShardedSim::wall_profile`]. The
     /// measurements are host wall time — nondeterministic by nature — and
-    /// only ever surface through the `--profile-wall` side channel.
+    /// must never reach a golden surface.
     pub fn with_wall_profiling(mut self) -> Self {
         for core in &mut self.cores {
             core.part.wall = Some(ShardWall::default());
@@ -768,11 +769,11 @@ where
                 let barrier = &barrier;
                 scope.spawn(move || loop {
                     // Wall-clock phase timing is taken only when enabled
-                    // and only surfaces via the --profile-wall side
-                    // channel; it never touches simulated state.
+                    // and only surfaces through `wall_profile`; it never
+                    // touches simulated state.
                     let timed = core.part.wall.is_some();
                     next_due[core.part.id].store(core.next_due_us(), Ordering::SeqCst);
-                    let t0 = timed.then(Instant::now); // det: allow(entropy: wall-clock phase timing, surfaced only via the --profile-wall side channel)
+                    let t0 = timed.then(Instant::now); // det: allow(entropy: wall-clock phase timing, returned only by wall_profile and never read by simulated state)
                     barrier.wait();
                     if let (Some(t0), Some(w)) = (t0, core.part.wall.as_mut()) {
                         w.barrier_ns += t0.elapsed().as_nanos() as u64;
@@ -797,7 +798,7 @@ where
                         p.window_open(end_us);
                     }
                     core.process_window(end_us, topology);
-                    let t0 = timed.then(Instant::now); // det: allow(entropy: wall-clock phase timing, surfaced only via the --profile-wall side channel)
+                    let t0 = timed.then(Instant::now); // det: allow(entropy: wall-clock phase timing, returned only by wall_profile and never read by simulated state)
                     for (j, out) in core.part.outbox.iter_mut().enumerate() {
                         if !out.is_empty() {
                             mailboxes[core.part.id][j]
@@ -809,12 +810,12 @@ where
                     if let (Some(t0), Some(w)) = (t0, core.part.wall.as_mut()) {
                         w.exchange_ns += t0.elapsed().as_nanos() as u64;
                     }
-                    let t0 = timed.then(Instant::now); // det: allow(entropy: wall-clock phase timing, surfaced only via the --profile-wall side channel)
+                    let t0 = timed.then(Instant::now); // det: allow(entropy: wall-clock phase timing, returned only by wall_profile and never read by simulated state)
                     barrier.wait();
                     if let (Some(t0), Some(w)) = (t0, core.part.wall.as_mut()) {
                         w.barrier_ns += t0.elapsed().as_nanos() as u64;
                     }
-                    let t0 = timed.then(Instant::now); // det: allow(entropy: wall-clock phase timing, surfaced only via the --profile-wall side channel)
+                    let t0 = timed.then(Instant::now); // det: allow(entropy: wall-clock phase timing, returned only by wall_profile and never read by simulated state)
                     for row in mailboxes.iter() {
                         let mut inbox = row[core.part.id].lock().expect("mailbox poisoned");
                         for ev in inbox.drain(..) {
@@ -828,7 +829,7 @@ where
                     if let (Some(t0), Some(w)) = (t0, core.part.wall.as_mut()) {
                         w.exchange_ns += t0.elapsed().as_nanos() as u64;
                     }
-                    let t0 = timed.then(Instant::now); // det: allow(entropy: wall-clock phase timing, surfaced only via the --profile-wall side channel)
+                    let t0 = timed.then(Instant::now); // det: allow(entropy: wall-clock phase timing, returned only by wall_profile and never read by simulated state)
                     barrier.wait();
                     if let (Some(t0), Some(w)) = (t0, core.part.wall.as_mut()) {
                         w.barrier_ns += t0.elapsed().as_nanos() as u64;

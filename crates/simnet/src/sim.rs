@@ -12,9 +12,9 @@
 //! `now`, and traffic and compute are accounted per node. The event loop
 //! itself — slab, scheduling choke point, `dispatch`, `apply_actions` — is
 //! documented there. This module adds what only the sequential engine
-//! offers: a statically dispatched [`TraceSink`], a pluggable
-//! [`EventQueue`], driver injection ([`Simulator::with_app`]), a protocol
-//! fault filter, and the model checker's out-of-order hooks.
+//! offers: a statically dispatched [`TraceSink`], driver injection
+//! ([`Simulator::with_app`]), a protocol fault filter, and the model
+//! checker's out-of-order hooks.
 
 use rand::rngs::StdRng;
 
@@ -22,7 +22,7 @@ use crate::chaos::{ChaosInjector, FaultFilter};
 use crate::engine::{tag, Engine, EventKind, Partition, Stamped};
 use crate::obs::prof::EngineProfile;
 use crate::obs::{DropReason, MsgMeta, NoopSink, TraceRecord, TraceSink};
-use crate::queue::{check_node_count, EventKey, EventQueue, WheelQueue};
+use crate::queue::{check_node_count, EventKey};
 use crate::rng::sub_rng;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeIdx, Topology};
@@ -411,16 +411,11 @@ impl<M, S: TraceSink> Partition<M> for SeqPart<S> {
 /// The second type parameter selects the installed [`TraceSink`]; with the
 /// default [`NoopSink`], every observability code path is compiled away
 /// (the sink's `ENABLED` constant gates them statically) and the event loop
-/// is identical to an untraced build.
-///
-/// The third type parameter selects the [`EventQueue`] implementation; the
-/// default [`WheelQueue`] and the reference [`HeapQueue`](crate::queue::HeapQueue) produce
-/// byte-identical schedules (same `(time, seq)` total order), so swapping
-/// them changes throughput only. Use [`Simulator::with_queue`] to pick one
-/// explicitly.
-pub struct Simulator<A: Application, S: TraceSink = NoopSink, Q: EventQueue = WheelQueue> {
+/// is identical to an untraced build. Events wait in the engine's
+/// [`WheelQueue`](crate::queue::WheelQueue).
+pub struct Simulator<A: Application, S: TraceSink = NoopSink> {
     topology: Topology,
-    core: Engine<A, SeqPart<S>, Q>,
+    core: Engine<A, SeqPart<S>>,
 }
 
 impl<A: Application> Simulator<A, NoopSink> {
@@ -433,25 +428,7 @@ impl<A: Application> Simulator<A, NoopSink> {
 
 impl<A: Application, S: TraceSink> Simulator<A, S> {
     /// Like [`Simulator::new`], but with an explicit trace sink installed.
-    /// Uses the default [`WheelQueue`]; see [`Simulator::with_queue`] to
-    /// select the queue implementation as well.
     pub fn with_sink(
-        topology: Topology,
-        seed: u64,
-        sink: S,
-        make_node: impl FnMut(NodeIdx) -> A,
-    ) -> Self {
-        Simulator::with_queue(topology, seed, sink, make_node)
-    }
-}
-
-impl<A: Application, S: TraceSink, Q: EventQueue> Simulator<A, S, Q> {
-    /// Like [`Simulator::with_sink`], but generic over the [`EventQueue`]
-    /// implementation (named explicitly at the call site, e.g.
-    /// `Simulator::<App, NoopSink, HeapQueue>::with_queue(...)`). Both
-    /// shipped queues dispatch in the identical `(time, seq)` order, so
-    /// this choice never changes results — only throughput.
-    pub fn with_queue(
         topology: Topology,
         seed: u64,
         sink: S,
@@ -638,8 +615,8 @@ impl<A: Application, S: TraceSink, Q: EventQueue> Simulator<A, S, Q> {
     // These hooks are `O(pending)` and never touched by the hot path.
 
     /// Every queued event in ascending `(time, seq)` order, summarized
-    /// without exposing message payloads. Takes `&mut self` because lazily
-    /// ordered queues normalize their head on observation.
+    /// without exposing message payloads. Takes `&mut self` because the
+    /// timer wheel normalizes its head on observation.
     pub fn pending_summaries(&mut self) -> Vec<PendingSummary> {
         let entries = self.core.queue.snapshot();
         entries
@@ -769,8 +746,8 @@ impl<A: Application, S: TraceSink, Q: EventQueue> Simulator<A, S, Q> {
 
     /// Processes the next event only if it is due at or before `deadline`,
     /// returning its timestamp. A single queue operation decides and pops
-    /// ([`EventQueue::pop_before`]) — the deadline-bounded analogue of
-    /// [`Simulator::step`].
+    /// ([`WheelQueue::pop_before`](crate::queue::WheelQueue::pop_before)) —
+    /// the deadline-bounded analogue of [`Simulator::step`].
     pub fn step_before(&mut self, deadline: SimTime) -> Option<SimTime> {
         let (key, slot, node) = self.core.queue.pop_before(deadline)?;
         self.core.dispatch(&self.topology, key, slot, node);

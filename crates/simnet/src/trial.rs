@@ -54,9 +54,7 @@ pub struct TrialReport {
 impl TrialReport {
     /// Captures a report from a simulator (any installed trace sink; a
     /// metrics-aggregating sink contributes its snapshot as `obs`).
-    pub fn capture<A: Application, S: TraceSink, Q: crate::queue::EventQueue>(
-        sim: &Simulator<A, S, Q>,
-    ) -> Self {
+    pub fn capture<A: Application, S: TraceSink>(sim: &Simulator<A, S>) -> Self {
         let memory_bytes = sim.apps().map(|a| a.memory_bytes() as u64).sum();
         TrialReport {
             nodes: sim.len(),

@@ -1,18 +1,13 @@
-//! Differential tests pinning the [`EventQueue`] equivalence contract:
-//! for any schedule, [`HeapQueue`] and [`WheelQueue`] yield the identical
-//! `(time, seq)` → `(slot, dst)` sequence, so swapping the simulator's queue can
-//! never change a result byte. Random schedules (including re-arming
-//! rotations, cancellations, wheel-overflow spill, same-bucket ties, and
-//! one-tick bursts that cross many bucket-chunk boundaries) are replayed
-//! through both queues, and whole simulations are run once per queue and
-//! compared field for field.
+//! Differential tests pinning the timer wheel to its oracle: for any
+//! schedule, [`HeapQueue`] and [`WheelQueue`] yield the identical
+//! `(time, seq)` → `(slot, dst)` sequence. Random schedules (including
+//! re-arming rotations, cancellations, wheel-overflow spill, same-bucket
+//! ties, and one-tick bursts that cross many bucket-chunk boundaries) are
+//! replayed through both queues in lockstep.
 
 use proptest::prelude::*;
-use totoro_simnet::queue::{EventKey, EventQueue, HeapQueue, WheelQueue};
-use totoro_simnet::sim::{Application, Ctx, Payload, Simulator};
-use totoro_simnet::{
-    ChurnSchedule, NodeIdx, NoopSink, SimDuration, SimTime, Topology, TrialReport,
-};
+use totoro_simnet::queue::{EventKey, HeapQueue, WheelQueue};
+use totoro_simnet::{NodeIdx, SimTime};
 
 /// One step of a random schedule, mirroring how the simulator drives its
 /// queue: pushes are clamped to the current time, pops advance it.
@@ -242,126 +237,4 @@ fn start_phase_late_pushes_agree() {
         drained += 1;
     }
     assert_eq!(drained, NODES - 1 + 6_300);
-}
-
-// --------------------------------------------------------- sim level ----
-
-/// A ring protocol with periodic timers: exercises sends, re-arming
-/// timers, failure bounces, and churn — every enqueue source at once.
-struct RingNode {
-    n: usize,
-    hops_left: u64,
-    ticks: u64,
-}
-
-#[derive(Clone)]
-struct Token(u64);
-
-impl Payload for Token {
-    fn size_bytes(&self) -> usize {
-        64
-    }
-}
-
-impl Application for RingNode {
-    type Msg = Token;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Token>) {
-        if ctx.me() == 0 {
-            ctx.send(1 % self.n, Token(1));
-        }
-        ctx.set_timer(SimDuration::from_micros(500 + ctx.me() as u64 * 37), 1);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Token>, _from: NodeIdx, msg: Token) {
-        if msg.0 < self.hops_left {
-            ctx.send((ctx.me() + 1) % self.n, Token(msg.0 + 1));
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Token>, token: u64) {
-        self.ticks += 1;
-        if self.ticks < 50 {
-            // Re-arm with a drifting stride so firings spread over buckets.
-            ctx.set_timer(SimDuration::from_micros(300 + self.ticks * 91), token);
-        }
-    }
-
-    fn on_up(&mut self, ctx: &mut Ctx<'_, Token>) {
-        ctx.set_timer(SimDuration::from_micros(200), 1);
-    }
-}
-
-fn run_ring<Q: EventQueue>(seed: u64, churn: bool) -> TrialReport {
-    let n = 24;
-    let topology = Topology::uniform(n, 800, 9_000).with_loss(0.01);
-    let mut sim =
-        Simulator::<RingNode, NoopSink, Q>::with_queue(topology, seed, NoopSink, |_| RingNode {
-            n,
-            hops_left: 400,
-            ticks: 0,
-        });
-    if churn {
-        let candidates: Vec<NodeIdx> = (0..n).collect();
-        let mut churn_rng = totoro_simnet::sub_rng(seed, "queue-equiv-churn");
-        let schedule = ChurnSchedule::continuous(
-            &candidates,
-            SimTime::from_micros(1_000),
-            SimTime::from_micros(40_000),
-            SimDuration::from_micros(4_000),
-            SimDuration::from_micros(15_000),
-            &mut churn_rng,
-        );
-        schedule.apply(&mut sim);
-    }
-    sim.run_until_quiet(2_000_000);
-    TrialReport::capture(&sim)
-}
-
-/// The full simulator — sends, timers, churn, bounces, drops — produces an
-/// identical trial report on both queue implementations.
-#[test]
-fn simulations_agree_across_queues() {
-    for seed in [1u64, 7, 42] {
-        for churn in [false, true] {
-            let heap = run_ring::<HeapQueue>(seed, churn);
-            let wheel = run_ring::<WheelQueue>(seed, churn);
-            assert_eq!(
-                heap.to_json(),
-                wheel.to_json(),
-                "seed {seed} churn {churn}: heap and wheel diverged"
-            );
-        }
-    }
-}
-
-/// `step_before` honours deadlines identically on both queues, including
-/// refusing not-yet-due heads without disturbing them.
-#[test]
-fn step_before_deadlines_agree_across_queues() {
-    fn drive<Q: EventQueue>() -> Vec<(Option<u64>, usize)> {
-        let topology = Topology::uniform(6, 1_000, 2_000);
-        let mut sim =
-            Simulator::<RingNode, NoopSink, Q>::with_queue(topology, 3, NoopSink, |_| RingNode {
-                n: 6,
-                hops_left: 40,
-                ticks: 0,
-            });
-        let mut observed = Vec::new();
-        let mut deadline = 0u64;
-        loop {
-            let t = sim.step_before(SimTime::from_micros(deadline));
-            observed.push((t.map(|t| t.as_micros()), sim.pending_events()));
-            match t {
-                Some(_) => {}
-                None if sim.pending_events() == 0 => break,
-                None => deadline += 700,
-            }
-            if observed.len() > 100_000 {
-                break;
-            }
-        }
-        observed
-    }
-    assert_eq!(drive::<HeapQueue>(), drive::<WheelQueue>());
 }

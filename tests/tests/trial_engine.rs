@@ -6,7 +6,7 @@
 //! to catch nondeterminism anywhere in the stack underneath a scenario
 //! (simulator, DHT, forest, ML), not just in the worker pool.
 
-use totoro_bench::scenario::{execute, run_trials, Params, Scenario};
+use totoro_bench::scenario::{execute, run_trials, Params, Scenario, SinkSpec, Trial};
 use totoro_bench::scenarios;
 
 /// A tiny fig13 parameter point: two trials (totoro + openfl), each a full
@@ -32,13 +32,12 @@ fn tiny_fig11() -> (Box<dyn Scenario>, Params) {
 #[test]
 fn registry_names_are_unique_and_resolvable() {
     let all = scenarios::all();
-    // Eleven evaluation artifacts plus the `simcore` perf baseline and the
-    // chaos sweep.
-    assert_eq!(all.len(), 13, "all registered scenarios present");
+    // Eleven evaluation artifacts plus the chaos sweep.
+    assert_eq!(all.len(), 12, "all registered scenarios present");
     let mut names: Vec<&str> = all.iter().map(|s| s.name()).collect();
     names.sort_unstable();
     names.dedup();
-    assert_eq!(names.len(), 13, "scenario names are unique");
+    assert_eq!(names.len(), 12, "scenario names are unique");
     for name in names {
         assert!(scenarios::find(name).is_some(), "find({name}) resolves");
     }
@@ -48,9 +47,10 @@ fn registry_names_are_unique_and_resolvable() {
 #[test]
 fn same_trial_run_twice_is_byte_identical() {
     let (scenario, params) = tiny_fig13();
+    let run = |trial: &Trial| scenario.run_with_sink(trial, &SinkSpec::untraced()).0;
     for trial in scenario.trials(&params) {
-        let a = scenario.run(&trial).to_json();
-        let b = scenario.run(&trial).to_json();
+        let a = run(&trial).to_json();
+        let b = run(&trial).to_json();
         assert_eq!(a, b, "trial {} reruns bit-identically", trial.label());
     }
 }
@@ -82,7 +82,7 @@ fn worker_count_does_not_change_json_output() {
 #[test]
 fn merged_sweep_preserves_trial_order() {
     let (scenario, params) = tiny_fig11();
-    let trials = totoro_bench::scenario::Trial::seal(scenario.trials(&params));
+    let trials = Trial::seal(scenario.trials(&params));
     assert!(trials.len() >= 3, "sweep has enough trials to interleave");
     let reports = run_trials(scenario.as_ref(), &trials, 3);
     assert_eq!(reports.len(), trials.len());
