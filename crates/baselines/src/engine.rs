@@ -305,9 +305,10 @@ pub struct Client {
     /// Per-app local shard.
     // det: allow(unordered: keyed get/insert by app id only; never iterated)
     shards: HashMap<usize, Dataset>,
-    /// Per-app local model replica.
-    // det: allow(unordered: keyed get/entry by app id only; never iterated)
-    replicas: HashMap<usize, Mlp>,
+    /// Per app id, whether this client has trained it. The trained model
+    /// itself is sent and dropped; `memory_bytes` still charges one per
+    /// trained app, as a device would hold it.
+    trained: Vec<bool>,
     /// App specs, indexed by app id (installed at submission).
     specs: Vec<Arc<AppSpec>>,
     server: NodeIdx,
@@ -317,7 +318,7 @@ impl Client {
     fn new(server: NodeIdx) -> Self {
         Client {
             shards: HashMap::new(), // det: allow(unordered: construction of the key-only map proven at its field declaration)
-            replicas: HashMap::new(), // det: allow(unordered: construction of the key-only map proven at its field declaration)
+            trained: Vec::new(),
             specs: Vec::new(),
             server,
         }
@@ -340,34 +341,21 @@ impl Client {
             return;
         };
         let me = ctx.me();
-        let replica = self.replicas.entry(app).or_insert_with(|| {
-            let mut rng = rand::SeedableRng::seed_from_u64(spec.seed);
-            Mlp::new(&spec.model_dims, &mut rng)
-        });
-        replica.from_weights(weights);
+        let mut model = Mlp::with_weights(&spec.model_dims, weights);
         let mu = spec.aggregation.mu();
         let prox = (mu > 0.0).then_some((mu, weights));
         for _ in 0..spec.local_epochs {
-            match prox {
-                Some((mu, global)) => {
-                    replica.train_epoch(
-                        &shard.xs,
-                        &shard.ys,
-                        spec.batch_size,
-                        spec.lr,
-                        Some((mu, global)),
-                    );
-                }
-                None => {
-                    replica.train_epoch(&shard.xs, &shard.ys, spec.batch_size, spec.lr, None);
-                }
-            }
+            model.train_epoch(&shard.xs, &shard.ys, spec.batch_size, spec.lr, prox);
         }
-        let flops = replica.flops_per_sample() * (shard.len() * spec.local_epochs) as u64;
+        if self.trained.len() <= app {
+            self.trained.resize(app + 1, false);
+        }
+        self.trained[app] = true;
+        let flops = model.flops_per_sample() * (shard.len() * spec.local_epochs) as u64;
         let speed = ctx.topology().profile(me).compute_speed;
         let train_time = compute_time(flops, speed);
         ctx.charge_compute(ComputeKind::FlTask, train_time);
-        let update = ModelUpdate::from_client_owned(replica.to_weights(), shard.len() as u64);
+        let update = ModelUpdate::from_client_owned(model.to_weights(), shard.len() as u64);
         ctx.send_after(
             self.server,
             CentralMsg::Upload { app, round, update },
@@ -447,9 +435,11 @@ impl Application for CentralNode {
                 .map(|a| a.model.num_params() * 8 + a.participants.len() * 8 + 256)
                 .sum(),
             CentralNode::Client(c) => {
-                c.replicas
-                    .values()
-                    .map(|m| m.num_params() * 4)
+                c.trained
+                    .iter()
+                    .zip(&c.specs)
+                    .filter(|(&trained, _)| trained)
+                    .map(|(_, spec)| Mlp::param_count(&spec.model_dims) * 4)
                     .sum::<usize>()
                     + c.shards
                         .values()

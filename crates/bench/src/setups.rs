@@ -10,8 +10,8 @@ use totoro_ml::{femnist_like, speech_commands_like, TaskGenerator, TaskSpec};
 use totoro_pubsub::{Forest, ForestApi, ForestApp, ForestConfig, ForestNode, TreeData};
 use totoro_simnet::geo::{eua_regions_scaled, generate};
 use totoro_simnet::{
-    sub_rng, LatencyModel, NodeIdx, NoopSink, Payload, SimDuration, SimTime, Simulator, Topology,
-    TraceSink,
+    sub_rng, LatencyModel, NodeIdx, NoopSink, Payload, Shared, SimDuration, SimTime, Simulator,
+    Topology, TraceSink,
 };
 
 /// Continental-scale geographic latency model used across experiments.
@@ -173,7 +173,7 @@ impl ForestApp for EchoApp {
         _api: &mut ForestApi<'_, '_, '_, Blob>,
         _topic: Id,
         _round: u64,
-        data: &Blob,
+        data: &Shared<Blob>,
     ) -> Option<(Blob, SimDuration)> {
         Some((
             Blob {

@@ -174,7 +174,7 @@ impl FlAppConfig {
     /// biases of every layer) — [`totoro_ml::Mlp::num_params`] without
     /// building the model.
     pub fn model_params(&self) -> usize {
-        self.model_dims.windows(2).map(|d| d[0] * d[1] + d[1]).sum()
+        totoro_ml::Mlp::param_count(&self.model_dims)
     }
 
     /// A reasonable default configuration for `name` over `test_set`.

@@ -13,10 +13,18 @@ use std::sync::Arc;
 use totoro_dht::Id;
 use totoro_ml::{accuracy, AccuracyPoint, Dataset, Mlp, ModelUpdate};
 use totoro_pubsub::{ForestApi, ForestApp};
-use totoro_simnet::{ComputeKind, NodeIdx, SimDuration, SimTime};
+use totoro_simnet::{ComputeKind, NodeIdx, Shared, SimDuration, SimTime};
 
 use crate::config::{FlAppConfig, RoundPolicy};
 use crate::update::FlData;
+
+/// The fixed part of a node's charge in [`FlEngine::memory_bytes`] (Figure
+/// 13b): the engine's own bookkeeping — registry, lookup tables, counters.
+/// A constant, not `size_of::<FlEngine>()`, so that what a simulated
+/// device is charged for does not follow this struct's host layout. 304 B
+/// is `size_of::<FlEngine>()` on a 64-bit host with every per-app table a
+/// `HashMap`.
+const ENGINE_RECORD_BYTES: usize = 304;
 
 /// The master-side state of one application (lives at the tree root).
 #[derive(Debug)]
@@ -57,8 +65,11 @@ pub struct FlEngine {
     topic_to_app: HashMap<Id, usize>,
     // det: allow(unordered: keyed get/insert by app id; `values()` only feeds the commutative byte-count sum in `memory_bytes`)
     shards: HashMap<usize, Dataset>,
-    // det: allow(unordered: keyed get/entry by app id; `values()` only feeds the commutative parameter-count sum in `memory_bytes`)
-    replicas: HashMap<usize, Mlp>,
+    /// Per app (indexed like `registry`), a handle to the global model this
+    /// node last trained from. The model it trained is not kept: training
+    /// is a pure function of this handle, the shard and the config, so
+    /// master takeover re-derives it (`on_became_root`).
+    trained_from: Vec<Option<Shared<FlData>>>,
     /// Most recent local mean training loss per app (feeds LossAdaptive
     /// selection).
     // det: allow(unordered: keyed get/insert by app id only; never iterated)
@@ -79,7 +90,7 @@ impl FlEngine {
             registry: Vec::new(),
             topic_to_app: HashMap::new(), // det: allow(unordered: construction of the key-only map proven at its field declaration)
             shards: HashMap::new(), // det: allow(unordered: construction of the key-only map proven at its field declaration)
-            replicas: HashMap::new(), // det: allow(unordered: construction of the key-only map proven at its field declaration)
+            trained_from: Vec::new(),
             last_loss: HashMap::new(), // det: allow(unordered: construction of the key-only map proven at its field declaration)
             masters: HashMap::new(), // det: allow(unordered: construction of the key-only map proven at its field declaration)
             stats: EngineStats::default(),
@@ -92,6 +103,7 @@ impl FlEngine {
         let app = self.registry.len();
         self.topic_to_app.insert(config.app_id(), app);
         self.registry.push(config);
+        self.trained_from.push(None);
         app
     }
 
@@ -115,9 +127,31 @@ impl FlEngine {
         self.topic_to_app.get(&topic).copied()
     }
 
+    /// The global model this node last trained `app` from, if it ever
+    /// trained it.
+    pub fn trained_from(&self, app: usize) -> Option<&Shared<FlData>> {
+        self.trained_from.get(app)?.as_ref()
+    }
+
     fn fresh_model(config: &FlAppConfig) -> Mlp {
         let mut rng = rand::SeedableRng::seed_from_u64(config.seed);
         Mlp::new(&config.model_dims, &mut rng)
+    }
+
+    /// Runs `config.local_epochs` of training on `shard`, starting from
+    /// (and, under FedProx, anchored to) the global weights `global`;
+    /// returns the trained model and its last epoch's mean loss. Draws no
+    /// random numbers, so the same arguments give the same model to the
+    /// bit — which is what lets a node keep `global` instead of the result.
+    fn train_locally(config: &FlAppConfig, shard: &Dataset, global: &[f32]) -> (Mlp, f32) {
+        let mut model = Mlp::with_weights(&config.model_dims, global);
+        let mu = config.aggregation.mu();
+        let prox = (mu > 0.0).then_some((mu, global));
+        let mut mean_loss = 0.0;
+        for _ in 0..config.local_epochs {
+            mean_loss = model.train_epoch(&shard.xs, &shard.ys, config.batch_size, config.lr, prox);
+        }
+        (model, mean_loss)
     }
 
     fn start_round(&mut self, api: &mut ForestApi<'_, '_, '_, FlData>, app: usize) {
@@ -131,7 +165,7 @@ impl FlEngine {
             }
             return;
         }
-        let (round, weights) = {
+        let (round, model) = {
             let Some(master) = self.masters.get_mut(&app) else {
                 return;
             };
@@ -140,18 +174,20 @@ impl FlEngine {
             }
             master.round += 1;
             self.stats.rounds_started += 1;
-            (master.round, master.model.to_weights())
+            let model = Shared::new(FlData::model(master.model.to_weights()));
+            (master.round, model)
         };
         // A master that also subscribed as a worker trains like any other
         // participant ("any combination of roles", §4.3) — required for
-        // secure aggregation's roster to be complete.
-        let local = self.train_update(api, app, round, &weights);
+        // secure aggregation's roster to be complete. It trains from the
+        // handle it broadcasts.
+        let local = self.train_update(api, app, round, &model);
         // Serialization cost (§6's binary-array mechanism).
         api.charge_compute(
             ComputeKind::FlTask,
-            SimDuration::from_micros((weights.len() as u64 / 100).saturating_add(5)),
+            SimDuration::from_micros((model.values.len() as u64 / 100).saturating_add(5)),
         );
-        api.broadcast_expecting_local(topic, round, FlData::model(&weights), local.is_some());
+        api.broadcast_expecting_local(topic, round, model, local.is_some());
         if let Some((update, delay)) = local {
             api.contribute(topic, round, update, delay);
         }
@@ -159,19 +195,20 @@ impl FlEngine {
         api.set_app_timer(config.round_timeout, app as u64 * 2 + 1);
     }
 
-    /// Trains this node's replica of `app` from `weights` and produces its
-    /// (privacy-processed, compressed) contribution plus the simulated
-    /// training time; `None` when the node has no shard or was not
-    /// selected this round.
+    /// Trains `app` on this node's shard from the global model `global`
+    /// and produces its (privacy-processed, compressed) contribution plus
+    /// the simulated training time; `None` when the node has no shard or
+    /// was not selected this round.
     fn train_update(
         &mut self,
         api: &mut ForestApi<'_, '_, '_, FlData>,
         app: usize,
         round: u64,
-        weights_in: &[f32],
+        global: &Shared<FlData>,
     ) -> Option<(FlData, SimDuration)> {
         let config = Arc::clone(&self.registry[app]);
-        let shard_len = self.shards.get(&app)?.len();
+        let shard = self.shards.get(&app)?;
+        let shard_len = shard.len();
         if shard_len == 0 {
             return None;
         }
@@ -184,34 +221,15 @@ impl FlEngine {
             return None;
         }
 
-        // Real local training on the local shard.
-        let replica = self
-            .replicas
-            .entry(app)
-            .or_insert_with(|| Self::fresh_model(&config));
-        replica.from_weights(weights_in);
-        let shard = self.shards.get(&app).expect("shard checked above");
-        let mu = config.aggregation.mu();
-        let mut mean_loss = 0.0;
-        for _ in 0..config.local_epochs {
-            mean_loss = if mu > 0.0 {
-                replica.train_epoch(
-                    &shard.xs,
-                    &shard.ys,
-                    config.batch_size,
-                    config.lr,
-                    Some((mu, weights_in)),
-                )
-            } else {
-                replica.train_epoch(&shard.xs, &shard.ys, config.batch_size, config.lr, None)
-            };
-        }
+        // Real local training on the local shard, on a transient model.
+        let (model, mean_loss) = Self::train_locally(&config, shard, &global.values);
         self.last_loss.insert(app, mean_loss);
-        let mut weights = replica.to_weights();
+        self.trained_from[app] = Some(global.clone());
+        let mut weights = model.to_weights();
         totoro_ml::apply_privacy(config.privacy, &mut weights, api.rng());
 
         // Charge the training time on the simulated clock.
-        let flops = replica.flops_per_sample() * (shard_len * config.local_epochs) as u64;
+        let flops = model.flops_per_sample() * (shard_len * config.local_epochs) as u64;
         let me = api.addr();
         let train_time = api.topology().profile(me).compute_time(flops);
         api.charge_compute(ComputeKind::FlTask, train_time);
@@ -239,11 +257,11 @@ impl ForestApp for FlEngine {
         api: &mut ForestApi<'_, '_, '_, FlData>,
         topic: Id,
         round: u64,
-        data: &FlData,
+        data: &Shared<FlData>,
     ) -> Option<(FlData, SimDuration)> {
         let app = self.app_of_topic(topic)?;
         self.stats.models_received += 1;
-        self.train_update(api, app, round, &data.values)
+        self.train_update(api, app, round, data)
     }
 
     fn on_aggregated(
@@ -336,13 +354,20 @@ impl ForestApp for FlEngine {
             return;
         }
         let config = &self.registry[app];
-        // Master takeover warm-starts from the local replica when this
-        // node trained the app before; otherwise from the seed init.
-        let model = self
-            .replicas
-            .get(&app)
-            .cloned()
-            .unwrap_or_else(|| Self::fresh_model(config));
+        // Master takeover warm-starts from the model this node last
+        // trained, when it trained the app before; otherwise from the seed
+        // init. That model was not kept: re-running the training from the
+        // retained global model rebuilds it bit for bit.
+        let model = match &self.trained_from[app] {
+            Some(global) => {
+                let shard = self
+                    .shards
+                    .get(&app)
+                    .expect("a node trains only on its shard");
+                Self::train_locally(config, shard, &global.values).0
+            }
+            None => Self::fresh_model(config),
+        };
         self.masters.insert(
             app,
             MasterState {
@@ -377,19 +402,29 @@ impl ForestApp for FlEngine {
         }
     }
 
+    /// What the simulated device holds: one model per app it trained (a
+    /// device keeps what it trained, whether or not this process does),
+    /// each master's global model, the shards and the fixed
+    /// [`ENGINE_RECORD_BYTES`].
     fn memory_bytes(&self) -> usize {
-        let models: usize = self
-            .replicas
+        let trained: usize = self
+            .trained_from
+            .iter()
+            .zip(&self.registry)
+            .filter(|(global, _)| global.is_some())
+            .map(|(_, config)| config.model_params() * 4)
+            .sum();
+        let masters: usize = self
+            .masters
             .values()
-            .chain(self.masters.values().map(|m| &m.model))
-            .map(|m| m.num_params() * 4)
+            .map(|m| m.model.num_params() * 4)
             .sum();
         let shards: usize = self
             .shards
             .values()
             .map(|s| s.len() * (s.dim() + 1) * 4)
             .sum();
-        models + shards + std::mem::size_of::<Self>()
+        trained + masters + shards + ENGINE_RECORD_BYTES
     }
 }
 
@@ -430,5 +465,20 @@ mod tests {
             },
         );
         assert!(e.memory_bytes() > 0);
+    }
+
+    #[test]
+    fn an_idle_engine_is_charged_its_fixed_record() {
+        let mut e = FlEngine::new(1);
+        assert_eq!(e.memory_bytes(), ENGINE_RECORD_BYTES);
+        let cfg = Arc::new(FlAppConfig::new(
+            "gamma",
+            vec![4, 8, 2],
+            Arc::new(Dataset::default()),
+        ));
+        e.register_app(cfg);
+        // Registered but never trained: no model is charged.
+        assert_eq!(e.memory_bytes(), ENGINE_RECORD_BYTES);
+        assert!(e.trained_from(0).is_none());
     }
 }

@@ -16,10 +16,11 @@ use totoro_simnet::Payload;
 /// payload: `FlData` is *stored* in per-round aggregation state whose
 /// `memory_bytes` accounting uses `size_of` on the stored type (Figure
 /// 13b), and upward partials are mutated by `combine` at every interior
-/// node. The broadcast fan-out still shares — the forest wraps the whole
-/// `FlData` in `Shared` at the message layer (`TreeMsg::Broadcast`), so
-/// per-child clones are refcount bumps (see DESIGN.md § "Simulator
-/// performance").
+/// node. A downward model is wrapped in `Shared` exactly once, by the
+/// master that builds it: that one handle is what the master trains from,
+/// what `TreeMsg::Broadcast` carries to every child, and what each worker
+/// keeps as the model it last trained from — one buffer per round and app,
+/// however many nodes hold it (see DESIGN.md § "Simulator performance").
 #[derive(Clone, Debug)]
 pub struct FlData {
     /// Raw values: global weights (downward) or `Σ weights_i · n_i`
@@ -33,11 +34,12 @@ pub struct FlData {
 
 impl FlData {
     /// A downward model broadcast.
-    pub fn model(weights: &[f32]) -> Self {
+    pub fn model(weights: Vec<f32>) -> Self {
+        let wire = weights.len() * 4;
         FlData {
-            values: weights.to_vec(),
+            values: weights,
             samples: 0,
-            wire: weights.len() * 4,
+            wire,
         }
     }
 
@@ -107,7 +109,7 @@ mod tests {
 
     #[test]
     fn model_and_update_roles() {
-        let m = FlData::model(&[1.0, 2.0]);
+        let m = FlData::model(vec![1.0, 2.0]);
         assert!(m.is_model());
         let u = FlData::update(ModelUpdate::from_client(&[1.0, 2.0], 5), Compression::None);
         assert!(!u.is_model());

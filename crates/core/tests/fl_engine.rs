@@ -2,12 +2,12 @@
 
 use std::sync::Arc;
 
-use totoro::{FlAppConfig, SelectionPolicy, TotoroDeployment};
+use totoro::{FlAppConfig, FlData, SelectionPolicy, TotoroDeployment};
 use totoro_dht::DhtConfig;
 use totoro_ml::{
     femnist_like, text_classification_like, AggregationRule, Compression, Privacy, TaskGenerator,
 };
-use totoro_pubsub::ForestConfig;
+use totoro_pubsub::{ForestApp, ForestConfig};
 use totoro_simnet::{sub_rng, SimDuration, SimTime, Topology};
 
 fn deployment(n: usize, seed: u64) -> TotoroDeployment {
@@ -205,6 +205,90 @@ fn master_failure_mid_training_promotes_replacement() {
         rounds_after > rounds_before,
         "replacement master made no progress ({rounds_before} -> {rounds_after})"
     );
+
+    // The replacement warm-started from the model it last trained, which it
+    // rebuilt from the global model it kept: its round-1 broadcast, hence
+    // every later model and curve point, hangs on that rebuild. Pinned to
+    // the value captured when the trained model itself was kept per node.
+    let state = deploy
+        .sim()
+        .app(new_master.expect("checked above"))
+        .upper
+        .app
+        .masters
+        .get(&app)
+        .expect("the replacement holds master state");
+    let mut bytes = Vec::new();
+    for w in state.model.to_weights() {
+        bytes.extend(w.to_bits().to_le_bytes());
+    }
+    for p in deploy.curve(app) {
+        bytes.extend(p.time_secs.to_bits().to_le_bytes());
+        bytes.extend(p.round.to_le_bytes());
+        bytes.extend(p.accuracy.to_bits().to_le_bytes());
+    }
+    assert_eq!(
+        fnv1a(&bytes),
+        7_056_746_194_428_129_092,
+        "takeover model moved"
+    );
+}
+
+/// FNV-1a, for fingerprints that do not depend on `std`'s hasher.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `apps` apps over 30 nodes, every node a participant of every app, run
+/// to `rounds` rounds each.
+fn trained_deployment(apps: u64, rounds: u64) -> TotoroDeployment {
+    let n = 30;
+    let mut deploy = deployment(n, 8);
+    let mut rng = sub_rng(8, "gen");
+    let generator = TaskGenerator::new(text_classification_like(), &mut rng);
+    for a in 0..apps {
+        let shards = generator.client_shards(n, 30, 0.5, &mut rng);
+        let mut cfg = quick_config(&format!("held-{a}"), &generator, 2.0, 45 + a);
+        cfg.salt = a;
+        cfg.max_rounds = rounds;
+        deploy.submit_app(cfg, &(0..n).collect::<Vec<_>>(), shards);
+    }
+    assert!(deploy.run(SimTime::from_micros(3_600 * 1_000_000)));
+    deploy
+}
+
+#[test]
+fn every_worker_keeps_the_one_broadcast_buffer() {
+    let deploy = trained_deployment(1, 1);
+    let kept: Vec<_> = deploy
+        .sim()
+        .apps()
+        .filter_map(|node| node.upper.app.trained_from(0))
+        .collect();
+    // The master trains too, from the handle it broadcast.
+    assert_eq!(kept.len(), deploy.len(), "a participant did not train");
+    let first: &FlData = kept[0];
+    for handle in &kept {
+        assert!(
+            std::ptr::eq::<FlData>(&***handle, first),
+            "a node holds a copy of the round-1 model"
+        );
+    }
+}
+
+#[test]
+fn memory_bytes_charge_one_model_per_trained_app() {
+    let deploy = trained_deployment(3, 3);
+    let total: usize = deploy
+        .sim()
+        .apps()
+        .map(|node| node.upper.app.memory_bytes())
+        .sum();
+    // The figure the engine reported when it kept one trained model per
+    // node and app.
+    assert_eq!(total, 625_824);
 }
 
 #[test]

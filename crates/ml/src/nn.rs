@@ -226,8 +226,8 @@ fn gradient_step(
 
 /// Working memory of one [`Mlp::train_epoch`] call, sized for one
 /// minibatch. Allocated per call and freed on return — never stored in a
-/// model: a deployment holds thousands of replicas and this is twice the
-/// size of one.
+/// model: it is twice the size of the model it trains, and every call
+/// overwrites it before reading it.
 struct Scratch {
     /// Per layer, the weights transposed for [`dense_forward`].
     wt: Vec<Vec<f32>>,
@@ -302,8 +302,7 @@ impl Mlp {
     /// # Panics
     /// Panics on fewer than two dimensions or a zero-width layer.
     pub fn new(dims: &[usize], rng: &mut StdRng) -> Self {
-        assert!(dims.len() >= 2, "need at least input and output dims");
-        assert!(dims.iter().all(|&d| d > 0), "zero-width layer in {dims:?}");
+        check_dims(dims);
         let layers = dims
             .windows(2)
             .map(|w| Dense::new(w[0], w[1], rng))
@@ -312,6 +311,46 @@ impl Mlp {
             dims: dims.to_vec(),
             layers,
         }
+    }
+
+    /// Builds an MLP with the given layer dimensions from a flattened
+    /// parameter vector: the inverse of [`Mlp::to_weights`]. Draws no
+    /// random numbers.
+    ///
+    /// # Panics
+    /// Panics on fewer than two dimensions, a zero-width layer, or a
+    /// `weights` whose length is not [`Mlp::param_count`]`(dims)`.
+    pub fn with_weights(dims: &[usize], weights: &[f32]) -> Self {
+        check_dims(dims);
+        assert_eq!(
+            weights.len(),
+            Self::param_count(dims),
+            "weight length mismatch"
+        );
+        let mut rest = weights;
+        let layers = dims
+            .windows(2)
+            .map(|d| {
+                let (w, tail) = rest.split_at(d[0] * d[1]);
+                let (b, tail) = tail.split_at(d[1]);
+                rest = tail;
+                Dense {
+                    in_dim: d[0],
+                    out_dim: d[1],
+                    w: w.to_vec(),
+                    b: b.to_vec(),
+                }
+            })
+            .collect();
+        Mlp {
+            dims: dims.to_vec(),
+            layers,
+        }
+    }
+
+    /// Number of parameters of an MLP with layer dimensions `dims`.
+    pub fn param_count(dims: &[usize]) -> usize {
+        dims.windows(2).map(|d| d[0] * d[1] + d[1]).sum()
     }
 
     /// Total number of parameters.
@@ -541,6 +580,12 @@ impl Mlp {
     }
 }
 
+/// Panics on fewer than two dimensions or a zero-width layer.
+fn check_dims(dims: &[usize]) {
+    assert!(dims.len() >= 2, "need at least input and output dims");
+    assert!(dims.iter().all(|&d| d > 0), "zero-width layer in {dims:?}");
+}
+
 /// Index of the maximum element (first on ties).
 pub fn argmax(v: &[f32]) -> usize {
     let mut best = 0;
@@ -612,6 +657,30 @@ mod tests {
         w1[0] += 1.0;
         m.from_weights(&w1);
         assert_ne!(m.to_weights(), w0);
+    }
+
+    #[test]
+    fn with_weights_inverts_to_weights_bit_for_bit() {
+        for (seed, dims) in [
+            (10, vec![1, 1]),
+            (11, vec![5, 7, 3]),
+            (12, vec![48, 48, 35]),
+            (13, vec![17, 33, 16, 2]),
+        ] {
+            let m = Mlp::new(&dims, &mut rng(seed));
+            let w = m.to_weights();
+            assert_eq!(Mlp::param_count(&dims), m.num_params());
+            let rebuilt = Mlp::with_weights(&dims, &w);
+            assert_eq!(rebuilt.dims, dims);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&rebuilt.to_weights()), bits(&w), "dims {dims:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "weight length mismatch")]
+    fn with_weights_rejects_a_length_mismatch() {
+        Mlp::with_weights(&[4, 3, 2], &[0.0; 4 * 3 + 3 + 3 * 2]);
     }
 
     #[test]

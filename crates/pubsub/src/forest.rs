@@ -361,8 +361,9 @@ impl<D: TreeData> ForestApi<'_, '_, '_, D> {
 
     /// Disseminates `data` to the whole tree (§4.3 `Broadcast`); call at
     /// the application master (root). The round number sequences the
-    /// matching aggregation wave.
-    pub fn broadcast(&mut self, topic: Id, round: u64, data: D) {
+    /// matching aggregation wave. `data` is a payload or a [`Shared`]
+    /// handle to one; every child receives a handle to the same payload.
+    pub fn broadcast(&mut self, topic: Id, round: u64, data: impl Into<Shared<D>>) {
         self.broadcast_expecting_local(topic, round, data, false);
     }
 
@@ -374,16 +375,17 @@ impl<D: TreeData> ForestApi<'_, '_, '_, D> {
         &mut self,
         topic: Id,
         round: u64,
-        data: D,
+        data: impl Into<Shared<D>>,
         expect_local: bool,
     ) {
         let now = self.now();
         let record = self.config.record_events;
         let agg_timeout = self.config.agg_timeout;
-        // Wrap once; every child gets a reference-count bump of the same
-        // payload. `self.forest` and `self.dht` are disjoint fields, so the
+        // Wrapped at most once (a caller may already hold the handle); every
+        // child gets a reference-count bump of the same payload.
+        // `self.forest` and `self.dht` are disjoint fields, so the
         // membership borrow can span the sends without cloning `children`.
-        let data = Shared::new(data);
+        let data = data.into();
         let m = self.forest.tree_mut(topic, now);
         m.last_broadcast_round = Some(round);
         m.prune_rounds(round.saturating_sub(8));
@@ -474,13 +476,14 @@ pub trait ForestApp: Sized {
     /// `onBroadcast`: a model reached this subscriber. Return
     /// `Some((update, compute_time))` to contribute to the round's
     /// aggregation after `compute_time` of local training, or `None` to sit
-    /// the round out.
+    /// the round out. `data` is the handle every receiver of the broadcast
+    /// shares: cloning it keeps the model without copying it.
     fn on_model(
         &mut self,
         api: &mut ForestApi<'_, '_, '_, Self::Data>,
         topic: Id,
         round: u64,
-        data: &Self::Data,
+        data: &Shared<Self::Data>,
     ) -> Option<(Self::Data, SimDuration)>;
 
     /// `onAggregate` at the master: the round's aggregation completed (or

@@ -3,7 +3,7 @@
 
 use totoro_dht::{app_id, spawn_overlay, DhtConfig, Id};
 use totoro_pubsub::{Forest, ForestApi, ForestApp, ForestConfig, ForestNode, TreeData};
-use totoro_simnet::{Payload, SimDuration, SimTime, Simulator, Topology};
+use totoro_simnet::{Payload, Shared, SimDuration, SimTime, Simulator, Topology};
 
 /// Tree data: a sum plus the number of contributions folded in.
 #[derive(Clone, Debug, PartialEq)]
@@ -51,7 +51,7 @@ impl ForestApp for TestApp {
         _api: &mut ForestApi<'_, '_, '_, Sum>,
         topic: Id,
         round: u64,
-        _data: &Sum,
+        _data: &Shared<Sum>,
     ) -> Option<(Sum, SimDuration)> {
         self.models_seen.push((topic, round));
         Some((

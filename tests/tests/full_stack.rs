@@ -486,7 +486,7 @@ impl totoro_pubsub::ForestApp for EchoBlank {
         _api: &mut totoro_pubsub::ForestApi<'_, '_, '_, BlankData>,
         _topic: totoro_dht::Id,
         _round: u64,
-        _data: &BlankData,
+        _data: &totoro_simnet::Shared<BlankData>,
     ) -> Option<(BlankData, totoro_simnet::SimDuration)> {
         None
     }
