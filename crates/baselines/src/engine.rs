@@ -8,7 +8,6 @@
 //! concurrently (§7.4). Clients do *real* local training on their shards,
 //! with the compute charged on the simulated clock.
 
-use std::collections::HashMap; // det: allow(unordered: import only; every declaration and construction site below carries its own proof)
 use std::sync::Arc;
 
 use totoro_ml::{accuracy, AccuracyPoint, Dataset, Mlp, ModelUpdate};
@@ -300,44 +299,57 @@ impl Server {
     }
 }
 
+/// What a client holds for one application it participates in.
+struct ClientApp {
+    spec: Arc<AppSpec>,
+    shard: Dataset,
+    /// Whether this client has trained the app. The trained model itself is
+    /// sent and dropped; `memory_bytes` still charges one, as a device
+    /// would hold it.
+    trained: bool,
+}
+
 /// A client node.
 pub struct Client {
-    /// Per-app local shard.
-    // det: allow(unordered: keyed get/insert by app id only; never iterated)
-    shards: HashMap<usize, Dataset>,
-    /// Per app id, whether this client has trained it. The trained model
-    /// itself is sent and dropped; `memory_bytes` still charges one per
-    /// trained app, as a device would hold it.
-    trained: Vec<bool>,
-    /// App specs, indexed by app id (installed at submission).
-    specs: Vec<Arc<AppSpec>>,
+    /// Indexed by app id; `None` for the apps this client is not part of.
+    apps: Vec<Option<ClientApp>>,
     server: NodeIdx,
 }
 
 impl Client {
     fn new(server: NodeIdx) -> Self {
         Client {
-            shards: HashMap::new(), // det: allow(unordered: construction of the key-only map proven at its field declaration)
-            trained: Vec::new(),
-            specs: Vec::new(),
+            apps: Vec::new(),
             server,
         }
     }
 
-    /// Installs this client's shard for application `app`.
-    pub fn install_shard(&mut self, app: usize, shard: Dataset) {
-        self.shards.insert(app, shard);
+    /// Installs application `app`'s spec and this client's shard of it.
+    fn install(&mut self, app: usize, spec: Arc<AppSpec>, shard: Dataset) {
+        if self.apps.len() <= app {
+            self.apps.resize_with(app + 1, || None);
+        }
+        self.apps[app] = Some(ClientApp {
+            spec,
+            shard,
+            trained: false,
+        });
     }
 
     fn on_download(
         &mut self,
         ctx: &mut Ctx<'_, CentralMsg>,
-        spec: &AppSpec,
         app: usize,
         round: u64,
         weights: &[f32],
     ) {
-        let Some(shard) = self.shards.get(&app) else {
+        // Not installed here: not a participant, or down at submission.
+        let Some(Some(ClientApp {
+            spec,
+            shard,
+            trained,
+        })) = self.apps.get_mut(app)
+        else {
             return;
         };
         let me = ctx.me();
@@ -347,10 +359,7 @@ impl Client {
         for _ in 0..spec.local_epochs {
             model.train_epoch(&shard.xs, &shard.ys, spec.batch_size, spec.lr, prox);
         }
-        if self.trained.len() <= app {
-            self.trained.resize(app + 1, false);
-        }
-        self.trained[app] = true;
+        *trained = true;
         let flops = model.flops_per_sample() * (shard.len() * spec.local_epochs) as u64;
         let speed = ctx.topology().profile(me).compute_speed;
         let train_time = compute_time(flops, speed);
@@ -405,10 +414,7 @@ impl Application for CentralNode {
                     weights,
                 },
             ) => {
-                let spec = c.specs.get(app).cloned();
-                if let Some(spec) = spec {
-                    c.on_download(ctx, &spec, app, round, &weights);
-                }
+                c.on_download(ctx, app, round, &weights);
             }
             _ => {}
         }
@@ -434,18 +440,19 @@ impl Application for CentralNode {
                 .iter()
                 .map(|a| a.model.num_params() * 8 + a.participants.len() * 8 + 256)
                 .sum(),
-            CentralNode::Client(c) => {
-                c.trained
-                    .iter()
-                    .zip(&c.specs)
-                    .filter(|(&trained, _)| trained)
-                    .map(|(_, spec)| Mlp::param_count(&spec.model_dims) * 4)
-                    .sum::<usize>()
-                    + c.shards
-                        .values()
-                        .map(|s| s.len() * (s.dim() + 1) * 4)
-                        .sum::<usize>()
-            }
+            CentralNode::Client(c) => c
+                .apps
+                .iter()
+                .flatten()
+                .map(|a| {
+                    let model = if a.trained {
+                        Mlp::param_count(&a.spec.model_dims) * 4
+                    } else {
+                        0
+                    };
+                    model + a.shard.len() * (a.shard.dim() + 1) * 4
+                })
+                .sum(),
         }
     }
 }
@@ -485,12 +492,7 @@ impl CentralizedEngine {
             let spec = Arc::clone(&spec);
             self.sim.with_app(p, move |node, _ctx| {
                 if let CentralNode::Client(c) = node {
-                    c.install_shard(app_id, shard);
-                    // Specs arrive in submission order on every client.
-                    while c.specs.len() < app_id {
-                        c.specs.push(Arc::clone(&spec)); // Filler never read: no shard.
-                    }
-                    c.specs.push(spec);
+                    c.install(app_id, spec, shard);
                 }
             });
         }

@@ -2,9 +2,9 @@
 
 use std::sync::Arc;
 
-use totoro_baselines::{AppSpec, CentralizedEngine, ServerProfile};
-use totoro_ml::{femnist_like, text_classification_like, AggregationRule, TaskGenerator};
-use totoro_simnet::{sub_rng, SimTime, Topology};
+use totoro_baselines::{AppSpec, CentralMsg, CentralizedEngine, ServerProfile};
+use totoro_ml::{femnist_like, text_classification_like, AggregationRule, Mlp, TaskGenerator};
+use totoro_simnet::{sub_rng, Application, Shared, SimTime, Topology};
 
 fn mk_spec(
     name: &str,
@@ -296,4 +296,66 @@ fn client_downed_mid_round_rejoins_later_rounds() {
         last_gap < 10.0,
         "revived client still absent: final round took {last_gap:.1}s"
     );
+}
+
+#[test]
+fn a_client_holds_and_trains_only_the_apps_it_was_installed_for() {
+    // Client 1 takes part in apps 0 and 2, not in app 1.
+    let n = 5;
+    let mut rng = sub_rng(12, "gen");
+    let generator = TaskGenerator::new(text_classification_like(), &mut rng);
+    let mut engine = CentralizedEngine::new(
+        Topology::uniform(n, 1_000, 5_000),
+        ServerProfile::fedscale_like(),
+        9,
+    );
+    let mut installed_bytes = 0;
+    for app in 0..3 {
+        let participants: Vec<usize> = if app == 1 {
+            vec![2, 3, 4]
+        } else {
+            (1..n).collect()
+        };
+        let shards = generator.client_shards(participants.len(), 20 + 10 * app, 0.5, &mut rng);
+        if app != 1 {
+            installed_bytes += shards[0].len() * (shards[0].dim() + 1) * 4;
+        }
+        let spec = mk_spec(&format!("app-{app}"), &generator, 2.0, 3, 30 + app as u64);
+        engine.submit_app(spec, &participants, shards);
+    }
+    let client_bytes = |e: &CentralizedEngine| e.sim().app(1).memory_bytes();
+    assert_eq!(
+        client_bytes(&engine),
+        installed_bytes,
+        "the shards of 0 and 2"
+    );
+
+    // Downloads injected well before the server's first dispatch (its
+    // round set-up alone is hundreds of milliseconds).
+    let dims = vec![generator.spec.dim, 32, generator.spec.classes];
+    let weights = Shared::new(vec![0.0f32; Mlp::param_count(&dims)]);
+    let download = |app| CentralMsg::Download {
+        app,
+        round: 1,
+        weights: weights.clone(),
+    };
+    engine
+        .sim_mut()
+        .with_app(0, |_, ctx| ctx.send(1, download(1)))
+        .expect("the server is up");
+    engine.sim_mut().run_until(SimTime::from_micros(100_000));
+    assert_eq!(client_bytes(&engine), installed_bytes, "app 1 was trained");
+    assert_eq!(engine.sim().traffic().node(1).payload_sent, 0);
+
+    // The same download for an installed app is trained and uploaded.
+    engine
+        .sim_mut()
+        .with_app(0, |_, ctx| ctx.send(1, download(2)))
+        .expect("the server is up");
+    engine.sim_mut().run_until(SimTime::from_micros(200_000));
+    assert_eq!(
+        client_bytes(&engine),
+        installed_bytes + Mlp::param_count(&dims) * 4
+    );
+    assert!(engine.sim().traffic().node(1).payload_sent > 0);
 }

@@ -461,26 +461,13 @@ impl<S: TraceSink> World for McWorld<S> {
                 // states reached at different instants can merge.
                 put(&mut h, now.saturating_since(m.last_parent_seen).as_micros());
                 put(&mut h, now.saturating_since(m.join_sent).as_micros());
-                let mut rounds: Vec<(u64, u64, u64, u64, u8)> = m
-                    .rounds
-                    .iter()
-                    .map(|(r, agg)| {
-                        (
-                            *r,
-                            agg.count,
-                            agg.inputs as u64,
-                            agg.expected as u64,
-                            u8::from(agg.flushed) << 1 | u8::from(agg.timer_armed),
-                        )
-                    })
-                    .collect();
-                rounds.sort_unstable();
-                for (r, count, inputs, expected, flags) in rounds {
+                // Ascending by round: the column is sorted.
+                for (r, agg) in m.rounds.iter() {
                     put(&mut h, r);
-                    put(&mut h, count);
-                    put(&mut h, inputs);
-                    put(&mut h, expected);
-                    h.write_u8(flags);
+                    put(&mut h, agg.count);
+                    put(&mut h, agg.inputs as u64);
+                    put(&mut h, agg.expected as u64);
+                    h.write_u8(u8::from(agg.flushed) << 1 | u8::from(agg.timer_armed));
                 }
                 put(&mut h, m.last_broadcast_round.map_or(u64::MAX, |r| r));
             }

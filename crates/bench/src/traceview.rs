@@ -85,11 +85,17 @@ impl Json {
     }
 }
 
+/// How deep arrays and objects may nest. Nothing the workspace writes
+/// nests more than a few levels; the bound keeps the recursive descent
+/// from overflowing the stack on hostile input.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one complete JSON document; trailing non-whitespace is an error.
+/// Every error names the byte offset it was detected at.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -112,14 +118,17 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
+        None => Err(format!("unexpected end of input at byte {pos}")),
         Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(b, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(b, pos, "false").map(|()| Json::Bool(false)),
         Some(b'"') => parse_string(b, pos).map(Json::Str),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+        }
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -129,7 +138,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -154,7 +163,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -175,11 +184,12 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     if b.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}"));
     }
+    let quote = *pos;
     *pos += 1;
     let mut out = String::new();
     loop {
         match b.get(*pos) {
-            None => return Err("unterminated string".to_string()),
+            None => return Err(format!("unterminated string at byte {quote}")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
@@ -196,16 +206,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
-                        let hex = b
+                        let code = b
                             .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
+                            .and_then(|hex| std::str::from_utf8(hex).ok())
+                            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                            .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
                         // Traces never emit surrogate pairs; reject them
                         // rather than silently mis-decoding.
-                        let c = char::from_u32(code)
-                            .ok_or_else(|| format!("\\u{hex} is not a scalar value"))?;
+                        let c = char::from_u32(code).ok_or_else(|| {
+                            format!("\\u{code:04x} is not a scalar value at byte {pos}")
+                        })?;
                         out.push(c);
                         *pos += 4;
                     }
@@ -221,7 +231,10 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 while *pos < b.len() && (b[*pos] & 0xC0) == 0x80 {
                     *pos += 1;
                 }
-                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
+                out.push_str(
+                    std::str::from_utf8(&b[start..*pos])
+                        .map_err(|_| format!("invalid UTF-8 at byte {start}"))?,
+                );
             }
         }
     }
@@ -235,7 +248,8 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
         *pos += 1;
     }
-    let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
+    let s = std::str::from_utf8(&b[start..*pos])
+        .map_err(|_| format!("invalid UTF-8 at byte {start}"))?;
     s.parse::<f64>()
         .map(Json::Num)
         .map_err(|_| format!("bad number {s:?} at byte {start}"))
@@ -1001,6 +1015,47 @@ mod tests {
         assert!(parse_json("{\"a\":1} trailing").is_err());
         assert!(parse_json("{\"a\":}").is_err());
         assert!(parse_json("").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        let err = parse_json(&deep).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        let err = parse_json(&"{\"k\":".repeat(100_000)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
+        // At the bound itself the document still parses.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&ok).is_ok());
+    }
+
+    /// JSON-ish fragments, so generated inputs get past the first byte.
+    const FRAGMENTS: &[&str] = &[
+        "{", "}", "[", "]", ",", ":", "\"", "\\", "\\u", "00e9", "d800", "\\n", "u", "0", "17",
+        "-", ".", "e", "+", "null", "nul", "true", "false", "f", " ", "\n", "\"k\":", "é", "😀",
+        "x",
+    ];
+
+    proptest::proptest! {
+        /// Arbitrary input never panics, and every rejection says where.
+        #[test]
+        fn parse_json_never_panics_and_errors_carry_a_position(
+            picks in proptest::collection::vec(0usize..FRAGMENTS.len(), 0..64),
+        ) {
+            let text: String = picks.iter().map(|&i| FRAGMENTS[i]).collect();
+            if let Err(e) = parse_json(&text) {
+                proptest::prop_assert!(e.contains(" at byte "), "{e:?} from {text:?}");
+            }
+            if let Err(e) = parse_jsonl(&text) {
+                proptest::prop_assert!(
+                    e.starts_with("line ") || e.contains("Chrome trace_event"),
+                    "{e:?} from {text:?}"
+                );
+            }
+        }
     }
 
     fn line(at: u64, node: u64, ev: &str, extra: &str) -> String {

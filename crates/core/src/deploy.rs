@@ -158,7 +158,7 @@ impl TotoroDeployment {
     pub fn app_done(&self, app: usize) -> bool {
         self.sim
             .apps()
-            .any(|n| n.upper.app.masters.get(&app).is_some_and(|m| m.done))
+            .any(|n| n.upper.app.master(app).is_some_and(|m| m.done))
     }
 
     /// The current master (root) of app `app`, if any. Only live nodes
@@ -184,7 +184,7 @@ impl TotoroDeployment {
         let mut points: Vec<AccuracyPoint> = self
             .sim
             .apps()
-            .filter_map(|n| n.upper.app.masters.get(&app))
+            .filter_map(|n| n.upper.app.master(app))
             .flat_map(|m| m.curve.iter().copied())
             .collect();
         points.sort_by(|a, b| a.time_secs.total_cmp(&b.time_secs));

@@ -7,7 +7,6 @@
 //! plays different roles for different applications — the
 //! "many masters / many workers" architecture.
 
-use std::collections::HashMap; // det: allow(unordered: import only; every declaration and construction site below carries its own proof)
 use std::sync::Arc;
 
 use totoro_dht::Id;
@@ -22,8 +21,8 @@ use crate::update::FlData;
 /// 13b): the engine's own bookkeeping — registry, lookup tables, counters.
 /// A constant, not `size_of::<FlEngine>()`, so that what a simulated
 /// device is charged for does not follow this struct's host layout. 304 B
-/// is `size_of::<FlEngine>()` on a 64-bit host with every per-app table a
-/// `HashMap`.
+/// was `size_of::<FlEngine>()` on a 64-bit host while the per-app state
+/// was six parallel tables, four of them hash maps.
 const ENGINE_RECORD_BYTES: usize = 304;
 
 /// The master-side state of one application (lives at the tree root).
@@ -56,28 +55,31 @@ pub struct EngineStats {
     pub rounds_completed: u64,
 }
 
+/// What one node holds for one registered application.
+struct AppSlot {
+    config: Arc<FlAppConfig>,
+    /// `config.app_id()`, which hashes the name, kept so that finding the
+    /// app of an arriving message is a compare per app.
+    topic: Id,
+    /// This node's training shard, if it participates.
+    shard: Option<Dataset>,
+    /// A handle to the global model this node last trained from. The model
+    /// it trained is not kept: training is a pure function of this handle,
+    /// the shard and the config, so master takeover re-derives it
+    /// (`on_became_root`).
+    trained_from: Option<Shared<FlData>>,
+    /// Most recent local mean training loss (feeds LossAdaptive selection).
+    last_loss: Option<f32>,
+    /// Master state, present only where this node is or was the root.
+    master: Option<MasterState>,
+}
+
 /// The per-node FL engine (implements the forest's application trait).
 pub struct FlEngine {
     addr: NodeIdx,
-    /// Application registry (same order on every node).
-    registry: Vec<Arc<FlAppConfig>>,
-    // det: allow(unordered: keyed topic->index lookup only; never iterated)
-    topic_to_app: HashMap<Id, usize>,
-    // det: allow(unordered: keyed get/insert by app id; `values()` only feeds the commutative byte-count sum in `memory_bytes`)
-    shards: HashMap<usize, Dataset>,
-    /// Per app (indexed like `registry`), a handle to the global model this
-    /// node last trained from. The model it trained is not kept: training
-    /// is a pure function of this handle, the shard and the config, so
-    /// master takeover re-derives it (`on_became_root`).
-    trained_from: Vec<Option<Shared<FlData>>>,
-    /// Most recent local mean training loss per app (feeds LossAdaptive
-    /// selection).
-    // det: allow(unordered: keyed get/insert by app id only; never iterated)
-    last_loss: HashMap<usize, f32>,
-    /// Master state per application (present only where this node is/was
-    /// the root).
-    // det: allow(unordered: keyed access by app id; `values()` only feeds the commutative parameter-count sum in `memory_bytes`, and role censuses iterate nodes probing per key — see roles.rs)
-    pub masters: HashMap<usize, MasterState>,
+    /// One slot per registered application, indexed by app (same order on
+    /// every node).
+    apps: Vec<AppSlot>,
     /// Counters.
     pub stats: EngineStats,
 }
@@ -87,12 +89,7 @@ impl FlEngine {
     pub fn new(addr: NodeIdx) -> Self {
         FlEngine {
             addr,
-            registry: Vec::new(),
-            topic_to_app: HashMap::new(), // det: allow(unordered: construction of the key-only map proven at its field declaration)
-            shards: HashMap::new(), // det: allow(unordered: construction of the key-only map proven at its field declaration)
-            trained_from: Vec::new(),
-            last_loss: HashMap::new(), // det: allow(unordered: construction of the key-only map proven at its field declaration)
-            masters: HashMap::new(), // det: allow(unordered: construction of the key-only map proven at its field declaration)
+            apps: Vec::new(),
             stats: EngineStats::default(),
         }
     }
@@ -100,37 +97,53 @@ impl FlEngine {
     /// Registers an application spec; every node registers the same specs
     /// in the same order (the app catalog is global metadata).
     pub fn register_app(&mut self, config: Arc<FlAppConfig>) -> usize {
-        let app = self.registry.len();
-        self.topic_to_app.insert(config.app_id(), app);
-        self.registry.push(config);
-        self.trained_from.push(None);
-        app
+        self.apps.push(AppSlot {
+            topic: config.app_id(),
+            config,
+            shard: None,
+            trained_from: None,
+            last_loss: None,
+            master: None,
+        });
+        self.apps.len() - 1
     }
 
-    /// Installs this node's training shard for application `app`.
+    /// Installs this node's training shard for the registered application
+    /// `app`. A node that was down when an earlier app was submitted never
+    /// registered it, so `app` may lie past its catalog: it then trains
+    /// nothing.
     pub fn install_shard(&mut self, app: usize, shard: Dataset) {
-        self.shards.insert(app, shard);
+        if let Some(slot) = self.apps.get_mut(app) {
+            slot.shard = Some(shard);
+        }
     }
 
     /// The registered config of `app`.
     pub fn config(&self, app: usize) -> &Arc<FlAppConfig> {
-        &self.registry[app]
+        &self.apps[app].config
     }
 
     /// Number of registered applications.
     pub fn num_apps(&self) -> usize {
-        self.registry.len()
+        self.apps.len()
     }
 
-    /// The application index owning `topic`, if registered.
+    /// The application index owning `topic`, if registered (the latest,
+    /// should two registrations share a topic). A scan: a node holds a few
+    /// dozen apps at most.
     pub fn app_of_topic(&self, topic: Id) -> Option<usize> {
-        self.topic_to_app.get(&topic).copied()
+        self.apps.iter().rposition(|slot| slot.topic == topic)
     }
 
     /// The global model this node last trained `app` from, if it ever
     /// trained it.
     pub fn trained_from(&self, app: usize) -> Option<&Shared<FlData>> {
-        self.trained_from.get(app)?.as_ref()
+        self.apps.get(app)?.trained_from.as_ref()
+    }
+
+    /// `app`'s master state, if this node is or was its root.
+    pub fn master(&self, app: usize) -> Option<&MasterState> {
+        self.apps.get(app)?.master.as_ref()
     }
 
     fn fresh_model(config: &FlAppConfig) -> Mlp {
@@ -155,18 +168,18 @@ impl FlEngine {
     }
 
     fn start_round(&mut self, api: &mut ForestApi<'_, '_, '_, FlData>, app: usize) {
-        let config = Arc::clone(&self.registry[app]);
-        let topic = config.app_id();
+        let config = Arc::clone(&self.apps[app].config);
+        let topic = self.apps[app].topic;
         if api.children_count(topic) == 0 {
             // The tree has not assembled yet (or lost all children):
             // retry later without consuming a round.
-            if self.masters.get(&app).is_some_and(|m| !m.done) {
+            if self.master(app).is_some_and(|m| !m.done) {
                 api.set_app_timer(config.round_pause, app as u64 * 2);
             }
             return;
         }
         let (round, model) = {
-            let Some(master) = self.masters.get_mut(&app) else {
+            let Some(master) = self.apps[app].master.as_mut() else {
                 return;
             };
             if master.done {
@@ -206,8 +219,9 @@ impl FlEngine {
         round: u64,
         global: &Shared<FlData>,
     ) -> Option<(FlData, SimDuration)> {
-        let config = Arc::clone(&self.registry[app]);
-        let shard = self.shards.get(&app)?;
+        let slot = &mut self.apps[app];
+        let config = Arc::clone(&slot.config);
+        let shard = slot.shard.as_ref()?;
         let shard_len = shard.len();
         if shard_len == 0 {
             return None;
@@ -216,15 +230,15 @@ impl FlEngine {
             config.seed ^ config.salt,
             round,
             self.addr,
-            self.last_loss.get(&app).copied(),
+            slot.last_loss,
         ) {
             return None;
         }
 
         // Real local training on the local shard, on a transient model.
         let (model, mean_loss) = Self::train_locally(&config, shard, &global.values);
-        self.last_loss.insert(app, mean_loss);
-        self.trained_from[app] = Some(global.clone());
+        slot.last_loss = Some(mean_loss);
+        slot.trained_from = Some(global.clone());
         let mut weights = model.to_weights();
         totoro_ml::apply_privacy(config.privacy, &mut weights, api.rng());
 
@@ -275,12 +289,12 @@ impl ForestApp for FlEngine {
         let Some(app) = self.app_of_topic(topic) else {
             return;
         };
-        let config = Arc::clone(&self.registry[app]);
+        let config = Arc::clone(&self.apps[app].config);
         // Evaluation cost at the master.
         let eval_flops = (config.test_set.len() as u64) * 2 * (config.model_params() as u64);
         let me = api.addr();
         let eval_time = api.topology().profile(me).compute_time(eval_flops);
-        let Some(master) = self.masters.get_mut(&app) else {
+        let Some(master) = self.apps[app].master.as_mut() else {
             return; // Aggregate arrived after a master migration.
         };
         if master.done || round != master.round {
@@ -331,11 +345,10 @@ impl ForestApp for FlEngine {
         let Some(app) = self.app_of_topic(topic) else {
             return;
         };
-        let config = &self.registry[app];
+        let config = &self.apps[app].config;
         if let RoundPolicy::SemiSynchronous { quorum } = config.round_policy {
             let is_master = self
-                .masters
-                .get(&app)
+                .master(app)
                 .is_some_and(|m| !m.done && m.round == round);
             if is_master {
                 let expected = config.expected_participants.max(1) as f64;
@@ -350,42 +363,39 @@ impl ForestApp for FlEngine {
         let Some(app) = self.app_of_topic(topic) else {
             return; // A tree whose app we do not know (not an FL topic).
         };
-        if self.masters.contains_key(&app) {
+        let slot = &mut self.apps[app];
+        if slot.master.is_some() {
             return;
         }
-        let config = &self.registry[app];
         // Master takeover warm-starts from the model this node last
         // trained, when it trained the app before; otherwise from the seed
         // init. That model was not kept: re-running the training from the
         // retained global model rebuilds it bit for bit.
-        let model = match &self.trained_from[app] {
+        let model = match &slot.trained_from {
             Some(global) => {
-                let shard = self
-                    .shards
-                    .get(&app)
+                let shard = slot
+                    .shard
+                    .as_ref()
                     .expect("a node trains only on its shard");
-                Self::train_locally(config, shard, &global.values).0
+                Self::train_locally(&slot.config, shard, &global.values).0
             }
-            None => Self::fresh_model(config),
+            None => Self::fresh_model(&slot.config),
         };
-        self.masters.insert(
+        slot.master = Some(MasterState {
             app,
-            MasterState {
-                app,
-                model,
-                round: 0,
-                curve: Vec::new(),
-                started_at: api.now(),
-                done: false,
-            },
-        );
+            model,
+            round: 0,
+            curve: Vec::new(),
+            started_at: api.now(),
+            done: false,
+        });
         // Give the tree time to assemble before round 1.
-        api.set_app_timer(config.round_pause, app as u64 * 2);
+        api.set_app_timer(slot.config.round_pause, app as u64 * 2);
     }
 
     fn on_timer(&mut self, api: &mut ForestApi<'_, '_, '_, FlData>, token: u64) {
         let app = (token / 2) as usize;
-        if app >= self.registry.len() {
+        if app >= self.apps.len() {
             return;
         }
         if token.is_multiple_of(2) {
@@ -393,7 +403,7 @@ impl ForestApp for FlEngine {
             self.start_round(api, app);
         } else {
             // Watchdog: only fire when the current round never completed.
-            let stalled = self.masters.get(&app).is_some_and(|m| {
+            let stalled = self.master(app).is_some_and(|m| {
                 !m.done && m.round > 0 && m.curve.last().map_or(0, |p| p.round) < m.round
             });
             if stalled {
@@ -407,24 +417,23 @@ impl ForestApp for FlEngine {
     /// each master's global model, the shards and the fixed
     /// [`ENGINE_RECORD_BYTES`].
     fn memory_bytes(&self) -> usize {
-        let trained: usize = self
-            .trained_from
+        let per_app: usize = self
+            .apps
             .iter()
-            .zip(&self.registry)
-            .filter(|(global, _)| global.is_some())
-            .map(|(_, config)| config.model_params() * 4)
+            .map(|slot| {
+                let trained = slot
+                    .trained_from
+                    .as_ref()
+                    .map_or(0, |_| slot.config.model_params() * 4);
+                let master = slot.master.as_ref().map_or(0, |m| m.model.num_params() * 4);
+                let shard = slot
+                    .shard
+                    .as_ref()
+                    .map_or(0, |s| s.len() * (s.dim() + 1) * 4);
+                trained + master + shard
+            })
             .sum();
-        let masters: usize = self
-            .masters
-            .values()
-            .map(|m| m.model.num_params() * 4)
-            .sum();
-        let shards: usize = self
-            .shards
-            .values()
-            .map(|s| s.len() * (s.dim() + 1) * 4)
-            .sum();
-        trained + masters + shards + ENGINE_RECORD_BYTES
+        per_app + ENGINE_RECORD_BYTES
     }
 }
 

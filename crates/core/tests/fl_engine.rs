@@ -58,8 +58,7 @@ fn single_app_trains_to_target_through_the_tree() {
         .app(master)
         .upper
         .app
-        .masters
-        .get(&app)
+        .master(app)
         .is_some_and(|m| m.done));
 }
 
@@ -215,8 +214,7 @@ fn master_failure_mid_training_promotes_replacement() {
         .app(new_master.expect("checked above"))
         .upper
         .app
-        .masters
-        .get(&app)
+        .master(app)
         .expect("the replacement holds master state");
     let mut bytes = Vec::new();
     for w in state.model.to_weights() {
@@ -232,6 +230,51 @@ fn master_failure_mid_training_promotes_replacement() {
         7_056_746_194_428_129_092,
         "takeover model moved"
     );
+}
+
+/// A node that was down when app 0 was submitted never registered it. Named
+/// as a participant of app 1 after it came back up, it is handed app index 1
+/// past the end of its one-app catalog, and trains nothing under it rather
+/// than panicking.
+#[test]
+fn a_node_that_missed_a_submission_trains_nothing_for_later_apps() {
+    let n = 12;
+    let late = 3;
+    let mut deploy = deployment(n, 9);
+    let mut rng = sub_rng(9, "gen");
+    let generator = TaskGenerator::new(text_classification_like(), &mut rng);
+    deploy
+        .sim_mut()
+        .schedule_down(late, SimTime::from_micros(1_000_000));
+    deploy.run(SimTime::from_micros(2_000_000));
+    assert!(!deploy.sim().alive(late));
+
+    let up: Vec<usize> = (0..n).filter(|&i| i != late).collect();
+    let mut cfg = quick_config("before", &generator, 2.0, 60);
+    cfg.max_rounds = 2;
+    deploy.submit_app(
+        cfg,
+        &up,
+        generator.client_shards(up.len(), 20, 0.5, &mut rng),
+    );
+    deploy
+        .sim_mut()
+        .schedule_up(late, SimTime::from_micros(3_000_000));
+    deploy.run(SimTime::from_micros(4_000_000));
+    assert!(deploy.sim().alive(late));
+
+    let all: Vec<usize> = (0..n).collect();
+    let mut cfg = quick_config("after", &generator, 2.0, 61);
+    cfg.salt = 1;
+    cfg.max_rounds = 2;
+    let app = deploy.submit_app(cfg, &all, generator.client_shards(n, 20, 0.5, &mut rng));
+    assert_eq!(app, 1);
+    deploy.run(SimTime::from_micros(60 * 1_000_000));
+
+    let engine = &deploy.sim().app(late).upper.app;
+    assert_eq!(engine.num_apps(), 1);
+    assert!(engine.trained_from(app).is_none());
+    assert!(deploy.app_done(0));
 }
 
 /// FNV-1a, for fingerprints that do not depend on `std`'s hasher.
@@ -586,8 +629,7 @@ fn secure_aggregation_discards_incomplete_rounds() {
         .app(deploy.master_of(app).unwrap())
         .upper
         .app
-        .masters
-        .get(&app)
+        .master(app)
         .unwrap();
     let max_weight = master_state
         .model

@@ -25,7 +25,7 @@ pub fn render_text(f: &Finding) -> String {
 /// Renders one stale-suppression warning (exit-0 diagnostic class):
 ///
 /// ```text
-/// warning[stale-allow]: det: allow(unordered) suppresses nothing
+/// warning[stale-allow]: det: allow(entropy) suppresses nothing
 ///   --> crates/pubsub/src/forest.rs:135
 /// ```
 pub fn render_stale(r: &AllowRecord) -> String {
@@ -242,7 +242,7 @@ mod tests {
 
     #[test]
     fn stale_allows_render_as_warnings_and_stale_marks() {
-        let live = record("unordered", "key-only lookups", true);
+        let live = record("float", "max is exactly commutative", true);
         let stale = record("entropy", "old reason", false);
         let report = render_report(&[], &[&stale], 10);
         assert!(report.contains("warning[stale-allow]"));
@@ -250,7 +250,7 @@ mod tests {
         let listing = render_allows(&[live, stale]);
         assert_eq!(listing.matches("[STALE]").count(), 1);
         assert!(listing.contains("2 suppression(s) in the tree, 1 STALE"));
-        let no_reason = record("unordered", "", false);
+        let no_reason = record("float", "", false);
         assert!(!no_reason.stale(), "malformed allows are DET005, not stale");
     }
 

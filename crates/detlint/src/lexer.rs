@@ -24,7 +24,7 @@ pub struct Allow {
     /// trailing comment, the next line holding code for an own-line
     /// comment (resolved by [`lex`] after the scan).
     pub applies_to: u32,
-    /// Allow class (`unordered`, `entropy`, `golden_out`).
+    /// Allow class (`entropy`, `golden_out`, `float`, ...).
     pub class: String,
     /// Mandatory human reason. Empty string if the author omitted it —
     /// the `bad-annotation` rule turns that into a diagnostic.
@@ -354,12 +354,12 @@ mod tests {
 
     #[test]
     fn trailing_allow_applies_to_its_own_line() {
-        let lexed = lex("let m = x(); // det: allow(unordered: key-only)\n");
+        let lexed = lex("let m = x(); // det: allow(float: canonical order)\n");
         assert_eq!(lexed.allows.len(), 1);
         let a = &lexed.allows[0];
         assert_eq!((a.line, a.applies_to), (1, 1));
-        assert_eq!(a.class, "unordered");
-        assert_eq!(a.reason, "key-only");
+        assert_eq!(a.class, "float");
+        assert_eq!(a.reason, "canonical order");
     }
 
     #[test]
@@ -372,14 +372,14 @@ mod tests {
 
     #[test]
     fn own_line_allow_skips_interleaved_comment_lines() {
-        let src = "// det: allow(unordered: keyed)\n// explains more\nlet m = f();\n";
+        let src = "// det: allow(float: canonical order)\n// explains more\nlet m = f();\n";
         let lexed = lex(src);
         assert_eq!(lexed.allows[0].applies_to, 3);
     }
 
     #[test]
     fn allow_with_missing_reason_is_preserved_for_bad_annotation_rule() {
-        let lexed = lex("x(); // det: allow(unordered)\ny(); // det: allow(entropy:   )\n");
+        let lexed = lex("x(); // det: allow(float)\ny(); // det: allow(entropy:   )\n");
         assert_eq!(lexed.allows.len(), 2);
         assert_eq!(lexed.allows[0].reason, "");
         assert_eq!(lexed.allows[1].reason, "");
@@ -387,7 +387,7 @@ mod tests {
 
     #[test]
     fn allow_marker_inside_string_is_not_an_annotation() {
-        let lexed = lex("let s = \"// det: allow(unordered: nope)\";\n");
+        let lexed = lex("let s = \"// det: allow(float: nope)\";\n");
         assert!(lexed.allows.is_empty());
     }
 

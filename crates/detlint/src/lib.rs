@@ -8,9 +8,9 @@
 //! ever diverges:
 //!
 //! * **DET001 `unordered-collections`** — `HashMap`/`HashSet`/
-//!   `RandomState` in protocol crates needs `// det: allow(unordered:
-//!   <reason>)` asserting its iteration order never reaches protocol
-//!   decisions, RNG draws, or report output.
+//!   `RandomState` are banned in protocol crates, renames included: hash
+//!   order must not be able to reach protocol decisions, RNG draws, or
+//!   report output. Not suppressible.
 //! * **DET002 `ambient-entropy`** — `Instant::now`, `SystemTime`,
 //!   `thread_rng`, `rand::random`, `env::var` are forbidden in
 //!   sim/protocol/bench crates (simulated time and seeded streams only).

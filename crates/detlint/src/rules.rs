@@ -4,8 +4,8 @@
 //! comments and string literals can never trigger or hide a finding —
 //! and reports rustc-style `file:line:col` diagnostics. Findings are
 //! suppressible per line with `// det: allow(<class>: <reason>)`, except
-//! `unsafe-forbid` and `bad-annotation`, which guard the suppression
-//! mechanism itself.
+//! `unordered-collections`, a plain ban, and `unsafe-forbid` and
+//! `bad-annotation`, which guard the suppression mechanism itself.
 //!
 //! DET001–DET006 are token rules over the mask. The concurrency/numerics
 //! pack (DET007–DET010) additionally consults the item tracker
@@ -19,7 +19,7 @@ use crate::lexer::{Allow, Lexed};
 use crate::workspace::{FileKind, SourceFile};
 
 /// Crates whose iteration order, RNG draws, and protocol decisions feed
-/// golden output: any unordered collection there needs a written proof.
+/// golden output: no unordered collection may appear there at all.
 pub const PROTOCOL_CRATES: &[&str] = &[
     "simnet",
     "dht",
@@ -75,7 +75,7 @@ pub const TIME_AXIOM_FILES: &[&str] = &["crates/simnet/src/time.rs"];
 /// Stable rule identifiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// DET001: unordered collection in a protocol crate without an allow.
+    /// DET001: unordered collection in a protocol crate (not suppressible).
     UnorderedCollections,
     /// DET002: ambient entropy (wall clock, OS RNG, env) in sim crates.
     AmbientEntropy,
@@ -153,7 +153,6 @@ impl RuleId {
     /// if it is suppressible at all.
     pub fn allow_class(self) -> Option<&'static str> {
         match self {
-            RuleId::UnorderedCollections => Some("unordered"),
             RuleId::AmbientEntropy => Some("entropy"),
             RuleId::GoldenSurface => Some("golden_out"),
             RuleId::ThreadPrimitives => Some("parallel"),
@@ -161,14 +160,13 @@ impl RuleId {
             RuleId::LockDiscipline => Some("lock"),
             RuleId::FloatDeterminism => Some("float"),
             RuleId::TimeArithmetic => Some("time"),
-            RuleId::UnsafeForbid | RuleId::BadAnnotation => None,
+            RuleId::UnorderedCollections | RuleId::UnsafeForbid | RuleId::BadAnnotation => None,
         }
     }
 }
 
 /// Every valid annotation class (for `bad-annotation` validation).
 pub const ALLOW_CLASSES: &[&str] = &[
-    "unordered",
     "entropy",
     "golden_out",
     "parallel",
@@ -406,8 +404,8 @@ fn scan_unordered(s: &mut Scan, findings: &mut Vec<Finding>) {
                 tok,
                 format!(
                     "`{tok}` in a protocol crate: iteration order is hash-seed dependent; \
-                     convert to an ordered collection or add \
-                     `// det: allow(unordered: <why order never escapes>)`"
+                     use an ordered collection (a `Vec` indexed by a dense id, a sorted \
+                     column, a `BTreeMap`) — this rule takes no `det: allow`"
                 ),
             );
             s.push(findings, f);
@@ -1240,30 +1238,31 @@ mod tests {
     }
 
     #[test]
-    fn annotated_hashmap_is_suppressed_trailing_and_preceding() {
-        let ok = scan(
-            "crates/pubsub/src/forest.rs",
-            "pubsub",
+    fn annotated_hashmap_still_fires_trailing_and_preceding() {
+        // DET001 takes no allow: the old `unordered` class is unknown, so
+        // the annotation is itself a DET005 and suppresses nothing.
+        for src in [
             "let m: HashMap<u8, u8> = x(); // det: allow(unordered: key-only lookups)\n",
-        );
-        assert!(ok.is_empty(), "{ok:?}");
-        let ok = scan(
-            "crates/pubsub/src/forest.rs",
-            "pubsub",
             "// det: allow(unordered: key-only lookups)\nlet m: HashMap<u8, u8> = x();\n",
-        );
-        assert!(ok.is_empty(), "{ok:?}");
+        ] {
+            let (f, used) = scan_used("crates/pubsub/src/forest.rs", "pubsub", src);
+            let rules: Vec<RuleId> = f.iter().map(|x| x.rule).collect();
+            assert!(rules.contains(&RuleId::UnorderedCollections), "{f:?}");
+            assert!(rules.contains(&RuleId::BadAnnotation), "{f:?}");
+            assert_eq!(used, vec![false]);
+        }
+        assert_eq!(RuleId::UnorderedCollections.allow_class(), None);
     }
 
     #[test]
     fn allow_without_reason_does_not_suppress_and_is_itself_flagged() {
         let f = scan(
-            "crates/pubsub/src/forest.rs",
-            "pubsub",
-            "let m: HashMap<u8, u8> = x(); // det: allow(unordered)\n",
+            "crates/simnet/src/sim.rs",
+            "simnet",
+            "let t = Instant::now(); // det: allow(entropy)\n",
         );
         let rules: Vec<RuleId> = f.iter().map(|x| x.rule).collect();
-        assert!(rules.contains(&RuleId::UnorderedCollections));
+        assert!(rules.contains(&RuleId::AmbientEntropy));
         assert!(rules.contains(&RuleId::BadAnnotation));
     }
 
@@ -1811,9 +1810,9 @@ mod tests {
     #[test]
     fn used_mask_distinguishes_live_and_stale_allows() {
         let (f, used) = scan_used(
-            "crates/pubsub/src/forest.rs",
-            "pubsub",
-            "let m: HashMap<u8, u8> = x(); // det: allow(unordered: key-only)\nlet n = 1; // det: allow(unordered: nothing here to suppress)\n",
+            "crates/simnet/src/sim.rs",
+            "simnet",
+            "let t = Instant::now(); // det: allow(entropy: host-only timing)\nlet n = 1; // det: allow(entropy: nothing here to suppress)\n",
         );
         assert!(f.is_empty(), "{f:?}");
         assert_eq!(used, vec![true, false]);
@@ -1822,9 +1821,9 @@ mod tests {
     #[test]
     fn malformed_allows_are_not_marked_used() {
         let (f, used) = scan_used(
-            "crates/pubsub/src/forest.rs",
-            "pubsub",
-            "let m: HashMap<u8, u8> = x(); // det: allow(unordered)\n",
+            "crates/simnet/src/sim.rs",
+            "simnet",
+            "let t = Instant::now(); // det: allow(entropy)\n",
         );
         assert!(f.iter().any(|x| x.rule == RuleId::BadAnnotation));
         assert_eq!(used, vec![false]);

@@ -5,4 +5,4 @@
 
 // det: allow(speed: this class does not exist)
 pub fn f() {}
-pub fn g() {} // det: allow(unordered)
+pub fn g() {} // det: allow(float)

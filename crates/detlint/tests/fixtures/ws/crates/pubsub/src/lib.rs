@@ -1,6 +1,6 @@
-//! Fixture: one deliberate DET001 violation (line 8), plus decoys that
-//! must NOT be flagged: a properly annotated map, a HashMap in this very
-//! comment, one in a raw string, and one in a plain string.
+//! Fixture: DET001 on a bare map (line 8) and on one under the retired
+//! `unordered` allow (line 13), whose annotation is itself a DET005 (line
+//! 12). Decoys that must NOT be flagged: HashMap here, in raw and plain strings.
 
 #![forbid(unsafe_code)]
 
@@ -8,7 +8,7 @@ pub struct Bad {
     pub timers: HashMap<u64, u64>,
 }
 
-pub struct Good {
+pub struct Annotated {
     // det: allow(unordered: key-only lookups; never iterated)
     pub timers: HashMap<u64, u64>,
 }

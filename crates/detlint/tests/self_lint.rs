@@ -6,8 +6,9 @@
 //! *after* it skews output; this test rejects the code shape that breeds
 //! such bugs before it ever runs. Every suppression must carry a written
 //! reason (`totoro-detlint --list-allows` audits them; the current set is
-//! committed to DESIGN.md §11), and every suppression must actually
-//! suppress something — stale allows rot into false confidence.
+//! committed to DESIGN.md §11 and checked against the tree here), and
+//! every suppression must actually suppress something — stale allows rot
+//! into false confidence.
 
 use std::path::Path;
 
@@ -78,5 +79,41 @@ fn no_suppression_in_the_tree_is_stale() {
         stale.is_empty(),
         "stale det: allow annotations (suppress nothing — remove or fix):\n{}",
         stale.join("\n")
+    );
+}
+
+/// A `--list-allows` listing with each line's number dropped
+/// (`file:line: allow(class) — reason` becomes `file: allow(class) —
+/// reason`): moving code then leaves the committed audit alone, while
+/// adding or removing a proof does not.
+fn without_line_numbers(listing: &str) -> Vec<String> {
+    listing
+        .lines()
+        .map(|line| match line.split_once(": allow(") {
+            Some((at, rest)) => {
+                let file = at.rsplit_once(':').map_or(at, |(file, _)| file);
+                format!("{file}: allow({rest}")
+            }
+            None => line.to_string(),
+        })
+        .collect()
+}
+
+#[test]
+fn design_doc_suppression_audit_matches_the_tree() {
+    let root = workspace_root();
+    let report = lint_root(root).expect("workspace lints");
+    let fresh = diag::render_allows(&report.allows);
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md is readable");
+    let committed = design
+        .split_once("### Current suppression audit")
+        .and_then(|(_, section)| section.split_once("```text\n"))
+        .and_then(|(_, block)| block.split_once("```"))
+        .map(|(block, _)| block)
+        .expect("DESIGN.md §11 has a ```text block under \"Current suppression audit\"");
+    assert!(
+        without_line_numbers(committed) == without_line_numbers(&fresh),
+        "DESIGN.md §11's suppression audit no longer matches the tree; replace its block \
+         with `totoro-detlint --list-allows`:\n\n```text\n{fresh}```\n"
     );
 }

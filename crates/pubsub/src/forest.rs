@@ -9,12 +9,10 @@
 //! forwarders/aggregators, leaves as workers. Model broadcast travels down
 //! the tree; gradient aggregation climbs it with in-network combining.
 
-use std::collections::HashMap; // det: allow(unordered: import only; every declaration and construction site below carries its own proof)
-
 use totoro_dht::{Contact, DhtApi, Id, UpperLayer};
 use totoro_simnet::{ComputeKind, NodeIdx, Shared, SimDuration, SimTime};
 
-use crate::membership::{Membership, RepairEvent};
+use crate::membership::{Membership, RepairEvent, RoundAgg};
 use crate::msg::{TreeData, TreeMsg};
 
 /// Forest protocol parameters.
@@ -125,71 +123,113 @@ pub struct ForestStats {
     pub cycle_breaks: u64,
 }
 
-/// Per-topic values in ascending topic order: a sorted key column beside a
-/// contiguous value column. Finding a topic reads the key column, then
-/// exactly one value, with no tree nodes or per-value allocations on the
-/// way; iteration is ascending by topic, as a `BTreeMap`'s is.
-#[derive(Debug)]
-struct Topics<V> {
-    /// Ascending; `keys[i]` is the topic of `values[i]`.
-    keys: Vec<Id>,
+/// What [`ForestState::memory_bytes`] charges for the forest's own record,
+/// before its trees and timers. A constant, not `size_of::<ForestState>()`,
+/// so that what a simulated device is charged for does not follow the host
+/// layout: 248 B is what that `size_of` (less the uncounted key column's
+/// header) came to while the round timers were a hash map.
+const FOREST_RECORD_BYTES: usize = 248;
+
+/// Values in ascending key order: a sorted key column beside a contiguous
+/// value column. Finding a key reads the key column, then exactly one
+/// value, with no tree nodes, hashing or per-value allocations on the way;
+/// iteration is ascending by key, as a `BTreeMap`'s is. The forest keeps
+/// its trees by topic in one, each tree its rounds by round number, and
+/// the round timers by token.
+#[derive(Clone, Debug)]
+pub struct SortedColumn<K, V> {
+    /// Ascending; `keys[i]` is the key of `values[i]`.
+    keys: Vec<K>,
     values: Vec<V>,
 }
 
-impl<V> Topics<V> {
-    fn new() -> Self {
-        Topics {
-            keys: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
-    fn get(&self, topic: Id) -> Option<&V> {
-        let i = self.keys.binary_search(&topic).ok()?;
+impl<K: Copy + Ord, V> SortedColumn<K, V> {
+    /// The value under `key`.
+    pub fn get(&self, key: K) -> Option<&V> {
+        let i = self.keys.binary_search(&key).ok()?;
         Some(&self.values[i])
     }
 
-    fn get_mut(&mut self, topic: Id) -> Option<&mut V> {
-        let i = self.keys.binary_search(&topic).ok()?;
+    /// The value under `key`, mutably.
+    pub fn get_mut(&mut self, key: K) -> Option<&mut V> {
+        let i = self.keys.binary_search(&key).ok()?;
         Some(&mut self.values[i])
     }
 
-    fn get_or_insert_with(&mut self, topic: Id, new: impl FnOnce() -> V) -> &mut V {
-        let i = match self.keys.binary_search(&topic) {
+    /// The value under `key`, inserting `new()` first if there is none.
+    pub fn get_or_insert_with(&mut self, key: K, new: impl FnOnce() -> V) -> &mut V {
+        let i = match self.keys.binary_search(&key) {
             Ok(i) => i,
             Err(i) => {
-                // Grow by one, not by doubling: a node joins few topics,
-                // rarely, and a `Membership` is 192 bytes.
-                self.keys.reserve_exact(1);
-                self.values.reserve_exact(1);
-                self.keys.insert(i, topic);
-                self.values.insert(i, new());
+                self.insert_at(i, key, new());
                 i
             }
         };
         &mut self.values[i]
     }
 
-    fn remove(&mut self, topic: Id) -> Option<V> {
-        let i = self.keys.binary_search(&topic).ok()?;
+    fn insert_at(&mut self, i: usize, key: K, value: V) {
+        // Grow by one, not by doubling: a node joins few topics, rarely,
+        // and a `Membership` is 192 bytes; rounds and timers stay few and
+        // reuse the capacity they reached.
+        self.keys.reserve_exact(1);
+        self.values.reserve_exact(1);
+        self.keys.insert(i, key);
+        self.values.insert(i, value);
+    }
+
+    /// Removes and returns the value under `key`.
+    pub fn remove(&mut self, key: K) -> Option<V> {
+        let i = self.keys.binary_search(&key).ok()?;
         self.keys.remove(i);
         Some(self.values.remove(i))
     }
 
-    fn len(&self) -> usize {
+    /// Drops every entry whose key is below `keep_from`: a prefix, since
+    /// the column is sorted.
+    pub fn remove_below(&mut self, keep_from: K) {
+        let n = self.keys.partition_point(|&k| k < keep_from);
+        self.keys.drain(..n);
+        self.values.drain(..n);
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
         self.keys.len()
     }
 
-    fn keys(&self) -> &[Id] {
+    /// Whether the column is empty.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The keys, ascending.
+    pub fn keys(&self) -> &[K] {
         &self.keys
     }
 
-    fn values(&self) -> std::slice::Iter<'_, V> {
+    /// The values, in key order.
+    pub fn values(&self) -> std::slice::Iter<'_, V> {
         self.values.iter()
     }
 
-    fn iter_mut(&mut self) -> impl Iterator<Item = (Id, &mut V)> {
+    /// `(key, value)` pairs in ascending key order.
+    pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
+        self.keys.iter().copied().zip(self.values.iter())
+    }
+
+    /// `(key, value)` pairs in ascending key order, values mutable.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (K, &mut V)> {
         self.keys.iter().copied().zip(self.values.iter_mut())
+    }
+}
+
+impl<K, V> Default for SortedColumn<K, V> {
+    fn default() -> Self {
+        SortedColumn {
+            keys: Vec::new(),
+            values: Vec::new(),
+        }
     }
 }
 
@@ -199,9 +239,10 @@ pub struct ForestState<D> {
     // Ordered by topic, not hashed: per-tick maintenance iterates topics,
     // and the resulting message order must not depend on the process's
     // hash seed (bit-identical reruns are part of the bench contract).
-    trees: Topics<Membership<D>>,
-    // det: allow(unordered: token-keyed insert/remove only — timer fire looks up one token, `memory_bytes` takes len; never iterated, so hash order cannot reach message order or report output)
-    round_timers: HashMap<u64, (Id, u64)>,
+    trees: SortedColumn<Id, Membership<D>>,
+    /// Armed straggler cutoffs: `(topic, round)` by timer token. Tokens
+    /// only increase, so arming appends.
+    round_timers: SortedColumn<u64, (Id, u64)>,
     next_round_token: u64,
     pending_flush: Vec<(Id, u64)>,
     /// Broadcast receipts (when `record_events`).
@@ -217,8 +258,8 @@ pub struct ForestState<D> {
 impl<D> ForestState<D> {
     fn new() -> Self {
         ForestState {
-            trees: Topics::new(),
-            round_timers: HashMap::new(), // det: allow(unordered: construction of the key-only map proven at its field declaration)
+            trees: SortedColumn::default(),
+            round_timers: SortedColumn::default(),
             next_round_token: 1,
             pending_flush: Vec::new(),
             broadcast_log: Vec::new(),
@@ -244,10 +285,10 @@ impl<D> ForestState<D> {
     }
 
     /// Approximate memory footprint (Figure 13b). The topic key column
-    /// repeats each `Membership::topic`: it is a derived index, so neither
-    /// its entries nor its `Vec` header are counted.
+    /// repeats each `Membership::topic`: it is a derived index, so its
+    /// entries are not counted.
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() - std::mem::size_of::<Vec<Id>>()
+        FOREST_RECORD_BYTES
             + self
                 .trees
                 .values()
@@ -391,7 +432,7 @@ impl<D: TreeData> ForestApi<'_, '_, '_, D> {
         m.prune_rounds(round.saturating_sub(8));
         let depth = if m.is_root { 0 } else { m.depth };
         let n_children = m.children.len();
-        let ra = m.rounds.entry(round).or_default();
+        let ra = m.rounds.get_or_insert_with(round, RoundAgg::default);
         ra.expected = n_children + usize::from(expect_local);
         if record {
             self.forest.broadcast_log.push(BroadcastEvent {
@@ -457,7 +498,9 @@ impl<D: TreeData> ForestApi<'_, '_, '_, D> {
     fn arm_round_timer(&mut self, topic: Id, round: u64, delay: SimDuration) {
         let token = self.forest.next_round_token;
         self.forest.next_round_token += 1;
-        self.forest.round_timers.insert(token, (topic, round));
+        self.forest
+            .round_timers
+            .get_or_insert_with(token, || (topic, round));
         self.dht.set_timer(delay, token * 2);
     }
 }
@@ -704,7 +747,7 @@ impl<F: ForestApp> Forest<F> {
         let my_depth = m.depth;
         let n_children = m.children.len();
         let subscriber = m.subscriber;
-        let ra = m.rounds.entry(round).or_default();
+        let ra = m.rounds.get_or_insert_with(round, RoundAgg::default);
         ra.expected = n_children;
 
         // Forward down the tree: the payload is already `Shared`, so the
@@ -741,7 +784,7 @@ impl<F: ForestApp> Forest<F> {
             if let Some((update, delay)) = contribution {
                 local_contribution = true;
                 let m = self.state.tree_mut(topic, now);
-                if let Some(ra) = m.rounds.get_mut(&round) {
+                if let Some(ra) = m.rounds.get_mut(round) {
                     ra.expected += 1;
                 }
                 dht.send_direct_after(
@@ -760,7 +803,7 @@ impl<F: ForestApp> Forest<F> {
         // immediately so the round does not stall on the straggler cutoff.
         if n_children == 0 && !local_contribution {
             let m = self.state.tree_mut(topic, now);
-            if let Some(ra) = m.rounds.get_mut(&round) {
+            if let Some(ra) = m.rounds.get_mut(round) {
                 ra.flushed = true;
             }
             if let Some(p) = m.parent {
@@ -771,7 +814,7 @@ impl<F: ForestApp> Forest<F> {
         // Straggler cutoff for this round.
         let needs_timer = {
             let m = self.state.tree_mut(topic, now);
-            let ra = m.rounds.entry(round).or_default();
+            let ra = m.rounds.get_or_insert_with(round, RoundAgg::default);
             let arm = !ra.timer_armed && ra.expected > 0;
             ra.timer_armed = true;
             arm
@@ -797,7 +840,7 @@ impl<F: ForestApp> Forest<F> {
         let children_now = m.children.len();
         let is_root = m.is_root;
         let parent = m.parent;
-        let ra = m.rounds.entry(round).or_default();
+        let ra = m.rounds.get_or_insert_with(round, RoundAgg::default);
 
         if ra.flushed {
             // Late contribution: pass it through unmodified so it is not
@@ -865,7 +908,7 @@ impl<F: ForestApp> Forest<F> {
         let agg_timeout = self.config.agg_timeout;
         let m = self.state.tree_mut(topic, now);
         let children_now = m.children.len();
-        let ra = m.rounds.entry(round).or_default();
+        let ra = m.rounds.get_or_insert_with(round, RoundAgg::default);
         if ra.flushed {
             return;
         }
@@ -899,7 +942,7 @@ impl<F: ForestApp> Forest<F> {
         let m = self.state.tree_mut(topic, now);
         let is_root = m.is_root;
         let parent = m.parent;
-        let Some(ra) = m.rounds.get_mut(&round) else {
+        let Some(ra) = m.rounds.get_mut(round) else {
             return;
         };
         if ra.flushed {
@@ -1295,7 +1338,7 @@ impl<F: ForestApp> UpperLayer for Forest<F> {
             self.drain_flush_requests(api);
         } else {
             let round_token = token / 2;
-            if let Some((topic, round)) = self.state.round_timers.remove(&round_token) {
+            if let Some((topic, round)) = self.state.round_timers.remove(round_token) {
                 self.flush_round(api, topic, round, true);
             }
         }
@@ -1346,7 +1389,6 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::membership::RoundAgg;
 
     /// What `memory_bytes` counts did not move when the per-topic
     /// `BTreeMap` became a key column beside a value column: this figure
@@ -1363,58 +1405,83 @@ mod tests {
                     addr: c,
                 });
             }
-            m.rounds.insert(k as u64, RoundAgg::default());
+            m.rounds.get_or_insert_with(k as u64, RoundAgg::default);
         }
-        st.round_timers.insert(1, (Id::new(1), 1));
+        st.round_timers.get_or_insert_with(1, || (Id::new(1), 1));
         assert_eq!(st.memory_bytes(), 1_208);
     }
 
-    proptest! {
-        /// The topic column behaves as the `BTreeMap<Id, _>` it replaced:
-        /// the same lookups, insertions and removals, and the same
-        /// ascending iteration.
-        #[test]
-        fn topics_match_a_btree_map(
-            ops in prop::collection::vec((0u8..6, 0u64..24, any::<u32>()), 1..300),
-        ) {
-            let mut column = Topics::new();
-            let mut map = BTreeMap::new();
-            for (op, k, v) in ops {
-                // Keys spread over the ring, inserted in no particular order.
-                let topic = Id::new(u128::from(k).wrapping_mul(0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835));
-                match op {
-                    0 => prop_assert_eq!(column.get(topic), map.get(&topic)),
-                    1 | 2 => {
-                        let x = column.get_or_insert_with(topic, || v);
-                        *x = x.wrapping_add(1);
-                        let y = map.entry(topic).or_insert(v);
-                        *y = y.wrapping_add(1);
+    /// Replays `ops` on a column keyed by `key(k)` and on the `BTreeMap`
+    /// it stands in for, and checks after each step that both hold the
+    /// same entries in the same order. Mutable iteration folds `fold` of
+    /// each key it yields into that key's value, so a key paired with the
+    /// wrong value shows up as a value mismatch.
+    fn column_matches_btree_map<K: Copy + Ord + std::fmt::Debug>(
+        ops: &[(u8, u64, u32)],
+        key: impl Fn(u64) -> K,
+        fold: impl Fn(K) -> u32,
+    ) -> Result<(), TestCaseError> {
+        let mut column = SortedColumn::default();
+        let mut map = BTreeMap::new();
+        for &(op, k, v) in ops {
+            let k = key(k);
+            match op {
+                0 => prop_assert_eq!(column.get(k), map.get(&k)),
+                1 | 2 => {
+                    let x = column.get_or_insert_with(k, || v);
+                    *x = x.wrapping_add(1);
+                    let y = map.entry(k).or_insert(v);
+                    *y = y.wrapping_add(1);
+                }
+                3 => prop_assert_eq!(column.remove(k), map.remove(&k)),
+                4 => {
+                    if let Some(x) = column.get_mut(k) {
+                        *x ^= v;
                     }
-                    3 => prop_assert_eq!(column.remove(topic), map.remove(&topic)),
-                    4 => {
-                        if let Some(x) = column.get_mut(topic) {
-                            *x ^= v;
-                        }
-                        if let Some(y) = map.get_mut(&topic) {
-                            *y ^= v;
-                        }
-                    }
-                    _ => {
-                        for (t, x) in column.iter_mut() {
-                            *x = x.wrapping_mul(3) ^ (t.raw() as u32);
-                        }
-                        for (t, y) in map.iter_mut() {
-                            *y = y.wrapping_mul(3) ^ (t.raw() as u32);
-                        }
+                    if let Some(y) = map.get_mut(&k) {
+                        *y ^= v;
                     }
                 }
-                prop_assert_eq!(column.len(), map.len());
-                prop_assert_eq!(column.keys(), map.keys().copied().collect::<Vec<_>>());
-                prop_assert_eq!(
-                    column.values().collect::<Vec<_>>(),
-                    map.values().collect::<Vec<_>>()
-                );
+                5 => {
+                    // The prefix prune `Membership::prune_rounds` runs.
+                    column.remove_below(k);
+                    map = map.split_off(&k);
+                }
+                _ => {
+                    for (t, x) in column.iter_mut() {
+                        *x = x.wrapping_mul(3) ^ fold(t);
+                    }
+                    for (&t, y) in map.iter_mut() {
+                        *y = y.wrapping_mul(3) ^ fold(t);
+                    }
+                }
             }
+            prop_assert_eq!(column.len(), map.len());
+            prop_assert_eq!(column.keys(), map.keys().copied().collect::<Vec<_>>());
+            prop_assert_eq!(
+                column.iter().collect::<Vec<_>>(),
+                map.iter().map(|(&k, v)| (k, v)).collect::<Vec<_>>()
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// The sorted column behaves as the `BTreeMap` it stands in for,
+        /// keyed by topic (the forest's trees) and by `u64` (rounds and
+        /// round timers): the same lookups, insertions, removals and prefix
+        /// prunes, and the same ascending iteration.
+        #[test]
+        fn topics_match_a_btree_map(
+            ops in prop::collection::vec((0u8..7, 0u64..24, any::<u32>()), 1..300),
+        ) {
+            // Topics spread over the ring, inserted in no particular order.
+            column_matches_btree_map(
+                &ops,
+                |k| Id::new(u128::from(k).wrapping_mul(0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835)),
+                |t| t.raw() as u32,
+            )?;
+            column_matches_btree_map(&ops, |k| k, |k| k as u32)?;
         }
     }
 }

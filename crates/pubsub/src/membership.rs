@@ -1,10 +1,17 @@
 //! Per-topic tree membership and per-round aggregation state.
 
-use std::collections::HashMap; // det: allow(unordered: import only; every declaration and construction site below carries its own proof)
-
 use totoro_bandit::LinkStats;
 use totoro_dht::{Contact, Id};
 use totoro_simnet::{NodeIdx, SimTime};
+
+use crate::forest::SortedColumn;
+
+/// What [`Membership::memory_bytes`] charges for the membership record
+/// itself, before its children and rounds. A constant, not
+/// `size_of::<Membership>()`, so that what a simulated device is charged
+/// for does not follow the host layout: 192 B is that `size_of` while the
+/// rounds were a hash map.
+const MEMBERSHIP_RECORD_BYTES: usize = 192;
 
 /// Aggregation state of one round at one node.
 #[derive(Clone, Debug)]
@@ -54,8 +61,7 @@ pub struct RepairEvent {
 /// Laid out for the parent heartbeat, the forest's most frequent message:
 /// everything it reads or writes (`parent`, `last_parent_seen`, `depth`
 /// and the role flags) is in the first of the three cache lines a
-/// membership fills, and the 64-byte alignment keeps that line whole. The
-/// size stays 192 bytes, which `memory_bytes` counts.
+/// membership fills, and the 64-byte alignment keeps that line whole.
 #[derive(Clone, Debug)]
 #[repr(C, align(64))]
 pub struct Membership<D> {
@@ -78,9 +84,8 @@ pub struct Membership<D> {
     pub join_sent: SimTime,
     /// Tree topic (= AppId).
     pub topic: Id,
-    /// Per-round aggregation state.
-    // det: allow(unordered: keyed entry/get by the round number carried in each message; `prune_rounds`' retain predicate is key-only and side-effect-free, `memory_bytes` takes len — hash order never escapes)
-    pub rounds: HashMap<u64, RoundAgg<D>>,
+    /// Per-round aggregation state, by round number.
+    pub rounds: SortedColumn<u64, RoundAgg<D>>,
     /// Round of the most recent broadcast seen.
     pub last_broadcast_round: Option<u64>,
     /// Bandit statistics of the link to the current parent: one attempt
@@ -102,7 +107,7 @@ impl<D> Membership<D> {
             last_parent_seen: now,
             joining: false,
             join_sent: now,
-            rounds: HashMap::new(), // det: allow(unordered: construction of the key-only map proven at its field declaration)
+            rounds: SortedColumn::default(),
             last_broadcast_round: None,
             parent_link: LinkStats::default(),
         }
@@ -133,12 +138,12 @@ impl<D> Membership<D> {
     /// Drops aggregation state older than `keep_from` (bounds memory over
     /// long trainings).
     pub fn prune_rounds(&mut self, keep_from: u64) {
-        self.rounds.retain(|&r, _| r >= keep_from);
+        self.rounds.remove_below(keep_from);
     }
 
     /// Approximate memory footprint (Figure 13b).
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
+        MEMBERSHIP_RECORD_BYTES
             + self.children.len() * std::mem::size_of::<Contact>()
             + self.rounds.len() * std::mem::size_of::<(u64, RoundAgg<D>)>()
     }
@@ -181,11 +186,9 @@ mod tests {
     fn round_pruning() {
         let mut m: Membership<u32> = Membership::new(Id::ZERO, SimTime::ZERO);
         for r in 0..10 {
-            m.rounds.insert(r, RoundAgg::default());
+            m.rounds.get_or_insert_with(r, RoundAgg::default);
         }
         m.prune_rounds(7);
-        let mut rounds: Vec<u64> = m.rounds.keys().copied().collect();
-        rounds.sort_unstable();
-        assert_eq!(rounds, vec![7, 8, 9]);
+        assert_eq!(m.rounds.keys(), [7, 8, 9]);
     }
 }
