@@ -177,6 +177,19 @@ impl FlAppConfig {
         totoro_ml::Mlp::param_count(&self.model_dims)
     }
 
+    /// Multiply-accumulates per sample of one training pass over the model
+    /// `model_dims` describes — [`totoro_ml::Mlp::flops_per_sample`]
+    /// without building the model, so the training time of an update can
+    /// be charged before the update is trained.
+    pub fn flops_per_sample(&self) -> u64 {
+        // ~2 MACs per weight forward, ~4 backward.
+        6 * self
+            .model_dims
+            .windows(2)
+            .map(|d| (d[0] * d[1]) as u64)
+            .sum::<u64>()
+    }
+
     /// A reasonable default configuration for `name` over `test_set`.
     pub fn new(name: &str, model_dims: Vec<usize>, test_set: Arc<Dataset>) -> Self {
         FlAppConfig {
@@ -224,6 +237,18 @@ mod tests {
             c.model_dims = dims.clone();
             let model = totoro_ml::Mlp::new(&dims, &mut rng);
             assert_eq!(c.model_params(), model.num_params(), "{dims:?}");
+        }
+    }
+
+    #[test]
+    fn flops_per_sample_counts_what_the_model_charges() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        for dims in [vec![48, 35], vec![48, 48, 35], vec![40, 64, 32, 62]] {
+            let mut c = cfg("sized", 0);
+            c.model_dims = dims.clone();
+            let model = totoro_ml::Mlp::new(&dims, &mut rng);
+            assert_eq!(c.flops_per_sample(), model.flops_per_sample(), "{dims:?}");
         }
     }
 

@@ -109,12 +109,13 @@ impl TotoroDeployment {
         let config = Arc::new(config);
         let topic = config.app_id();
         // The app catalog is global metadata: every node learns the spec so
-        // that any of them can serve as the app's master or aggregator.
+        // that any of them can serve as the app's master or aggregator — a
+        // node that is down now included, or it would number later apps
+        // differently from everyone else. Registering draws no random
+        // numbers and sends nothing.
         for node in 0..self.sim.len() {
             let cfg = Arc::clone(&config);
-            self.sim.with_app(node, |n, _ctx| {
-                n.upper.app.register_app(cfg);
-            });
+            self.sim.app_mut(node).upper.app.register_app(cfg);
         }
         let app = self.configs.len();
         self.configs.push(Arc::clone(&config));

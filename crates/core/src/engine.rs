@@ -10,12 +10,12 @@
 use std::sync::Arc;
 
 use totoro_dht::Id;
-use totoro_ml::{accuracy, AccuracyPoint, Dataset, Mlp, ModelUpdate};
+use totoro_ml::{accuracy, AccuracyPoint, Dataset, Mlp, Privacy};
 use totoro_pubsub::{ForestApi, ForestApp};
 use totoro_simnet::{ComputeKind, NodeIdx, Shared, SimDuration, SimTime};
 
-use crate::config::{FlAppConfig, RoundPolicy};
-use crate::update::FlData;
+use crate::config::{FlAppConfig, RoundPolicy, SelectionPolicy};
+use crate::update::{train_locally, FlData, Recipe};
 
 /// The fixed part of a node's charge in [`FlEngine::memory_bytes`] (Figure
 /// 13b): the engine's own bookkeeping — registry, lookup tables, counters.
@@ -61,14 +61,16 @@ struct AppSlot {
     /// `config.app_id()`, which hashes the name, kept so that finding the
     /// app of an arriving message is a compare per app.
     topic: Id,
-    /// This node's training shard, if it participates.
-    shard: Option<Dataset>,
+    /// This node's training shard, if it participates (shared with the
+    /// updates in flight that are still to be trained from it).
+    shard: Option<Arc<Dataset>>,
     /// A handle to the global model this node last trained from. The model
     /// it trained is not kept: training is a pure function of this handle,
     /// the shard and the config, so master takeover re-derives it
     /// (`on_became_root`).
     trained_from: Option<Shared<FlData>>,
-    /// Most recent local mean training loss (feeds LossAdaptive selection).
+    /// Most recent local mean training loss (feeds LossAdaptive selection,
+    /// which is why that policy trains each update when its model arrives).
     last_loss: Option<f32>,
     /// Master state, present only where this node is or was the root.
     master: Option<MasterState>,
@@ -109,13 +111,9 @@ impl FlEngine {
     }
 
     /// Installs this node's training shard for the registered application
-    /// `app`. A node that was down when an earlier app was submitted never
-    /// registered it, so `app` may lie past its catalog: it then trains
-    /// nothing.
+    /// `app`.
     pub fn install_shard(&mut self, app: usize, shard: Dataset) {
-        if let Some(slot) = self.apps.get_mut(app) {
-            slot.shard = Some(shard);
-        }
+        self.apps[app].shard = Some(Arc::new(shard));
     }
 
     /// The registered config of `app`.
@@ -151,22 +149,6 @@ impl FlEngine {
         Mlp::new(&config.model_dims, &mut rng)
     }
 
-    /// Runs `config.local_epochs` of training on `shard`, starting from
-    /// (and, under FedProx, anchored to) the global weights `global`;
-    /// returns the trained model and its last epoch's mean loss. Draws no
-    /// random numbers, so the same arguments give the same model to the
-    /// bit — which is what lets a node keep `global` instead of the result.
-    fn train_locally(config: &FlAppConfig, shard: &Dataset, global: &[f32]) -> (Mlp, f32) {
-        let mut model = Mlp::with_weights(&config.model_dims, global);
-        let mu = config.aggregation.mu();
-        let prox = (mu > 0.0).then_some((mu, global));
-        let mut mean_loss = 0.0;
-        for _ in 0..config.local_epochs {
-            mean_loss = model.train_epoch(&shard.xs, &shard.ys, config.batch_size, config.lr, prox);
-        }
-        (model, mean_loss)
-    }
-
     fn start_round(&mut self, api: &mut ForestApi<'_, '_, '_, FlData>, app: usize) {
         let config = Arc::clone(&self.apps[app].config);
         let topic = self.apps[app].topic;
@@ -198,7 +180,7 @@ impl FlEngine {
         // Serialization cost (§6's binary-array mechanism).
         api.charge_compute(
             ComputeKind::FlTask,
-            SimDuration::from_micros((model.values.len() as u64 / 100).saturating_add(5)),
+            SimDuration::from_micros((model.values().len() as u64 / 100).saturating_add(5)),
         );
         api.broadcast_expecting_local(topic, round, model, local.is_some());
         if let Some((update, delay)) = local {
@@ -212,6 +194,12 @@ impl FlEngine {
     /// and produces its (privacy-processed, compressed) contribution plus
     /// the simulated training time; `None` when the node has no shard or
     /// was not selected this round.
+    ///
+    /// The contribution is trained here only when this instant needs the
+    /// result: Gaussian DP draws its noise from the node's RNG stream at
+    /// this event, and loss-adaptive selection reads the loss at the next
+    /// round. Otherwise it leaves as its [`Recipe`], to be trained where it
+    /// is first read; the training time is charged here either way.
     fn train_update(
         &mut self,
         api: &mut ForestApi<'_, '_, '_, FlData>,
@@ -234,32 +222,31 @@ impl FlEngine {
         ) {
             return None;
         }
-
-        // Real local training on the local shard, on a transient model.
-        let (model, mean_loss) = Self::train_locally(&config, shard, &global.values);
-        slot.last_loss = Some(mean_loss);
+        let recipe = Recipe {
+            config: Arc::clone(&config),
+            shard: Arc::clone(shard),
+            global: global.clone(),
+            addr: self.addr,
+            round,
+        };
         slot.trained_from = Some(global.clone());
-        let mut weights = model.to_weights();
-        totoro_ml::apply_privacy(config.privacy, &mut weights, api.rng());
+        let eager = matches!(config.privacy, Privacy::GaussianDp { .. })
+            || matches!(config.selection, SelectionPolicy::LossAdaptive { .. });
+        let update = if eager {
+            let (update, mean_loss) = recipe.train(Some(api.rng()));
+            slot.last_loss = Some(mean_loss);
+            FlData::update(update, config.compression)
+        } else {
+            FlData::deferred(recipe)
+        };
 
         // Charge the training time on the simulated clock.
-        let flops = model.flops_per_sample() * (shard_len * config.local_epochs) as u64;
+        let flops = config.flops_per_sample() * (shard_len * config.local_epochs) as u64;
         let me = api.addr();
         let train_time = api.topology().profile(me).compute_time(flops);
         api.charge_compute(ComputeKind::FlTask, train_time);
         self.stats.updates_contributed += 1;
-
-        let mut update = ModelUpdate::from_client_owned(weights, shard_len as u64);
-        if config.privacy == totoro_ml::Privacy::SecureAggregation {
-            totoro_ml::apply_pairwise_masks(
-                &mut update.weighted,
-                self.addr,
-                &config.participant_list,
-                config.seed ^ config.salt,
-                round,
-            );
-        }
-        Some((FlData::update(update, config.compression), train_time))
+        Some((update, train_time))
     }
 }
 
@@ -377,7 +364,7 @@ impl ForestApp for FlEngine {
                     .shard
                     .as_ref()
                     .expect("a node trains only on its shard");
-                Self::train_locally(&slot.config, shard, &global.values).0
+                train_locally(&slot.config, shard, global.values()).0
             }
             None => Self::fresh_model(&slot.config),
         };

@@ -232,12 +232,12 @@ fn master_failure_mid_training_promotes_replacement() {
     );
 }
 
-/// A node that was down when app 0 was submitted never registered it. Named
-/// as a participant of app 1 after it came back up, it is handed app index 1
-/// past the end of its one-app catalog, and trains nothing under it rather
-/// than panicking.
+/// A node that was down when app 0 was submitted still learns the catalog
+/// entry, so it numbers app 1 as every other node does: named as a
+/// participant of app 1 after it came back up, it trains app 1, and app 1
+/// finishes.
 #[test]
-fn a_node_that_missed_a_submission_trains_nothing_for_later_apps() {
+fn a_node_that_missed_a_submission_trains_later_apps() {
     let n = 12;
     let late = 3;
     let mut deploy = deployment(n, 9);
@@ -272,9 +272,11 @@ fn a_node_that_missed_a_submission_trains_nothing_for_later_apps() {
     deploy.run(SimTime::from_micros(60 * 1_000_000));
 
     let engine = &deploy.sim().app(late).upper.app;
-    assert_eq!(engine.num_apps(), 1);
-    assert!(engine.trained_from(app).is_none());
+    assert_eq!(engine.num_apps(), 2);
+    assert!(engine.trained_from(0).is_none());
+    assert!(engine.trained_from(app).is_some());
     assert!(deploy.app_done(0));
+    assert!(deploy.app_done(app));
 }
 
 /// FNV-1a, for fingerprints that do not depend on `std`'s hasher.
@@ -640,5 +642,95 @@ fn secure_aggregation_discards_incomplete_rounds() {
     assert!(
         max_weight < 10.0,
         "masked noise leaked into the model: max |w| = {max_weight}"
+    );
+}
+
+/// Every master's weights and curve, in node order, hashed: the bits an FL
+/// path produces end to end. The digests pinned below were captured from
+/// the engine that trained every update the moment its model arrived.
+fn masters_digest(deploy: &TotoroDeployment) -> u64 {
+    let mut bytes = Vec::new();
+    for app in 0..deploy.num_apps() {
+        for node in deploy.sim().apps() {
+            let Some(master) = node.upper.app.master(app) else {
+                continue;
+            };
+            for w in master.model.to_weights() {
+                bytes.extend(w.to_bits().to_le_bytes());
+            }
+            for p in &master.curve {
+                bytes.extend(p.time_secs.to_bits().to_le_bytes());
+                bytes.extend(p.round.to_le_bytes());
+                bytes.extend(p.accuracy.to_bits().to_le_bytes());
+            }
+        }
+    }
+    fnv1a(&bytes)
+}
+
+/// Two apps over 16 nodes, every node a participant, `customize` applied
+/// to each app's config, run to 4 rounds.
+fn customized_deployment(seed: u64, customize: impl Fn(&mut FlAppConfig)) -> TotoroDeployment {
+    let n = 16;
+    let mut deploy = deployment(n, seed);
+    let mut rng = sub_rng(seed, "gen");
+    let generator = TaskGenerator::new(text_classification_like(), &mut rng);
+    for a in 0..2 {
+        let shards = generator.client_shards(n, 30, 0.5, &mut rng);
+        let mut cfg = quick_config(&format!("custom-{a}"), &generator, 2.0, seed * 10 + a);
+        cfg.salt = a;
+        cfg.max_rounds = 4;
+        customize(&mut cfg);
+        deploy.submit_app(cfg, &(0..n).collect::<Vec<_>>(), shards);
+    }
+    assert!(deploy.run(SimTime::from_micros(3_600 * 1_000_000)));
+    deploy
+}
+
+/// Gaussian DP draws its noise from the node's RNG stream and loss-adaptive
+/// selection reads the last local loss: both need the update trained when
+/// the model arrives.
+#[test]
+fn dp_with_loss_adaptive_selection_is_pinned_to_the_bit() {
+    let deploy = customized_deployment(21, |cfg| {
+        cfg.privacy = Privacy::GaussianDp {
+            clip: 50.0,
+            sigma: 0.001,
+        };
+        cfg.selection = SelectionPolicy::LossAdaptive { floor: 0.2 };
+    });
+    assert_eq!(
+        masters_digest(&deploy),
+        221_178_473_236_550_096,
+        "DP + loss-adaptive moved"
+    );
+}
+
+/// Secure aggregation masks each update from its node and round, so a
+/// masked update can be trained where it is first read.
+#[test]
+fn secure_aggregation_is_pinned_to_the_bit() {
+    let deploy = customized_deployment(22, |cfg| {
+        cfg.privacy = Privacy::SecureAggregation;
+    });
+    assert_eq!(
+        masters_digest(&deploy),
+        12_232_807_899_041_767_035,
+        "secure aggregation moved"
+    );
+}
+
+/// Partial participation, FedProx's anchor and top-k wire sizes.
+#[test]
+fn fraction_fedprox_topk_is_pinned_to_the_bit() {
+    let deploy = customized_deployment(23, |cfg| {
+        cfg.selection = SelectionPolicy::Fraction(0.5);
+        cfg.aggregation = AggregationRule::FedProx { mu: 0.05 };
+        cfg.compression = Compression::TopK { k: 64 };
+    });
+    assert_eq!(
+        masters_digest(&deploy),
+        11_610_655_651_992_379_337,
+        "fraction + FedProx + top-k moved"
     );
 }

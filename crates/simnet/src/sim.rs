@@ -525,6 +525,15 @@ impl<A: Application, S: TraceSink> Simulator<A, S> {
         self.core.nodes.iter()
     }
 
+    /// Mutable access to a node's application state, whether the node is
+    /// up or down. Runs no callback and has no side effects on the
+    /// network; for bookkeeping set from outside the simulation that no
+    /// node may miss, such as a global catalog. Work that should reach
+    /// the network goes through [`Simulator::with_app`].
+    pub fn app_mut(&mut self, i: NodeIdx) -> &mut A {
+        &mut self.core.nodes[i]
+    }
+
     /// Whether node `i` is currently up.
     pub fn alive(&self, i: NodeIdx) -> bool {
         self.core.alive.get(i)
