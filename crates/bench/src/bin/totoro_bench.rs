@@ -1,40 +1,66 @@
-//! The benchmark CLI — the only entry point to the evaluation scenarios,
-//! dispatched by name.
+//! The benchmark CLI — the one entry point to the evaluation scenarios,
+//! the chaos sweep, the model checker and the trace analytics:
 //!
 //! ```text
 //! totoro-bench --list
 //! totoro-bench fig7 --nodes 300 --jobs 8
-//! totoro-bench table3 --json
+//! totoro-bench chaos --replay churn+stragglers:49 --inject-bug drop-repair-join
+//! totoro-bench mc --scenario forest-repair-4 --out ce.txt
+//! totoro-bench trace summary TRACE.jsonl
 //! ```
+//!
+//! Every command parses through one grammar (`scenario::parse_params`): a
+//! malformed command line prints the command's usage line on stderr and
+//! exits 2 before anything runs. A run that finds a violation (chaos, mc)
+//! or cannot read its input exits 1.
 
-use totoro_bench::scenario::run_scenario;
-use totoro_bench::{logging, report, scenarios};
+use std::process::ExitCode;
 
-fn print_list() {
-    report::emitln("available scenarios:");
-    for s in scenarios::all() {
-        report::emitln(format_args!("  {:<10} {}", s.name(), s.description()));
+use totoro_bench::scenario::{grammar, run_command, run_scenario, Params};
+use totoro_bench::{logging, mc, report, scenarios, traceview};
+
+/// The usage line and every command, one per line.
+fn listing() -> String {
+    let mut out = String::from(
+        "usage: totoro-bench <command> [--nodes N] [--seed S] [--jobs J] [--json] [--<key> <value>]\n\
+         available commands:\n",
+    );
+    let tools = [
+        (
+            "mc",
+            "bounded model checker over small overlay configurations",
+        ),
+        ("trace", "offline analytics over --trace PATH.jsonl traces"),
+    ];
+    let all = scenarios::all();
+    for (name, about) in all.iter().map(|s| (s.name(), s.description())).chain(tools) {
+        out.push_str(&format!("  {name:<10} {about}\n"));
     }
+    out
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        None | Some("--list") | Some("--help") | Some("-h") => {
-            report::emitln(
-                "usage: totoro-bench <scenario> [--nodes N] [--seed S] [--jobs J] [--json] [--<key> <value>]",
-            );
-            print_list();
-            if args.is_empty() {
-                std::process::exit(2);
-            }
+    let Some(name) = args.first().map(String::as_str) else {
+        logging::info(listing().trim_end());
+        return ExitCode::from(2);
+    };
+    let rest = &args[1..];
+    match name {
+        "--list" | "--help" | "-h" => {
+            report::emit(listing());
+            ExitCode::SUCCESS
         }
-        Some(name) => match scenarios::find(name) {
-            Some(s) => run_scenario(s.as_ref(), &args[1..]),
+        "mc" => run_command(&mc::GRAMMAR, Params::default(), rest, mc::run),
+        "trace" => run_command(&traceview::GRAMMAR, Params::default(), rest, traceview::run),
+        _ => match scenarios::find(name) {
+            Some(s) => run_command(&grammar(s.as_ref()), s.default_params(), rest, |p| {
+                run_scenario(s.as_ref(), p)
+            }),
             None => {
-                logging::error(format_args!("unknown scenario {name:?}"));
-                print_list();
-                std::process::exit(2);
+                logging::error(format_args!("unknown command {name:?}"));
+                logging::info(listing().trim_end());
+                ExitCode::from(2)
             }
         },
     }

@@ -1,5 +1,5 @@
 //! The chaos harness: canned fault plans, live protocol oracles, and the
-//! seed-sweep explorer behind the `totoro-chaos` binary.
+//! seed-sweep explorer behind `totoro-bench chaos`.
 //!
 //! A chaos trial builds a full Totoro stack (DHT overlay + pub/sub forest +
 //! [`EchoApp`] aggregation) over an EUA-shaped topology, lets it settle,
@@ -37,12 +37,12 @@ use rand::seq::SliceRandom;
 use totoro_dht::{build_states, closest_on_ring, next_hop, DhtConfig, DhtMsg, Id, NextHop};
 use totoro_pubsub::{ForestConfig, ForestNode, TreeMsg};
 use totoro_simnet::{
-    run_with_invariants, sub_rng, ChaosStats, CheckpointConfig, ChurnSchedule, Fault, FaultKind,
-    FaultPlan, Invariant, InvariantPhase, NodeIdx, NoopSink, SimDuration, SimTime, Simulator,
-    TraceRecord, TraceSink, Violation,
+    last_trace_before, run_with_invariants, span_report, sub_rng, ChaosStats, CheckpointConfig,
+    ChurnSchedule, Fault, FaultKind, FaultPlan, Invariant, InvariantPhase, NodeIdx, NoopSink,
+    SimDuration, SimTime, Simulator, TraceRecord, TraceSink, Violation,
 };
 
-use crate::scenario::{Params, Scenario, SinkSpec, Trial, TrialReport};
+use crate::scenario::{checked, Params, Scenario, SinkSpec, Trial, TrialReport};
 use crate::setups::{echo_overlay_with_sink, eua_topology, topic, Blob, EchoApp, EchoSim};
 
 /// The canned plan names accepted by [`canned_plan`] and the CLI.
@@ -869,7 +869,7 @@ pub fn run_chaos_trial(spec: &ChaosSpec, mask: Option<&[bool]>) -> ChaosOutcome 
 
 /// [`run_chaos_trial`] with an explicit trace sink: the sink observes the
 /// whole trial (settle included) and is returned so callers can drain its
-/// records — this is how `totoro-chaos --replay --trace` reconstructs the
+/// records — this is how `totoro-bench chaos --replay --trace` reconstructs the
 /// message chain behind a violation.
 pub fn run_chaos_trial_sink<S: TraceSink>(
     spec: &ChaosSpec,
@@ -977,28 +977,33 @@ pub fn shrink(spec: &ChaosSpec) -> ShrinkResult {
     ShrinkResult { atoms, runs }
 }
 
-/// The seed-sweep chaos scenario: N seeds × M plans through the PR-1 trial
-/// engine, rendered as a per-plan violation table plus replayable
-/// violation/shrink reports.
+/// The chaos scenario: a seed sweep of N seeds × M plans through the
+/// trial engine, rendered as a per-plan violation table plus replayable
+/// violation/shrink reports; or, with `--replay PLAN:SEED`, one verbose
+/// trial whose violations (traced with `--trace`) come with the causal
+/// span behind them. Either fails its verdict on any violation.
 pub struct ChaosScenario;
 
-/// Parses the comma-separated plan list, validating names eagerly.
-fn parse_plans(spec: &str) -> Vec<String> {
-    let plans: Vec<String> = spec
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect();
-    for p in &plans {
-        assert!(
-            PLAN_NAMES.contains(&p.as_str()),
-            "unknown plan {p:?} (use {})",
-            PLAN_NAMES.join("|")
-        );
+/// The `--plans` selection, checked against [`PLAN_NAMES`].
+fn plans(params: &Params) -> Result<Vec<String>, String> {
+    params.list_of("plans", &PLAN_NAMES.join(","), &PLAN_NAMES)
+}
+
+/// The `--replay PLAN:SEED` pair, if given.
+fn replay_of(params: &Params) -> Result<Option<(&str, u64)>, String> {
+    let Some(spec) = params.extra("replay") else {
+        return Ok(None);
+    };
+    let bad = || {
+        let plans = PLAN_NAMES.join(", ");
+        format!("--replay expects PLAN:SEED with PLAN one of {plans}, got {spec:?}")
+    };
+    let (plan, seed) = spec.rsplit_once(':').ok_or_else(bad)?;
+    let seed = seed.parse().map_err(|_| bad())?;
+    if !PLAN_NAMES.contains(&plan) {
+        return Err(bad());
     }
-    assert!(!plans.is_empty(), "no plans selected");
-    plans
+    Ok(Some((plan, seed)))
 }
 
 fn spec_for(trial: &Trial) -> ChaosSpec {
@@ -1007,12 +1012,111 @@ fn spec_for(trial: &Trial) -> ChaosSpec {
         trees: trial.get_usize("trees"),
         plan: trial.setup.clone(),
         seed: trial.seed,
-        bug: match trial.get("bug") {
-            0 => None,
-            1 => Some(BugKind::DropRepairJoin),
-            other => panic!("unknown bug code {other}"),
-        },
+        bug: (trial.get("bug") == 1).then_some(BugKind::DropRepairJoin),
     }
+}
+
+/// The replay report: the plan's atoms, what the run did, and each
+/// violation with the last forest message chain in flight when it fired
+/// (when `records` were kept), then the shrunk plan.
+fn replay_notes(
+    report: &mut TrialReport,
+    spec: &ChaosSpec,
+    outcome: &ChaosOutcome,
+    records: Option<&[TraceRecord]>,
+) {
+    report.push_note(format!(
+        "replaying plan={} seed={} nodes={} trees={}{}",
+        spec.plan,
+        spec.seed,
+        spec.nodes,
+        spec.trees,
+        spec.bug
+            .map(|b| format!(" bug={}", b.name()))
+            .unwrap_or_default()
+    ));
+    report.push_note("plan atoms:");
+    report
+        .notes
+        .extend(outcome.atoms.iter().map(|a| format!("  - {a}")));
+    report.push_note(format!(
+        "rounds={} events={} chaos: dropped={} duplicated={} delayed={}",
+        outcome.rounds,
+        outcome.sim.events,
+        outcome.chaos.dropped,
+        outcome.chaos.duplicated,
+        outcome.chaos.delayed
+    ));
+    if outcome.violations.is_empty() {
+        report.push_note("no invariant violations");
+        return;
+    }
+    for v in &outcome.violations {
+        report.push_note(format!(
+            "VIOLATION: {} @ {}: {}",
+            v.invariant,
+            fmt_time(v.at),
+            v.detail
+        ));
+        let Some(records) = records else { continue };
+        match last_trace_before(records, "forest", v.at.as_micros()) {
+            Some(trace) => {
+                report.push_note(format!(
+                    "  last forest message chain in flight (span {trace}):"
+                ));
+                let lines = span_report(records, trace);
+                report
+                    .notes
+                    .extend(lines.iter().map(|l| format!("    {l}")));
+            }
+            None => report.push_note("  no forest message chain recorded before the violation"),
+        }
+    }
+    let shrunk = shrink(spec);
+    report.push_note(format!(
+        "shrunk to {} atom(s) in {} runs:",
+        shrunk.atoms.len(),
+        shrunk.runs
+    ));
+    report
+        .notes
+        .extend(shrunk.atoms.iter().map(|a| format!("  - {a}")));
+}
+
+/// The sweep report: one line per violation, the command that replays
+/// the trial, and its shrunk plan.
+fn sweep_notes(report: &mut TrialReport, spec: &ChaosSpec, outcome: &ChaosOutcome) {
+    if outcome.violations.is_empty() {
+        return;
+    }
+    for v in &outcome.violations {
+        report.push_note(format!(
+            "VIOLATION plan={} seed={}: {} @ {}: {}",
+            spec.plan,
+            spec.seed,
+            v.invariant,
+            fmt_time(v.at),
+            v.detail
+        ));
+    }
+    report.push_note(format!(
+        "replay: totoro-bench chaos --replay {}:{} --nodes {} --trees {}{}",
+        spec.plan,
+        spec.seed,
+        spec.nodes,
+        spec.trees,
+        spec.bug
+            .map(|b| format!(" --inject-bug {}", b.name()))
+            .unwrap_or_default()
+    ));
+    let shrunk = shrink(spec);
+    report.push_metric("shrunk_atoms", shrunk.atoms.len() as f64);
+    report.push_note(format!(
+        "shrunk to {} atom(s) in {} runs: [{}]",
+        shrunk.atoms.len(),
+        shrunk.runs,
+        shrunk.atoms.join("; ")
+    ));
 }
 
 impl Scenario for ChaosScenario {
@@ -1031,83 +1135,76 @@ impl Scenario for ChaosScenario {
         }
     }
 
-    fn trials(&self, params: &Params) -> Vec<Trial> {
-        let seeds = params.extra_usize("seeds", 16);
-        let trees = params.extra_usize("trees", 3);
-        let plans = parse_plans(&params.extra_str("plans", &PLAN_NAMES.join(",")));
-        let bug = match params.extra("inject-bug") {
-            None => 0,
-            Some(name) => {
-                BugKind::parse(name).unwrap_or_else(|| panic!("unknown bug {name:?}"));
-                1
-            }
-        };
-        let mut trials = Vec::new();
-        for plan in &plans {
-            for s in 0..seeds {
-                trials.push(
-                    Trial::new(plan, params.seed + s as u64)
-                        .with("nodes", params.nodes as u64)
-                        .with("trees", trees as u64)
-                        .with("bug", bug),
-                );
-            }
+    fn keys(&self) -> &'static [&'static str] {
+        &["seeds", "trees", "plans", "inject-bug", "replay"]
+    }
+
+    fn trials(&self, params: &Params) -> Result<Vec<Trial>, String> {
+        let seeds: u64 = params.num("seeds")?.unwrap_or(16);
+        let trees: u64 = params.num("trees")?.unwrap_or(3);
+        let plans = plans(params)?;
+        let bug = params.one_of("inject-bug", &[BugKind::DropRepairJoin.name()])?;
+        let replay = replay_of(params)?;
+        if params.trace.is_some() && replay.is_none() {
+            return Err(
+                "--trace is only valid with --replay (sweeps would trace every trial)".into(),
+            );
         }
-        Trial::seal(trials)
+        let trial = |plan: &str, seed: u64| {
+            Trial::new(plan, seed)
+                .with("nodes", params.nodes as u64)
+                .with("trees", trees)
+                .with("bug", u64::from(bug.is_some()))
+                .with("replay", u64::from(replay.is_some()))
+        };
+        if let Some((plan, seed)) = replay {
+            return Ok(vec![trial(plan, seed)]);
+        }
+        Ok(plans
+            .iter()
+            .flat_map(|plan| (0..seeds).map(|s| trial(plan, params.seed + s)))
+            .collect())
     }
 
     fn run_with_sink(
         &self,
         trial: &Trial,
-        _sink: &SinkSpec,
+        sink: &SinkSpec,
     ) -> (TrialReport, Option<Vec<TraceRecord>>) {
         let spec = spec_for(trial);
-        let outcome = run_chaos_trial(&spec, None);
+        let (outcome, records) = match sink.recording() {
+            Some(sink) => {
+                let (outcome, mut sink) = run_chaos_trial_sink(&spec, None, sink);
+                (outcome, Some(sink.take_records()))
+            }
+            None => (run_chaos_trial(&spec, None), None),
+        };
         let mut report = TrialReport::for_trial(trial);
         report.push_metric("violations", outcome.violations.len() as f64);
         report.push_metric("rounds", outcome.rounds as f64);
         report.push_metric("chaos_dropped", outcome.chaos.dropped as f64);
         report.push_metric("chaos_duplicated", outcome.chaos.duplicated as f64);
         report.push_metric("chaos_delayed", outcome.chaos.delayed as f64);
-        report.sim = outcome.sim;
-        if !outcome.violations.is_empty() {
-            for v in &outcome.violations {
-                report.push_note(format!(
-                    "VIOLATION plan={} seed={}: {} @ {}: {}",
-                    spec.plan,
-                    spec.seed,
-                    v.invariant,
-                    fmt_time(v.at),
-                    v.detail
-                ));
-            }
-            report.push_note(format!(
-                "replay: totoro-chaos --replay {}:{} --nodes {} --trees {}{}",
-                spec.plan,
-                spec.seed,
-                spec.nodes,
-                spec.trees,
-                spec.bug
-                    .map(|b| format!(" --inject-bug {}", b.name()))
-                    .unwrap_or_default()
-            ));
-            let shrunk = shrink(&spec);
-            report.push_metric("shrunk_atoms", shrunk.atoms.len() as f64);
-            report.push_note(format!(
-                "shrunk to {} atom(s) in {} runs: [{}]",
-                shrunk.atoms.len(),
-                shrunk.runs,
-                shrunk.atoms.join("; ")
-            ));
+        if trial.get("replay") == 1 {
+            replay_notes(&mut report, &spec, &outcome, records.as_deref());
+        } else {
+            sweep_notes(&mut report, &spec, &outcome);
         }
-        (report, None)
+        report.sim = outcome.sim;
+        (report, records)
     }
 
     fn render(&self, params: &Params, reports: &[TrialReport]) -> String {
-        let seeds = params.extra_usize("seeds", 16);
-        let trees = params.extra_usize("trees", 3);
-        let plans = parse_plans(&params.extra_str("plans", &PLAN_NAMES.join(",")));
         let mut out = String::new();
+        if params.extra("replay").is_some() {
+            for note in reports.iter().flat_map(|r| &r.notes) {
+                let _ = writeln!(out, "{note}");
+            }
+            return out;
+        }
+        let seeds: u64 = checked(params.num("seeds")).unwrap_or(16);
+        let trees: u64 = checked(params.num("trees")).unwrap_or(3);
+        let plans = checked(plans(params));
         let _ = writeln!(
             out,
             "chaos sweep: nodes={} trees={} seeds={} plans={}",
@@ -1144,26 +1241,38 @@ impl Scenario for ChaosScenario {
         let _ = writeln!(out, "total violations: {total}");
         out
     }
+
+    fn verdict(&self, reports: &[TrialReport]) -> bool {
+        reports.iter().all(|r| r.metric("violations") == 0.0)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn plans_of(list: &str) -> Result<Vec<String>, String> {
+        plans(&Params {
+            extra: vec![("plans".to_string(), list.to_string())],
+            ..Params::default()
+        })
+    }
+
     #[test]
     fn plan_names_round_trip_through_parser() {
-        let plans = parse_plans(&PLAN_NAMES.join(","));
-        assert_eq!(plans.len(), 3);
+        assert_eq!(plans(&Params::default()).unwrap(), PLAN_NAMES);
         assert_eq!(
-            parse_plans(" loss-spike ,partition"),
+            plans_of(" loss-spike ,partition").unwrap(),
             ["loss-spike", "partition"]
         );
     }
 
     #[test]
-    #[should_panic(expected = "unknown plan")]
+    #[should_panic(expected = "unknown value \"bogus\"")]
     fn unknown_plan_is_rejected() {
-        parse_plans("loss-spike,bogus");
+        if let Err(e) = plans_of("loss-spike,bogus") {
+            panic!("{e}");
+        }
     }
 
     #[test]

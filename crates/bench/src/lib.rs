@@ -6,9 +6,11 @@
 //! parallel trial engine runs on `--jobs` worker threads with bit-identical
 //! output regardless of worker count.
 //!
-//! The `totoro-bench` binary is the one entry point: it dispatches
-//! scenarios by name (`totoro-bench fig7 --nodes 300 --jobs 8`; `--list`
-//! enumerates them):
+//! The `totoro-bench` binary is the crate's one entry point: it dispatches
+//! scenarios by name (`totoro-bench fig7 --nodes 300 --jobs 8`), plus the
+//! model checker (`mc`, [`mc::run`]) and the trace analytics (`trace`,
+//! [`traceview::run`]), all parsed by one grammar
+//! ([`scenario::parse_params`]); `--list` enumerates them:
 //!
 //! | Scenario | Paper artifact |
 //! |----------|----------------|
@@ -22,6 +24,7 @@
 //! | `fig12` | Fig. 12: failure-recovery time vs number of trees |
 //! | `fig13` | Fig. 13a–b: CPU and memory overhead vs OpenFL |
 //! | `ablation` | In-network aggregation vs star ablation |
+//! | `chaos` | Seed-sweep fault injection with live invariant oracles (`--replay PLAN:SEED` for one trial) |
 //!
 //! Criterion micro-benchmarks live under `benches/`.
 

@@ -5,8 +5,8 @@
 //! sets, minimization); here live the concrete *worlds* it explores —
 //! small, fully deterministic echo-forest configurations — plus the
 //! canonical state hashing, the oracle set adapted from the chaos
-//! harness (DESIGN.md §9), and a scenario-style registry the `totoro-mc`
-//! binary and the regression tests share.
+//! harness (DESIGN.md §9), a scenario-style registry the regression
+//! tests share, and the `totoro-bench mc` command over it ([`run`]).
 //!
 //! # World model
 //!
@@ -32,6 +32,7 @@
 //! that never feed back into protocol decisions.
 
 use std::hash::Hasher;
+use std::process::ExitCode;
 
 use totoro_dht::{DhtConfig, Id, UPPER_TIMER_BASE};
 use totoro_mc::{Choice, Explorer, McConfig, Report, StableHasher, World};
@@ -41,13 +42,15 @@ use totoro_simnet::{
 };
 
 use crate::chaos::{coverage, DhtConsistency, ForestStructure, RendezvousUnique};
+use crate::scenario::{Grammar, Params};
 use crate::setups::{build_tree, echo_overlay_with_sink, topic, EchoSim};
+use crate::{logging, report};
 use totoro_pubsub::ForestConfig;
 
 /// A named, fully deterministic model-checking configuration.
 #[derive(Clone, Debug)]
 pub struct McScenario {
-    /// Registry key (`totoro-mc --scenario <name>`).
+    /// Registry key (`totoro-bench mc --scenario <name>`).
     pub name: &'static str,
     /// One-line description for `--list`.
     pub about: &'static str,
@@ -245,8 +248,8 @@ impl McScenario {
     }
 
     /// Re-runs `schedule` through a recording world and renders every
-    /// causal span it produced — the counterexample report the binary
-    /// prints and CI uploads (PR-4 trace machinery).
+    /// causal span it produced — the counterexample report `mc` prints
+    /// and CI uploads.
     pub fn render_counterexample(&self, schedule: &[Choice]) -> Vec<String> {
         let mut world = self.build_sink(RecordingSink::new(self.nodes));
         let mut lines = vec![format!(
@@ -278,6 +281,141 @@ impl McScenario {
         }
         lines
     }
+}
+
+/// The command line `totoro-bench mc` takes.
+pub const GRAMMAR: Grammar<'static> = Grammar {
+    name: "mc",
+    keys: &[
+        "scenario",
+        "replay",
+        "out",
+        "depth",
+        "fault-budget",
+        "max-states",
+        "window",
+    ],
+    shared: false,
+    flags: &["list", "quiet", "verbose"],
+    positionals: None,
+};
+
+/// `totoro-bench mc`: checks every registered scenario (or `--scenario
+/// NAME`) under the bound overrides, or replays a schedule file against
+/// one (`--replay FILE`). Exits 1 on a violation or an unreadable
+/// schedule; `Err` is a usage error, raised before any exploration.
+pub fn run(params: &Params) -> Result<ExitCode, String> {
+    let names: Vec<&str> = registry().iter().map(|s| s.name).collect();
+    let only = params.one_of("scenario", &names)?;
+    let depth = params.num("depth")?;
+    let fault_budget = params.num("fault-budget")?;
+    let max_states = params.num("max-states")?;
+    let window = params.num("window")?;
+    let replay = params.extra("replay");
+    if replay.is_some() && only.is_none() {
+        return Err("--replay needs --scenario (schedules are scenario-relative)".into());
+    }
+    if params.list {
+        for s in registry() {
+            report::emitln(format_args!("{}: {}", s.name, s.about));
+        }
+        return Ok(ExitCode::SUCCESS);
+    }
+    let scenarios: Vec<McScenario> = registry()
+        .into_iter()
+        .filter(|s| only.is_none_or(|name| s.name == name))
+        .map(|mut s| {
+            s.mc.max_depth = depth.unwrap_or(s.mc.max_depth);
+            s.mc.fault_budget = fault_budget.unwrap_or(s.mc.fault_budget);
+            s.mc.max_states = max_states.unwrap_or(s.mc.max_states);
+            s.mc.reorder_window = window.unwrap_or(s.mc.reorder_window);
+            s
+        })
+        .collect();
+    if let Some(path) = replay {
+        return Ok(replay_file(&scenarios[0], path));
+    }
+    let mut violated = false;
+    for s in &scenarios {
+        violated |= explore_and_report(s, params.extra("out"));
+    }
+    Ok(ExitCode::from(u8::from(violated)))
+}
+
+/// Replays a schedule file against a scenario, printing the full span
+/// rendering. Exit mirrors the verdict: violation → failure.
+fn replay_file(scenario: &McScenario, path: &str) -> ExitCode {
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => {
+            logging::error(format_args!("cannot read schedule {path}: {e}"));
+            return ExitCode::FAILURE;
+        }
+    };
+    let Some(schedule) = Choice::parse_schedule(&text) else {
+        logging::error(format_args!("malformed schedule in {path}"));
+        return ExitCode::FAILURE;
+    };
+    let violated = scenario.violation_of(&schedule).is_some();
+    for line in scenario.render_counterexample(&schedule) {
+        report::emitln(line);
+    }
+    ExitCode::from(u8::from(violated))
+}
+
+/// Explores one scenario and prints what it found, writing a violation's
+/// minimal schedule to `out` when given; returns whether it found one.
+fn explore_and_report(scenario: &McScenario, out: Option<&str>) -> bool {
+    report::emitln(format_args!(
+        "checking {}: nodes={} depth={} fault-budget={} window={} max-states={}",
+        scenario.name,
+        scenario.nodes,
+        scenario.mc.max_depth,
+        scenario.mc.fault_budget,
+        scenario.mc.reorder_window,
+        scenario.mc.max_states
+    ));
+    let result = scenario.explore();
+    report::emitln(format_args!(
+        "  states: visited={} deduped={} pruned={} discarded={}{}",
+        result.stats.visited,
+        result.stats.deduped,
+        result.stats.pruned,
+        result.stats.discarded,
+        if result.stats.truncated {
+            " (truncated by state budget)"
+        } else {
+            ""
+        }
+    ));
+    let Some(v) = result.violation else {
+        report::emitln("  no violations");
+        return false;
+    };
+    report::emitln(format_args!("  VIOLATION: {}", v.detail));
+    report::emitln(format_args!(
+        "  minimal schedule ({} choices):",
+        v.schedule.len()
+    ));
+    for line in Choice::render_schedule(&v.schedule).lines() {
+        report::emitln(format_args!("    {line}"));
+    }
+    for line in scenario.render_counterexample(&v.schedule) {
+        report::emitln(format_args!("  {line}"));
+    }
+    if let Some(path) = out {
+        let text = format!(
+            "# totoro-bench mc counterexample: scenario {} — {}\n{}",
+            scenario.name,
+            v.detail,
+            Choice::render_schedule(&v.schedule)
+        );
+        match std::fs::write(path, text) {
+            Ok(()) => logging::info(format_args!("wrote counterexample schedule to {path}")),
+            Err(e) => logging::error(format_args!("cannot write {path}: {e}")),
+        }
+    }
+    true
 }
 
 impl<S: TraceSink> McWorld<S> {

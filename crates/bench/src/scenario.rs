@@ -12,20 +12,23 @@
 //! and `render` only ever sees that ordered slice, so the rendered output
 //! is byte-identical for `--jobs 1`, `--jobs 8`, or any other worker count.
 //!
-//! The shared [`run_scenario`] driver owns CLI parsing (`--nodes`, `--seed`,
-//! `--jobs`, `--json`, plus scenario-specific `--key value` overrides), so
-//! individual scenarios never touch `std::env`.
+//! Every `totoro-bench` command line goes through one grammar,
+//! [`parse_params`]: scenarios declare the keys they read
+//! ([`Scenario::keys`]) and check their values with the typed getters on
+//! [`Params`] before any trial runs, so a bad value is a usage error (exit
+//! 2), never a panic. Scenarios never touch `std::env`.
 
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use totoro_simnet::TrialReport as SimAccounting;
 use totoro_simnet::{chrome_trace_multi, jsonl_trace_multi, RecordingSink, TraceRecord};
 
-/// Common experiment parameters, parsed once by the driver.
+/// One command's parsed command line.
 ///
-/// `nodes`/`seed` seed every scenario's sweep; `extra` carries
-/// scenario-specific `--key value` overrides (e.g. `--dataset femnist`).
+/// `nodes`/`seed` seed every scenario's sweep; `extra` carries each
+/// command's own `--key value` pairs, read through the typed getters.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Params {
     /// Base network size for the sweep (scenario-defined meaning).
@@ -48,7 +51,11 @@ pub struct Params {
     pub quiet: bool,
     /// Emit debug detail on stderr (`--verbose`).
     pub verbose: bool,
-    /// Scenario-specific `--key value` overrides, in CLI order.
+    /// List what the command offers instead of running it (`--list`).
+    pub list: bool,
+    /// Bare arguments, for commands whose grammar takes them.
+    pub positional: Vec<String>,
+    /// The command's own `--key value` pairs, in CLI order.
     pub extra: Vec<(String, String)>,
 }
 
@@ -63,6 +70,8 @@ impl Default for Params {
             trace_filter: None,
             quiet: false,
             verbose: false,
+            list: false,
+            positional: Vec::new(),
             extra: Vec::new(),
         }
     }
@@ -98,8 +107,16 @@ pub fn validate_trace_filter(value: &str) -> Result<String, String> {
     Ok(layers.join(","))
 }
 
+fn check_choice(key: &str, value: &str, choices: &[&str]) -> Result<(), String> {
+    if choices.contains(&value) {
+        return Ok(());
+    }
+    let choices = choices.join(", ");
+    Err(format!("--{key}: unknown value {value:?} (use {choices})"))
+}
+
 impl Params {
-    /// Returns the `extra` override for `key`, if present.
+    /// The raw value of `--key`, if given (the last one wins).
     pub fn extra(&self, key: &str) -> Option<&str> {
         self.extra
             .iter()
@@ -108,17 +125,56 @@ impl Params {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Returns the `extra` override for `key` parsed as `usize`.
-    pub fn extra_usize(&self, key: &str, default: usize) -> usize {
+    /// `--key` parsed as a number (`usize`, `u64`, `f64`, ...), if given.
+    pub fn num<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
         self.extra(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("--{key} expects a number, got {v:?}"))
+            })
+            .transpose()
     }
 
-    /// Returns the `extra` override for `key` as a string, with a default.
-    pub fn extra_str(&self, key: &str, default: &str) -> String {
-        self.extra(key).unwrap_or(default).to_string()
+    /// `--key` as a comma-separated list (`default` when absent) whose
+    /// entries, trimmed, each parse as `T`.
+    pub fn list<T: std::str::FromStr>(&self, key: &str, default: &str) -> Result<Vec<T>, String> {
+        let raw = self.extra(key).unwrap_or(default);
+        raw.split(',')
+            .map(|entry| {
+                let entry = entry.trim();
+                entry
+                    .parse()
+                    .map_err(|_| format!("--{key}: bad entry {entry:?} in {raw:?}"))
+            })
+            .collect()
     }
+
+    /// `--key` if given, which must be one of `choices`.
+    pub fn one_of(&self, key: &str, choices: &[&str]) -> Result<Option<&str>, String> {
+        let value = self.extra(key);
+        value.map_or(Ok(()), |v| check_choice(key, v, choices))?;
+        Ok(value)
+    }
+
+    /// [`Params::list`] whose entries must each be one of `choices`.
+    pub fn list_of(
+        &self,
+        key: &str,
+        default: &str,
+        choices: &[&str],
+    ) -> Result<Vec<String>, String> {
+        let entries: Vec<String> = self.list(key, default)?;
+        entries
+            .iter()
+            .try_for_each(|e| check_choice(key, e, choices))?;
+        Ok(entries)
+    }
+}
+
+/// A value [`Scenario::trials`] has already read without error, read
+/// again (by `render`, which cannot fail).
+pub fn checked<T>(value: Result<T, String>) -> T {
+    value.expect("checked by trials")
 }
 
 /// A self-contained unit of work: one simulation run.
@@ -322,29 +378,11 @@ fn json_str(s: &str) -> String {
 }
 
 fn json_f64(v: f64) -> String {
+    // Bare integers are valid JSON numbers, so `Display` output is fine.
     if v.is_finite() {
-        let s = format!("{v}");
-        // Bare integers are valid JSON numbers, so `Display` output is fine.
-        s
+        format!("{v}")
     } else {
         "null".to_string()
-    }
-}
-
-/// What a traced run ([`SinkSpec::traced`]) should record.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TraceOptions {
-    /// Buffer only records whose layer tag equals this (e.g. `"forest"`);
-    /// `None` buffers everything.
-    pub filter: Option<String>,
-}
-
-impl TraceOptions {
-    /// Options derived from the driver's `--trace-filter` flag.
-    pub fn from_params(params: &Params) -> Self {
-        TraceOptions {
-            filter: params.trace_filter.clone(),
-        }
     }
 }
 
@@ -358,7 +396,9 @@ impl TraceOptions {
 /// simply ignore the spec.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SinkSpec {
-    trace: Option<TraceOptions>,
+    /// `Some(filter)` when tracing: buffer only records whose layer tag is
+    /// in `filter` (e.g. `"forest"`), or everything when it is `None`.
+    trace: Option<Option<String>>,
 }
 
 impl SinkSpec {
@@ -367,9 +407,12 @@ impl SinkSpec {
         SinkSpec { trace: None }
     }
 
-    /// A spec requesting record buffering with `opts`.
-    pub fn traced(opts: TraceOptions) -> Self {
-        SinkSpec { trace: Some(opts) }
+    /// A spec requesting record buffering, restricted to the layers in
+    /// `filter` when given.
+    pub fn traced(filter: Option<String>) -> Self {
+        SinkSpec {
+            trace: Some(filter),
+        }
     }
 
     /// Whether tracing was requested.
@@ -383,7 +426,7 @@ impl SinkSpec {
     pub fn recording(&self) -> Option<RecordingSink> {
         self.trace
             .as_ref()
-            .map(|opts| RecordingSink::new(0).with_layer_filter(opts.filter.clone()))
+            .map(|filter| RecordingSink::new(0).with_layer_filter(filter.clone()))
     }
 }
 
@@ -404,8 +447,16 @@ pub trait Scenario: Sync {
         Params::default()
     }
 
-    /// Expands parameters into the ordered trial list.
-    fn trials(&self, params: &Params) -> Vec<Trial>;
+    /// The `--key value` pairs this scenario reads beyond the
+    /// [`SHARED_KEYS`]; any other key is a usage error.
+    fn keys(&self) -> &'static [&'static str] {
+        &[]
+    }
+
+    /// Expands parameters into the ordered trial list. Every scenario
+    /// value is read and checked here, before any trial runs; `Err` is a
+    /// usage error.
+    fn trials(&self, params: &Params) -> Result<Vec<Trial>, String>;
 
     /// Runs one trial to completion under the requested sink — the single
     /// execution entry point. Plain runs receive [`SinkSpec::untraced`];
@@ -430,6 +481,12 @@ pub trait Scenario: Sync {
     /// depend on anything but `params` and the reports, so output is
     /// byte-identical across worker counts.
     fn render(&self, params: &Params, reports: &[TrialReport]) -> String;
+
+    /// Whether the run passed; `false` makes the command exit 1. A
+    /// scenario that only measures never fails.
+    fn verdict(&self, _reports: &[TrialReport]) -> bool {
+        true
+    }
 }
 
 /// Runs `trials` on `jobs` worker threads, returning reports in trial order.
@@ -486,75 +543,164 @@ pub fn run_trials_with<R: Send>(
         .collect()
 }
 
-/// Parses driver-owned CLI flags over a scenario's defaults.
+/// The `--key value` pairs every scenario accepts, parsed by
+/// [`parse_params`] into [`Params`]' own fields. `--shards N` is accepted and inert: the
+/// figure scenarios pin the sequential engine, and CI reruns the goldens
+/// with it to prove so.
+pub const SHARED_KEYS: &[&str] = &["nodes", "seed", "jobs", "trace", "trace-filter", "shards"];
+
+/// What one `totoro-bench` command accepts on its command line.
+#[derive(Clone, Copy, Debug)]
+pub struct Grammar<'a> {
+    /// The command name, as typed after `totoro-bench`.
+    pub name: &'a str,
+    /// The `--key value` pairs it reads.
+    pub keys: &'a [&'a str],
+    /// Whether it also takes the [`SHARED_KEYS`] (every scenario does).
+    pub shared: bool,
+    /// The boolean flags it takes (`json`, `quiet`, `verbose`, `list`).
+    pub flags: &'a [&'a str],
+    /// Synopsis of its bare arguments; `None` rejects them.
+    pub positionals: Option<&'a str>,
+}
+
+impl Grammar<'_> {
+    /// The one-line usage shown with every usage error.
+    pub fn usage(&self) -> String {
+        let shared = if self.shared { SHARED_KEYS } else { &[] };
+        let keys = shared
+            .iter()
+            .chain(self.keys)
+            .map(|k| format!(" [--{k} V]"));
+        let flags = self.flags.iter().map(|f| format!(" [--{f}]"));
+        let bare = self
+            .positionals
+            .map(|p| format!(" {p}"))
+            .unwrap_or_default();
+        let options: String = keys.chain(flags).collect();
+        format!("usage: totoro-bench {}{bare}{options}", self.name)
+    }
+}
+
+/// `scenario`'s grammar: the [`SHARED_KEYS`] and its own.
+pub fn grammar(scenario: &dyn Scenario) -> Grammar<'static> {
+    Grammar {
+        name: scenario.name(),
+        keys: scenario.keys(),
+        shared: true,
+        flags: &["json", "quiet", "verbose"],
+        positionals: None,
+    }
+}
+
+/// Parses `args` under `grammar` over `defaults`: the one command-line
+/// parser behind every `totoro-bench` command.
 ///
-/// Recognized: `--nodes N`, `--seed S`, `--jobs J`, `--json`; every other
-/// `--key value` pair lands in [`Params::extra`] for the scenario to
-/// interpret. Returns an error string on malformed input.
-pub fn parse_params(defaults: Params, args: &[String]) -> Result<Params, String> {
+/// Declared flags set their field; declared keys take the next argument
+/// as their value (the [`SHARED_KEYS`] are parsed into typed
+/// fields, the rest land in [`Params::extra`] for the typed getters);
+/// bare arguments land in [`Params::positional`] when the grammar takes
+/// them. Anything else is an `Err`, which callers report as a usage
+/// error (exit 2).
+pub fn parse_params(
+    grammar: &Grammar,
+    defaults: Params,
+    args: &[String],
+) -> Result<Params, String> {
+    fn int<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
+        value
+            .parse()
+            .map_err(|_| format!("--{key} expects an integer, got {value:?}"))
+    }
     let mut params = defaults;
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     while let Some(arg) = it.next() {
         let Some(key) = arg.strip_prefix("--") else {
-            return Err(format!("unexpected positional argument {arg:?}"));
+            if grammar.positionals.is_none() {
+                return Err(format!("unexpected positional argument {arg:?}"));
+            }
+            params.positional.push(arg.clone());
+            continue;
         };
-        match key {
-            "json" => {
-                params.json = true;
-                continue;
+        if grammar.flags.contains(&key) {
+            match key {
+                "json" => params.json = true,
+                "quiet" => params.quiet = true,
+                "verbose" => params.verbose = true,
+                _ => params.list = true,
             }
-            "quiet" => {
-                params.quiet = true;
-                continue;
-            }
-            "verbose" => {
-                params.verbose = true;
-                continue;
-            }
-            _ => {}
+            continue;
+        }
+        if !(grammar.keys.contains(&key) || grammar.shared && SHARED_KEYS.contains(&key)) {
+            return Err(format!("unknown flag {arg:?}"));
         }
         let Some(value) = it.next() else {
             return Err(format!("flag --{key} expects a value"));
         };
         match key {
-            "nodes" => {
-                params.nodes = value
-                    .parse()
-                    .map_err(|_| format!("--nodes expects an integer, got {value:?}"))?;
-            }
-            "seed" => {
-                params.seed = value
-                    .parse()
-                    .map_err(|_| format!("--seed expects an integer, got {value:?}"))?;
-            }
+            "nodes" => params.nodes = int(key, value)?,
+            "seed" => params.seed = int(key, value)?,
             "jobs" => {
-                params.jobs = value
-                    .parse()
-                    .map_err(|_| format!("--jobs expects an integer, got {value:?}"))?;
+                params.jobs = int(key, value)?;
                 if params.jobs == 0 {
                     return Err("--jobs must be at least 1".to_string());
                 }
             }
-            "trace" => params.trace = Some(value.clone()),
-            "trace-filter" => {
-                params.trace_filter = Some(validate_trace_filter(value)?);
+            "shards" => {
+                int::<usize>(key, value)?;
             }
+            "trace" => params.trace = Some(value.clone()),
+            "trace-filter" => params.trace_filter = Some(validate_trace_filter(value)?),
             _ => params.extra.push((key.to_string(), value.clone())),
         }
     }
     Ok(params)
 }
 
+/// Runs one command line: parses `args` under `grammar` over `defaults`,
+/// installs the stderr verbosity, and runs `body`. Every `Err`, from the
+/// parser or the body, prints the command's usage line and exits 2.
+pub fn run_command(
+    grammar: &Grammar,
+    defaults: Params,
+    args: &[String],
+    body: impl FnOnce(&Params) -> Result<ExitCode, String>,
+) -> ExitCode {
+    let outcome = parse_params(grammar, defaults, args).and_then(|params| {
+        crate::logging::set_level(crate::logging::level_from_flags(
+            params.quiet,
+            params.verbose,
+        ));
+        body(&params)
+    });
+    outcome.unwrap_or_else(|msg| {
+        // Errors print even under `--quiet`, and so does the usage line.
+        crate::logging::error(format_args!("{}: {msg}\n{}", grammar.name, grammar.usage()));
+        ExitCode::from(2)
+    })
+}
+
 /// Expands, executes, and renders a scenario; returns the output text.
 ///
 /// This is the whole experiment pipeline behind one call, shared by the
 /// `totoro-bench` CLI and the determinism tests (which compare its output
-/// byte-for-byte across `jobs` settings).
-pub fn execute(scenario: &dyn Scenario, params: &Params) -> String {
-    execute_traced(scenario, params).0
+/// byte-for-byte across `jobs` settings). `Err` means `params` holds a
+/// value the scenario rejects.
+pub fn execute(scenario: &dyn Scenario, params: &Params) -> Result<String, String> {
+    Ok(execute_traced(scenario, params)?.0)
 }
 
 /// [`execute`] plus the serialized trace, when `params.trace` is set.
+pub fn execute_traced(
+    scenario: &dyn Scenario,
+    params: &Params,
+) -> Result<(String, Option<String>), String> {
+    let (reports, trace) = run(scenario, params)?;
+    Ok((output(scenario, params, &reports), trace))
+}
+
+/// Expands and executes a scenario: its reports in trial order, plus the
+/// serialized trace when `params.trace` is set.
 ///
 /// Traced trials run through the same parallel engine; record buffers are
 /// collected **by trial index**, so the serialized trace — like the
@@ -562,95 +708,76 @@ pub fn execute(scenario: &dyn Scenario, params: &Params) -> String {
 /// format follows the target path: `.jsonl` → JSONL (one record per line,
 /// each tagged with its trial index), anything else → Chrome `trace_event`
 /// JSON with one `pid` per trial.
-pub fn execute_traced(scenario: &dyn Scenario, params: &Params) -> (String, Option<String>) {
-    let trials = Trial::seal(scenario.trials(params));
-    let (reports, trace) = if params.trace.is_some() {
-        let spec = SinkSpec::traced(TraceOptions::from_params(params));
-        let results = run_trials_with(trials.len(), params.jobs, |i| {
-            scenario.run_with_sink(&trials[i], &spec)
-        });
-        let mut reports = Vec::with_capacity(results.len());
-        let mut groups: Vec<(u64, Vec<TraceRecord>)> = Vec::new();
-        for (i, (report, records)) in results.into_iter().enumerate() {
-            reports.push(report);
-            if let Some(records) = records {
-                groups.push((i as u64, records));
-            }
-        }
-        if groups.is_empty() {
-            // `run_with_sink` returned no records for any trial: this
-            // scenario has not been wired for tracing (only the scenario
-            // knows which simulator runs to record).
-            crate::logging::info(format_args!(
-                "note: scenario {:?} does not implement tracing; the trace will be empty",
-                scenario.name()
-            ));
-        }
-        let refs: Vec<(u64, &[TraceRecord])> = groups
-            .iter()
-            .map(|(pid, records)| (*pid, records.as_slice()))
-            .collect();
-        let jsonl = params
-            .trace
-            .as_deref()
-            .is_some_and(|p| p.ends_with(".jsonl"));
-        let trace = if jsonl {
-            jsonl_trace_multi(&refs)
-        } else {
-            chrome_trace_multi(&refs)
-        };
-        (reports, Some(trace))
+fn run(
+    scenario: &dyn Scenario,
+    params: &Params,
+) -> Result<(Vec<TrialReport>, Option<String>), String> {
+    let trials = Trial::seal(scenario.trials(params)?);
+    if params.trace.is_none() {
+        return Ok((run_trials(scenario, &trials, params.jobs), None));
+    }
+    let spec = SinkSpec::traced(params.trace_filter.clone());
+    let (reports, records): (Vec<_>, Vec<_>) = run_trials_with(trials.len(), params.jobs, |i| {
+        scenario.run_with_sink(&trials[i], &spec)
+    })
+    .into_iter()
+    .unzip();
+    let groups: Vec<(u64, &[TraceRecord])> = (0u64..)
+        .zip(&records)
+        .filter_map(|(i, r)| Some((i, r.as_deref()?)))
+        .collect();
+    if groups.is_empty() {
+        // `run_with_sink` returned no records for any trial: this
+        // scenario has not been wired for tracing (only the scenario
+        // knows which simulator runs to record).
+        crate::logging::info(format_args!(
+            "note: scenario {:?} does not implement tracing; the trace will be empty",
+            scenario.name()
+        ));
+    }
+    let jsonl = params
+        .trace
+        .as_deref()
+        .is_some_and(|p| p.ends_with(".jsonl"));
+    let trace = if jsonl {
+        jsonl_trace_multi(&groups)
     } else {
-        (run_trials(scenario, &trials, params.jobs), None)
+        chrome_trace_multi(&groups)
     };
-    let out = if params.json {
+    Ok((reports, Some(trace)))
+}
+
+/// The rendered artifact text, or one JSON report per trial (`--json`).
+fn output(scenario: &dyn Scenario, params: &Params, reports: &[TrialReport]) -> String {
+    if params.json {
         let lines: Vec<String> = reports.iter().map(TrialReport::to_json).collect();
         format!("[{}]\n", lines.join(",\n "))
     } else {
-        scenario.render(params, &reports)
-    };
-    (out, trace)
+        scenario.render(params, reports)
+    }
 }
 
-/// CLI driver: parses `args`, runs the scenario, prints the output.
-///
-/// Installs the stderr verbosity from `--quiet`/`--verbose`, writes the
-/// trace file when `--trace PATH` was given, and exits the process with
-/// status 2 on a malformed command line.
-pub fn run_scenario(scenario: &dyn Scenario, args: &[String]) {
-    match parse_params(scenario.default_params(), args) {
-        Ok(params) => {
-            crate::logging::set_level(crate::logging::level_from_flags(
-                params.quiet,
-                params.verbose,
-            ));
-            let (out, trace) = execute_traced(scenario, &params);
-            if let (Some(path), Some(trace)) = (params.trace.as_deref(), trace) {
-                match std::fs::write(path, &trace) {
-                    Ok(()) => crate::logging::info(format_args!(
-                        "{}: wrote {} trace bytes to {path}",
-                        scenario.name(),
-                        trace.len()
-                    )),
-                    Err(e) => {
-                        crate::logging::error(format_args!("cannot write trace {path}: {e}"));
-                        std::process::exit(1);
-                    }
-                }
+/// `totoro-bench <scenario>`: runs the scenario, writes the trace file when `--trace
+/// PATH` was given, prints the output, and returns the exit code (1 when
+/// the scenario's [`Scenario::verdict`] fails or the trace cannot be
+/// written). `Err` is a usage error, raised before any trial runs.
+pub fn run_scenario(scenario: &dyn Scenario, params: &Params) -> Result<ExitCode, String> {
+    let (reports, trace) = run(scenario, params)?;
+    if let (Some(path), Some(trace)) = (params.trace.as_deref(), trace) {
+        match std::fs::write(path, &trace) {
+            Ok(()) => crate::logging::info(format_args!(
+                "{}: wrote {} trace bytes to {path}",
+                scenario.name(),
+                trace.len()
+            )),
+            Err(e) => {
+                crate::logging::error(format_args!("cannot write trace {path}: {e}"));
+                return Ok(ExitCode::FAILURE);
             }
-            crate::report::emit(&out);
-        }
-        Err(msg) => {
-            crate::logging::error(format_args!("{}: {msg}", scenario.name()));
-            crate::logging::info(format_args!(
-                "usage: {} [--nodes N] [--seed S] [--jobs J] [--json] [--trace PATH] \
-                 [--trace-filter L1,L2,...] [--quiet] [--verbose] \
-                 [--key value ...]",
-                scenario.name()
-            ));
-            std::process::exit(2);
         }
     }
+    crate::report::emit(output(scenario, params, &reports));
+    Ok(ExitCode::from(u8::from(!scenario.verdict(&reports))))
 }
 
 #[cfg(test)]
@@ -666,12 +793,12 @@ mod tests {
         fn description(&self) -> &'static str {
             "test scenario"
         }
-        fn trials(&self, params: &Params) -> Vec<Trial> {
-            Trial::seal(
+        fn trials(&self, params: &Params) -> Result<Vec<Trial>, String> {
+            Ok(Trial::seal(
                 (0..params.nodes)
                     .map(|i| Trial::new("echo", params.seed).with("i", i as u64))
                     .collect(),
-            )
+            ))
         }
         fn run_with_sink(
             &self,
@@ -704,7 +831,7 @@ mod tests {
             nodes: 40,
             ..Params::default()
         };
-        let trials = Trial::seal(Echo.trials(&params));
+        let trials = Trial::seal(Echo.trials(&params).unwrap());
         let reports = run_trials(&Echo, &trials, 8);
         for (i, r) in reports.iter().enumerate() {
             assert_eq!(r.index, i);
@@ -722,15 +849,14 @@ mod tests {
         p1.jobs = 1;
         p8.jobs = 8;
         assert_eq!(execute(&Echo, &p1), execute(&Echo, &p8));
+        assert!(execute(&Echo, &p1).is_ok());
     }
 
     #[test]
     fn sink_spec_builds_recording_sinks_only_when_traced() {
         assert!(!SinkSpec::untraced().is_traced());
         assert!(SinkSpec::untraced().recording().is_none());
-        let spec = SinkSpec::traced(TraceOptions {
-            filter: Some("forest".into()),
-        });
+        let spec = SinkSpec::traced(Some("forest".into()));
         assert!(spec.is_traced());
         assert!(spec.recording().is_some());
     }
@@ -748,8 +874,8 @@ mod tests {
             fn description(&self) -> &'static str {
                 "test"
             }
-            fn trials(&self, _params: &Params) -> Vec<Trial> {
-                Trial::seal(vec![Trial::new("a", 0), Trial::new("b", 0)])
+            fn trials(&self, _params: &Params) -> Result<Vec<Trial>, String> {
+                Ok(Trial::seal(vec![Trial::new("a", 0), Trial::new("b", 0)]))
             }
             fn run_with_sink(
                 &self,
@@ -764,65 +890,95 @@ mod tests {
             }
         }
         let scenario = Rendezvous(std::sync::Barrier::new(2));
-        let trials = Trial::seal(scenario.trials(&Params::default()));
+        let trials = Trial::seal(scenario.trials(&Params::default()).unwrap());
         let reports = run_trials(&scenario, &trials, 2);
         assert_eq!(reports.len(), 2);
     }
 
+    /// A scenario-shaped grammar: the shared keys plus `--dataset` and
+    /// `--apps`.
+    fn parse(args: &[&str]) -> Result<Params, String> {
+        let grammar = Grammar {
+            keys: &["dataset", "apps"],
+            ..grammar(&Echo)
+        };
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        parse_params(&grammar, Params::default(), &args)
+    }
+
+    /// [`parse`] of a space-separated command line.
+    fn parse_line(line: &str) -> Result<Params, String> {
+        parse(&line.split(' ').collect::<Vec<_>>())
+    }
+
     #[test]
     fn parse_params_recognizes_driver_flags() {
-        let args: Vec<String> = [
-            "--nodes",
-            "500",
-            "--seed",
-            "7",
-            "--jobs",
-            "4",
-            "--json",
-            "--dataset",
-            "femnist",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let p = parse_params(Params::default(), &args).unwrap();
-        assert_eq!(p.nodes, 500);
-        assert_eq!(p.seed, 7);
-        assert_eq!(p.jobs, 4);
-        assert!(p.json);
+        let line =
+            "--nodes 500 --seed 7 --jobs 4 --json --shards 4 --dataset femnist --apps 1,5,10";
+        let p = parse_line(line).unwrap();
+        assert_eq!((p.nodes, p.seed, p.jobs, p.json), (500, 7, 4, true));
         assert_eq!(p.extra("dataset"), Some("femnist"));
-        assert_eq!(p.extra_str("dataset", "speech"), "femnist");
-        assert_eq!(p.extra_usize("missing", 9), 9);
+        let datasets = ["speech", "femnist"];
+        assert_eq!(p.one_of("dataset", &datasets), Ok(Some("femnist")));
+        assert_eq!(p.list::<usize>("apps", "5"), Ok(vec![1, 5, 10]));
+        assert_eq!(p.num::<usize>("missing"), Ok(None));
+        assert_eq!(p.list::<usize>("missing", "8, 16"), Ok(vec![8, 16]));
+        let speech = p.list_of("missing", "speech", &datasets);
+        assert_eq!(speech, Ok(vec!["speech".to_string()]));
     }
 
     #[test]
     fn parse_params_rejects_bad_input() {
         for bad in [
-            vec!["positional"],
-            vec!["--nodes"],
-            vec!["--nodes", "abc"],
-            vec!["--jobs", "0"],
+            "positional",
+            "--nodes",
+            "--nodes abc",
+            "--jobs 0",
+            "--shards x",
+            "--nodez 60",
+            "--list",
         ] {
-            let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
-            assert!(parse_params(Params::default(), &args).is_err(), "{bad:?}");
+            assert!(parse_line(bad).is_err(), "{bad:?}");
         }
+        // Getters reject what the grammar cannot know is malformed.
+        let p = parse_line("--dataset bogus --apps 5,x").unwrap();
+        assert!(p.one_of("dataset", &["speech", "femnist"]).is_err());
+        assert!(p.list_of("dataset", "speech", &["speech"]).is_err());
+        assert!(p.list::<usize>("apps", "5").is_err());
+        assert!(p.num::<usize>("dataset").is_err());
+        let p = parse_line("--apps 5,,10").unwrap();
+        assert!(p.list::<usize>("apps", "5").is_err(), "empty entry");
+    }
+
+    #[test]
+    fn positionals_and_flags_follow_the_grammar() {
+        let grammar = Grammar {
+            name: "trace",
+            keys: &["buckets"],
+            shared: false,
+            flags: &["json", "list"],
+            positionals: Some("<command> TRACE.jsonl"),
+        };
+        let parse = |line: &str| {
+            let args: Vec<String> = line.split(' ').map(str::to_string).collect();
+            parse_params(&grammar, Params::default(), &args)
+        };
+        let p = parse("summary --list a.jsonl --buckets 3").unwrap();
+        assert_eq!(p.positional, ["summary", "a.jsonl"]);
+        assert!(p.list && !p.json);
+        assert_eq!(p.num::<usize>("buckets"), Ok(Some(3)));
+        assert!(parse("--nodes 3").is_err() && parse("--quiet").is_err());
+        assert_eq!(
+            grammar.usage(),
+            "usage: totoro-bench trace <command> TRACE.jsonl [--buckets V] [--json] [--list]"
+        );
     }
 
     #[test]
     fn trace_filter_validates_layer_names() {
-        let ok: Vec<String> = ["--trace-filter", "dht"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(
-            parse_params(Params::default(), &ok).unwrap().trace_filter,
-            Some("dht".to_string())
-        );
-        let bad: Vec<String> = ["--trace-filter", "dhtt"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let err = parse_params(Params::default(), &bad).unwrap_err();
+        let p = parse_line("--trace-filter dht").unwrap();
+        assert_eq!(p.trace_filter, Some("dht".to_string()));
+        let err = parse_line("--trace-filter dhtt").unwrap_err();
         assert!(err.contains("unknown layer \"dhtt\""), "{err}");
         for layer in KNOWN_LAYERS {
             assert!(err.contains(layer), "error must list {layer}: {err}");
@@ -831,27 +987,45 @@ mod tests {
 
     #[test]
     fn trace_filter_accepts_comma_separated_lists_validated_per_element() {
-        let ok: Vec<String> = ["--trace-filter", "forest, dht"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
         assert_eq!(
-            parse_params(Params::default(), &ok).unwrap().trace_filter,
+            parse(&["--trace-filter", "forest, dht"])
+                .unwrap()
+                .trace_filter,
             Some("forest,dht".to_string()),
             "elements are trimmed and re-joined normalized"
         );
-        let bad: Vec<String> = ["--trace-filter", "forest,dhtt"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let err = parse_params(Params::default(), &bad).unwrap_err();
+        let err = parse_line("--trace-filter forest,dhtt").unwrap_err();
         assert!(err.contains("unknown layer \"dhtt\""), "{err}");
-        let empty: Vec<String> = ["--trace-filter", "forest,,dht"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let err = parse_params(Params::default(), &empty).unwrap_err();
+        let err = parse_line("--trace-filter forest,,dht").unwrap_err();
         assert!(err.contains("empty layer"), "{err}");
+    }
+
+    /// Fragments the argv property test draws from: every flag shape the
+    /// grammar distinguishes, values good and bad, and hostile text.
+    #[rustfmt::skip]
+    const ARGV_FRAGMENTS: &[&str] = &[
+        "--nodes", "--seed", "--jobs", "--shards", "--trace", "--trace-filter", "--dataset",
+        "--apps", "--json", "--quiet", "--verbose", "--list", "--", "-", "-h", "--nodez",
+        "0", "1", "-1", "18446744073709551616", "x", "", "forest", "forest,,dht", "5,x",
+        "é", "--é", "\u{0}",
+    ];
+
+    proptest::proptest! {
+        /// Arbitrary argv never panics the parser or the getters: every
+        /// rejection is an `Err` for the exit-2 usage path.
+        #[test]
+        fn parse_params_never_panics_on_arbitrary_argv(
+            picks in proptest::collection::vec(0usize..ARGV_FRAGMENTS.len(), 0..12),
+        ) {
+            let args: Vec<&str> = picks.iter().map(|&i| ARGV_FRAGMENTS[i]).collect();
+            if let Ok(p) = parse(&args) {
+                let _ = p.one_of("dataset", &["speech", "femnist"]);
+                let _ = p.list::<usize>("apps", "5");
+                let _ = p.list_of("dataset", "speech", &["speech"]);
+                let _ = p.num::<f64>("apps");
+                proptest::prop_assert!(p.jobs >= 1);
+            }
+        }
     }
 
     #[test]

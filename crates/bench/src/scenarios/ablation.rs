@@ -10,7 +10,7 @@
 //! aggregation makespan for an O(N/fanout)-fold cut in master load.
 
 use crate::report::{csv_block, f2, markdown_table};
-use crate::scenario::{Params, Scenario, SinkSpec, Trial, TrialReport};
+use crate::scenario::{checked, Params, Scenario, SinkSpec, Trial, TrialReport};
 use crate::setups::{
     broadcast_from_root, build_tree, echo_overlay_with, eua_topology, root_of, topic,
 };
@@ -38,8 +38,12 @@ impl Scenario for Ablation {
         }
     }
 
-    fn trials(&self, params: &Params) -> Vec<Trial> {
-        let update_bytes = params.extra_usize("update-kb", 64) as u64 * 1024;
+    fn keys(&self) -> &'static [&'static str] {
+        &["update-kb"]
+    }
+
+    fn trials(&self, params: &Params) -> Result<Vec<Trial>, String> {
+        let update_bytes = params.num::<u64>("update-kb")?.unwrap_or(64) * 1024;
         let mut trials = Vec::new();
         for &n in &SIZES {
             for (_, fanout) in SHAPES {
@@ -51,7 +55,7 @@ impl Scenario for Ablation {
                 );
             }
         }
-        trials
+        Ok(trials)
     }
 
     fn run_with_sink(
@@ -119,7 +123,7 @@ impl Scenario for Ablation {
     }
 
     fn render(&self, params: &Params, reports: &[TrialReport]) -> String {
-        let update_kb = params.extra_usize("update-kb", 64);
+        let update_kb: usize = checked(params.num("update-kb")).unwrap_or(64);
         let mut out = String::from("# Ablation: in-network aggregation (tree) vs none (star)\n");
         let mut rows = Vec::new();
         let mut next = reports.iter();

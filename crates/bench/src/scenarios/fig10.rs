@@ -10,7 +10,7 @@
 use totoro_bandit::{layered, mean_regret_curve, trap_graph, LinkGraph, Policy, Vertex};
 
 use crate::report::{csv_block, f2, markdown_table};
-use crate::scenario::{Params, Scenario, SinkSpec, Trial, TrialReport};
+use crate::scenario::{checked, Params, Scenario, SinkSpec, Trial, TrialReport};
 use totoro_simnet::TraceRecord;
 
 const POLICIES: [Policy; 4] = [
@@ -67,9 +67,13 @@ impl Scenario for Fig10 {
         }
     }
 
-    fn trials(&self, params: &Params) -> Vec<Trial> {
-        let packets = params.extra_usize("packets", 2_000) as u64;
-        let runs = params.extra_usize("runs", 10) as u64;
+    fn keys(&self) -> &'static [&'static str] {
+        &["packets", "runs"]
+    }
+
+    fn trials(&self, params: &Params) -> Result<Vec<Trial>, String> {
+        let packets = params.num("packets")?.unwrap_or(2_000);
+        let runs = params.num("runs")?.unwrap_or(10);
         let mut trials = Vec::new();
         for graph in GRAPHS {
             for (pi, _) in POLICIES.iter().enumerate() {
@@ -81,7 +85,7 @@ impl Scenario for Fig10 {
                 );
             }
         }
-        trials
+        Ok(trials)
     }
 
     fn run_with_sink(
@@ -114,8 +118,8 @@ impl Scenario for Fig10 {
     }
 
     fn render(&self, params: &Params, reports: &[TrialReport]) -> String {
-        let packets = params.extra_usize("packets", 2_000);
-        let runs = params.extra_usize("runs", 10);
+        let packets: usize = checked(params.num("packets")).unwrap_or(2_000);
+        let runs: usize = checked(params.num("runs")).unwrap_or(10);
         let mut out = format!("# Figure 10: cumulative regret vs packets (runs={runs})\n");
         for (gi, graph) in GRAPHS.iter().enumerate() {
             let label = graph_label(graph);

@@ -7,7 +7,7 @@
 //! fully in parallel and without any central coordinator (§4.5).
 
 use crate::report::{csv_block, f2, markdown_table, percentile};
-use crate::scenario::{Params, Scenario, SinkSpec, Trial, TrialReport};
+use crate::scenario::{checked, Params, Scenario, SinkSpec, Trial, TrialReport};
 use crate::setups::{build_tree, echo_overlay, eua_topology, topic};
 use totoro_simnet::{sub_rng, ChurnSchedule, SimTime, TraceRecord};
 
@@ -17,11 +17,12 @@ const REPS: u64 = 3;
 /// Figure 12 scenario (`fig12`).
 pub struct Fig12;
 
-fn fail_frac(params: &Params) -> f64 {
-    params
-        .extra_str("fail-frac", "0.05")
-        .parse()
-        .expect("fail-frac is a float")
+fn fail_frac(params: &Params) -> Result<f64, String> {
+    let frac = params.num("fail-frac")?.unwrap_or(0.05);
+    if !(0.0..=1.0).contains(&frac) {
+        return Err(format!("--fail-frac must be within 0..=1, got {frac}"));
+    }
+    Ok(frac)
 }
 
 impl Scenario for Fig12 {
@@ -41,10 +42,14 @@ impl Scenario for Fig12 {
         }
     }
 
-    fn trials(&self, params: &Params) -> Vec<Trial> {
+    fn keys(&self) -> &'static [&'static str] {
+        &["fail-frac"]
+    }
+
+    fn trials(&self, params: &Params) -> Result<Vec<Trial>, String> {
         // Fractions travel as parts-per-million so the trial point stays
         // integer-valued (and byte-stable in serialized form).
-        let fail_ppm = (fail_frac(params) * 1e6).round() as u64;
+        let fail_ppm = (fail_frac(params)? * 1e6).round() as u64;
         let mut trials = Vec::new();
         for &trees in &TREE_COUNTS {
             // Several independent repetitions per point, merged at render
@@ -58,7 +63,7 @@ impl Scenario for Fig12 {
                 );
             }
         }
-        trials
+        Ok(trials)
     }
 
     fn run_with_sink(
@@ -132,7 +137,7 @@ impl Scenario for Fig12 {
     }
 
     fn render(&self, params: &Params, reports: &[TrialReport]) -> String {
-        let frac = fail_frac(params);
+        let frac = checked(fail_frac(params));
         let mut out = format!(
             "# Figure 12: failure recovery vs #trees ({}% simultaneous failures)\n",
             frac * 100.0

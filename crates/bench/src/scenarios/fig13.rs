@@ -19,7 +19,7 @@ use totoro_pubsub::ForestConfig;
 use totoro_simnet::{sub_rng, Application, SimTime, Topology, TraceRecord};
 
 use crate::report::{csv_block, f2, markdown_table};
-use crate::scenario::{Params, Scenario, SinkSpec, Trial, TrialReport};
+use crate::scenario::{checked, Params, Scenario, SinkSpec, Trial, TrialReport};
 use crate::setups::{fl_app_config, to_central_spec};
 
 /// Figure 13 scenario (`fig13`).
@@ -42,10 +42,14 @@ impl Scenario for Fig13 {
         }
     }
 
-    fn trials(&self, params: &Params) -> Vec<Trial> {
-        let samples = params.extra_usize("samples", 40) as u64;
-        let rounds = params.extra_usize("rounds", 8) as u64;
-        ["totoro", "openfl"]
+    fn keys(&self) -> &'static [&'static str] {
+        &["samples", "rounds"]
+    }
+
+    fn trials(&self, params: &Params) -> Result<Vec<Trial>, String> {
+        let samples = params.num("samples")?.unwrap_or(40);
+        let rounds = params.num("rounds")?.unwrap_or(8);
+        Ok(["totoro", "openfl"]
             .iter()
             .map(|engine| {
                 Trial::new(engine, params.seed)
@@ -53,7 +57,7 @@ impl Scenario for Fig13 {
                     .with("samples", samples)
                     .with("rounds", rounds)
             })
-            .collect()
+            .collect())
     }
 
     fn run_with_sink(
@@ -130,7 +134,7 @@ impl Scenario for Fig13 {
     }
 
     fn render(&self, params: &Params, reports: &[TrialReport]) -> String {
-        let rounds = params.extra_usize("rounds", 8);
+        let rounds: usize = checked(params.num("rounds")).unwrap_or(8);
         let mut out = format!(
             "# Figure 13: overhead of Totoro vs OpenFL (text model, {}-node tree)\n",
             params.nodes

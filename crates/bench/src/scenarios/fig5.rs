@@ -10,7 +10,7 @@
 //!   showing balanced roots/forwarders/leaves.
 
 use crate::report::{csv_block, f2, markdown_table, stats};
-use crate::scenario::{Params, Scenario, SinkSpec, Trial, TrialReport};
+use crate::scenario::{checked, Params, Scenario, SinkSpec, Trial, TrialReport};
 use crate::setups::{build_tree, echo_overlay_sink, eua_topology, root_of, topic};
 use totoro::{masters_per_node, quantile, role_census};
 use totoro_simnet::{
@@ -37,16 +37,20 @@ impl Scenario for Fig5 {
         }
     }
 
-    fn trials(&self, params: &Params) -> Vec<Trial> {
-        let trees = params.extra_usize("trees", 500) as u64;
-        vec![
+    fn keys(&self) -> &'static [&'static str] {
+        &["trees"]
+    }
+
+    fn trials(&self, params: &Params) -> Result<Vec<Trial>, String> {
+        let trees = params.num("trees")?.unwrap_or(500);
+        Ok(vec![
             Trial::new("zones", params.seed),
             Trial::new("masters", params.seed)
                 .with("n", params.nodes as u64)
                 .with("trees", trees),
             Trial::new("masters_per_zone", params.seed),
             Trial::new("branches", params.seed),
-        ]
+        ])
     }
 
     fn run_with_sink(
@@ -73,7 +77,7 @@ impl Scenario for Fig5 {
     }
 
     fn render(&self, params: &Params, reports: &[TrialReport]) -> String {
-        let trees = params.extra_usize("trees", 500);
+        let trees: usize = checked(params.num("trees")).unwrap_or(500);
         let mut out = format!(
             "# Figure 5: scalability & load balance (n={}, trees={}, seed={})\n",
             params.nodes, trees, params.seed

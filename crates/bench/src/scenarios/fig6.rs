@@ -32,8 +32,12 @@ impl Scenario for Fig6 {
         }
     }
 
-    fn trials(&self, params: &Params) -> Vec<Trial> {
-        let model_bytes = params.extra_usize("model-kb", 96) as u64 * 1024;
+    fn keys(&self) -> &'static [&'static str] {
+        &["model-kb"]
+    }
+
+    fn trials(&self, params: &Params) -> Result<Vec<Trial>, String> {
+        let model_bytes = params.num::<u64>("model-kb")?.unwrap_or(96) * 1024;
         let mut trials = Vec::new();
         let mut n = 20;
         while n <= params.nodes {
@@ -57,7 +61,7 @@ impl Scenario for Fig6 {
         for n in [1_000u64, 10_000, 100_000, 1_000_000] {
             trials.push(Trial::new("hops", params.seed).with("n", n));
         }
-        trials
+        Ok(trials)
     }
 
     fn run_with_sink(

@@ -11,7 +11,7 @@
 //! report mean wire bytes per node under the TCP and UDP overhead models.
 
 use crate::report::{csv_block, f2, markdown_table};
-use crate::scenario::{Params, Scenario, SinkSpec, Trial, TrialReport};
+use crate::scenario::{checked, Params, Scenario, SinkSpec, Trial, TrialReport};
 use crate::setups::{build_tree, echo_overlay_with, eua_topology, topic};
 use totoro_pubsub::ForestConfig;
 use totoro_simnet::{sub_rng, SimDuration, SimTime, TraceRecord};
@@ -36,9 +36,13 @@ impl Scenario for Fig7 {
         }
     }
 
-    fn trials(&self, params: &Params) -> Vec<Trial> {
-        let window = params.extra_usize("window-secs", 120) as u64;
-        [1u64, 2, 5, 10, 20]
+    fn keys(&self) -> &'static [&'static str] {
+        &["window-secs"]
+    }
+
+    fn trials(&self, params: &Params) -> Result<Vec<Trial>, String> {
+        let window = params.num("window-secs")?.unwrap_or(120);
+        Ok([1u64, 2, 5, 10, 20]
             .iter()
             .map(|&k| {
                 Trial::new("trees", params.seed)
@@ -46,7 +50,7 @@ impl Scenario for Fig7 {
                     .with("n", params.nodes as u64)
                     .with("window_secs", window)
             })
-            .collect()
+            .collect())
     }
 
     fn run_with_sink(
@@ -104,7 +108,7 @@ impl Scenario for Fig7 {
     }
 
     fn render(&self, params: &Params, reports: &[TrialReport]) -> String {
-        let window = params.extra_usize("window-secs", 120);
+        let window: usize = checked(params.num("window-secs")).unwrap_or(120);
         let mut out = format!(
             "# Figure 7: traffic per node vs number of trees (n={}, window={window}s)\n",
             params.nodes

@@ -14,7 +14,7 @@ use totoro_simnet::geo::{eua_regions_scaled, generate};
 use totoro_simnet::{sub_rng, SimTime, Topology, TraceRecord};
 
 use crate::report::{csv_block, markdown_table, speedup};
-use crate::scenario::{Params, Scenario, SinkSpec, Trial, TrialReport};
+use crate::scenario::{checked, Params, Scenario, SinkSpec, Trial, TrialReport};
 use crate::setups::{
     edge_latency, fl_app_config, target_for, task_by_name, to_central_spec, totoro_with_apps,
 };
@@ -24,22 +24,27 @@ const MAX_SIM: SimTime = SimTime::from_micros(48 * 3_600 * 1_000_000);
 /// Table 3 scenario (`table3`).
 pub struct Table3;
 
-fn parse_list(s: &str) -> Vec<usize> {
-    s.split(',').filter_map(|x| x.trim().parse().ok()).collect()
+/// The sweep: datasets, app counts and fanouts.
+struct Sweep {
+    samples: usize,
+    datasets: Vec<String>,
+    apps: Vec<usize>,
+    fanouts: Vec<usize>,
 }
 
-fn datasets(params: &Params) -> Vec<String> {
-    params
-        .extra_str("datasets", "speech,femnist")
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .collect()
+fn sweep(params: &Params) -> Result<Sweep, String> {
+    Ok(Sweep {
+        samples: params.num("samples")?.unwrap_or(30),
+        datasets: params.list_of("datasets", "speech,femnist", &["speech", "femnist"])?,
+        apps: params.list("apps", "5,10,20")?,
+        fanouts: params.list("fanouts", "8,16,32")?,
+    })
 }
 
 /// Per-dataset shard size: the large-scale task trains on bigger shards
 /// (longer rounds, as in the paper, where FEMNIST speedups are smaller than
 /// Speech ones because per-round compute amortizes the server overhead).
-fn samples_for(dataset: &str, samples: usize) -> usize {
+pub(crate) fn samples_for(dataset: &str, samples: usize) -> usize {
     if dataset == "femnist" {
         samples * 3
     } else {
@@ -64,14 +69,21 @@ impl Scenario for Table3 {
         }
     }
 
-    fn trials(&self, params: &Params) -> Vec<Trial> {
-        let samples = params.extra_usize("samples", 30);
-        let apps_list = parse_list(&params.extra_str("apps", "5,10,20"));
-        let fanouts = parse_list(&params.extra_str("fanouts", "8,16,32"));
+    fn keys(&self) -> &'static [&'static str] {
+        &["samples", "datasets", "apps", "fanouts"]
+    }
+
+    fn trials(&self, params: &Params) -> Result<Vec<Trial>, String> {
+        let Sweep {
+            samples,
+            datasets,
+            apps,
+            fanouts,
+        } = sweep(params)?;
         let mut trials = Vec::new();
-        for dataset in datasets(params) {
+        for dataset in datasets {
             let samples = samples_for(&dataset, samples) as u64;
-            for &num_apps in &apps_list {
+            for &num_apps in &apps {
                 // Baselines first (shared across fanouts), matching render.
                 for engine in ["openfl", "fedscale"] {
                     trials.push(
@@ -92,7 +104,7 @@ impl Scenario for Table3 {
                 }
             }
         }
-        trials
+        Ok(trials)
     }
 
     fn run_with_sink(
@@ -140,16 +152,19 @@ impl Scenario for Table3 {
     }
 
     fn render(&self, params: &Params, reports: &[TrialReport]) -> String {
-        let samples = params.extra_usize("samples", 30);
-        let apps_list = parse_list(&params.extra_str("apps", "5,10,20"));
-        let fanouts = parse_list(&params.extra_str("fanouts", "8,16,32"));
+        let Sweep {
+            samples,
+            datasets,
+            apps,
+            fanouts,
+        } = checked(sweep(params));
         let mut out = format!(
             "# Table 3: time-to-accuracy speedups (n={}, {samples} samples/client)\n",
             params.nodes
         );
         let mut next = reports.iter();
         let mut take = || next.next().expect("table3 report count matches trials");
-        for dataset in datasets(params) {
+        for dataset in datasets {
             let task = task_by_name(&dataset);
             let target = target_for(&task);
             out.push_str(&format!(
@@ -157,7 +172,7 @@ impl Scenario for Table3 {
                 target * 100.0
             ));
             let mut rows = Vec::new();
-            for &num_apps in &apps_list {
+            for &num_apps in &apps {
                 let openfl = take().metric("total_s");
                 let fedscale = take().metric("total_s");
                 out.push_str(&format!(

@@ -12,8 +12,8 @@ use totoro_ml::{AccuracyPoint, TaskGenerator};
 use totoro_simnet::{sub_rng, SimTime, TraceRecord};
 
 use crate::report::{csv_block, f3};
-use crate::scenario::{Params, Scenario, SinkSpec, Trial, TrialReport};
-use crate::scenarios::table3::{apply_device_class, topology_for};
+use crate::scenario::{checked, Params, Scenario, SinkSpec, Trial, TrialReport};
+use crate::scenarios::table3::{apply_device_class, samples_for, topology_for};
 use crate::setups::{fl_app_config, target_for, task_by_name, to_central_spec, totoro_with_apps};
 
 const MAX_SIM: SimTime = SimTime::from_micros(48 * 3_600 * 1_000_000);
@@ -36,23 +36,8 @@ pub const FIG9: Tta = Tta {
     dataset: "femnist",
 };
 
-fn apps_list(params: &Params) -> Vec<usize> {
-    params
-        .extra_str("apps", "1,5,10,20")
-        .split(',')
-        .filter_map(|x| x.trim().parse().ok())
-        .collect()
-}
-
-impl Tta {
-    fn samples(&self, params: &Params) -> usize {
-        let samples = params.extra_usize("samples", 30);
-        if self.dataset == "femnist" {
-            samples * 3
-        } else {
-            samples
-        }
-    }
+fn apps_list(params: &Params) -> Result<Vec<usize>, String> {
+    params.list("apps", "1,5,10,20")
 }
 
 impl Scenario for Tta {
@@ -78,11 +63,15 @@ impl Scenario for Tta {
         }
     }
 
-    fn trials(&self, params: &Params) -> Vec<Trial> {
-        let samples = self.samples(params) as u64;
-        let fanout = params.extra_usize("fanout", 32) as u64;
+    fn keys(&self) -> &'static [&'static str] {
+        &["samples", "fanout", "apps"]
+    }
+
+    fn trials(&self, params: &Params) -> Result<Vec<Trial>, String> {
+        let samples = samples_for(self.dataset, params.num("samples")?.unwrap_or(30)) as u64;
+        let fanout: u64 = params.num("fanout")?.unwrap_or(32);
         let mut trials = Vec::new();
-        for num_apps in apps_list(params) {
+        for num_apps in apps_list(params)? {
             for engine in ["totoro", "openfl", "fedscale"] {
                 trials.push(
                     Trial::new(engine, params.seed)
@@ -93,7 +82,7 @@ impl Scenario for Tta {
                 );
             }
         }
-        trials
+        Ok(trials)
     }
 
     fn run_with_sink(
@@ -163,7 +152,7 @@ impl Scenario for Tta {
             target_for(&task) * 100.0
         );
         let mut next = reports.iter();
-        for num_apps in apps_list(params) {
+        for num_apps in checked(apps_list(params)) {
             out.push_str(&format!("\n== {num_apps} concurrent applications ==\n"));
             for label in ["totoro", "openfl", "fedscale"] {
                 let r = next.next().expect("tta report count matches trials");

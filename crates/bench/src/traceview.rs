@@ -1,4 +1,4 @@
-//! Trace analytics behind the `totoro-trace` CLI.
+//! Trace analytics behind `totoro-bench trace`.
 //!
 //! Consumes the JSONL execution traces written by `totoro-bench --trace
 //! PATH.jsonl` (one [`totoro_simnet::TraceRecord`] object per line, each
@@ -23,8 +23,10 @@
 //! strict, small grammar is enough.
 
 use std::collections::BTreeMap;
+use std::process::ExitCode;
 
-use crate::report;
+use crate::scenario::{Grammar, Params};
+use crate::{logging, report};
 
 // ---------------------------------------------------------------------------
 // Minimal JSON value parser.
@@ -298,8 +300,8 @@ pub struct TraceEvent {
 pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
     if text.trim_start().starts_with("{\"traceEvents\"") {
         return Err(
-            "this is a Chrome trace_event file; totoro-trace consumes JSONL traces \
-             (re-run totoro-bench with --trace PATH.jsonl)"
+            "this is a Chrome trace_event file; totoro-bench trace consumes JSONL traces \
+             (re-run the scenario with --trace PATH.jsonl)"
                 .to_string(),
         );
     }
@@ -996,6 +998,76 @@ pub fn render_diff(
         ));
     }
     out
+}
+
+// ---------------------------------------------------------------------------
+// The `totoro-bench trace` command.
+// ---------------------------------------------------------------------------
+
+/// The command line `totoro-bench trace` takes.
+pub const GRAMMAR: Grammar<'static> = Grammar {
+    name: "trace",
+    keys: &["bucket-us", "buckets"],
+    shared: false,
+    flags: &["json"],
+    positionals: Some("<summary|critical-path|timeline|matrix> TRACE.jsonl | diff A.jsonl B.jsonl"),
+};
+
+/// Reads and parses one JSONL trace, keeping its text for the diff's
+/// byte-level verdict.
+fn load(path: &str) -> Result<(String, Vec<TraceEvent>), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let events = parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
+    Ok((text, events))
+}
+
+/// `totoro-bench trace <command> FILE...`: prints one analysis of a trace,
+/// or the diff of two. Exits 1 when a trace cannot be read or parsed;
+/// `Err` is a usage error, raised before any file is read.
+pub fn run(params: &Params) -> Result<ExitCode, String> {
+    let bucket_us: u64 = params.num("bucket-us")?.unwrap_or(1_000);
+    let buckets: usize = params.num("buckets")?.unwrap_or(8);
+    if buckets == 0 {
+        return Err("--buckets needs a positive integer value".into());
+    }
+    let Some((command, paths)) = params.positional.split_first() else {
+        return Err("missing command".into());
+    };
+    let files = match command.as_str() {
+        "summary" | "critical-path" | "timeline" | "matrix" => 1,
+        "diff" => 2,
+        other => return Err(format!("unknown command {other:?}")),
+    };
+    if paths.len() != files {
+        return Err(format!("{command} takes exactly {files} trace file(s)"));
+    }
+    let traces = match paths.iter().map(|p| load(p)).collect::<Result<Vec<_>, _>>() {
+        Ok(traces) => traces,
+        Err(e) => {
+            logging::error(e);
+            return Ok(ExitCode::FAILURE);
+        }
+    };
+    let path = paths[0].as_str();
+    let events = &traces[0].1;
+    let out = match command.as_str() {
+        "summary" if params.json => summary_json(&summarize(events)),
+        "summary" => render_summary(path, &summarize(events)),
+        "critical-path" if params.json => path_json(critical_path(events).as_ref()),
+        "critical-path" => render_critical_path(path, critical_path(events).as_ref()),
+        "timeline" => render_timeline(path, &timeline(events, bucket_us), bucket_us),
+        "matrix" => render_matrix(path, &matrix(events, buckets)),
+        _ => {
+            let ((a_text, a), (b_text, b)) = (&traces[0], &traces[1]);
+            report::emit(render_diff(path, a_text, a, &paths[1], b_text, b));
+            return Ok(ExitCode::SUCCESS);
+        }
+    };
+    report::emit(out);
+    if params.json {
+        report::emitln("");
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! ```
 //! (and likewise for the `.json` and fig5 fixtures) — and say so in the PR.
 
-use totoro_bench::scenario::{execute, parse_params};
+use totoro_bench::scenario::{execute, grammar, parse_params};
 use totoro_bench::scenarios;
 
 fn run(name: &str, args: &[&str]) -> String {
@@ -30,8 +30,13 @@ fn run(name: &str, args: &[&str]) -> String {
         args.push("--shards".to_string());
         args.push(shards);
     }
-    let params = parse_params(scenario.default_params(), &args).expect("valid args");
-    execute(scenario.as_ref(), &params)
+    let params = parse_params(
+        &grammar(scenario.as_ref()),
+        scenario.default_params(),
+        &args,
+    )
+    .expect("valid args");
+    execute(scenario.as_ref(), &params).expect("valid args")
 }
 
 #[test]

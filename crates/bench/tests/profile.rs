@@ -1,5 +1,5 @@
 //! Integration tests for the engine self-profiling pipeline and the
-//! `totoro-trace` analytics: profile invariance across worker and shard
+//! `totoro-bench trace` analytics: profile invariance across worker and shard
 //! counts, Chrome trace well-formedness, and pinned critical-path output
 //! on a committed fixture.
 
@@ -59,12 +59,12 @@ impl Scenario for ProfiledChaos {
         "test scenario: sharded chaos run with engine profiling"
     }
 
-    fn trials(&self, params: &Params) -> Vec<Trial> {
-        Trial::seal(
+    fn trials(&self, params: &Params) -> Result<Vec<Trial>, String> {
+        Ok(Trial::seal(
             (0..3)
                 .map(|i| Trial::new("chaos", params.seed + i).with("shards", 2))
                 .collect(),
-        )
+        ))
     }
 
     fn run_with_sink(
@@ -113,6 +113,7 @@ fn engine_profile_is_jobs_invariant() {
                 ..Params::default()
             },
         )
+        .expect("valid params")
     };
     let serial = run(1);
     assert!(

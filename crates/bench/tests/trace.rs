@@ -150,12 +150,12 @@ impl Scenario for TinyTrace {
     fn description(&self) -> &'static str {
         "trace test scenario"
     }
-    fn trials(&self, params: &Params) -> Vec<Trial> {
-        Trial::seal(
+    fn trials(&self, params: &Params) -> Result<Vec<Trial>, String> {
+        Ok(Trial::seal(
             (0..3u64)
                 .map(|k| Trial::new("overlay", params.seed + k))
                 .collect(),
-        )
+        ))
     }
     fn run_with_sink(
         &self,
@@ -188,8 +188,8 @@ fn traced_output_is_byte_identical_across_jobs() {
         jobs: 2,
         ..base.clone()
     };
-    let (out1, trace1) = execute_traced(&TinyTrace, &p1);
-    let (out2, trace2) = execute_traced(&TinyTrace, &p2);
+    let (out1, trace1) = execute_traced(&TinyTrace, &p1).unwrap();
+    let (out2, trace2) = execute_traced(&TinyTrace, &p2).unwrap();
     assert_eq!(out1, out2, "rendered output depends on --jobs");
     assert_eq!(trace1, trace2, "serialized trace depends on --jobs");
     let trace = trace1.expect("tracing was requested");
@@ -207,11 +207,11 @@ fn tracing_does_not_perturb_untraced_output() {
         ..Params::default()
     };
     assert_eq!(
-        execute(&TinyTrace, &untraced),
-        execute(&TinyTrace, &traced),
+        execute(&TinyTrace, &untraced).unwrap(),
+        execute(&TinyTrace, &traced).unwrap(),
         "installing a recording sink changed the rendered output"
     );
-    let (_, trace) = execute_traced(&TinyTrace, &traced);
+    let (_, trace) = execute_traced(&TinyTrace, &traced).unwrap();
     let trace = trace.expect("tracing was requested");
     let first = trace.lines().next().expect("trace has records");
     assert!(
@@ -227,7 +227,7 @@ fn trace_filter_restricts_layers() {
         trace_filter: Some("dht".to_string()),
         ..Params::default()
     };
-    let (_, trace) = execute_traced(&TinyTrace, &filtered);
+    let (_, trace) = execute_traced(&TinyTrace, &filtered).unwrap();
     let trace = trace.expect("tracing was requested");
     assert!(trace.contains("\"layer\":\"dht\""));
     assert!(!trace.contains("\"layer\":\"forest\""));

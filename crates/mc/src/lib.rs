@@ -28,8 +28,8 @@
 //!   deliveries, and greedy counterexample minimization.
 //!
 //! Concrete worlds (the 4-node echo-forest configurations, the invariant
-//! oracles) live in the bench crate next to the chaos harness; the
-//! `totoro-mc` binary there is the command-line frontend. DESIGN.md §14
+//! oracles) live in the bench crate next to the chaos harness, and
+//! `totoro-bench mc` is the command-line frontend. DESIGN.md §14
 //! carries the exploration-strategy and soundness discussion.
 
 pub mod explore;

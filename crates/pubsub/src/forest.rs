@@ -24,16 +24,9 @@ pub struct ForestConfig {
     pub fanout_cap: usize,
     /// Forest maintenance tick (parent heartbeats, repair checks).
     pub tick: SimDuration,
-    /// A parent silent for this many ticks triggers tree repair (§4.5).
-    pub parent_timeout_ticks: u32,
-    /// An unanswered JOIN is retried after this many ticks.
-    pub join_retry_ticks: u32,
     /// Straggler cutoff: an interior node flushes a partial aggregate this
     /// long after the round's broadcast even if children are missing.
     pub agg_timeout: SimDuration,
-    /// Whether to log broadcast/aggregation events (costs memory; enable
-    /// for measurement runs).
-    pub record_events: bool,
     /// Whether JOINs and tree traffic are restricted to the origin zone
     /// (administrative isolation, §4.2).
     pub zone_restricted: bool,
@@ -56,15 +49,17 @@ pub struct ForestConfig {
     pub max_depth: u16,
 }
 
+/// A parent silent for this many forest ticks triggers tree repair (§4.5).
+const PARENT_TIMEOUT_TICKS: u64 = 3;
+/// An unanswered JOIN is retried after this many forest ticks.
+const JOIN_RETRY_TICKS: u64 = 2;
+
 impl Default for ForestConfig {
     fn default() -> Self {
         ForestConfig {
             fanout_cap: 0,
             tick: SimDuration::from_secs(1),
-            parent_timeout_ticks: 3,
-            join_retry_ticks: 2,
             agg_timeout: SimDuration::from_secs(60),
-            record_events: true,
             zone_restricted: false,
             replan_cost_threshold: Some(2.0),
             max_depth: 64,
@@ -245,9 +240,9 @@ pub struct ForestState<D> {
     round_timers: SortedColumn<u64, (Id, u64)>,
     next_round_token: u64,
     pending_flush: Vec<(Id, u64)>,
-    /// Broadcast receipts (when `record_events`).
+    /// Broadcast receipts.
     pub broadcast_log: Vec<BroadcastEvent>,
-    /// Root aggregation completions (when `record_events`).
+    /// Root aggregation completions.
     pub agg_log: Vec<AggEvent>,
     /// Tree-repair episodes (Figure 12).
     pub repair_events: Vec<RepairEvent>,
@@ -420,7 +415,6 @@ impl<D: TreeData> ForestApi<'_, '_, '_, D> {
         expect_local: bool,
     ) {
         let now = self.now();
-        let record = self.config.record_events;
         let agg_timeout = self.config.agg_timeout;
         // Wrapped at most once (a caller may already hold the handle); every
         // child gets a reference-count bump of the same payload.
@@ -434,14 +428,12 @@ impl<D: TreeData> ForestApi<'_, '_, '_, D> {
         let n_children = m.children.len();
         let ra = m.rounds.get_or_insert_with(round, RoundAgg::default);
         ra.expected = n_children + usize::from(expect_local);
-        if record {
-            self.forest.broadcast_log.push(BroadcastEvent {
-                topic,
-                round,
-                at: now,
-                depth,
-            });
-        }
+        self.forest.broadcast_log.push(BroadcastEvent {
+            topic,
+            round,
+            at: now,
+            depth,
+        });
         let m = self.forest.membership(topic).expect("tree exists");
         self.dht.send_direct_all(
             m.children.iter().map(|c| c.addr),
@@ -716,7 +708,6 @@ impl<F: ForestApp> Forest<F> {
     ) {
         let now = dht.now();
         let me_addr = dht.addr();
-        let record = self.config.record_events;
         let agg_timeout = self.config.agg_timeout;
         let m = self.state.tree_mut(topic, now);
 
@@ -765,14 +756,12 @@ impl<F: ForestApp> Forest<F> {
         );
         self.state.stats.broadcasts_forwarded += n_children as u64;
 
-        if record {
-            self.state.broadcast_log.push(BroadcastEvent {
-                topic,
-                round,
-                at: now,
-                depth: my_depth,
-            });
-        }
+        self.state.broadcast_log.push(BroadcastEvent {
+            topic,
+            round,
+            at: now,
+            depth: my_depth,
+        });
 
         // Local participation.
         let mut local_contribution = false;
@@ -938,7 +927,6 @@ impl<F: ForestApp> Forest<F> {
         by_timeout: bool,
     ) {
         let now = dht.now();
-        let record = self.config.record_events;
         let m = self.state.tree_mut(topic, now);
         let is_root = m.is_root;
         let parent = m.parent;
@@ -964,14 +952,12 @@ impl<F: ForestApp> Forest<F> {
             self.state.stats.timeout_flushes += 1;
         }
         if is_root {
-            if record {
-                self.state.agg_log.push(AggEvent {
-                    topic,
-                    round,
-                    at: now,
-                    count,
-                });
-            }
+            self.state.agg_log.push(AggEvent {
+                topic,
+                round,
+                at: now,
+                count,
+            });
             let mut api = Self::api(&mut self.state, &self.config, dht);
             self.app.on_aggregated(&mut api, topic, round, acc, count);
         } else if let Some(p) = parent {
@@ -1019,8 +1005,8 @@ impl<F: ForestApp> Forest<F> {
         let now = dht.now();
         self.last_tick = now;
         let tick = self.config.tick;
-        let parent_timeout = tick.saturating_mul(u64::from(self.config.parent_timeout_ticks));
-        let join_retry = tick.saturating_mul(u64::from(self.config.join_retry_ticks));
+        let parent_timeout = tick.saturating_mul(PARENT_TIMEOUT_TICKS);
+        let join_retry = tick.saturating_mul(JOIN_RETRY_TICKS);
         let me = me_contact(dht);
 
         // Iterate the tree map in place (`dht` is a separate borrow); the

@@ -582,34 +582,6 @@ fn round_state_is_pruned_over_long_trainings() {
 }
 
 #[test]
-fn record_events_off_keeps_logs_empty() {
-    let n = 16;
-    let fconfig = ForestConfig {
-        record_events: false,
-        ..ForestConfig::default()
-    };
-    let mut sim = build(n, 31, fconfig);
-    let topic = app_id("quiet", "mona", 10);
-    subscribe_all(&mut sim, topic, &(0..n).collect::<Vec<_>>());
-    run_secs(&mut sim, 20);
-    let root = find_root(&sim, topic).unwrap();
-    sim.with_app(root, |node, ctx| {
-        node.with_api(ctx, |forest, dht| {
-            forest.with_forest_api(dht, |_app, api| {
-                api.broadcast(topic, 1, Sum { value: 0.0 });
-            });
-        });
-    });
-    run_secs(&mut sim, 60);
-    // The round ran (app callback fired) but measurement logs stayed empty.
-    assert!(!sim.app(root).upper.app.aggregated.is_empty());
-    for i in 0..n {
-        assert!(sim.app(i).upper.state.broadcast_log.is_empty());
-        assert!(sim.app(i).upper.state.agg_log.is_empty());
-    }
-}
-
-#[test]
 fn node_downed_mid_aggregation_contributes_no_partial_sum() {
     // Chaos-harness regression: an interior node churned down in the middle
     // of a round must not leak its half-built partial aggregate into the
@@ -705,8 +677,8 @@ fn node_downed_mid_aggregation_contributes_no_partial_sum() {
 
 #[test]
 fn node_downed_mid_join_retries_after_revival() {
-    // Chaos-harness regression (the exact failure `totoro-chaos --plan
-    // churn+stragglers` first surfaced): timers that fire while a node is
+    // Chaos-harness regression (the exact failure `totoro-bench chaos
+    // --plans churn+stragglers` first surfaced): timers that fire while a node is
     // down are swallowed, so a node churned out while still JOINING
     // revives with `joining = true`, no parent — and, before
     // `UpperLayer::on_up` re-armed the tick chain, no timer left to drive

@@ -617,7 +617,7 @@ impl<A: Application, S: TraceSink> Simulator<A, S> {
 
     // ------------------------------------------------- exploration hooks --
     //
-    // The bounded model checker (`totoro-mc`) drives the simulator off the
+    // The bounded model checker (`totoro-bench mc`) drives the simulator off the
     // normal `(time, seq)` dispatch order: it enumerates the pending set,
     // picks an arbitrary member to dispatch / drop / duplicate, and replays
     // recorded choice sequences from scratch to branch the exploration.

@@ -48,7 +48,7 @@ fn registry_names_are_unique_and_resolvable() {
 fn same_trial_run_twice_is_byte_identical() {
     let (scenario, params) = tiny_fig13();
     let run = |trial: &Trial| scenario.run_with_sink(trial, &SinkSpec::untraced()).0;
-    for trial in scenario.trials(&params) {
+    for trial in scenario.trials(&params).unwrap() {
         let a = run(&trial).to_json();
         let b = run(&trial).to_json();
         assert_eq!(a, b, "trial {} reruns bit-identically", trial.label());
@@ -58,10 +58,10 @@ fn same_trial_run_twice_is_byte_identical() {
 #[test]
 fn worker_count_does_not_change_rendered_output() {
     let (scenario, params) = tiny_fig13();
-    let serial = execute(scenario.as_ref(), &params);
+    let serial = execute(scenario.as_ref(), &params).unwrap();
     let mut parallel = params.clone();
     parallel.jobs = 4;
-    let threaded = execute(scenario.as_ref(), &parallel);
+    let threaded = execute(scenario.as_ref(), &parallel).unwrap();
     assert_eq!(serial, threaded, "--jobs 1 and --jobs 4 render identically");
 }
 
@@ -73,8 +73,8 @@ fn worker_count_does_not_change_json_output() {
     let mut parallel = serial.clone();
     parallel.jobs = 3;
     assert_eq!(
-        execute(scenario.as_ref(), &serial),
-        execute(scenario.as_ref(), &parallel),
+        execute(scenario.as_ref(), &serial).unwrap(),
+        execute(scenario.as_ref(), &parallel).unwrap(),
         "serialized sweep is byte-identical across worker counts"
     );
 }
@@ -82,7 +82,7 @@ fn worker_count_does_not_change_json_output() {
 #[test]
 fn merged_sweep_preserves_trial_order() {
     let (scenario, params) = tiny_fig11();
-    let trials = Trial::seal(scenario.trials(&params));
+    let trials = Trial::seal(scenario.trials(&params).unwrap());
     assert!(trials.len() >= 3, "sweep has enough trials to interleave");
     let reports = run_trials(scenario.as_ref(), &trials, 3);
     assert_eq!(reports.len(), trials.len());
