@@ -302,8 +302,8 @@ pub const GRAMMAR: Grammar<'static> = Grammar {
 
 /// `totoro-bench mc`: checks every registered scenario (or `--scenario
 /// NAME`) under the bound overrides, or replays a schedule file against
-/// one (`--replay FILE`). Exits 1 on a violation or an unreadable
-/// schedule; `Err` is a usage error, raised before any exploration.
+/// one (`--replay FILE`). Exits 1 on a violation; `Err` is a usage error
+/// or an unreadable schedule, raised before any exploration.
 pub fn run(params: &Params) -> Result<ExitCode, String> {
     let names: Vec<&str> = registry().iter().map(|s| s.name).collect();
     let only = params.one_of("scenario", &names)?;
@@ -333,7 +333,7 @@ pub fn run(params: &Params) -> Result<ExitCode, String> {
         })
         .collect();
     if let Some(path) = replay {
-        return Ok(replay_file(&scenarios[0], path));
+        return replay_file(&scenarios[0], path);
     }
     let mut violated = false;
     for s in &scenarios {
@@ -343,24 +343,17 @@ pub fn run(params: &Params) -> Result<ExitCode, String> {
 }
 
 /// Replays a schedule file against a scenario, printing the full span
-/// rendering. Exit mirrors the verdict: violation → failure.
-fn replay_file(scenario: &McScenario, path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            logging::error(format_args!("cannot read schedule {path}: {e}"));
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(schedule) = Choice::parse_schedule(&text) else {
-        logging::error(format_args!("malformed schedule in {path}"));
-        return ExitCode::FAILURE;
-    };
+/// rendering. Exit mirrors the verdict: violation → failure. A schedule
+/// that cannot be read or parsed is an `Err`, not a verdict.
+fn replay_file(scenario: &McScenario, path: &str) -> Result<ExitCode, String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read schedule {path}: {e}"))?;
+    let schedule = Choice::parse_schedule(&text).map_err(|e| format!("{path}: {e}"))?;
     let violated = scenario.violation_of(&schedule).is_some();
     for line in scenario.render_counterexample(&schedule) {
         report::emitln(line);
     }
-    ExitCode::from(u8::from(violated))
+    Ok(ExitCode::from(u8::from(violated)))
 }
 
 /// Explores one scenario and prints what it found, writing a violation's

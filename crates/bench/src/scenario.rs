@@ -22,6 +22,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use totoro_simnet::json::{self, ToJson, Writer};
 use totoro_simnet::TrialReport as SimAccounting;
 use totoro_simnet::{chrome_trace_multi, jsonl_trace_multi, RecordingSink, TraceRecord};
 
@@ -319,70 +320,24 @@ impl TrialReport {
             .map(|(_, v)| v.as_slice())
             .unwrap_or_else(|| panic!("report {}#{} lacks series {name:?}", self.setup, self.index))
     }
-
-    /// Deterministic JSON rendering: fixed key order, `{:?}`-free float
-    /// formatting via Rust's shortest-roundtrip `Display`.
-    pub fn to_json(&self) -> String {
-        let metrics: Vec<String> = self
-            .metrics
-            .iter()
-            .map(|(k, v)| format!("{}:{}", json_str(k), json_f64(*v)))
-            .collect();
-        let series: Vec<String> = self
-            .series
-            .iter()
-            .map(|(k, pts)| {
-                let pts: Vec<String> = pts
-                    .iter()
-                    .map(|(x, y)| format!("[{},{}]", json_f64(*x), json_f64(*y)))
-                    .collect();
-                format!("{}:[{}]", json_str(k), pts.join(","))
-            })
-            .collect();
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|row| {
-                let cells: Vec<String> = row.iter().map(|c| json_str(c)).collect();
-                format!("[{}]", cells.join(","))
-            })
-            .collect();
-        let notes: Vec<String> = self.notes.iter().map(|n| json_str(n)).collect();
-        format!(
-            "{{\"index\":{},\"setup\":{},\"sim\":{},\"metrics\":{{{}}},\"series\":{{{}}},\"rows\":[{}],\"notes\":[{}]}}",
-            self.index,
-            json_str(&self.setup),
-            self.sim.to_json(),
-            metrics.join(","),
-            series.join(","),
-            rows.join(","),
-            notes.join(","),
-        )
-    }
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Fixed key order; floats in Rust's shortest round-trip form (`null`
+/// when not finite).
+impl ToJson for TrialReport {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_obj().field("index", self.index);
+        w.field("setup", &self.setup).field("sim", &self.sim);
+        w.key("metrics").begin_obj();
+        for (k, v) in &self.metrics {
+            w.field(k, v);
         }
-    }
-    out.push('"');
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    // Bare integers are valid JSON numbers, so `Display` output is fine.
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+        w.end().key("series").begin_obj();
+        for (k, points) in &self.series {
+            w.field(k, points);
+        }
+        w.end().field("rows", &self.rows);
+        w.field("notes", &self.notes).end();
     }
 }
 
@@ -750,8 +705,13 @@ fn run(
 /// The rendered artifact text, or one JSON report per trial (`--json`).
 fn output(scenario: &dyn Scenario, params: &Params, reports: &[TrialReport]) -> String {
     if params.json {
-        let lines: Vec<String> = reports.iter().map(TrialReport::to_json).collect();
-        format!("[{}]\n", lines.join(",\n "))
+        json::render(|w| {
+            w.begin_arr(",\n ");
+            for r in reports {
+                w.value(r);
+            }
+            w.end().ws("\n");
+        })
     } else {
         scenario.render(params, reports)
     }

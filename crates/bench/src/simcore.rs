@@ -321,6 +321,7 @@ pub fn run_million_node_profiled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use totoro_simnet::json::ToJson;
 
     #[test]
     fn million_node_is_shard_invariant_and_exact() {

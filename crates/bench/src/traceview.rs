@@ -17,327 +17,20 @@
 //!
 //! Everything here is a pure function of the input text: analytics on a
 //! deterministic trace are themselves deterministic, so rendered output can
-//! be pinned byte-for-byte in golden tests. The module carries its own
-//! minimal JSON parser ([`parse_json`]) because the bench crate
-//! deliberately has no JSON dependency — traces are machine-written, so a
-//! strict, small grammar is enough.
+//! be pinned byte-for-byte in golden tests. Reading a trace
+//! ([`parse_jsonl`]) and writing JSON belong to `totoro_simnet`: the JSONL
+//! schema lives beside the writer in `obs`, and both go through the one
+//! codec in `totoro_simnet::json`, whose parser this module re-exports.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
+use totoro_simnet::json::{self, ToJson, Writer};
+pub use totoro_simnet::json::{parse_json, Json};
+use totoro_simnet::{parse_jsonl, TraceEvent};
+
+use crate::report;
 use crate::scenario::{Grammar, Params};
-use crate::{logging, report};
-
-// ---------------------------------------------------------------------------
-// Minimal JSON value parser.
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Object keys keep file order (`Vec`, not a map):
-/// trace files are machine-written with a fixed key order and tests assert
-/// on it.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number (traces only use non-negative integers).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, keys in file order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member `key` of an object, if present.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a `u64`, if it is a non-negative integral number.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= u64::MAX as f64 => {
-                Some(*v as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// How deep arrays and objects may nest. Nothing the workspace writes
-/// nests more than a few levels; the bound keeps the recursive descent
-/// from overflowing the stack on hostile input.
-const MAX_DEPTH: usize = 128;
-
-/// Parses one complete JSON document; trailing non-whitespace is an error.
-/// Every error names the byte offset it was detected at.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("expected {lit:?} at byte {pos}"))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err(format!("unexpected end of input at byte {pos}")),
-        Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
-        Some(b't') => expect(b, pos, "true").map(|()| Json::Bool(true)),
-        Some(b'f') => expect(b, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
-        Some(b'[' | b'{') if depth == MAX_DEPTH => {
-            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos, depth + 1)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut members = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                expect(b, pos, ":")?;
-                let value = parse_value(b, pos, depth + 1)?;
-                members.push((key, value));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(members));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(_) => parse_number(b, pos),
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}"));
-    }
-    let quote = *pos;
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err(format!("unterminated string at byte {quote}")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let code = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|hex| std::str::from_utf8(hex).ok())
-                            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
-                        // Traces never emit surrogate pairs; reject them
-                        // rather than silently mis-decoding.
-                        let c = char::from_u32(code).ok_or_else(|| {
-                            format!("\\u{code:04x} is not a scalar value at byte {pos}")
-                        })?;
-                        out.push(c);
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe
-                // to do bytewise by finding the next char boundary).
-                let start = *pos;
-                *pos += 1;
-                while *pos < b.len() && (b[*pos] & 0xC0) == 0x80 {
-                    *pos += 1;
-                }
-                out.push_str(
-                    std::str::from_utf8(&b[start..*pos])
-                        .map_err(|_| format!("invalid UTF-8 at byte {start}"))?,
-                );
-            }
-        }
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-        *pos += 1;
-    }
-    let s = std::str::from_utf8(&b[start..*pos])
-        .map_err(|_| format!("invalid UTF-8 at byte {start}"))?;
-    s.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("bad number {s:?} at byte {start}"))
-}
-
-// ---------------------------------------------------------------------------
-// Trace model.
-// ---------------------------------------------------------------------------
-
-/// One trace record, decoded from a JSONL line.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TraceEvent {
-    /// Trial index (`"trial"` key; 0 for single-trial traces).
-    pub trial: u64,
-    /// Simulated time of the record, microseconds.
-    pub at_us: u64,
-    /// The node the record is about.
-    pub node: u64,
-    /// Protocol layer tag.
-    pub layer: String,
-    /// Message kind / event name.
-    pub kind: String,
-    /// Event type: `send`, `deliver`, `drop`, `chaos`, `timer`, `down`,
-    /// `up`, `compute`.
-    pub ev: String,
-    /// Destination (sends and drops).
-    pub to: Option<u64>,
-    /// Source (delivers).
-    pub from: Option<u64>,
-    /// Serialized message size, when the record is about a message.
-    pub bytes: u64,
-    /// Scheduled arrival time (sends).
-    pub arrive_at_us: Option<u64>,
-    /// Causal span id, when the message is traced.
-    pub trace: Option<u64>,
-    /// Message id within the trace run.
-    pub id: Option<u64>,
-    /// Causing message id (`None` for span roots).
-    pub parent: Option<u64>,
-    /// Causal hop count from the span root.
-    pub hop: u64,
-}
-
-/// Parses a JSONL trace (empty lines ignored). Errors carry the 1-based
-/// line number.
-pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
-    if text.trim_start().starts_with("{\"traceEvents\"") {
-        return Err(
-            "this is a Chrome trace_event file; totoro-bench trace consumes JSONL traces \
-             (re-run the scenario with --trace PATH.jsonl)"
-                .to_string(),
-        );
-    }
-    let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let obj = parse_json(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let u = |key: &str| obj.get(key).and_then(Json::as_u64);
-        let s = |key: &str| obj.get(key).and_then(Json::as_str).map(str::to_string);
-        let required = |key: &str| {
-            u(key).ok_or_else(|| format!("line {}: missing or non-integer {key:?}", lineno + 1))
-        };
-        out.push(TraceEvent {
-            trial: u("trial").unwrap_or(0),
-            at_us: required("at_us")?,
-            node: required("node")?,
-            layer: s("layer").unwrap_or_default(),
-            kind: s("kind").unwrap_or_default(),
-            ev: s("ev").unwrap_or_default(),
-            to: u("to"),
-            from: u("from"),
-            bytes: u("bytes").unwrap_or(0),
-            arrive_at_us: u("arrive_at_us"),
-            trace: u("trace"),
-            id: u("id"),
-            parent: match obj.get("parent") {
-                Some(Json::Null) | None => None,
-                Some(v) => v.as_u64(),
-            },
-            hop: u("hop").unwrap_or(0),
-        });
-    }
-    Ok(out)
-}
 
 // ---------------------------------------------------------------------------
 // Summary: per-layer/per-event statistics.
@@ -487,35 +180,20 @@ pub fn render_summary(name: &str, s: &Summary) -> String {
 
 /// Renders a [`Summary`] as machine JSON.
 pub fn summary_json(s: &Summary) -> String {
-    let groups: Vec<String> = s
-        .groups
-        .iter()
-        .map(|((layer, ev), g)| {
-            format!(
-                "{{\"layer\":\"{layer}\",\"ev\":\"{ev}\",\"count\":{},\"bytes\":{},\
-                 \"lat_n\":{},\"lat_sum_us\":{},\"lat_min_us\":{},\"lat_max_us\":{},\
-                 \"lat_hist\":[{}]}}",
-                g.count,
-                g.bytes,
-                g.lat_n,
-                g.lat_sum_us,
-                g.lat_min_us,
-                g.lat_max_us,
-                g.lat_hist
-                    .iter()
-                    .map(u64::to_string)
-                    .collect::<Vec<_>>()
-                    .join(","),
-            )
-        })
-        .collect();
-    format!(
-        "{{\"trials\":{},\"spans\":{},\"end_us\":{},\"groups\":[{}]}}",
-        s.trials,
-        s.spans,
-        s.end_us,
-        groups.join(","),
-    )
+    json::render(|w| {
+        w.begin_obj().field("trials", s.trials);
+        w.field("spans", s.spans);
+        w.field("end_us", s.end_us).key("groups").begin_arr(",");
+        for ((layer, ev), g) in &s.groups {
+            w.begin_obj().field("layer", layer).field("ev", ev);
+            w.field("count", g.count).field("bytes", g.bytes);
+            w.field("lat_n", g.lat_n).field("lat_sum_us", g.lat_sum_us);
+            w.field("lat_min_us", g.lat_min_us);
+            w.field("lat_max_us", g.lat_max_us);
+            w.field("lat_hist", &g.lat_hist).end();
+        }
+        w.end().end();
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -737,29 +415,29 @@ pub fn render_critical_path(name: &str, path: Option<&CriticalPath>) -> String {
 
 /// Machine JSON for a critical path.
 pub fn path_json(path: Option<&CriticalPath>) -> String {
-    let Some(p) = path else {
-        return "{\"critical_path\":null}".to_string();
-    };
-    let hops: Vec<String> = p
-        .hops
-        .iter()
-        .map(|h| {
-            format!(
-                "{{\"from\":{},\"to\":{},\"layer\":\"{}\",\"kind\":\"{}\",\
-                 \"depart_us\":{},\"arrive_us\":{},\"dwell_us\":{}}}",
-                h.from, h.to, h.layer, h.kind, h.depart_us, h.arrive_us, h.dwell_us,
-            )
-        })
-        .collect();
-    format!(
-        "{{\"critical_path\":{{\"trial\":{},\"trace\":{},\"start_us\":{},\"end_us\":{},\
-         \"hops\":[{}]}}}}",
-        p.trial,
-        p.trace,
-        p.start_us,
-        p.end_us,
-        hops.join(","),
-    )
+    json::render(|w| {
+        w.begin_obj().field("critical_path", path).end();
+    })
+}
+
+impl ToJson for CriticalPath {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_obj().field("trial", self.trial);
+        w.field("trace", self.trace);
+        w.field("start_us", self.start_us);
+        w.field("end_us", self.end_us);
+        w.field("hops", &self.hops).end();
+    }
+}
+
+impl ToJson for PathHop {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_obj().field("from", self.from).field("to", self.to);
+        w.field("layer", &self.layer).field("kind", &self.kind);
+        w.field("depart_us", self.depart_us);
+        w.field("arrive_us", self.arrive_us);
+        w.field("dwell_us", self.dwell_us).end();
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1022,8 +700,8 @@ fn load(path: &str) -> Result<(String, Vec<TraceEvent>), String> {
 }
 
 /// `totoro-bench trace <command> FILE...`: prints one analysis of a trace,
-/// or the diff of two. Exits 1 when a trace cannot be read or parsed;
-/// `Err` is a usage error, raised before any file is read.
+/// or the diff of two. `Err` is a usage error or a trace that cannot be
+/// read or parsed; either prints nothing on stdout.
 pub fn run(params: &Params) -> Result<ExitCode, String> {
     let bucket_us: u64 = params.num("bucket-us")?.unwrap_or(1_000);
     let buckets: usize = params.num("buckets")?.unwrap_or(8);
@@ -1041,13 +719,10 @@ pub fn run(params: &Params) -> Result<ExitCode, String> {
     if paths.len() != files {
         return Err(format!("{command} takes exactly {files} trace file(s)"));
     }
-    let traces = match paths.iter().map(|p| load(p)).collect::<Result<Vec<_>, _>>() {
-        Ok(traces) => traces,
-        Err(e) => {
-            logging::error(e);
-            return Ok(ExitCode::FAILURE);
-        }
-    };
+    let traces = paths
+        .iter()
+        .map(|p| load(p))
+        .collect::<Result<Vec<_>, _>>()?;
     let path = paths[0].as_str();
     let events = &traces[0].1;
     let out = match command.as_str() {
@@ -1073,84 +748,6 @@ pub fn run(params: &Params) -> Result<ExitCode, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_parser_roundtrips_trace_shapes() {
-        let v =
-            parse_json("{\"a\":1,\"b\":null,\"c\":[true,false,\"x\\n\\u0041\"],\"d\":{\"e\":2.5}}")
-                .unwrap();
-        assert_eq!(v.get("a").and_then(Json::as_u64), Some(1));
-        assert_eq!(v.get("b"), Some(&Json::Null));
-        let arr = v.get("c").and_then(Json::as_arr).unwrap();
-        assert_eq!(arr[2].as_str(), Some("x\nA"));
-        assert_eq!(v.get("d").and_then(|d| d.get("e")), Some(&Json::Num(2.5)));
-        assert!(parse_json("{\"a\":1} trailing").is_err());
-        assert!(parse_json("{\"a\":}").is_err());
-        assert!(parse_json("").is_err());
-    }
-
-    #[test]
-    fn deep_nesting_is_an_error_not_a_stack_overflow() {
-        let deep = "[".repeat(100_000);
-        let err = parse_json(&deep).unwrap_err();
-        assert_eq!(
-            err,
-            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
-        );
-        let err = parse_json(&"{\"k\":".repeat(100_000)).unwrap_err();
-        assert!(err.starts_with("nesting deeper than"), "{err}");
-        // At the bound itself the document still parses.
-        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
-        assert!(parse_json(&ok).is_ok());
-    }
-
-    /// JSON-ish fragments, so generated inputs get past the first byte.
-    const FRAGMENTS: &[&str] = &[
-        "{", "}", "[", "]", ",", ":", "\"", "\\", "\\u", "00e9", "d800", "\\n", "u", "0", "17",
-        "-", ".", "e", "+", "null", "nul", "true", "false", "f", " ", "\n", "\"k\":", "é", "😀",
-        "x",
-    ];
-
-    proptest::proptest! {
-        /// Arbitrary input never panics, and every rejection says where.
-        #[test]
-        fn parse_json_never_panics_and_errors_carry_a_position(
-            picks in proptest::collection::vec(0usize..FRAGMENTS.len(), 0..64),
-        ) {
-            let text: String = picks.iter().map(|&i| FRAGMENTS[i]).collect();
-            if let Err(e) = parse_json(&text) {
-                proptest::prop_assert!(e.contains(" at byte "), "{e:?} from {text:?}");
-            }
-            if let Err(e) = parse_jsonl(&text) {
-                proptest::prop_assert!(
-                    e.starts_with("line ") || e.contains("Chrome trace_event"),
-                    "{e:?} from {text:?}"
-                );
-            }
-        }
-    }
-
-    fn line(at: u64, node: u64, ev: &str, extra: &str) -> String {
-        format!(
-            "{{\"trial\":0,\"at_us\":{at},\"node\":{node},\"layer\":\"app\",\
-             \"kind\":\"hop\",\"ev\":\"{ev}\"{extra}}}"
-        )
-    }
-
-    #[test]
-    fn jsonl_parses_and_rejects_chrome() {
-        let text = format!(
-            "{}\n{}\n",
-            line(0, 0, "send", ",\"to\":1,\"bytes\":16,\"arrive_at_us\":100"),
-            line(100, 1, "deliver", ",\"from\":0,\"bytes\":16"),
-        );
-        let events = parse_jsonl(&text).unwrap();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].to, Some(1));
-        assert_eq!(events[1].from, Some(0));
-        assert!(parse_jsonl("{\"traceEvents\":[]}").is_err());
-        assert!(parse_jsonl("{\"node\":0}").is_err());
-    }
 
     fn chain(hops: u64) -> Vec<TraceEvent> {
         // A single span 0 -> 1 -> 2 ... with 100 us links and 10 us dwell.
@@ -1206,7 +803,8 @@ mod tests {
 
     #[test]
     fn critical_path_handles_untraced_traces() {
-        let events = parse_jsonl(&line(0, 0, "timer", ",\"token\":3")).unwrap();
+        let line = "{\"at_us\":0,\"node\":0,\"layer\":\"sim\",\"kind\":\"timer\",\"ev\":\"timer\"}";
+        let events = parse_jsonl(line).unwrap();
         assert!(critical_path(&events).is_none());
         assert!(render_critical_path("t", None).contains("no traced spans"));
     }
@@ -1226,6 +824,29 @@ mod tests {
         let r2 = render_summary("t", &summarize(&events));
         assert_eq!(r1, r2);
         assert!(summary_json(&s).starts_with("{\"trials\":1,\"spans\":1,"));
+    }
+
+    #[test]
+    fn json_documents_escape_what_the_trace_holds() {
+        // A layer or kind read from a trace is arbitrary text; the JSON
+        // documents must still parse, and give the text back.
+        let text = "{\"at_us\":0,\"node\":0,\"layer\":\"d\\\"ht\",\"kind\":\"a\\\\b\",\
+                    \"ev\":\"send\",\"to\":1,\"arrive_at_us\":9,\"trace\":1,\"id\":1}";
+        let events = parse_jsonl(text).unwrap();
+        assert_eq!(
+            (events[0].layer.as_str(), events[0].kind.as_str()),
+            ("d\"ht", "a\\b")
+        );
+        let summary = parse_json(&summary_json(&summarize(&events))).unwrap();
+        let group = &summary.get("groups").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(group.get("layer").and_then(Json::as_str), Some("d\"ht"));
+        let path = parse_json(&path_json(critical_path(&events).as_ref())).unwrap();
+        let hop = &path
+            .get("critical_path")
+            .and_then(|p| p.get("hops"))
+            .and_then(Json::as_arr)
+            .unwrap()[0];
+        assert_eq!(hop.get("kind").and_then(Json::as_str), Some("a\\b"));
     }
 
     #[test]

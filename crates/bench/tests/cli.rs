@@ -59,22 +59,89 @@ const MALFORMED: &[&[&str]] = &[
     &["chaos", "--quiet", "--plans", "bogus"],
 ];
 
+/// Runs `args` and checks it is rejected as a usage error; returns stderr.
+fn assert_usage_error(args: &[&str]) -> String {
+    let (out, took) = bench(args);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(
+        stderr.contains("usage:"),
+        "{args:?} printed no usage: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+    // Rejected before anything ran: no report, and far sooner than the
+    // smallest default sweep takes.
+    assert!(out.stdout.is_empty(), "{args:?} produced output");
+    assert!(took < Duration::from_secs(20), "{args:?} took {took:?}");
+    stderr
+}
+
 #[test]
 fn malformed_invocations_exit_2_with_a_usage_line() {
     for args in MALFORMED {
-        let (out, took) = bench(args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(
-            stderr.contains("usage:"),
-            "{args:?} printed no usage: {stderr}"
-        );
-        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
-        // Rejected before anything ran: no report, and far sooner than the
-        // smallest default sweep takes.
-        assert!(out.stdout.is_empty(), "{args:?} produced output");
-        assert!(took < Duration::from_secs(20), "{args:?} took {took:?}");
+        assert_usage_error(args);
     }
+}
+
+/// A missing or malformed input file is the caller's mistake, not a
+/// verdict: exit 1 stays reserved for a violation found (`mc`) or a
+/// failed run.
+#[test]
+fn unreadable_or_malformed_input_files_exit_2() {
+    let dir = std::env::temp_dir().join(format!("totoro-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let write = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let schedule = write("bad.schedule", "# counterexample\ndispatch 10 1\nbogus\n");
+    let trace = write("bad.jsonl", "{\"at_us\":0,\"node\":0}\n{\"at_us\":1}\n");
+    let chrome = write("chrome.json", "{\"traceEvents\":[\n\n]}\n");
+    let huge = write(
+        "huge.jsonl",
+        "{\"at_us\":0,\"node\":0,\"ev\":\"send\",\"arrive_at_us\":18446744073709551616}\n",
+    );
+    let missing = dir.join("missing").to_str().unwrap().to_string();
+    let tiny = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/trace_tiny.jsonl");
+    let replay = |file: &str| {
+        ["mc", "--scenario", "forest-repair-4", "--replay", file]
+            .map(str::to_string)
+            .to_vec()
+    };
+    let cases: Vec<(Vec<String>, &str)> = vec![
+        (replay(&missing), "cannot read schedule"),
+        (replay(&schedule), "line 3: malformed choice \"bogus\""),
+        (
+            vec!["trace".into(), "summary".into(), missing.clone()],
+            "cannot read",
+        ),
+        (
+            vec!["trace".into(), "summary".into(), trace.clone()],
+            "line 2: missing \"node\"",
+        ),
+        (
+            vec!["trace".into(), "timeline".into(), chrome],
+            "Chrome trace_event",
+        ),
+        (
+            vec!["trace".into(), "summary".into(), huge],
+            "\"arrive_at_us\" is not an integer",
+        ),
+        (
+            vec!["trace".into(), "diff".into(), tiny.into(), missing],
+            "cannot read",
+        ),
+    ];
+    for (args, why) in &cases {
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let stderr = assert_usage_error(&args);
+        assert!(
+            stderr.contains(why),
+            "{args:?} did not say {why:?}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

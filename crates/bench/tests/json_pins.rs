@@ -3,7 +3,8 @@
 //! trial report, a report's string and float rendering, and the documents
 //! `totoro-bench trace summary --json` and `trace critical-path --json`
 //! print. `WallProfile` holds wall-clock values, so only its key order is
-//! pinned.
+//! pinned. The same traced run checks that `parse_jsonl` reads back every
+//! field `jsonl_trace_multi` wrote.
 //!
 //! The fixtures under `tests/golden/` were captured from these functions;
 //! an intentional format change regenerates them and says so.
@@ -11,10 +12,12 @@
 use totoro_bench::scenario::TrialReport;
 use totoro_bench::simcore::build_eua_topology;
 use totoro_bench::traceview::{self, Json};
+use totoro_simnet::json::ToJson;
+use totoro_simnet::obs::ROOT_PARENT;
 use totoro_simnet::{
-    chrome_trace_multi, jsonl_trace_multi, Application, ComputeKind, Ctx, Fault, FaultKind,
-    FaultPlan, NodeIdx, Payload, RecordingSink, ShardedSim, SimDuration, SimTime, Simulator,
-    TraceRecord, TrialReport as SimAccounting,
+    chrome_trace_multi, jsonl_trace_multi, parse_jsonl, Application, ComputeKind, Ctx, Fault,
+    FaultKind, FaultPlan, MsgMeta, NodeIdx, Payload, RecordingSink, ShardedSim, SimDuration,
+    SimTime, Simulator, TraceBody, TraceEvent, TraceRecord, TrialReport as SimAccounting,
 };
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
@@ -116,6 +119,73 @@ fn jsonl_trace_matches_golden() {
     assert_eq!(got, golden("json_trace_small.jsonl"));
 }
 
+/// The JSONL reader gives back every field the writer wrote, for every
+/// record kind of a real run.
+#[test]
+fn parse_jsonl_reads_back_every_record_field() {
+    let (a, b) = two_trials();
+    let groups: [(u64, &[TraceRecord]); 2] = [(0, &a), (1, &b)];
+    let events = parse_jsonl(&jsonl_trace_multi(&groups)).expect("the writer's JSONL parses");
+    let records = groups
+        .iter()
+        .flat_map(|&(trial, records)| records.iter().map(move |r| (trial, r)));
+    assert_eq!(events.len(), a.len() + b.len());
+    for ((trial, r), e) in records.zip(&events) {
+        let meta = r.meta().filter(MsgMeta::is_traced);
+        let mut want = TraceEvent {
+            trial,
+            at_us: r.at_us,
+            node: r.node as u64,
+            layer: r.layer.to_string(),
+            kind: r.kind.to_string(),
+            trace: meta.map(|m| m.trace),
+            id: meta.map(|m| m.id),
+            parent: meta.and_then(|m| (m.parent != ROOT_PARENT).then_some(m.parent)),
+            hop: meta.map_or(0, |m| u64::from(m.hop)),
+            ..TraceEvent::default()
+        };
+        let ev = match r.body {
+            TraceBody::Send {
+                to,
+                bytes,
+                arrive_at_us,
+                ..
+            } => {
+                (want.to, want.bytes) = (Some(to as u64), bytes as u64);
+                want.arrive_at_us = Some(arrive_at_us);
+                "send"
+            }
+            TraceBody::Deliver { from, bytes, .. } => {
+                (want.from, want.bytes) = (Some(from as u64), bytes as u64);
+                "deliver"
+            }
+            TraceBody::Drop {
+                to, bytes, reason, ..
+            } => {
+                (want.to, want.bytes) = (Some(to as u64), bytes as u64);
+                want.reason = Some(reason.name().to_string());
+                "drop"
+            }
+            TraceBody::ChaosEffect { to, effect } => {
+                (want.to, want.effect) = (Some(to as u64), Some(effect.to_string()));
+                "chaos"
+            }
+            TraceBody::TimerFire { token } => {
+                want.token = Some(token);
+                "timer"
+            }
+            TraceBody::NodeDown => "down",
+            TraceBody::NodeUp => "up",
+            TraceBody::Compute { task, us } => {
+                (want.task, want.us) = (Some(task.to_string()), Some(us));
+                "compute"
+            }
+        };
+        want.ev = ev.to_string();
+        assert_eq!(*e, want, "{r:?}");
+    }
+}
+
 /// A report whose `sim` section carries both optional sections, and whose
 /// own sections hold strings that need escaping and floats of every shape.
 fn report() -> TrialReport {
@@ -188,7 +258,7 @@ fn wall_profile_key_order_is_pinned() {
 
 #[test]
 fn trace_json_documents_match_golden() {
-    let events = traceview::parse_jsonl(&golden("trace_tiny.jsonl")).unwrap();
+    let events = parse_jsonl(&golden("trace_tiny.jsonl")).unwrap();
     let summary = traceview::summary_json(&traceview::summarize(&events));
     assert_eq!(format!("{summary}\n"), golden("trace_tiny_summary.json"));
     let path = traceview::path_json(traceview::critical_path(&events).as_ref());

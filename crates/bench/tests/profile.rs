@@ -6,6 +6,7 @@
 use totoro_bench::scenario::{execute, Params, Scenario, SinkSpec, Trial, TrialReport};
 use totoro_bench::simcore::{build_eua_topology, run_event_churn_traced};
 use totoro_bench::traceview;
+use totoro_simnet::json::ToJson;
 use totoro_simnet::{
     chrome_trace, jsonl_trace, Application, Ctx, Fault, FaultKind, FaultPlan, NodeIdx, Payload,
     ShardedSim, SimTime, TraceRecord, TrialReport as SimAccounting,
@@ -168,7 +169,7 @@ fn critical_path_render_matches_committed_fixture() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
     let trace = std::fs::read_to_string(format!("{dir}/trace_tiny.jsonl")).unwrap();
     let expected = std::fs::read_to_string(format!("{dir}/trace_tiny_critical.txt")).unwrap();
-    let events = traceview::parse_jsonl(&trace).unwrap();
+    let events = totoro_simnet::parse_jsonl(&trace).unwrap();
     let path = traceview::critical_path(&events);
     let rendered = traceview::render_critical_path("trace_tiny.jsonl", path.as_ref());
     assert_eq!(rendered, expected, "pinned critical-path output changed");
@@ -179,8 +180,8 @@ fn churn_trace_reruns_diff_clean() {
     let first = jsonl_trace(&run_event_churn_traced(60, 4, 30));
     let rerun = jsonl_trace(&run_event_churn_traced(60, 4, 30));
     assert_eq!(first, rerun, "a rerun must reproduce the trace");
-    let ef = traceview::parse_jsonl(&first).unwrap();
-    let er = traceview::parse_jsonl(&rerun).unwrap();
+    let ef = totoro_simnet::parse_jsonl(&first).unwrap();
+    let er = totoro_simnet::parse_jsonl(&rerun).unwrap();
     let diff = traceview::render_diff("first", &first, &ef, "rerun", &rerun, &er);
     assert!(
         diff.contains("verdict: traces are byte-identical"),

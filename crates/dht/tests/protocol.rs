@@ -2,6 +2,7 @@
 //! detect failures — no omniscient construction involved.
 
 use totoro_dht::{closest_on_ring, node_id, DhtApi, DhtConfig, DhtNode, Id, UpperLayer};
+use totoro_simnet::json::ToJson;
 use totoro_simnet::{sub_rng, NodeIdx, Payload, SimTime, Simulator, Topology};
 
 /// A minimal upper layer that records deliveries and failures.

@@ -119,17 +119,20 @@ impl Choice {
     }
 
     /// Parses a schedule: one choice per line, blank lines and lines
-    /// starting with `#` skipped. `None` if any line is malformed.
-    pub fn parse_schedule(text: &str) -> Option<Vec<Choice>> {
+    /// starting with `#` skipped. The error names the first malformed
+    /// line, 1-based.
+    pub fn parse_schedule(text: &str) -> Result<Vec<Choice>, String> {
         let mut out = Vec::new();
-        for line in text.lines() {
+        for (i, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            out.push(Choice::parse(line)?);
+            let choice = Choice::parse(line)
+                .ok_or_else(|| format!("line {}: malformed choice {line:?}", i + 1))?;
+            out.push(choice);
         }
-        Some(out)
+        Ok(out)
     }
 }
 
@@ -156,7 +159,7 @@ mod tests {
             Choice::Up { node: 3 },
         ];
         let text = Choice::render_schedule(&schedule);
-        assert_eq!(Choice::parse_schedule(&text), Some(schedule));
+        assert_eq!(Choice::parse_schedule(&text), Ok(schedule));
     }
 
     #[test]
@@ -164,7 +167,7 @@ mod tests {
         let text = "# counterexample\n\ndispatch 10 1\n  # inline\nup 0\n";
         assert_eq!(
             Choice::parse_schedule(text),
-            Some(vec![
+            Ok(vec![
                 Choice::Dispatch { key: key(10, 1) },
                 Choice::Up { node: 0 }
             ])
@@ -183,7 +186,52 @@ mod tests {
         ] {
             assert_eq!(Choice::parse(bad), None, "{bad:?} should not parse");
         }
-        assert_eq!(Choice::parse_schedule("dispatch 10 1\nbogus\n"), None);
+        assert_eq!(
+            Choice::parse_schedule("dispatch 10 1\n\n bogus\n"),
+            Err("line 3: malformed choice \"bogus\"".to_string())
+        );
+    }
+
+    /// Schedule-ish fragments, so generated inputs reach every parse path.
+    const FRAGMENTS: &[&str] = &[
+        "dispatch",
+        "drop",
+        "dup",
+        "down",
+        "up",
+        "teleport",
+        " ",
+        "\t",
+        "\n",
+        "\r\n",
+        "#",
+        "0",
+        "17",
+        "-1",
+        "18446744073709551616",
+        "x",
+        "é",
+    ];
+
+    proptest::proptest! {
+        /// Arbitrary text never panics, and every rejection names a line
+        /// of the text, 1-based.
+        #[test]
+        fn parse_schedule_never_panics_and_errors_name_a_line(
+            picks in proptest::collection::vec(0usize..FRAGMENTS.len(), 0..48),
+        ) {
+            let text: String = picks.iter().map(|&i| FRAGMENTS[i]).collect();
+            if let Err(e) = Choice::parse_schedule(&text) {
+                let line = e
+                    .strip_prefix("line ")
+                    .and_then(|rest| rest.split(':').next())
+                    .and_then(|n| n.parse::<usize>().ok());
+                proptest::prop_assert!(
+                    line.is_some_and(|n| (1..=text.lines().count()).contains(&n)),
+                    "{e:?} from {text:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@ pub mod chaos;
 pub mod churn;
 mod engine;
 pub mod geo;
+pub mod json;
 pub mod numeric;
 pub mod obs;
 pub mod payload;
@@ -49,8 +50,9 @@ pub use geo::{GeoPoint, PlacedNode, Region};
 pub use obs::prof::{EngineProf, EngineProfile, ShardWall, WallProfile};
 pub use obs::{
     chrome_trace, chrome_trace_multi, jsonl_trace, jsonl_trace_multi, last_trace_before,
-    span_records, span_report, spans, CountingSink, DropReason, Histogram, MetricsRegistry,
-    MetricsSnapshot, MsgMeta, NoopSink, RecordingSink, TraceBody, TraceRecord, TraceSink,
+    parse_jsonl, span_records, span_report, spans, CountingSink, DropReason, Histogram,
+    MetricsRegistry, MetricsSnapshot, MsgMeta, NoopSink, RecordingSink, TraceBody, TraceEvent,
+    TraceRecord, TraceSink,
 };
 pub use payload::Shared;
 pub use queue::EventKey;

@@ -31,6 +31,7 @@
 use std::collections::BTreeMap;
 
 use crate::binning::level_of;
+use crate::json::{self, Json, ToJson, Writer};
 use crate::topology::NodeIdx;
 
 pub mod prof;
@@ -188,63 +189,54 @@ impl TraceRecord {
         }
     }
 
-    /// Deterministic single-line JSON rendering (fixed key order).
-    pub fn to_json(&self) -> String {
-        let head = format!(
-            "{{\"at_us\":{},\"node\":{},\"layer\":\"{}\",\"kind\":\"{}\"",
-            self.at_us, self.node, self.layer, self.kind
-        );
-        let body = match self.body {
+    /// Writes this record as one JSONL object, led by `"trial"` when the
+    /// trace holds several trials. The key names, and which keys each
+    /// event carries, are the schema [`parse_jsonl`] reads.
+    fn write_jsonl(&self, w: &mut Writer, trial: Option<u64>) {
+        w.begin_obj();
+        if let Some(trial) = trial {
+            w.field("trial", trial);
+        }
+        w.field("at_us", self.at_us).field("node", self.node);
+        w.field("layer", self.layer).field("kind", self.kind);
+        match self.body {
             TraceBody::Send {
                 to,
                 bytes,
-                meta,
                 arrive_at_us,
-            } => format!(
-                ",\"ev\":\"send\",\"to\":{to},\"bytes\":{bytes},\"arrive_at_us\":{arrive_at_us}{}",
-                meta_json(meta)
-            ),
-            TraceBody::Deliver { from, bytes, meta } => format!(
-                ",\"ev\":\"deliver\",\"from\":{from},\"bytes\":{bytes}{}",
-                meta_json(meta)
-            ),
-            TraceBody::Drop {
-                to,
-                bytes,
-                reason,
-                meta,
-            } => format!(
-                ",\"ev\":\"drop\",\"to\":{to},\"bytes\":{bytes},\"reason\":\"{}\"{}",
-                reason.name(),
-                meta_json(meta)
-            ),
-            TraceBody::ChaosEffect { to, effect } => {
-                format!(",\"ev\":\"chaos\",\"to\":{to},\"effect\":\"{effect}\"")
+                ..
+            } => {
+                w.field("ev", "send").field("to", to).field("bytes", bytes);
+                w.field("arrive_at_us", arrive_at_us)
             }
-            TraceBody::TimerFire { token } => format!(",\"ev\":\"timer\",\"token\":{token}"),
-            TraceBody::NodeDown => ",\"ev\":\"down\"".to_string(),
-            TraceBody::NodeUp => ",\"ev\":\"up\"".to_string(),
+            TraceBody::Deliver { from, bytes, .. } => {
+                w.field("ev", "deliver").field("from", from);
+                w.field("bytes", bytes)
+            }
+            TraceBody::Drop {
+                to, bytes, reason, ..
+            } => {
+                w.field("ev", "drop").field("to", to).field("bytes", bytes);
+                w.field("reason", reason.name())
+            }
+            TraceBody::ChaosEffect { to, effect } => {
+                w.field("ev", "chaos").field("to", to);
+                w.field("effect", effect)
+            }
+            TraceBody::TimerFire { token } => w.field("ev", "timer").field("token", token),
+            TraceBody::NodeDown => w.field("ev", "down"),
+            TraceBody::NodeUp => w.field("ev", "up"),
             TraceBody::Compute { task, us } => {
-                format!(",\"ev\":\"compute\",\"task\":\"{task}\",\"us\":{us}")
+                w.field("ev", "compute").field("task", task).field("us", us)
             }
         };
-        format!("{head}{body}}}")
+        if let Some(m) = self.meta().filter(MsgMeta::is_traced) {
+            w.field("trace", m.trace).field("id", m.id);
+            let parent = (m.parent != ROOT_PARENT).then_some(m.parent);
+            w.field("parent", parent).field("hop", m.hop);
+        }
+        w.end();
     }
-}
-
-fn meta_json(meta: MsgMeta) -> String {
-    if !meta.is_traced() {
-        return String::new();
-    }
-    let parent = if meta.parent == ROOT_PARENT {
-        "null".to_string()
-    } else {
-        meta.parent.to_string()
-    };
-    format!(
-        ",\"trace\":{},\"id\":{},\"parent\":{},\"hop\":{}",
-        meta.trace, meta.id, parent, meta.hop
-    )
 }
 
 /// Receiver of trace records, installed on the simulator at construction.
@@ -414,6 +406,15 @@ impl Histogram {
     }
 }
 
+/// `{"bounds":[..],"counts":[..]}`, the one histogram shape of every
+/// report.
+impl ToJson for Histogram {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_obj().field("bounds", &self.bounds);
+        w.field("counts", &self.counts).end();
+    }
+}
+
 /// Per-layer counters and histograms keyed by static names.
 ///
 /// All maps are `BTreeMap`s so iteration — and therefore serialization —
@@ -575,42 +576,14 @@ impl MetricsSnapshot {
             }
         }
     }
+}
 
-    /// Deterministic JSON rendering: keys in `BTreeMap` order, fixed field
-    /// order, integers only.
-    pub fn to_json(&self) -> String {
-        let counters: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
-            .collect();
-        let hists: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                let bounds: Vec<String> = h.bounds.iter().map(u64::to_string).collect();
-                let counts: Vec<String> = h.counts.iter().map(u64::to_string).collect();
-                format!(
-                    "\"{k}\":{{\"bounds\":[{}],\"counts\":[{}]}}",
-                    bounds.join(","),
-                    counts.join(",")
-                )
-            })
-            .collect();
-        let per_node: Vec<String> = self
-            .per_node
-            .iter()
-            .map(|(k, v)| {
-                let vals: Vec<String> = v.iter().map(u64::to_string).collect();
-                format!("\"{k}\":[{}]", vals.join(","))
-            })
-            .collect();
-        format!(
-            "{{\"counters\":{{{}}},\"histograms\":{{{}}},\"per_node\":{{{}}}}}",
-            counters.join(","),
-            hists.join(","),
-            per_node.join(",")
-        )
+/// Keys in `BTreeMap` order, fixed field order, integers only.
+impl ToJson for MetricsSnapshot {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_obj().field("counters", &self.counters);
+        w.field("histograms", &self.histograms);
+        w.field("per_node", &self.per_node).end();
     }
 }
 
@@ -692,118 +665,191 @@ pub fn chrome_trace(records: &[TraceRecord]) -> String {
 /// renders as its own `pid` so trials appear as separate processes in the
 /// trace viewer.
 pub fn chrome_trace_multi(groups: &[(u64, &[TraceRecord])]) -> String {
-    let mut events: Vec<String> = Vec::new();
-    for &(pid, records) in groups {
-        push_chrome_events(records, pid, &mut events);
-    }
-    format!("{{\"traceEvents\":[\n{}\n]}}\n", events.join(",\n"))
-}
-
-fn push_chrome_events(records: &[TraceRecord], pid: u64, events: &mut Vec<String>) {
-    events.reserve(records.len());
-    for r in records {
-        let name = format!("{}/{}", r.layer, r.kind);
-        match r.body {
-            TraceBody::Send {
-                to,
-                bytes,
-                meta,
-                arrive_at_us,
-            } => {
-                let args = if meta.is_traced() {
-                    format!(
-                        "{{\"to\":{to},\"bytes\":{bytes},\"trace\":{},\"id\":{},\"hop\":{}}}",
-                        meta.trace, meta.id, meta.hop
-                    )
-                } else {
-                    format!("{{\"to\":{to},\"bytes\":{bytes}}}")
-                };
-                events.push(format!(
-                    "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{},\"args\":{args}}}",
-                    r.at_us,
-                    arrive_at_us.saturating_sub(r.at_us).max(1),
-                    r.node
-                ));
-            }
-            TraceBody::Deliver { from, bytes, meta } => {
-                let args = if meta.is_traced() {
-                    format!(
-                        "{{\"from\":{from},\"bytes\":{bytes},\"trace\":{},\"id\":{},\"hop\":{}}}",
-                        meta.trace, meta.id, meta.hop
-                    )
-                } else {
-                    format!("{{\"from\":{from},\"bytes\":{bytes}}}")
-                };
-                events.push(format!(
-                    "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{pid},\"tid\":{},\"args\":{args}}}",
-                    r.at_us, r.node
-                ));
-            }
-            TraceBody::Drop { to, reason, .. } => {
-                events.push(format!(
-                    "{{\"name\":\"{name} drop:{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{pid},\"tid\":{},\"args\":{{\"to\":{to}}}}}",
-                    reason.name(),
-                    r.at_us,
-                    r.node
-                ));
-            }
-            TraceBody::ChaosEffect { to, effect } => {
-                events.push(format!(
-                    "{{\"name\":\"chaos:{effect}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{pid},\"tid\":{},\"args\":{{\"to\":{to}}}}}",
-                    r.at_us, r.node
-                ));
-            }
-            TraceBody::TimerFire { token } => {
-                events.push(format!(
-                    "{{\"name\":\"timer\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{pid},\"tid\":{},\"args\":{{\"token\":{token}}}}}",
-                    r.at_us, r.node
-                ));
-            }
-            TraceBody::NodeDown | TraceBody::NodeUp => {
-                let what = if matches!(r.body, TraceBody::NodeDown) {
-                    "down"
-                } else {
-                    "up"
-                };
-                events.push(format!(
-                    "{{\"name\":\"node {what}\",\"ph\":\"i\",\"s\":\"p\",\"ts\":{},\"pid\":{pid},\"tid\":{}}}",
-                    r.at_us, r.node
-                ));
-            }
-            TraceBody::Compute { task, us } => {
-                events.push(format!(
-                    "{{\"name\":\"compute:{task}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{}}}",
-                    r.at_us,
-                    us.max(1),
-                    r.node
-                ));
+    json::render(|w| {
+        w.begin_obj().key("traceEvents").begin_arr(",\n").ws("\n");
+        for &(pid, records) in groups {
+            for r in records {
+                write_chrome_event(w, r, pid);
             }
         }
-    }
+        w.ws("\n").end().end().ws("\n");
+    })
 }
 
-/// Exports records as JSONL: one [`TraceRecord::to_json`] object per line.
-pub fn jsonl_trace(records: &[TraceRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        out.push_str(&r.to_json());
-        out.push('\n');
+/// Writes one record as a Chrome `trace_event` object.
+fn write_chrome_event(w: &mut Writer, r: &TraceRecord, pid: u64) {
+    let msg = || format!("{}/{}", r.layer, r.kind);
+    // A slice's duration, or `None` for an instant event.
+    let (name, dur) = match r.body {
+        TraceBody::Send { arrive_at_us, .. } => {
+            (msg(), Some(arrive_at_us.saturating_sub(r.at_us).max(1)))
+        }
+        TraceBody::Deliver { .. } => (msg(), None),
+        TraceBody::Drop { reason, .. } => (format!("{} drop:{}", msg(), reason.name()), None),
+        TraceBody::ChaosEffect { effect, .. } => (format!("chaos:{effect}"), None),
+        TraceBody::TimerFire { .. } => ("timer".to_string(), None),
+        TraceBody::NodeDown => ("node down".to_string(), None),
+        TraceBody::NodeUp => ("node up".to_string(), None),
+        TraceBody::Compute { task, us } => (format!("compute:{task}"), Some(us.max(1))),
+    };
+    w.begin_obj().field("name", name);
+    match dur {
+        Some(dur) => w.field("ph", "X").field("ts", r.at_us).field("dur", dur),
+        None => {
+            // Churn is process-scoped; every other instant is the node's.
+            let churn = matches!(r.body, TraceBody::NodeDown | TraceBody::NodeUp);
+            let scope = if churn { "p" } else { "t" };
+            w.field("ph", "i").field("s", scope).field("ts", r.at_us)
+        }
+    };
+    w.field("pid", pid).field("tid", r.node);
+    let arg = match r.body {
+        TraceBody::Send { to, .. }
+        | TraceBody::Drop { to, .. }
+        | TraceBody::ChaosEffect { to, .. } => Some(("to", to as u64)),
+        TraceBody::Deliver { from, .. } => Some(("from", from as u64)),
+        TraceBody::TimerFire { token } => Some(("token", token)),
+        _ => None,
+    };
+    if let Some((key, v)) = arg {
+        w.key("args").begin_obj().field(key, v);
+        if let TraceBody::Send { bytes, meta, .. } | TraceBody::Deliver { bytes, meta, .. } = r.body
+        {
+            w.field("bytes", bytes);
+            if meta.is_traced() {
+                w.field("trace", meta.trace).field("id", meta.id);
+                w.field("hop", meta.hop);
+            }
+        }
+        w.end();
     }
-    out
+    w.end();
+}
+
+/// Exports records as JSONL: one record object per line.
+pub fn jsonl_trace(records: &[TraceRecord]) -> String {
+    json::render(|w| {
+        for r in records {
+            r.write_jsonl(w, None);
+            w.ws("\n");
+        }
+    })
 }
 
 /// [`jsonl_trace`] over several record groups (one per trial); each line
 /// gains a leading `"trial":<index>` key identifying its group.
 pub fn jsonl_trace_multi(groups: &[(u64, &[TraceRecord])]) -> String {
-    let mut out = String::new();
-    for &(pid, records) in groups {
-        for r in records {
-            let json = r.to_json();
-            out.push_str(&format!("{{\"trial\":{pid},{}", &json[1..]));
-            out.push('\n');
+    json::render(|w| {
+        for &(trial, records) in groups {
+            for r in records {
+                r.write_jsonl(w, Some(trial));
+                w.ws("\n");
+            }
         }
+    })
+}
+
+/// One JSONL trace line read back by [`parse_jsonl`]: a [`TraceRecord`]
+/// with owned strings, flattened, plus its trial index.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct TraceEvent {
+    /// Trial index (`"trial"` key; 0 for single-trial traces).
+    pub trial: u64,
+    /// Simulated time of the record, microseconds.
+    pub at_us: u64,
+    /// The node the record is about.
+    pub node: u64,
+    /// Protocol layer tag.
+    pub layer: String,
+    /// Message kind / event name.
+    pub kind: String,
+    /// Event type: `send`, `deliver`, `drop`, `chaos`, `timer`, `down`,
+    /// `up`, `compute`.
+    pub ev: String,
+    /// Destination (sends, drops and chaos effects).
+    pub to: Option<u64>,
+    /// Source (delivers).
+    pub from: Option<u64>,
+    /// Serialized message size, when the record is about a message.
+    pub bytes: u64,
+    /// Scheduled arrival time (sends).
+    pub arrive_at_us: Option<u64>,
+    /// Why a message was dropped ([`DropReason::name`]).
+    pub reason: Option<String>,
+    /// What a chaos atom did: `duplicate` or `delay`.
+    pub effect: Option<String>,
+    /// A fired timer's token.
+    pub token: Option<u64>,
+    /// A compute charge's task: `fl` or `dht`.
+    pub task: Option<String>,
+    /// A compute charge's microseconds.
+    pub us: Option<u64>,
+    /// Causal span id, when the message is traced.
+    pub trace: Option<u64>,
+    /// Message id within the trace run.
+    pub id: Option<u64>,
+    /// Causing message id (`None` for span roots).
+    pub parent: Option<u64>,
+    /// Causal hop count from the span root.
+    pub hop: u64,
+}
+
+/// Parses a JSONL trace written by [`jsonl_trace`] or
+/// [`jsonl_trace_multi`] (empty lines ignored). `at_us` and `node` are
+/// required; every other key may be absent, but a key that is present
+/// must hold its type — an integer in `0..=2^53`, a string, or `null` for
+/// a span root's `parent`. Errors carry the 1-based line number.
+pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
+    if text.trim_start().starts_with("{\"traceEvents\"") {
+        return Err(
+            "this is a Chrome trace_event file; totoro-bench trace consumes JSONL traces \
+             (re-run the scenario with --trace PATH.jsonl)"
+                .to_string(),
+        );
     }
-    out
+    let mut out = Vec::new();
+    for (lineno, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let at = |e: String| format!("line {}: {e}", lineno + 1);
+        let obj = json::parse_json(line).map_err(at)?;
+        let int = |key: &str| {
+            let bad = || at(format!("{key:?} is not an integer in 0..=2^53"));
+            obj.get(key).map(|v| v.as_u64().ok_or_else(bad)).transpose()
+        };
+        let text = |key: &str| {
+            let bad = || at(format!("{key:?} is not a string"));
+            let read = |v: &Json| v.as_str().map(str::to_string).ok_or_else(bad);
+            obj.get(key).map(read).transpose()
+        };
+        let required = |key: &str| int(key)?.ok_or_else(|| at(format!("missing {key:?}")));
+        out.push(TraceEvent {
+            trial: int("trial")?.unwrap_or(0),
+            at_us: required("at_us")?,
+            node: required("node")?,
+            layer: text("layer")?.unwrap_or_default(),
+            kind: text("kind")?.unwrap_or_default(),
+            ev: text("ev")?.unwrap_or_default(),
+            to: int("to")?,
+            from: int("from")?,
+            bytes: int("bytes")?.unwrap_or(0),
+            arrive_at_us: int("arrive_at_us")?,
+            reason: text("reason")?,
+            effect: text("effect")?,
+            token: int("token")?,
+            task: text("task")?,
+            us: int("us")?,
+            trace: int("trace")?,
+            id: int("id")?,
+            parent: match obj.get("parent") {
+                Some(Json::Null) => None,
+                _ => int("parent")?,
+            },
+            hop: int("hop")?.unwrap_or(0),
+        });
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -954,6 +1000,66 @@ mod tests {
             assert!(line.starts_with('{') && line.ends_with('}'));
             assert!(line.contains("\"layer\":\"forest\""));
         }
+    }
+
+    fn line(at: u64, node: u64, ev: &str, extra: &str) -> String {
+        format!(
+            "{{\"trial\":0,\"at_us\":{at},\"node\":{node},\"layer\":\"app\",\
+             \"kind\":\"hop\",\"ev\":\"{ev}\"{extra}}}"
+        )
+    }
+
+    #[test]
+    fn jsonl_parses_and_rejects_chrome() {
+        let text = format!(
+            "{}\n{}\n",
+            line(0, 0, "send", ",\"to\":1,\"bytes\":16,\"arrive_at_us\":100"),
+            line(100, 1, "deliver", ",\"from\":0,\"bytes\":16"),
+        );
+        let events = parse_jsonl(&text).unwrap();
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[0].to, Some(1));
+        assert_eq!(events[1].from, Some(0));
+        assert!(parse_jsonl("{\"traceEvents\":[]}").is_err());
+        assert!(parse_jsonl("{\"node\":0}").is_err());
+    }
+
+    #[test]
+    fn jsonl_rejects_a_present_key_of_the_wrong_type() {
+        // 2^64 parses to a float that `as u64` would saturate; the line
+        // must be refused, not read as a latency of 2^64 - 1.
+        let huge = line(
+            0,
+            0,
+            "send",
+            ",\"to\":1,\"arrive_at_us\":18446744073709551616",
+        );
+        let text = format!("{}\n\n{huge}\n", line(0, 0, "timer", ""));
+        assert_eq!(
+            parse_jsonl(&text).unwrap_err(),
+            "line 3: \"arrive_at_us\" is not an integer in 0..=2^53"
+        );
+        for (extra, key) in [
+            (",\"to\":-1", "to"),
+            (",\"bytes\":1.5", "bytes"),
+            (",\"hop\":\"2\"", "hop"),
+            (",\"parent\":true", "parent"),
+            (",\"trace\":null", "trace"),
+        ] {
+            let err = parse_jsonl(&line(0, 0, "send", extra)).unwrap_err();
+            assert!(err.starts_with(&format!("line 1: \"{key}\" ")), "{err}");
+        }
+        let err = parse_jsonl("{\"at_us\":0,\"node\":0,\"layer\":7}").unwrap_err();
+        assert_eq!(err, "line 1: \"layer\" is not a string");
+        let err = parse_jsonl("{\"at_us\":0}").unwrap_err();
+        assert_eq!(err, "line 1: missing \"node\"");
+        // A span root's `null` parent and absent optional keys still read.
+        let root = parse_jsonl(&line(5, 2, "send", ",\"trace\":9,\"id\":9,\"parent\":null"));
+        let root = &root.unwrap()[0];
+        assert_eq!(
+            (root.trace, root.parent, root.to, root.bytes),
+            (Some(9), None, None, 0)
+        );
     }
 
     #[test]

@@ -54,6 +54,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::json::{Fixed6, ToJson, Writer};
 use crate::obs::Histogram;
 use crate::queue::{WHEEL_GRANULARITY_SHIFT, WHEEL_NUM_SLOTS};
 
@@ -417,53 +418,32 @@ impl EngineProfile {
         self.remote_pairs += other.remote_pairs;
         self.pair_volume.merge(&other.pair_volume);
     }
-
-    /// Deterministic JSON rendering: fixed key order, integer counters,
-    /// and one fixed-precision ratio (`{:.6}` formatting is
-    /// platform-independent).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"sched\":{{\"late\":{},\"near\":{},\"far\":{},\"migrated\":{},",
-                "\"horizon_us\":{},\"tick_occupancy\":{}}},",
-                "\"batch\":{{\"groups\":{},\"singletons\":{},\"batched_events\":{},",
-                "\"singleton_ratio\":{:.6},\"group_sizes\":{}}},",
-                "\"pdes\":{{\"lookahead_us\":{},\"windows\":{},\"barrier_rounds\":{},",
-                "\"events_per_window\":{},\"remote_msgs\":{},\"remote_pairs\":{},",
-                "\"pair_volume\":{}}}}}"
-            ),
-            self.late,
-            self.near,
-            self.far,
-            self.migrated,
-            hist_json(&self.horizon_us),
-            hist_json(&self.tick_occupancy),
-            self.groups,
-            self.singletons,
-            self.batched_events,
-            self.singleton_ratio(),
-            hist_json(&self.group_sizes),
-            self.lookahead_us,
-            self.windows,
-            self.barrier_rounds(),
-            hist_json(&self.events_per_window),
-            self.remote_msgs,
-            self.remote_pairs,
-            hist_json(&self.pair_volume),
-        )
-    }
 }
 
-/// Renders a histogram in the same shape as
-/// [`crate::obs::MetricsSnapshot`] histograms.
-fn hist_json(h: &Histogram) -> String {
-    let bounds: Vec<String> = h.bounds.iter().map(u64::to_string).collect();
-    let counts: Vec<String> = h.counts.iter().map(u64::to_string).collect();
-    format!(
-        "{{\"bounds\":[{}],\"counts\":[{}]}}",
-        bounds.join(","),
-        counts.join(",")
-    )
+/// Fixed key order, integer counters, and one fixed-precision ratio
+/// ([`Fixed6`] formats the same on every platform).
+impl ToJson for EngineProfile {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_obj().key("sched").begin_obj();
+        w.field("late", self.late).field("near", self.near);
+        w.field("far", self.far).field("migrated", self.migrated);
+        w.field("horizon_us", &self.horizon_us);
+        w.field("tick_occupancy", &self.tick_occupancy).end();
+        w.key("batch").begin_obj();
+        w.field("groups", self.groups);
+        w.field("singletons", self.singletons);
+        w.field("batched_events", self.batched_events);
+        w.field("singleton_ratio", Fixed6(self.singleton_ratio()));
+        w.field("group_sizes", &self.group_sizes).end();
+        w.key("pdes").begin_obj();
+        w.field("lookahead_us", self.lookahead_us);
+        w.field("windows", self.windows);
+        w.field("barrier_rounds", self.barrier_rounds());
+        w.field("events_per_window", &self.events_per_window);
+        w.field("remote_msgs", self.remote_msgs);
+        w.field("remote_pairs", self.remote_pairs);
+        w.field("pair_volume", &self.pair_volume).end().end();
+    }
 }
 
 /// Wall-clock per-phase timings for one shard worker. Implementation-
@@ -496,29 +476,21 @@ pub struct WallProfile {
     pub per_shard: Vec<ShardWall>,
 }
 
-impl WallProfile {
-    /// JSON rendering (fixed key order; the values themselves are
-    /// nondeterministic wall-clock measurements).
-    pub fn to_json(&self) -> String {
-        let shards: Vec<String> = self
-            .per_shard
-            .iter()
-            .map(|s| {
-                format!(
-                    concat!(
-                        "{{\"process_ns\":{},\"barrier_ns\":{},\"exchange_ns\":{},",
-                        "\"remote_sent\":{},\"events\":{}}}"
-                    ),
-                    s.process_ns, s.barrier_ns, s.exchange_ns, s.remote_sent, s.events
-                )
-            })
-            .collect();
-        format!(
-            "{{\"shards\":{},\"lookahead_us\":{},\"per_shard\":[{}]}}",
-            self.shards,
-            self.lookahead_us,
-            shards.join(",")
-        )
+/// Fixed key order; the values themselves are nondeterministic
+/// wall-clock measurements.
+impl ToJson for WallProfile {
+    fn write_json(&self, w: &mut Writer) {
+        w.begin_obj().field("shards", self.shards);
+        w.field("lookahead_us", self.lookahead_us);
+        w.key("per_shard").begin_arr(",");
+        for s in &self.per_shard {
+            w.begin_obj().field("process_ns", s.process_ns);
+            w.field("barrier_ns", s.barrier_ns);
+            w.field("exchange_ns", s.exchange_ns);
+            w.field("remote_sent", s.remote_sent);
+            w.field("events", s.events).end();
+        }
+        w.end().end();
     }
 }
 

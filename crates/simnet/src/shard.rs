@@ -844,6 +844,7 @@ where
 mod tests {
     use super::*;
     use crate::geo::GeoPoint;
+    use crate::json::ToJson;
     use crate::sim::{Ctx, Payload, Simulator};
     use crate::topology::{LatencyModel, NodeProfile};
 

@@ -13,6 +13,7 @@
 //! code paths), which the benchmark harness relies on for byte-identical
 //! output across `--jobs` settings.
 
+use crate::json::{ToJson, Writer};
 use crate::obs::prof::EngineProfile;
 use crate::obs::{MetricsSnapshot, TraceSink};
 use crate::shard::ShardedSim;
@@ -134,43 +135,34 @@ impl TrialReport {
             _ => {}
         }
     }
+}
 
-    /// Deterministic JSON rendering (fixed key order, integer counters).
-    /// The `obs` section is appended only when a metrics snapshot was
-    /// captured, so untraced reports keep their historical shape.
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            concat!(
-                "{{\"nodes\":{},\"sim_end_us\":{},\"events\":{},",
-                "\"dropped_loss\":{},\"dropped_dead\":{},",
-                "\"msgs_sent\":{},\"msgs_recv\":{},\"payload_sent\":{},\"payload_recv\":{},",
-                "\"tcp_sent\":{},\"udp_sent\":{},\"fl_us\":{},\"dht_us\":{},\"memory_bytes\":{}"
-            ),
-            self.nodes,
-            self.sim_end_us,
-            self.events,
-            self.dropped_loss,
-            self.dropped_dead,
-            self.traffic.msgs_sent,
-            self.traffic.msgs_recv,
-            self.traffic.payload_sent,
-            self.traffic.payload_recv,
-            self.traffic.tcp_sent,
-            self.traffic.udp_sent,
-            self.fl_us,
-            self.dht_us,
-            self.memory_bytes,
-        );
+/// Fixed key order, integer counters. The `obs` and `engine_profile`
+/// sections are appended only when captured, so untraced, unprofiled
+/// reports keep their historical shape.
+impl ToJson for TrialReport {
+    fn write_json(&self, w: &mut Writer) {
+        let t = &self.traffic;
+        w.begin_obj().field("nodes", self.nodes);
+        w.field("sim_end_us", self.sim_end_us);
+        w.field("events", self.events);
+        w.field("dropped_loss", self.dropped_loss);
+        w.field("dropped_dead", self.dropped_dead);
+        w.field("msgs_sent", t.msgs_sent);
+        w.field("msgs_recv", t.msgs_recv);
+        w.field("payload_sent", t.payload_sent);
+        w.field("payload_recv", t.payload_recv);
+        w.field("tcp_sent", t.tcp_sent);
+        w.field("udp_sent", t.udp_sent);
+        w.field("fl_us", self.fl_us).field("dht_us", self.dht_us);
+        w.field("memory_bytes", self.memory_bytes);
         if let Some(obs) = &self.obs {
-            out.push_str(",\"obs\":");
-            out.push_str(&obs.to_json());
+            w.field("obs", obs);
         }
         if let Some(prof) = &self.engine_profile {
-            out.push_str(",\"engine_profile\":");
-            out.push_str(&prof.to_json());
+            w.field("engine_profile", prof);
         }
-        out.push('}');
-        out
+        w.end();
     }
 }
 

@@ -15,6 +15,7 @@
 //! node logs are also compared *across* the traced and untraced runs.
 
 use proptest::prelude::*;
+use totoro_simnet::json::ToJson;
 use totoro_simnet::obs::jsonl_trace;
 use totoro_simnet::{
     keyed_unit, Application, ComputeKind, Ctx, Fault, FaultKind, FaultPlan, GeoPoint, LatencyModel,

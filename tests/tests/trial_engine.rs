@@ -8,6 +8,7 @@
 
 use totoro_bench::scenario::{execute, run_trials, Params, Scenario, SinkSpec, Trial};
 use totoro_bench::scenarios;
+use totoro_simnet::json::ToJson;
 
 /// A tiny fig13 parameter point: two trials (totoro + openfl), each a full
 /// deploy-train-report cycle, in well under a second.
