@@ -352,9 +352,11 @@ mod tests {
     }
 
     /// `FlData` is stored in counted state: `Membership::memory_bytes`
-    /// charges `size_of::<(u64, RoundAgg<D>)>()` per round record, and the
-    /// event slab's `event_slot_bytes` (which holds `TreeMsg<FlData>`)
-    /// enters `simnet.state_bytes`. The recipe must fit the `Vec`'s niche.
+    /// charges `size_of::<(u64, RoundAgg<D>)>()` per round record. It also
+    /// sizes the payload slab's slot (`event_slot_bytes`, 144 B for a
+    /// `DhtMsg<TreeMsg<FlData>>`), which only deliveries occupy — a timer
+    /// takes an 8-byte word cell — and which `ShardedSim::state_bytes`
+    /// counts by capacity. The recipe must fit the `Vec`'s niche.
     #[test]
     fn fl_data_stays_forty_bytes() {
         assert_eq!(std::mem::size_of::<FlData>(), 40);

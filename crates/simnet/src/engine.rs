@@ -2,7 +2,7 @@
 //! `apply_actions` in the crate.
 //!
 //! An [`Engine`] owns everything one event loop needs — application
-//! state, liveness bits, the event queue and payload slab, causal-meta
+//! state, liveness bits, the event queue and event slab, causal-meta
 //! slots, the action scratch buffer, drop counters, the chaos injector
 //! and the profiling collector — for the nodes of one *partition*. The
 //! sequential [`Simulator`](crate::sim::Simulator) is an engine whose
@@ -19,10 +19,20 @@
 //!
 //! # Hot-path layout
 //!
-//! * The queue orders small `(EventKey, slot, dst)` records; message payloads
-//!   live in an [`EventSlab`] indexed by `slot`, so reordering never moves
-//!   a model update, and freed slots are recycled so a steady-state run
-//!   stops allocating.
+//! * The queue orders small `(EventKey, handle, dst)` records, so
+//!   reordering never moves a model update. The `u32` [`Handle`] is the
+//!   event's kind in 3 bits and an index in 29, and each kind keeps only
+//!   what it carries: a `Deliver`'s source and message sit in a payload
+//!   slab slot sized for the largest message, a `Timer`'s token or a
+//!   `SendFailed`'s peer in one `u64` cell of a dense word store, and
+//!   `Start`, `Down` and `Up` store nothing. Both stores live in the
+//!   [`EventSlab`] and recycle freed places LIFO, so a steady-state run
+//!   stops allocating. [`EventKind`] is only the in-register form that
+//!   [`Engine::dispatch`] matches on.
+//! * Armed timers are most of what waits in the queue — semi-synchronous
+//!   aggregation keeps a straggler cutoff per (app, round) on every
+//!   interior node — so keeping them out of message-sized slots is what
+//!   holds the slab to the messages actually in flight.
 //! * The queue record is the delivery, the slab slot the payload: a
 //!   message sent to `k` nodes ([`Ctx::send_all`]) is `k` records naming
 //!   one reference-counted slot, so a keep-alive fan-out is parked once
@@ -47,7 +57,10 @@ use crate::sim::{Action, Application, ComputeKind, Ctx, Outbox, Payload};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeIdx, Topology};
 
-#[derive(Clone, Debug)]
+/// An event in register form: what [`Engine::dispatch`] matches on. A
+/// queued event is a [`Handle`] instead, with whatever its kind carries
+/// in the store that kind keeps it in.
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) enum EventKind<M> {
     Start,
     Deliver { src: NodeIdx, msg: M },
@@ -57,58 +70,218 @@ pub(crate) enum EventKind<M> {
     Up,
 }
 
-/// One slot of the event slab. Occupied, it parks a queued event's payload
-/// while the queue records naming it move through the event queue, and
-/// `link` counts those records: the undelivered legs of a fan-out, 1 for
-/// every other event. Vacant, `kind` is `None` and `link` is the next
-/// vacant slot, so the free list lives in the slots it lists.
+/// The kind half of a [`Handle`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Tag {
+    Start,
+    Deliver,
+    SendFailed,
+    Timer,
+    Down,
+    Up,
+}
+
+impl Tag {
+    const ALL: [Tag; 6] = [
+        Tag::Start,
+        Tag::Deliver,
+        Tag::SendFailed,
+        Tag::Timer,
+        Tag::Down,
+        Tag::Up,
+    ];
+
+    fn of<M>(kind: &EventKind<M>) -> Tag {
+        match kind {
+            EventKind::Start => Tag::Start,
+            EventKind::Deliver { .. } => Tag::Deliver,
+            EventKind::SendFailed { .. } => Tag::SendFailed,
+            EventKind::Timer { .. } => Tag::Timer,
+            EventKind::Down => Tag::Down,
+            EventKind::Up => Tag::Up,
+        }
+    }
+
+    /// The event of this kind that carries `word` (ignored by the kinds
+    /// that carry nothing). Deliveries carry a payload, not a word.
+    fn event<M>(self, word: u64) -> EventKind<M> {
+        match self {
+            Tag::Start => EventKind::Start,
+            Tag::SendFailed => EventKind::SendFailed {
+                peer: word as NodeIdx,
+            },
+            Tag::Timer => EventKind::Timer { token: word },
+            Tag::Down => EventKind::Down,
+            Tag::Up => EventKind::Up,
+            Tag::Deliver => unreachable!("a delivery carries a payload, not a word"),
+        }
+    }
+
+    /// The store this kind's events keep their data in; `None` for the
+    /// kinds that carry nothing.
+    fn store(self) -> Option<Store> {
+        match self {
+            Tag::Deliver => Some(Store::Payload),
+            Tag::SendFailed | Tag::Timer => Some(Store::Word),
+            Tag::Start | Tag::Down | Tag::Up => None,
+        }
+    }
+}
+
+/// One of the two places a queued event keeps what it carries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Store {
+    /// The payload slab: a `Deliver`'s source and message, in a slot sized
+    /// for the largest message and shared by the legs of a fan-out.
+    Payload,
+    /// The word store: a `Timer`'s token or a `SendFailed`'s peer, in one
+    /// `u64` cell.
+    Word,
+}
+
+/// Bits of a [`Handle`] that hold its [`Tag`].
+const TAG_BITS: u32 = 3;
+/// Bits of a [`Handle`] that hold its store index.
+const INDEX_BITS: u32 = u32::BITS - TAG_BITS;
+/// Store indices a [`Handle`] can name: `0..2^29`.
+const INDEX_BOUND: u32 = 1 << INDEX_BITS;
+
+/// What a queue record names: an event's [`Tag`] in the top 3 bits and an
+/// index in the low 29. A `Deliver`'s index is its payload slab slot, a
+/// `Timer`'s or `SendFailed`'s its word store cell. `Start`, `Down` and
+/// `Up` store nothing; their index is their creation band, the one thing
+/// the profiler reads back at dispatch ([`BAND_NONE`] when unprofiled).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Handle(pub(crate) u32);
+
+impl Handle {
+    fn new(tag: Tag, index: u32) -> Self {
+        assert!(
+            index < INDEX_BOUND,
+            "event store index {index} is past the queue handle's 2^29 bound"
+        );
+        Handle((tag as u32) << INDEX_BITS | index)
+    }
+
+    pub(crate) fn tag(self) -> Tag {
+        Tag::ALL[(self.0 >> INDEX_BITS) as usize]
+    }
+
+    pub(crate) fn index(self) -> u32 {
+        self.0 & (INDEX_BOUND - 1)
+    }
+}
+
+/// One slot of the payload slab. Occupied, it parks a queued delivery's
+/// payload while the queue records naming it move through the event queue,
+/// and `link` counts those records: the undelivered legs of a fan-out, 1
+/// for a lone send. Vacant, `kind` is `None` and `link` is the next vacant
+/// slot, so the free list lives in the slots it lists.
 struct SlabSlot<M> {
     link: u32,
     kind: Option<EventKind<M>>,
 }
 
-/// Bytes one queued event's payload occupies in the event slab — what
+/// Bytes one queued delivery's payload occupies in the payload slab — what
 /// `state_bytes` multiplies the slab's capacity by.
 pub const fn event_slot_bytes<M>() -> usize {
     std::mem::size_of::<SlabSlot<M>>()
 }
 
-/// End of the slab's free list.
+/// End of a free list.
 const NO_SLOT: u32 = u32::MAX;
 
-/// Free-list slab holding the payloads of queued events.
-///
-/// Slots freed by dispatched events are recycled, most recently freed
-/// first, before the backing vector grows, so a simulation whose in-flight
-/// event population has peaked stops allocating on the event path
-/// altogether.
-pub(crate) struct EventSlab<M> {
-    slots: Vec<SlabSlot<M>>,
-    /// Head of the free list threaded through the vacant slots' `link`s.
+/// Dense `u64` cells for the events that carry one word, with a LIFO free
+/// list threaded through the vacant cells.
+struct WordStore {
+    cells: Vec<u64>,
+    /// Head of the free list; a vacant cell holds the next vacant index.
     vacant: u32,
 }
 
-impl<M> EventSlab<M> {
+impl WordStore {
     fn with_capacity(cap: usize) -> Self {
-        EventSlab {
-            slots: Vec::with_capacity(cap),
+        WordStore {
+            cells: Vec::with_capacity(cap),
             vacant: NO_SLOT,
         }
     }
 
-    /// Heap bytes currently reserved by the slab (capacity-based, for
+    fn insert(&mut self, word: u64) -> u32 {
+        let at = self.vacant;
+        if at != NO_SLOT {
+            let cell = &mut self.cells[at as usize];
+            self.vacant = *cell as u32;
+            *cell = word;
+            return at;
+        }
+        self.cells.push(word);
+        // `Handle::new` bounds it far below `NO_SLOT`.
+        (self.cells.len() - 1) as u32
+    }
+
+    fn get(&self, at: u32) -> u64 {
+        self.cells[at as usize]
+    }
+
+    fn take(&mut self, at: u32) -> u64 {
+        let cell = &mut self.cells[at as usize];
+        let word = *cell;
+        *cell = u64::from(self.vacant);
+        self.vacant = at;
+        word
+    }
+
+    /// Cells holding a word right now.
+    #[cfg(test)]
+    fn live(&self) -> usize {
+        let mut vacant = 0;
+        let mut at = self.vacant;
+        while at != NO_SLOT {
+            vacant += 1;
+            at = self.cells[at as usize] as u32;
+        }
+        self.cells.len() - vacant
+    }
+}
+
+/// The two free-list stores behind queued events: payload slots for
+/// deliveries, word cells for timers and failure bounces.
+///
+/// Freed slots and cells are recycled, most recently freed first, before
+/// either backing vector grows, so a simulation whose in-flight event
+/// population has peaked stops allocating on the event path altogether.
+pub(crate) struct EventSlab<M> {
+    slots: Vec<SlabSlot<M>>,
+    /// Head of the free list threaded through the vacant slots' `link`s.
+    vacant: u32,
+    words: WordStore,
+}
+
+impl<M> EventSlab<M> {
+    fn with_capacity(slots: usize, words: usize) -> Self {
+        EventSlab {
+            slots: Vec::with_capacity(slots),
+            vacant: NO_SLOT,
+            words: WordStore::with_capacity(words),
+        }
+    }
+
+    /// Heap bytes currently reserved by both stores (capacity-based, for
     /// memory accounting in million-node trials).
     pub(crate) fn heap_bytes(&self) -> usize {
         self.slots.capacity() * event_slot_bytes::<M>()
+            + self.words.cells.capacity() * std::mem::size_of::<u64>()
     }
 
-    /// Number of slots ever allocated (live plus recycled): the high-water
-    /// mark of concurrently parked payloads.
+    /// Number of payload slots ever allocated (live plus recycled): the
+    /// high-water mark of concurrently parked delivery payloads.
     pub(crate) fn slots(&self) -> usize {
         self.slots.len()
     }
 
-    /// Number of slots holding (or reserved for) a payload right now.
+    /// Number of payload slots holding (or reserved for) a payload right
+    /// now.
     #[cfg(test)]
     pub(crate) fn live(&self) -> usize {
         let mut vacant = 0;
@@ -120,69 +293,91 @@ impl<M> EventSlab<M> {
         self.slots.len() - vacant
     }
 
-    /// Claims an empty slot, to be [`EventSlab::fill`]ed before anything
-    /// is dispatched: a fan-out learns how many records name its slot only
-    /// after it has pushed them.
-    fn reserve(&mut self) -> u32 {
+    /// Claims an empty payload slot, to be [`EventSlab::fill`]ed before
+    /// anything is dispatched: a fan-out learns how many records name its
+    /// slot only after it has pushed them.
+    fn reserve(&mut self) -> Handle {
         let slot = self.vacant;
         if slot != NO_SLOT {
             self.vacant = self.slots[slot as usize].link;
-            return slot;
+            return Handle::new(Tag::Deliver, slot);
         }
-        let slot = u32::try_from(self.slots.len())
-            .ok()
-            .filter(|&s| s != NO_SLOT)
-            .expect("more than u32::MAX events in flight");
+        let handle = Handle::new(Tag::Deliver, self.slots.len() as u32);
         self.slots.push(SlabSlot {
             link: NO_SLOT,
             kind: None,
         });
-        slot
+        handle
     }
 
-    /// Parks `kind` in reserved `slot` on behalf of `refs` queue records.
-    fn fill(&mut self, slot: u32, refs: u32, kind: EventKind<M>) {
-        let cell = &mut self.slots[slot as usize];
-        debug_assert!(refs > 0 && cell.kind.is_none());
+    /// Parks delivery `kind` in reserved `handle`'s slot on behalf of
+    /// `refs` queue records.
+    fn fill(&mut self, handle: Handle, refs: u32, kind: EventKind<M>) {
+        let cell = &mut self.slots[handle.index() as usize];
+        debug_assert!(refs > 0 && cell.kind.is_none() && Tag::of(&kind) == Tag::Deliver);
         *cell = SlabSlot {
             link: refs,
             kind: Some(kind),
         };
     }
 
-    fn insert(&mut self, kind: EventKind<M>) -> u32 {
-        let slot = self.reserve();
-        self.fill(slot, 1, kind);
-        slot
+    /// Files `kind` in the store its tag names, for one queue record. A
+    /// kind that stores nothing keeps `band` in its handle instead.
+    fn insert(&mut self, kind: EventKind<M>, band: u8) -> Handle {
+        let tag = Tag::of(&kind);
+        let index = match kind {
+            EventKind::Deliver { .. } => {
+                let handle = self.reserve();
+                self.fill(handle, 1, kind);
+                return handle;
+            }
+            EventKind::Timer { token } => self.words.insert(token),
+            EventKind::SendFailed { peer } => self.words.insert(peer as u64),
+            EventKind::Start | EventKind::Down | EventKind::Up => u32::from(band),
+        };
+        Handle::new(tag, index)
     }
 
     /// Inspects a queued event without removing it.
-    pub(crate) fn peek(&self, slot: u32) -> &EventKind<M> {
-        self.slots[slot as usize]
-            .kind
-            .as_ref()
-            .expect("queue entry references an empty slot")
+    pub(crate) fn peek(&self, handle: Handle) -> EventKind<&M> {
+        let (tag, at) = (handle.tag(), handle.index());
+        match tag.store() {
+            Some(Store::Payload) => match &self.slots[at as usize].kind {
+                Some(EventKind::Deliver { src, msg }) => EventKind::Deliver { src: *src, msg },
+                _ => panic!("queue entry references an empty slot"),
+            },
+            Some(Store::Word) => tag.event(self.words.get(at)),
+            None => tag.event(0),
+        }
     }
 }
 
 impl<M: Clone> EventSlab<M> {
-    /// The payload of one queue record naming `slot`: moved out, freeing
-    /// the slot, for the last such record, cloned for those before it.
-    pub(crate) fn take(&mut self, slot: u32) -> EventKind<M> {
-        let cell = &mut self.slots[slot as usize];
-        let kind = cell
-            .kind
-            .as_ref()
-            .expect("queue entry references an empty slot");
-        if cell.link > 1 {
-            let kind = kind.clone();
-            cell.link -= 1;
-            return kind;
+    /// The event of one queue record naming `handle`. A payload is moved
+    /// out, freeing its slot, for the last record naming it and cloned for
+    /// those before it; a word's cell is freed at once.
+    pub(crate) fn take(&mut self, handle: Handle) -> EventKind<M> {
+        let (tag, at) = (handle.tag(), handle.index());
+        match tag.store() {
+            Some(Store::Payload) => {
+                let cell = &mut self.slots[at as usize];
+                let kind = cell
+                    .kind
+                    .as_ref()
+                    .expect("queue entry references an empty slot");
+                if cell.link > 1 {
+                    let kind = kind.clone();
+                    cell.link -= 1;
+                    return kind;
+                }
+                let kind = cell.kind.take().expect("checked above");
+                cell.link = self.vacant;
+                self.vacant = at;
+                kind
+            }
+            Some(Store::Word) => tag.event(self.words.take(at)),
+            None => tag.event(0),
         }
-        let kind = cell.kind.take().expect("checked above");
-        cell.link = self.vacant;
-        self.vacant = slot;
-        kind
     }
 }
 
@@ -197,7 +392,7 @@ struct Fanout<M> {
     share: bool,
     /// The shared slot, reserved by the first leg that uses it, and the
     /// queue records pushed against it so far.
-    parked: Option<(u32, u32)>,
+    parked: Option<(Handle, u32)>,
 }
 
 /// An event whose queue key, causal meta and wheel band were fixed at
@@ -270,7 +465,8 @@ pub(crate) trait Partition<M> {
 
     // 6. Presize hint.
 
-    /// Queue and slab reserve this many events per member node.
+    /// The queue, the payload slab and the word store each reserve this
+    /// many events per member node.
     const PRESIZE: usize;
 }
 
@@ -286,9 +482,10 @@ pub(crate) struct Engine<A: Application, P> {
     pub(crate) slab: EventSlab<A::Msg>,
     pub(crate) now: SimTime,
     pub(crate) rng: StdRng,
-    // Causal meta of queued events, parallel to the slab slots. Kept out
-    // of `EventKind` so an untraced run's slab slots stay small; stays
-    // empty (never resized) while the partition is untraced.
+    // Causal meta of queued deliveries, parallel to the payload slab's
+    // slots (no other kind carries meta). Kept out of `EventKind` so an
+    // untraced run's slots stay small; stays empty (never resized) while
+    // the partition is untraced.
     pub(crate) meta_slots: Vec<MsgMeta>,
     pub(crate) scratch: Outbox<A::Msg>,
     pub(crate) events_processed: u64,
@@ -314,7 +511,7 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
             alive: BitSet::filled(n, true),
             nodes,
             queue: WheelQueue::with_capacity(event_cap),
-            slab: EventSlab::with_capacity(event_cap),
+            slab: EventSlab::with_capacity(event_cap, event_cap),
             now: SimTime::ZERO,
             rng,
             // Sized to the slab's reservation when tracing is on from the
@@ -368,26 +565,30 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
         meta: MsgMeta,
         band: u8,
     ) {
-        let slot = self.slab.insert(kind);
-        if self.part.traced() {
-            let i = slot as usize;
+        let handle = self.slab.insert(kind, band);
+        let store = handle.tag().store();
+        // Only deliveries carry causal meta; everything else roots spans.
+        debug_assert!(store == Some(Store::Payload) || !meta.is_traced());
+        if self.part.traced() && store == Some(Store::Payload) {
+            let i = handle.index() as usize;
             if self.meta_slots.len() <= i {
                 self.meta_slots.resize(i + 1, MsgMeta::NONE);
             }
             self.meta_slots[i] = meta;
         }
-        if let Some(p) = self.prof.as_mut() {
-            p.note_band(slot, band);
+        if let (Some(p), Some(store)) = (self.prof.as_mut(), store) {
+            p.note_band(store, handle.index(), band);
         }
-        self.queue.push(key, slot, node);
+        self.queue.push(key, handle.0, node);
     }
 
-    /// The causal meta parked with `slot` ([`MsgMeta::NONE`] when untraced).
+    /// The causal meta parked with a delivery's payload ([`MsgMeta::NONE`]
+    /// for any other event, and when untraced).
     #[inline]
-    pub(crate) fn meta_of(&self, slot: u32) -> MsgMeta {
-        if self.part.traced() {
+    pub(crate) fn meta_of(&self, handle: Handle) -> MsgMeta {
+        if self.part.traced() && handle.tag() == Tag::Deliver {
             self.meta_slots
-                .get(slot as usize)
+                .get(handle.index() as usize)
                 .copied()
                 .unwrap_or(MsgMeta::NONE)
         } else {
@@ -499,9 +700,9 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
         let (key, band) = self.stamp(topology, local, src, at, to);
         let own = self.owns(src, to);
         if own && fan.share {
-            let (slot, refs) = fan.parked.get_or_insert_with(|| (self.slab.reserve(), 0));
+            let (handle, refs) = fan.parked.get_or_insert_with(|| (self.slab.reserve(), 0));
             *refs += 1;
-            self.queue.push(key, *slot, to);
+            self.queue.push(key, handle.0, to);
             return;
         }
         let msg = if last && fan.parked.is_none() {
@@ -517,8 +718,8 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
     /// how many ran.
     pub(crate) fn run_before(&mut self, topology: &Topology, bound: SimTime) -> u64 {
         let before = self.events_processed;
-        while let Some((key, slot, dst)) = self.queue.pop_before(bound) {
-            self.dispatch(topology, key, slot, dst);
+        while let Some((key, raw, dst)) = self.queue.pop_before(bound) {
+            self.dispatch(topology, key, Handle(raw), dst);
         }
         self.events_processed - before
     }
@@ -553,23 +754,28 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
         self.emit(src, tag(msg), body);
     }
 
-    /// Runs the event popped as `(key, slot, node)` at `key.time`: advances
-    /// the clock, emits its trace record, invokes the destination's
+    /// Runs the event popped as `(key, handle, node)` at `key.time`:
+    /// advances the clock, emits its trace record, invokes the destination's
     /// callback and applies what the callback asked for.
     pub(crate) fn dispatch(
         &mut self,
         topology: &Topology,
         key: EventKey,
-        slot: u32,
+        handle: Handle,
         node: NodeIdx,
     ) {
         if let Some(p) = self.prof.as_mut() {
-            let groupable = !matches!(self.slab.peek(slot), EventKind::Down | EventKind::Up);
-            p.on_dispatch(slot, key.time.as_micros(), node, groupable);
+            let tag = handle.tag();
+            let band = match tag.store() {
+                Some(store) => p.take_band(store, handle.index()),
+                None => handle.index() as u8,
+            };
+            let groupable = !matches!(tag, Tag::Down | Tag::Up);
+            p.on_dispatch(band, key.time.as_micros(), node, groupable);
         }
         // Read before the slot can be recycled.
-        let meta = self.meta_of(slot);
-        let kind = self.slab.take(slot);
+        let meta = self.meta_of(handle);
+        let kind = self.slab.take(handle);
         debug_assert!(key.time >= self.now, "time went backwards");
         self.now = key.time;
         self.events_processed += 1;
@@ -820,9 +1026,10 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
             }
             self.schedule_leg(topology, local, src, at, to, meta, &mut fan, last);
         }
-        if let Some((slot, refs)) = fan.parked {
+        if let Some((handle, refs)) = fan.parked {
             let msg = fan.msg.take().expect("a shared slot keeps the message");
-            self.slab.fill(slot, refs, EventKind::Deliver { src, msg });
+            self.slab
+                .fill(handle, refs, EventKind::Deliver { src, msg });
         }
     }
 }
@@ -841,44 +1048,123 @@ pub(crate) fn tag<M: Payload>(msg: &M) -> (&'static str, &'static str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::prof::BAND_FAR;
+    use proptest::prelude::*;
+
+    fn deliver(src: NodeIdx, msg: u64) -> EventKind<u64> {
+        EventKind::Deliver { src, msg }
+    }
 
     #[test]
     fn shared_slot_is_freed_by_its_last_record() {
-        let mut slab: EventSlab<String> = EventSlab::with_capacity(4);
-        let slot = slab.reserve();
+        let mut slab: EventSlab<String> = EventSlab::with_capacity(4, 4);
+        let handle = slab.reserve();
         let kind = EventKind::Deliver {
             src: 3,
             msg: "hello".to_string(),
         };
-        slab.fill(slot, 3, kind);
+        slab.fill(handle, 3, kind);
         for left in [1, 1, 0] {
-            match slab.take(slot) {
+            match slab.take(handle) {
                 EventKind::Deliver { src: 3, msg } => assert_eq!(msg, "hello"),
                 other => panic!("unexpected {other:?}"),
             }
             assert_eq!(slab.live(), left);
         }
-        // The freed slot is the next one handed out, for any kind of event.
-        assert_eq!(slab.insert(EventKind::Timer { token: 9 }), slot);
-        assert!(matches!(slab.take(slot), EventKind::Timer { token: 9 }));
-        assert_eq!((slab.live(), slab.slots()), (0, 1));
+        // A timer takes a word, not the freed slot; the next delivery does.
+        let timer = slab.insert(EventKind::Timer { token: 9 }, BAND_NONE);
+        assert_eq!((timer.tag(), timer.index()), (Tag::Timer, 0));
+        let kind = EventKind::Deliver {
+            src: 1,
+            msg: "again".to_string(),
+        };
+        assert_eq!(slab.insert(kind, BAND_NONE), handle);
+        assert_eq!(slab.take(timer), EventKind::Timer { token: 9 });
+        assert_eq!((slab.live(), slab.slots()), (1, 1));
     }
 
     #[test]
     fn freed_slots_are_reused_last_in_first_out() {
-        let mut slab: EventSlab<u64> = EventSlab::with_capacity(4);
-        let slots: Vec<u32> = (0..4)
-            .map(|t| slab.insert(EventKind::Timer { token: t }))
+        let mut slab: EventSlab<u64> = EventSlab::with_capacity(4, 4);
+        let slots: Vec<Handle> = (0..4)
+            .map(|t| slab.insert(deliver(0, t), BAND_NONE))
             .collect();
         for &s in &[slots[1], slots[3], slots[0]] {
             slab.take(s);
         }
         assert_eq!(slab.live(), 1);
         let reused: Vec<u32> = (0..4)
-            .map(|t| slab.insert(EventKind::Timer { token: t }))
+            .map(|t| slab.insert(deliver(0, t), BAND_NONE).index())
             .collect();
-        assert_eq!(reused, [slots[0], slots[3], slots[1], 4]);
+        assert_eq!(reused, [0, 3, 1, 4]);
         assert_eq!((slab.live(), slab.slots()), (5, 5));
+    }
+
+    #[test]
+    fn word_store_reuses_freed_cells_last_in_first_out() {
+        let mut slab: EventSlab<u64> = EventSlab::with_capacity(0, 0);
+        let cells: Vec<Handle> = (0..4)
+            .map(|t| slab.insert(EventKind::Timer { token: t }, BAND_NONE))
+            .collect();
+        assert_eq!(
+            cells.iter().map(|h| h.index()).collect::<Vec<_>>(),
+            [0, 1, 2, 3]
+        );
+        for &c in &[cells[1], cells[3], cells[0]] {
+            slab.take(c);
+        }
+        assert_eq!(slab.words.live(), 1);
+        // Timers and failure bounces share the cells, most recent first.
+        let reused = [
+            slab.insert(EventKind::SendFailed { peer: 5 }, BAND_NONE),
+            slab.insert(EventKind::Timer { token: u64::MAX }, BAND_NONE),
+            slab.insert(EventKind::Timer { token: 7 }, BAND_NONE),
+            slab.insert(EventKind::SendFailed { peer: 6 }, BAND_NONE),
+        ];
+        let at: Vec<u32> = reused.iter().map(|h| h.index()).collect();
+        assert_eq!(at, [0, 3, 1, 4]);
+        assert_eq!(slab.peek(reused[1]), EventKind::Timer { token: u64::MAX });
+        assert_eq!(slab.take(reused[0]), EventKind::SendFailed { peer: 5 });
+        assert_eq!(slab.take(cells[2]), EventKind::Timer { token: 2 });
+        assert_eq!((slab.words.live(), slab.words.cells.len()), (3, 5));
+        // No payload slot was touched.
+        assert_eq!(slab.slots(), 0);
+    }
+
+    #[test]
+    fn every_kind_survives_a_tag_round_trip() {
+        for tag in Tag::ALL {
+            for index in [0, 1, 0x00AB_CDEF, INDEX_BOUND - 1] {
+                let handle = Handle::new(tag, index);
+                assert_eq!((handle.tag(), handle.index()), (tag, index));
+            }
+        }
+        let kinds = [
+            EventKind::Start,
+            deliver(4, u64::MAX),
+            EventKind::SendFailed { peer: 1 << 40 },
+            EventKind::Timer { token: u64::MAX },
+            EventKind::Down,
+            EventKind::Up,
+        ];
+        let mut slab: EventSlab<u64> = EventSlab::with_capacity(1, 1);
+        for (kind, tag) in kinds.into_iter().zip(Tag::ALL) {
+            assert_eq!(Tag::of(&kind), tag);
+            let handle = slab.insert(kind.clone(), BAND_FAR);
+            assert_eq!(handle.tag(), tag);
+            if tag.store().is_none() {
+                assert_eq!(handle.index(), u32::from(BAND_FAR));
+            }
+            assert_eq!(slab.peek(handle), as_ref(&kind));
+            assert_eq!(slab.take(handle), kind);
+        }
+        assert_eq!((slab.live(), slab.words.live()), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "past the queue handle's 2^29 bound")]
+    fn an_index_past_the_bound_panics() {
+        Handle::new(Tag::Timer, INDEX_BOUND);
     }
 
     #[test]
@@ -899,5 +1185,101 @@ mod tests {
         same_as_before::<Option<Box<u64>>>();
         same_as_before::<(u32, std::sync::Arc<Vec<u8>>)>();
         assert_eq!(event_slot_bytes::<u64>(), 32);
+    }
+
+    fn as_ref<M>(kind: &EventKind<M>) -> EventKind<&M> {
+        match kind {
+            EventKind::Start => EventKind::Start,
+            EventKind::Deliver { src, msg } => EventKind::Deliver { src: *src, msg },
+            EventKind::SendFailed { peer } => EventKind::SendFailed { peer: *peer },
+            EventKind::Timer { token } => EventKind::Timer { token: *token },
+            EventKind::Down => EventKind::Down,
+            EventKind::Up => EventKind::Up,
+        }
+    }
+
+    proptest! {
+        /// Both stores behind the queue handles, against a plain table of
+        /// the events each queue record should read back: lone events of
+        /// every kind, fan-outs whose legs share one payload slot, and
+        /// takes in random order. Both stores' high-water marks must equal
+        /// the most events they ever held at once, which LIFO reuse gives.
+        #[test]
+        #[cfg_attr(miri, ignore = "proptest case volume is too slow under Miri")]
+        fn slab_and_word_store_match_an_oracle(
+            ops in prop::collection::vec((0u8..8, any::<u64>(), 1u32..6), 1..400),
+        ) {
+            let mut slab: EventSlab<u64> = EventSlab::with_capacity(2, 2);
+            // The oracle: record id -> the event it reads back.
+            let mut oracle: Vec<Option<EventKind<u64>>> = Vec::new();
+            // Queued records as (handle, record id).
+            let mut queued: Vec<(Handle, usize)> = Vec::new();
+            // Records still naming each payload slot, and the peaks.
+            let mut legs = std::collections::BTreeMap::<u32, u32>::new();
+            let (mut words, mut peak_slots, mut peak_words) = (0usize, 0, 0);
+            for &(op, a, k) in &ops {
+                let fresh = match op {
+                    0 => Some(EventKind::Timer { token: a }),
+                    1 => Some(EventKind::SendFailed { peer: a as NodeIdx }),
+                    2 => Some([EventKind::Start, EventKind::Down, EventKind::Up][a as usize % 3].clone()),
+                    3 => Some(deliver(a as NodeIdx % 7, a)),
+                    4 => {
+                        // A fan-out of `k` legs: reserve, push, then fill.
+                        let handle = slab.reserve();
+                        prop_assert!(!legs.contains_key(&handle.index()));
+                        for _ in 0..k {
+                            queued.push((handle, oracle.len()));
+                            oracle.push(Some(deliver(1, a)));
+                        }
+                        slab.fill(handle, k, deliver(1, a));
+                        legs.insert(handle.index(), k);
+                        None
+                    }
+                    _ => {
+                        if !queued.is_empty() {
+                            let (handle, id) = queued.swap_remove(a as usize % queued.len());
+                            let want = oracle[id].take().expect("each record is read once");
+                            prop_assert_eq!(slab.peek(handle), as_ref(&want));
+                            prop_assert_eq!(slab.take(handle), want);
+                            match handle.tag().store() {
+                                Some(Store::Payload) => {
+                                    let left = legs.get_mut(&handle.index()).expect("live slot");
+                                    *left -= 1;
+                                    if *left == 0 {
+                                        legs.remove(&handle.index());
+                                    }
+                                }
+                                Some(Store::Word) => words -= 1,
+                                None => {}
+                            }
+                        }
+                        None
+                    }
+                };
+                if let Some(kind) = fresh {
+                    let band = (a >> 8) as u8 & 3;
+                    let handle = slab.insert(kind.clone(), band);
+                    prop_assert_eq!(handle.tag(), Tag::of(&kind));
+                    match handle.tag().store() {
+                        Some(Store::Payload) => {
+                            prop_assert!(legs.insert(handle.index(), 1).is_none());
+                        }
+                        Some(Store::Word) => words += 1,
+                        None => prop_assert_eq!(handle.index(), u32::from(band)),
+                    }
+                    queued.push((handle, oracle.len()));
+                    oracle.push(Some(kind));
+                }
+                peak_slots = peak_slots.max(legs.len());
+                peak_words = peak_words.max(words);
+                prop_assert_eq!((slab.live(), slab.words.live()), (legs.len(), words));
+            }
+            prop_assert_eq!((slab.slots(), slab.words.cells.len()), (peak_slots, peak_words));
+            for (handle, id) in queued.drain(..).rev() {
+                let want = oracle[id].take().expect("each record is read once");
+                prop_assert_eq!(slab.take(handle), want);
+            }
+            prop_assert_eq!((slab.live(), slab.words.live()), (0, 0));
+        }
     }
 }

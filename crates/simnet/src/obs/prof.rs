@@ -54,6 +54,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::engine::Store;
 use crate::json::{Fixed6, ToJson, Writer};
 use crate::obs::Histogram;
 use crate::queue::{WHEEL_GRANULARITY_SHIFT, WHEEL_NUM_SLOTS};
@@ -99,8 +100,11 @@ pub struct EngineProf {
     far: u64,
     migrated: u64,
     horizon: Histogram,
-    /// Slab slot → creation band, read back (and cleared) at dispatch.
-    band: Vec<u8>,
+    /// Creation bands of queued events, one table per event store
+    /// (`[payload slab, word store]`) indexed by the event's place in it,
+    /// read back (and cleared) at dispatch. An event that stores nothing
+    /// carries its band in its queue handle instead.
+    band: [Vec<u8>; 2],
     /// Run-length `(tick, events)` over dispatch times (non-decreasing
     /// per engine loop).
     tick_runs: Vec<(u64, u64)>,
@@ -134,7 +138,7 @@ impl EngineProf {
             far: 0,
             migrated: 0,
             horizon: Histogram::new(HORIZON_BOUNDS),
-            band: Vec::new(),
+            band: [Vec::new(), Vec::new()],
             tick_runs: Vec::new(),
             groups: 0,
             singletons: 0,
@@ -170,14 +174,23 @@ impl EngineProf {
         }
     }
 
-    /// Parks a creation band against the event's slab slot so dispatch
-    /// can count overflow migrations.
-    pub fn note_band(&mut self, slot: u32, band: u8) {
-        let i = slot as usize;
-        if self.band.len() <= i {
-            self.band.resize(i + 1, BAND_NONE);
+    /// Parks a creation band against the event's place `index` in
+    /// `store` so dispatch can count overflow migrations.
+    pub(crate) fn note_band(&mut self, store: Store, index: u32, band: u8) {
+        let table = &mut self.band[store as usize];
+        let i = index as usize;
+        if table.len() <= i {
+            table.resize(i + 1, BAND_NONE);
         }
-        self.band[i] = band;
+        table[i] = band;
+    }
+
+    /// The band [`EngineProf::note_band`] parked at `index` in `store`,
+    /// clearing it ([`BAND_NONE`] if none was).
+    pub(crate) fn take_band(&mut self, store: Store, index: u32) -> u8 {
+        self.band[store as usize]
+            .get_mut(index as usize)
+            .map_or(BAND_NONE, |b| std::mem::replace(b, BAND_NONE))
     }
 
     /// Sets the exclusive clamp for lazily-opened windows (the current
@@ -196,10 +209,10 @@ impl EngineProf {
         self.window_end = end_us;
     }
 
-    /// Accounts one dispatched event: window recurrence, tick occupancy,
-    /// overflow-migration readback, and delivery-group accumulation.
+    /// Accounts one dispatched event created in `band`: window recurrence,
+    /// tick occupancy, overflow migration, and delivery-group accumulation.
     /// `groupable` is false for churn transitions (`Down`/`Up`).
-    pub fn on_dispatch(&mut self, slot: u32, t_us: u64, dst: usize, groupable: bool) {
+    pub(crate) fn on_dispatch(&mut self, band: u8, t_us: u64, dst: usize, groupable: bool) {
         if t_us >= self.window_end {
             let end = t_us
                 .saturating_add(self.lookahead_us.max(1))
@@ -214,11 +227,8 @@ impl EngineProf {
             Some((t, c)) if *t == tick => *c += 1,
             _ => self.tick_runs.push((tick, 1)),
         }
-        if let Some(b) = self.band.get_mut(slot as usize) {
-            if *b == BAND_FAR {
-                self.migrated += 1;
-            }
-            *b = BAND_NONE;
+        if band == BAND_FAR {
+            self.migrated += 1;
         }
         if groupable {
             if t_us != self.cur_time {
@@ -518,13 +528,19 @@ mod tests {
         let mut p = EngineProf::new(500);
         let span = (WHEEL_NUM_SLOTS as u64) << WHEEL_GRANULARITY_SHIFT;
         let band = p.classify(0, 2 * span);
-        p.note_band(7, band);
+        p.note_band(Store::Word, 7, band);
         let near = p.classify(0, 200);
-        p.note_band(3, near);
-        p.on_dispatch(3, 200, 0, true);
-        p.on_dispatch(7, 2 * span, 1, true);
-        // Slot 7 was re-used by an unclassified event: no double count.
-        p.on_dispatch(7, 2 * span + 10, 1, true);
+        p.note_band(Store::Payload, 7, near);
+        // Each store keys its own table: index 7 names two events.
+        let near = p.take_band(Store::Payload, 7);
+        p.on_dispatch(near, 200, 0, true);
+        let far = p.take_band(Store::Word, 7);
+        p.on_dispatch(far, 2 * span, 1, true);
+        // Cell 7 was re-used by an unclassified event: no double count.
+        let again = p.take_band(Store::Word, 7);
+        p.on_dispatch(again, 2 * span + 10, 1, true);
+        assert_eq!((near, far, again), (BAND_NEAR, BAND_FAR, BAND_NONE));
+        assert_eq!(p.take_band(Store::Payload, 1_000), BAND_NONE);
         assert_eq!(p.snapshot().migrated, 1);
     }
 
@@ -539,8 +555,8 @@ mod tests {
         let mut snaps = Vec::new();
         for order in orders {
             let mut p = EngineProf::new(1);
-            for (i, &(t, d)) in order.iter().enumerate() {
-                p.on_dispatch(i as u32, t, d, true);
+            for &(t, d) in order {
+                p.on_dispatch(BAND_NONE, t, d, true);
             }
             snaps.push(p.snapshot());
         }
@@ -560,7 +576,7 @@ mod tests {
         let lookahead = 500;
         let mut lazy = EngineProf::new(lookahead);
         for (i, &t) in times.iter().enumerate() {
-            lazy.on_dispatch(i as u32, t, i, true);
+            lazy.on_dispatch(BAND_NONE, t, i, true);
         }
         let mut eager = EngineProf::new(lookahead);
         // Windows: [0, 500), [700, 1200), [1500, 2000).
@@ -571,7 +587,7 @@ mod tests {
         ] {
             eager.window_open(start + lookahead);
             for &t in evs {
-                eager.on_dispatch(0, t, 0, false);
+                eager.on_dispatch(BAND_NONE, t, 0, false);
             }
         }
         let (a, b) = (lazy.snapshot(), eager.snapshot());
@@ -589,8 +605,8 @@ mod tests {
         let events = [(0u64, 0usize), (0, 1), (500, 0), (500, 0), (700, 1)];
         let mut single = EngineProf::new(500);
         single.set_window_clamp(u64::MAX);
-        for (i, &(t, d)) in events.iter().enumerate() {
-            single.on_dispatch(i as u32, t, d, true);
+        for &(t, d) in &events {
+            single.on_dispatch(BAND_NONE, t, d, true);
         }
         let mut a = EngineProf::new(500);
         let mut b = EngineProf::new(500);
@@ -599,9 +615,9 @@ mod tests {
         for (end, window) in [(500u64, &events[..2]), (1_000, &events[2..])] {
             a.window_open(end);
             b.window_open(end);
-            for (i, &(t, d)) in window.iter().enumerate() {
+            for &(t, d) in window {
                 let core = if d == 0 { &mut a } else { &mut b };
-                core.on_dispatch(i as u32, t, d, true);
+                core.on_dispatch(BAND_NONE, t, d, true);
             }
         }
         let merged = EngineProf::merged([&a, &b]);
@@ -620,7 +636,7 @@ mod tests {
         p.on_remote(0, 1);
         p.on_remote(1, 0);
         for i in 0..4u32 {
-            p.on_dispatch(i, 100 * u64::from(i), i as usize, true);
+            p.on_dispatch(BAND_NONE, 100 * u64::from(i), i as usize, true);
         }
         let snap = p.snapshot();
         let json = snap.to_json();

@@ -2,16 +2,20 @@
 //!
 //! Every pending event is identified by an [`EventKey`] — the `(time, seq)`
 //! pair that the determinism contract pins as the *total* dispatch order —
-//! plus the `u32` slot of its payload in the simulator's event slab and the
-//! node it is bound for. The queue stores `(key, slot, dst)` records and
-//! yields them in ascending key order.
+//! plus a `u32` handle to what the event carries and the node it is bound
+//! for. The queue stores `(key, handle, dst)` records and yields them in
+//! ascending key order. It never reads the handle: to the engine it is the
+//! event's kind in 3 bits and an index in 29 into the store that kind
+//! keeps its data in — a payload slab slot for a delivery, a `u64` word
+//! cell for a timer or a failure bounce, nothing for a start or a churn
+//! transition (`crate::engine::Handle`).
 //!
 //! The record *is* the delivery: the destination lives here, not in the
 //! slab, so the legs of one fan-out are `k` records naming one slot, and
 //! the slab parks their common payload once (DESIGN.md §8, *park once,
 //! deliver many*). The destination is stored in the four bytes that used
-//! to pad `(key, slot)` to 24, so the record did not grow; both simulators
-//! check at construction that every node index fits
+//! to pad `(key, handle)` to 24, so the record did not grow; both
+//! simulators check at construction that every node index fits
 //! ([`check_node_count`]).
 //!
 //! Both engines run on [`WheelQueue`], a hierarchical timer wheel for the
@@ -25,7 +29,7 @@
 //!
 //! [`HeapQueue`], a plain `BinaryHeap` of the same records, is the oracle:
 //! for any interleaving of pushes and pops, both yield the same
-//! `(key, slot, dst)` sequence. The tests below and `tests/queue_equiv.rs`
+//! `(key, handle, dst)` sequence. The tests below and `tests/queue_equiv.rs`
 //! replay schedules through both and assert just that.
 
 use std::cmp::Reverse;
@@ -55,12 +59,13 @@ impl EventKey {
     }
 }
 
-/// A `(key, slot, dst)` record ordered by key only — `slot` is storage and
-/// `dst` is cargo, not identity. 24 bytes: `dst` fills what was padding.
+/// A `(key, handle, dst)` record ordered by key only — `handle` names
+/// storage and `dst` is cargo, not identity. 24 bytes: `dst` fills what
+/// was padding.
 #[derive(Clone, Copy, Debug)]
 struct Entry {
     key: EventKey,
-    slot: u32,
+    handle: u32,
     dst: u32,
 }
 
@@ -71,33 +76,33 @@ impl Entry {
             time: SimTime::ZERO,
             seq: 0,
         },
-        slot: 0,
+        handle: 0,
         dst: 0,
     };
 
     #[inline]
-    fn new(key: EventKey, slot: u32, dst: NodeIdx) -> Self {
+    fn new(key: EventKey, handle: u32, dst: NodeIdx) -> Self {
         debug_assert!(u32::try_from(dst).is_ok(), "see check_node_count");
         Entry {
             key,
-            slot,
+            handle,
             dst: dst as u32,
         }
     }
 
     #[inline]
     fn unpack(self) -> Queued {
-        (self.key, self.slot, self.dst as NodeIdx)
+        (self.key, self.handle, self.dst as NodeIdx)
     }
 
     /// What [`WheelQueue::remove`] hands back: everything but the key.
     fn cargo(self) -> (u32, NodeIdx) {
-        (self.slot, self.dst as NodeIdx)
+        (self.handle, self.dst as NodeIdx)
     }
 }
 
-/// One queued event as the queue hands it back: its key, its payload's
-/// slab slot, and its destination node.
+/// One queued event as the queue hands it back: its key, its handle, and
+/// its destination node.
 pub type Queued = (EventKey, u32, NodeIdx);
 
 /// Panics unless every index of an `n`-node topology fits the queue
@@ -131,7 +136,7 @@ impl Ord for Entry {
 
 // ------------------------------------------------------------------ heap --
 
-/// The oracle: a `BinaryHeap` of 24-byte `(key, slot, dst)` records with
+/// The oracle: a `BinaryHeap` of 24-byte `(key, handle, dst)` records with
 /// the same methods as [`WheelQueue`]. No engine runs on it; the
 /// differential tests replay schedules through both.
 pub struct HeapQueue {
@@ -146,10 +151,10 @@ impl HeapQueue {
         }
     }
 
-    /// Enqueues `slot`, bound for node `dst`, under `key`.
+    /// Enqueues `handle`, bound for node `dst`, under `key`.
     #[inline]
-    pub fn push(&mut self, key: EventKey, slot: u32, dst: NodeIdx) {
-        self.heap.push(Reverse(Entry::new(key, slot, dst)));
+    pub fn push(&mut self, key: EventKey, handle: u32, dst: NodeIdx) {
+        self.heap.push(Reverse(Entry::new(key, handle, dst)));
     }
 
     /// The record with the smallest queued key, without removing it.
@@ -196,7 +201,7 @@ impl HeapQueue {
 }
 
 /// Removes the entry keyed `key` from a binary heap of entries, returning
-/// its slot and destination.
+/// its handle and destination.
 fn remove_from_heap(
     heap: &mut BinaryHeap<Reverse<Entry>>,
     key: EventKey,
@@ -572,12 +577,12 @@ impl WheelQueue {
         }
     }
 
-    /// Enqueues `slot`, bound for node `dst`, under `key`. Keys may arrive
+    /// Enqueues `handle`, bound for node `dst`, under `key`. Keys may arrive
     /// in any order, but a pushed key is never smaller than the last popped
     /// key (the simulator clamps event times to `now`). `dst` must fit in
     /// 32 bits.
-    pub fn push(&mut self, key: EventKey, slot: u32, dst: NodeIdx) {
-        let e = Entry::new(key, slot, dst);
+    pub fn push(&mut self, key: EventKey, handle: u32, dst: NodeIdx) {
+        let e = Entry::new(key, handle, dst);
         self.len += 1;
         let tick = tick_of(key.time);
         if tick < self.base_tick {
@@ -646,7 +651,7 @@ impl WheelQueue {
     }
 
     /// Removes the record queued under exactly `key` (keys are unique —
-    /// `seq` is a per-simulator monotone counter) and returns its slot and
+    /// `seq` is a per-simulator monotone counter) and returns its handle and
     /// destination. `O(n)` worst case; exploration hook only.
     pub fn remove(&mut self, key: EventKey) -> Option<(u32, NodeIdx)> {
         // The bands are disjoint by tick: drained and late entries sit

@@ -280,11 +280,14 @@ impl<M> ShardPart<M> {
 }
 
 impl<M> Partition<M> for ShardPart<M> {
-    // A floor, not a forecast: the 1M-node zone gossip of the benchmark's
-    // `engine_gossip` workload peaks at 5.09 slab slots per node, so the
-    // slab still doubles past this hint. It
-    // stays at 2x because a reservation is paid at every node count while
-    // a peak is only reached by workloads that burst.
+    // A floor, not a forecast, for both event stores: the 1M-node zone
+    // gossip of the benchmark's `engine_gossip` workload peaks at 4.19
+    // payload slots per node (its deliveries in flight), so the payload
+    // slab still doubles past this hint, and at one word cell per node
+    // (its armed beat timer), which half fills the word store's
+    // reservation. It stays at 2x
+    // because a reservation is paid at every node count while a peak is
+    // only reached by workloads that burst.
     const PRESIZE: usize = 2;
 
     #[inline]

@@ -19,7 +19,7 @@
 use rand::rngs::StdRng;
 
 use crate::chaos::{ChaosInjector, FaultFilter};
-use crate::engine::{tag, Engine, EventKind, Partition, Stamped};
+use crate::engine::{tag, Engine, EventKind, Handle, Partition, Stamped};
 use crate::obs::prof::EngineProfile;
 use crate::obs::{DropReason, MsgMeta, NoopSink, TraceRecord, TraceSink};
 use crate::queue::{check_node_count, EventKey};
@@ -570,8 +570,11 @@ impl<A: Application, S: TraceSink> Simulator<A, S> {
     }
 
     /// Payload slots the event slab has allocated so far — the most
-    /// payloads that were ever parked at once. A fan-out
-    /// ([`Ctx::send_all`]) parks one for all its destinations.
+    /// message payloads that were ever parked at once. Only deliveries take
+    /// one, and a fan-out ([`Ctx::send_all`]) parks one for all its
+    /// destinations; an armed timer or a failure bounce takes a `u64` cell
+    /// of the separate word store instead, and a start or a churn
+    /// transition stores nothing.
     pub fn event_slots(&self) -> usize {
         self.core.slab.slots()
     }
@@ -630,20 +633,20 @@ impl<A: Application, S: TraceSink> Simulator<A, S> {
         let entries = self.core.queue.snapshot();
         entries
             .into_iter()
-            .map(|(key, slot, node)| {
-                let class = match self.core.slab.peek(slot) {
+            .map(|(key, raw, node)| {
+                let class = match self.core.slab.peek(Handle(raw)) {
                     EventKind::Start => PendingClass::Start,
                     EventKind::Deliver { src, msg } => {
                         let (layer, kind) = tag(msg);
                         PendingClass::Deliver {
-                            src: *src,
+                            src,
                             layer,
                             kind,
                             bytes: msg.size_bytes(),
                         }
                     }
-                    EventKind::SendFailed { peer } => PendingClass::SendFailed { peer: *peer },
-                    EventKind::Timer { token } => PendingClass::Timer { token: *token },
+                    EventKind::SendFailed { peer } => PendingClass::SendFailed { peer },
+                    EventKind::Timer { token } => PendingClass::Timer { token },
                     EventKind::Down => PendingClass::Down,
                     EventKind::Up => PendingClass::Up,
                 };
@@ -658,16 +661,16 @@ impl<A: Application, S: TraceSink> Simulator<A, S> {
     /// pulls it forward to the current instant, never backwards. Returns
     /// `None` if no event is queued under `key`.
     pub fn dispatch_pending(&mut self, key: EventKey) -> Option<SimTime> {
-        let (slot, node) = self.core.queue.remove(key)?;
+        let (raw, node) = self.core.queue.remove(key)?;
         let key = EventKey {
             time: key.time.max(self.core.now),
             ..key
         };
-        self.core.dispatch(&self.topology, key, slot, node);
+        self.core.dispatch(&self.topology, key, Handle(raw), node);
         Some(self.core.now)
     }
 
-    /// The queued *delivery* filed under `key` as `(slot, destination,
+    /// The queued *delivery* filed under `key` as `(handle, destination,
     /// source, message)`, or `None` — leaving the queue as it was — when
     /// `key` is absent or names a non-Deliver event. `keep` says whether a
     /// delivery stays queued.
@@ -675,14 +678,15 @@ impl<A: Application, S: TraceSink> Simulator<A, S> {
         &mut self,
         key: EventKey,
         keep: bool,
-    ) -> Option<(u32, NodeIdx, NodeIdx, A::Msg)> {
-        let (slot, node) = self.core.queue.remove(key)?;
-        let found = match self.core.slab.peek(slot) {
-            EventKind::Deliver { src, msg } => Some((slot, node, *src, msg.clone())),
+    ) -> Option<(Handle, NodeIdx, NodeIdx, A::Msg)> {
+        let (raw, node) = self.core.queue.remove(key)?;
+        let handle = Handle(raw);
+        let found = match self.core.slab.peek(handle) {
+            EventKind::Deliver { src, msg } => Some((handle, node, src, msg.clone())),
             _ => None,
         };
         if keep || found.is_none() {
-            self.core.queue.push(key, slot, node);
+            self.core.queue.push(key, raw, node);
         }
         found
     }
@@ -692,12 +696,12 @@ impl<A: Application, S: TraceSink> Simulator<A, S> {
     /// untouched — when `key` is absent or names a non-Deliver event:
     /// timers, churn transitions, and bounces cannot be "lost".
     pub fn drop_pending(&mut self, key: EventKey) -> bool {
-        let Some((slot, node, src, msg)) = self.pending_delivery(key, false) else {
+        let Some((handle, node, src, msg)) = self.pending_delivery(key, false) else {
             return false;
         };
-        let meta = self.core.meta_of(slot);
+        let meta = self.core.meta_of(handle);
         // One queue record gone: the other legs of a fan-out keep the slot.
-        self.core.slab.take(slot);
+        self.core.slab.take(handle);
         self.core.dropped_loss += 1;
         if S::ENABLED {
             self.core
@@ -713,8 +717,8 @@ impl<A: Application, S: TraceSink> Simulator<A, S> {
     /// original's causal meta. Returns the copy's key, or `None` when `key`
     /// is absent or names a non-Deliver event.
     pub fn duplicate_pending(&mut self, key: EventKey) -> Option<EventKey> {
-        let (slot, node, src, msg) = self.pending_delivery(key, true)?;
-        let meta = self.core.meta_of(slot);
+        let (handle, node, src, msg) = self.pending_delivery(key, true)?;
+        let meta = self.core.meta_of(handle);
         Some(self.schedule_own(node, key.time, EventKind::Deliver { src, msg }, meta))
     }
 
@@ -758,8 +762,8 @@ impl<A: Application, S: TraceSink> Simulator<A, S> {
     /// ([`WheelQueue::pop_before`](crate::queue::WheelQueue::pop_before)) —
     /// the deadline-bounded analogue of [`Simulator::step`].
     pub fn step_before(&mut self, deadline: SimTime) -> Option<SimTime> {
-        let (key, slot, node) = self.core.queue.pop_before(deadline)?;
-        self.core.dispatch(&self.topology, key, slot, node);
+        let (key, raw, node) = self.core.queue.pop_before(deadline)?;
+        self.core.dispatch(&self.topology, key, Handle(raw), node);
         Some(key.time)
     }
 
@@ -1238,5 +1242,87 @@ mod tests {
         );
         assert_eq!(sim.core.slab.live(), 0);
         assert_eq!(sim.dropped_loss(), 1);
+    }
+
+    #[test]
+    fn far_churn_transitions_count_as_migrations() {
+        // `Down` and `Up` store nothing; their creation band rides in the
+        // queue handle, so the profiler still sees them leave the far heap.
+        let mut sim = ring_sim(3, 4, 2);
+        sim.enable_profiling();
+        sim.schedule_down(2, SimTime::from_micros(1_000_000));
+        sim.schedule_up(2, SimTime::from_micros(2_000_000));
+        sim.run_until_quiet(10_000);
+        let profile = sim.engine_profile().expect("profiling enabled");
+        assert_eq!((profile.far, profile.migrated), (2, 2));
+        assert_eq!(sim.app(2).up_count, 1);
+    }
+
+    /// Every node arms `per_node` timers at start and sends nothing.
+    struct ArmNode {
+        per_node: u64,
+    }
+
+    #[derive(Clone)]
+    struct Silent;
+
+    impl Payload for Silent {
+        fn size_bytes(&self) -> usize {
+            0
+        }
+    }
+
+    impl Application for ArmNode {
+        type Msg = Silent;
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Silent>) {
+            let me = ctx.me() as u64;
+            for k in 0..self.per_node {
+                // Due times from 1 µs to ~40 s cover the wheel's near band
+                // and its far heap; the tokens use all 64 bits.
+                let delay = 1 + (me * 7_919 + k * 104_729) % 40_000_000;
+                let token = (k + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ me;
+                ctx.set_timer(SimDuration::from_micros(delay), token);
+            }
+        }
+
+        fn on_message(&mut self, _: &mut Ctx<'_, Silent>, _: NodeIdx, _: Silent) {}
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "20k timers in two sims are too slow under Miri")]
+    fn armed_timers_take_no_payload_slot() {
+        use crate::obs::{RecordingSink, TraceBody};
+        let (n, per_node) = (100, 100);
+        let topology = || Topology::uniform(n, 1_000, 2_000);
+        let mut sim = Simulator::new(topology(), 3, |_| ArmNode { per_node });
+        for _ in 0..n {
+            assert_eq!(sim.step(), Some(SimTime::ZERO));
+        }
+        assert_eq!(sim.pending_events(), 10_000);
+        assert_eq!(sim.event_slots(), 0);
+        assert!(sim.run_until_quiet(u64::MAX));
+        assert_eq!((sim.events_processed(), sim.event_slots()), (10_100, 0));
+        // The dispatch trace: every firing's time, node and token, in
+        // dispatch order, folded FNV-1a style. Captured when timers were
+        // parked in payload slots.
+        let mut traced = Simulator::with_sink(topology(), 3, RecordingSink::new(n), |_| ArmNode {
+            per_node,
+        });
+        assert!(traced.run_until_quiet(u64::MAX));
+        assert_eq!(traced.event_slots(), 0);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut fires = 0;
+        for rec in traced.sink_mut().take_records() {
+            let TraceBody::TimerFire { token } = rec.body else {
+                continue;
+            };
+            fires += 1;
+            for word in [rec.at_us, rec.node as u64, token] {
+                digest = (digest ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!((fires, sim.now()), (10_000, traced.now()));
+        assert_eq!(digest, 0x45fd_40b6_836e_4d99);
     }
 }

@@ -6,6 +6,8 @@
 //! plus multiplicative jitter, a transmission component derived from the
 //! bottleneck bandwidth, and an independent per-message loss probability.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -71,11 +73,15 @@ impl NodeProfile {
 }
 
 /// The immutable network substrate shared by all protocol layers.
+///
+/// The per-node tables sit behind `Arc`s, so a clone shares them instead
+/// of copying them; [`Topology::set_profile`] copies the profile table
+/// only while another clone still holds it.
 #[derive(Clone, Debug)]
 pub struct Topology {
-    points: Vec<GeoPoint>,
-    regions: Vec<u16>,
-    profiles: Vec<NodeProfile>,
+    points: Arc<Vec<GeoPoint>>,
+    regions: Arc<Vec<u16>>,
+    profiles: Arc<Vec<NodeProfile>>,
     latency: LatencyModel,
     /// Multiplicative jitter amplitude: sampled delay is scaled by a factor
     /// drawn uniformly from `[1, 1 + jitter]`.
@@ -88,9 +94,9 @@ impl Topology {
     /// Builds a topology from geographic placements with default profiles.
     pub fn from_placements(nodes: &[PlacedNode], latency: LatencyModel) -> Self {
         Topology {
-            points: nodes.iter().map(|n| n.point).collect(),
-            regions: nodes.iter().map(|n| n.region).collect(),
-            profiles: vec![NodeProfile::default(); nodes.len()],
+            points: Arc::new(nodes.iter().map(|n| n.point).collect()),
+            regions: Arc::new(nodes.iter().map(|n| n.region).collect()),
+            profiles: Arc::new(vec![NodeProfile::default(); nodes.len()]),
             latency,
             jitter: 0.2,
             loss_prob: 0.0,
@@ -108,9 +114,9 @@ impl Topology {
         assert_eq!(points.len(), regions.len());
         assert_eq!(points.len(), profiles.len());
         Topology {
-            points,
-            regions,
-            profiles,
+            points: Arc::new(points),
+            regions: Arc::new(regions),
+            profiles: Arc::new(profiles),
             latency,
             jitter: 0.2,
             loss_prob: 0.0,
@@ -121,9 +127,9 @@ impl Topology {
     /// band — the workhorse for protocol unit tests.
     pub fn uniform(n: usize, min_us: u64, max_us: u64) -> Self {
         Topology {
-            points: vec![GeoPoint::new(0.0, 0.0); n],
-            regions: vec![0; n],
-            profiles: vec![NodeProfile::default(); n],
+            points: Arc::new(vec![GeoPoint::new(0.0, 0.0); n]),
+            regions: Arc::new(vec![0; n]),
+            profiles: Arc::new(vec![NodeProfile::default(); n]),
             latency: LatencyModel::Uniform { min_us, max_us },
             jitter: 0.0,
             loss_prob: 0.0,
@@ -152,9 +158,10 @@ impl Topology {
         self
     }
 
-    /// Overrides the capability profile of node `i`.
+    /// Overrides the capability profile of node `i`, first copying the
+    /// profile table if another clone shares it.
     pub fn set_profile(&mut self, i: NodeIdx, profile: NodeProfile) {
-        self.profiles[i] = profile;
+        Arc::make_mut(&mut self.profiles)[i] = profile;
     }
 
     /// Returns the capability profile of node `i`.
@@ -249,6 +256,7 @@ impl Topology {
 
     /// Heap bytes held by the topology's per-node tables (positions,
     /// regions, profiles) — memory accounting for million-node trials.
+    /// Counted in full by every clone, shared or not.
     pub fn heap_bytes(&self) -> usize {
         self.points.capacity() * std::mem::size_of::<GeoPoint>()
             + self.regions.capacity() * std::mem::size_of::<u16>()
@@ -286,7 +294,7 @@ impl Topology {
         let mut count = vec![0u64; nregions];
         let mut sum_x = vec![0f64; nregions];
         let mut sum_y = vec![0f64; nregions];
-        for (p, &r) in self.points.iter().zip(&self.regions) {
+        for (p, &r) in self.points.iter().zip(self.regions.iter()) {
             count[r as usize] += 1;
             sum_x[r as usize] += p.x_km;
             sum_y[r as usize] += p.y_km;
@@ -304,7 +312,7 @@ impl Topology {
                     })
                     .collect();
                 let mut radius = vec![0f64; nregions];
-                for (p, &r) in self.points.iter().zip(&self.regions) {
+                for (p, &r) in self.points.iter().zip(self.regions.iter()) {
                     let d = p.distance_km(&centers[r as usize]);
                     if d > radius[r as usize] {
                         radius[r as usize] = d;
@@ -546,5 +554,28 @@ mod tests {
         // 1 MB over 8 Mbps = 1 second.
         let d = t.sample_delay(0, 1, 1_000_000, &mut rng);
         assert_eq!(d.as_micros(), 1_000_000);
+    }
+
+    #[test]
+    fn clones_share_tables_until_a_profile_is_set() {
+        let t = geo_topology(300);
+        let mut c = t.clone();
+        assert!(Arc::ptr_eq(&t.points, &c.points) && Arc::ptr_eq(&t.profiles, &c.profiles));
+        // Sharing is not counted away: each clone reports what it reads.
+        assert_eq!(c.heap_bytes(), t.heap_bytes());
+        let slow = NodeProfile {
+            compute_speed: 0.5,
+            ..NodeProfile::default()
+        };
+        c.set_profile(7, slow);
+        assert!(!Arc::ptr_eq(&t.profiles, &c.profiles));
+        assert!(Arc::ptr_eq(&t.points, &c.points) && Arc::ptr_eq(&t.regions, &c.regions));
+        assert_eq!(c.profile(7).compute_speed, 0.5);
+        assert_eq!(t.profile(7).compute_speed, 1.0);
+        assert_eq!(c.heap_bytes(), t.heap_bytes());
+        // A table no other clone holds is written in place.
+        let before = Arc::as_ptr(&c.profiles);
+        c.set_profile(8, slow);
+        assert_eq!(Arc::as_ptr(&c.profiles), before);
     }
 }
