@@ -1221,7 +1221,10 @@ mod tests {
                 let fresh = match op {
                     0 => Some(EventKind::Timer { token: a }),
                     1 => Some(EventKind::SendFailed { peer: a as NodeIdx }),
-                    2 => Some([EventKind::Start, EventKind::Down, EventKind::Up][a as usize % 3].clone()),
+                    2 => {
+                        let units = [EventKind::Start, EventKind::Down, EventKind::Up];
+                        Some(units[a as usize % 3].clone())
+                    }
                     3 => Some(deliver(a as NodeIdx % 7, a)),
                     4 => {
                         // A fan-out of `k` legs: reserve, push, then fill.
