@@ -499,10 +499,8 @@ pub fn run_trials_with<R: Send>(
 }
 
 /// The `--key value` pairs every scenario accepts, parsed by
-/// [`parse_params`] into [`Params`]' own fields. `--shards N` is accepted and inert: the
-/// figure scenarios pin the sequential engine, and CI reruns the goldens
-/// with it to prove so.
-pub const SHARED_KEYS: &[&str] = &["nodes", "seed", "jobs", "trace", "trace-filter", "shards"];
+/// [`parse_params`] into [`Params`]' own fields.
+pub const SHARED_KEYS: &[&str] = &["nodes", "seed", "jobs", "trace", "trace-filter"];
 
 /// What one `totoro-bench` command accepts on its command line.
 #[derive(Clone, Copy, Debug)]
@@ -600,9 +598,6 @@ pub fn parse_params(
                 if params.jobs == 0 {
                     return Err("--jobs must be at least 1".to_string());
                 }
-            }
-            "shards" => {
-                int::<usize>(key, value)?;
             }
             "trace" => params.trace = Some(value.clone()),
             "trace-filter" => params.trace_filter = Some(validate_trace_filter(value)?),
@@ -873,8 +868,7 @@ mod tests {
 
     #[test]
     fn parse_params_recognizes_driver_flags() {
-        let line =
-            "--nodes 500 --seed 7 --jobs 4 --json --shards 4 --dataset femnist --apps 1,5,10";
+        let line = "--nodes 500 --seed 7 --jobs 4 --json --dataset femnist --apps 1,5,10";
         let p = parse_line(line).unwrap();
         assert_eq!((p.nodes, p.seed, p.jobs, p.json), (500, 7, 4, true));
         assert_eq!(p.extra("dataset"), Some("femnist"));
@@ -894,7 +888,7 @@ mod tests {
             "--nodes",
             "--nodes abc",
             "--jobs 0",
-            "--shards x",
+            "--shards 4",
             "--nodez 60",
             "--list",
         ] {

@@ -12,7 +12,7 @@
 //!   analogue of queue depth) plus per-bucket send/deliver/drop counts;
 //! * **matrix** — a source-bucket × destination-bucket traffic matrix;
 //! * **diff** — all of the above for two traces side by side, with a
-//!   byte-level verdict (wheel-vs-heap or shards-1-vs-4 runs of the same
+//!   byte-level verdict (`--jobs 1` and `--jobs 2` runs of the same
 //!   scenario must produce *identical* traces, and the diff proves it).
 //!
 //! Everything here is a pure function of the input text: analytics on a
@@ -609,8 +609,9 @@ pub fn render_matrix(name: &str, m: &Matrix) -> String {
 
 /// Renders the diff of two traces: per-group counts side by side, both
 /// critical-path summaries, and a byte-level verdict. Deterministic runs of
-/// the same scenario under different engines (wheel vs heap, shards 1 vs 4)
-/// must diff clean — that equality is the point of the comparison.
+/// the same scenario under different worker counts (`--jobs 1` vs
+/// `--jobs 2`) must diff clean — that equality is the point of the
+/// comparison.
 pub fn render_diff(
     a_name: &str,
     a_text: &str,

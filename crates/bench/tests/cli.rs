@@ -33,6 +33,8 @@ const MALFORMED: &[&[&str]] = &[
     &["fig7", "--nodes"],
     &["fig7", "positional"],
     &["fig7", "--trace-filter", "dhtt"],
+    // `--shards` was an accepted no-op; it is now an undeclared key.
+    &["fig7", "--shards", "4"],
     &["chaos", "--plan", "loss-spike"],
     &["chaos", "--report", "chaos_report.txt"],
     &["chaos", "--trace", "chaos_trace.json"],

@@ -21,15 +21,7 @@ use totoro_bench::scenarios;
 
 fn run(name: &str, args: &[&str]) -> String {
     let scenario = scenarios::find(name).expect("scenario registered");
-    let mut args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-    // CI reruns the whole suite with TOTORO_GOLDEN_SHARDS=4 to prove the
-    // `--shards` flag is inert on figure scenarios: they pin the sequential
-    // engine (whose goldens fix one same-instant interleaving), so the flag
-    // must flow through without perturbing a byte of output.
-    if let Ok(shards) = std::env::var("TOTORO_GOLDEN_SHARDS") {
-        args.push("--shards".to_string());
-        args.push(shards);
-    }
+    let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
     let params = parse_params(
         &grammar(scenario.as_ref()),
         scenario.default_params(),

@@ -1,7 +1,7 @@
 //! Integration tests for the engine self-profiling pipeline and the
-//! `totoro-bench trace` analytics: profile invariance across worker and shard
-//! counts, Chrome trace well-formedness, and pinned critical-path output
-//! on a committed fixture.
+//! `totoro-bench trace` analytics: profile invariance across worker counts,
+//! Chrome trace well-formedness, and pinned critical-path output on a
+//! committed fixture.
 
 use totoro_bench::scenario::{execute, Params, Scenario, SinkSpec, Trial, TrialReport};
 use totoro_bench::simcore::{build_eua_topology, run_event_churn_traced};
@@ -9,7 +9,7 @@ use totoro_bench::traceview;
 use totoro_simnet::json::ToJson;
 use totoro_simnet::{
     chrome_trace, jsonl_trace, Application, Ctx, Fault, FaultKind, FaultPlan, NodeIdx, Payload,
-    ShardedSim, SimTime, TraceRecord, TrialReport as SimAccounting,
+    SimTime, Simulator, TraceRecord, TrialReport as SimAccounting,
 };
 
 #[derive(Clone)]
@@ -22,8 +22,8 @@ impl Payload for Tok {
 }
 
 /// A zone-crossing token ring: every 7th node launches a token that hops
-/// the full ring, so traffic constantly crosses region (and therefore
-/// shard) boundaries while chaos drops and duplicates messages.
+/// the full ring, so traffic constantly crosses region boundaries while
+/// chaos drops and duplicates messages.
 struct RingNode {
     n: usize,
 }
@@ -46,8 +46,8 @@ impl Application for RingNode {
     }
 }
 
-/// A scenario whose every trial runs a chaos-enabled sharded simulation
-/// with engine profiling on, reporting the profile through the standard
+/// A scenario whose every trial runs a chaos-enabled simulation with
+/// engine profiling on, reporting the profile through the standard
 /// accounting path (`TrialReport.sim.engine_profile`).
 struct ProfiledChaos;
 
@@ -57,13 +57,13 @@ impl Scenario for ProfiledChaos {
     }
 
     fn description(&self) -> &'static str {
-        "test scenario: sharded chaos run with engine profiling"
+        "test scenario: chaos run with engine profiling"
     }
 
     fn trials(&self, params: &Params) -> Result<Vec<Trial>, String> {
         Ok(Trial::seal(
             (0..3)
-                .map(|i| Trial::new("chaos", params.seed + i).with("shards", 2))
+                .map(|i| Trial::new("chaos", params.seed + i))
                 .collect(),
         ))
     }
@@ -74,11 +74,9 @@ impl Scenario for ProfiledChaos {
         _sink: &SinkSpec,
     ) -> (TrialReport, Option<Vec<TraceRecord>>) {
         let n = 120;
-        let shards = trial.get_usize("shards");
         let topo = build_eua_topology(n, trial.seed);
-        let mut sim = ShardedSim::new(topo, trial.seed, shards, |_| RingNode { n })
-            .expect("EUA topology is shardable")
-            .with_profiling();
+        let mut sim = Simulator::new(topo, trial.seed, |_| RingNode { n });
+        sim.enable_profiling();
         let plan = FaultPlan::none()
             .with_fault(Fault::new(
                 SimTime::ZERO,
@@ -90,10 +88,10 @@ impl Scenario for ProfiledChaos {
                 SimTime::from_micros(50_000),
                 FaultKind::Duplicate { prob: 0.1 },
             ));
-        sim.apply_plan(&plan, trial.seed);
-        sim.run_to_quiescence();
+        plan.apply(&mut sim, trial.seed);
+        assert!(sim.run_until_quiet(u64::MAX));
         let mut report = TrialReport::for_trial(trial);
-        report.sim = SimAccounting::capture_sharded(&sim);
+        report.sim = SimAccounting::capture(&sim);
         (report, None)
     }
 
@@ -122,19 +120,6 @@ fn engine_profile_is_jobs_invariant() {
         "profile missing from report JSON"
     );
     assert_eq!(serial, run(4), "engine profile must not see --jobs");
-}
-
-#[test]
-fn engine_profile_is_shard_invariant_under_chaos() {
-    let json_for = |shards: u64| {
-        let trial = Trial::new("chaos", 42).with("shards", shards);
-        let (report, _) = ProfiledChaos.run_with_sink(&trial, &SinkSpec::untraced());
-        report.sim.to_json()
-    };
-    let base = json_for(1);
-    for shards in [2, 4] {
-        assert_eq!(base, json_for(shards), "shards = {shards}");
-    }
 }
 
 #[test]

@@ -355,7 +355,7 @@ mod tests {
     /// charges `size_of::<(u64, RoundAgg<D>)>()` per round record. It also
     /// sizes the payload slab's slot (`event_slot_bytes`, 144 B for a
     /// `DhtMsg<TreeMsg<FlData>>`), which only deliveries occupy — a timer
-    /// takes an 8-byte word cell — and which `ShardedSim::state_bytes`
+    /// takes an 8-byte word cell — and which `Simulator::state_bytes`
     /// counts by capacity. The recipe must fit the `Vec`'s niche.
     #[test]
     fn fl_data_stays_forty_bytes() {

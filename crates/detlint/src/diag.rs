@@ -223,7 +223,7 @@ mod tests {
     fn rule_counts_block_names_all_ten_rules() {
         let f = Finding {
             rule: RuleId::TimeArithmetic,
-            file: "crates/simnet/src/shard.rs".into(),
+            file: "crates/simnet/src/engine.rs".into(),
             line: 1,
             col: 1,
             token: "as_micros".into(),

@@ -3,7 +3,7 @@
 //! A from-scratch static determinism linter for the Totoro workspace
 //! (DESIGN.md §11, §16). Every artifact the benchmark harness
 //! regenerates rests on a byte-identical-output contract across
-//! `--jobs`, `--shards`, seeds, and trace sinks; this crate enforces the
+//! `--jobs`, seeds, and trace sinks; this crate enforces the
 //! coding rules behind that contract *statically*, before a golden file
 //! ever diverges:
 //!
@@ -24,15 +24,15 @@
 //!   and carry a written reason.
 //! * **DET006 `thread-primitives`** — `thread::spawn`/`thread::scope`,
 //!   `Mutex`, and `mpsc` are forbidden in protocol crates (and in
-//!   detlint itself) outside the sanctioned shard runner
-//!   (`crates/simnet/src/shard.rs`): ad-hoc threading makes event order
-//!   scheduler-dependent.
+//!   detlint itself) unless a `det: allow(parallel: …)` proof says why
+//!   scheduling cannot reach simulated state: ad-hoc threading makes
+//!   event order scheduler-dependent.
 //! * **DET007 `atomic-ordering`** — every atomic op names an explicit
 //!   memory `Ordering`, and `Ordering::Relaxed` carries a written
 //!   `det: allow(ordering: …)` proof.
-//! * **DET008 `lock-discipline`** — `.lock()` outside the shard runner
-//!   is a violation; inside it, acquisitions must follow the canonical
-//!   mailbox order and guard scopes must never nest.
+//! * **DET008 `lock-discipline`** — every `.lock()` needs a
+//!   `det: allow(lock: …)` proof that its guard cannot order simulated
+//!   state.
 //! * **DET009 `float-determinism`** — order-sensitive f32/f64
 //!   reductions in protocol crates must live in the canonical-order
 //!   helpers (`crates/simnet/src/numeric.rs`) or carry a commutativity

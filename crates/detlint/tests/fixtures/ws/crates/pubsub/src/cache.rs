@@ -1,6 +1,6 @@
-//! Fixture: DET008 lock-discipline — a `.lock()` acquisition outside
-//! the sanctioned shard runner, reached through a passed-in guardable
-//! (no `Mutex` token in sight, so DET006 alone cannot catch it).
+//! Fixture: DET008 lock-discipline — a `.lock()` acquisition without a
+//! written proof, reached through a passed-in guardable (no `Mutex` token
+//! in sight, so DET006 alone cannot catch it).
 
 pub fn violation(slot: &SharedSlot) -> u32 {
     *slot.lock()

@@ -1,6 +1,6 @@
 //! A fixed-size bit set for per-node boolean state.
 //!
-//! At the million-node scale targeted by the sharded engine a
+//! At the million-node scale of the `engine_gossip` workload a
 //! `Vec<bool>` costs one byte per node and, worse, one cache line per 64
 //! nodes touched. Packing liveness into machine words cuts the `alive`
 //! table from 1 MB to 125 KB per million nodes and lets bulk operations

@@ -210,39 +210,7 @@ impl FaultPlan {
                 .iter()
                 .map(|f| FaultStream {
                     rng: sub_rng(seed, &f.label()),
-                    key: None,
                     fault: f.clone(),
-                })
-                .collect(),
-            stats: ChaosStats::default(),
-        }
-    }
-
-    /// Compiles the plan's faults into a *keyed* injector: every stochastic
-    /// decision (loss-spike drop, duplication) is a pure hash of
-    /// `(seed, fault label, send time, src, dst)` rather than the next draw
-    /// of a sequential stream — see [`crate::rng::keyed_unit`].
-    ///
-    /// A keyed injector decides each send independently of every other
-    /// send, so the decisions do not depend on the global dispatch order.
-    /// That makes it the only injector form the sharded engine
-    /// ([`crate::shard`]) accepts: per-shard copies compiled from the same
-    /// `(plan, seed)` reach identical verdicts for identical sends at any
-    /// shard count. Partition and Straggler faults are stateless in both
-    /// forms. The price is a different (but equally reproducible) fault
-    /// realization than [`FaultPlan::injector`] for the same seed.
-    pub fn keyed_injector(&self, seed: u64) -> ChaosInjector {
-        ChaosInjector {
-            streams: self
-                .faults
-                .iter()
-                .map(|f| {
-                    let label = f.label();
-                    FaultStream {
-                        rng: sub_rng(seed, &label),
-                        key: Some(crate::rng::derive_seed(seed, &label)),
-                        fault: f.clone(),
-                    }
                 })
                 .collect(),
             stats: ChaosStats::default(),
@@ -261,14 +229,10 @@ impl FaultPlan {
     }
 }
 
-/// One compiled fault with its private random stream (or, in keyed mode,
-/// a hash key replacing the stream for stochastic decisions).
+/// One compiled fault with its private random stream.
 struct FaultStream {
     fault: Fault,
     rng: StdRng,
-    /// `Some(k)` switches this fault's stochastic decisions to pure
-    /// `keyed_unit(k, [now, src, dst])` hashes (order-independent).
-    key: Option<u64>,
 }
 
 /// Counters of what the injector actually did.
@@ -305,25 +269,7 @@ pub struct ChaosInjector {
     pub stats: ChaosStats,
 }
 
-/// One unit-interval sample for a fault's stochastic decision: the next
-/// stream draw in stream mode, a pure hash of the send coordinates in
-/// keyed mode.
-#[inline]
-fn unit_sample(s: &mut FaultStream, now: SimTime, src: NodeIdx, dst: NodeIdx) -> f64 {
-    match s.key {
-        Some(k) => crate::rng::keyed_unit(k, &[now.as_micros(), src as u64, dst as u64]),
-        None => s.rng.gen::<f64>(),
-    }
-}
-
 impl ChaosInjector {
-    /// Whether this injector was compiled with
-    /// [`FaultPlan::keyed_injector`] (every stochastic decision a pure
-    /// hash, safe under sharded execution).
-    pub fn is_keyed(&self) -> bool {
-        self.streams.iter().all(|s| s.key.is_some())
-    }
-
     /// Decides the fate of one message sent at `now` from `src` to `dst`.
     pub fn on_send(
         &mut self,
@@ -343,10 +289,9 @@ impl ChaosInjector {
                 FaultKind::LossSpike { prob } => {
                     // Draw only while the window is open: the stream then
                     // advances one step per in-window send, independent of
-                    // every other fault. Keyed mode hashes the send
-                    // coordinates instead, consuming no stream at all.
+                    // every other fault.
                     let prob = *prob;
-                    if active && unit_sample(s, now, src, dst) < prob {
+                    if active && s.rng.gen::<f64>() < prob {
                         verdict.drop = true;
                     }
                 }
@@ -366,7 +311,7 @@ impl ChaosInjector {
                 }
                 FaultKind::Duplicate { prob } => {
                     let prob = *prob;
-                    if active && unit_sample(s, now, src, dst) < prob {
+                    if active && s.rng.gen::<f64>() < prob {
                         verdict.duplicate = true;
                     }
                 }
@@ -547,61 +492,6 @@ mod tests {
             .with_fault(dup_fault());
         assert_eq!(verdicts(&plan, 7), verdicts(&plan, 7));
         assert_ne!(verdicts(&plan, 7), verdicts(&plan, 8));
-    }
-
-    #[test]
-    fn keyed_injector_is_order_independent() {
-        // The keyed form's defining property: the verdict for a send is a
-        // pure function of (seed, fault, now, src, dst). Evaluate a send
-        // sequence forward and backward — per-send verdicts must agree,
-        // which is exactly what lets shards evaluate their local sends
-        // without a globally ordered stream.
-        let plan = FaultPlan::none()
-            .with_fault(loss_fault())
-            .with_fault(dup_fault())
-            .with_fault(straggler_fault());
-        let topo = Topology::uniform(8, 1_000, 2_000);
-        let sends = send_sequence();
-        let mut fwd_inj = plan.keyed_injector(9);
-        assert!(fwd_inj.is_keyed());
-        assert!(!plan.injector(9).is_keyed());
-        let fwd: Vec<SendVerdict> = sends
-            .iter()
-            .map(|&(at, s, d)| fwd_inj.on_send(at, s, d, &topo))
-            .collect();
-        let mut rev_inj = plan.keyed_injector(9);
-        let mut rev: Vec<SendVerdict> = sends
-            .iter()
-            .rev()
-            .map(|&(at, s, d)| rev_inj.on_send(at, s, d, &topo))
-            .collect();
-        rev.reverse();
-        assert_eq!(fwd, rev);
-        assert_eq!(fwd_inj.stats, rev_inj.stats);
-        // And it actually does something within the windows.
-        assert!(fwd_inj.stats.dropped > 0, "loss spike never fired");
-        assert!(fwd_inj.stats.duplicated > 0, "duplication never fired");
-        assert!(fwd_inj.stats.delayed > 0, "straggler never fired");
-    }
-
-    #[test]
-    fn keyed_injector_is_seed_sensitive_and_windowed() {
-        let plan = FaultPlan::none().with_fault(loss_fault());
-        let topo = Topology::uniform(8, 1_000, 2_000);
-        let verdicts_at = |seed: u64| -> Vec<bool> {
-            let mut inj = plan.keyed_injector(seed);
-            send_sequence()
-                .into_iter()
-                .map(|(at, s, d)| inj.on_send(at, s, d, &topo).drop)
-                .collect()
-        };
-        assert_eq!(verdicts_at(1), verdicts_at(1));
-        assert_ne!(verdicts_at(1), verdicts_at(2));
-        // Outside the window nothing fires regardless of hash values.
-        let mut inj = plan.keyed_injector(1);
-        for probe in [t(0), t(9), t(20), t(500)] {
-            assert!(!inj.on_send(probe, 2, 6, &topo).drop);
-        }
     }
 
     /// The satellite property: merging two plans preserves each fault's

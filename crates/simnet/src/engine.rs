@@ -1,21 +1,13 @@
-//! The per-partition event core: the one `dispatch` and the one
-//! `apply_actions` in the crate.
+//! The event core: the one `dispatch` and the one `apply_actions` in the
+//! crate.
 //!
-//! An [`Engine`] owns everything one event loop needs — application
+//! An [`Engine`] owns everything the event loop needs — application
 //! state, liveness bits, the event queue and event slab, causal-meta
-//! slots, the action scratch buffer, drop counters, the chaos injector
-//! and the profiling collector — for the nodes of one *partition*. The
-//! sequential [`Simulator`](crate::sim::Simulator) is an engine whose
-//! single partition holds every node; the sharded
-//! [`ShardedSim`](crate::shard::ShardedSim) is `K` engines under the
-//! window/mailbox driver in [`crate::shard`]. This module is thread-free:
-//! an engine is plain owned data that its driver moves between threads.
-//!
-//! The two engines differ in exactly the six places the [`Partition`]
-//! trait names (DESIGN.md §12 carries the table); everything else — loss
-//! and delay sampling, the chaos verdict, the fault filter, the
-//! dead-destination bounce, causal-meta derivation, every trace record,
-//! the profiling hooks — is written once, here.
+//! slots, the action scratch buffer, drop counters, the traffic and compute
+//! ledgers, the trace sink, the chaos injector and the profiling collector.
+//! The [`Simulator`](crate::sim::Simulator) is this engine plus its
+//! topology and the driver-facing API. Same-time events are ordered by one
+//! global creation counter, and a due time already past clamps to `now`.
 //!
 //! # Hot-path layout
 //!
@@ -40,9 +32,8 @@
 //!   many*).
 //! * Every event source — sends, timers, churn transitions, failure
 //!   bounces — goes through [`Engine::schedule`] (a send's destinations
-//!   through its per-leg twin), which applies the partition's due-time
-//!   rule, mints the tie-break key, classifies the wheel band, and places
-//!   the event locally or hands it to the partition for another shard.
+//!   through its per-leg twin), which clamps the due time, mints the
+//!   tie-break key, classifies the wheel band, and files the event.
 //! * Callback side effects accumulate in a reusable scratch buffer that
 //!   is drained in place (no per-event `Vec`).
 
@@ -51,11 +42,12 @@ use rand::rngs::StdRng;
 use crate::bitset::BitSet;
 use crate::chaos::{ChaosInjector, FaultFilter};
 use crate::obs::prof::{EngineProf, BAND_NONE};
-use crate::obs::{DropReason, MsgMeta, TraceBody, TraceRecord, ROOT_PARENT};
+use crate::obs::{DropReason, MsgMeta, TraceBody, TraceRecord, TraceSink, ROOT_PARENT};
 use crate::queue::{EventKey, WheelQueue};
-use crate::sim::{Action, Application, ComputeKind, Ctx, Outbox, Payload};
+use crate::sim::{Action, Application, ComputeKind, ComputeLedger, Ctx, Outbox, Payload};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeIdx, Topology};
+use crate::traffic::TrafficLedger;
 
 /// An event in register form: what [`Engine::dispatch`] matches on. A
 /// queued event is a [`Handle`] instead, with whatever its kind carries
@@ -386,111 +378,49 @@ impl<M: Clone> EventSlab<M> {
 struct Fanout<M> {
     /// `None` once the final leg has taken the message by move.
     msg: Option<M>,
-    /// Whether this engine's legs may name one slot. Not when it is traced
+    /// Whether the legs may name one slot. Not when the engine is traced
     /// or profiled: the causal-meta and wheel-band side tables are indexed
     /// by slot, so each leg then parks a payload of its own.
     share: bool,
-    /// The shared slot, reserved by the first leg that uses it, and the
-    /// queue records pushed against it so far.
+    /// The shared slot, reserved by the first leg, and the queue records
+    /// pushed against it so far.
     parked: Option<(Handle, u32)>,
 }
 
-/// An event whose queue key, causal meta and wheel band were fixed at
-/// creation. All three are creation-site facts, so they travel with the
-/// event when it crosses to another shard.
-pub(crate) struct Stamped<M> {
-    pub(crate) key: EventKey,
-    pub(crate) dst: NodeIdx,
-    pub(crate) kind: EventKind<M>,
-    pub(crate) meta: MsgMeta,
-    pub(crate) band: u8,
-}
+/// The queue, the payload slab and the word store each reserve this many
+/// events per node.
+const PRESIZE: usize = 4;
 
-/// What distinguishes the sequential engine's single partition from one
-/// shard of the sharded engine — these six things and nothing else.
-/// Crate-private, hence sealed: the two implementations live next to
-/// their drivers in [`crate::sim`] and [`crate::shard`].
-pub(crate) trait Partition<M> {
-    // 1. Tie-break key and trace message id.
-
-    /// Mints the tie-break word of the next event created by `origin`
-    /// (partition-local index `local`).
-    fn mint_seq(&mut self, local: usize, origin: NodeIdx) -> u64;
-
-    /// Mints the trace id of the next message sent by `origin`. Only
-    /// called when [`Partition::traced`]; ids start at 1, never 0.
-    fn mint_msg_id(&mut self, local: usize, origin: NodeIdx) -> u64;
-
-    // 2. Due-time rule.
-
-    /// When an event asked for at `at` while the clock reads `now`
-    /// actually fires. Idempotent.
-    fn due(at: SimTime, now: SimTime) -> SimTime;
-
-    // 3. Placement.
-
-    /// Partition-local index of member `node`.
-    fn local(&self, node: NodeIdx) -> usize;
-
-    /// Global index of the member at `local`.
-    fn global(&self, local: usize) -> NodeIdx;
-
-    /// Whether `node` is a member of this partition.
-    fn owns(&self, node: NodeIdx) -> bool;
-
-    /// Takes an event bound for a node this partition does not own.
-    fn park(&mut self, ev: Stamped<M>);
-
-    // 4. Ledgers.
-
-    /// Accounts a `bytes`-byte message sent by `src`.
-    fn record_send(&mut self, topology: &Topology, src: NodeIdx, bytes: usize);
-
-    /// Accounts a `bytes`-byte message delivered to `dst`.
-    fn record_recv(&mut self, topology: &Topology, dst: NodeIdx, bytes: usize);
-
-    /// Charges simulated CPU time to `node`.
-    fn charge(&mut self, topology: &Topology, node: NodeIdx, kind: ComputeKind, us: SimDuration);
-
-    // 5. Trace emission.
-
-    /// Whether trace records (and causal meta) are wanted at all.
-    fn traced(&self) -> bool;
-
-    /// Marks the start of the dispatch whose records follow.
-    fn begin_event(&mut self, key: EventKey);
-
-    /// Receives one record. Only called when [`Partition::traced`].
-    fn record(&mut self, rec: TraceRecord);
-
-    // 6. Presize hint.
-
-    /// The queue, the payload slab and the word store each reserve this
-    /// many events per member node.
-    const PRESIZE: usize;
-}
-
-/// One event loop over the member nodes of partition `P`.
-pub(crate) struct Engine<A: Application, P> {
-    pub(crate) part: P,
-    /// Application state of member nodes, local index order.
+/// The event loop: every node's application state, liveness and ledgers,
+/// the event queue and its stores, and the statically dispatched trace
+/// sink `S`.
+pub(crate) struct Engine<A: Application, S> {
+    /// Application state, node index order.
     pub(crate) nodes: Vec<A>,
     // Liveness packed one bit per node (1 MB -> 125 KB at a million
-    // nodes), local index order; see `crate::bitset`.
+    // nodes); see `crate::bitset`.
     pub(crate) alive: BitSet,
     pub(crate) queue: WheelQueue,
     pub(crate) slab: EventSlab<A::Msg>,
     pub(crate) now: SimTime,
     pub(crate) rng: StdRng,
+    /// The global creation counter: the tie-break word of the next event.
+    seq: u64,
+    /// The trace id of the next message sent. Starts at 1 (0 is the "not
+    /// traced" sentinel) and only advances when the sink is enabled.
+    msg_seq: u64,
     // Causal meta of queued deliveries, parallel to the payload slab's
     // slots (no other kind carries meta). Kept out of `EventKind` so an
     // untraced run's slots stay small; stays empty (never resized) while
-    // the partition is untraced.
-    pub(crate) meta_slots: Vec<MsgMeta>,
+    // the engine is untraced.
+    meta_slots: Vec<MsgMeta>,
     pub(crate) scratch: Outbox<A::Msg>,
     pub(crate) events_processed: u64,
     pub(crate) dropped_loss: u64,
     pub(crate) dropped_dead: u64,
+    pub(crate) traffic: TrafficLedger,
+    pub(crate) compute: ComputeLedger,
+    pub(crate) sink: S,
     pub(crate) chaos: Option<ChaosInjector>,
     pub(crate) fault_filter: Option<FaultFilter<A::Msg>>,
     // Deterministic engine self-profiling (`obs::prof`), enabled on
@@ -498,15 +428,15 @@ pub(crate) struct Engine<A: Application, P> {
     pub(crate) prof: Option<Box<EngineProf>>,
 }
 
-impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
-    /// Builds the engine over `nodes` (local index order) and queues each
-    /// member's time-zero `Start`, keyed by the member itself.
-    pub(crate) fn new(part: P, nodes: Vec<A>, rng: StdRng) -> Self {
+impl<A: Application, S: TraceSink> Engine<A, S> {
+    /// Builds the engine over `nodes` (node index order) and queues each
+    /// node's time-zero `Start`.
+    pub(crate) fn new(nodes: Vec<A>, rng: StdRng, sink: S) -> Self {
         let n = nodes.len();
         // The steady-state in-flight event population is a small multiple
         // of the node count (heartbeats, timers, a few messages per node);
         // reserving that up front avoids the early doubling cascade.
-        let event_cap = n.saturating_mul(P::PRESIZE).max(64);
+        let event_cap = n.saturating_mul(PRESIZE).max(64);
         let mut engine = Engine {
             alive: BitSet::filled(n, true),
             nodes,
@@ -514,9 +444,11 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
             slab: EventSlab::with_capacity(event_cap, event_cap),
             now: SimTime::ZERO,
             rng,
-            // Sized to the slab's reservation when tracing is on from the
-            // start, so the side table never doubles mid-run.
-            meta_slots: if part.traced() {
+            seq: 0,
+            msg_seq: 1,
+            // Sized to the slab's reservation when tracing is on, so the
+            // side table never doubles mid-run.
+            meta_slots: if S::ENABLED {
                 Vec::with_capacity(event_cap)
             } else {
                 Vec::new()
@@ -527,26 +459,26 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
             events_processed: 0,
             dropped_loss: 0,
             dropped_dead: 0,
+            traffic: TrafficLedger::new(n),
+            compute: ComputeLedger::new(n),
+            sink,
             chaos: None,
             fault_filter: None,
             prof: None,
-            part,
         };
-        // Starts are placed, not scheduled: time zero is not yet closed.
-        for local in 0..n {
-            let dst = engine.part.global(local);
-            let seq = engine.part.mint_seq(local, dst);
+        // Filed directly, unclassified: starts predate any profiler.
+        for node in 0..n {
             let key = EventKey {
                 time: SimTime::ZERO,
-                seq,
+                seq: engine.mint_seq(),
             };
-            engine.insert(key, dst, EventKind::Start, MsgMeta::NONE, BAND_NONE);
+            engine.insert(key, node, EventKind::Start, MsgMeta::NONE, BAND_NONE);
         }
         engine
     }
 
-    /// Turns on engine self-profiling, seeded with the *topology's*
-    /// lookahead bound so the profile does not depend on the shard plan.
+    /// Turns on engine self-profiling, seeded with the topology's
+    /// inter-region delay lower bound as the logical window lookahead.
     pub(crate) fn enable_profiling(&mut self, topology: &Topology) {
         let lookahead = topology
             .min_inter_region_delay()
@@ -554,10 +486,38 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
         self.prof = Some(Box::new(EngineProf::new(lookahead)));
     }
 
+    /// Heap bytes reserved by the engine's per-node and per-event state:
+    /// application states, liveness bits, queue, both event stores, the
+    /// causal-meta side table and the traffic and compute ledgers.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<A>()
+            + self.alive.heap_bytes()
+            + self.queue.heap_bytes()
+            + self.slab.heap_bytes()
+            + self.meta_slots.capacity() * std::mem::size_of::<MsgMeta>()
+            + self.traffic.heap_bytes()
+            + self.compute.heap_bytes()
+    }
+
+    /// The tie-break word of the next event created.
+    #[inline]
+    fn mint_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    /// The trace id of the next message sent; only called when traced.
+    #[inline]
+    fn mint_msg_id(&mut self) -> u64 {
+        let id = self.msg_seq;
+        self.msg_seq += 1;
+        id
+    }
+
     /// Files an event whose key and band are already fixed in the slab and
-    /// queue — the arrival end of [`Engine::schedule`], also used for
-    /// events stamped by another shard.
-    pub(crate) fn insert(
+    /// queue — the arrival end of [`Engine::schedule`].
+    fn insert(
         &mut self,
         key: EventKey,
         node: NodeIdx,
@@ -569,7 +529,7 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
         let store = handle.tag().store();
         // Only deliveries carry causal meta; everything else roots spans.
         debug_assert!(store == Some(Store::Payload) || !meta.is_traced());
-        if self.part.traced() && store == Some(Store::Payload) {
+        if S::ENABLED && store == Some(Store::Payload) {
             let i = handle.index() as usize;
             if self.meta_slots.len() <= i {
                 self.meta_slots.resize(i + 1, MsgMeta::NONE);
@@ -586,7 +546,7 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
     /// for any other event, and when untraced).
     #[inline]
     pub(crate) fn meta_of(&self, handle: Handle) -> MsgMeta {
-        if self.part.traced() && handle.tag() == Tag::Deliver {
+        if S::ENABLED && handle.tag() == Tag::Deliver {
             self.meta_slots
                 .get(handle.index() as usize)
                 .copied()
@@ -598,27 +558,23 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
 
     /// The scheduling choke point: every event source — timers, churn
     /// transitions, failure bounces, and through [`Engine::schedule_leg`]
-    /// each destination of a send — lands here. Applies
-    /// the partition's due-time rule to `at`, mints `origin`'s next
-    /// tie-break key, classifies the wheel band, and places the event in
-    /// this engine or hands it to the partition for `dst`'s shard.
-    /// Returns the key the event was filed under.
-    // Inlined at its call sites, as the per-engine `enqueue`/`route` it
-    // replaced were; `insert` is the one out-of-line call per event.
+    /// each destination of a send — lands here. Clamps a past `at` to
+    /// `now`, mints the next tie-break key, classifies the wheel band, and
+    /// files the event. Returns the key the event was filed under.
+    // Inlined at its call sites; `insert` is the one out-of-line call per
+    // event.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)] // The event tuple plus its origin.
     pub(crate) fn schedule(
         &mut self,
         topology: &Topology,
-        local: usize,
         origin: NodeIdx,
         at: SimTime,
         dst: NodeIdx,
         kind: EventKind<A::Msg>,
         meta: MsgMeta,
     ) -> EventKey {
-        let (key, band) = self.stamp(topology, local, origin, at, dst);
-        self.place(key, self.owns(origin, dst), dst, kind, meta, band);
+        let (key, band) = self.stamp(topology, origin, at, dst);
+        self.insert(key, dst, kind, meta, band);
         key
     }
 
@@ -629,17 +585,15 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
     fn stamp(
         &mut self,
         topology: &Topology,
-        local: usize,
         origin: NodeIdx,
         at: SimTime,
         dst: NodeIdx,
     ) -> (EventKey, u8) {
-        let at = P::due(at, self.now);
-        let seq = self.part.mint_seq(local, origin);
+        let at = at.max(self.now);
+        let seq = self.mint_seq();
         let mut band = BAND_NONE;
         if let Some(p) = self.prof.as_mut() {
             band = p.classify(self.now.as_micros(), at.as_micros());
-            // Regions, not shards: the profile must not depend on the plan.
             let (ra, rb) = (topology.region(origin), topology.region(dst));
             if ra != rb {
                 p.on_remote(ra, rb);
@@ -648,48 +602,15 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
         (EventKey { time: at, seq }, band)
     }
 
-    /// Whether an event `origin` creates for `dst` stays in this engine.
-    #[inline(always)]
-    fn owns(&self, origin: NodeIdx, dst: NodeIdx) -> bool {
-        dst == origin || self.part.owns(dst)
-    }
-
-    /// The placement half of [`Engine::schedule`]: files a stamped event
-    /// here when `own`, else hands it to the partition for `dst`'s shard.
-    #[inline(always)]
-    fn place(
-        &mut self,
-        key: EventKey,
-        own: bool,
-        dst: NodeIdx,
-        kind: EventKind<A::Msg>,
-        meta: MsgMeta,
-        band: u8,
-    ) {
-        if own {
-            self.insert(key, dst, kind, meta, band);
-        } else {
-            self.part.park(Stamped {
-                key,
-                dst,
-                kind,
-                meta,
-                band,
-            });
-        }
-    }
-
-    /// Schedules one delivery of `fan`'s message from `src` to `to`. A leg
-    /// that stays in an engine whose legs may share pushes one more queue
-    /// record against the fan-out's slot; any other leg carries a payload
-    /// of its own — the message itself when `last` says no later leg will
-    /// read it and no shared slot is waiting for it, a clone otherwise.
+    /// Schedules one delivery of `fan`'s message from `src` to `to`. When
+    /// the legs share, it pushes one more queue record against the
+    /// fan-out's slot; otherwise it parks a payload of its own — the
+    /// message itself on the `last` leg, a clone before it.
     #[inline]
     #[allow(clippy::too_many_arguments)] // `schedule`'s tuple, by fan-out.
     fn schedule_leg(
         &mut self,
         topology: &Topology,
-        local: usize,
         src: NodeIdx,
         at: SimTime,
         to: NodeIdx,
@@ -697,21 +618,20 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
         fan: &mut Fanout<A::Msg>,
         last: bool,
     ) {
-        let (key, band) = self.stamp(topology, local, src, at, to);
-        let own = self.owns(src, to);
-        if own && fan.share {
+        let (key, band) = self.stamp(topology, src, at, to);
+        if fan.share {
             let (handle, refs) = fan.parked.get_or_insert_with(|| (self.slab.reserve(), 0));
             *refs += 1;
             self.queue.push(key, handle.0, to);
             return;
         }
-        let msg = if last && fan.parked.is_none() {
+        let msg = if last {
             fan.msg.take()
         } else {
             fan.msg.clone()
         };
         let msg = msg.expect("only the final leg takes the message");
-        self.place(key, own, to, EventKind::Deliver { src, msg }, meta, band);
+        self.insert(key, to, EventKind::Deliver { src, msg }, meta, band);
     }
 
     /// Dispatches every queued event due at or before `bound`, returning
@@ -726,7 +646,7 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
 
     #[inline]
     fn emit(&mut self, node: NodeIdx, tags: (&'static str, &'static str), body: TraceBody) {
-        self.part.record(TraceRecord {
+        self.sink.record(TraceRecord {
             at_us: self.now.as_micros(),
             node,
             layer: tags.0,
@@ -779,12 +699,10 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
         debug_assert!(key.time >= self.now, "time went backwards");
         self.now = key.time;
         self.events_processed += 1;
-        self.part.begin_event(key);
-        let local = self.part.local(node);
-        let up = self.alive.get(local);
+        let up = self.alive.get(node);
         // Records are emitted here, in dispatch order — the total order
         // the determinism contract pins — before the callback runs.
-        if self.part.traced() {
+        if S::ENABLED {
             match &kind {
                 EventKind::Deliver { src, msg } => {
                     if up {
@@ -821,12 +739,12 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
         let mut bounce: Option<NodeIdx> = None;
         {
             let mut ctx = Ctx::scoped(self.now, node, &mut out, &mut self.rng, topology);
-            let app = &mut self.nodes[local];
+            let app = &mut self.nodes[node];
             match kind {
                 EventKind::Start if up => app.on_start(&mut ctx),
                 EventKind::Deliver { src, msg } => {
                     if up {
-                        self.part.record_recv(topology, node, msg.size_bytes());
+                        self.traffic.record_recv(node, msg.size_bytes());
                         app.on_message(&mut ctx, src, msg);
                     } else {
                         self.dropped_dead += 1;
@@ -836,27 +754,26 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
                 EventKind::SendFailed { peer } if up => app.on_send_failed(&mut ctx, peer),
                 EventKind::Timer { token } if up => app.on_timer(&mut ctx, token),
                 EventKind::Down if up => {
-                    self.alive.set(local, false);
+                    self.alive.set(node, false);
                     app.on_down();
                 }
                 EventKind::Up if !up => {
-                    self.alive.set(local, true);
+                    self.alive.set(node, true);
                     app.on_up(&mut ctx);
                 }
                 _ => {}
             }
         }
-        self.apply_actions(topology, node, local, &mut out, cause);
+        self.apply_actions(topology, node, &mut out, cause);
         self.scratch = out;
         if let Some(src) = bounce {
             // TCP-RST-like failure bounce back to the sender, originated
-            // by the dead destination; it travels one network delay (so a
-            // shard's lookahead bound still covers it). A direct schedule,
-            // not a scratch action.
+            // by the dead destination; it travels one network delay. A
+            // direct schedule, not a scratch action.
             let delay = topology.sample_delay(node, src, 64, &mut self.rng);
             let at = self.now + delay;
             let kind = EventKind::SendFailed { peer: node };
-            self.schedule(topology, local, node, at, src, kind, MsgMeta::NONE);
+            self.schedule(topology, node, at, src, kind, MsgMeta::NONE);
         }
     }
 
@@ -871,25 +788,23 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
         &mut self,
         topology: &Topology,
         src: NodeIdx,
-        local: usize,
         out: &mut Outbox<A::Msg>,
         cause: MsgMeta,
     ) {
-        let traced = self.part.traced();
         for action in out.actions.drain(..) {
             match action {
                 Action::Send { dsts, msg, extra } => {
                     let dsts = &out.dsts[dsts.start as usize..dsts.end as usize];
-                    self.fan_out(topology, src, local, dsts, msg, extra, cause);
+                    self.fan_out(topology, src, dsts, msg, extra, cause);
                 }
                 Action::Timer { delay, token } => {
                     let at = self.now + delay;
                     let kind = EventKind::Timer { token };
-                    self.schedule(topology, local, src, at, src, kind, MsgMeta::NONE);
+                    self.schedule(topology, src, at, src, kind, MsgMeta::NONE);
                 }
                 Action::Compute { kind, amount } => {
-                    self.part.charge(topology, src, kind, amount);
-                    if traced {
+                    self.compute.charge(src, kind, amount);
+                    if S::ENABLED {
                         let task = match kind {
                             ComputeKind::FlTask => "fl",
                             ComputeKind::DhtTask => "dht",
@@ -907,18 +822,16 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
     /// per-destination routine, a single send being a fan-out of one. Every
     /// destination gets the steps, RNG draws, ids and records of a send of
     /// its own; only where the payload is parked differs.
-    #[allow(clippy::too_many_arguments)] // One `Action::Send`, spread out.
     fn fan_out(
         &mut self,
         topology: &Topology,
         src: NodeIdx,
-        local: usize,
         dsts: &[NodeIdx],
         msg: A::Msg,
         extra: SimDuration,
         cause: MsgMeta,
     ) {
-        let traced = self.part.traced();
+        let traced = S::ENABLED;
         let size = msg.size_bytes();
         let mut fan = Fanout {
             msg: Some(msg),
@@ -928,12 +841,12 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
         for (i, &to) in dsts.iter().enumerate() {
             let last = i + 1 == dsts.len();
             let msg = fan.msg.as_ref().expect("only the final leg takes it");
-            self.part.record_send(topology, src, size);
+            self.traffic.record_send(src, size);
             // Causal identity, computed only when tracing is on;
             // drops too get ids, so a span shows where it died.
             let mut meta = MsgMeta::NONE;
             if traced {
-                let id = self.part.mint_msg_id(local, src);
+                let id = self.mint_msg_id();
                 meta = if cause.is_traced() {
                     MsgMeta {
                         trace: cause.trace,
@@ -993,9 +906,7 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
                     continue;
                 }
             }
-            // Pre-applied (the rule is idempotent) so the record
-            // reports the arrival time the event is filed under.
-            let at = P::due(self.now + extra + delay, self.now);
+            let at = self.now + extra + delay;
             if traced {
                 let body = TraceBody::Send {
                     to,
@@ -1012,7 +923,7 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
                 // arrivals, but shares trace/parent/hop.
                 let mut dup_meta = MsgMeta::NONE;
                 if traced {
-                    let id = self.part.mint_msg_id(local, src);
+                    let id = self.mint_msg_id();
                     dup_meta = MsgMeta { id, ..meta };
                     let body = TraceBody::Send {
                         to,
@@ -1022,9 +933,9 @@ impl<A: Application, P: Partition<A::Msg>> Engine<A, P> {
                     };
                     self.emit(src, tag(msg), body);
                 }
-                self.schedule_leg(topology, local, src, at, to, dup_meta, &mut fan, false);
+                self.schedule_leg(topology, src, at, to, dup_meta, &mut fan, false);
             }
-            self.schedule_leg(topology, local, src, at, to, meta, &mut fan, last);
+            self.schedule_leg(topology, src, at, to, meta, &mut fan, last);
         }
         if let Some((handle, refs)) = fan.parked {
             let msg = fan.msg.take().expect("a shared slot keeps the message");

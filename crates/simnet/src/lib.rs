@@ -31,7 +31,6 @@ pub mod obs;
 pub mod payload;
 pub mod queue;
 pub mod rng;
-pub mod shard;
 pub mod sim;
 pub mod time;
 pub mod topology;
@@ -47,7 +46,7 @@ pub use chaos::{
 pub use churn::{ChurnEvent, ChurnSchedule};
 pub use engine::event_slot_bytes;
 pub use geo::{GeoPoint, PlacedNode, Region};
-pub use obs::prof::{EngineProf, EngineProfile, ShardWall, WallProfile};
+pub use obs::prof::{EngineProf, EngineProfile};
 pub use obs::{
     chrome_trace, chrome_trace_multi, jsonl_trace, jsonl_trace_multi, last_trace_before,
     parse_jsonl, span_records, span_report, spans, CountingSink, DropReason, Histogram,
@@ -57,7 +56,6 @@ pub use obs::{
 pub use payload::Shared;
 pub use queue::EventKey;
 pub use rng::{derive_seed, keyed_unit, sub_rng};
-pub use shard::{ShardError, ShardPlan, ShardedSim};
 pub use sim::{Application, ComputeKind, Ctx, Payload, PendingClass, PendingSummary, Simulator};
 pub use time::{SimDuration, SimTime};
 pub use topology::{LatencyModel, NodeIdx, NodeProfile, Topology, BASE_EDGE_FLOPS};

@@ -2,8 +2,8 @@
 //!
 //! IEEE 754 addition is not associative: `(a + b) + c` and `a + (b + c)`
 //! can differ in the last ulp, so a float sum folded in incidental order
-//! (hash-map iteration, shard interleaving, rayon-style reduction trees)
-//! breaks the byte-identity contract across `--shards`. This module is
+//! (hash-map iteration, worker interleaving, rayon-style reduction trees)
+//! breaks the byte-identity contract across `--jobs`. This module is
 //! the one sanctioned home for order-sensitive f32/f64 reductions
 //! (detlint DET009): every helper folds **left-to-right over the order
 //! the caller hands in**, which the caller must derive from canonical

@@ -1,17 +1,13 @@
 //! Deterministic engine self-profiling: counters and log-binned
-//! histograms over the scheduler and shard runtime.
+//! histograms over the scheduler.
 //!
 //! Every quantity in an [`EngineProfile`] is *model-level*: it is defined
 //! purely on simulated facts — event creation instants, due times,
 //! destinations, region crossings, and the logical conservative-lookahead
-//! window recurrence — never on implementation state like a particular
-//! wheel's `base_tick` lag, the realized mailbox traffic of one shard
-//! plan, or thread scheduling. That is what makes a profile byte-identical
-//! across `--jobs` and `--shards`: the dispatched event multiset is
-//! shard-count-invariant (the [`crate::shard`] contract), so functions of
-//! it are too. Wall-clock phase timings are implementation-level by nature
-//! and live in the separate [`WallProfile`] side channel, which is never
-//! part of the golden stdout surface.
+//! window recurrence — never on implementation state like the wheel's
+//! `base_tick` lag or thread scheduling. That is what makes a profile
+//! byte-identical across `--jobs`: it is a function of the dispatched
+//! event sequence alone. No wall-clock quantity is part of it.
 //!
 //! The counter semantics, in terms of the [`crate::queue::WheelQueue`]
 //! geometry (`2^6` µs ticks, a `1024`-tick window):
@@ -23,8 +19,8 @@
 //!   within the wheel window is a bucket push, and
 //!   anything beyond spills to the overflow heap. This is the model
 //!   approximation of the wheel's three push bands — the real wheel's
-//!   `base_tick` can lag `now` per shard, which is exactly the
-//!   implementation detail this definition factors out.
+//!   `base_tick` can lag `now`, which is exactly the implementation
+//!   detail this definition factors out.
 //! * **`migrated`**: far-band events that were subsequently dispatched —
 //!   each one had to migrate from the overflow heap into the wheel as the
 //!   window advanced.
@@ -34,23 +30,20 @@
 //! * **Delivery groups** (`groups` / `singletons` / `batched_events`):
 //!   a group is the set of dispatched events sharing one
 //!   `(time, destination)`, excluding churn transitions. Groups are
-//!   counted from the dispatched multiset, so the singleton ratio is
-//!   engine- and shard-count-invariant — it is the number that showed
+//!   counted from the dispatched multiset, so the singleton ratio does not
+//!   depend on same-instant tie-break order — it is the number that showed
 //!   batched delivery was not worth keeping (DESIGN.md §12).
 //! * **PDES windows**: the logical conservative-window recurrence. A new
 //!   window opens at the first event time `T` at or past the previous
 //!   window's end and spans `[T, min(T + L, deadline + 1))`, where `L` is
-//!   the topology's inter-region delay lower bound. For a multi-shard run
-//!   this is exactly the executed window sequence; a single-shard or
-//!   sequential run replays the same recurrence lazily at dispatch, so
-//!   `windows`, `events_per_window`, and the derived
-//!   `barrier_rounds = 3 * windows` (publish/exchange/advance) agree at
-//!   every shard count.
+//!   the topology's inter-region delay lower bound: the windows a
+//!   conservative parallel engine would synchronize on, replayed lazily
+//!   at dispatch. `barrier_rounds = 3 * windows` (publish, exchange,
+//!   advance) is what such an engine would pay in barriers.
 //! * **Remote traffic** (`remote_msgs` / `remote_pairs` / `pair_volume`):
 //!   events whose creator and destination live in different topology
-//!   regions — the messages that would cross a shard boundary under
-//!   maximal sharding, keyed per `(source region, destination region)`
-//!   pair.
+//!   regions — the messages a region-partitioned engine would hand across
+//!   partitions, keyed per `(source region, destination region)` pair.
 
 use std::collections::BTreeMap;
 
@@ -80,20 +73,16 @@ const WINDOW_BOUNDS: &[u64] = &[1, 4, 16, 64, 256, 1_024];
 /// Messages per (source region, destination region) pair.
 const PAIR_BOUNDS: &[u64] = &[16, 256, 4_096, 65_536];
 
-/// The per-engine-loop profiling collector.
+/// The event loop's profiling collector.
 ///
-/// The sequential [`Simulator`](crate::sim::Simulator) owns one; each
-/// [`ShardedSim`](crate::shard::ShardedSim) core owns one and the merged
-/// snapshot ([`EngineProf::merged`]) is shard-count-invariant. All methods
-/// are cheap enough for the dispatch path but only run when profiling was
-/// explicitly enabled — the collector sits behind an `Option` whose `None`
-/// branch is a single predictable test.
+/// The [`Simulator`](crate::sim::Simulator) owns one when profiling is
+/// enabled. All methods are cheap enough for the dispatch path but only
+/// run when profiling was explicitly enabled — the collector sits behind
+/// an `Option` whose `None` branch is a single predictable test.
 #[derive(Clone, Debug)]
 pub struct EngineProf {
     lookahead_us: u64,
-    /// Exclusive clamp on lazily-opened window ends (the current
-    /// `deadline + 1`); parallel window loops pre-open their windows and
-    /// never consult it.
+    /// Exclusive clamp on window ends (the current `deadline + 1`).
     clamp_us: u64,
     late: u64,
     near: u64,
@@ -200,10 +189,8 @@ impl EngineProf {
     }
 
     /// Opens the next conservative window ending (exclusively) at
-    /// `end_us`. Parallel window loops call this once per window so every
-    /// core's window numbering stays aligned; single-loop engines open
-    /// windows lazily from [`EngineProf::on_dispatch`].
-    pub fn window_open(&mut self, end_us: u64) {
+    /// `end_us`; [`EngineProf::on_dispatch`] opens them lazily.
+    fn window_open(&mut self, end_us: u64) {
         self.windows += 1;
         self.window_events.push(0);
         self.window_end = end_us;
@@ -272,80 +259,53 @@ impl EngineProf {
         self.cur_dsts.clear();
     }
 
-    /// This collector's snapshot (a one-element [`EngineProf::merged`]).
+    /// This collector's snapshot. The still-open trailing delivery group
+    /// is counted without mutating the collector.
     pub fn snapshot(&self) -> EngineProfile {
-        EngineProf::merged([self])
-    }
-
-    /// Merges per-core collectors into one shard-count-invariant
-    /// [`EngineProfile`]: counters sum, per-window event counts sum
-    /// elementwise (window numbering is aligned across cores by
-    /// construction), tick runs and region pairs merge by key.
-    pub fn merged<'a>(parts: impl IntoIterator<Item = &'a EngineProf>) -> EngineProfile {
         let mut out = EngineProfile {
-            horizon_us: Histogram::new(HORIZON_BOUNDS),
+            late: self.late,
+            near: self.near,
+            far: self.far,
+            migrated: self.migrated,
+            horizon_us: self.horizon.clone(),
             tick_occupancy: Histogram::new(TICK_OCC_BOUNDS),
-            group_sizes: Histogram::new(GROUP_BOUNDS),
+            groups: self.groups,
+            singletons: self.singletons,
+            batched_events: self.batched_events,
+            group_sizes: self.group_sizes.clone(),
+            lookahead_us: self.lookahead_us,
+            windows: self.windows,
             events_per_window: Histogram::new(WINDOW_BOUNDS),
+            remote_msgs: self.remote_msgs,
+            remote_pairs: self.remote.len() as u64,
             pair_volume: Histogram::new(PAIR_BOUNDS),
-            ..EngineProfile::default()
         };
-        let mut ticks: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut window_events: Vec<u64> = Vec::new();
-        let mut remote: BTreeMap<(u16, u16), u64> = BTreeMap::new();
-        for p in parts {
-            out.late += p.late;
-            out.near += p.near;
-            out.far += p.far;
-            out.migrated += p.migrated;
-            out.horizon_us.merge(&p.horizon);
-            out.groups += p.groups;
-            out.singletons += p.singletons;
-            out.batched_events += p.batched_events;
-            out.group_sizes.merge(&p.group_sizes);
-            // Count the still-open trailing group without mutating `p`.
-            let mut pending = p.cur_dsts.clone();
-            pending.sort_unstable();
-            let mut i = 0;
-            while i < pending.len() {
-                let mut j = i + 1;
-                while j < pending.len() && pending[j] == pending[i] {
-                    j += 1;
-                }
-                let c = (j - i) as u64;
-                out.groups += 1;
-                out.group_sizes.observe(c);
-                if c == 1 {
-                    out.singletons += 1;
-                } else {
-                    out.batched_events += c;
-                }
-                i = j;
+        let mut pending = self.cur_dsts.clone();
+        pending.sort_unstable();
+        let mut i = 0;
+        while i < pending.len() {
+            let mut j = i + 1;
+            while j < pending.len() && pending[j] == pending[i] {
+                j += 1;
             }
-            for &(tick, count) in &p.tick_runs {
-                *ticks.entry(tick).or_insert(0) += count;
+            let c = (j - i) as u64;
+            out.groups += 1;
+            out.group_sizes.observe(c);
+            if c == 1 {
+                out.singletons += 1;
+            } else {
+                out.batched_events += c;
             }
-            out.lookahead_us = out.lookahead_us.max(p.lookahead_us);
-            out.windows = out.windows.max(p.windows);
-            if window_events.len() < p.window_events.len() {
-                window_events.resize(p.window_events.len(), 0);
-            }
-            for (acc, &n) in window_events.iter_mut().zip(&p.window_events) {
-                *acc += n;
-            }
-            out.remote_msgs += p.remote_msgs;
-            for (&pair, &n) in &p.remote {
-                *remote.entry(pair).or_insert(0) += n;
-            }
+            i = j;
         }
-        for &count in ticks.values() {
+        // Dispatch times never decrease, so each tick has one run.
+        for &(_, count) in &self.tick_runs {
             out.tick_occupancy.observe(count);
         }
-        for &n in &window_events {
+        for &n in &self.window_events {
             out.events_per_window.observe(n);
         }
-        out.remote_pairs = remote.len() as u64;
-        for &n in remote.values() {
+        for &n in self.remote.values() {
             out.pair_volume.observe(n);
         }
         out
@@ -354,7 +314,7 @@ impl EngineProf {
 
 /// A serialized-ready engine-profile snapshot. See the module docs for
 /// the exact semantics of each counter; all of them are byte-identical
-/// across `--jobs` and `--shards` by construction.
+/// across `--jobs` by construction.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EngineProfile {
     /// Late-band event creations (due tick at or before the creator's).
@@ -383,8 +343,8 @@ pub struct EngineProfile {
     pub windows: u64,
     /// Histogram of events per conservative window.
     pub events_per_window: Histogram,
-    /// Cross-region messages (would cross a shard boundary under maximal
-    /// sharding).
+    /// Cross-region messages (would cross a partition boundary in a
+    /// region-partitioned engine).
     pub remote_msgs: u64,
     /// Distinct `(source region, destination region)` pairs with traffic.
     pub remote_pairs: u64,
@@ -456,54 +416,6 @@ impl ToJson for EngineProfile {
     }
 }
 
-/// Wall-clock per-phase timings for one shard worker. Implementation-
-/// level by nature (thread scheduling, host load): side-channel only,
-/// never part of any golden surface.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardWall {
-    /// Nanoseconds spent dispatching events inside windows.
-    pub process_ns: u64,
-    /// Nanoseconds spent blocked on window barriers.
-    pub barrier_ns: u64,
-    /// Nanoseconds spent pushing outboxes and draining inboxes.
-    pub exchange_ns: u64,
-    /// Cross-shard events this shard actually handed off.
-    pub remote_sent: u64,
-    /// Events this shard dispatched.
-    pub events: u64,
-}
-
-/// Per-shard wall-clock phase timings for one run
-/// ([`ShardedSim::wall_profile`](crate::shard::ShardedSim::wall_profile)).
-/// Host time, so never part of a golden surface.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WallProfile {
-    /// Shard count actually executed (after region clamping).
-    pub shards: usize,
-    /// The executed lookahead in µs (zero for a single shard).
-    pub lookahead_us: u64,
-    /// Per-shard timings, shard index order.
-    pub per_shard: Vec<ShardWall>,
-}
-
-/// Fixed key order; the values themselves are nondeterministic
-/// wall-clock measurements.
-impl ToJson for WallProfile {
-    fn write_json(&self, w: &mut Writer) {
-        w.begin_obj().field("shards", self.shards);
-        w.field("lookahead_us", self.lookahead_us);
-        w.key("per_shard").begin_arr(",");
-        for s in &self.per_shard {
-            w.begin_obj().field("process_ns", s.process_ns);
-            w.field("barrier_ns", s.barrier_ns);
-            w.field("exchange_ns", s.exchange_ns);
-            w.field("remote_sent", s.remote_sent);
-            w.field("events", s.events).end();
-        }
-        w.end().end();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,8 +482,8 @@ mod tests {
 
     #[test]
     fn window_recurrence_matches_pre_opened_windows() {
-        // Lazy (single-loop) window opening must agree with a parallel
-        // loop that pre-opens the same windows.
+        // Lazy window opening must agree with pre-opening the same
+        // windows.
         let times = [0u64, 100, 400, 700, 1_500, 1_600];
         let lookahead = 500;
         let mut lazy = EngineProf::new(lookahead);
@@ -598,38 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_cores_equal_single_core() {
-        // Splitting the same event stream across two collectors (by
-        // destination, as sharding would) must merge to the single-
-        // collector profile.
-        let events = [(0u64, 0usize), (0, 1), (500, 0), (500, 0), (700, 1)];
-        let mut single = EngineProf::new(500);
-        single.set_window_clamp(u64::MAX);
-        for &(t, d) in &events {
-            single.on_dispatch(BAND_NONE, t, d, true);
-        }
-        let mut a = EngineProf::new(500);
-        let mut b = EngineProf::new(500);
-        // Both cores pre-open every window, then dispatch that window's
-        // events — the parallel worker-loop interleaving.
-        for (end, window) in [(500u64, &events[..2]), (1_000, &events[2..])] {
-            a.window_open(end);
-            b.window_open(end);
-            for &(t, d) in window {
-                let core = if d == 0 { &mut a } else { &mut b };
-                core.on_dispatch(BAND_NONE, t, d, true);
-            }
-        }
-        let merged = EngineProf::merged([&a, &b]);
-        let solo = single.snapshot();
-        assert_eq!(merged.windows, solo.windows);
-        assert_eq!(merged.events_per_window, solo.events_per_window);
-        assert_eq!(merged.groups, solo.groups);
-        assert_eq!(merged.singletons, solo.singletons);
-        assert_eq!(merged.tick_occupancy, solo.tick_occupancy);
-    }
-
-    #[test]
     fn json_is_deterministic_and_carries_ratio() {
         let mut p = EngineProf::new(250);
         p.on_remote(0, 1);
@@ -650,17 +530,5 @@ mod tests {
         doubled.merge(&snap);
         assert_eq!(doubled.groups, 2 * snap.groups);
         assert_eq!(doubled.lookahead_us, snap.lookahead_us);
-    }
-
-    #[test]
-    fn wall_profile_serializes() {
-        let w = WallProfile {
-            shards: 2,
-            lookahead_us: 500,
-            per_shard: vec![ShardWall::default(); 2],
-        };
-        let json = w.to_json();
-        assert!(json.starts_with("{\"shards\":2,\"lookahead_us\":500,"));
-        assert_eq!(json.matches("\"process_ns\"").count(), 2);
     }
 }

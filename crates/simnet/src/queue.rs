@@ -14,11 +14,11 @@
 //! slab, so the legs of one fan-out are `k` records naming one slot, and
 //! the slab parks their common payload once (DESIGN.md §8, *park once,
 //! deliver many*). The destination is stored in the four bytes that used
-//! to pad `(key, handle)` to 24, so the record did not grow; both
-//! simulators check at construction that every node index fits
+//! to pad `(key, handle)` to 24, so the record did not grow; the
+//! simulator checks at construction that every node index fits
 //! ([`check_node_count`]).
 //!
-//! Both engines run on [`WheelQueue`], a hierarchical timer wheel for the
+//! The engine runs on [`WheelQueue`], a hierarchical timer wheel for the
 //! near-horizon band with a heap spill for far-future events. Pushes into
 //! the wheel window are `O(1)` bucket appends; due buckets are drained with
 //! one contiguous sort instead of per-event heap sifts, which is what lifts
@@ -106,7 +106,7 @@ impl Entry {
 pub type Queued = (EventKey, u32, NodeIdx);
 
 /// Panics unless every index of an `n`-node topology fits the queue
-/// record's 32-bit destination field. Both simulators call this once at
+/// record's 32-bit destination field. The simulator calls this once at
 /// construction, which is what lets [`WheelQueue::push`] narrow without a
 /// per-event check.
 pub(crate) fn check_node_count(n: usize) {

@@ -31,9 +31,7 @@ pub fn sub_rng(root: u64, label: &str) -> StdRng {
 ///
 /// This is the *keyed* (stateless) analogue of drawing one `f64` from a
 /// seeded stream: the result is a pure function of its inputs, so it can
-/// be evaluated in any order — or concurrently from several shards — and
-/// still reproduce exactly. Used by keyed chaos injection
-/// ([`crate::chaos::FaultPlan::keyed_injector`]).
+/// be evaluated in any order and still reproduce exactly.
 pub fn keyed_unit(key: u64, parts: &[u64]) -> f64 {
     let mut h = key;
     for &p in parts {

@@ -6,22 +6,21 @@
 //! events in deterministic `(time, sequence)` order. This models the paper's
 //! EC2 emulation (1 JVM = 1 edge node, §7.1) while staying reproducible.
 //!
-//! [`Simulator`] is the event core (`engine.rs`) with one partition
-//! that holds every node, driven by plain `pop` → `dispatch` loops: one
-//! global creation counter breaks same-time ties, past due times clamp to
-//! `now`, and traffic and compute are accounted per node. The event loop
-//! itself — slab, scheduling choke point, `dispatch`, `apply_actions` — is
-//! documented there. This module adds what only the sequential engine
-//! offers: a statically dispatched [`TraceSink`], driver injection
-//! ([`Simulator::with_app`]), a protocol fault filter, and the model
-//! checker's out-of-order hooks.
+//! [`Simulator`] is the event core (`engine.rs`) driven by plain `pop` →
+//! `dispatch` loops: one global creation counter breaks same-time ties,
+//! past due times clamp to `now`, and traffic and compute are accounted
+//! per node. The event loop itself — slab, scheduling choke point,
+//! `dispatch`, `apply_actions` — is documented there. This module adds the
+//! driver-facing API: a statically dispatched [`TraceSink`], driver
+//! injection ([`Simulator::with_app`]), a protocol fault filter, and the
+//! model checker's out-of-order hooks.
 
 use rand::rngs::StdRng;
 
 use crate::chaos::{ChaosInjector, FaultFilter};
-use crate::engine::{tag, Engine, EventKind, Handle, Partition, Stamped};
+use crate::engine::{tag, Engine, EventKind, Handle};
 use crate::obs::prof::EngineProfile;
-use crate::obs::{DropReason, MsgMeta, NoopSink, TraceRecord, TraceSink};
+use crate::obs::{DropReason, MsgMeta, NoopSink, TraceSink};
 use crate::queue::{check_node_count, EventKey};
 use crate::rng::sub_rng;
 use crate::time::{SimDuration, SimTime};
@@ -306,103 +305,23 @@ pub struct ComputeLedger {
 impl ComputeLedger {
     // Sized to the topology up front (one slot per node, like the traffic
     // ledger), so charging never reallocates.
-    fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         ComputeLedger {
             fl_us: vec![0; n],
             dht_us: vec![0; n],
         }
     }
 
-    fn charge(&mut self, node: NodeIdx, kind: ComputeKind, amount: SimDuration) {
+    pub(crate) fn charge(&mut self, node: NodeIdx, kind: ComputeKind, amount: SimDuration) {
         match kind {
             ComputeKind::FlTask => self.fl_us[node] += amount.as_micros(),
             ComputeKind::DhtTask => self.dht_us[node] += amount.as_micros(),
         }
     }
-}
 
-/// The sequential engine's single partition: one global creation counter,
-/// identity placement, per-node ledgers, and the statically dispatched
-/// trace sink.
-pub(crate) struct SeqPart<S> {
-    seq: u64,
-    // Message-id counter for causal spans. Starts at 1 (0 is the "not
-    // traced" sentinel) and only advances when the sink is enabled.
-    msg_seq: u64,
-    traffic: TrafficLedger,
-    compute: ComputeLedger,
-    sink: S,
-}
-
-impl<M, S: TraceSink> Partition<M> for SeqPart<S> {
-    const PRESIZE: usize = 4;
-
-    #[inline]
-    fn mint_seq(&mut self, _local: usize, _origin: NodeIdx) -> u64 {
-        let seq = self.seq;
-        self.seq += 1;
-        seq
-    }
-
-    #[inline]
-    fn mint_msg_id(&mut self, _local: usize, _origin: NodeIdx) -> u64 {
-        let id = self.msg_seq;
-        self.msg_seq += 1;
-        id
-    }
-
-    #[inline]
-    fn due(at: SimTime, now: SimTime) -> SimTime {
-        at.max(now)
-    }
-
-    #[inline]
-    fn local(&self, node: NodeIdx) -> usize {
-        node
-    }
-
-    #[inline]
-    fn global(&self, local: usize) -> NodeIdx {
-        local
-    }
-
-    #[inline]
-    fn owns(&self, _node: NodeIdx) -> bool {
-        true
-    }
-
-    fn park(&mut self, _ev: Stamped<M>) {
-        unreachable!("the single partition owns every node");
-    }
-
-    #[inline]
-    fn record_send(&mut self, _topology: &Topology, src: NodeIdx, bytes: usize) {
-        self.traffic.record_send(src, bytes);
-    }
-
-    #[inline]
-    fn record_recv(&mut self, _topology: &Topology, dst: NodeIdx, bytes: usize) {
-        self.traffic.record_recv(dst, bytes);
-    }
-
-    #[inline]
-    fn charge(&mut self, _: &Topology, node: NodeIdx, kind: ComputeKind, amount: SimDuration) {
-        self.compute.charge(node, kind, amount);
-    }
-
-    // An associated constant underneath, so with `NoopSink` every traced
-    // branch in the engine folds away at compile time.
-    #[inline(always)]
-    fn traced(&self) -> bool {
-        S::ENABLED
-    }
-
-    #[inline(always)]
-    fn begin_event(&mut self, _key: EventKey) {}
-
-    #[inline(always)]
-    fn record(&mut self, rec: TraceRecord) {
-        self.sink.record(rec);
+    /// Heap bytes reserved by the two per-node columns.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        (self.fl_us.capacity() + self.dht_us.capacity()) * std::mem::size_of::<u64>()
     }
 }
 
@@ -415,7 +334,7 @@ impl<M, S: TraceSink> Partition<M> for SeqPart<S> {
 /// [`WheelQueue`](crate::queue::WheelQueue).
 pub struct Simulator<A: Application, S: TraceSink = NoopSink> {
     topology: Topology,
-    core: Engine<A, SeqPart<S>>,
+    core: Engine<A, S>,
 }
 
 impl<A: Application> Simulator<A, NoopSink> {
@@ -436,34 +355,27 @@ impl<A: Application, S: TraceSink> Simulator<A, S> {
     ) -> Self {
         let n = topology.len();
         check_node_count(n);
-        let part = SeqPart {
-            seq: 0,
-            msg_seq: 1,
-            traffic: TrafficLedger::new(n),
-            compute: ComputeLedger::new(n),
-            sink,
-        };
         let nodes: Vec<A> = (0..n).map(make_node).collect();
         Simulator {
-            core: Engine::new(part, nodes, sub_rng(seed, "simulator")),
+            core: Engine::new(nodes, sub_rng(seed, "simulator"), sink),
             topology,
         }
     }
 
     /// The installed trace sink.
     pub fn sink(&self) -> &S {
-        &self.core.part.sink
+        &self.core.sink
     }
 
     /// Mutable access to the installed trace sink (e.g. to take records).
     pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.core.part.sink
+        &mut self.core.sink
     }
 
     /// Consumes the simulator, returning the sink with everything it
     /// observed.
     pub fn into_sink(self) -> S {
-        self.core.part.sink
+        self.core.sink
     }
 
     /// Enables deterministic engine self-profiling ([`crate::obs::prof`]).
@@ -472,7 +384,7 @@ impl<A: Application, S: TraceSink> Simulator<A, S> {
     /// `--jobs` worker counts; the snapshot lands in
     /// [`TrialReport::engine_profile`](crate::trial::TrialReport). Events
     /// already queued (the time-zero starts) predate the collector and
-    /// stay band-unclassified, uniformly across engines.
+    /// stay band-unclassified.
     pub fn enable_profiling(&mut self) {
         self.core.enable_profiling(&self.topology);
     }
@@ -541,17 +453,17 @@ impl<A: Application, S: TraceSink> Simulator<A, S> {
 
     /// The traffic ledger.
     pub fn traffic(&self) -> &TrafficLedger {
-        &self.core.part.traffic
+        &self.core.traffic
     }
 
     /// Mutable access to the traffic ledger (e.g. to reset after warm-up).
     pub fn traffic_mut(&mut self) -> &mut TrafficLedger {
-        &mut self.core.part.traffic
+        &mut self.core.traffic
     }
 
     /// The compute ledger.
     pub fn compute(&self) -> &ComputeLedger {
-        &self.core.part.compute
+        &self.core.compute
     }
 
     /// The topology.
@@ -577,6 +489,16 @@ impl<A: Application, S: TraceSink> Simulator<A, S> {
     /// transition stores nothing.
     pub fn event_slots(&self) -> usize {
         self.core.slab.slots()
+    }
+
+    /// Heap bytes reserved by the simulator's per-node and per-event state:
+    /// application states, liveness bits, the event queue and both event
+    /// stores, the causal-meta side table, the traffic and compute ledgers,
+    /// and the topology's per-node tables (counted in full even when the
+    /// topology shares them with a clone). Capacity-based, so it measures
+    /// what a run reserved, not what it holds at the end.
+    pub fn state_bytes(&self) -> usize {
+        self.core.heap_bytes() + self.topology.heap_bytes()
     }
 
     /// Total messages dropped so far, for any reason.
@@ -615,7 +537,7 @@ impl<A: Application, S: TraceSink> Simulator<A, S> {
         kind: EventKind<A::Msg>,
         meta: MsgMeta,
     ) -> EventKey {
-        self.core.schedule(&self.topology, i, i, at, i, kind, meta)
+        self.core.schedule(&self.topology, i, at, i, kind, meta)
     }
 
     // ------------------------------------------------- exploration hooks --
@@ -746,7 +668,7 @@ impl<A: Application, S: TraceSink> Simulator<A, S> {
             f(&mut core.nodes[i], &mut ctx)
         };
         // Driver-injected work roots fresh causal spans.
-        core.apply_actions(&self.topology, i, i, &mut out, MsgMeta::NONE);
+        core.apply_actions(&self.topology, i, &mut out, MsgMeta::NONE);
         core.scratch = out;
         Some(r)
     }
@@ -771,8 +693,8 @@ impl<A: Application, S: TraceSink> Simulator<A, S> {
     /// Returns the number of events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         if let Some(p) = self.core.prof.as_mut() {
-            // Mirror the sharded engine's window clamp (`deadline + 1`,
-            // exclusive) so the lazy window recurrence matches it.
+            // The logical windows of this run end by `deadline + 1`
+            // (exclusive).
             p.set_window_clamp(deadline.as_micros().saturating_add(1));
         }
         self.core.run_before(&self.topology, deadline)
@@ -919,6 +841,56 @@ mod tests {
         assert!(sim.now() <= SimTime::from_micros(5_000));
         // Queue still has pending work.
         assert!(!sim.run_until_quiet(0));
+    }
+
+    #[test]
+    fn past_transitions_keep_the_clock_monotone() {
+        // A churn transition scheduled in the past, after a run, is clamped
+        // to `now`: it never moves the clock backwards.
+        let mut sim = ring_sim(5, 1_000, 3);
+        let (pause, past) = (SimTime::from_micros(5_000), SimTime::from_micros(100));
+        sim.run_until(pause);
+        let before = sim.now();
+        assert!(before > past && sim.pending_events() > 0);
+        sim.schedule_down(3, past);
+        assert_eq!(sim.step(), Some(before), "clamped to now, not rewound");
+        assert!(!sim.alive(3));
+        assert!(sim.run_until_quiet(1_000_000));
+        assert!(sim.now() >= before);
+    }
+
+    #[test]
+    fn run_until_quiet_budget_splits_a_same_instant_same_destination_run() {
+        // `run_until_quiet(max_events)` stops after exactly `max_events`
+        // even when the budget runs out in the middle of a run of events
+        // sharing one `(time, destination)`.
+        struct Fan {
+            recvd: u64,
+        }
+        impl Application for Fan {
+            type Msg = Token;
+            fn on_start(&mut self, ctx: &mut Ctx<'_, Token>) {
+                if ctx.me() != 0 {
+                    ctx.send(0, Token(ctx.me() as u64));
+                }
+            }
+            fn on_message(&mut self, _: &mut Ctx<'_, Token>, _: NodeIdx, _: Token) {
+                self.recvd += 1;
+            }
+        }
+        // Four starts at t = 0, then three deliveries to node 0 one hop later.
+        let topology = Topology::uniform(4, 500, 500);
+        let mut sim = Simulator::new(topology, 3, |_| Fan { recvd: 0 });
+        assert!(!sim.run_until_quiet(5));
+        assert_eq!(sim.events_processed(), 5);
+        assert_eq!((sim.app(0).recvd, sim.pending_events()), (1, 2));
+        let arrival = sim.now();
+        assert!(arrival > SimTime::ZERO);
+        assert!(!sim.run_until_quiet(1));
+        assert_eq!((sim.events_processed(), sim.app(0).recvd), (6, 2));
+        assert!(sim.run_until_quiet(1), "the last event drains the queue");
+        assert_eq!((sim.events_processed(), sim.app(0).recvd), (7, 3));
+        assert_eq!(sim.now(), arrival, "all three shared one instant");
     }
 
     #[test]
@@ -1155,6 +1127,30 @@ mod tests {
             sim.event_slots()
         );
         assert_eq!(sim.core.slab.live(), 0);
+    }
+
+    #[test]
+    fn state_bytes_scale_with_nodes_not_events() {
+        let bytes = |n: usize| {
+            let after = |hops: u64| {
+                let mut sim = ring_sim(n, hops, 4);
+                assert!(sim.state_bytes() > sim.topology().heap_bytes());
+                assert!(sim.run_until_quiet(100_000));
+                sim.state_bytes()
+            };
+            // One token in flight: ten times the hops, the same state.
+            let short = after(1_000);
+            assert_eq!(after(10_000), short);
+            short
+        };
+        let (small, large) = (bytes(200), bytes(400));
+        // The per-node part (ledgers, liveness, reservations) doubles.
+        assert!(large > small + small / 2, "{small} -> {large}");
+        // Generous sanity ceiling: a few hundred bytes per node.
+        assert!(
+            large < 400 * 2_048,
+            "unexpectedly heavy per-node state: {large}"
+        );
     }
 
     /// Node 0 fans one token out to `dsts` at start; everyone logs what

@@ -238,22 +238,6 @@ impl Topology {
         self.loss_prob > 0.0 && rng.gen::<f64>() < self.loss_prob
     }
 
-    /// Whether [`Topology::sample_delay`] and [`Topology::sample_loss`] are
-    /// pure functions that never touch the RNG stream.
-    ///
-    /// True when jitter is zero, loss is zero, and the latency model has no
-    /// stochastic component (`Geo`, or `Uniform` with `min == max`). The
-    /// sharded engine ([`crate::shard`]) requires this: per-shard execution
-    /// cannot reproduce a single global RNG stream consumed in dispatch
-    /// order, so delays must not depend on one.
-    pub fn delay_is_deterministic(&self) -> bool {
-        let model_fixed = match self.latency {
-            LatencyModel::Geo { .. } => true,
-            LatencyModel::Uniform { min_us, max_us } => min_us >= max_us,
-        };
-        model_fixed && self.jitter == 0.0 && self.loss_prob == 0.0
-    }
-
     /// Heap bytes held by the topology's per-node tables (positions,
     /// regions, profiles) — memory accounting for million-node trials.
     /// Counted in full by every clone, shared or not.
@@ -274,8 +258,8 @@ impl Topology {
 
     /// A lower bound, in simulated time, on the one-way delay of *any*
     /// message between nodes in different regions — the conservative
-    /// lookahead used by the sharded engine to size its synchronization
-    /// windows.
+    /// lookahead of the engine profile's logical window recurrence
+    /// ([`crate::obs::prof`]).
     ///
     /// Returns `None` when fewer than two regions are populated (no
     /// inter-region message can exist, so no bound is needed).
@@ -471,17 +455,6 @@ mod tests {
         assert_eq!(d.as_micros(), (prop * factor).round() as u64);
         // And the streams are in lockstep afterwards.
         assert_eq!(rng.gen::<u64>(), shadow.gen::<u64>());
-    }
-
-    #[test]
-    fn determinism_predicate_matches_rng_usage() {
-        assert!(Topology::uniform(4, 700, 700).delay_is_deterministic());
-        assert!(!Topology::uniform(4, 100, 200).delay_is_deterministic());
-        assert!(!Topology::uniform(4, 1, 1)
-            .with_loss(0.1)
-            .delay_is_deterministic());
-        assert!(geo_topology(20).with_jitter(0.0).delay_is_deterministic());
-        assert!(!geo_topology(20).delay_is_deterministic()); // default jitter 0.2
     }
 
     #[test]

@@ -109,6 +109,11 @@ impl TrafficLedger {
         self.per_node.iter().map(|t| t.msgs_sent).sum()
     }
 
+    /// Heap bytes reserved by the per-node records.
+    pub fn heap_bytes(&self) -> usize {
+        self.per_node.capacity() * std::mem::size_of::<NodeTraffic>()
+    }
+
     /// Resets all counters to zero (e.g. after overlay warm-up, so that only
     /// the workload phase is measured).
     pub fn reset(&mut self) {
@@ -122,86 +127,6 @@ impl TrafficLedger {
     pub fn totals(&self) -> TrafficTotals {
         let mut t = TrafficTotals::default();
         for n in &self.per_node {
-            t.msgs_sent += n.msgs_sent;
-            t.msgs_recv += n.msgs_recv;
-            t.payload_sent += n.payload_sent;
-            t.payload_recv += n.payload_recv;
-            t.tcp_sent += n.tcp_sent;
-            t.udp_sent += n.udp_sent;
-        }
-        t
-    }
-}
-
-/// Zone-bucketed traffic ledger for million-node trials.
-///
-/// [`TrafficLedger`] retains one [`NodeTraffic`] record (48 bytes) per
-/// node — 48 MB of ledger at a million nodes, almost all of it to answer
-/// questions that are asked per *zone* (Figure 7 aggregates by region
-/// anyway). `ZoneLedger` streams the same counters into one bucket per
-/// topology region instead: a 12-region EUA topology pays 576 bytes total
-/// regardless of node count.
-///
-/// Because each node belongs to exactly one zone and the counters are
-/// commutative sums, per-zone totals are independent of the order sends
-/// are recorded in — the property the sharded engine relies on to merge
-/// per-shard ledgers into a shard-count-invariant report.
-#[derive(Clone, Debug, Default)]
-pub struct ZoneLedger {
-    per_zone: Vec<NodeTraffic>,
-}
-
-impl ZoneLedger {
-    /// Creates a ledger with `zones` buckets.
-    pub fn new(zones: usize) -> Self {
-        ZoneLedger {
-            per_zone: vec![NodeTraffic::default(); zones],
-        }
-    }
-
-    /// Number of zone buckets.
-    pub fn zones(&self) -> usize {
-        self.per_zone.len()
-    }
-
-    /// Records a message of `payload` bytes sent by a node in `zone`.
-    pub fn record_send(&mut self, zone: u16, payload: usize) {
-        let t = &mut self.per_zone[zone as usize];
-        t.msgs_sent += 1;
-        t.payload_sent += payload as u64;
-        t.tcp_sent += tcp_wire_bytes(payload) as u64;
-        t.udp_sent += udp_wire_bytes(payload) as u64;
-    }
-
-    /// Records a message of `payload` bytes received by a node in `zone`.
-    pub fn record_recv(&mut self, zone: u16, payload: usize) {
-        let t = &mut self.per_zone[zone as usize];
-        t.msgs_recv += 1;
-        t.payload_recv += payload as u64;
-    }
-
-    /// Returns the counters for `zone`.
-    pub fn zone(&self, zone: u16) -> NodeTraffic {
-        self.per_zone[zone as usize]
-    }
-
-    /// Adds another ledger's buckets into this one (zone counts must match).
-    pub fn merge(&mut self, other: &ZoneLedger) {
-        assert_eq!(self.per_zone.len(), other.per_zone.len());
-        for (a, b) in self.per_zone.iter_mut().zip(&other.per_zone) {
-            a.msgs_sent += b.msgs_sent;
-            a.msgs_recv += b.msgs_recv;
-            a.payload_sent += b.payload_sent;
-            a.payload_recv += b.payload_recv;
-            a.tcp_sent += b.tcp_sent;
-            a.udp_sent += b.udp_sent;
-        }
-    }
-
-    /// Sums every zone's counters into a mergeable [`TrafficTotals`].
-    pub fn totals(&self) -> TrafficTotals {
-        let mut t = TrafficTotals::default();
-        for n in &self.per_zone {
             t.msgs_sent += n.msgs_sent;
             t.msgs_recv += n.msgs_recv;
             t.payload_sent += n.payload_sent;
@@ -317,39 +242,5 @@ mod tests {
     fn empty_ledger_mean_is_zero() {
         let ledger = TrafficLedger::new(0);
         assert_eq!(ledger.mean_tcp_sent(), 0.0);
-    }
-
-    #[test]
-    fn zone_ledger_matches_per_node_totals() {
-        // Same sends recorded per-node and per-zone (node i in zone i % 2)
-        // must produce identical totals.
-        let mut per_node = TrafficLedger::new(4);
-        let mut per_zone = ZoneLedger::new(2);
-        for (node, payload) in [(0usize, 100usize), (1, 2_000), (2, 50), (3, 1_460)] {
-            per_node.record_send(node, payload);
-            per_zone.record_send((node % 2) as u16, payload);
-            per_node.record_recv((node + 1) % 4, payload);
-            per_zone.record_recv((((node + 1) % 4) % 2) as u16, payload);
-        }
-        assert_eq!(per_node.totals(), per_zone.totals());
-        assert_eq!(per_zone.zone(0).msgs_sent, 2);
-        assert_eq!(per_zone.zone(1).msgs_sent, 2);
-    }
-
-    #[test]
-    fn zone_ledger_merge_is_commutative() {
-        let mut a = ZoneLedger::new(3);
-        let mut b = ZoneLedger::new(3);
-        a.record_send(0, 10);
-        a.record_recv(2, 10);
-        b.record_send(2, 999);
-        b.record_send(1, 5);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab.totals(), ba.totals());
-        assert_eq!(ab.zone(2).msgs_sent, ba.zone(2).msgs_sent);
-        assert_eq!(ab.totals().msgs_sent, 3);
     }
 }

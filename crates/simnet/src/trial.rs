@@ -16,7 +16,6 @@
 use crate::json::{ToJson, Writer};
 use crate::obs::prof::EngineProfile;
 use crate::obs::{MetricsSnapshot, TraceSink};
-use crate::shard::ShardedSim;
 use crate::sim::{Application, Simulator};
 use crate::traffic::TrafficTotals;
 
@@ -47,8 +46,8 @@ pub struct TrialReport {
     pub obs: Option<MetricsSnapshot>,
     /// Deterministic engine self-profile ([`crate::obs::prof`]), when the
     /// trial ran with profiling enabled (`None` otherwise, keeping
-    /// unprofiled JSON unchanged). Byte-identical across `--jobs` and
-    /// `--shards` for a fixed `(scenario, seed)`.
+    /// unprofiled JSON unchanged). Byte-identical across `--jobs` for a
+    /// fixed `(scenario, seed)`.
     pub engine_profile: Option<EngineProfile>,
 }
 
@@ -68,29 +67,6 @@ impl TrialReport {
             dht_us: sim.compute().dht_us.iter().sum(),
             memory_bytes,
             obs: sim.sink().snapshot(),
-            engine_profile: sim.engine_profile(),
-        }
-    }
-
-    /// Captures a report from a sharded simulator. Traffic and compute
-    /// come from the merged per-zone ledgers; `obs` stays `None` (the
-    /// sharded engine records traces, not metrics snapshots), and the
-    /// engine profile is the shard-count-invariant merge when profiling
-    /// was enabled.
-    pub fn capture_sharded<A: Application>(sim: &ShardedSim<A>) -> Self {
-        let memory_bytes = sim.apps().map(|a| a.memory_bytes() as u64).sum();
-        let (fl_us, dht_us) = sim.compute_totals();
-        TrialReport {
-            nodes: sim.len(),
-            sim_end_us: sim.now().as_micros(),
-            events: sim.events_processed(),
-            dropped_loss: sim.dropped_loss(),
-            dropped_dead: sim.dropped_dead(),
-            traffic: sim.traffic_totals(),
-            fl_us,
-            dht_us,
-            memory_bytes,
-            obs: None,
             engine_profile: sim.engine_profile(),
         }
     }

@@ -6,9 +6,7 @@
 //! and bounce log and the final [`TrialReport`] when not — with
 //! destination lists that repeat nodes, name the sender and name dead
 //! nodes, under link loss and jitter, a chaos plan that drops, duplicates
-//! and delays, and a fault filter that starves one destination; and on
-//! [`ShardedSim`] at 1, 2 and 4 shards, where some legs leave the shard
-//! with a payload of their own.
+//! and delays, and a fault filter that starves one destination.
 //!
 //! The untraced, unprofiled fan-out run is the only one whose legs share a
 //! slab slot (a traced or profiled engine parks one payload per leg), so
@@ -18,9 +16,8 @@ use proptest::prelude::*;
 use totoro_simnet::json::ToJson;
 use totoro_simnet::obs::jsonl_trace;
 use totoro_simnet::{
-    keyed_unit, Application, ComputeKind, Ctx, Fault, FaultKind, FaultPlan, GeoPoint, LatencyModel,
-    NodeIdx, NodeProfile, NoopSink, Payload, RecordingSink, ShardedSim, SimDuration, SimTime,
-    Simulator, Topology, TraceSink, TrialReport,
+    keyed_unit, Application, ComputeKind, Ctx, Fault, FaultKind, FaultPlan, NodeIdx, NoopSink,
+    Payload, RecordingSink, SimDuration, SimTime, Simulator, Topology, TraceSink, TrialReport,
 };
 
 #[derive(Clone, Debug, PartialEq)]
@@ -93,8 +90,8 @@ impl Application for Caster {
     type Msg = Pkt;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, Pkt>) {
-        // Odd phase, even gaps and (sharded) even latency keep application
-        // events on odd microseconds, clear of the even churn instants.
+        // Odd phase and even gaps keep timer firings on odd microseconds,
+        // clear of the even churn instants.
         let phase = 1 + 2 * ((ctx.me() as u64 * 29) % 300);
         ctx.set_timer(SimDuration::from_micros(phase), 0);
     }
@@ -204,9 +201,8 @@ fn node_logs<'a>(apps: impl Iterator<Item = &'a Caster>) -> Vec<NodeLog> {
     apps.map(|a| (a.got.clone(), a.bounced.clone())).collect()
 }
 
-/// One sequential run under link loss and jitter, the scheme's chaos plan
-/// (stream-drawn, as the evaluation uses it), its churn, and a fault filter
-/// that starves node 2 of even-id packets.
+/// One run under link loss and jitter, the scheme's chaos plan, its churn,
+/// and a fault filter that starves node 2 of even-id packets.
 fn run_sequential<S: TraceSink>(
     s: &Scheme,
     spelling: Spelling,
@@ -235,38 +231,6 @@ fn run_sequential<S: TraceSink>(
     }
 }
 
-/// One sharded run on a two-region fixed-latency topology under the
-/// scheme's *keyed* chaos plan and churn.
-fn run_sharded(s: &Scheme, spelling: Spelling, shards: usize, traced: bool) -> Seen {
-    let regions: Vec<u16> = (0..s.n).map(|i| (i % 4) as u16).collect();
-    let topology = Topology::from_parts(
-        vec![GeoPoint::new(0.0, 0.0); s.n],
-        regions,
-        vec![NodeProfile::default(); s.n],
-        LatencyModel::Uniform {
-            min_us: 400,
-            max_us: 400,
-        },
-    )
-    .with_jitter(0.0);
-    let mut sim = ShardedSim::new(topology, s.seed, shards, s.caster(spelling))
-        .expect("fixed-latency zoned topology is shardable");
-    if traced {
-        sim = sim.with_tracing();
-    }
-    sim.apply_plan(&s.plan(), s.seed);
-    for (node, down, up) in s.churn_instants() {
-        sim.schedule_down(node, down);
-        sim.schedule_up(node, up);
-    }
-    sim.run_to_quiescence();
-    Seen {
-        nodes: node_logs(sim.apps()),
-        report: TrialReport::capture_sharded(&sim).to_json(),
-        trace: jsonl_trace(&sim.take_trace()),
-    }
-}
-
 fn scheme_strategy() -> impl Strategy<Value = Scheme> {
     (
         (4usize..28, 1u64..4, any::<u64>()),
@@ -284,8 +248,8 @@ fn scheme_strategy() -> impl Strategy<Value = Scheme> {
         })
 }
 
-/// Runs `scheme` on the sequential engine in all four (spelling, traced)
-/// combinations and checks they agree.
+/// Runs `scheme` in all four (spelling, traced) combinations and checks
+/// they agree.
 fn check_sequential(scheme: &Scheme, profiled: bool) -> Result<(), TestCaseError> {
     let traced = |spelling| {
         let sink = RecordingSink::new(scheme.n);
@@ -306,27 +270,10 @@ fn check_sequential(scheme: &Scheme, profiled: bool) -> Result<(), TestCaseError
 }
 
 proptest! {
-    /// Sequential engine, stochastic topology, stream chaos, fault filter.
+    /// Stochastic topology, chaos, fault filter.
     #[test]
     fn send_all_is_a_loop_of_sends(scheme in scheme_strategy(), profiled in any::<bool>()) {
         check_sequential(&scheme, profiled)?;
-    }
-
-    /// Sharded engine at K = 1, 2, 4: legs that leave the shard carry a
-    /// clone, and the two spellings still agree — with each other and
-    /// across shard counts.
-    #[test]
-    fn send_all_is_a_loop_of_sends_on_every_shard_count(scheme in scheme_strategy()) {
-        for traced in [true, false] {
-            let base = run_sharded(&scheme, Spelling::Loop, 1, traced);
-            prop_assert_eq!(traced, !base.trace.is_empty());
-            for shards in [1, 2, 4] {
-                let all = run_sharded(&scheme, Spelling::SendAll, shards, traced);
-                prop_assert_eq!(&all, &base, "send_all at K = {}", shards);
-                let looped = run_sharded(&scheme, Spelling::Loop, shards, traced);
-                prop_assert_eq!(&looped, &base, "loop at K = {}", shards);
-            }
-        }
     }
 }
 
@@ -376,10 +323,4 @@ fn the_fixed_scheme_exercises_every_path() {
             .any(|(i, log)| log.0.iter().any(|g| g.1 == i)),
         "no node ever addressed itself"
     );
-    let base = run_sharded(&scheme, Spelling::Loop, 1, true);
-    for shards in [1, 2, 4] {
-        assert_eq!(run_sharded(&scheme, Spelling::SendAll, shards, true), base);
-        let plain = run_sharded(&scheme, Spelling::SendAll, shards, false);
-        assert_eq!(plain.nodes, base.nodes);
-    }
 }

@@ -196,16 +196,17 @@ proptest! {
     }
 }
 
-/// The sharded engine's start phase at a tenth of `engine_gossip`'s scale:
-/// every node's `Start` at time zero, one pop, then the first callbacks'
-/// sends closed to 1–63 µs — late pushes into the tick just drained, each
-/// landing among 100 k drained keys.
+/// A start phase at a tenth of `engine_gossip`'s scale: every node's
+/// `Start` at time zero, one pop, then the first callbacks' sends due at
+/// 1–63 µs — late pushes into the tick just drained, each landing among
+/// 100 k drained keys.
 #[test]
 fn start_phase_late_pushes_agree() {
     const NODES: u64 = 100_000;
     let mut heap = HeapQueue::with_capacity(NODES as usize);
     let mut wheel = WheelQueue::with_capacity(NODES as usize);
-    // Sharded keys: `(origin << 40) | per-origin counter`.
+    // Tie-break words spread over the whole `seq` range:
+    // `(origin << 40) | per-origin counter`.
     for node in 0..NODES {
         let key = EventKey {
             time: SimTime::ZERO,
