@@ -25,8 +25,6 @@
 //! | `fig13` | Fig. 13a–b: CPU and memory overhead vs OpenFL |
 //! | `ablation` | In-network aggregation vs star ablation |
 //! | `chaos` | Seed-sweep fault injection with live invariant oracles (`--replay PLAN:SEED` for one trial) |
-//!
-//! Criterion micro-benchmarks live under `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -17,7 +17,7 @@ pub enum FileKind {
     Src,
     /// Integration tests: `tests/**`.
     Tests,
-    /// Criterion benches: `benches/**`.
+    /// Bench targets: `benches/**`.
     Benches,
     /// Anything else (build scripts, etc.).
     Other,

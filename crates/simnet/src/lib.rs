@@ -55,7 +55,7 @@ pub use obs::{
 };
 pub use payload::Shared;
 pub use queue::EventKey;
-pub use rng::{derive_seed, keyed_unit, sub_rng};
+pub use rng::{derive_seed, sub_rng};
 pub use sim::{Application, ComputeKind, Ctx, Payload, PendingClass, PendingSummary, Simulator};
 pub use time::{SimDuration, SimTime};
 pub use topology::{LatencyModel, NodeIdx, NodeProfile, Topology, BASE_EDGE_FLOPS};

@@ -369,7 +369,8 @@ impl EngineProfile {
         3 * self.windows
     }
 
-    /// Sums another profile into this one (multi-trial aggregation).
+    /// Sums another profile into this one, for
+    /// [`TrialReport::merge`](crate::trial::TrialReport::merge).
     pub fn merge(&mut self, other: &EngineProfile) {
         self.late += other.late;
         self.near += other.near;

@@ -16,9 +16,28 @@ use proptest::prelude::*;
 use totoro_simnet::json::ToJson;
 use totoro_simnet::obs::jsonl_trace;
 use totoro_simnet::{
-    keyed_unit, Application, ComputeKind, Ctx, Fault, FaultKind, FaultPlan, NodeIdx, NoopSink,
-    Payload, RecordingSink, SimDuration, SimTime, Simulator, Topology, TraceSink, TrialReport,
+    Application, ComputeKind, Ctx, Fault, FaultKind, FaultPlan, NodeIdx, NoopSink, Payload,
+    RecordingSink, SimDuration, SimTime, Simulator, Topology, TraceSink, TrialReport,
 };
+
+/// Hashes `(key, parts...)` into a unit-interval sample in `[0, 1)`: a
+/// pure function of its inputs, so destination lists are the same however
+/// the runs interleave.
+fn keyed_unit(key: u64, parts: &[u64]) -> f64 {
+    let mut h = key;
+    for &p in parts {
+        h = splitmix64(h ^ p.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    }
+    // Top 53 bits -> [0, 1), the standard double construction.
+    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
 
 #[derive(Clone, Debug, PartialEq)]
 struct Pkt {
@@ -277,11 +296,9 @@ proptest! {
     }
 }
 
-/// A fixed scheme in which every mechanism demonstrably fires, so the
-/// property above is not vacuously true on some generator drift.
-#[test]
-fn the_fixed_scheme_exercises_every_path() {
-    let scheme = Scheme {
+/// A fixed scheme in which every mechanism demonstrably fires.
+fn fixed_scheme() -> Scheme {
+    Scheme {
         n: 16,
         rounds: 3,
         seed: 0xF0F0,
@@ -289,7 +306,14 @@ fn the_fixed_scheme_exercises_every_path() {
         dup_prob: 0.25,
         straggle: 3,
         churn: vec![(5, 40, 900), (11, 300, 2_000)],
-    };
+    }
+}
+
+/// The fixed scheme, so the property above is not vacuously true on some
+/// generator drift.
+#[test]
+fn the_fixed_scheme_exercises_every_path() {
+    let scheme = fixed_scheme();
     check_sequential(&scheme, false).unwrap();
     check_sequential(&scheme, true).unwrap();
     let sink = RecordingSink::new(scheme.n);
@@ -323,4 +347,27 @@ fn the_fixed_scheme_exercises_every_path() {
             .any(|(i, log)| log.0.iter().any(|g| g.1 == i)),
         "no node ever addressed itself"
     );
+}
+
+/// The fixed scheme run once traced and profiled — chaos drop, duplicate
+/// and delay, the fault filter, churn and failure bounces all fire (see
+/// above) — pinned by the FNV-1a digest of its JSONL trace followed by its
+/// `TrialReport` JSON, engine profile included. No figure golden runs
+/// these paths, so this is what shows the event loop moved no record.
+/// The digest was captured by running this body on the engine as it stood
+/// before `Engine` was folded into `Simulator`.
+#[test]
+fn the_fixed_scheme_trace_and_report_are_pinned() {
+    let scheme = fixed_scheme();
+    let sink = RecordingSink::new(scheme.n);
+    let seen = run_sequential(&scheme, Spelling::SendAll, sink, true, |s| {
+        jsonl_trace(&s.take_records())
+    });
+    assert!(seen.report.contains("\"engine_profile\""));
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for &byte in seen.trace.as_bytes().iter().chain(seen.report.as_bytes()) {
+        digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    let lines = seen.trace.lines().count();
+    assert_eq!((lines, digest), (3_337, 0xc8a4_515c_ce00_17cf));
 }
