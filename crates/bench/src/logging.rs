@@ -6,6 +6,11 @@
 //! golden. Levels: `--quiet` silences progress, `--verbose` adds debug
 //! detail, errors always print.
 
+#![expect(
+    clippy::disallowed_macros,
+    reason = "the leveled logger is the one writer of human-facing stderr lines"
+)]
+
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// How chatty stderr is.

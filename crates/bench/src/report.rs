@@ -12,15 +12,23 @@
 /// This is the *only* stdout write in the workspace outside tests: stdout
 /// is the golden surface (byte-compared by `crates/bench/tests/golden.rs`
 /// across `--jobs`, seeds, and trace sinks), so every byte that reaches it
-/// funnels through here. The determinism linter (`totoro-detlint`, rule
-/// DET003 `golden-surface`) enforces this statically; human-facing chatter
-/// belongs on stderr via [`crate::logging`].
+/// funnels through here. Clippy's `disallowed_macros` ban on the print
+/// macros (DET003, `crates/bench/clippy.toml`) enforces this statically;
+/// human-facing chatter belongs on stderr via [`crate::logging`].
+#[expect(
+    clippy::disallowed_macros,
+    reason = "the golden stdout surface: every report byte funnels through here"
+)]
 pub fn emit(text: impl std::fmt::Display) {
     print!("{text}");
 }
 
 /// [`emit`] with a trailing newline, for usage/listing lines that are not
 /// golden-compared but still belong to a binary's stdout contract.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "usage and listing lines of a binary's stdout contract funnel through here"
+)]
 pub fn emitln(text: impl std::fmt::Display) {
     println!("{text}");
 }

@@ -482,8 +482,12 @@ pub fn run_trials_with<R: Send>(
                     break;
                 }
                 let result = run(i);
-                // det: allow(lock: per-trial result slot keyed by trial index; each slot is written once and read only after the scope joins, so lock order cannot reach the merged output)
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "per-trial result slot keyed by trial index; each slot is written once and read only after the scope joins, so lock order cannot reach the merged output"
+                )]
+                let mut slot = slots[i].lock().expect("result slot poisoned");
+                *slot = Some(result);
             });
         }
     });

@@ -7,6 +7,10 @@ use std::process::{Command, Output};
 use std::time::{Duration, Instant};
 
 fn bench(args: &[&str]) -> (Output, Duration) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock budget of a CLI test; it bounds how long a rejection may take and never reaches any output"
+    )]
     let start = Instant::now();
     let out = Command::new(env!("CARGO_BIN_EXE_totoro-bench"))
         .args(args)

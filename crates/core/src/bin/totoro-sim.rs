@@ -102,10 +102,14 @@ fn parse_privacy(s: &str) -> Privacy {
     }
 }
 
+#[expect(
+    clippy::disallowed_macros,
+    reason = "interactive demo binary; its stdout is a human-facing summary, never golden-compared"
+)]
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("see the module docs at the top of crates/core/src/bin/totoro-sim.rs"); // det: allow(golden_out: interactive demo binary; its stdout is a human-facing summary, never golden-compared)
+        println!("see the module docs at the top of crates/core/src/bin/totoro-sim.rs");
         return;
     }
     let nodes: usize = arg_or(&args, "nodes", 48);
@@ -131,7 +135,6 @@ fn main() {
     };
     let target: f64 = arg_or(&args, "target", default_target);
 
-    // det: allow(golden_out: interactive demo binary; its stdout is a human-facing summary, never golden-compared)
     println!(
         "totoro-sim: {nodes} nodes, {apps} app(s), dataset {} ({} classes), fanout {fanout}, seed {seed}",
         spec.name, spec.classes
@@ -197,7 +200,6 @@ fn main() {
             SimTime::from_micros(20 * 1_000_000),
             &mut crng,
         );
-        // det: allow(golden_out: interactive demo binary; its stdout is a human-facing summary, never golden-compared)
         println!(
             "churn: killing {} nodes at t=20s",
             schedule.nodes_affected()
@@ -207,7 +209,7 @@ fn main() {
 
     let finished = deploy.run(SimTime::from_micros(24 * 3_600 * 1_000_000));
 
-    println!("\napp                  master  rounds  best acc  time-to-target"); // det: allow(golden_out: interactive demo binary; its stdout is a human-facing summary, never golden-compared)
+    println!("\napp                  master  rounds  best acc  time-to-target");
     for a in 0..apps {
         let curve = deploy.curve(a);
         // det: allow(float: f64::max is exactly commutative and associative, so fold order cannot change the result)
@@ -217,14 +219,12 @@ fn main() {
         let ttt = deploy
             .time_to_target(a)
             .map_or("-".into(), |t| format!("{t:.1}s"));
-        // det: allow(golden_out: interactive demo binary; its stdout is a human-facing summary, never golden-compared)
         println!(
             "{:<20} {master:>6}  {r:>6}  {best:>8.3}  {ttt:>14}",
             deploy.config(a).name
         );
     }
     let traffic = deploy.sim().traffic();
-    // det: allow(golden_out: interactive demo binary; its stdout is a human-facing summary, never golden-compared)
     println!(
         "\nsimulated time: {:.1}s | events: {} | mean payload sent/node: {:.1} KiB | all finished: {finished}",
         deploy.sim().now().as_secs_f64(),

@@ -1,341 +1,90 @@
-//! A lightweight item tracker over the masked token stream: which
-//! `fn`/`impl`/`mod` a byte offset sits in, which item bodies carry
-//! `#[cfg(test)]`, and which `use` declarations rename an import.
-//!
-//! This is *not* a parser — it is a brace/keyword walk over the
-//! comment-and-string-free text produced by [`crate::lexer`], exact
-//! enough for the rules that need context: the concurrency/numerics pack
-//! (DET007–DET010) skips inline test modules, DET009 reads the enclosing
-//! function's return type, and DET001/DET006 chase `use ... as` aliases
-//! that would otherwise smuggle a forbidden name past a token match.
+//! A lightweight item tracker over the masked text: each `fn`'s name,
+//! return type and body, and the bodies under `#[cfg(test)]`. Not a
+//! parser — a keyword and brace walk, exact enough for DET009 to read the
+//! enclosing fn's return type and for every rule to skip test code.
 
-/// What kind of item a tracked body belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ItemKind {
-    Mod,
-    Fn,
-    Impl,
-    /// `struct`/`enum`/`trait`/`union` bodies — tracked so `#[cfg(test)]`
-    /// attribution and brace accounting stay exact.
-    Other,
-}
+use std::ops::Range;
 
-/// One item with a braced body.
+use crate::lexer::{find_ident, is_ident_byte};
+
+/// One `fn` with a braced body.
 #[derive(Debug, Clone)]
 pub struct Item {
-    pub kind: ItemKind,
-    /// Declared name (`tests`, `softmax`, the `impl` target type); empty
-    /// when no identifier follows the keyword.
     pub name: String,
-    /// For `Fn` items: the return-type text after the signature's `->`
-    /// (whitespace included, empty when the function returns unit).
+    /// The text after the signature's last `->` (empty for unit).
     pub ret: String,
-    /// Byte offset of the body's opening `{`.
-    pub body_start: usize,
-    /// Byte offset one past the body's closing `}`.
-    pub body_end: usize,
-    /// Whether the item carries a `#[cfg(test)]` attribute.
-    pub cfg_test: bool,
+    /// Byte span of the body, braces included.
+    pub body: Range<usize>,
 }
 
-/// One `use path::to::Target as Alias` rename.
-#[derive(Debug, Clone)]
-pub struct UseAlias {
-    /// The final path segment being renamed (`HashMap`, `Mutex`, ...).
-    pub target: String,
-    /// The local name it is bound to.
-    pub alias: String,
-    /// 1-based position of the alias identifier.
-    pub line: u32,
-    pub col: u32,
-}
-
-/// Item spans, test spans, and use aliases for one masked file.
+/// The fns and test bodies of one masked file.
 #[derive(Debug, Default)]
 pub struct ItemMap {
-    pub items: Vec<Item>,
-    pub aliases: Vec<UseAlias>,
+    pub fns: Vec<Item>,
+    /// Bodies of the items that carry `#[cfg(test)]`.
+    pub tests: Vec<Range<usize>>,
 }
 
 impl ItemMap {
-    /// Whether `at` sits inside any `#[cfg(test)]` item body.
+    /// Whether `at` sits inside a `#[cfg(test)]` item, at any depth.
     pub fn in_test(&self, at: usize) -> bool {
-        self.items
-            .iter()
-            .any(|it| it.cfg_test && it.body_start <= at && at < it.body_end)
+        self.tests.iter().any(|body| body.contains(&at))
     }
 
     /// The innermost `fn` whose body contains `at`.
     pub fn enclosing_fn(&self, at: usize) -> Option<&Item> {
-        self.items
-            .iter()
-            .filter(|it| it.kind == ItemKind::Fn && it.body_start <= at && at < it.body_end)
-            .min_by_key(|it| it.body_end - it.body_start)
+        let around = self.fns.iter().filter(|f| f.body.contains(&at));
+        around.min_by_key(|f| f.body.len())
     }
-}
-
-fn is_ident_byte(c: u8) -> bool {
-    c.is_ascii_alphanumeric() || c == b'_'
-}
-
-struct Pending {
-    kind: ItemKind,
-    name: String,
-    /// Byte offset right after the declared name (signature text start).
-    sig_start: usize,
-    cfg_test: bool,
 }
 
 /// Builds the item map for one masked file.
 pub fn build(masked: &str) -> ItemMap {
-    let b = masked.as_bytes();
     let mut map = ItemMap::default();
-    // Stack of open braces: `Some(i)` when the brace opens item `i`'s
-    // body, `None` for anonymous blocks (match arms, loops, closures).
-    let mut stack: Vec<Option<usize>> = Vec::new();
-    let mut pending: Option<Pending> = None;
-    let mut cfg_test_pending = false;
-    let mut i = 0usize;
-    while i < b.len() {
-        let c = b[i];
-        // Attribute: `#[...]` / `#![...]`; detect `#[cfg(test)]`.
-        if c == b'#' {
-            let mut j = i + 1;
-            if b.get(j) == Some(&b'!') {
-                j += 1;
-            }
-            while j < b.len() && b[j].is_ascii_whitespace() {
-                j += 1;
-            }
-            if b.get(j) == Some(&b'[') {
-                let end = match_close(b, j, b'[', b']');
-                let norm: String = masked[j + 1..end.saturating_sub(1)]
-                    .chars()
-                    .filter(|c| !c.is_whitespace())
-                    .collect();
-                if norm == "cfg(test)" {
-                    cfg_test_pending = true;
-                }
-                i = end;
-                continue;
-            }
-            i += 1;
+    for at in find_ident(masked, "fn") {
+        let sig = at + "fn".len();
+        let Some(body) = body_after(masked, sig) else {
             continue;
-        }
-        if is_ident_byte(c) && !c.is_ascii_digit() {
-            let start = i;
-            while i < b.len() && is_ident_byte(b[i]) {
-                i += 1;
-            }
-            match &masked[start..i] {
-                // A nested item keyword inside an unconsumed signature
-                // (e.g. `fn` pointer types, `-> impl Trait`) must not
-                // clobber the outer pending declaration.
-                "fn" if pending.is_none() => {
-                    let (name, after) = next_ident(masked, i);
-                    pending = Some(Pending {
-                        kind: ItemKind::Fn,
-                        name,
-                        sig_start: after,
-                        cfg_test: std::mem::take(&mut cfg_test_pending),
-                    });
-                    i = after;
-                }
-                "mod" if pending.is_none() => {
-                    let (name, after) = next_ident(masked, i);
-                    pending = Some(Pending {
-                        kind: ItemKind::Mod,
-                        name,
-                        sig_start: after,
-                        cfg_test: std::mem::take(&mut cfg_test_pending),
-                    });
-                    i = after;
-                }
-                "impl" if pending.is_none() => {
-                    pending = Some(Pending {
-                        kind: ItemKind::Impl,
-                        name: String::new(),
-                        sig_start: i,
-                        cfg_test: std::mem::take(&mut cfg_test_pending),
-                    });
-                }
-                "struct" | "enum" | "trait" | "union" if pending.is_none() => {
-                    let (name, after) = next_ident(masked, i);
-                    pending = Some(Pending {
-                        kind: ItemKind::Other,
-                        name,
-                        sig_start: after,
-                        cfg_test: std::mem::take(&mut cfg_test_pending),
-                    });
-                    i = after;
-                }
-                "use" => {
-                    cfg_test_pending = false;
-                    let end = masked[i..].find(';').map(|p| i + p).unwrap_or(b.len());
-                    harvest_aliases(masked, i, end, &mut map.aliases);
-                    i = end;
-                }
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            b'{' => {
-                if let Some(p) = pending.take() {
-                    let ret = if p.kind == ItemKind::Fn {
-                        fn_return_type(&masked[p.sig_start..i])
-                    } else {
-                        String::new()
-                    };
-                    let name = if p.kind == ItemKind::Impl {
-                        impl_target(&masked[p.sig_start..i])
-                    } else {
-                        p.name
-                    };
-                    map.items.push(Item {
-                        kind: p.kind,
-                        name,
-                        ret,
-                        body_start: i,
-                        body_end: masked.len(),
-                        cfg_test: p.cfg_test,
-                    });
-                    stack.push(Some(map.items.len() - 1));
-                } else {
-                    stack.push(None);
-                }
-            }
-            b'}' => {
-                if let Some(Some(idx)) = stack.pop() {
-                    map.items[idx].body_end = i + 1;
-                }
-            }
-            // A bodiless declaration (`mod x;`, trait fn, `const _: _;`)
-            // discards both the pending item and any dangling attribute.
-            b';' => {
-                pending = None;
-                cfg_test_pending = false;
-            }
-            _ => {}
-        }
-        i += 1;
+        };
+        let name = masked[sig..].trim_start();
+        let len = name.bytes().take_while(|&c| is_ident_byte(c)).count();
+        let sig = &masked[sig..body.start];
+        let ret = sig.rfind("->").map_or("", |p| sig[p + 2..].trim());
+        let (name, ret) = (name[..len].to_string(), ret.to_string());
+        map.fns.push(Item { name, ret, body });
     }
-    // A `#[cfg(test)]` parent marks every nested body as test code too.
-    propagate_cfg_test(&mut map.items);
+    for (at, _) in masked.match_indices("#[") {
+        let Some(close) = matching(masked, at + 1, b'[', b']') else {
+            continue;
+        };
+        let attr: String = masked[at + 2..close].split_whitespace().collect();
+        if attr == "cfg(test)" {
+            map.tests.extend(body_after(masked, close));
+        }
+    }
     map
 }
 
-/// Marks items nested inside a `cfg_test` body as `cfg_test` themselves.
-fn propagate_cfg_test(items: &mut [Item]) {
-    let spans: Vec<(usize, usize)> = items
-        .iter()
-        .filter(|it| it.cfg_test)
-        .map(|it| (it.body_start, it.body_end))
-        .collect();
-    for it in items.iter_mut() {
-        if !it.cfg_test
-            && spans
-                .iter()
-                .any(|&(s, e)| s < it.body_start && it.body_end <= e)
-        {
-            it.cfg_test = true;
-        }
-    }
+/// The braced body of the item declared after `from`: its first `{`
+/// through the matching `}`, unless a `;` ends the item first.
+fn body_after(masked: &str, from: usize) -> Option<Range<usize>> {
+    let open = from + masked[from..].find(['{', ';'])?;
+    let close = matching(masked, open, b'{', b'}')?;
+    Some(open..close + 1)
 }
 
-/// Index one past the `]`/`)`/`}` matching the opener at `open`.
-fn match_close(b: &[u8], open: usize, oc: u8, cc: u8) -> usize {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < b.len() {
-        if b[i] == oc {
-            depth += 1;
-        } else if b[i] == cc {
-            depth -= 1;
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-        i += 1;
-    }
-    b.len()
-}
-
-/// The identifier following `from` (skipping whitespace), if any, and the
-/// offset one past it.
-fn next_ident(masked: &str, from: usize) -> (String, usize) {
+/// Offset of the `close` byte matching the `open` byte at `at`.
+pub(crate) fn matching(masked: &str, at: usize, open: u8, close: u8) -> Option<usize> {
     let b = masked.as_bytes();
-    let mut i = from;
-    while i < b.len() && b[i].is_ascii_whitespace() {
-        i += 1;
+    if b.get(at) != Some(&open) {
+        return None;
     }
-    let start = i;
-    while i < b.len() && is_ident_byte(b[i]) {
-        i += 1;
-    }
-    (masked[start..i].to_string(), i.max(from))
-}
-
-/// Return-type text of a signature: everything after the *last* `->`
-/// (parameter-position `fn(..) -> T` pointer types rarely collide, and a
-/// collision only risks over-reporting into a suppressible finding).
-fn fn_return_type(sig: &str) -> String {
-    match sig.rfind("->") {
-        Some(p) => sig[p + 2..].trim().to_string(),
-        None => String::new(),
-    }
-}
-
-/// Best-effort `impl` target: the last identifier before the body (the
-/// type name in both `impl Foo` and `impl Trait for Foo`), generics
-/// stripped.
-fn impl_target(sig: &str) -> String {
-    let head = sig.split('<').next().unwrap_or(sig);
-    sig.split_whitespace()
-        .rfind(|w| w.chars().next().is_some_and(|c| c.is_alphabetic()))
-        .map(|w| w.split('<').next().unwrap_or(w).to_string())
-        .unwrap_or_else(|| head.trim().to_string())
-}
-
-/// Pulls every `Target as Alias` rename out of one `use` declaration
-/// span. Inside a use decl the `as` keyword only ever renames, so a
-/// whole-word scan is exact — casts can't appear there.
-fn harvest_aliases(masked: &str, start: usize, end: usize, out: &mut Vec<UseAlias>) {
-    let span = &masked[start..end];
-    let mut from = 0usize;
-    while let Some(p) = span[from..].find("as") {
-        let at = from + p;
-        from = at + 2;
-        let bounded = (at == 0 || !is_ident_byte(span.as_bytes()[at - 1]))
-            && !span[at + 2..].bytes().next().is_some_and(is_ident_byte);
-        if !bounded {
-            continue;
-        }
-        // Target: the identifier ending right before ` as `.
-        let mut t_end = at;
-        while t_end > 0 && span.as_bytes()[t_end - 1].is_ascii_whitespace() {
-            t_end -= 1;
-        }
-        let mut t_start = t_end;
-        while t_start > 0 && is_ident_byte(span.as_bytes()[t_start - 1]) {
-            t_start -= 1;
-        }
-        // Alias: the identifier starting right after ` as `.
-        let (alias, _) = next_ident(span, at + 2);
-        if t_start == t_end || alias.is_empty() {
-            continue;
-        }
-        let alias_off = start + at + 2 + span[at + 2..].len() - span[at + 2..].trim_start().len();
-        let before = &masked[..alias_off];
-        let line = before.matches('\n').count() as u32 + 1;
-        let col = (alias_off - before.rfind('\n').map(|p| p + 1).unwrap_or(0)) as u32 + 1;
-        out.push(UseAlias {
-            target: masked[start + t_start..start + t_end].to_string(),
-            alias,
-            line,
-            col,
-        });
-    }
+    let mut depth = 0usize;
+    (at..b.len()).find(|&i| {
+        depth += usize::from(b[i] == open);
+        depth -= usize::from(b[i] == close);
+        depth == 0
+    })
 }
 
 #[cfg(test)]
@@ -343,108 +92,70 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn map(src: &str) -> ItemMap {
-        build(&lex(src).masked)
+    fn in_test(src: &str, needle: &str) -> bool {
+        build(&lex(src).masked).in_test(src.find(needle).unwrap())
+    }
+
+    /// `name -> ret` of the fn around `needle`.
+    fn fn_at(src: &str, needle: &str) -> Option<String> {
+        let map = build(&lex(src).masked);
+        let f = map.enclosing_fn(src.find(needle).unwrap())?;
+        Some(format!("{} -> {}", f.name, f.ret))
     }
 
     #[test]
     fn fn_mod_impl_nesting_and_names() {
-        let src =
-            "mod outer {\n    impl Widget {\n        fn area(&self) -> f64 { 1.0 }\n    }\n}\n";
-        let m = map(src);
-        let kinds: Vec<(ItemKind, &str)> = m
-            .items
-            .iter()
-            .map(|it| (it.kind, it.name.as_str()))
-            .collect();
-        assert!(kinds.contains(&(ItemKind::Mod, "outer")));
-        assert!(kinds.contains(&(ItemKind::Impl, "Widget")));
-        assert!(kinds.contains(&(ItemKind::Fn, "area")));
-        let at = src.find("1.0").unwrap();
-        let f = m.enclosing_fn(at).expect("inside area");
-        assert_eq!(f.name, "area");
-        assert_eq!(f.ret, "f64");
+        let src = "mod m {\n    impl Widget {\n        fn area(&self) -> f64 { 1.0 }\n    }\n}\n";
+        assert_eq!(fn_at(src, "1.0").as_deref(), Some("area -> f64"));
+        assert_eq!(fn_at(src, "impl"), None);
     }
 
     #[test]
     fn cfg_test_module_spans_are_detected_and_propagated() {
         let src = "fn live() {}\n#[cfg(test)]\nmod tests {\n    fn helper() { work(); }\n}\n";
-        let m = map(src);
-        assert!(!m.in_test(src.find("live").unwrap()));
-        assert!(m.in_test(src.find("work").unwrap()));
-        let helper = m
-            .items
-            .iter()
-            .find(|it| it.name == "helper")
-            .expect("helper tracked");
-        assert!(helper.cfg_test, "nested items inherit cfg(test)");
+        assert!(!in_test(src, "live") && in_test(src, "work"));
+        assert_eq!(fn_at(src, "work").as_deref(), Some("helper -> "));
     }
 
     #[test]
     fn cfg_test_fn_attribute_applies_to_that_fn_only() {
         let src = "#[cfg(test)]\nfn probe() { x(); }\nfn live() { y(); }\n";
-        let m = map(src);
-        assert!(m.in_test(src.find("x()").unwrap()));
-        assert!(!m.in_test(src.find("y()").unwrap()));
+        assert!(in_test(src, "x()") && !in_test(src, "y()"));
+        let src = "#[cfg(test)]\n#[derive(Debug)]\nstruct P { a: u8 }\nfn live() { y(); }\n";
+        assert!(!in_test(src, "y()"));
     }
 
     #[test]
     fn dangling_cfg_test_is_discarded_at_semicolons_and_use() {
-        let src = "#[cfg(test)]\nconst K: u32 = 1;\nfn live() { z(); }\n";
-        let m = map(src);
-        assert!(!m.in_test(src.find("z()").unwrap()));
-        let src = "#[cfg(test)]\nuse std::fmt;\nfn live() { z(); }\n";
-        let m = map(src);
-        assert!(!m.in_test(src.find("z()").unwrap()));
+        for head in ["const K: u32 = 1;", "use std::fmt;"] {
+            let src = format!("#[cfg(test)]\n{head}\nfn live() {{ z(); }}\n");
+            assert!(!in_test(&src, "z()"), "{head}");
+        }
     }
 
     #[test]
     fn cfg_all_is_not_cfg_test() {
         let src = "#[cfg(all(test, feature = \"x\"))]\nmod tests { fn f() { q(); } }\n";
-        let m = map(src);
-        assert!(!m.in_test(src.find("q()").unwrap()));
+        assert!(!in_test(src, "q()"));
     }
 
     #[test]
     fn impl_trait_return_does_not_clobber_the_fn() {
-        let src = "fn iter(&self) -> impl Iterator<Item = u32> { body() }\n";
-        let m = map(src);
-        let f = m.enclosing_fn(src.find("body").unwrap()).expect("fn");
-        assert_eq!(f.name, "iter");
-        assert!(f.ret.contains("impl Iterator"));
+        let src = "fn iter(&self, f: fn(u8) -> u8) -> impl Iterator<Item = u32> { body() }\n";
+        let want = "iter -> impl Iterator<Item = u32>";
+        assert_eq!(fn_at(src, "body").as_deref(), Some(want));
     }
 
     #[test]
     fn anonymous_blocks_do_not_leak_items() {
         let src = "fn f() -> u32 { match x { A { .. } => 1, _ => { 2 } } }\nfn g() { tail(); }\n";
-        let m = map(src);
-        let f = m.enclosing_fn(src.find("tail").unwrap()).expect("fn");
-        assert_eq!(f.name, "g");
-    }
-
-    #[test]
-    fn use_aliases_are_harvested_including_brace_groups() {
-        let src = "use std::collections::HashMap as Map;\nuse std::sync::{Mutex as Lock, mpsc as chan};\nlet x = a as u64;\n";
-        let m = map(src);
-        let pairs: Vec<(&str, &str)> = m
-            .aliases
-            .iter()
-            .map(|a| (a.target.as_str(), a.alias.as_str()))
-            .collect();
-        assert_eq!(
-            pairs,
-            vec![("HashMap", "Map"), ("Mutex", "Lock"), ("mpsc", "chan")],
-            "casts outside use decls must not register"
-        );
-        assert_eq!((m.aliases[0].line, m.aliases[0].col), (1, 34));
+        assert_eq!(fn_at(src, "tail").as_deref(), Some("g -> "));
     }
 
     #[test]
     fn trait_fn_declarations_without_bodies_are_skipped() {
         let src = "trait T {\n    fn decl(&self) -> f32;\n    fn with_body(&self) { b(); }\n}\n";
-        let m = map(src);
-        let f = m.enclosing_fn(src.find("b()").unwrap()).expect("fn");
-        assert_eq!(f.name, "with_body");
-        assert!(!m.items.iter().any(|it| it.name == "decl"));
+        assert_eq!(fn_at(src, "b()").as_deref(), Some("with_body -> "));
+        assert!(!build(&lex(src).masked).fns.iter().any(|f| f.name == "decl"));
     }
 }

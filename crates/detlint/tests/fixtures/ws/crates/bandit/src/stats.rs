@@ -1,23 +1,13 @@
-//! Fixture: DET009 float-determinism — one float sum outside the
-//! sanctioned numeric helpers; decoys are an integer sum, a proven
-//! commutative fold, and a float sum inside `#[cfg(test)]`.
-
+//! DET009: one float sum outside the numeric helpers (line 3).
 pub fn violation(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>()
 }
-
 pub fn decoys(xs: &[f64], ns: &[u64]) -> u64 {
-    let count: u64 = ns.iter().sum();
-    // det: allow(float: fixture decoy — max is exactly commutative and associative)
+    // det: allow(float: decoy, max is exactly commutative and associative)
     let peak = xs.iter().fold(0.0f64, |m, &x| m.max(x));
-    count + peak as u64
+    ns.iter().sum::<u64>() + peak as u64
 }
-
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn test_sums_are_exempt() {
-        let s: f32 = [1.0f32, 2.0].iter().sum();
-        assert!(s > 0.0);
-    }
+    fn exempt() -> f32 { [1.0f32].iter().sum() }
 }

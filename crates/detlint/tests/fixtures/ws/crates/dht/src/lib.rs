@@ -1,4 +1,3 @@
-//! Fixture: deliberate DET004 violation — this crate root is missing
-//! `#![forbid(unsafe_code)]` (mentioning it in a comment must not count).
-
+//! DET004: this crate root lacks `#![forbid(unsafe_code)]`, which a
+//! comment cannot supply.
 pub fn routing() {}

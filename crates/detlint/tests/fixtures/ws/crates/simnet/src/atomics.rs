@@ -1,22 +1,12 @@
-//! Fixture: DET007 atomic-ordering — one bare `Relaxed`, one atomic op
-//! with no ordering; decoys are explicit-SeqCst ops, a proven allow, a
-//! stale allow, and mentions inside comments/strings.
-
+//! DET007: a bare `Relaxed` (line 10) and an op with no ordering (11).
 use std::sync::atomic::{AtomicU64, Ordering};
-
-pub static GOOD: AtomicU64 = AtomicU64::new(0);
-
+pub static A: AtomicU64 = AtomicU64::new(0);
 pub fn decoys() {
-    GOOD.store(1, Ordering::SeqCst);
-    let _ = GOOD.load(Ordering::SeqCst);
-    // det: allow(ordering: fixture decoy — counter is never read back into simulated state)
-    GOOD.store(2, Ordering::Relaxed);
-    // A comment mentioning Ordering::Relaxed and .load() stays silent.
-    let _ = "Ordering::Relaxed .store(3)";
+    A.store(1, Ordering::SeqCst); // Ordering::Relaxed and .load() in a comment
+    A.store(2, Ordering::Relaxed); // det: allow(ordering: decoy, never read back)
 }
-
-// det: allow(ordering: stale fixture decoy — suppresses nothing on the next line)
+// det: allow(ordering: stale decoy, nothing to suppress on the next line)
 pub fn violations() {
-    GOOD.store(3, Ordering::Relaxed);
-    let _ = GOOD.load();
+    A.store(3, Ordering::Relaxed);
+    let _ = A.load();
 }

@@ -1,23 +1,13 @@
-//! Fixture: DET010 time-arithmetic — one unchecked `+` on raw sim
-//! micros; decoys are saturating arithmetic, a constant product, a
-//! proven allow, and arithmetic inside `#[cfg(test)]`.
-
+//! DET010: one unchecked `+` on raw micros (line 3).
 pub fn violation(t: SimTime, step: SimDuration) -> SimTime {
     SimTime::from_micros(t.as_micros() + step.as_micros())
 }
-
 pub fn decoys(t: SimTime) -> SimTime {
     let a = SimTime::from_micros(t.as_micros().saturating_add(5));
-    let b = SimTime::from_micros(60 * 1_000_000);
-    // det: allow(time: fixture decoy — lower bound 1 is debug-asserted by the caller)
-    let c = SimTime::from_micros(t.as_micros() - 1);
-    a.max(b).max(c)
+    // det: allow(time: decoy, the caller asserts t >= 1)
+    a.max(SimTime::from_micros(t.as_micros() - 1))
 }
-
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn test_time_math_is_exempt() {
-        let _ = SimTime::from_micros(7 + 8);
-    }
+    fn exempt() -> SimTime { SimTime::from_micros(7 + 8) }
 }

@@ -572,7 +572,10 @@ impl<U: UpperLayer> DhtNode<U> {
         self.start_maintenance(ctx);
     }
 
-    #[allow(clippy::too_many_arguments)] // Mirrors the Route message fields.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the parameters mirror the Route message fields"
+    )]
     fn handle_route(
         &mut self,
         ctx: &mut Ctx<'_, DhtMsg<U::P>>,

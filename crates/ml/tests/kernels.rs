@@ -22,7 +22,10 @@ use totoro_ml::{accuracy, mean_loss, speech_commands_like, Dataset, Mlp, TaskGen
 /// Function bodies are verbatim copies; only the container changed
 /// (`RefMlp` is built from an [`Mlp`]'s flattened weights because `Mlp`'s
 /// layers are private).
-#[allow(clippy::wrong_self_convention)] // verbatim copies keep their names
+#[expect(
+    clippy::wrong_self_convention,
+    reason = "verbatim copies keep their names"
+)]
 mod reference {
     use totoro_ml::{argmax, Dataset, Mlp};
 

@@ -8,8 +8,9 @@
 set -ex
 cd "$(dirname "$0")/.."
 # Preflight: refuse to burn hours of simulation on a tree that violates
-# the static determinism contract (DESIGN.md §11).
-./scripts/detlint.sh
+# the static determinism contract (DESIGN.md §11): clippy holds the path
+# bans, totoro-detlint the rest.
+cargo clippy --workspace --all-targets -- -D warnings && cargo test -q -p totoro-detlint
 mkdir -p results
 B=target/release/totoro-bench
 JOBS="${JOBS:-$(nproc)}"
