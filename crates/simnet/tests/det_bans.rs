@@ -42,6 +42,8 @@ fn every_protocol_ban_fires() {
     #[expect(clippy::disallowed_methods, reason = "fixture: DET006")]
     let () = std::thread::scope(|_| ());
     #[expect(clippy::disallowed_methods, reason = "fixture: DET006")]
+    let _ = std::thread::Builder::new().spawn(|| ()).map(|t| t.join());
+    #[expect(clippy::disallowed_methods, reason = "fixture: DET006")]
     let _ = std::sync::mpsc::channel::<u8>();
     #[expect(clippy::disallowed_methods, reason = "fixture: DET006")]
     let _ = std::sync::mpsc::sync_channel::<u8>(1);
