@@ -1,5 +1,5 @@
 //! The benchmark CLI — the one entry point to the evaluation scenarios,
-//! the chaos sweep, the model checker and the trace analytics:
+//! the chaos sweep, deployments, the model checker and the trace analytics:
 //!
 //! ```text
 //! totoro-bench --list
@@ -17,7 +17,7 @@
 use std::process::ExitCode;
 
 use totoro_bench::scenario::{grammar, run_command, run_scenario, Params};
-use totoro_bench::{logging, mc, report, scenarios, traceview};
+use totoro_bench::{deploy, logging, mc, report, scenarios, traceview};
 
 /// The usage line and every command, one per line.
 fn listing() -> String {
@@ -26,6 +26,7 @@ fn listing() -> String {
          available commands:\n",
     );
     let tools = [
+        ("deploy", "one Totoro deployment with chosen FL policies"),
         (
             "mc",
             "bounded model checker over small overlay configurations",
@@ -51,6 +52,7 @@ fn main() -> ExitCode {
             report::emit(listing());
             ExitCode::SUCCESS
         }
+        "deploy" => run_command(&deploy::GRAMMAR, deploy::defaults(), rest, deploy::run),
         "mc" => run_command(&mc::GRAMMAR, Params::default(), rest, mc::run),
         "trace" => run_command(&traceview::GRAMMAR, Params::default(), rest, traceview::run),
         _ => match scenarios::find(name) {

@@ -996,7 +996,8 @@ fn replay_of(params: &Params) -> Result<Option<(&str, u64)>, String> {
     };
     let bad = || {
         let plans = PLAN_NAMES.join(", ");
-        format!("--replay expects PLAN:SEED with PLAN one of {plans}, got {spec:?}")
+        let msg = format!("--replay expects PLAN:SEED with PLAN one of {plans}, got {spec:?}");
+        params.reject("replay", msg)
     };
     let (plan, seed) = spec.rsplit_once(':').ok_or_else(bad)?;
     let seed = seed.parse().map_err(|_| bad())?;
@@ -1253,7 +1254,7 @@ mod tests {
 
     fn plans_of(list: &str) -> Result<Vec<String>, String> {
         plans(&Params {
-            extra: vec![("plans".to_string(), list.to_string())],
+            extra: vec![("plans".to_string(), list.to_string(), None)],
             ..Params::default()
         })
     }

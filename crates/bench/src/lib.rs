@@ -7,9 +7,9 @@
 //! output regardless of worker count.
 //!
 //! The `totoro-bench` binary is the crate's one entry point: it dispatches
-//! scenarios by name (`totoro-bench fig7 --nodes 300 --jobs 8`), plus the
-//! model checker (`mc`, [`mc::run`]) and the trace analytics (`trace`,
-//! [`traceview::run`]), all parsed by one grammar
+//! scenarios by name (`totoro-bench fig7 --nodes 300 --jobs 8`), plus
+//! `deploy` ([`deploy::run`]), `mc` ([`mc::run`]) and `trace`
+//! ([`traceview::run`]), all parsed by one grammar
 //! ([`scenario::parse_params`]); `--list` enumerates them:
 //!
 //! | Scenario | Paper artifact |
@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
+pub mod deploy;
 pub mod logging;
 pub mod mc;
 pub mod report;

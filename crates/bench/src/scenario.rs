@@ -22,6 +22,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use totoro_dht::MAX_FANOUT;
 use totoro_simnet::json::{self, ToJson, Writer};
 use totoro_simnet::TrialReport as SimAccounting;
 use totoro_simnet::{chrome_trace_multi, jsonl_trace_multi, RecordingSink, TraceRecord};
@@ -56,8 +57,10 @@ pub struct Params {
     pub list: bool,
     /// Bare arguments, for commands whose grammar takes them.
     pub positional: Vec<String>,
-    /// The command's own `--key value` pairs, in CLI order.
-    pub extra: Vec<(String, String)>,
+    /// The command's own `--key value` pairs, in CLI order, each with
+    /// its position among the command's arguments (counted from 1, as
+    /// [`parse_params`] counts; `None` for a pair built in code).
+    pub extra: Vec<(String, String, Option<usize>)>,
 }
 
 impl Default for Params {
@@ -117,13 +120,28 @@ fn check_choice(key: &str, value: &str, choices: &[&str]) -> Result<(), String> 
 }
 
 impl Params {
-    /// The raw value of `--key`, if given (the last one wins).
-    pub fn extra(&self, key: &str) -> Option<&str> {
+    /// The last `--key` pair's value and position, if given.
+    fn pair(&self, key: &str) -> Option<(&str, Option<usize>)> {
         self.extra
             .iter()
             .rev()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+            .find(|(k, _, _)| k == key)
+            .map(|(_, v, at)| (v.as_str(), *at))
+    }
+
+    /// The raw value of `--key`, if given (the last one wins).
+    pub fn extra(&self, key: &str) -> Option<&str> {
+        self.pair(key).map(|(v, _)| v)
+    }
+
+    /// A usage error about `--key`'s value, naming the pair's position
+    /// among the command's arguments as [`parse_params`] errors do (a
+    /// value built in code, or a default, has none).
+    pub fn reject(&self, key: &str, msg: impl std::fmt::Display) -> String {
+        match self.pair(key).and_then(|(_, at)| at) {
+            Some(at) => format!("argument {at}: {msg}"),
+            None => msg.to_string(),
+        }
     }
 
     /// `--key` parsed as a number (`usize`, `u64`, `f64`, ...), if given.
@@ -131,7 +149,7 @@ impl Params {
         self.extra(key)
             .map(|v| {
                 v.parse()
-                    .map_err(|_| format!("--{key} expects a number, got {v:?}"))
+                    .map_err(|_| self.reject(key, format!("--{key} expects a number, got {v:?}")))
             })
             .transpose()
     }
@@ -143,17 +161,32 @@ impl Params {
         raw.split(',')
             .map(|entry| {
                 let entry = entry.trim();
-                entry
-                    .parse()
-                    .map_err(|_| format!("--{key}: bad entry {entry:?} in {raw:?}"))
+                entry.parse().map_err(|_| {
+                    self.reject(key, format!("--{key}: bad entry {entry:?} in {raw:?}"))
+                })
             })
             .collect()
+    }
+
+    /// `--key` as a number that `ok` accepts (`range` says which), if given.
+    pub fn bounded<T: std::str::FromStr + std::fmt::Display + Copy>(
+        &self,
+        key: &str,
+        range: &str,
+        ok: impl Fn(T) -> bool,
+    ) -> Result<Option<T>, String> {
+        match self.num(key)? {
+            Some(v) if !ok(v) => Err(self.reject(key, format!("--{key} must be {range}, got {v}"))),
+            v => Ok(v),
+        }
     }
 
     /// `--key` if given, which must be one of `choices`.
     pub fn one_of(&self, key: &str, choices: &[&str]) -> Result<Option<&str>, String> {
         let value = self.extra(key);
-        value.map_or(Ok(()), |v| check_choice(key, v, choices))?;
+        value
+            .map_or(Ok(()), |v| check_choice(key, v, choices))
+            .map_err(|e| self.reject(key, e))?;
         Ok(value)
     }
 
@@ -167,8 +200,34 @@ impl Params {
         let entries: Vec<String> = self.list(key, default)?;
         entries
             .iter()
-            .try_for_each(|e| check_choice(key, e, choices))?;
+            .try_for_each(|e| check_choice(key, e, choices))
+            .map_err(|e| self.reject(key, e))?;
         Ok(entries)
+    }
+
+    /// `--key` as one tree fanout (`default` when absent): a power of two
+    /// from 2 to [`MAX_FANOUT`], the routing bases the DHT builds.
+    pub fn fanout(&self, key: &str, default: usize) -> Result<usize, String> {
+        let fanout = self.num(key)?.unwrap_or(default);
+        self.check_fanout(key, fanout)
+    }
+
+    /// [`Params::list`] of tree fanouts, each checked as
+    /// [`Params::fanout`] checks one.
+    pub fn fanouts(&self, key: &str, default: &str) -> Result<Vec<usize>, String> {
+        let fanouts: Vec<usize> = self.list(key, default)?;
+        fanouts
+            .into_iter()
+            .map(|f| self.check_fanout(key, f))
+            .collect()
+    }
+
+    fn check_fanout(&self, key: &str, fanout: usize) -> Result<usize, String> {
+        if fanout.is_power_of_two() && (2..=MAX_FANOUT).contains(&fanout) {
+            return Ok(fanout);
+        }
+        let msg = format!("--{key}: fanout {fanout} is not a power of two from 2 to {MAX_FANOUT}");
+        Err(self.reject(key, msg))
     }
 }
 
@@ -618,7 +677,9 @@ pub fn parse_params(
             "trace-filter" => {
                 params.trace_filter = Some(validate_trace_filter(value).map_err(at)?);
             }
-            _ => params.extra.push((key.to_string(), value.clone())),
+            _ => params
+                .extra
+                .push((key.to_string(), value.clone(), Some(i + 1))),
         }
     }
     Ok(params)
@@ -919,6 +980,19 @@ mod tests {
         assert!(p.num::<usize>("dataset").is_err());
         let p = parse_line("--apps 5,,10").unwrap();
         assert!(p.list::<usize>("apps", "5").is_err(), "empty entry");
+        // A getter's error names the last pair's position; a pair built in
+        // code has none.
+        let mut p = parse_line("--apps x --nodes 5 --apps 2,y").unwrap();
+        let err = p.list::<usize>("apps", "5").unwrap_err();
+        assert_eq!(err, "argument 5: --apps: bad entry \"y\" in \"2,y\"");
+        assert_eq!(p.fanout("fanout", 16), Ok(16));
+        p.extra.push(("fanout".into(), "24".into(), None));
+        let err = p.fanout("fanout", 16).unwrap_err();
+        assert_eq!(
+            err,
+            "--fanout: fanout 24 is not a power of two from 2 to 256"
+        );
+        assert_eq!(p.fanouts("fanouts", "2,256"), Ok(vec![2, 256]));
     }
 
     #[test]

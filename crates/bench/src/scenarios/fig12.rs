@@ -18,11 +18,8 @@ const REPS: u64 = 3;
 pub struct Fig12;
 
 fn fail_frac(params: &Params) -> Result<f64, String> {
-    let frac = params.num("fail-frac")?.unwrap_or(0.05);
-    if !(0.0..=1.0).contains(&frac) {
-        return Err(format!("--fail-frac must be within 0..=1, got {frac}"));
-    }
-    Ok(frac)
+    let frac = params.bounded("fail-frac", "within 0..=1", |f| (0.0..=1.0).contains(&f))?;
+    Ok(frac.unwrap_or(0.05))
 }
 
 impl Scenario for Fig12 {

@@ -34,11 +34,31 @@ struct Sweep {
 
 fn sweep(params: &Params) -> Result<Sweep, String> {
     Ok(Sweep {
-        samples: params.num("samples")?.unwrap_or(30),
+        samples: samples_per_client(params)?,
         datasets: params.list_of("datasets", "speech,femnist", &["speech", "femnist"])?,
-        apps: params.list("apps", "5,10,20")?,
-        fanouts: params.list("fanouts", "8,16,32")?,
+        apps: fl_sizes(params, params.list("apps", "5,10,20")?)?,
+        fanouts: params.fanouts("fanouts", "8,16,32")?,
     })
+}
+
+/// `apps` once the sizes an FL comparison needs are checked: the
+/// centralized engines need a server and at least one client, and every
+/// sweep point at least one application.
+pub(crate) fn fl_sizes(params: &Params, apps: Vec<usize>) -> Result<Vec<usize>, String> {
+    if params.nodes < 2 {
+        return Err("--nodes must be at least 2 (a server and one client)".into());
+    }
+    if apps.contains(&0) {
+        return Err(params.reject("apps", "--apps: every entry must be at least 1"));
+    }
+    Ok(apps)
+}
+
+/// `--samples` (30 when absent): a client with none would never train.
+pub(crate) fn samples_per_client(params: &Params) -> Result<usize, String> {
+    Ok(params
+        .bounded("samples", "at least 1", |s: usize| s >= 1)?
+        .unwrap_or(30))
 }
 
 /// Per-dataset shard size: the large-scale task trains on bigger shards

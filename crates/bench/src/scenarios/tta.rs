@@ -13,7 +13,9 @@ use totoro_simnet::{sub_rng, SimTime, TraceRecord};
 
 use crate::report::{csv_block, f3};
 use crate::scenario::{checked, Params, Scenario, SinkSpec, Trial, TrialReport};
-use crate::scenarios::table3::{apply_device_class, samples_for, topology_for};
+use crate::scenarios::table3::{
+    apply_device_class, fl_sizes, samples_for, samples_per_client, topology_for,
+};
 use crate::setups::{fl_app_config, target_for, task_by_name, to_central_spec, totoro_with_apps};
 
 const MAX_SIM: SimTime = SimTime::from_micros(48 * 3_600 * 1_000_000);
@@ -37,7 +39,7 @@ pub const FIG9: Tta = Tta {
 };
 
 fn apps_list(params: &Params) -> Result<Vec<usize>, String> {
-    params.list("apps", "1,5,10,20")
+    fl_sizes(params, params.list("apps", "1,5,10,20")?)
 }
 
 impl Scenario for Tta {
@@ -68,8 +70,8 @@ impl Scenario for Tta {
     }
 
     fn trials(&self, params: &Params) -> Result<Vec<Trial>, String> {
-        let samples = samples_for(self.dataset, params.num("samples")?.unwrap_or(30)) as u64;
-        let fanout: u64 = params.num("fanout")?.unwrap_or(32);
+        let samples = samples_for(self.dataset, samples_per_client(params)?) as u64;
+        let fanout = params.fanout("fanout", 32)? as u64;
         let mut trials = Vec::new();
         for num_apps in apps_list(params)? {
             for engine in ["totoro", "openfl", "fedscale"] {

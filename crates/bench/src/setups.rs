@@ -29,12 +29,13 @@ pub fn eua_topology(n: usize, seed: u64) -> Topology {
     Topology::from_placements(&nodes, edge_latency())
 }
 
-/// The "speech" (mid-scale) or "femnist" (large-scale) task by name.
+/// The "speech" (mid-scale), "femnist" (large-scale) or "text" task by name.
 pub fn task_by_name(name: &str) -> TaskSpec {
     match name {
         "speech" => speech_commands_like(),
         "femnist" => femnist_like(),
-        other => panic!("unknown dataset {other} (use speech|femnist)"),
+        "text" => totoro_ml::text_classification_like(),
+        other => panic!("unknown dataset {other} (use speech|femnist|text)"),
     }
 }
 
@@ -43,6 +44,7 @@ pub fn target_for(task: &TaskSpec) -> f64 {
     match task.name {
         "speech" => 0.53,
         "femnist" => 0.755,
+        "text" => 0.9,
         _ => 0.8,
     }
 }

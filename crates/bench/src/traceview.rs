@@ -707,7 +707,7 @@ pub fn run(params: &Params) -> Result<ExitCode, String> {
     let bucket_us: u64 = params.num("bucket-us")?.unwrap_or(1_000);
     let buckets: usize = params.num("buckets")?.unwrap_or(8);
     if buckets == 0 {
-        return Err("--buckets needs a positive integer value".into());
+        return Err(params.reject("buckets", "--buckets needs a positive integer value"));
     }
     let Some((command, paths)) = params.positional.split_first() else {
         return Err("missing command".into());

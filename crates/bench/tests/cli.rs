@@ -20,41 +20,137 @@ fn bench(args: &[&str]) -> (Output, Duration) {
 }
 
 /// Malformed invocations, one per rejection path, each with what its
-/// error must say. A `parse_params` error names the flag's position among
-/// the command's arguments, counted from 1 after the command name, so the
-/// bad one of two copies of a flag can be told apart.
+/// error must say. An error about a flag given on the command line names
+/// its position among the command's arguments, counted from 1 after the
+/// command name, so the bad one of two copies of a flag can be told apart.
 const MALFORMED: &[(&[&str], &str)] = &[
     // Scenario values that used to panic, be silently replaced, or be
     // dropped.
     (
         &["chaos", "--plans", "bogus"],
-        "--plans: unknown value \"bogus\"",
+        "argument 1: --plans: unknown value \"bogus\"",
     ),
     (
         &["chaos", "--inject-bug", "nope"],
-        "--inject-bug: unknown value \"nope\"",
+        "argument 1: --inject-bug: unknown value \"nope\"",
     ),
     (
         &["table3", "--datasets", "bogus"],
-        "--datasets: unknown value \"bogus\"",
+        "argument 1: --datasets: unknown value \"bogus\"",
     ),
     (
-        &["fig8", "--fanout", "zz"],
-        "--fanout expects a number, got \"zz\"",
+        &["fig8", "--nodes", "40", "--fanout", "zz"],
+        "argument 3: --fanout expects a number, got \"zz\"",
     ),
     (
         &["table3", "--samples", "zz"],
-        "--samples expects a number, got \"zz\"",
+        "argument 1: --samples expects a number, got \"zz\"",
     ),
-    (&["table3", "--apps", "x"], "--apps: bad entry \"x\""),
-    (&["fig8", "--apps", "x"], "--apps: bad entry \"x\""),
+    (
+        &["table3", "--apps", "x"],
+        "argument 1: --apps: bad entry \"x\"",
+    ),
+    (
+        &["fig8", "--apps", "x"],
+        "argument 1: --apps: bad entry \"x\"",
+    ),
     (
         &["fig7", "--nodes", "60", "--nodez", "60"],
         "argument 3: unknown flag \"--nodez\"",
     ),
     (
         &["fig12", "--fail-frac", "zz"],
-        "--fail-frac expects a number, got \"zz\"",
+        "argument 1: --fail-frac expects a number, got \"zz\"",
+    ),
+    // Sizes and fanouts the FL scenarios cannot build: the DHT's routing
+    // base must be a power of two from 2 to 256, the centralized engines
+    // need a server and a client, and every point at least one app.
+    (
+        &["fig8", "--fanout", "3"],
+        "argument 1: --fanout: fanout 3 is not a power of two",
+    ),
+    (
+        &["fig9", "--fanout", "512"],
+        "argument 1: --fanout: fanout 512 is not a power of two",
+    ),
+    (
+        &["table3", "--fanouts", "3"],
+        "argument 1: --fanouts: fanout 3 is not a power of two",
+    ),
+    (&["fig8", "--nodes", "0"], "--nodes must be at least 2"),
+    (
+        &["fig9", "--samples", "0"],
+        "argument 1: --samples must be at least 1, got 0",
+    ),
+    (&["table3", "--nodes", "1"], "--nodes must be at least 2"),
+    (
+        &["fig8", "--apps", "0"],
+        "argument 1: --apps: every entry must be at least 1",
+    ),
+    // One deployment: every key typed, every policy checked, and the
+    // combinations the engine cannot run refused before it is built.
+    (
+        &["deploy", "--rounds", "x"],
+        "argument 1: --rounds expects a number, got \"x\"",
+    ),
+    (
+        &["deploy", "--nodes", "12", "--selection", "fraction:abc"],
+        "argument 3: --selection: bad value \"fraction:abc\"",
+    ),
+    (
+        &["deploy", "--selection", "fraction:1.5"],
+        "argument 1: --selection: bad value \"fraction:1.5\"",
+    ),
+    (
+        &["deploy", "--privacy", "dp:oops"],
+        "argument 1: --privacy: bad value \"dp:oops\"",
+    ),
+    (
+        &["deploy", "--compression", "topk:"],
+        "argument 1: --compression: bad value \"topk:\"",
+    ),
+    (
+        &["deploy", "--privacy", "secagg", "--compression", "int8"],
+        "argument 1: --privacy secagg needs --selection all and --compression none",
+    ),
+    (
+        &[
+            "deploy",
+            "--privacy",
+            "secagg",
+            "--selection",
+            "fraction:0.5",
+        ],
+        "argument 1: --privacy secagg needs --selection all and --compression none",
+    ),
+    (
+        &["deploy", "--fanout", "3"],
+        "argument 1: --fanout: fanout 3 is not a power of two",
+    ),
+    (
+        &["deploy", "--dataset", "cifar"],
+        "argument 1: --dataset: unknown value \"cifar\"",
+    ),
+    (&["deploy", "--nodes", "1"], "--nodes must be at least 2"),
+    (
+        &["deploy", "--quorum", "1.5"],
+        "argument 1: --quorum must be in (0, 1], got 1.5",
+    ),
+    (
+        &["deploy", "--churn", "-0.1"],
+        "argument 1: --churn must be in [0, 1], got -0.1",
+    ),
+    (
+        &["deploy", "--topology", "mesh"],
+        "argument 1: --topology: unknown value \"mesh\"",
+    ),
+    (
+        &["deploy", "--bogus", "3"],
+        "argument 1: unknown flag \"--bogus\"",
+    ),
+    (
+        &["deploy", "--jobs", "2"],
+        "argument 1: unknown flag \"--jobs\"",
     ),
     // The shared flags and the chaos sweep's input checks.
     (
@@ -96,29 +192,32 @@ const MALFORMED: &[(&[&str], &str)] = &[
     ),
     (
         &["chaos", "--replay", "loss-spike"],
-        "--replay expects PLAN:SEED",
+        "argument 1: --replay expects PLAN:SEED",
     ),
     (
         &["chaos", "--replay", "bogus:7"],
-        "--replay expects PLAN:SEED",
+        "argument 1: --replay expects PLAN:SEED",
     ),
     (
         &["chaos", "--replay", "loss-spike:x"],
-        "--replay expects PLAN:SEED",
+        "argument 1: --replay expects PLAN:SEED",
     ),
     (
         &["chaos", "--seeds", "x"],
-        "--seeds expects a number, got \"x\"",
+        "argument 1: --seeds expects a number, got \"x\"",
     ),
-    (&["chaos", "--plans", ""], "--plans: unknown value \"\""),
+    (
+        &["chaos", "--plans", ""],
+        "argument 1: --plans: unknown value \"\"",
+    ),
     // The model checker.
     (
         &["mc", "--depth", "x"],
-        "--depth expects a number, got \"x\"",
+        "argument 1: --depth expects a number, got \"x\"",
     ),
     (
         &["mc", "--scenario", "nope"],
-        "--scenario: unknown value \"nope\"",
+        "argument 1: --scenario: unknown value \"nope\"",
     ),
     (
         &["mc", "--replay", "schedule.txt"],
@@ -130,7 +229,7 @@ const MALFORMED: &[(&[&str], &str)] = &[
     (&["trace", "summary"], "summary takes exactly 1 trace file"),
     (
         &["trace", "timeline", "F", "--bucket-us", "x"],
-        "--bucket-us expects a number, got \"x\"",
+        "argument 3: --bucket-us expects a number, got \"x\"",
     ),
     (
         &["trace", "timeline", "F", "--bucket-us"],
@@ -138,7 +237,7 @@ const MALFORMED: &[(&[&str], &str)] = &[
     ),
     (
         &["trace", "matrix", "F", "--buckets", "0"],
-        "--buckets needs a positive integer value",
+        "argument 3: --buckets needs a positive integer value",
     ),
     (&["trace", "nope", "F"], "unknown command \"nope\""),
     (&["trace", "diff", "A"], "diff takes exactly 2 trace file"),
@@ -147,7 +246,7 @@ const MALFORMED: &[(&[&str], &str)] = &[
     // `--quiet` silences progress, not usage errors.
     (
         &["chaos", "--quiet", "--plans", "bogus"],
-        "--plans: unknown value \"bogus\"",
+        "argument 2: --plans: unknown value \"bogus\"",
     ),
 ];
 
@@ -245,7 +344,9 @@ fn list_names_every_command() {
     let (out, _) = bench(&["--list"]);
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for name in ["fig5", "table3", "ablation", "chaos", "mc", "trace"] {
+    for name in [
+        "fig5", "table3", "ablation", "chaos", "deploy", "mc", "trace",
+    ] {
         assert!(
             stdout.lines().any(|l| l.trim_start().starts_with(name)),
             "--list lacks {name}: {stdout}"

@@ -17,7 +17,7 @@
 //! (and likewise for the `.json` and fig5 fixtures) — and say so in the PR.
 
 use totoro_bench::scenario::{execute, grammar, parse_params};
-use totoro_bench::scenarios;
+use totoro_bench::{deploy, scenarios};
 
 fn run(name: &str, args: &[&str]) -> String {
     let scenario = scenarios::find(name).expect("scenario registered");
@@ -144,4 +144,38 @@ fn fig12_small_output_matches_golden() {
 fn ablation_small_output_matches_golden() {
     let got = run("ablation", &["--nodes", "40"]);
     assert_eq!(got, include_str!("golden/ablation_n40_seed42.txt"));
+}
+
+// ---------------------------------------------------------------------
+// `totoro-bench deploy`. DP noise and loss-adaptive selection train each
+// update when its model arrives; secure aggregation sends masked updates
+// as recipes trained where they are first read. Outside tests these two
+// runs are the only executable users of either path, and the figure
+// goldens above exercise neither. The rows and summary equal those of the
+// stand-alone binary this command replaced, run with the same keys.
+// To regenerate after an intentional change:
+// `target/release/totoro-bench deploy <args> > crates/bench/tests/golden/<fixture>`.
+
+fn deploy(args: &[&str]) -> String {
+    let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+    let params = parse_params(&deploy::GRAMMAR, deploy::defaults(), &args).expect("valid args");
+    deploy::output(&params).expect("valid args")
+}
+
+const SMALL_DEPLOY: [&str; 6] = ["--nodes", "24", "--apps", "2", "--rounds", "3"];
+
+#[test]
+fn deploy_dp_loss_adaptive_output_matches_golden() {
+    let dp = ["--selection", "loss:0.2", "--privacy", "dp:10:0.01"];
+    let got = deploy(&[&SMALL_DEPLOY[..], &dp].concat());
+    assert_eq!(got, include_str!("golden/deploy_n24_a2_r3_dp_loss.txt"));
+}
+
+/// The JSON view adds each app's accuracy curve and the simulator's
+/// accounting.
+#[test]
+fn deploy_secure_aggregation_json_matches_golden() {
+    let secagg = ["--privacy", "secagg", "--json"];
+    let got = deploy(&[&SMALL_DEPLOY[..], &secagg].concat());
+    assert_eq!(got, include_str!("golden/deploy_n24_a2_r3_secagg.json"));
 }

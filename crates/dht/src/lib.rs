@@ -38,6 +38,6 @@ pub use oracle::{
     spawn_overlay, spawn_overlay_with_sink,
 };
 pub use routing::{next_hop, next_hop_in_zone, NextHop};
-pub use state::{DhtConfig, DhtState, Offer, PeerRecord};
+pub use state::{DhtConfig, DhtState, Offer, PeerRecord, MAX_FANOUT};
 pub use table::{Contact, LeafSet, NeighborhoodSet, RoutingTable};
 pub use two_level::{BoundaryDecision, TwoLevelTable};

@@ -32,15 +32,20 @@ impl Default for DhtConfig {
     }
 }
 
+/// The widest tree fanout: [`RoutingTable`](crate::RoutingTable) takes a
+/// routing base of at most `2^8`.
+pub const MAX_FANOUT: usize = 256;
+
 impl DhtConfig {
     /// Tree fanout implied by the routing base (`2^b`).
     pub fn fanout(&self) -> usize {
         1 << self.base_bits
     }
 
-    /// Config preset with the given tree fanout (must be a power of two).
+    /// Config preset with the given tree fanout (must be a power of two
+    /// from 2 to [`MAX_FANOUT`]).
     pub fn with_fanout(fanout: usize) -> Self {
-        assert!(fanout.is_power_of_two() && fanout >= 2);
+        assert!(fanout.is_power_of_two() && (2..=MAX_FANOUT).contains(&fanout));
         DhtConfig {
             base_bits: fanout.trailing_zeros(),
             ..DhtConfig::default()

@@ -16,8 +16,8 @@ fn tiny_fig13() -> (Box<dyn Scenario>, Params) {
     let scenario = scenarios::find("fig13").expect("fig13 registered");
     let mut params = scenario.default_params();
     params.nodes = 6;
-    params.extra.push(("samples".into(), "20".into()));
-    params.extra.push(("rounds".into(), "4".into()));
+    params.extra.push(("samples".into(), "20".into(), None));
+    params.extra.push(("rounds".into(), "4".into(), None));
     (scenario, params)
 }
 
@@ -25,8 +25,8 @@ fn tiny_fig13() -> (Box<dyn Scenario>, Params) {
 fn tiny_fig11() -> (Box<dyn Scenario>, Params) {
     let scenario = scenarios::find("fig11").expect("fig11 registered");
     let mut params = scenario.default_params();
-    params.extra.push(("packets".into(), "60".into()));
-    params.extra.push(("runs".into(), "2".into()));
+    params.extra.push(("packets".into(), "60".into(), None));
+    params.extra.push(("runs".into(), "2".into(), None));
     (scenario, params)
 }
 
