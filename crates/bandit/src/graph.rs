@@ -8,7 +8,6 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Node index in a link graph.
 pub type Vertex = usize;
@@ -16,7 +15,7 @@ pub type Vertex = usize;
 pub type EdgeId = usize;
 
 /// A directed edge with its (hidden) success probability.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Edge {
     /// Source vertex.
     pub from: Vertex,
@@ -27,7 +26,7 @@ pub struct Edge {
 }
 
 /// A directed graph with Bernoulli links.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct LinkGraph {
     edges: Vec<Edge>,
     /// Outgoing edge ids per vertex.
@@ -90,7 +89,6 @@ impl LinkGraph {
 
     /// Expected delay of a path given as edge ids.
     pub fn path_delay(&self, path: &[EdgeId]) -> f64 {
-        // det: allow(float: left-to-right over the path slice; edge order is the path itself — canonical by definition)
         path.iter().map(|&e| self.expected_delay(e)).sum()
     }
 

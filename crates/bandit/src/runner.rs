@@ -6,13 +6,12 @@
 //! produces both series.
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use crate::graph::{EdgeId, LinkGraph, Vertex};
 use crate::policies::{Policy, Router};
 
 /// The measured outcome of one `K`-packet trial.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TrialResult {
     /// Policy name.
     pub policy: String,

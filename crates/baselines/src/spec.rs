@@ -2,7 +2,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use totoro_ml::{AggregationRule, Dataset};
 
 /// Everything the server and clients need to run one FL application.
@@ -37,7 +36,7 @@ pub struct AppSpec {
 /// first-served basis, which causes large queuing delays". The envelope
 /// models exactly that: a work queue with bounded concurrency and
 /// per-task service times.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ServerProfile {
     /// Concurrent app-round tasks the server processes (worker threads).
     pub concurrency: usize,

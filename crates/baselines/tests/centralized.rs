@@ -42,7 +42,7 @@ fn single_app_trains_to_target() {
     let shards = generator.client_shards(participants.len(), 60, 0.5, &mut rng);
     let spec = mk_spec("quick", &generator, 0.80, 60, 7);
     let app = engine.submit_app(spec, &participants, shards);
-    let finished = engine.run(SimTime::from_micros(3_600 * 1_000_000));
+    let finished = engine.run(SimTime::from_secs(3_600));
     assert!(finished, "training did not finish");
     let curve = engine.server().curve(app);
     assert!(!curve.is_empty());
@@ -79,7 +79,7 @@ fn concurrent_apps_queue_at_the_central_server() {
             let spec = mk_spec(&format!("app-{a}"), &generator, 2.0, rounds, 100 + a as u64);
             engine.submit_app(spec, &participants, shards);
         }
-        engine.run(SimTime::from_micros(36_000 * 1_000_000));
+        engine.run(SimTime::from_secs(36_000));
         // Mean time to complete all rounds across apps.
         let server = engine.server();
         (0..num_apps)
@@ -110,7 +110,7 @@ fn fedscale_profile_outpaces_openfl_under_load() {
             let spec = mk_spec(&format!("app-{a}"), &generator, 2.0, 5, 200 + a);
             engine.submit_app(spec, &participants, shards);
         }
-        engine.run(SimTime::from_micros(36_000 * 1_000_000));
+        engine.run(SimTime::from_secs(36_000));
         let server = engine.server();
         (0..3)
             .map(|a| server.curve(a).last().unwrap().time_secs)
@@ -140,7 +140,7 @@ fn fedprox_also_converges() {
     let mut spec = mk_spec("prox", &generator, 0.75, 50, 9);
     spec.aggregation = AggregationRule::FedProx { mu: 0.05 };
     let app = engine.submit_app(spec, &participants, shards);
-    engine.run(SimTime::from_micros(3_600 * 1_000_000));
+    engine.run(SimTime::from_secs(3_600));
     let best = engine
         .server()
         .curve(app)
@@ -164,7 +164,7 @@ fn traffic_concentrates_on_the_server() {
     let shards = generator.client_shards(participants.len(), 40, 0.5, &mut rng);
     let spec = mk_spec("traffic", &generator, 2.0, 4, 11);
     engine.submit_app(spec, &participants, shards);
-    engine.run(SimTime::from_micros(3_600 * 1_000_000));
+    engine.run(SimTime::from_secs(3_600));
     let server_sent = engine.sim().traffic().node(0).payload_sent;
     let client_max = (1..n)
         .map(|i| engine.sim().traffic().node(i).payload_sent)
@@ -200,7 +200,7 @@ fn dead_client_does_not_stall_the_server() {
     engine
         .sim_mut()
         .schedule_down(3, SimTime::from_micros(1_000));
-    let finished = engine.run(SimTime::from_micros(7_200 * 1_000_000));
+    let finished = engine.run(SimTime::from_secs(7_200));
     assert!(finished, "server stalled on the dead client");
     assert_eq!(
         engine.server().curve(app).last().map(|p| p.round),
@@ -231,10 +231,8 @@ fn client_churned_out_at_submission_never_contributes() {
     let spec = mk_spec("absent", &generator, 2.0, 5, 17);
     let app = engine.submit_app(spec, &participants, shards);
     // Revive mid-training: round 1 is still stalled on the watchdog.
-    engine
-        .sim_mut()
-        .schedule_up(3, SimTime::from_micros(60 * 1_000_000));
-    let finished = engine.run(SimTime::from_micros(7_200 * 1_000_000));
+    engine.sim_mut().schedule_up(3, SimTime::from_secs(60));
+    let finished = engine.run(SimTime::from_secs(7_200));
     assert!(finished, "server stalled on the uninstalled client");
     assert_eq!(
         engine.server().curve(app).last().map(|p| p.round),
@@ -269,13 +267,9 @@ fn client_downed_mid_round_rejoins_later_rounds() {
     let app = engine.submit_app(spec, &participants, shards);
     // Healthy rounds take ~0.46 s; down at 1 s lands mid-training, and the
     // revival at 200 s lands between two watchdog-finalized rounds.
-    engine
-        .sim_mut()
-        .schedule_down(5, SimTime::from_micros(1_000_000));
-    engine
-        .sim_mut()
-        .schedule_up(5, SimTime::from_micros(200 * 1_000_000));
-    let finished = engine.run(SimTime::from_micros(7_200 * 1_000_000));
+    engine.sim_mut().schedule_down(5, SimTime::from_secs(1));
+    engine.sim_mut().schedule_up(5, SimTime::from_secs(200));
+    let finished = engine.run(SimTime::from_secs(7_200));
     assert!(finished, "server stalled on the churned client");
 
     let curve = engine.server().curve(app);

@@ -49,7 +49,7 @@ use crate::setups::{echo_overlay_with_sink, eua_topology, topic, Blob, EchoApp, 
 pub const PLAN_NAMES: [&str; 3] = ["loss-spike", "partition", "churn+stragglers"];
 
 /// Settle time before any fault or round: trees build in the first seconds.
-const SETTLE: SimTime = at_secs(20);
+const SETTLE: SimTime = SimTime::from_secs(20);
 /// Gap between experiment rounds.
 const BROADCAST_GAP: SimDuration = SimDuration::from_secs(10);
 /// Gap between invariant checkpoints.
@@ -72,12 +72,8 @@ const PAYLOAD_BYTES: usize = 2_000;
 /// Tree fanout for chaos worlds.
 const FANOUT: usize = 4;
 
-const fn at_secs(s: u64) -> SimTime {
-    SimTime::from_micros(s * 1_000_000)
-}
-
 fn fmt_time(t: SimTime) -> String {
-    format!("{:.1}s", t.as_micros() as f64 / 1e6)
+    format!("{:.1}s", t.as_secs_f64())
 }
 
 // ---------------------------------------------------------------------------
@@ -174,13 +170,13 @@ pub fn canned_plan<S: TraceSink>(
     match name {
         "loss-spike" => FaultPlan::none()
             .with_fault(Fault::new(
-                at_secs(30),
-                at_secs(45),
+                SimTime::from_secs(30),
+                SimTime::from_secs(45),
                 FaultKind::LossSpike { prob: 0.25 },
             ))
             .with_fault(Fault::new(
-                at_secs(50),
-                at_secs(65),
+                SimTime::from_secs(50),
+                SimTime::from_secs(65),
                 FaultKind::LossSpike { prob: 0.10 },
             )),
         "partition" => {
@@ -195,32 +191,37 @@ pub fn canned_plan<S: TraceSink>(
             let second = regions.get(1).map(|&(_, r)| r).unwrap_or(first);
             FaultPlan::none()
                 .with_fault(Fault::new(
-                    at_secs(30),
+                    SimTime::from_secs(30),
                     SimTime::from_micros(32_500_000),
                     FaultKind::Partition { zones: vec![first] },
                 ))
                 .with_fault(Fault::new(
-                    at_secs(48),
+                    SimTime::from_secs(48),
                     SimTime::from_micros(50_500_000),
                     FaultKind::Partition {
                         zones: vec![second],
                     },
                 ))
                 .with_fault(Fault::new(
-                    at_secs(30),
-                    at_secs(60),
+                    SimTime::from_secs(30),
+                    SimTime::from_secs(60),
                     FaultKind::LossSpike { prob: 0.05 },
                 ))
         }
         "churn+stragglers" => {
             let candidates: Vec<NodeIdx> = (0..sim.len()).filter(|i| !roots.contains(i)).collect();
             let mut churn_rng = sub_rng(seed, "chaos-churn");
-            let mass = ChurnSchedule::mass_failure(&candidates, 0.05, at_secs(40), &mut churn_rng);
+            let mass = ChurnSchedule::mass_failure(
+                &candidates,
+                0.05,
+                SimTime::from_secs(40),
+                &mut churn_rng,
+            );
             let mut churn2_rng = sub_rng(seed, "chaos-churn-continuous");
             let rolling = ChurnSchedule::continuous(
                 &candidates,
-                at_secs(45),
-                at_secs(60),
+                SimTime::from_secs(45),
+                SimTime::from_secs(60),
                 SimDuration::from_secs(3),
                 SimDuration::from_secs(5),
                 &mut churn2_rng,
@@ -232,8 +233,8 @@ pub fn canned_plan<S: TraceSink>(
             slow.sort_unstable();
             FaultPlan::none()
                 .with_fault(Fault::new(
-                    at_secs(30),
-                    at_secs(70),
+                    SimTime::from_secs(30),
+                    SimTime::from_secs(70),
                     FaultKind::Straggler {
                         nodes: slow,
                         factor: 8,
@@ -809,7 +810,7 @@ impl BugKind {
 pub fn install_bug<S: TraceSink>(sim: &mut EchoSim<S>, bug: BugKind) {
     match bug {
         BugKind::DropRepairJoin => {
-            let from = at_secs(25);
+            let from = SimTime::from_secs(25);
             sim.set_fault_filter(Box::new(move |now, _src, _dst, msg| {
                 now >= from
                     && matches!(

@@ -175,7 +175,7 @@ pub fn output(params: &Params) -> Result<String, String> {
     );
     let mut report = TrialReport::for_trial(&Trial::new("deploy", seed));
     if churn > 0.0 {
-        let at = SimTime::from_micros(20 * 1_000_000);
+        let at = SimTime::from_secs(20);
         let schedule =
             ChurnSchedule::mass_failure(&participants, churn, at, &mut sub_rng(seed, "churn"));
         let killed = schedule.nodes_affected();
@@ -184,7 +184,7 @@ pub fn output(params: &Params) -> Result<String, String> {
         report.push_note(note);
         schedule.apply(deploy.sim_mut());
     }
-    let finished = deploy.run(SimTime::from_micros(24 * 3_600 * 1_000_000));
+    let finished = deploy.run(SimTime::from_secs(24 * 3_600));
     out.push_str("\napp                  master  rounds  best acc  time-to-target\n");
     for a in 0..apps {
         let name = &deploy.config(a).name;

@@ -11,7 +11,7 @@
     reason = "the leveled logger is the one writer of human-facing stderr lines"
 )]
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::Ordering;
 
 /// How chatty stderr is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -24,11 +24,14 @@ pub enum Level {
     Verbose = 2,
 }
 
-static LEVEL: AtomicU8 = AtomicU8::new(Level::Normal as u8);
+#[expect(
+    clippy::disallowed_types,
+    reason = "DET007: a host-only stderr verbosity flag, written once in main before any sim runs; it gates log lines only, never simulated state or golden bytes"
+)]
+static LEVEL: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(Level::Normal as u8);
 
 /// Installs the global verbosity (call once from `main` after flag parsing).
 pub fn set_level(level: Level) {
-    // det: allow(ordering: host-only stderr verbosity flag; written once in main before any sim runs and never read back into simulated state)
     LEVEL.store(level as u8, Ordering::Relaxed);
 }
 
@@ -44,7 +47,6 @@ pub fn level_from_flags(quiet: bool, verbose: bool) -> Level {
 }
 
 fn enabled(at: Level) -> bool {
-    // det: allow(ordering: host-only stderr verbosity flag; gates log lines only, never simulated state or golden bytes)
     LEVEL.load(Ordering::Relaxed) >= at as u8
 }
 

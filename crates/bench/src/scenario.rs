@@ -19,7 +19,7 @@
 //! 2), never a panic. Scenarios never touch `std::env`.
 
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
 use totoro_dht::MAX_FANOUT;
@@ -530,7 +530,11 @@ pub fn run_trials_with<R: Send>(
     if jobs == 1 {
         return (0..count).map(run).collect();
     }
-    let next = AtomicUsize::new(0);
+    #[expect(
+        clippy::disallowed_types,
+        reason = "DET007: work-stealing ticket counter; which worker runs trial i is invisible because results land in per-index slots merged in index order"
+    )]
+    let next = std::sync::atomic::AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..count).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..jobs {
@@ -541,7 +545,6 @@ pub fn run_trials_with<R: Send>(
                 // leave idle.
                 let _simulating = totoro::Simulating::worker();
                 loop {
-                    // det: allow(ordering: work-stealing ticket counter; which worker runs trial i is invisible because results land in per-index slots merged in index order)
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= count {
                         break;

@@ -14,7 +14,7 @@ use crate::scenario::{checked, Params, Scenario, SinkSpec, Trial, TrialReport};
 use crate::setups::{
     broadcast_from_root, build_tree, echo_overlay_with, eua_topology, root_of, topic,
 };
-use totoro_simnet::{SimTime, TraceRecord};
+use totoro_simnet::{SimDuration, SimTime, TraceRecord};
 
 const SIZES: [usize; 3] = [64, 256, 1024];
 const SHAPES: [(&str, usize); 3] = [("tree-f4", 4), ("tree-f8", 8), ("uncapped", 0)];
@@ -73,7 +73,7 @@ impl Scenario for Ablation {
         // DHT base stays 16; only the tree fanout cap varies.
         let fconfig = totoro_pubsub::ForestConfig {
             fanout_cap: fanout, // 0 = uncapped JOIN-path tree.
-            agg_timeout: totoro_simnet::SimDuration::from_secs(120),
+            agg_timeout: SimDuration::from_secs(120),
             ..totoro_pubsub::ForestConfig::default()
         };
         let mut sim = echo_overlay_with(topology, seed, 16, fconfig);
@@ -83,7 +83,7 @@ impl Scenario for Ablation {
             &mut sim,
             t,
             &(0..n).collect::<Vec<_>>(),
-            SimTime::from_micros(60 * 1_000_000),
+            SimTime::from_secs(60),
         );
         let root = root_of(&sim, t).expect("root exists");
 
@@ -92,7 +92,7 @@ impl Scenario for Ablation {
         sim.traffic_mut().reset();
         let start = sim.now();
         broadcast_from_root(&mut sim, t, 1, update_bytes);
-        let deadline = SimTime::from_micros(start.as_micros().saturating_add(600 * 1_000_000));
+        let deadline = start + SimDuration::from_secs(600);
         let agg_at = loop {
             let done = sim
                 .app(root)
@@ -106,8 +106,7 @@ impl Scenario for Ablation {
                 break at;
             }
             assert!(sim.now() < deadline, "aggregation never completed");
-            let next = SimTime::from_micros(sim.now().as_micros().saturating_add(50_000));
-            sim.run_until(next);
+            sim.run_until(sim.now() + SimDuration::from_millis(50));
         };
         let traffic = sim.traffic().node(root);
 

@@ -88,7 +88,7 @@ impl Scenario for Fig12 {
             build_tree(&mut sim, tp, &subset, SimTime::ZERO);
             tree_members.push(subset);
         }
-        sim.run_until(SimTime::from_micros(60 * 1_000_000));
+        sim.run_until(SimTime::from_secs(60));
 
         // Paper workload: "each tree has 5% of nodes that fail ... at the
         // same time". Nodes serve many trees at once, so killing 5% of the
@@ -96,11 +96,11 @@ impl Scenario for Fig12 {
         // the number of concurrent repairs then grows with the number of
         // trees while the per-repair work stays local.
         let _ = &tree_members;
-        let kill_at = SimTime::from_micros(60 * 1_000_000);
+        let kill_at = SimTime::from_secs(60);
         let schedule = ChurnSchedule::mass_failure(&members, fail_frac, kill_at, &mut rng);
         let killed = schedule.nodes_affected();
         schedule.apply(&mut sim);
-        sim.run_until(SimTime::from_micros(240 * 1_000_000));
+        sim.run_until(SimTime::from_secs(240));
 
         // Collect completed repair episodes started at/after the kill,
         // decomposed into detection (kill -> detected) and repair

@@ -16,7 +16,7 @@ use totoro_baselines::{CentralizedEngine, ServerProfile};
 use totoro_dht::DhtConfig;
 use totoro_ml::{text_classification_like, TaskGenerator};
 use totoro_pubsub::ForestConfig;
-use totoro_simnet::{sub_rng, Application, SimTime, Topology, TraceRecord};
+use totoro_simnet::{sub_rng, Application, SimDuration, SimTime, Topology, TraceRecord};
 
 use crate::report::{csv_block, f2, markdown_table};
 use crate::scenario::{checked, Params, Scenario, SinkSpec, Trial, TrialReport};
@@ -69,7 +69,7 @@ impl Scenario for Fig13 {
         let samples = trial.get_usize("samples");
         let rounds = trial.get("rounds");
         let seed = trial.seed;
-        let step = SimTime::from_micros(5 * 1_000_000);
+        let step = SimDuration::from_secs(5);
 
         let mut gen_rng = sub_rng(seed, "task");
         let generator = TaskGenerator::new(text_classification_like(), &mut gen_rng);
@@ -96,12 +96,12 @@ impl Scenario for Fig13 {
                 deploy.submit_app(cfg, &participants, shards);
             }
             let mut mem_series = Vec::new();
-            let mut t = step;
-            while !deploy.app_done(0) && t < SimTime::from_micros(3_600 * 1_000_000) {
+            let mut t = SimTime::ZERO + step;
+            while !deploy.app_done(0) && t < SimTime::from_secs(3_600) {
                 deploy.run(t);
                 let mem: usize = (0..n).map(|i| deploy.sim().app(i).memory_bytes()).sum();
                 mem_series.push((t.as_secs_f64(), mem as f64 / n as f64 / 1024.0));
-                t = SimTime::from_micros(t.as_micros().saturating_add(step.as_micros()));
+                t += step;
             }
             report.sim = totoro_simnet::TrialReport::capture(deploy.sim());
             report.push_metric("fl_s", report.sim.fl_us as f64 / 1e6);
@@ -118,12 +118,12 @@ impl Scenario for Fig13 {
             cfg.max_rounds = rounds;
             engine.submit_app(to_central_spec(&cfg), &participants, shards);
             let mut mem_series = Vec::new();
-            let mut t = step;
-            while !engine.server().is_done(0) && t < SimTime::from_micros(3_600 * 1_000_000) {
+            let mut t = SimTime::ZERO + step;
+            while !engine.server().is_done(0) && t < SimTime::from_secs(3_600) {
                 engine.run(t);
                 let mem: usize = (0..=n).map(|i| engine.sim().app(i).memory_bytes()).sum();
                 mem_series.push((t.as_secs_f64(), mem as f64 / (n + 1) as f64 / 1024.0));
-                t = SimTime::from_micros(t.as_micros().saturating_add(step.as_micros()));
+                t += step;
             }
             report.sim = totoro_simnet::TrialReport::capture(engine.sim());
             report.push_metric("fl_s", report.sim.fl_us as f64 / 1e6);

@@ -216,7 +216,7 @@ fn run_masters<S: TraceSink>(trial: &Trial, sink: S) -> (TrialReport, Option<Vec
         build_tree(&mut sim, t, &subset, SimTime::ZERO);
         topics.push(t);
     }
-    sim.run_until(SimTime::from_micros(120 * 1_000_000));
+    sim.run_until(SimTime::from_secs(120));
 
     let masters = masters_per_node(&sim, &topics);
     let total: usize = masters.iter().sum();
@@ -287,7 +287,7 @@ fn run_masters_per_zone<S: TraceSink>(
             all_topics.push(t);
         }
     }
-    sim.run_until(SimTime::from_micros(120 * 1_000_000));
+    sim.run_until(SimTime::from_secs(120));
 
     let mut report = TrialReport::for_trial(trial);
     report.sim = totoro_simnet::TrialReport::capture(&sim);
@@ -329,7 +329,7 @@ fn run_branches<S: TraceSink>(trial: &Trial, sink: S) -> (TrialReport, Option<Ve
         build_tree(&mut sim, t, &subset, SimTime::ZERO);
         topics.push(t);
     }
-    sim.run_until(SimTime::from_micros(180 * 1_000_000));
+    sim.run_until(SimTime::from_secs(180));
 
     let mut report = TrialReport::for_trial(trial);
     report.sim = totoro_simnet::TrialReport::capture(&sim);

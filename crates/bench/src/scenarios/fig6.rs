@@ -10,7 +10,7 @@ use crate::report::{csv_block, f2, f3, markdown_table};
 use crate::scenario::{Params, Scenario, SinkSpec, Trial, TrialReport};
 use crate::setups::{broadcast_from_root, build_tree, echo_overlay, eua_topology, root_of, topic};
 use totoro_dht::{implicit_route_hops, random_ids, Id};
-use totoro_simnet::{sub_rng, SimTime, TraceRecord};
+use totoro_simnet::{sub_rng, SimDuration, SimTime, TraceRecord};
 
 /// Figure 6 scenario (`fig6`).
 pub struct Fig6;
@@ -192,14 +192,12 @@ fn run_measure(trial: &Trial) -> TrialReport {
     let mut sim = echo_overlay(topology, seed, fanout);
     let t = topic("fig6", seed ^ n as u64 ^ fanout as u64);
     let members: Vec<usize> = (0..n).collect();
-    build_tree(&mut sim, t, &members, SimTime::from_micros(60 * 1_000_000));
+    build_tree(&mut sim, t, &members, SimTime::from_secs(60));
 
     // Reset logs; broadcast once.
     let start = sim.now();
     broadcast_from_root(&mut sim, t, 1, model_bytes);
-    sim.run_until(SimTime::from_micros(
-        start.as_micros().saturating_add(600 * 1_000_000),
-    ));
+    sim.run_until(start + SimDuration::from_secs(600));
 
     // Dissemination makespan: last broadcast receipt among subscribers.
     let mut last_receipt = start;

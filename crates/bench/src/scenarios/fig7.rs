@@ -89,10 +89,10 @@ impl Scenario for Fig7 {
         // Settle, then measure a clean maintenance-only window (the paper's
         // point: creating new trees adds little traffic on top of the shared
         // overlay upkeep).
-        sim.run_until(SimTime::from_micros(60 * 1_000_000));
+        sim.run_until(SimTime::from_secs(60));
         sim.traffic_mut().reset();
         let start = sim.now();
-        let end = SimTime::from_micros(start.as_micros().saturating_add(window * 1_000_000));
+        let end = start + SimDuration::from_secs(window);
         sim.run_until(end);
         let _ = &topics;
 

@@ -19,7 +19,7 @@ use crate::setups::{
     edge_latency, fl_app_config, target_for, task_by_name, to_central_spec, totoro_with_apps,
 };
 
-const MAX_SIM: SimTime = SimTime::from_micros(48 * 3_600 * 1_000_000);
+const MAX_SIM: SimTime = SimTime::from_secs(48 * 3_600);
 
 /// Table 3 scenario (`table3`).
 pub struct Table3;

@@ -18,7 +18,7 @@ use crate::scenarios::table3::{
 };
 use crate::setups::{fl_app_config, target_for, task_by_name, to_central_spec, totoro_with_apps};
 
-const MAX_SIM: SimTime = SimTime::from_micros(48 * 3_600 * 1_000_000);
+const MAX_SIM: SimTime = SimTime::from_secs(48 * 3_600);
 
 /// Time-to-accuracy scenario: `fig8` (speech) or `fig9` (femnist).
 pub struct Tta {

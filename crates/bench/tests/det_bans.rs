@@ -28,6 +28,30 @@ fn every_harness_ban_fires() {
     // `dbg!` expands to `eprintln!`, whose entry catches it.
     #[expect(clippy::disallowed_macros, reason = "fixture: DET003")]
     let _ = dbg!(0);
+    #[expect(clippy::disallowed_types, reason = "fixture: DET007")]
+    let _: Option<std::sync::atomic::AtomicBool> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: DET007")]
+    let _: Option<std::sync::atomic::AtomicI8> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: DET007")]
+    let _: Option<std::sync::atomic::AtomicI16> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: DET007")]
+    let _: Option<std::sync::atomic::AtomicI32> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: DET007")]
+    let _: Option<std::sync::atomic::AtomicI64> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: DET007")]
+    let _: Option<std::sync::atomic::AtomicIsize> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: DET007")]
+    let _: Option<std::sync::atomic::AtomicU8> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: DET007")]
+    let _: Option<std::sync::atomic::AtomicU16> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: DET007")]
+    let _: Option<std::sync::atomic::AtomicU32> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: DET007")]
+    let _: Option<std::sync::atomic::AtomicU64> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: DET007")]
+    let _: Option<std::sync::atomic::AtomicUsize> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: DET007")]
+    let _: Option<std::sync::atomic::AtomicPtr<u8>> = None;
     // The harness may hold a `Mutex` (DET006 is not banned here); only
     // the unproven acquisition is.
     let mutex = std::sync::Mutex::new(0u8);

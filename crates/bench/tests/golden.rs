@@ -65,10 +65,10 @@ fn fig5_small_output_matches_pre_optimization_golden() {
 
 // ---------------------------------------------------------------------
 // Golden hygiene: every figure scenario's stdout, byte-identical to the
-// fixtures captured before the detlint PR. Together with the fig5/fig7
-// fixtures above this covers all 11 evaluation artifacts, so a triage
-// change (HashMap→BTreeMap conversion, print rerouting, annotation) can
-// prove it caused no behavioral drift. The slower scenarios are
+// fixtures captured before the determinism lint landed. Together with
+// the fig5/fig7 fixtures above this covers all 11 evaluation artifacts,
+// so a triage change (HashMap→BTreeMap conversion, print rerouting,
+// annotation) can prove it caused no behavioral drift. The slower scenarios are
 // `#[ignore]`d for the debug tier-1 run; CI executes them in release via
 // `-- --include-ignored`. To regenerate after an intentional change:
 // `target/release/totoro-bench <scenario> <args> > crates/bench/tests/golden/<fixture>`

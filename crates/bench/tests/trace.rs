@@ -14,7 +14,7 @@ use totoro_simnet::{
     spans, MsgMeta, NoopSink, RecordingSink, SimTime, TraceBody, TraceRecord, TraceSink,
 };
 
-const SETTLE: SimTime = SimTime::from_micros(30_000_000);
+const SETTLE: SimTime = SimTime::from_secs(30);
 
 /// Builds a small traced overlay, subscribes every node to one topic, and
 /// optionally drives one broadcast round; returns the recorded trace.
@@ -27,7 +27,7 @@ fn traced_world(seed: u64, drive_round: bool) -> Vec<TraceRecord> {
     build_tree(&mut sim, t, &members, SETTLE);
     if drive_round {
         broadcast_from_root(&mut sim, t, 0, 2_000);
-        sim.run_until(SimTime::from_micros(60_000_000));
+        sim.run_until(SimTime::from_secs(60));
     }
     sim.into_sink().take_records()
 }
@@ -135,7 +135,7 @@ fn run_tiny<S: TraceSink>(trial: &Trial, sink: S) -> (TrialReport, Option<Vec<Tr
         &mut sim,
         topic("tiny-trace", trial.index as u64),
         &members,
-        SimTime::from_micros(20_000_000),
+        SimTime::from_secs(20),
     );
     let mut report = TrialReport::for_trial(trial);
     report.sim = totoro_simnet::TrialReport::capture(&sim);

@@ -41,7 +41,13 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 #[cfg(test)]
-use std::sync::atomic::{AtomicU64, Ordering};
+#[expect(
+    clippy::disallowed_types,
+    reason = "DET007: the test-only counts of who trained a recipe; tests compare them at barriers or after the threads stop, and no build outside tests has them"
+)]
+use std::sync::atomic::AtomicU64;
+#[cfg(test)]
+use std::sync::atomic::Ordering;
 #[expect(
     clippy::disallowed_types,
     reason = "the queue's and the cells' locks decide only which thread trains a recipe; every thread gets the same bits"
@@ -82,7 +88,7 @@ pub(crate) struct Trainer {
 /// What the helpers and the cells of one [`Trainer`] share.
 #[expect(
     clippy::disallowed_types,
-    reason = "the queue lock orders helpers' claims only; which helper trains which recipe cannot reach simulated state"
+    reason = "the queue lock orders helpers' claims only; which helper trains which recipe cannot reach simulated state. Test builds add the DET007 counts of who trained a recipe, read by tests alone"
 )]
 struct Pool {
     queue: Mutex<Queue>,
@@ -180,6 +186,10 @@ enum State {
 
 /// Counts one recipe trained ahead or inline, or one reader wait.
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "DET007: a test-only count; SeqCst, and read by tests alone"
+)]
 fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::SeqCst);
 }
@@ -306,7 +316,7 @@ impl Pool {
     /// A pool with `spare` cores for helpers and a `budget` of bytes.
     #[expect(
         clippy::disallowed_types,
-        reason = "the queue lock orders helpers' claims only; which helper trains which recipe cannot reach simulated state"
+        reason = "the queue lock orders helpers' claims only; which helper trains which recipe cannot reach simulated state. Test builds add the DET007 counts of who trained a recipe, read by tests alone"
     )]
     fn new(budget: usize, spare: usize) -> Self {
         Pool {

@@ -44,7 +44,7 @@ fn single_app_trains_to_target_through_the_tree() {
     let cfg = quick_config("quickstart", &generator, 0.8, 5);
     let app = deploy.submit_app(cfg, &participants, shards);
 
-    let finished = deploy.run(SimTime::from_micros(7_200 * 1_000_000));
+    let finished = deploy.run(SimTime::from_secs(7_200));
     assert!(finished, "training did not reach the target in time");
     let curve = deploy.curve(app);
     assert!(!curve.is_empty());
@@ -77,7 +77,7 @@ fn many_apps_train_concurrently_with_distinct_masters() {
         cfg.max_rounds = 4; // Fixed-round run; target unreachable.
         deploy.submit_app(cfg, &participants, shards);
     }
-    deploy.run(SimTime::from_micros(7_200 * 1_000_000));
+    deploy.run(SimTime::from_secs(7_200));
 
     // All apps completed their rounds.
     for a in 0..num_apps {
@@ -113,7 +113,7 @@ fn selection_fraction_reduces_contributions() {
     cfg.selection = SelectionPolicy::Fraction(0.4);
     cfg.max_rounds = 3;
     let app = deploy.submit_app(cfg, &participants, shards);
-    deploy.run(SimTime::from_micros(3_600 * 1_000_000));
+    deploy.run(SimTime::from_secs(3_600));
 
     let curve = deploy.curve(app);
     assert!(!curve.is_empty());
@@ -152,7 +152,7 @@ fn fedprox_compression_and_privacy_compose() {
     };
     cfg.max_rounds = 6;
     let app = deploy.submit_app(cfg, &participants, shards);
-    deploy.run(SimTime::from_micros(7_200 * 1_000_000));
+    deploy.run(SimTime::from_secs(7_200));
 
     let curve = deploy.curve(app);
     assert_eq!(curve.last().map(|p| p.round), Some(6));
@@ -184,14 +184,14 @@ fn master_failure_mid_training_promotes_replacement() {
     let app = deploy.submit_app(cfg, &participants, shards);
 
     // Let a few rounds run, then kill the master.
-    deploy.run(SimTime::from_micros(30 * 1_000_000));
+    deploy.run(SimTime::from_secs(30));
     let master = deploy.master_of(app).expect("master exists");
     let rounds_before = deploy.curve(app).len();
     assert!(rounds_before > 0, "no rounds before the failure");
     deploy
         .sim_mut()
-        .schedule_down(master, SimTime::from_micros(31 * 1_000_000));
-    deploy.run(SimTime::from_micros(180 * 1_000_000));
+        .schedule_down(master, SimTime::from_secs(31));
+    deploy.run(SimTime::from_secs(180));
 
     let new_master = deploy.master_of(app);
     assert!(
@@ -243,10 +243,8 @@ fn a_node_that_missed_a_submission_trains_later_apps() {
     let mut deploy = deployment(n, 9);
     let mut rng = sub_rng(9, "gen");
     let generator = TaskGenerator::new(text_classification_like(), &mut rng);
-    deploy
-        .sim_mut()
-        .schedule_down(late, SimTime::from_micros(1_000_000));
-    deploy.run(SimTime::from_micros(2_000_000));
+    deploy.sim_mut().schedule_down(late, SimTime::from_secs(1));
+    deploy.run(SimTime::from_secs(2));
     assert!(!deploy.sim().alive(late));
 
     let up: Vec<usize> = (0..n).filter(|&i| i != late).collect();
@@ -257,10 +255,8 @@ fn a_node_that_missed_a_submission_trains_later_apps() {
         &up,
         generator.client_shards(up.len(), 20, 0.5, &mut rng),
     );
-    deploy
-        .sim_mut()
-        .schedule_up(late, SimTime::from_micros(3_000_000));
-    deploy.run(SimTime::from_micros(4_000_000));
+    deploy.sim_mut().schedule_up(late, SimTime::from_secs(3));
+    deploy.run(SimTime::from_secs(4));
     assert!(deploy.sim().alive(late));
 
     let all: Vec<usize> = (0..n).collect();
@@ -269,7 +265,7 @@ fn a_node_that_missed_a_submission_trains_later_apps() {
     cfg.max_rounds = 2;
     let app = deploy.submit_app(cfg, &all, generator.client_shards(n, 20, 0.5, &mut rng));
     assert_eq!(app, 1);
-    deploy.run(SimTime::from_micros(60 * 1_000_000));
+    deploy.run(SimTime::from_secs(60));
 
     let engine = &deploy.sim().app(late).upper.app;
     assert_eq!(engine.num_apps(), 2);
@@ -300,7 +296,7 @@ fn trained_deployment(apps: u64, rounds: u64) -> TotoroDeployment {
         cfg.max_rounds = rounds;
         deploy.submit_app(cfg, &(0..n).collect::<Vec<_>>(), shards);
     }
-    assert!(deploy.run(SimTime::from_micros(3_600 * 1_000_000)));
+    assert!(deploy.run(SimTime::from_secs(3_600)));
     deploy
 }
 
@@ -350,7 +346,7 @@ fn traffic_is_spread_rather_than_hub_and_spoke() {
         cfg.max_rounds = 3;
         deploy.submit_app(cfg, &participants, shards);
     }
-    deploy.run(SimTime::from_micros(3_600 * 1_000_000));
+    deploy.run(SimTime::from_secs(3_600));
 
     let sent: Vec<u64> = (0..n)
         .map(|i| deploy.sim().traffic().node(i).payload_sent)
@@ -408,7 +404,7 @@ fn virtual_nodes_let_rich_hardware_carry_more_load() {
         cfg.max_rounds = 3;
         deploy.submit_app(cfg, &(0..n).collect::<Vec<_>>(), shards);
     }
-    deploy.run(SimTime::from_micros(3_600 * 1_000_000));
+    deploy.run(SimTime::from_secs(3_600));
     for a in 0..4 {
         assert_eq!(deploy.curve(a).last().map(|p| p.round), Some(3));
     }
@@ -461,7 +457,7 @@ fn semi_synchronous_quorum_cuts_rounds_early() {
         cfg.round_policy = policy;
         cfg.max_rounds = 5;
         let app = deploy.submit_app(cfg, &(0..n).collect::<Vec<_>>(), shards);
-        deploy.run(SimTime::from_micros(7_200 * 1_000_000));
+        deploy.run(SimTime::from_secs(7_200));
         let curve = deploy.curve(app);
         (
             curve.last().map_or(f64::MAX, |p| p.time_secs),
@@ -491,7 +487,7 @@ fn loss_adaptive_selection_backs_off_as_clients_converge() {
     cfg.selection = SelectionPolicy::LossAdaptive { floor: 0.15 };
     cfg.max_rounds = 12;
     let app = deploy.submit_app(cfg, &(0..n).collect::<Vec<_>>(), shards);
-    deploy.run(SimTime::from_micros(3_600 * 1_000_000));
+    deploy.run(SimTime::from_secs(3_600));
 
     let curve = deploy.curve(app);
     assert_eq!(curve.last().map(|p| p.round), Some(12));
@@ -546,15 +542,15 @@ fn continuous_churn_during_training_still_converges() {
     let members: Vec<usize> = (0..n).collect();
     let churn = totoro_simnet::ChurnSchedule::continuous(
         &members,
-        SimTime::from_micros(5_000_000),
-        SimTime::from_micros(400_000_000),
+        SimTime::from_secs(5),
+        SimTime::from_secs(400),
         SimDuration::from_secs(5),
         SimDuration::from_secs(8),
         &mut rng,
     );
     churn.apply(deploy.sim_mut());
 
-    deploy.run(SimTime::from_micros(3_600 * 1_000_000));
+    deploy.run(SimTime::from_secs(3_600));
     let curve = deploy.curve(app);
     let best = curve.iter().map(|p| p.accuracy).fold(0.0, f64::max);
     let rounds = curve.last().map_or(0, |p| p.round);
@@ -577,7 +573,7 @@ fn secure_aggregation_trains_correctly_and_hides_individual_updates() {
     cfg.privacy = Privacy::SecureAggregation;
     cfg.max_rounds = 25;
     let app = deploy.submit_app(cfg, &(0..n).collect::<Vec<_>>(), shards);
-    deploy.run(SimTime::from_micros(3_600 * 1_000_000));
+    deploy.run(SimTime::from_secs(3_600));
 
     // Masks cancel in the full aggregate: the model still learns.
     let best = deploy
@@ -613,13 +609,13 @@ fn secure_aggregation_discards_incomplete_rounds() {
     // Kill a worker early: every subsequent round is incomplete, so the
     // model must stay at its (seeded) initial weights — applying a masked
     // partial sum would destroy it instead.
-    deploy.run(SimTime::from_micros(3 * 1_000_000));
+    deploy.run(SimTime::from_secs(3));
     let master = deploy.master_of(app).expect("master exists");
     let victim = (0..n).find(|&i| i != master).unwrap();
     deploy
         .sim_mut()
         .schedule_down(victim, SimTime::from_micros(3_100_000));
-    deploy.run(SimTime::from_micros(1_800 * 1_000_000));
+    deploy.run(SimTime::from_secs(1_800));
 
     let curve = deploy.curve(app);
     assert!(curve.len() >= 3, "rounds did not proceed: {}", curve.len());
@@ -683,7 +679,7 @@ fn customized_deployment(seed: u64, customize: impl Fn(&mut FlAppConfig)) -> Tot
         customize(&mut cfg);
         deploy.submit_app(cfg, &(0..n).collect::<Vec<_>>(), shards);
     }
-    assert!(deploy.run(SimTime::from_micros(3_600 * 1_000_000)));
+    assert!(deploy.run(SimTime::from_secs(3_600)));
     deploy
 }
 

@@ -9,8 +9,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Total bits in an identifier.
 pub const ID_BITS: u32 = 128;
 
@@ -31,7 +29,7 @@ pub const ID_BITS: u32 = 128;
 /// assert_eq!(in_zone_3.zone(8), 3);
 /// assert_eq!(in_zone_3.suffix(8), 0xFEED);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Id(pub u128);
 
 impl Id {

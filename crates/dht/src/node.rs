@@ -408,12 +408,6 @@ impl<U: UpperLayer> DhtNode<U> {
         }
     }
 
-    /// Overrides maintenance parameters.
-    pub fn with_maintenance(mut self, m: MaintenanceConfig) -> Self {
-        self.maintenance = m;
-        self
-    }
-
     /// Marks the node as already joined (used after bulk construction).
     pub fn set_joined(&mut self) {
         self.joined = true;
@@ -422,15 +416,6 @@ impl<U: UpperLayer> DhtNode<U> {
     /// Whether the node completed its join.
     pub fn joined(&self) -> bool {
         self.joined
-    }
-
-    /// Mean hops over messages delivered at this node.
-    pub fn mean_delivery_hops(&self) -> f64 {
-        if self.stats.delivered == 0 {
-            0.0
-        } else {
-            self.stats.hops_sum as f64 / self.stats.delivered as f64
-        }
     }
 
     fn api<'a, 'b>(

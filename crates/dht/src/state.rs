@@ -1,6 +1,5 @@
 //! Aggregate per-node DHT state.
 
-use serde::{Deserialize, Serialize};
 use totoro_simnet::{NodeIdx, SimTime};
 
 use crate::id::Id;
@@ -8,7 +7,7 @@ use crate::table::{Contact, LeafSet, NeighborhoodSet, RoutingTable};
 use crate::two_level::TwoLevelTable;
 
 /// Static DHT parameters shared by all nodes of an overlay.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DhtConfig {
     /// Routing base bits `b`; the routing table has `2^b` columns and trees
     /// built over the overlay have fanout `2^b` (paper: 3, 4, or 5).

@@ -6,13 +6,12 @@
 //! rebuilding tables upon failures), and a *neighborhood set* of the nodes
 //! physically closest in the underlying network (used to keep locality).
 
-use serde::{Deserialize, Serialize};
 use totoro_simnet::NodeIdx;
 
 use crate::id::Id;
 
 /// A known peer: its ring identifier and its network address.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Contact {
     /// Ring identifier.
     pub id: Id,

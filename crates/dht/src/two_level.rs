@@ -16,13 +16,11 @@
 //! prefix at the boundary: if it differs from the local zone and the
 //! application is zone-restricted, the packet is blocked before leaving.
 
-use serde::{Deserialize, Serialize};
-
 use crate::id::{Id, ID_BITS};
 use crate::table::Contact;
 
 /// Outcome of a boundary check on a routed packet.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BoundaryDecision {
     /// The packet may proceed.
     Allow,

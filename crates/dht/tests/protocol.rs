@@ -63,7 +63,7 @@ fn join_sim(n: usize, seed: u64) -> (Simulator<Node>, Vec<Id>) {
 
 /// Lets the overlay converge: joins + a few gossip rounds.
 fn converge(sim: &mut Simulator<Node>, secs: u64) {
-    sim.run_until(SimTime::from_micros(secs * 1_000_000));
+    sim.run_until(SimTime::from_secs(secs));
 }
 
 #[test]
@@ -154,7 +154,7 @@ fn failed_leaf_peer_is_detected_and_removed() {
         .successor()
         .expect("node 0 has a successor")
         .addr;
-    sim.schedule_down(victim, SimTime::from_micros(31_000_000));
+    sim.schedule_down(victim, SimTime::from_secs(31));
     converge(&mut sim, 60);
     assert!(
         sim.app(0).upper.failed_peers.contains(&victim),
@@ -175,7 +175,7 @@ fn leaf_sets_refill_after_failure() {
     let (mut sim, _ids) = join_sim(20, 12);
     converge(&mut sim, 30);
     let victim = sim.app(5).state.leaf_set.successor().unwrap().addr;
-    sim.schedule_down(victim, SimTime::from_micros(31_000_000));
+    sim.schedule_down(victim, SimTime::from_secs(31));
     converge(&mut sim, 90);
     // Gossip should have refilled the leaf set to a healthy size.
     assert!(
@@ -238,8 +238,8 @@ fn zone_restricted_packets_never_cross_zones() {
 fn node_revival_reannounces() {
     let (mut sim, _ids) = join_sim(10, 14);
     converge(&mut sim, 30);
-    sim.schedule_down(4, SimTime::from_micros(31_000_000));
-    sim.schedule_up(4, SimTime::from_micros(40_000_000));
+    sim.schedule_down(4, SimTime::from_secs(31));
+    sim.schedule_up(4, SimTime::from_secs(40));
     converge(&mut sim, 120);
     // After revival and gossip, node 4 is back in someone's leaf set.
     let known = (0..10)
@@ -327,7 +327,7 @@ fn staggered_joins_grow_a_healthy_overlay() {
             SimTime::from_micros((10 + (i as u64 - 20) * 5) * 1_000_000),
         );
     }
-    sim.run_until(SimTime::from_micros(120 * 1_000_000));
+    sim.run_until(SimTime::from_secs(120));
 
     // Everyone alive and (re)joined; the late wave is reachable by routing.
     let mut sorted = ids.clone();
@@ -341,7 +341,7 @@ fn staggered_joins_grow_a_healthy_overlay() {
             });
         });
     }
-    sim.run_until(SimTime::from_micros(150 * 1_000_000));
+    sim.run_until(SimTime::from_secs(150));
     let delivered: usize = (0..n).map(|i| sim.app(i).upper.delivered.len()).sum();
     assert_eq!(delivered, 10, "some packets were lost");
 }
@@ -409,7 +409,7 @@ fn settled_overlay_skips_known_no_op_offers() {
         .collect();
     assert!(neighbours.len() >= 2);
     let before: Vec<u64> = neighbours.iter().map(|&i| full(&sim, i)).collect();
-    sim.schedule_down(victim, SimTime::from_micros(121_000_000));
+    sim.schedule_down(victim, SimTime::from_secs(121));
     converge(&mut sim, 135);
     for (&i, &before) in neighbours.iter().zip(&before) {
         let node = sim.app(i);
@@ -536,7 +536,7 @@ fn keep_alive_fan_outs_park_once_and_change_nothing() {
             totoro_dht::spawn_overlay(geo_topology(), 21, DhtConfig::default(), None, |_| {
                 Beacon::new(looped)
             });
-        sim.run_until(SimTime::from_micros(60_000_000));
+        sim.run_until(SimTime::from_secs(60));
         let heard: Vec<_> = sim.apps().map(|node| node.upper.heard.clone()).collect();
         let report = totoro_simnet::TrialReport::capture(&sim).to_json();
         (ledger(&sim), heard, report, sim.event_slots())

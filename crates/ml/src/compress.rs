@@ -6,10 +6,8 @@
 //! report their wire size so the simulator can charge realistic
 //! transmission times.
 
-use serde::{Deserialize, Serialize};
-
 /// The compression an application requests for its tree traffic.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Compression {
     /// Send raw f32 weights.
     None,
@@ -35,7 +33,7 @@ impl Compression {
 }
 
 /// A top-k sparsified vector.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SparseVec {
     /// Original dimensionality.
     pub dim: usize,
@@ -82,7 +80,7 @@ pub fn densify(s: &SparseVec) -> Vec<f32> {
 }
 
 /// An int8-quantized vector.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct QuantVec {
     /// Scale such that `value ≈ q * scale`.
     pub scale: f32,
@@ -92,7 +90,6 @@ pub struct QuantVec {
 
 /// Quantizes `v` linearly into int8.
 pub fn quantize_int8(v: &[f32]) -> QuantVec {
-    // det: allow(float: max over abs values is exactly commutative and associative; fold order cannot change the result)
     let max = v.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
     let scale = if max == 0.0 { 1.0 } else { max / 127.0 };
     QuantVec {

@@ -212,7 +212,6 @@ fn gamma(shape: f64, rng: &mut StdRng) -> f64 {
 /// Draws a probability vector from a symmetric Dirichlet(alpha).
 pub fn dirichlet(k: usize, alpha: f64, rng: &mut StdRng) -> Vec<f64> {
     let raw: Vec<f64> = (0..k).map(|_| gamma(alpha, rng).max(1e-300)).collect();
-    // det: allow(float: left-to-right over a Vec built in index order from the seeded RNG stream — canonical order by construction)
     let sum: f64 = raw.iter().sum();
     raw.into_iter().map(|x| x / sum).collect()
 }

@@ -8,11 +8,9 @@
 //! only on the client (a proximal pull toward the global model), so it
 //! reuses the same merge.
 
-use serde::{Deserialize, Serialize};
-
 /// The aggregation rule an application requests (Table 2: "Application
 /// owner can specify her aggregation function").
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum AggregationRule {
     /// FedAvg: sample-weighted averaging of client weights.
     FedAvg,
@@ -47,7 +45,7 @@ impl AggregationRule {
 /// let avg = acc.finalize().unwrap();
 /// assert!((avg[0] - 2.5).abs() < 1e-6);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ModelUpdate {
     /// Sum over contributors of `weights_i * samples_i`.
     pub weighted: Vec<f32>,

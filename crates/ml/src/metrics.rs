@@ -43,7 +43,6 @@ pub fn mean_loss(model: &Mlp, ds: &Dataset) -> f64 {
             softmax_into(eval.logits(x), &mut p);
             -(f64::from(p[y].max(1e-12))).ln()
         })
-        // det: allow(float: left-to-right over the dataset Vec in example-index order — canonical, identical on every run)
         .sum();
     total / ds.len() as f64
 }

@@ -607,12 +607,10 @@ pub fn softmax(logits: &[f32]) -> Vec<f32> {
 /// [`softmax`] into a caller's buffer of the same length.
 pub(crate) fn softmax_into(logits: &[f32], probs: &mut [f32]) {
     debug_assert_eq!(logits.len(), probs.len());
-    // det: allow(float: f32::max is exactly commutative and associative; fold order cannot change the result)
     let m = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     for (p, &x) in probs.iter_mut().zip(logits) {
         *p = (x - m).exp();
     }
-    // det: allow(float: left-to-right over the exps slice, whose order mirrors the caller's logit order — canonical, never an unordered container)
     let sum: f32 = probs.iter().sum();
     for p in probs {
         *p /= sum;

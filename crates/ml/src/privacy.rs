@@ -8,10 +8,9 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The privacy technique an application requests.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Privacy {
     /// No privacy processing.
     None,
@@ -31,7 +30,6 @@ pub enum Privacy {
 
 /// Clips `v` in place to L2 norm at most `clip`. Returns the original norm.
 pub fn l2_clip(v: &mut [f32], clip: f32) -> f32 {
-    // det: allow(float: left-to-right over the parameter slice; slice order is the model's canonical parameter order)
     let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt();
     if norm > clip && norm > 0.0 {
         let s = clip / norm;

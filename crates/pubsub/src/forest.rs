@@ -1018,7 +1018,10 @@ impl<F: ForestApp> Forest<F> {
         let mut to_repair = Vec::new();
         let mut to_replan = Vec::new();
         let mut to_rejoin = Vec::new();
-        #[cfg_attr(feature = "mc-bugs", allow(unused_mut))]
+        #[cfg_attr(
+            feature = "mc-bugs",
+            expect(unused_mut, reason = "`mc-bugs` compiles out the depth-cap push below")
+        )]
         let mut to_break = Vec::new();
         for (topic, m) in self.state.trees.iter_mut() {
             // Keep-alive toward children.

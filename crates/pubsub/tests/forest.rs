@@ -99,7 +99,7 @@ fn subscribe_all(sim: &mut Simulator<Node>, topic: Id, members: &[usize]) {
 }
 
 fn run_secs(sim: &mut Simulator<Node>, to: u64) {
-    sim.run_until(SimTime::from_micros(to * 1_000_000));
+    sim.run_until(SimTime::from_secs(to));
 }
 
 fn find_root(sim: &Simulator<Node>, topic: Id) -> Option<usize> {
@@ -335,7 +335,7 @@ fn parent_failure_triggers_rejoin_and_repair() {
         .iter()
         .map(|c| c.addr)
         .collect();
-    sim.schedule_down(victim, SimTime::from_micros(21_000_000));
+    sim.schedule_down(victim, SimTime::from_secs(21));
     run_secs(&mut sim, 90);
 
     for o in orphans {
@@ -366,7 +366,7 @@ fn root_failure_promotes_a_new_master() {
     subscribe_all(&mut sim, topic, &(0..n).collect::<Vec<_>>());
     run_secs(&mut sim, 20);
     let old_root = find_root(&sim, topic).unwrap();
-    sim.schedule_down(old_root, SimTime::from_micros(21_000_000));
+    sim.schedule_down(old_root, SimTime::from_secs(21));
     run_secs(&mut sim, 150);
 
     let new_root = (0..n).filter(|&i| i != old_root).find(|&i| {
@@ -618,7 +618,7 @@ fn node_downed_mid_aggregation_contributes_no_partial_sum() {
     // 30 ms after the broadcast every subscriber is still inside its 50 ms
     // training window: the victim's round is open and nothing has flushed.
     sim.schedule_down(victim, SimTime::from_micros(20_030_000));
-    sim.schedule_up(victim, SimTime::from_micros(40_000_000));
+    sim.schedule_up(victim, SimTime::from_secs(40));
     run_secs(&mut sim, 35);
 
     let aggs = sim.app(root).upper.app.aggregated.clone();
@@ -708,14 +708,12 @@ fn node_downed_mid_join_retries_after_revival() {
     // Kill the parent, and hold the orphan in its joining state by eating
     // every message it sends (its repair JOINs included) until churn takes
     // it down too.
-    sim.schedule_down(parent, SimTime::from_micros(21_000_000));
+    sim.schedule_down(parent, SimTime::from_secs(21));
     sim.set_fault_filter(Box::new(move |now, src, _dst, _msg| {
-        src == leaf
-            && now >= SimTime::from_micros(22_000_000)
-            && now < SimTime::from_micros(27_000_000)
+        src == leaf && now >= SimTime::from_secs(22) && now < SimTime::from_secs(27)
     }));
-    sim.schedule_down(leaf, SimTime::from_micros(27_000_000));
-    sim.schedule_up(leaf, SimTime::from_micros(34_000_000));
+    sim.schedule_down(leaf, SimTime::from_secs(27));
+    sim.schedule_up(leaf, SimTime::from_secs(34));
 
     // Sanity: the leaf really was mid-join when it went down.
     sim.run_until(SimTime::from_micros(26_900_000));

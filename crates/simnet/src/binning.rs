@@ -12,12 +12,11 @@
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 
 use crate::topology::{NodeIdx, Topology};
 
 /// A node's distributed-binning signature.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BinSignature {
     /// Landmark indices ordered by increasing RTT from the node.
     pub ordering: Vec<u8>,
@@ -26,7 +25,7 @@ pub struct BinSignature {
 }
 
 /// Configuration for binning and zone formation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BinningConfig {
     /// Number of landmark nodes.
     pub num_landmarks: usize,
@@ -49,7 +48,7 @@ impl Default for BinningConfig {
 }
 
 /// The result of zone formation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ZoneAssignment {
     /// Zone id of each node.
     pub zone_of: Vec<u16>,
@@ -103,7 +102,7 @@ impl ZoneAssignment {
 }
 
 /// Compact zone-formation statistics for one trial.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ZoneSummary {
     /// Number of nodes binned.
     pub nodes: usize,

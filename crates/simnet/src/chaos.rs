@@ -441,7 +441,7 @@ mod tests {
     use super::*;
 
     fn t(secs: u64) -> SimTime {
-        SimTime::from_micros(secs * 1_000_000)
+        SimTime::from_secs(secs)
     }
 
     fn loss_fault() -> Fault {

@@ -8,13 +8,12 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::time::{SimDuration, SimTime};
 use crate::topology::NodeIdx;
 
 /// One scheduled availability change.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChurnEvent {
     /// When the change happens.
     pub at: SimTime,
@@ -25,7 +24,7 @@ pub struct ChurnEvent {
 }
 
 /// A reproducible list of churn events, sorted by time.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ChurnSchedule {
     events: Vec<ChurnEvent>,
 }
@@ -196,7 +195,7 @@ mod tests {
         let s = ChurnSchedule::continuous(
             &candidates,
             SimTime::ZERO,
-            SimTime::from_micros(10_000_000),
+            SimTime::from_secs(10),
             SimDuration::from_millis(100),
             SimDuration::from_millis(500),
             &mut rng,

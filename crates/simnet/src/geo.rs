@@ -9,13 +9,12 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A position on a planar map, in kilometres.
 ///
 /// A plane is used instead of spherical coordinates: all consumers only need
 /// relative distances, and a plane keeps the arithmetic exact and cheap.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GeoPoint {
     /// East-west coordinate in km.
     pub x_km: f64,
@@ -38,7 +37,7 @@ impl GeoPoint {
 }
 
 /// A named geographic region with a target node count.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Region {
     /// Region name (e.g. an Australian state code).
     pub name: String,
@@ -51,7 +50,7 @@ pub struct Region {
 }
 
 /// One generated edge node: its location and the region it belongs to.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PlacedNode {
     /// Node position.
     pub point: GeoPoint,

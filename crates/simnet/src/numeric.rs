@@ -3,16 +3,13 @@
 //! IEEE 754 addition is not associative: `(a + b) + c` and `a + (b + c)`
 //! can differ in the last ulp, so a float sum folded in incidental order
 //! (hash-map iteration, worker interleaving, rayon-style reduction trees)
-//! breaks the byte-identity contract across `--jobs`. This module is
-//! the one sanctioned home for order-sensitive f32/f64 reductions
-//! (detlint DET009): every helper folds **left-to-right over the order
-//! the caller hands in**, which the caller must derive from canonical
-//! simulation state (a `Vec` built in event order, a `BTreeMap` range,
-//! an index loop) — never from an unordered container.
-//!
-//! Exactly commutative-and-associative float ops (`min`/`max`) do not
-//! need these helpers; sites using them carry their own
-//! `det: allow(float: …)` commutativity proof instead.
+//! breaks the byte-identity contract across `--jobs`. Every helper here
+//! folds **left-to-right over the order the caller hands in**, which the
+//! caller must derive from canonical simulation state (a `Vec` built in
+//! event order, a `BTreeMap` range, an index loop), never from an
+//! unordered container. `Iterator::sum` is the same sequential fold;
+//! these helpers only name the order and the empty-mean convention.
+//! Nothing calls them yet.
 
 /// Left-to-right sum of an `f64` stream in the caller's canonical order.
 pub fn sum_f64<I: IntoIterator<Item = f64>>(xs: I) -> f64 {

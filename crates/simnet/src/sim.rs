@@ -1727,8 +1727,8 @@ mod tests {
         // queue handle, so the profiler still sees them leave the far heap.
         let mut sim = ring_sim(3, 4, 2);
         sim.enable_profiling();
-        sim.schedule_down(2, SimTime::from_micros(1_000_000));
-        sim.schedule_up(2, SimTime::from_micros(2_000_000));
+        sim.schedule_down(2, SimTime::from_secs(1));
+        sim.schedule_up(2, SimTime::from_secs(2));
         sim.run_until_quiet(10_000);
         let profile = sim.engine_profile().expect("profiling enabled");
         assert_eq!((profile.far, profile.migrated), (2, 2));

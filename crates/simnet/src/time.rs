@@ -7,8 +7,6 @@
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// An instant on the simulated clock, in microseconds since simulation start.
 ///
 /// # Examples
@@ -19,11 +17,11 @@ use serde::{Deserialize, Serialize};
 /// let t = SimTime::from_micros(1_000_000) + SimDuration::from_millis(500);
 /// assert_eq!(t.as_secs_f64(), 1.5);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in microseconds.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {
@@ -36,6 +34,12 @@ impl SimTime {
     /// Creates an instant from raw microseconds.
     pub const fn from_micros(us: u64) -> Self {
         SimTime(us)
+    }
+
+    /// Creates an instant `s` whole seconds after the start, saturating at
+    /// [`SimTime::MAX`].
+    pub const fn from_secs(s: u64) -> Self {
+        SimTime(s.saturating_mul(1_000_000))
     }
 
     /// Returns the raw microsecond count.
@@ -187,6 +191,7 @@ mod tests {
         assert_eq!(SimDuration::from_secs(2), SimDuration::from_millis(2_000));
         assert_eq!(SimDuration::from_millis(3), SimDuration::from_micros(3_000));
         assert_eq!(SimDuration::from_secs_f64(0.5).as_micros(), 500_000);
+        assert_eq!(SimTime::from_secs(3).as_micros(), 3_000_000);
     }
 
     #[test]
@@ -201,6 +206,7 @@ mod tests {
         let near_max = SimTime::from_micros(u64::MAX - 1);
         assert_eq!(near_max + SimDuration::from_secs(10), SimTime::MAX);
         assert_eq!(SimTime::ZERO - SimTime::from_micros(5), SimDuration::ZERO);
+        assert_eq!(SimTime::from_secs(u64::MAX), SimTime::MAX);
         assert_eq!(
             SimDuration::from_micros(u64::MAX).saturating_mul(2),
             SimDuration::from_micros(u64::MAX)

@@ -10,7 +10,6 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::geo::{GeoPoint, PlacedNode};
 use crate::time::SimDuration;
@@ -19,7 +18,7 @@ use crate::time::SimDuration;
 pub type NodeIdx = usize;
 
 /// Latency model choices.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum LatencyModel {
     /// Propagation delay proportional to geographic distance.
     Geo {
@@ -39,7 +38,7 @@ pub enum LatencyModel {
 }
 
 /// Per-node capability class, used for heterogeneity experiments (§7.5).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct NodeProfile {
     /// Uplink/downlink bandwidth in bits per second.
     pub bandwidth_bps: u64,
@@ -229,7 +228,6 @@ impl Topology {
             .min(self.profiles[b].bandwidth_bps)
             .max(1);
         let tx_us = (size_bytes as f64 * 8.0 / bw as f64) * 1_000_000.0;
-        // det: allow(time: f64 addition cannot wrap; the sum is rounded into u64 micros, saturating at the f64-to-int cast)
         SimDuration::from_micros(((prop_us * jitter_factor) + tx_us).round() as u64)
     }
 
@@ -318,7 +316,6 @@ impl Topology {
                         }
                     }
                 }
-                // det: allow(time: f64 addition cannot wrap; the sum is floored into u64 micros, saturating at the f64-to-int cast)
                 Some(SimDuration::from_micros(
                     (base_us as f64 + lb_km * per_km_us.max(0.0)).floor() as u64,
                 ))

@@ -6,8 +6,6 @@
 //! the on-the-wire size adds per-packet header overhead after segmenting the
 //! payload at the MSS.
 
-use serde::{Deserialize, Serialize};
-
 use crate::topology::NodeIdx;
 
 /// Maximum segment size used to packetize payloads (Ethernet-ish).
@@ -33,7 +31,7 @@ pub fn udp_wire_bytes(payload: usize) -> usize {
 }
 
 /// Cumulative traffic counters for one node.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct NodeTraffic {
     /// Messages sent.
     pub msgs_sent: u64,
@@ -99,11 +97,6 @@ impl TrafficLedger {
         mean(self.per_node.iter().map(|t| t.udp_sent))
     }
 
-    /// Mean payload bytes sent per node.
-    pub fn mean_payload_sent(&self) -> f64 {
-        mean(self.per_node.iter().map(|t| t.payload_sent))
-    }
-
     /// Total messages sent across all nodes.
     pub fn total_msgs(&self) -> u64 {
         self.per_node.iter().map(|t| t.msgs_sent).sum()
@@ -142,7 +135,7 @@ impl TrafficLedger {
 ///
 /// Unlike [`TrafficLedger`] this is a small plain value with no per-node
 /// vectors, so trials can return it by value and sweeps can merge it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TrafficTotals {
     /// Messages sent.
     pub msgs_sent: u64,

@@ -53,6 +53,30 @@ fn every_protocol_ban_fires() {
     let _: Option<std::sync::mpsc::SyncSender<u8>> = None;
     #[expect(clippy::disallowed_types, reason = "fixture: DET006")]
     let _: Option<std::sync::mpsc::Receiver<u8>> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: DET007")]
+    let _: Option<std::sync::atomic::AtomicBool> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: DET007")]
+    let _: Option<std::sync::atomic::AtomicI8> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: DET007")]
+    let _: Option<std::sync::atomic::AtomicI16> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: DET007")]
+    let _: Option<std::sync::atomic::AtomicI32> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: DET007")]
+    let _: Option<std::sync::atomic::AtomicI64> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: DET007")]
+    let _: Option<std::sync::atomic::AtomicIsize> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: DET007")]
+    let _: Option<std::sync::atomic::AtomicU8> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: DET007")]
+    let _: Option<std::sync::atomic::AtomicU16> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: DET007")]
+    let _: Option<std::sync::atomic::AtomicU32> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: DET007")]
+    let _: Option<std::sync::atomic::AtomicU64> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: DET007")]
+    let _: Option<std::sync::atomic::AtomicUsize> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: DET007")]
+    let _: Option<std::sync::atomic::AtomicPtr<u8>> = None;
     #[expect(clippy::disallowed_types, reason = "fixture: DET006")]
     let mutex = std::sync::Mutex::new(0u8);
     #[expect(clippy::disallowed_methods, reason = "fixture: DET008")]

@@ -45,7 +45,7 @@ fn main() {
 
     // Find the master first so the churn schedule can spare it: the master
     // gets killed permanently below to demonstrate takeover.
-    deploy.run(SimTime::from_micros(20 * 1_000_000));
+    deploy.run(SimTime::from_secs(20));
     let original_master = deploy.master_of(app).expect("master exists");
 
     // Continuous churn over everyone else: every ~4 s some node goes down
@@ -53,8 +53,8 @@ fn main() {
     let members: Vec<usize> = (0..n).filter(|&i| i != original_master).collect();
     let churn = ChurnSchedule::continuous(
         &members,
-        SimTime::from_micros(26 * 1_000_000),
-        SimTime::from_micros(250 * 1_000_000),
+        SimTime::from_secs(26),
+        SimTime::from_secs(250),
         SimDuration::from_secs(4),
         SimDuration::from_secs(10),
         &mut rng,
@@ -70,9 +70,9 @@ fn main() {
     println!("original master: node {original_master} — killing it at t=25s");
     deploy
         .sim_mut()
-        .schedule_down(original_master, SimTime::from_micros(25 * 1_000_000));
+        .schedule_down(original_master, SimTime::from_secs(25));
 
-    deploy.run(SimTime::from_micros(600 * 1_000_000));
+    deploy.run(SimTime::from_secs(600));
 
     let curve = deploy.curve(app);
     let rounds = curve.last().map_or(0, |p| p.round);

@@ -53,7 +53,7 @@ fn main() {
     let app = deploy.submit_app(config, &participants, shards);
 
     // 3. Run until the target is reached.
-    let finished = deploy.run(SimTime::from_micros(3_600 * 1_000_000));
+    let finished = deploy.run(SimTime::from_secs(3_600));
     let master = deploy.master_of(app).expect("a master was promoted");
     println!("master: node {master} (the node whose id is closest to the AppId)");
     println!("\nround  sim-time  accuracy");

@@ -90,7 +90,7 @@ fn main() {
         deploy.submit_app(cfg, &(0..n).collect::<Vec<_>>(), shards),
     ));
 
-    deploy.run(SimTime::from_micros(7_200 * 1_000_000));
+    deploy.run(SimTime::from_secs(7_200));
 
     println!("application                     master  rounds  best acc  time-to-target");
     for (name, app) in &apps {

@@ -90,7 +90,7 @@ fn main() {
     cfg.home_zone = Some((u64::from(home_zone), zone_bits));
     let shards = generator.client_shards(home_members.len(), 40, 0.5, &mut rng);
     let app = deploy.submit_app(cfg, &home_members, shards);
-    deploy.run(SimTime::from_micros(600 * 1_000_000));
+    deploy.run(SimTime::from_secs(600));
 
     let blocked: u64 = (0..n).map(|i| deploy.sim().app(i).stats.blocked).sum();
     let curve = deploy.curve(app);
@@ -127,7 +127,7 @@ fn main() {
     let participants: Vec<usize> = (0..n).collect();
     let shards = generator.client_shards(n, 40, 0.5, &mut rng);
     let app = deploy.submit_app(cfg, &participants, shards);
-    deploy.run(SimTime::from_micros(600 * 1_000_000));
+    deploy.run(SimTime::from_secs(600));
 
     let topic = deploy.config(app).app_id();
     let mut zones_spanned: Vec<u16> = (0..n)

@@ -11,7 +11,7 @@ use totoro_ml::{text_classification_like, AggregationRule, TaskGenerator};
 use totoro_pubsub::ForestConfig;
 use totoro_simnet::{assign_zones, sub_rng, BinningConfig, SimTime, Topology};
 
-const HOUR: u64 = 3_600 * 1_000_000;
+const HOUR: SimTime = SimTime::from_secs(3_600);
 
 /// Identical workloads on Totoro and on a centralized engine must produce
 /// comparable model quality — the architectures differ, not the learning.
@@ -45,7 +45,7 @@ fn totoro_and_centralized_reach_similar_accuracy() {
         ForestConfig::default(),
     );
     let app = deploy.submit_app(mk_cfg(&test_set), &(0..n).collect::<Vec<_>>(), shards);
-    deploy.run(SimTime::from_micros(HOUR));
+    deploy.run(HOUR);
     let totoro_best = deploy
         .curve(app)
         .iter()
@@ -74,7 +74,7 @@ fn totoro_and_centralized_reach_similar_accuracy() {
         seed: cfg.seed,
     };
     let capp = engine.submit_app(spec, &(1..=n).collect::<Vec<_>>(), shards);
-    engine.run(SimTime::from_micros(HOUR));
+    engine.run(HOUR);
     let central_best = engine
         .server()
         .curve(capp)
@@ -120,7 +120,7 @@ fn totoro_scales_flatter_than_centralized() {
             cfg.max_rounds = rounds;
             deploy.submit_app(cfg, &(0..n).collect::<Vec<_>>(), shards);
         }
-        deploy.run(SimTime::from_micros(HOUR));
+        deploy.run(HOUR);
         (0..apps)
             .filter_map(|a| deploy.curve(a).last().map(|p| p.time_secs))
             .fold(0.0, f64::max)
@@ -149,7 +149,7 @@ fn totoro_scales_flatter_than_centralized() {
             };
             engine.submit_app(spec, &(1..=n).collect::<Vec<_>>(), shards);
         }
-        engine.run(SimTime::from_micros(HOUR));
+        engine.run(HOUR);
         let server = engine.server();
         (0..apps)
             .filter_map(|a| server.curve(a).last().map(|p| p.time_secs))
@@ -209,7 +209,7 @@ fn zone_restricted_training_never_leaves_home() {
     cfg.target_accuracy = 2.0;
     cfg.max_rounds = 5;
     let app = deploy.submit_app(cfg, &home, shards);
-    deploy.run(SimTime::from_micros(HOUR));
+    deploy.run(HOUR);
 
     assert_eq!(
         deploy.curve(app).last().map(|p| p.round),
@@ -265,7 +265,7 @@ fn geographic_multi_ring_deployment_trains() {
     cfg.target_accuracy = 0.8;
     cfg.max_rounds = 20;
     let app = deploy.submit_app(cfg, &(0..n).collect::<Vec<_>>(), shards);
-    deploy.run(SimTime::from_micros(HOUR));
+    deploy.run(HOUR);
     let best = deploy
         .curve(app)
         .iter()
@@ -311,7 +311,7 @@ fn secure_aggregation_inside_a_restricted_zone() {
     cfg.target_accuracy = 0.85;
     cfg.max_rounds = 25;
     let app = deploy.submit_app(cfg, &home, shards);
-    deploy.run(SimTime::from_micros(HOUR));
+    deploy.run(HOUR);
 
     let best = deploy
         .curve(app)
@@ -359,7 +359,7 @@ fn replan_ablation_attaches_faster_than_timeout_only() {
             })
             .expect("all nodes are up at subscribe time");
         }
-        sim.run_until(SimTime::from_micros(20 * 1_000_000));
+        sim.run_until(SimTime::from_secs(20));
         // Blink an interior node forever.
         let flaky = (0..n)
             .find(|&i| {
@@ -376,7 +376,7 @@ fn replan_ablation_attaches_faster_than_timeout_only() {
             sim.schedule_up(flaky, SimTime::from_micros(t + 2_400_000));
             t += 2_800_000;
         }
-        sim.run_until(SimTime::from_micros(240 * 1_000_000));
+        sim.run_until(SimTime::from_secs(240));
         // Count how many nodes remain glued to the flaky parent.
         (0..n)
             .filter(|&i| {
@@ -429,18 +429,14 @@ fn totoro_deployment_survives_mid_training_churn() {
 
     // Let the master elect and the first round land (~2 s cadence), then
     // churn three non-master members out mid-training.
-    deploy.sim_mut().run_until(SimTime::from_micros(3_000_000));
+    deploy.sim_mut().run_until(SimTime::from_secs(3));
     let master = deploy.master_of(app).expect("a master was elected");
     let victims: Vec<usize> = (0..n).filter(|&i| i != master).take(3).collect();
     for &v in &victims {
-        deploy
-            .sim_mut()
-            .schedule_down(v, SimTime::from_micros(5_000_000));
-        deploy
-            .sim_mut()
-            .schedule_up(v, SimTime::from_micros(25_000_000));
+        deploy.sim_mut().schedule_down(v, SimTime::from_secs(5));
+        deploy.sim_mut().schedule_up(v, SimTime::from_secs(25));
     }
-    let finished = deploy.run(SimTime::from_micros(HOUR));
+    let finished = deploy.run(HOUR);
     assert!(finished, "churn stalled the deployment");
     assert_eq!(
         deploy.curve(app).last().map(|p| p.round),
