@@ -26,7 +26,7 @@ use totoro_simnet::{sub_rng, ChurnSchedule, SimTime, Topology, TrialReport as Si
 
 use crate::report;
 use crate::scenario::{Grammar, Params, Trial, TrialReport};
-use crate::setups::{eua_topology, target_for, task_by_name};
+use crate::setups::{eua_topology_exact, target_for, task_by_name};
 
 /// The command line `totoro-bench deploy` takes.
 #[rustfmt::skip]
@@ -137,7 +137,7 @@ pub fn output(params: &Params) -> Result<String, String> {
         .bounded("churn", "in [0, 1]", unit_closed)?
         .unwrap_or(0.0);
     let topology = match params.one_of("topology", &["uniform", "geo"])? {
-        Some("geo") => eua_topology(nodes, seed),
+        Some("geo") => eua_topology_exact(nodes, seed),
         _ => Topology::uniform(nodes, 1_000, 5_000),
     };
     let n = topology.len();
@@ -221,4 +221,22 @@ pub fn output(params: &Params) -> Result<String, String> {
 pub fn run(params: &Params) -> Result<ExitCode, String> {
     report::emit(output(params)?);
     Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::parse_params;
+
+    /// `--topology geo` deploys exactly `--nodes` nodes, as the uniform
+    /// topology does, although the EUA generator keeps at least one node
+    /// in every region (40 requested come out as 44 before the trim).
+    #[test]
+    fn geo_topology_deploys_the_requested_node_count() {
+        let args = "--topology geo --nodes 40 --apps 1 --rounds 1";
+        let args: Vec<String> = args.split(' ').map(String::from).collect();
+        let params = parse_params(&GRAMMAR, defaults(), &args).expect("valid args");
+        let out = output(&params).expect("valid args");
+        assert!(out.starts_with("deploy: 40 nodes,"), "{out}");
+    }
 }

@@ -10,13 +10,12 @@
 
 use totoro_baselines::{CentralizedEngine, ServerProfile};
 use totoro_ml::TaskGenerator;
-use totoro_simnet::geo::{eua_regions_scaled, generate};
 use totoro_simnet::{sub_rng, SimTime, Topology, TraceRecord};
 
 use crate::report::{csv_block, markdown_table, speedup};
 use crate::scenario::{checked, Params, Scenario, SinkSpec, Trial, TrialReport};
 use crate::setups::{
-    edge_latency, fl_app_config, target_for, task_by_name, to_central_spec, totoro_with_apps,
+    eua_topology_exact, fl_app_config, target_for, task_by_name, to_central_spec, totoro_with_apps,
 };
 
 const MAX_SIM: SimTime = SimTime::from_secs(48 * 3_600);
@@ -262,7 +261,7 @@ fn totoro_total(
     let task = task_by_name(dataset);
     let mut gen_rng = sub_rng(seed, "task");
     let generator = TaskGenerator::new(task, &mut gen_rng);
-    let mut topology = topology_for(n, seed);
+    let mut topology = eua_topology_exact(n, seed);
     apply_device_class(&mut topology, dataset);
     let mut deploy = totoro_with_apps(topology, seed, fanout, num_apps, &generator, samples, 60);
     deploy.run(MAX_SIM);
@@ -290,7 +289,7 @@ fn central_total(
     let task = task_by_name(dataset);
     let mut gen_rng = sub_rng(seed, "task");
     let generator = TaskGenerator::new(task, &mut gen_rng);
-    let mut topology = topology_for(n + 1, seed);
+    let mut topology = eua_topology_exact(n + 1, seed);
     apply_device_class(&mut topology, dataset);
     let mut engine = CentralizedEngine::new(topology, profile, seed);
     let participants: Vec<usize> = (1..=n).collect();
@@ -330,13 +329,4 @@ pub(crate) fn apply_device_class(topology: &mut Topology, dataset: &str) {
             topology.set_profile(i, p);
         }
     }
-}
-
-/// An exactly-`n`-node EUA topology (trimming the generator's rounding).
-pub(crate) fn topology_for(n: usize, seed: u64) -> Topology {
-    let mut rng = sub_rng(seed, "eua-topology");
-    let nodes = generate(&eua_regions_scaled(n), &mut rng);
-    // Trim/pad handled by the generator's rounding; take exactly n.
-    let nodes = &nodes[..n.min(nodes.len())];
-    Topology::from_placements(nodes, edge_latency())
 }

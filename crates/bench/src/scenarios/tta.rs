@@ -13,10 +13,10 @@ use totoro_simnet::{sub_rng, SimTime, TraceRecord};
 
 use crate::report::{csv_block, f3};
 use crate::scenario::{checked, Params, Scenario, SinkSpec, Trial, TrialReport};
-use crate::scenarios::table3::{
-    apply_device_class, fl_sizes, samples_for, samples_per_client, topology_for,
+use crate::scenarios::table3::{apply_device_class, fl_sizes, samples_for, samples_per_client};
+use crate::setups::{
+    eua_topology_exact, fl_app_config, target_for, task_by_name, to_central_spec, totoro_with_apps,
 };
-use crate::setups::{fl_app_config, target_for, task_by_name, to_central_spec, totoro_with_apps};
 
 const MAX_SIM: SimTime = SimTime::from_secs(48 * 3_600);
 
@@ -103,7 +103,7 @@ impl Scenario for Tta {
 
         if trial.setup == "totoro" {
             let fanout = trial.get_usize("fanout");
-            let mut topology = topology_for(n, seed);
+            let mut topology = eua_topology_exact(n, seed);
             apply_device_class(&mut topology, self.dataset);
             let mut deploy =
                 totoro_with_apps(topology, seed, fanout, num_apps, &generator, samples, 60);
@@ -119,7 +119,7 @@ impl Scenario for Tta {
                 "fedscale" => ServerProfile::fedscale_like(),
                 other => panic!("tta has no engine {other:?}"),
             };
-            let mut topology = topology_for(n + 1, seed);
+            let mut topology = eua_topology_exact(n + 1, seed);
             apply_device_class(&mut topology, self.dataset);
             let mut engine = CentralizedEngine::new(topology, profile, seed);
             let participants: Vec<usize> = (1..=n).collect();

@@ -29,6 +29,15 @@ pub fn eua_topology(n: usize, seed: u64) -> Topology {
     Topology::from_placements(&nodes, edge_latency())
 }
 
+/// An EUA topology of exactly `n` nodes. [`eua_topology`]'s generator keeps
+/// at least one node in every region, so a small `n` comes out larger
+/// (40 gives 44); this draws the same placements and keeps the first `n`.
+pub(crate) fn eua_topology_exact(n: usize, seed: u64) -> Topology {
+    let mut rng = sub_rng(seed, "eua-topology");
+    let nodes = generate(&eua_regions_scaled(n), &mut rng);
+    Topology::from_placements(&nodes[..n.min(nodes.len())], edge_latency())
+}
+
 /// The "speech" (mid-scale), "femnist" (large-scale) or "text" task by name.
 pub fn task_by_name(name: &str) -> TaskSpec {
     match name {

@@ -30,9 +30,7 @@ pub mod two_level;
 
 pub use hash::{app_id, id_from_bytes, node_id, sha1};
 pub use id::{closest_on_ring, Id, ID_BITS};
-pub use node::{
-    DhtApi, DhtMsg, DhtNode, DhtStats, MaintenanceConfig, UpperLayer, UPPER_TIMER_BASE,
-};
+pub use node::{DhtApi, DhtMsg, DhtNode, DhtStats, UpperLayer, UPPER_TIMER_BASE};
 pub use oracle::{
     build_states, build_states_with_proximity, ids_for_zones, implicit_route_hops, random_ids,
     spawn_overlay, spawn_overlay_with_sink,

@@ -40,6 +40,12 @@ use crate::two_level::BoundaryDecision;
 pub const UPPER_TIMER_BASE: u64 = 1 << 32;
 
 const TIMER_MAINTENANCE: u64 = 0;
+/// Interval between heartbeat/maintenance ticks.
+const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_secs(2);
+/// A leaf peer silent for this many intervals is declared failed.
+const FAILURE_AFTER_TICKS: u64 = 3;
+/// Every this many ticks, gossip the leaf set to leaf members.
+const GOSSIP_EVERY_TICKS: u64 = 4;
 /// Wire-size estimate of one serialized contact (id + address + port).
 const CONTACT_WIRE_BYTES: usize = 24;
 /// Wire-size estimate of fixed message headers.
@@ -340,27 +346,6 @@ pub trait UpperLayer: Sized {
     }
 }
 
-/// Maintenance knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct MaintenanceConfig {
-    /// Interval between heartbeat/maintenance ticks.
-    pub heartbeat_interval: SimDuration,
-    /// A leaf peer silent for this many intervals is declared failed.
-    pub failure_after_ticks: u32,
-    /// Every this many ticks, gossip the leaf set to leaf members.
-    pub gossip_every_ticks: u32,
-}
-
-impl Default for MaintenanceConfig {
-    fn default() -> Self {
-        MaintenanceConfig {
-            heartbeat_interval: SimDuration::from_secs(2),
-            failure_after_ticks: 3,
-            gossip_every_ticks: 4,
-        }
-    }
-}
-
 /// A DHT node with upper layer `U`, runnable on the simulator.
 ///
 /// The node's [`PeerRecord`] (memo and liveness) is keyed by network address
@@ -377,7 +362,6 @@ pub struct DhtNode<U: UpperLayer> {
     pub upper: U,
     /// Protocol counters.
     pub stats: DhtStats,
-    maintenance: MaintenanceConfig,
     bootstrap: Option<NodeIdx>,
     joined: bool,
     tick: u64,
@@ -399,7 +383,6 @@ impl<U: UpperLayer> DhtNode<U> {
             state: DhtState::new(id, addr, config),
             upper,
             stats: DhtStats::default(),
-            maintenance: MaintenanceConfig::default(),
             bootstrap,
             joined: bootstrap.is_none(),
             tick: 0,
@@ -499,7 +482,7 @@ impl<U: UpperLayer> DhtNode<U> {
     }
 
     fn start_maintenance(&mut self, ctx: &mut Ctx<'_, DhtMsg<U::P>>) {
-        ctx.set_timer(self.maintenance.heartbeat_interval, TIMER_MAINTENANCE);
+        ctx.set_timer(HEARTBEAT_INTERVAL, TIMER_MAINTENANCE);
     }
 
     fn maintenance_tick(&mut self, ctx: &mut Ctx<'_, DhtMsg<U::P>>) {
@@ -508,10 +491,7 @@ impl<U: UpperLayer> DhtNode<U> {
         let me = self.state.contact();
 
         // Declare silent leaf peers failed.
-        let timeout = self
-            .maintenance
-            .heartbeat_interval
-            .saturating_mul(u64::from(self.maintenance.failure_after_ticks));
+        let timeout = HEARTBEAT_INTERVAL.saturating_mul(FAILURE_AFTER_TICKS);
         let mut failed: Vec<NodeIdx> = Vec::new();
         for c in self.state.leaf_set.members() {
             let seen = self.peers.get_or_set(c.addr, now);
@@ -529,9 +509,7 @@ impl<U: UpperLayer> DhtNode<U> {
         self.drain_local(ctx);
 
         // Heartbeat surviving leaf members; occasionally gossip leaf sets.
-        let gossip = self
-            .tick
-            .is_multiple_of(u64::from(self.maintenance.gossip_every_ticks.max(1)));
+        let gossip = self.tick.is_multiple_of(GOSSIP_EVERY_TICKS);
         let count = self.state.leaf_set.len();
         if gossip {
             // One shared snapshot for the whole fan-out: each member's copy

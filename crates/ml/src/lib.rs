@@ -9,10 +9,12 @@
 //! * [`fed`] — mergeable [`fed::ModelUpdate`]s for in-network FedAvg;
 //! * [`data`] — synthetic non-IID datasets matching the paper's task scales
 //!   (35-class "speech", 62-class "femnist") with Dirichlet label skew;
-//! * [`compress`] — top-k sparsification and int8 quantization;
+//! * [`compress`] — top-k sparsification and int8 quantization, and the
+//!   wire size each scheme charges ([`Compression::wire_bytes`]): the
+//!   simulator prices a model's transfer from that figure, so no weight
+//!   is ever serialized;
 //! * [`privacy`] — Gaussian-mechanism differential privacy;
 //! * [`secure_agg`] — pairwise-masking secure aggregation;
-//! * [`serialize`] — binary weight arrays for low-cost communication;
 //! * [`metrics`] — accuracy and time-to-accuracy curves.
 
 #![forbid(unsafe_code)]
@@ -25,7 +27,6 @@ pub mod metrics;
 pub mod nn;
 pub mod privacy;
 pub mod secure_agg;
-pub mod serialize;
 
 pub use compress::{densify, dequantize_int8, quantize_int8, top_k, Compression};
 pub use data::{
@@ -37,4 +38,3 @@ pub use metrics::{accuracy, mean_loss, time_to_accuracy, AccuracyPoint};
 pub use nn::{argmax, softmax, Dense, Mlp};
 pub use privacy::{apply as apply_privacy, l2_clip, Privacy};
 pub use secure_agg::{apply_pairwise_masks, cancellation_tolerance, MASK_SCALE};
-pub use serialize::{bytes_to_weights, weights_to_bytes};

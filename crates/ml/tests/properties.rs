@@ -1,34 +1,13 @@
 //! Property-based tests for the ML substrate's algebraic invariants.
 
-use bytes::Bytes;
 use proptest::prelude::*;
-use totoro_ml::{
-    bytes_to_weights, densify, dequantize_int8, l2_clip, quantize_int8, softmax, top_k,
-    weights_to_bytes, ModelUpdate,
-};
+use totoro_ml::{densify, dequantize_int8, l2_clip, quantize_int8, softmax, top_k, ModelUpdate};
 
 fn small_f32() -> impl Strategy<Value = f32> {
     (-1e6f32..1e6f32).prop_filter("finite", |x| x.is_finite())
 }
 
 proptest! {
-    /// Serialization round-trips bit-exactly for any finite weights.
-    #[test]
-    fn serialize_round_trip(w in prop::collection::vec(small_f32(), 0..200)) {
-        let b = weights_to_bytes(&w);
-        let back = bytes_to_weights(b).expect("well-formed");
-        prop_assert_eq!(w.len(), back.len());
-        for (a, b) in w.iter().zip(&back) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    /// Deserialization never panics on arbitrary junk.
-    #[test]
-    fn deserialize_rejects_junk(junk in prop::collection::vec(any::<u8>(), 0..128)) {
-        let _ = bytes_to_weights(Bytes::from(junk));
-    }
-
     /// Int8 quantization error is bounded by half a quantization step.
     #[test]
     fn quantization_error_bound(w in prop::collection::vec(small_f32(), 1..200)) {

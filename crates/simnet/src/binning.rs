@@ -77,15 +77,6 @@ impl ZoneAssignment {
         sizes
     }
 
-    /// Trivial single-zone assignment for `n` nodes (no multi-ring).
-    pub fn single_zone(n: usize) -> Self {
-        ZoneAssignment {
-            zone_of: vec![0; n],
-            num_zones: 1,
-            landmarks: Vec::new(),
-        }
-    }
-
     /// Summarizes this assignment as a small plain value suitable for
     /// embedding in a per-trial report.
     pub fn summary(&self) -> ZoneSummary {
@@ -356,13 +347,6 @@ mod tests {
         let zones = assign_zones(&t, &BinningConfig::default(), &mut rng);
         let diam = zone_diameters_us(&t, &zones, 64, &mut rng);
         assert_eq!(diam.len(), zones.num_zones);
-    }
-
-    #[test]
-    fn single_zone_helper() {
-        let z = ZoneAssignment::single_zone(10);
-        assert_eq!(z.num_zones, 1);
-        assert_eq!(z.members(0).len(), 10);
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub mod churn;
 mod engine;
 pub mod geo;
 pub mod json;
-pub mod numeric;
 pub mod obs;
 pub mod payload;
 pub mod queue;

@@ -5,6 +5,8 @@
 //!   `unsafe_code` for the workspace, and every member that its `members`
 //!   globs name opts into the workspace lints. A new crate, or a vendored
 //!   stand-in, that leaves out `[lints] workspace = true` fails here.
+//! * Every `[workspace.dependencies]` entry is used by some member, so a
+//!   deletion cannot leave a dependency (or a vendored stub) behind.
 //! * DET005 as a fact about sources: every lint suppression is an
 //!   `#[expect]` (which fails once it suppresses nothing) with a reason.
 //! * DESIGN.md §11's list of the sites that break a ban matches the tree.
@@ -86,6 +88,39 @@ fn every_member_inherits_the_workspace_lints() {
     assert!(
         missing.is_empty(),
         "members without `[lints] workspace = true`: {missing:?}"
+    );
+}
+
+/// The dependency names a manifest section declares, from `name = …` or
+/// `name.workspace = true` lines.
+fn dependency_names(lines: &[&str]) -> Vec<String> {
+    lines
+        .iter()
+        .filter_map(|l| l.split(['=', '.']).next())
+        .map(|name| name.trim().to_string())
+        .collect()
+}
+
+#[test]
+fn every_workspace_dependency_is_used_by_a_member() {
+    let manifest = fs::read_to_string(root().join("Cargo.toml")).expect("the root manifest");
+    let declared =
+        section(&manifest, "[workspace.dependencies]").expect("a [workspace.dependencies] table");
+    let declared = dependency_names(&declared);
+    assert!(declared.contains(&"rand".to_string()), "{declared:?}");
+    let mut used = Vec::new();
+    for dir in members(&manifest) {
+        let member = fs::read_to_string(dir.join("Cargo.toml")).expect("a member manifest");
+        for header in ["[dependencies]", "[dev-dependencies]"] {
+            if let Some(lines) = section(&member, header) {
+                used.extend(dependency_names(&lines));
+            }
+        }
+    }
+    let unused: Vec<_> = declared.iter().filter(|d| !used.contains(d)).collect();
+    assert!(
+        unused.is_empty(),
+        "[workspace.dependencies] entries no member uses: {unused:?}"
     );
 }
 
