@@ -140,16 +140,22 @@ impl Router {
         let mut delay = 0;
         let mut edges = Vec::new();
         let mut budget = MAX_SLOTS_PER_PACKET;
+        let mut omega = vec![0.0; g.num_edges()];
         while v != d && budget > 0 {
             // Per-slot re-planning: ω and J reflect everything learned so
             // far, including attempts made earlier on this very packet.
+            // Each link's ω is a pure function of its stats and log τ, so
+            // it is computed once per slot, not once per relaxation sweep.
             let log_tau = self.log_tau();
+            for (w, st) in omega.iter_mut().zip(&self.stats) {
+                *w = st.omega(log_tau);
+            }
             let j = g
-                .shortest_costs_to(d, |e| self.stats[e].omega(log_tau))
+                .shortest_costs_to(d, |e| omega[e])
                 .expect("destination in graph");
             let Some(&e) = g.out_edges(v).iter().min_by(|&&a, &&b| {
-                let ca = self.stats[a].omega(log_tau) + j[g.edge(a).to];
-                let cb = self.stats[b].omega(log_tau) + j[g.edge(b).to];
+                let ca = omega[a] + j[g.edge(a).to];
+                let cb = omega[b] + j[g.edge(b).to];
                 ca.partial_cmp(&cb).expect("finite costs")
             }) else {
                 break; // Dead end.
@@ -179,13 +185,18 @@ impl Router {
         d: Vertex,
         rng: &mut StdRng,
     ) -> PacketResult {
-        // Optimistic per-link cost: delay LCB = 1 / (success-rate UCB).
+        // Optimistic per-link cost: delay LCB = 1 / (success-rate UCB),
+        // computed once per link rather than once per relaxation sweep.
         let log_tau = self.log_tau();
-        let cost = |e: EdgeId| {
-            let st = &self.stats[e];
-            let u = kl_ucb_upper(st.p_hat(), st.attempts, log_tau);
-            (1.0 / u.max(1e-9)).max(1.0)
-        };
+        let costs: Vec<f64> = self
+            .stats
+            .iter()
+            .map(|st| {
+                let u = kl_ucb_upper(st.p_hat(), st.attempts, log_tau);
+                (1.0 / u.max(1e-9)).max(1.0)
+            })
+            .collect();
+        let cost = |e: EdgeId| costs[e];
         let dist = g.shortest_costs_to(d, cost).expect("destination in graph");
         // Reconstruct the committed path greedily along `dist`.
         let mut path = Vec::new();

@@ -26,6 +26,12 @@
 //!   node: a keep-alive's sender is found by one compare over 32 inline
 //!   slots that hold its address, its stamp and its memo bit, with no
 //!   pointer to follow and no hashing.
+//! * A `LeafExchange` is one pointer compare when nothing moved. The
+//!   sender gossips the same [`Shared`] snapshot while its leaf set is
+//!   unchanged, and the receiver's [`PeerRecord`] holds, per sender, the
+//!   last snapshot whose whole pass was a no-op; a repeat of it makes all
+//!   its offers skipped without reading a member
+//!   ([`PeerRecord::learn_gossip`]).
 
 use totoro_simnet::{ComputeKind, Ctx, NodeIdx, Payload, Shared, SimDuration, SimTime};
 
@@ -353,6 +359,11 @@ pub trait UpperLayer: Sized {
 /// function here: a contact is only ever minted by its owner's
 /// [`DhtState::contact`], and a node's id never changes. Debug builds check
 /// it on every memo hit (see [`PeerRecord`]).
+///
+/// The node keeps the leaf-set snapshot it last gossiped and gossips that
+/// same [`Shared`] again while its leaf set still lists exactly those
+/// members (one compare per gossip tick), so its receivers can recognise a
+/// repeat by pointer ([`PeerRecord::holds_snapshot`]).
 pub struct DhtNode<U: UpperLayer> {
     /// Routing state. Once the node runs, every mutation goes through the
     /// node's [`PeerRecord`]; replace it wholesale only before the run starts
@@ -366,6 +377,8 @@ pub struct DhtNode<U: UpperLayer> {
     joined: bool,
     tick: u64,
     peers: PeerRecord,
+    /// The leaf-set snapshot last gossiped, if any.
+    gossiped: Option<Shared<Vec<Contact>>>,
     pending_local: Vec<(Id, NodeIdx, U::P)>,
 }
 
@@ -387,6 +400,7 @@ impl<U: UpperLayer> DhtNode<U> {
             joined: bootstrap.is_none(),
             tick: 0,
             peers: PeerRecord::default(),
+            gossiped: None,
             pending_local: Vec::new(),
         }
     }
@@ -399,6 +413,16 @@ impl<U: UpperLayer> DhtNode<U> {
     /// Whether the node completed its join.
     pub fn joined(&self) -> bool {
         self.joined
+    }
+
+    /// What the node knows of its peers: liveness and the no-op memo.
+    pub fn peers(&self) -> &PeerRecord {
+        &self.peers
+    }
+
+    /// The leaf-set snapshot the node last gossiped, if it has gossiped.
+    pub fn gossiped(&self) -> Option<&Shared<Vec<Contact>>> {
+        self.gossiped.as_ref()
     }
 
     fn api<'a, 'b>(
@@ -454,13 +478,25 @@ impl<U: UpperLayer> DhtNode<U> {
         }
         self.stats.offers += 1;
         let rtt = || Self::measured_rtt_us(ctx, me, c.addr);
-        match self.peers.offer(&mut self.state, c, rtt) {
-            Offer::Skipped => self.stats.offers_skipped += 1,
-            Offer::Changed {
-                joined_leaf_set: true,
-            } => self.peers.set(c.addr, ctx.now()),
-            Offer::Unchanged | Offer::Changed { .. } => {}
+        if self.peers.learn(&mut self.state, c, ctx.now(), rtt) == Offer::Skipped {
+            self.stats.offers_skipped += 1;
         }
+    }
+
+    /// [`DhtNode::learn`] on every member of a gossiped snapshot.
+    fn learn_gossip(
+        &mut self,
+        ctx: &Ctx<'_, DhtMsg<U::P>>,
+        from: NodeIdx,
+        members: &Shared<Vec<Contact>>,
+    ) {
+        let me = self.state.addr();
+        let rtt = |addr| Self::measured_rtt_us(ctx, me, addr);
+        let (offers, skipped) =
+            self.peers
+                .learn_gossip(&mut self.state, from, members, ctx.now(), rtt);
+        self.stats.offers += offers;
+        self.stats.offers_skipped += skipped;
     }
 
     /// The part every keep-alive shares: fold the claimed sender in and
@@ -513,8 +549,17 @@ impl<U: UpperLayer> DhtNode<U> {
         let count = self.state.leaf_set.len();
         if gossip {
             // One shared snapshot for the whole fan-out: each member's copy
-            // of the gossip is a reference-count bump, not a Vec clone.
-            let members = Shared::new(self.state.leaf_set.members().collect::<Vec<_>>());
+            // of the gossip is a reference-count bump, not a Vec clone. It
+            // is the last tick's snapshot while the leaf set is unchanged.
+            let members = match &self.gossiped {
+                Some(last) if last.iter().copied().eq(self.state.leaf_set.members()) => {
+                    last.clone()
+                }
+                _ => {
+                    let fresh = Shared::new(self.state.leaf_set.members().collect::<Vec<_>>());
+                    self.gossiped.insert(fresh).clone()
+                }
+            };
             ctx.send_all(
                 members.iter().map(|c| c.addr),
                 DhtMsg::LeafExchange {
@@ -706,9 +751,7 @@ impl<U: UpperLayer> totoro_simnet::Application for DhtNode<U> {
                 members,
             } => {
                 self.keep_alive(ctx, from, refreshed, peer);
-                for &c in members.iter() {
-                    self.learn(ctx, c);
-                }
+                self.learn_gossip(ctx, from, &members);
             }
             DhtMsg::Route {
                 key,
@@ -810,6 +853,43 @@ mod tests {
         fn on_deliver(&mut self, _: &mut DhtApi<'_, '_, Nothing>, _: Id, _: NodeIdx, _: Nothing) {}
 
         fn on_direct(&mut self, _: &mut DhtApi<'_, '_, Nothing>, _: NodeIdx, _: Nothing) {}
+    }
+
+    /// A node gossips the same snapshot allocation tick after tick while
+    /// its leaf set is unchanged, and a new one once it has changed.
+    #[test]
+    fn unchanged_leaf_set_regossips_the_same_snapshot() {
+        let n = 4;
+        let ids: Vec<Id> = (0..n).map(|i| Id::new((i as u128 + 1) << 120)).collect();
+        let topology = totoro_simnet::Topology::uniform(n, 500, 2_000);
+        let mut sim = totoro_simnet::Simulator::new(topology, 5, |i| {
+            let mut node = DhtNode::new(ids[i], i, DhtConfig::default(), None, Quiet);
+            for (j, &id) in ids.iter().enumerate().filter(|&(j, _)| j != i) {
+                node.state.add_contact(Contact { id, addr: j }, Some(1_000));
+            }
+            node
+        });
+        let gossiped = |sim: &totoro_simnet::Simulator<DhtNode<Quiet>>| {
+            sim.app(0).gossiped().expect("node 0 has gossiped").clone()
+        };
+        // Gossip ticks fall every 8 s.
+        sim.run_until(SimTime::from_secs(9));
+        let first = gossiped(&sim);
+        assert_eq!(first.len(), n - 1);
+        sim.run_until(SimTime::from_secs(17));
+        assert!(Shared::ptr_eq(&first, &gossiped(&sim)));
+        // Node 3 fails; node 0 drops it at the 24 s tick, which gossips.
+        sim.schedule_down(3, SimTime::from_secs(17));
+        sim.run_until(SimTime::from_secs(25));
+        let second = gossiped(&sim);
+        assert!(!Shared::ptr_eq(&first, &second));
+        assert!(second
+            .iter()
+            .copied()
+            .eq(sim.app(0).state.leaf_set.members()));
+        assert!(!second.iter().any(|c| c.addr == 3));
+        sim.run_until(SimTime::from_secs(33));
+        assert!(Shared::ptr_eq(&second, &gossiped(&sim)));
     }
 
     /// Each tracked peer costs one `(address, stamp)` pair, wherever the

@@ -1,6 +1,6 @@
 //! Aggregate per-node DHT state.
 
-use totoro_simnet::{NodeIdx, SimTime};
+use totoro_simnet::{NodeIdx, Shared, SimTime};
 
 use crate::id::Id;
 use crate::table::{Contact, LeafSet, NeighborhoodSet, RoutingTable};
@@ -202,6 +202,18 @@ struct Spilled {
     remembered: bool,
 }
 
+/// A gossip snapshot whose whole pass left every member remembered.
+#[derive(Clone, Debug)]
+struct HeldSnapshot {
+    /// The sender's address.
+    from: u32,
+    /// Members other than the receiver: the offers one pass makes.
+    offers: u32,
+    /// The snapshot itself. Holding a handle keeps the allocation alive, so
+    /// no other snapshot can be allocated under the same pointer.
+    members: Shared<Vec<Contact>>,
+}
+
 /// What a node knows of its peers besides its [`DhtState`]: when each
 /// *tracked* peer was last heard from, and which peers are *remembered* as
 /// known no-ops. One record, stored inline in the node, so a keep-alive
@@ -236,6 +248,22 @@ struct Spilled {
 /// (`removal_only_invalidation_diverges_on_rtt_ties` in
 /// `tests/properties.rs` is the constructive counter-example).
 ///
+/// # Whole gossip snapshots
+///
+/// [`PeerRecord::learn_gossip`] applies the same rule to a whole
+/// `LeafExchange`. A settled sender gossips the same
+/// [`Shared`] snapshot tick after tick (see [`crate::DhtNode`]), so the
+/// record holds, per sender, the last snapshot whose full pass forgot
+/// nothing (no offer changed the state and the memo was not cleared at
+/// capacity) and left every member remembered (every member address fits
+/// the memo's `u32` key). Nothing but the forget-all behind every forget
+/// ever un-remembers an address, and it drops the held snapshots too, so while
+/// one is held every member is still remembered: offering the same
+/// snapshot again (the same allocation, [`Shared::ptr_eq`]) makes exactly
+/// its members' offers, all skipped, which is what a hit counts without
+/// reading the snapshot. Debug builds re-offer every member of every hit
+/// and assert each is skipped.
+///
 /// The memo is keyed by the 32-bit network address, not the whole
 /// [`Contact`]: address → id is a function, because a contact is only ever
 /// minted by its owner's [`DhtState::contact`] and a node's id never
@@ -265,7 +293,9 @@ struct Spilled {
 ///
 /// The fields are laid out in cache lines, in the order a lookup reads
 /// them: the keys fill two lines, the memo bits and both lists' headers
-/// the third, and a hit then reads one of the four lines of stamps.
+/// the third, and a hit then reads one of the four lines of stamps. The
+/// held snapshots, address-sorted by sender, follow the stamps; only a
+/// gossip reads them.
 #[derive(Clone, Debug)]
 #[repr(C, align(64))]
 pub struct PeerRecord {
@@ -273,12 +303,17 @@ pub struct PeerRecord {
     keys: [u32; SLOTS],
     /// Bit `i`: slot `i`'s peer is remembered.
     remembered: u32,
+    /// How many times everything was forgotten (wrapping): a gossip pass
+    /// that saw it move did not leave every member remembered.
+    forgets: u32,
     /// Tracked peers without an inline slot, ascending by address.
     spill: Vec<Spilled>,
     /// Remembered addresses that are not tracked, ascending.
     side: Vec<u32>,
     /// When each slot's peer was last heard from.
     stamps: [SimTime; SLOTS],
+    /// Gossip snapshots known to be no-ops, ascending by sender.
+    snapshots: Vec<HeldSnapshot>,
 }
 
 impl Default for PeerRecord {
@@ -287,8 +322,10 @@ impl Default for PeerRecord {
             keys: [FREE; SLOTS],
             stamps: [SimTime::ZERO; SLOTS],
             remembered: 0,
+            forgets: 0,
             spill: Vec::new(),
             side: Vec::new(),
+            snapshots: Vec::new(),
         }
     }
 }
@@ -299,6 +336,11 @@ impl PeerRecord {
     /// ones their gossip offers), and forgetting is only ever slow, never
     /// wrong.
     pub const CAPACITY: usize = 128;
+
+    /// Held gossip snapshots are all dropped when this many are held. A
+    /// settled node hears from about 24 senders; dropping a snapshot only
+    /// sends that sender's next gossip down the full path.
+    pub const SNAPSHOT_CAPACITY: usize = 64;
 
     #[inline]
     fn find(&self, addr: NodeIdx) -> Option<Slot> {
@@ -425,6 +467,11 @@ impl PeerRecord {
         self.len() == 0
     }
 
+    /// Whether `addr` is remembered as a known no-op.
+    pub fn remembers(&self, addr: NodeIdx) -> bool {
+        self.is_remembered(self.find(addr), addr)
+    }
+
     fn is_remembered(&self, slot: Option<Slot>, addr: NodeIdx) -> bool {
         match slot {
             Some(Slot::Inline(i)) => self.remembered >> i & 1 == 1,
@@ -450,6 +497,8 @@ impl PeerRecord {
     }
 
     fn forget_all(&mut self) {
+        self.forgets = self.forgets.wrapping_add(1);
+        self.snapshots.clear();
         self.remembered = 0;
         for s in &mut self.spill {
             s.remembered = false;
@@ -486,6 +535,103 @@ impl PeerRecord {
             self.remember(slot, key);
         }
         Offer::Unchanged
+    }
+
+    /// Offers `c` as a node learns of a peer: [`PeerRecord::offer`], then
+    /// tracking `c` from `now` if the offer admitted it to the leaf set.
+    pub fn learn(
+        &mut self,
+        state: &mut DhtState,
+        c: Contact,
+        now: SimTime,
+        rtt_us: impl FnOnce() -> u64,
+    ) -> Offer {
+        let offer = self.offer(state, c, rtt_us);
+        if let Offer::Changed {
+            joined_leaf_set: true,
+        } = offer
+        {
+            self.set(c.addr, now);
+        }
+        offer
+    }
+
+    /// Learns every member of the leaf-set gossip `members` from `from`
+    /// except the receiver itself, in order: exactly [`PeerRecord::learn`]
+    /// on each. Returns `(offers, skipped)`, the offers made and how many of
+    /// them were skipped. A snapshot held from `from` (see the type's
+    /// "Whole gossip snapshots") is skipped whole: every offer is skipped.
+    pub fn learn_gossip(
+        &mut self,
+        state: &mut DhtState,
+        from: NodeIdx,
+        members: &Shared<Vec<Contact>>,
+        now: SimTime,
+        rtt_us: impl Fn(NodeIdx) -> u64,
+    ) -> (u64, u64) {
+        let me = state.addr();
+        if let Some(offers) = self.held(from, members) {
+            let offers = u64::from(offers);
+            if cfg!(debug_assertions) {
+                for &c in members.iter().filter(|c| c.addr != me) {
+                    let offer = self.offer(state, c, || rtt_us(c.addr));
+                    assert_eq!(
+                        offer,
+                        Offer::Skipped,
+                        "held snapshot, but {c:?} is not remembered"
+                    );
+                }
+            }
+            return (offers, offers);
+        }
+        let forgets = self.forgets;
+        let (mut offers, mut skipped) = (0u64, 0u64);
+        let mut fits = true;
+        for &c in members.iter().filter(|c| c.addr != me) {
+            offers += 1;
+            fits &= u32::try_from(c.addr).is_ok();
+            if self.learn(state, c, now, || rtt_us(c.addr)) == Offer::Skipped {
+                skipped += 1;
+            }
+        }
+        if fits && self.forgets == forgets {
+            if let (Ok(from), Ok(k)) = (u32::try_from(from), u32::try_from(offers)) {
+                self.hold(from, k, members);
+            }
+        }
+        (offers, skipped)
+    }
+
+    /// The offers a pass of `members` from `from` makes, if that snapshot
+    /// is held as a known no-op.
+    fn held(&self, from: NodeIdx, members: &Shared<Vec<Contact>>) -> Option<u32> {
+        let key = u32::try_from(from).ok()?;
+        let at = self.snapshots.binary_search_by_key(&key, |h| h.from).ok()?;
+        let held = &self.snapshots[at];
+        Shared::ptr_eq(&held.members, members).then_some(held.offers)
+    }
+
+    /// Whether `from`'s gossip of `members` would be skipped whole.
+    pub fn holds_snapshot(&self, from: NodeIdx, members: &Shared<Vec<Contact>>) -> bool {
+        self.held(from, members).is_some()
+    }
+
+    /// Holds `members` as `from`'s no-op snapshot, replacing the one held
+    /// before; drops every held snapshot first at capacity.
+    fn hold(&mut self, from: u32, offers: u32, members: &Shared<Vec<Contact>>) {
+        let held = HeldSnapshot {
+            from,
+            offers,
+            members: members.clone(),
+        };
+        match self.snapshots.binary_search_by_key(&from, |h| h.from) {
+            Ok(at) => self.snapshots[at] = held,
+            Err(_) if self.snapshots.len() >= Self::SNAPSHOT_CAPACITY => {
+                self.snapshots.clear();
+                self.snapshots.push(held);
+            }
+            Err(at) => self.snapshots.insert(at, held),
+        }
     }
 
     /// [`DhtState::remove_addr`], forgetting everything if it removed
@@ -538,6 +684,38 @@ mod tests {
         let mut s = DhtState::new(Id::new(1), 0, DhtConfig::default());
         s.add_contact(s.contact(), Some(1));
         assert_eq!(s.known_contacts().count(), 0);
+    }
+
+    /// At [`PeerRecord::SNAPSHOT_CAPACITY`] held snapshots, holding one
+    /// more drops the others (and nothing the memo remembers); the dropped
+    /// senders' next gossip takes the full path and is held again.
+    #[test]
+    fn held_snapshots_are_dropped_at_capacity() {
+        let mut st = DhtState::new(Id::new(1 << 100), 0, DhtConfig::default());
+        let c = Contact {
+            id: Id::new(2 << 100),
+            addr: 1,
+        };
+        let members = Shared::new(vec![c, st.contact()]);
+        let mut rec = PeerRecord::default();
+        let mut gossip = |rec: &mut PeerRecord, from: NodeIdx| {
+            rec.learn_gossip(&mut st, from, &members, SimTime::ZERO, |_| 1)
+        };
+        // `c` joins the empty state, then is a no-op.
+        assert_eq!(gossip(&mut rec, 1), (1, 0));
+        assert!(!rec.holds_snapshot(1, &members));
+        assert_eq!(gossip(&mut rec, 1), (1, 0));
+        for from in 1..=PeerRecord::SNAPSHOT_CAPACITY {
+            assert_eq!(gossip(&mut rec, from), (1, 1));
+            assert!(rec.holds_snapshot(from, &members));
+        }
+        let next = PeerRecord::SNAPSHOT_CAPACITY + 1;
+        assert_eq!(gossip(&mut rec, next), (1, 1));
+        assert!(rec.holds_snapshot(next, &members));
+        assert!(!rec.holds_snapshot(1, &members));
+        assert!(rec.remembers(c.addr));
+        assert_eq!(gossip(&mut rec, 1), (1, 1));
+        assert!(rec.holds_snapshot(1, &members));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use totoro_dht::{closest_on_ring, Id, LeafSet, RoutingTable};
 use totoro_dht::{Contact, DhtConfig, DhtState, NextHop, Offer, PeerRecord};
-use totoro_simnet::{NodeIdx, SimTime};
+use totoro_simnet::{NodeIdx, Shared, SimTime};
 
 /// Everything the four routing structures list, each in its own order.
 fn listing(s: &DhtState) -> [Vec<Contact>; 4] {
@@ -211,6 +211,12 @@ mod separate_tables {
     impl NoOpMemo {
         pub const CAPACITY: usize = 128;
 
+        pub fn remembers(&self, addr: NodeIdx) -> bool {
+            self.addrs
+                .binary_search_by_key(&addr, |&a| a as NodeIdx)
+                .is_ok()
+        }
+
         /// Offers `c` to `state` unless it is remembered as a no-op.
         pub fn offer(
             &mut self,
@@ -343,6 +349,48 @@ impl PeerTwin {
         }
     }
 
+    /// A `LeafExchange` of `members` from `from`: the whole-snapshot pass
+    /// on the record, and on the oracle the per-contact loop a node ran
+    /// before it (skip the receiver; track a contact that joined the leaf
+    /// set). Asserts the same `(offers, skipped)` and tracked count.
+    fn gossip(
+        &mut self,
+        from: NodeIdx,
+        members: &Shared<Vec<Contact>>,
+        now: SimTime,
+        rtt: impl Fn(NodeIdx) -> u64,
+    ) -> (u64, u64) {
+        let (os, seen, memo) = &mut self.oracle;
+        let me = os.addr();
+        let (mut offers, mut skipped) = (0, 0);
+        for &c in members.iter().filter(|c| c.addr != me) {
+            offers += 1;
+            match memo.offer(os, c, || rtt(c.addr)) {
+                Offer::Skipped => skipped += 1,
+                Offer::Changed {
+                    joined_leaf_set: true,
+                } => seen.set(c.addr, now),
+                Offer::Unchanged | Offer::Changed { .. } => {}
+            }
+        }
+        let (ns, rec) = &mut self.record;
+        let got = rec.learn_gossip(ns, from, members, now, rtt);
+        assert_eq!(got, (offers, skipped), "gossip of {members:?} from {from}");
+        assert_eq!(seen.len(), rec.len(), "tracked count after gossip");
+        got
+    }
+
+    /// Asserts every address of `addrs` is remembered by both or neither.
+    fn assert_same_remembered(&self, addrs: impl IntoIterator<Item = NodeIdx>) {
+        for addr in addrs {
+            assert_eq!(
+                self.oracle.2.remembers(addr),
+                self.record.1.remembers(addr),
+                "memo bit of {addr}"
+            );
+        }
+    }
+
     fn assert_same_state(&self) {
         assert_eq!(
             format!("{:?}", self.oracle.0),
@@ -422,6 +470,90 @@ fn peer_record_matches_the_separate_tables_at_the_edges() {
     assert_ne!(step(&mut twin, PeerOp::Offer, bounce(2)), "Skipped");
     let pool = (1..300).map(|k| bounce(k).0.addr);
     twin.assert_same_stamps(pool.chain([top - 1, top, top + 1, usize::MAX]));
+    twin.assert_same_state();
+}
+
+/// The whole-snapshot gossip pass at its edges, against the per-contact
+/// oracle loop: a repeated snapshot is held and skipped whole; an equal
+/// snapshot in a new allocation, a snapshot with a member too wide for the
+/// memo's key, a pass that changes the state or meets the capacity clear,
+/// and a sender too wide for the key all take the full path; a single
+/// offer that changes the state or a removal drops every held snapshot.
+#[test]
+fn gossip_pass_matches_the_per_contact_loop_at_the_edges() {
+    let (st, [_, a, b]) = state_closed_but_for_a_tie();
+    let me = st.contact();
+    let mut twin = PeerTwin::new(st);
+    twin.apply(PeerOp::Offer, a, SimTime::ZERO);
+    // Slower far contacts bounce off every structure; `far(1)` is `a`.
+    let bounce = |k: usize| far(2 + k);
+    let rtt = |addr: NodeIdx| if addr == a.0.addr { a.1 } else { 1_000 };
+    let now = SimTime::from_secs(1);
+    let snap = |ks: &[usize]| {
+        let mut v: Vec<Contact> = ks.iter().map(|&k| bounce(k)).collect();
+        v.push(me);
+        Shared::new(v)
+    };
+    let (s1, s2) = (snap(&[1, 2, 3, 4, 5]), snap(&[4, 5, 6]));
+    let holds =
+        |twin: &PeerTwin, from, s: &Shared<Vec<Contact>>| twin.record.1.holds_snapshot(from, s);
+    // First pass in full, then held: the repeat is five skipped offers.
+    assert_eq!(twin.gossip(7, &s1, now, rtt), (5, 0));
+    assert!(holds(&twin, 7, &s1));
+    assert_eq!(twin.gossip(7, &s1, now, rtt), (5, 5));
+    // Held per sender: another sender's first pass of it is not a hit.
+    assert!(!holds(&twin, 8, &s1));
+    assert_eq!(twin.gossip(8, &s1, now, rtt), (5, 5));
+    assert!(holds(&twin, 8, &s1) && holds(&twin, 7, &s1));
+    // Equal members in a new allocation: the full path, which replaces it.
+    let s1b = Shared::new(s1.to_vec());
+    assert!(!holds(&twin, 7, &s1b));
+    assert_eq!(twin.gossip(7, &s1b, now, rtt), (5, 5));
+    assert!(holds(&twin, 7, &s1b) && !holds(&twin, 7, &s1));
+    assert_eq!(twin.gossip(7, &s2, now, rtt), (3, 2));
+    assert!(holds(&twin, 7, &s2));
+    // A member too wide for the memo's key is never remembered, so neither
+    // is its snapshot; nor is any snapshot from a sender that wide.
+    let wide = Contact {
+        addr: u32::MAX as usize + 1,
+        ..bounce(9)
+    };
+    let s3 = Shared::new(vec![bounce(1), wide]);
+    assert_eq!(twin.gossip(9, &s3, now, rtt), (2, 1));
+    assert_eq!(twin.gossip(9, &s3, now, rtt), (2, 1));
+    assert!(!holds(&twin, 9, &s3));
+    let too_wide = u32::MAX as usize + 1;
+    assert_eq!(twin.gossip(too_wide, &s1, now, rtt), (5, 5));
+    assert!(!holds(&twin, too_wide, &s1));
+    // A single offer that changes the state drops every held snapshot; so
+    // does a removal.
+    twin.apply(PeerOp::Offer, b, now);
+    assert!(!holds(&twin, 7, &s2) && !holds(&twin, 8, &s1));
+    assert_eq!(twin.gossip(8, &s1, now, rtt), (5, 0));
+    assert!(holds(&twin, 8, &s1));
+    assert_eq!(twin.apply(PeerOp::RemoveAddr, b, now), "true");
+    assert!(!holds(&twin, 8, &s1));
+    // A pass that changes the state is not held: `a` takes `b`'s freed
+    // slot. The next pass changes nothing and is held.
+    let s4 = Shared::new(vec![a.0, bounce(1)]);
+    assert_eq!(twin.gossip(7, &s4, now, rtt), (2, 0));
+    assert!(!holds(&twin, 7, &s4));
+    assert_eq!(twin.gossip(7, &s4, now, rtt), (2, 1));
+    assert!(holds(&twin, 7, &s4));
+    assert_eq!(twin.gossip(7, &s4, now, rtt), (2, 2));
+    // Nor is a pass that meets the capacity clear.
+    let many = Shared::new(
+        (10..10 + PeerRecord::CAPACITY)
+            .map(bounce)
+            .collect::<Vec<_>>(),
+    );
+    let (offers, skipped) = twin.gossip(7, &many, now, rtt);
+    assert_eq!(offers, PeerRecord::CAPACITY as u64);
+    assert!(skipped < offers);
+    assert!(!holds(&twin, 7, &many) && !holds(&twin, 7, &s4));
+    let pool = (1..10 + PeerRecord::CAPACITY).map(|k| bounce(k).addr);
+    twin.assert_same_remembered(pool.clone().chain([a.0.addr, b.0.addr, wide.addr]));
+    twin.assert_same_stamps(pool.chain([a.0.addr, b.0.addr, wide.addr]));
     twin.assert_same_state();
 }
 
@@ -525,6 +657,72 @@ proptest! {
         }
         twin.assert_same_stamps(pool.iter().map(|(c, _)| c.addr));
         twin.assert_same_state();
+    }
+
+    /// Random interleavings of leaf-set gossips (repeated snapshots, new
+    /// ones, one sender's snapshot sent by another, five senders, one of
+    /// them too wide for the memo's key) with single offers, removals and
+    /// liveness operations leave a [`PeerRecord`] driven through
+    /// [`PeerRecord::learn_gossip`] equal, after every operation, to the
+    /// separate tables driven through the per-contact loop: the same state,
+    /// the same offer counts, and the same tracked and remembered sets.
+    /// Snapshots hold up to 40 of up to 200 peers, the receiver and
+    /// addresses at and beyond `u32::MAX`, so the 128-address clear is met
+    /// inside a pass as well as between them.
+    #[test]
+    fn gossip_pass_matches_the_per_contact_loop(
+        me in any::<u128>(),
+        shape in (any::<bool>(), 1usize..13, 1usize..17),
+        raw in prop::collection::vec((any::<u128>(), 0u8..4, 0u64..3), 2..200),
+        wide in 0usize..5,
+        steps in prop::collection::vec((0u8..12, 0usize..5, 0usize..1024, 0usize..40), 1..200),
+    ) {
+        let me = Id::new(me);
+        let mut pool = contact_pool(me, &raw);
+        let top = u32::MAX as usize;
+        for (k, addr) in [top - 1, top, top + 1, usize::MAX].into_iter().take(wide).enumerate() {
+            let (c, rtt) = pool[k % pool.len()];
+            pool.push((Contact { id: Id::new(c.id.raw() ^ 1), addr }, rtt));
+        }
+        let rtt_of = |addr: NodeIdx| pool.iter().find(|(c, _)| c.addr == addr).map_or(0, |p| p.1);
+        let mut twin = PeerTwin::new(DhtState::new(me, 0, shaped_config(shape)));
+        let me = twin.record.0.contact();
+        let senders = [pool[0].0.addr, pool[1].0.addr, 7_000, 7_001, top + 1];
+        let mut snapshots: Vec<Shared<Vec<Contact>>> = vec![Shared::new(Vec::new()); senders.len()];
+        for (t, &(op, s, i, len)) in steps.iter().enumerate() {
+            let now = SimTime::from_micros(t as u64);
+            let pick = pool[i % pool.len()];
+            match op {
+                // A new snapshot: `len` consecutive pool members, the
+                // receiver among them every third time.
+                0 | 1 => {
+                    let mut members: Vec<Contact> =
+                        (0..len).map(|j| pool[(i + j) % pool.len()].0).collect();
+                    if i % 3 == 0 {
+                        members.insert(i % (len + 1), me);
+                    }
+                    snapshots[s] = Shared::new(members);
+                }
+                // The sender's last snapshot again, or the next sender's.
+                2..=5 => {}
+                6 => {
+                    let next = snapshots[(s + 1) % senders.len()].clone();
+                    twin.gossip(senders[s], &next, now, rtt_of);
+                }
+                7 => { twin.apply(PeerOp::Offer, pick, now); }
+                8 => { twin.apply(PeerOp::RemoveAddr, pick, now); }
+                9 => { twin.apply(PeerOp::Remove, pick, now); }
+                10 => { twin.apply(PeerOp::Set, pick, now); }
+                _ => { twin.apply(PeerOp::GetOrSet, pick, now); }
+            }
+            if op <= 5 {
+                twin.gossip(senders[s], &snapshots[s].clone(), now, rtt_of);
+            }
+            let addrs = pool.iter().map(|(c, _)| c.addr);
+            twin.assert_same_remembered(addrs.clone());
+            twin.assert_same_stamps(addrs);
+            twin.assert_same_state();
+        }
     }
 
     /// Digits decompose and recompose ids for every base.

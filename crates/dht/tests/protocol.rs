@@ -1,9 +1,9 @@
 //! Protocol-level DHT tests: nodes join over the network, route keys, and
 //! detect failures — no omniscient construction involved.
 
-use totoro_dht::{closest_on_ring, node_id, DhtApi, DhtConfig, DhtNode, Id, UpperLayer};
+use totoro_dht::{closest_on_ring, node_id, Contact, DhtApi, DhtConfig, DhtNode, Id, UpperLayer};
 use totoro_simnet::json::ToJson;
-use totoro_simnet::{sub_rng, NodeIdx, Payload, SimTime, Simulator, Topology};
+use totoro_simnet::{sub_rng, NodeIdx, Payload, Shared, SimDuration, SimTime, Simulator, Topology};
 
 /// A minimal upper layer that records deliveries and failures.
 #[derive(Default)]
@@ -425,6 +425,89 @@ fn settled_overlay_skips_known_no_op_offers() {
 
     let recovered = skip_ratio(&mut sim, 150);
     assert!(recovered >= 0.95, "recovered skip ratio {recovered}");
+}
+
+/// The whole-snapshot half of the known-no-op rule, on the overlay of
+/// `settled_overlay_skips_known_no_op_offers`: once settled, each node
+/// regossips one snapshot allocation and its leaf members hold it as a
+/// known no-op, so every repeat is skipped whole. A failure makes the
+/// victim's neighbours forget: for a moment each holds no snapshot at all,
+/// so the next gossip it receives takes the full path; each also gossips a
+/// new snapshot. Once the leaf sets have refilled, the snapshots are held
+/// again.
+#[test]
+fn settled_overlay_skips_repeated_gossip_whole() {
+    let topology = geo_topology();
+    let n = topology.len();
+    let (mut sim, _ids) =
+        totoro_dht::spawn_overlay(topology, 21, DhtConfig::default(), None, |_| {
+            Recorder::default()
+        });
+    let snapshots = |sim: &Simulator<Node>| -> Vec<Shared<Vec<Contact>>> {
+        (0..n)
+            .map(|i| sim.app(i).gossiped().expect("gossiped").clone())
+            .collect()
+    };
+    // Over every live sender's current snapshot and every receiver of it in
+    // `nodes`: how many hold that snapshot, and how many pairs there are.
+    let held = |sim: &Simulator<Node>, nodes: &[usize]| {
+        let snaps = snapshots(sim);
+        let mut pairs = (0, 0);
+        for (i, snap) in snaps.iter().enumerate().filter(|&(i, _)| sim.alive(i)) {
+            for c in snap.iter().filter(|c| nodes.contains(&c.addr)) {
+                pairs.1 += 1;
+                pairs.0 += usize::from(sim.app(c.addr).peers().holds_snapshot(i, snap));
+            }
+        }
+        pairs
+    };
+    let all: Vec<usize> = (0..n).collect();
+    let mostly = |(hits, pairs): (usize, usize)| hits as f64 >= 0.95 * pairs as f64;
+
+    converge(&mut sim, 60);
+    let before = snapshots(&sim);
+    converge(&mut sim, 100);
+    let after = snapshots(&sim);
+    let same = (0..n)
+        .filter(|&i| Shared::ptr_eq(&before[i], &after[i]))
+        .count();
+    assert!(
+        mostly((same, n)),
+        "{same} of {n} nodes regossiped their snapshot"
+    );
+    let settled = held(&sim, &all);
+    assert!(mostly(settled), "settled: {settled:?} (held, pairs)");
+
+    let victim = sim.app(0).state.leaf_set.successor().unwrap().addr;
+    let neighbours: Vec<usize> = (0..n)
+        .filter(|&i| {
+            sim.app(i)
+                .state
+                .leaf_set
+                .members()
+                .any(|c| c.addr == victim)
+        })
+        .collect();
+    assert!(neighbours.len() >= 2);
+    let before = snapshots(&sim);
+    sim.schedule_down(victim, SimTime::from_secs(121));
+    let mut emptied = vec![false; n];
+    for ms in (0..19_000).step_by(50) {
+        sim.run_until(SimTime::from_secs(121) + SimDuration::from_millis(ms));
+        for &i in &neighbours {
+            emptied[i] |= held(&sim, &[i]).0 == 0;
+        }
+    }
+    let after = snapshots(&sim);
+    for &i in &neighbours {
+        assert!(emptied[i], "node {i} kept a snapshot after losing {victim}");
+        assert!(!Shared::ptr_eq(&before[i], &after[i]));
+        assert!(!after[i].iter().any(|c| c.addr == victim));
+    }
+
+    converge(&mut sim, 200);
+    let recovered = held(&sim, &all);
+    assert!(mostly(recovered), "recovered: {recovered:?} (held, pairs)");
 }
 
 /// FNV-1a, for fingerprints that do not depend on `std`'s hasher.

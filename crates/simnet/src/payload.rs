@@ -37,6 +37,14 @@ impl<T> Shared<T> {
     pub fn handles(this: &Self) -> usize {
         Arc::strong_count(&this.0)
     }
+
+    /// Whether both handles name the same allocation. While either handle
+    /// lives the allocation cannot be freed and reused, so `true` means the
+    /// other handle reads the very value this one does (nothing hands out
+    /// a `&mut T` while another handle exists; see [`Shared::make_mut`]).
+    pub fn ptr_eq(this: &Self, other: &Self) -> bool {
+        Arc::ptr_eq(&this.0, &other.0)
+    }
 }
 
 impl<T: Clone> Shared<T> {
@@ -142,6 +150,23 @@ mod tests {
         assert_eq!(*a, *b);
         // Both handles read the same allocation.
         assert!(std::ptr::eq(&*a, &*b));
+    }
+
+    #[test]
+    fn ptr_eq_compares_allocations_not_values() {
+        let a = Shared::new(Blob(vec![1, 2, 3]));
+        let b = a.clone();
+        let c = Shared::new(Blob(vec![1, 2, 3]));
+        assert!(Shared::ptr_eq(&a, &b));
+        assert!(Shared::ptr_eq(&a, &a));
+        // Equal values in different allocations are not the same handle.
+        assert_eq!(a, c);
+        assert!(!Shared::ptr_eq(&a, &c));
+        // A copy-on-write through one handle leaves it pointing elsewhere.
+        let mut d = a.clone();
+        Shared::make_mut(&mut d).0.push(4);
+        assert!(!Shared::ptr_eq(&a, &d));
+        assert!(Shared::ptr_eq(&a, &b));
     }
 
     #[test]
