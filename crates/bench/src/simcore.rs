@@ -361,8 +361,8 @@ mod tests {
         // state, which does not include the slab.
         use totoro_simnet::event_slot_bytes;
         type OverlayMsg = totoro_dht::DhtMsg<totoro_pubsub::TreeMsg<crate::setups::Blob>>;
-        assert_eq!(event_slot_bytes::<Beat>(), 24);
-        assert_eq!(event_slot_bytes::<OverlayMsg>(), 128);
+        assert_eq!(event_slot_bytes::<Beat>(), 12);
+        assert_eq!(event_slot_bytes::<OverlayMsg>(), 112);
     }
 
     #[test]

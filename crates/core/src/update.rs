@@ -360,7 +360,7 @@ pub(crate) mod tests {
 
     /// `FlData` is stored in counted state: `Membership::memory_bytes`
     /// charges `size_of::<(u64, RoundAgg<D>)>()` per round record. It also
-    /// sizes the payload slab's slot (`event_slot_bytes`, 144 B for a
+    /// sizes the payload slab's slot (`event_slot_bytes`, 128 B for a
     /// `DhtMsg<TreeMsg<FlData>>`), which only deliveries occupy — a timer
     /// takes an 8-byte word cell — and which `Simulator::state_bytes`
     /// counts by capacity. The recipe must fit the `Vec`'s niche.

@@ -1,16 +1,18 @@
 //! The event representation: what a queued event is, and where it keeps
 //! what it carries until the simulator dispatches it.
 //!
-//! * The queue orders small `(EventKey, handle, dst)` records, so
-//!   reordering never moves a model update. The `u32` [`Handle`] is the
-//!   event's kind in 3 bits and an index in 29, and each kind keeps only
-//!   what it carries: a `Deliver`'s source and message sit in a payload
-//!   slab slot sized for the largest message, a `Timer`'s token or a
-//!   `SendFailed`'s peer in one `u64` cell of a dense word store, and
-//!   `Start`, `Down` and `Up` store nothing. Both stores live in the
-//!   [`EventSlab`] and recycle freed places LIFO, so a steady-state run
-//!   stops allocating. [`EventKind`] is only the in-register form that
-//!   the simulator's `dispatch` matches on.
+//! * The queue orders small `(EventKey, handle, dst)` records (16 bytes
+//!   in a wheel bucket, [`crate::queue`]), so reordering never moves a
+//!   model update. The `u32` [`Handle`] is the event's kind in 3 bits and
+//!   an index in 29, and each kind keeps only what it carries: a
+//!   `Deliver`'s source and message sit in a payload slab slot
+//!   `{ link: u32, src: u32, msg }` sized for the largest message, a
+//!   `Timer`'s token or a `SendFailed`'s peer in one `u64` cell of a dense
+//!   word store, and `Start`, `Down` and `Up` store nothing. Both stores
+//!   live in the [`EventSlab`] and recycle freed places LIFO, so a
+//!   steady-state run stops allocating. [`EventKind`] is only the
+//!   in-register form that the simulator's `dispatch` matches on; the
+//!   slab rebuilds a `Deliver` from its slot when it is taken or peeked.
 //! * Armed timers are most of what waits in the queue — semi-synchronous
 //!   aggregation keeps a straggler cutoff per (app, round) on every
 //!   interior node — so keeping them out of message-sized slots is what
@@ -140,14 +142,19 @@ impl Handle {
     }
 }
 
-/// One slot of the payload slab. Occupied, it parks a queued delivery's
-/// payload while the queue records naming it move through the event queue,
-/// and `link` counts those records: the undelivered legs of a fan-out, 1
-/// for a lone send. Vacant, `kind` is `None` and `link` is the next vacant
-/// slot, so the free list lives in the slots it lists.
+/// One slot of the payload slab: what a delivery carries. Only deliveries
+/// park here, so a slot holds a source and a message, not an
+/// [`EventKind`], and [`EventSlab::take`] rebuilds the `Deliver`. Occupied,
+/// it parks a queued delivery's payload while the queue records naming it
+/// move through the event queue, and `link` counts those records: the
+/// undelivered legs of a fan-out, 1 for a lone send. Vacant, `msg` is
+/// `None` and `link` is the next vacant slot, so the free list lives in
+/// the slots it lists. `src` is a `u32` because the simulator bounds every
+/// node index to one ([`check_node_count`](crate::queue::check_node_count)).
 struct SlabSlot<M> {
     link: u32,
-    kind: Option<EventKind<M>>,
+    src: u32,
+    msg: Option<M>,
 }
 
 /// Bytes one queued delivery's payload occupies in the payload slab — what
@@ -273,19 +280,22 @@ impl<M> EventSlab<M> {
         let handle = Handle::new(Tag::Deliver, self.slots.len() as u32);
         self.slots.push(SlabSlot {
             link: NO_SLOT,
-            kind: None,
+            src: 0,
+            msg: None,
         });
         handle
     }
 
-    /// Parks delivery `kind` in reserved `handle`'s slot on behalf of
-    /// `refs` queue records.
-    pub(crate) fn fill(&mut self, handle: Handle, refs: u32, kind: EventKind<M>) {
+    /// Parks the delivery of `msg` from `src` in reserved `handle`'s slot
+    /// on behalf of `refs` queue records.
+    pub(crate) fn fill(&mut self, handle: Handle, refs: u32, src: NodeIdx, msg: M) {
         let cell = &mut self.slots[handle.index() as usize];
-        debug_assert!(refs > 0 && cell.kind.is_none() && Tag::of(&kind) == Tag::Deliver);
+        debug_assert!(refs > 0 && cell.msg.is_none() && handle.tag() == Tag::Deliver);
+        debug_assert!(u32::try_from(src).is_ok(), "see check_node_count");
         *cell = SlabSlot {
             link: refs,
-            kind: Some(kind),
+            src: src as u32,
+            msg: Some(msg),
         };
     }
 
@@ -294,9 +304,9 @@ impl<M> EventSlab<M> {
     pub(crate) fn insert(&mut self, kind: EventKind<M>, band: u8) -> Handle {
         let tag = Tag::of(&kind);
         let index = match kind {
-            EventKind::Deliver { .. } => {
+            EventKind::Deliver { src, msg } => {
                 let handle = self.reserve();
-                self.fill(handle, 1, kind);
+                self.fill(handle, 1, src, msg);
                 return handle;
             }
             EventKind::Timer { token } => self.words.insert(token),
@@ -310,10 +320,17 @@ impl<M> EventSlab<M> {
     pub(crate) fn peek(&self, handle: Handle) -> EventKind<&M> {
         let (tag, at) = (handle.tag(), handle.index());
         match tag.store() {
-            Some(Store::Payload) => match &self.slots[at as usize].kind {
-                Some(EventKind::Deliver { src, msg }) => EventKind::Deliver { src: *src, msg },
-                _ => panic!("queue entry references an empty slot"),
-            },
+            Some(Store::Payload) => {
+                let cell = &self.slots[at as usize];
+                let msg = cell
+                    .msg
+                    .as_ref()
+                    .expect("queue entry references an empty slot");
+                EventKind::Deliver {
+                    src: cell.src as NodeIdx,
+                    msg,
+                }
+            }
             Some(Store::Word) => tag.event(self.words.get(at)),
             None => tag.event(0),
         }
@@ -329,19 +346,17 @@ impl<M: Clone> EventSlab<M> {
         match tag.store() {
             Some(Store::Payload) => {
                 let cell = &mut self.slots[at as usize];
-                let kind = cell
-                    .kind
-                    .as_ref()
-                    .expect("queue entry references an empty slot");
-                if cell.link > 1 {
-                    let kind = kind.clone();
+                let src = cell.src as NodeIdx;
+                let msg = if cell.link > 1 {
                     cell.link -= 1;
-                    return kind;
-                }
-                let kind = cell.kind.take().expect("checked above");
-                cell.link = self.vacant;
-                self.vacant = at;
-                kind
+                    cell.msg.clone()
+                } else {
+                    cell.link = self.vacant;
+                    self.vacant = at;
+                    cell.msg.take()
+                };
+                let msg = msg.expect("queue entry references an empty slot");
+                EventKind::Deliver { src, msg }
             }
             Some(Store::Word) => tag.event(self.words.take(at)),
             None => tag.event(0),
@@ -363,11 +378,7 @@ mod tests {
     fn shared_slot_is_freed_by_its_last_record() {
         let mut slab: EventSlab<String> = EventSlab::with_capacity(4, 4);
         let handle = slab.reserve();
-        let kind = EventKind::Deliver {
-            src: 3,
-            msg: "hello".to_string(),
-        };
-        slab.fill(handle, 3, kind);
+        slab.fill(handle, 3, 3, "hello".to_string());
         for left in [1, 1, 0] {
             match slab.take(handle) {
                 EventKind::Deliver { src: 3, msg } => assert_eq!(msg, "hello"),
@@ -473,22 +484,25 @@ mod tests {
 
     #[test]
     fn reference_count_fits_where_the_destination_was() {
-        // `state_bytes` is slab capacity x slot size, so the slot must not
-        // grow for any message type: `refs: u32` took the place of the
-        // `node: usize` that moved into the queue record.
-        fn same_as_before<M>() {
+        // `state_bytes` is slab capacity x slot size, so the slot must
+        // never be larger than the `(destination, event)` it replaced:
+        // `refs: u32` took the place of the `node: usize` that moved into
+        // the queue record, and `src: u32` with a bare message took the
+        // place of the `EventKind` that only ever held a delivery.
+        fn never_larger<M>() {
             let before = std::mem::size_of::<Option<(NodeIdx, EventKind<M>)>>();
-            assert_eq!(event_slot_bytes::<M>(), before);
+            assert!(event_slot_bytes::<M>() <= before);
         }
-        same_as_before::<()>();
-        same_as_before::<u8>();
-        same_as_before::<u64>();
-        same_as_before::<[u8; 3]>();
-        same_as_before::<[u64; 12]>();
-        same_as_before::<String>();
-        same_as_before::<Option<Box<u64>>>();
-        same_as_before::<(u32, std::sync::Arc<Vec<u8>>)>();
-        assert_eq!(event_slot_bytes::<u64>(), 32);
+        never_larger::<()>();
+        never_larger::<u8>();
+        never_larger::<u64>();
+        never_larger::<[u8; 3]>();
+        never_larger::<[u64; 12]>();
+        never_larger::<String>();
+        never_larger::<Option<Box<u64>>>();
+        never_larger::<(u32, std::sync::Arc<Vec<u8>>)>();
+        assert_eq!(event_slot_bytes::<u64>(), 24);
+        assert_eq!(event_slot_bytes::<()>(), 12);
     }
 
     fn as_ref<M>(kind: &EventKind<M>) -> EventKind<&M> {
@@ -538,7 +552,7 @@ mod tests {
                             queued.push((handle, oracle.len()));
                             oracle.push(Some(deliver(1, a)));
                         }
-                        slab.fill(handle, k, deliver(1, a));
+                        slab.fill(handle, k, 1, a);
                         legs.insert(handle.index(), k);
                         None
                     }

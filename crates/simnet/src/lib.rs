@@ -9,7 +9,7 @@
 //!   ([`topology::Topology`], [`geo`]);
 //! * Ratnasamy-Shenker distributed binning and edge-zone formation
 //!   ([`binning`]);
-//! * per-node traffic and compute ledgers ([`traffic`], Figure 7/13);
+//! * traffic and compute ledgers ([`traffic`], Figure 7/13);
 //! * reproducible churn schedules ([`churn`], Figure 12).
 //!
 //! The paper evaluates Totoro by *emulating* up to 100k edge nodes on 500

@@ -13,22 +13,22 @@
 //! The record *is* the delivery: the destination lives here, not in the
 //! slab, so the legs of one fan-out are `k` records naming one slot, and
 //! the slab parks their common payload once (DESIGN.md §8, *park once,
-//! deliver many*). The destination is stored in the four bytes that used
-//! to pad `(key, handle)` to 24, so the record did not grow; the
-//! simulator checks at construction that every node index fits
-//! ([`check_node_count`]).
+//! deliver many*). The simulator checks at construction that every node
+//! index fits the record's `u32` destination ([`check_node_count`]).
 //!
 //! The engine runs on [`WheelQueue`], a hierarchical timer wheel for the
 //! near-horizon band with a heap spill for far-future events. Pushes into
-//! the wheel window are `O(1)` bucket appends; due buckets are drained with
-//! one contiguous sort instead of per-event heap sifts, which is what lifts
-//! timer-heavy workloads (every node ticking maintenance) off the heap
-//! bottleneck. Buckets are lists of fixed chunks drawn from one shared
-//! pool, so the wheel holds what is in flight, not every bucket's
-//! high-water mark.
+//! the wheel window are `O(1)` bucket appends; a due bucket is drained by
+//! one counting pass over its 64 µs offsets instead of per-event heap
+//! sifts, which is what lifts timer-heavy workloads (every node ticking
+//! maintenance) off the heap bottleneck. A bucket holds exactly one tick,
+//! so its records keep only the key's offset within the tick and its
+//! `seq`: 16 bytes, where a keyed record takes 24. Buckets are lists of
+//! fixed chunks drawn from one shared pool, so the wheel holds what is in
+//! flight, not every bucket's high-water mark.
 //!
-//! [`HeapQueue`], a plain `BinaryHeap` of the same records, is the oracle:
-//! for any interleaving of pushes and pops, both yield the same
+//! [`HeapQueue`], a plain `BinaryHeap` of the keyed records, is the
+//! oracle: for any interleaving of pushes and pops, both yield the same
 //! `(key, handle, dst)` sequence. The tests below and `tests/queue_equiv.rs`
 //! replay schedules through both and assert just that.
 
@@ -52,16 +52,17 @@ pub struct EventKey {
 impl EventKey {
     /// The key packed into one `u128` whose integer order equals the
     /// derived lexicographic `(time, seq)` order — a single branchless
-    /// compare for the drain-buffer sort.
+    /// compare for the snapshot sort.
     #[inline]
     fn packed(self) -> u128 {
         (u128::from(self.time.as_micros()) << 64) | u128::from(self.seq)
     }
 }
 
-/// A `(key, handle, dst)` record ordered by key only — `handle` names
-/// storage and `dst` is cargo, not identity. 24 bytes: `dst` fills what
-/// was padding.
+/// A keyed `(key, handle, dst)` record ordered by key only — `handle`
+/// names storage and `dst` is cargo, not identity. 24 bytes: `dst` fills
+/// what was padding. The late and overflow heaps and [`HeapQueue`] hold
+/// these; wheel buckets hold the 16-byte [`Record`].
 #[derive(Clone, Copy, Debug)]
 struct Entry {
     key: EventKey,
@@ -70,16 +71,6 @@ struct Entry {
 }
 
 impl Entry {
-    /// What fills a freshly allocated bucket chunk before it is written.
-    const VACANT: Entry = Entry {
-        key: EventKey {
-            time: SimTime::ZERO,
-            seq: 0,
-        },
-        handle: 0,
-        dst: 0,
-    };
-
     #[inline]
     fn new(key: EventKey, handle: u32, dst: NodeIdx) -> Self {
         debug_assert!(u32::try_from(dst).is_ok(), "see check_node_count");
@@ -98,6 +89,70 @@ impl Entry {
     /// What [`WheelQueue::remove`] hands back: everything but the key.
     fn cargo(self) -> (u32, NodeIdx) {
         (self.handle, self.dst as NodeIdx)
+    }
+}
+
+/// Bits of a [`Record`]'s `lo` that hold the key's `seq`; the six above
+/// them hold the key's µs offset within its tick.
+const SEQ_BITS: u32 = 64 - GRANULARITY_SHIFT;
+/// The `seq` values a wheel record can hold: `0..2^58`.
+const SEQ_BOUND: u64 = 1 << SEQ_BITS;
+
+/// A bucketed `(key, handle, dst)` record: 16 bytes. A bucket holds
+/// exactly one tick, so the record keeps only what the tick does not
+/// say — `lo = (time_µs mod 64) << 58 | seq` — and one `u64` compare of
+/// `lo` orders a tick. The drain buffer remembers the tick it drained,
+/// which rebuilds the full key ([`Record::key`]).
+#[derive(Clone, Copy, Debug)]
+struct Record {
+    lo: u64,
+    handle: u32,
+    dst: u32,
+}
+
+impl Record {
+    /// What fills a freshly allocated bucket chunk before it is written.
+    const VACANT: Record = Record {
+        lo: 0,
+        handle: 0,
+        dst: 0,
+    };
+
+    /// The wheel form of a keyed entry. [`WheelQueue::push`] has checked
+    /// that `seq` fits.
+    #[inline]
+    fn of(e: Entry) -> Self {
+        let offset = e.key.time.as_micros() & ((1 << GRANULARITY_SHIFT) - 1);
+        Record {
+            lo: offset << SEQ_BITS | e.key.seq,
+            handle: e.handle,
+            dst: e.dst,
+        }
+    }
+
+    /// The record's µs offset within its tick: its counting-sort group.
+    #[inline]
+    fn offset(self) -> usize {
+        (self.lo >> SEQ_BITS) as usize
+    }
+
+    /// The full key of this record, filed under `tick`.
+    #[inline]
+    fn key(self, tick: u64) -> EventKey {
+        EventKey {
+            time: SimTime::from_micros(tick << GRANULARITY_SHIFT | self.offset() as u64),
+            seq: self.lo & (SEQ_BOUND - 1),
+        }
+    }
+
+    /// The keyed entry this record was made from, filed under `tick`.
+    #[inline]
+    fn entry(self, tick: u64) -> Entry {
+        Entry {
+            key: self.key(tick),
+            handle: self.handle,
+            dst: self.dst,
+        }
     }
 }
 
@@ -222,8 +277,10 @@ fn remove_from_heap(
 
 /// Bucket granularity: each wheel slot covers `2^GRANULARITY_SHIFT` µs.
 /// 64 µs is well under the smallest modelled network delay, so same-bucket
-/// events are few and the per-bucket ordering sort stays tiny.
+/// events are few and the per-bucket ordering pass stays tiny.
 const GRANULARITY_SHIFT: u32 = 6;
+/// µs offsets within one tick: the drain's counting-sort groups.
+const OFFSETS: usize = 1 << GRANULARITY_SHIFT;
 /// Number of wheel slots (power of two). With 64 µs buckets the wheel
 /// window spans ~65 ms — wider than every hop delay in the evaluation
 /// topologies, so steady-state message traffic never touches the spill
@@ -231,7 +288,7 @@ const GRANULARITY_SHIFT: u32 = 6;
 const NUM_SLOTS: usize = 1 << 10;
 /// Words in the bucket-occupancy bitmap.
 const OCC_WORDS: usize = NUM_SLOTS / 64;
-/// Entries per bucket chunk: 64 × 24 B = 1.5 KiB.
+/// Records per bucket chunk: 64 × 16 B = 1 KiB.
 const CHUNK: usize = 64;
 /// End of a chunk list.
 const NIL: u32 = u32::MAX;
@@ -251,13 +308,14 @@ pub const WHEEL_NUM_SLOTS: usize = NUM_SLOTS;
 /// holds the next [`NUM_SLOTS`] ticks starting at `base_tick` (the rotating
 /// window), one bucket per tick, with slot index `tick % NUM_SLOTS`;
 /// because the window is exactly `NUM_SLOTS` ticks long, a slot never holds
-/// two ticks at once. Events due beyond the window spill to an overflow
-/// [`HeapQueue`]-style binary heap and migrate into the wheel as the window
-/// advances past their tick.
+/// two ticks at once, which is what lets a bucketed [`Record`] drop its
+/// tick. Events due beyond the window spill to an overflow
+/// [`HeapQueue`]-style binary heap of keyed entries and migrate into the
+/// wheel as the window advances past their tick.
 ///
 /// # Memory
 ///
-/// A bucket is a list of fixed [`CHUNK`]-entry chunks drawn from one pool
+/// A bucket is a list of fixed [`CHUNK`]-record chunks drawn from one pool
 /// shared by all slots, and a drained bucket gives its chunks straight
 /// back. The wheel therefore holds the peak number of records in flight
 /// plus at most one partial chunk per occupied slot — not, as one `Vec`
@@ -266,45 +324,63 @@ pub const WHEEL_NUM_SLOTS: usize = NUM_SLOTS;
 ///
 /// # Ordering
 ///
-/// Within a bucket, entries are appended in arrival order, which is *not*
-/// `(time, seq)` order (a bucket spans 64 µs, and overflow migration can
-/// interleave with direct pushes). Ordering is restored at drain time: the
-/// due bucket is copied into the persistent `drain` buffer and sorted once
-/// by `(time, seq)` — a contiguous `sort_unstable` over unique keys, which
-/// is deterministic. Pops then walk the sorted buffer. Late pushes whose
-/// tick already drained (a callback scheduling at the current instant) go
-/// to a small `late` heap; the head is the smaller of the two heads, and
-/// both sit below every bucketed key, so the total order holds. The
-/// differential proptests in `tests/queue_equiv.rs` hold this equal to
-/// [`HeapQueue`] on random schedules.
+/// Within a bucket, records are appended in arrival order. Ordering is
+/// restored at drain time by a counting sort on the record's offset within
+/// the tick: count the 64 offsets, then scatter the bucket into the
+/// persistent `drain` buffer, sized to the bucket. That leaves each offset
+/// group in arrival order, which is key order exactly when every group
+/// arrived in ascending `seq`; the drain checks that and otherwise sorts
+/// the buffer by `lo`, so any push order drains exactly.
+///
+/// The simulator never takes that fallback. A tick's records arrive in
+/// two phases: first the overflow heap migrates the tick's spilled
+/// records into the bucket, in key order, in the same step that moves the
+/// window over the tick; only then can a push land in the tick directly.
+/// Direct pushes arrive in the order the simulator mints their `seq`, and
+/// every one of them was minted after every spilled record's. So each
+/// offset group is ascending. Only a model-checker hook that re-files an
+/// old key (`Simulator::duplicate_pending` keeps the original) can break
+/// that, and the fallback covers it.
+///
+/// Late pushes whose tick already drained (a callback scheduling at the
+/// current instant) go to a small `late` heap; the head is the smaller of
+/// the two heads, and both sit below every bucketed key, so the total
+/// order holds. The differential proptests in `tests/queue_equiv.rs` hold
+/// this equal to [`HeapQueue`] on random schedules.
 pub struct WheelQueue {
     /// One bucket per wheel slot; `buckets[tick % NUM_SLOTS]`.
     buckets: Vec<Bucket>,
-    /// The chunks every bucket's entries live in.
+    /// The chunks every bucket's records live in.
     pool: ChunkPool,
     /// Occupancy bitmap over `buckets`, so advancing over empty buckets is
     /// a word scan, not a walk over bucket lengths.
     occ: [u64; OCC_WORDS],
-    /// First tick of the current wheel window. Every bucketed entry has
+    /// First tick of the current wheel window. Every bucketed record has
     /// tick in `[base_tick, base_tick + NUM_SLOTS)`; every drained or late
     /// entry has tick `< base_tick`.
     base_tick: u64,
-    /// The sorted drain buffer; live entries are `drain[drain_pos..]`.
-    drain: Vec<Entry>,
+    /// The sorted drain buffer; live records are `drain[drain_pos..]`, all
+    /// of tick `drain_tick`.
+    drain: Vec<Record>,
     /// Cursor into `drain` (everything before it was popped).
     drain_pos: usize,
+    /// The tick the drain buffer holds.
+    drain_tick: u64,
+    /// Drains whose offset groups were not all in ascending `seq`, so the
+    /// buffer was sorted instead. Zero on the simulator's push pattern.
+    fallback_sorts: u64,
     /// Late pushes: entries whose tick had already drained when they
     /// arrived, ordered by key.
     late: BinaryHeap<Reverse<Entry>>,
     /// Events with tick at or beyond the window end, ordered by key.
     overflow: BinaryHeap<Reverse<Entry>>,
-    /// Entries currently resident in wheel buckets.
+    /// Records currently resident in wheel buckets.
     wheel_len: usize,
     /// Total entries (buckets + drain tail + late + overflow).
     len: usize,
 }
 
-/// One wheel slot's entries: a list of pool chunks, every one full but
+/// One wheel slot's records: a list of pool chunks, every one full but
 /// the tail.
 #[derive(Clone, Copy)]
 struct Bucket {
@@ -321,22 +397,22 @@ impl Bucket {
     };
 }
 
-/// Fixed-size entry chunks shared by every bucket. `next` links a chunk to
-/// the next one in its bucket, or — for a free chunk — in the free list.
-/// A bucket's tail link is never followed: walks stop at the bucket's
-/// `len`.
+/// Fixed-size record chunks shared by every bucket. `next` links a chunk
+/// to the next one in its bucket, or — for a free chunk — in the free
+/// list. A bucket's tail link is never followed: walks stop at the
+/// bucket's `len`.
 struct ChunkPool {
-    chunks: Vec<[Entry; CHUNK]>,
+    chunks: Vec<[Record; CHUNK]>,
     next: Vec<u32>,
     /// Head of the free list.
     free: u32,
 }
 
 impl ChunkPool {
-    /// Appends `e` to bucket `b`, taking a chunk from the free list (or a
+    /// Appends `r` to bucket `b`, taking a chunk from the free list (or a
     /// new one) when the tail is full.
     #[inline]
-    fn push(&mut self, b: &mut Bucket, e: Entry) {
+    fn push(&mut self, b: &mut Bucket, r: Record) {
         let at = b.len % CHUNK;
         if at == 0 {
             let c = self.alloc();
@@ -347,7 +423,7 @@ impl ChunkPool {
             }
             b.tail = c;
         }
-        self.chunks[b.tail as usize][at] = e;
+        self.chunks[b.tail as usize][at] = r;
         b.len += 1;
     }
 
@@ -361,14 +437,14 @@ impl ChunkPool {
             .ok()
             .filter(|&c| c != NIL)
             .expect("more than u32::MAX wheel chunks");
-        self.chunks.push([Entry::VACANT; CHUNK]);
+        self.chunks.push([Record::VACANT; CHUNK]);
         self.next.push(NIL);
         c
     }
 
-    /// The entries of bucket `b`, one chunk slice at a time, in arrival
+    /// The records of bucket `b`, one chunk slice at a time, in arrival
     /// order.
-    fn slices(&self, b: Bucket) -> impl Iterator<Item = &[Entry]> + '_ {
+    fn slices(&self, b: Bucket) -> impl Iterator<Item = &[Record]> + '_ {
         let (mut c, mut left) = (b.head, b.len);
         std::iter::from_fn(move || {
             if left == 0 {
@@ -382,21 +458,18 @@ impl ChunkPool {
         })
     }
 
-    /// Appends bucket `b`'s entries to `out` and returns its chunks to the
-    /// free list, most recently used first.
-    fn take(&mut self, b: Bucket, out: &mut Vec<Entry>) {
+    /// Returns detached bucket `b`'s chunks to the free list, most
+    /// recently used first.
+    fn release(&mut self, b: Bucket) {
         if b.len == 0 {
             return;
-        }
-        for chunk in self.slices(b) {
-            out.extend_from_slice(chunk);
         }
         self.next[b.tail as usize] = self.free;
         self.free = b.head;
     }
 
     fn heap_bytes(&self) -> usize {
-        self.chunks.capacity() * std::mem::size_of::<[Entry; CHUNK]>()
+        self.chunks.capacity() * std::mem::size_of::<[Record; CHUNK]>()
             + self.next.capacity() * std::mem::size_of::<u32>()
     }
 }
@@ -414,7 +487,7 @@ impl WheelQueue {
         let entry = std::mem::size_of::<Entry>();
         self.buckets.capacity() * std::mem::size_of::<Bucket>()
             + self.pool.heap_bytes()
-            + self.drain.capacity() * entry
+            + self.drain.capacity() * std::mem::size_of::<Record>()
             + self.late.capacity() * entry
             + self.overflow.capacity() * entry
     }
@@ -426,33 +499,42 @@ impl WheelQueue {
     }
 
     /// Pulls overflow events whose tick has entered the window into their
-    /// buckets. Called whenever `base_tick` advances.
+    /// buckets, in key order. Called whenever `base_tick` advances.
     fn migrate_overflow(&mut self) {
         let end = self.window_end();
         while let Some(Reverse(head)) = self.overflow.peek() {
-            if tick_of(head.key.time) >= end {
+            let tick = tick_of(head.key.time);
+            if tick >= end {
                 break;
             }
             let Reverse(e) = self.overflow.pop().expect("peeked overflow head vanished");
-            self.bucket_push(e);
+            self.bucket_push(tick, Record::of(e));
         }
     }
 
-    /// Appends an in-window entry to its bucket and marks it occupied.
+    /// Appends an in-window record of `tick` to its bucket and marks it
+    /// occupied.
     #[inline]
-    fn bucket_push(&mut self, e: Entry) {
-        let idx = (tick_of(e.key.time) % NUM_SLOTS as u64) as usize;
-        self.pool.push(&mut self.buckets[idx], e);
+    fn bucket_push(&mut self, tick: u64, r: Record) {
+        let idx = (tick % NUM_SLOTS as u64) as usize;
+        self.pool.push(&mut self.buckets[idx], r);
         self.occ[idx / 64] |= 1u64 << (idx % 64);
         self.wheel_len += 1;
     }
 
-    /// Empties bucket `idx` onto `out`, returning its chunks to the pool.
-    fn bucket_take(&mut self, idx: usize, out: &mut Vec<Entry>) {
+    /// Detaches bucket `idx`, whose chunks the caller reads and then
+    /// [`ChunkPool::release`]s.
+    fn bucket_detach(&mut self, idx: usize) -> Bucket {
         let b = std::mem::replace(&mut self.buckets[idx], Bucket::EMPTY);
-        self.pool.take(b, out);
         self.occ[idx / 64] &= !(1u64 << (idx % 64));
         self.wheel_len -= b.len;
+        b
+    }
+
+    /// The tick that slot `idx` holds in the current window.
+    fn tick_at(&self, idx: usize) -> u64 {
+        let start = (self.base_tick % NUM_SLOTS as u64) as usize;
+        self.base_tick + ((idx + NUM_SLOTS - start) % NUM_SLOTS) as u64
     }
 
     /// The smallest occupied tick in the window, or `None` if the wheel is
@@ -476,11 +558,47 @@ impl WheelQueue {
             }
             if word != 0 {
                 let idx = w * 64 + word.trailing_zeros() as usize;
-                let dist = (idx + NUM_SLOTS - start) % NUM_SLOTS;
-                return Some(self.base_tick + dist as u64);
+                return Some(self.tick_at(idx));
             }
         }
         None
+    }
+
+    /// Refills the drain buffer with due tick `due`'s bucket in key order:
+    /// a counting sort on the records' offsets into a buffer sized to the
+    /// bucket, falling back to a sort by `lo` if some offset group did not
+    /// arrive in ascending `seq` (see the type's *Ordering*).
+    fn drain_bucket(&mut self, due: u64) {
+        let b = self.bucket_detach((due % NUM_SLOTS as u64) as usize);
+        let mut at = [0usize; OFFSETS];
+        for chunk in self.pool.slices(b) {
+            for r in chunk {
+                at[r.offset()] += 1;
+            }
+        }
+        let mut start = 0;
+        for slot in &mut at {
+            let n = *slot;
+            *slot = start;
+            start += n;
+        }
+        self.drain.clear();
+        self.drain.reserve_exact(b.len);
+        self.drain.resize(b.len, Record::VACANT);
+        for chunk in self.pool.slices(b) {
+            for &r in chunk {
+                let slot = &mut at[r.offset()];
+                self.drain[*slot] = r;
+                *slot += 1;
+            }
+        }
+        self.pool.release(b);
+        if !self.drain.is_sorted_by_key(|r| r.lo) {
+            self.drain.sort_unstable_by_key(|r| r.lo);
+            self.fallback_sorts += 1;
+        }
+        self.drain_pos = 0;
+        self.drain_tick = due;
     }
 
     /// Ensures the head of the queue (if any) is `drain[drain_pos]` or the
@@ -511,13 +629,7 @@ impl WheelQueue {
                 continue;
             }
             let due = self.next_occupied_tick().expect("wheel_len > 0");
-            let idx = (due % NUM_SLOTS as u64) as usize;
-            // Copy the bucket into the (empty) drain buffer, whose capacity
-            // persists; the bucket's chunks go back to the pool.
-            let mut drain = std::mem::take(&mut self.drain);
-            self.bucket_take(idx, &mut drain);
-            drain.sort_unstable_by_key(|e| e.key.packed());
-            self.drain = drain;
+            self.drain_bucket(due);
             // Advance past the drained tick: later pushes for it are "late"
             // and go to the late heap instead.
             self.base_tick = due + 1;
@@ -532,7 +644,10 @@ impl WheelQueue {
     /// of the two heads is the queue's.
     #[inline]
     fn head(&self) -> Option<(Entry, bool)> {
-        let drained = self.drain.get(self.drain_pos).copied();
+        let drained = self
+            .drain
+            .get(self.drain_pos)
+            .map(|r| r.entry(self.drain_tick));
         match self.late.peek() {
             None => drained.map(|e| (e, false)),
             Some(&Reverse(l)) => match drained {
@@ -570,6 +685,8 @@ impl WheelQueue {
             base_tick: 0,
             drain: Vec::new(),
             drain_pos: 0,
+            drain_tick: 0,
+            fallback_sorts: 0,
             late: BinaryHeap::new(),
             overflow: BinaryHeap::with_capacity(cap.min(1 << 16)),
             wheel_len: 0,
@@ -581,7 +698,18 @@ impl WheelQueue {
     /// in any order, but a pushed key is never smaller than the last popped
     /// key (the simulator clamps event times to `now`). `dst` must fit in
     /// 32 bits.
+    ///
+    /// # Panics
+    ///
+    /// If `key.seq` is `2^58` or more: a wheel record keeps `seq` in 58
+    /// bits. The simulator mints `seq` from 0, one per event, so it would
+    /// take 2^58 events to get there.
     pub fn push(&mut self, key: EventKey, handle: u32, dst: NodeIdx) {
+        assert!(
+            key.seq < SEQ_BOUND,
+            "event seq {} is past the timer wheel's 2^58 bound",
+            key.seq
+        );
         let e = Entry::new(key, handle, dst);
         self.len += 1;
         let tick = tick_of(key.time);
@@ -590,7 +718,7 @@ impl WheelQueue {
             // scheduling work at the current instant).
             self.late.push(Reverse(e));
         } else if tick < self.window_end() {
-            self.bucket_push(e);
+            self.bucket_push(tick, Record::of(e));
         } else {
             self.overflow.push(Reverse(e));
         }
@@ -633,16 +761,29 @@ impl WheelQueue {
         self.len == 0
     }
 
+    /// How many drains found an offset group out of `seq` order and sorted
+    /// the buffer instead of trusting the counting pass. A diagnostic for
+    /// the differential tests: the simulator's own push pattern keeps it 0.
+    pub fn fallback_sorts(&self) -> u64 {
+        self.fallback_sorts
+    }
+
     /// Every queued record in ascending key order, without removing
     /// anything. `O(n log n)` — an exploration hook for the bounded model
     /// checker, never called on the hot dispatch path.
     pub fn snapshot(&mut self) -> Vec<Queued> {
         let mut out = Vec::with_capacity(self.len);
-        out.extend(self.drain[self.drain_pos..].iter().map(|e| e.unpack()));
+        let tick = self.drain_tick;
+        out.extend(
+            self.drain[self.drain_pos..]
+                .iter()
+                .map(|r| r.entry(tick).unpack()),
+        );
         out.extend(self.late.iter().map(|Reverse(e)| e.unpack()));
-        for &b in &self.buckets {
+        for (idx, &b) in self.buckets.iter().enumerate() {
+            let tick = self.tick_at(idx);
             for chunk in self.pool.slices(b) {
-                out.extend(chunk.iter().map(|e| e.unpack()));
+                out.extend(chunk.iter().map(|r| r.entry(tick).unpack()));
             }
         }
         out.extend(self.overflow.iter().map(|Reverse(e)| e.unpack()));
@@ -655,26 +796,39 @@ impl WheelQueue {
     /// destination. `O(n)` worst case; exploration hook only.
     pub fn remove(&mut self, key: EventKey) -> Option<(u32, NodeIdx)> {
         // The bands are disjoint by tick: drained and late entries sit
-        // below `base_tick`, bucketed entries inside the window, spilled
+        // below `base_tick`, bucketed records inside the window, spilled
         // entries at or beyond its end — so only one band is probed.
         let tick = tick_of(key.time);
         let found = if tick < self.base_tick {
-            // The drain tail is sorted by key: binary search it first.
+            // The drain tail is one tick sorted by `lo`: binary search it
+            // first.
             let tail = &self.drain[self.drain_pos..];
-            match tail.binary_search_by(|e| e.key.cmp(&key)) {
-                Ok(i) => Some(self.drain.remove(self.drain_pos + i).cargo()),
-                Err(_) => remove_from_heap(&mut self.late, key),
+            let hit = if tick == self.drain_tick && key.seq < SEQ_BOUND {
+                let lo = Record::of(Entry::new(key, 0, 0)).lo;
+                tail.binary_search_by_key(&lo, |r| r.lo).ok()
+            } else {
+                None
+            };
+            match hit {
+                Some(i) => {
+                    let r = self.drain.remove(self.drain_pos + i);
+                    Some((r.handle, r.dst as NodeIdx))
+                }
+                None => remove_from_heap(&mut self.late, key),
             }
         } else if tick < self.window_end() {
             // Empty the bucket and re-file all but `key`: arrival order
             // within a bucket is not observable.
-            let idx = (tick % NUM_SLOTS as u64) as usize;
-            let mut entries = Vec::new();
-            self.bucket_take(idx, &mut entries);
-            let pos = entries.iter().position(|e| e.key == key);
-            let found = pos.map(|p| entries.remove(p).cargo());
-            for e in entries {
-                self.bucket_push(e);
+            let b = self.bucket_detach((tick % NUM_SLOTS as u64) as usize);
+            let records: Vec<Record> = self.pool.slices(b).flatten().copied().collect();
+            self.pool.release(b);
+            let mut found = None;
+            for r in records {
+                if found.is_none() && r.key(tick) == key {
+                    found = Some((r.handle, r.dst as NodeIdx));
+                } else {
+                    self.bucket_push(tick, r);
+                }
             }
             found
         } else {
@@ -1028,7 +1182,7 @@ mod tests {
         // of capacity. The shared pool keeps one tick's chunks, the drain
         // buffer one more.
         const PER_TICK: u64 = 4_096;
-        let tick_bytes = PER_TICK as usize * std::mem::size_of::<Entry>();
+        let tick_bytes = PER_TICK as usize * std::mem::size_of::<Record>();
         let mut wheel = WheelQueue::with_capacity(16);
         let empty = wheel.heap_bytes();
         let mut seq = 0u64;
@@ -1049,6 +1203,33 @@ mod tests {
                 "tick {tick}: {held} B held for {tick_bytes} B in flight"
             );
         }
+    }
+
+    #[test]
+    fn a_wheel_record_is_sixteen_bytes() {
+        // The wheel's in-flight cost per event; the keyed entry the heaps
+        // keep stays 24.
+        assert_eq!(std::mem::size_of::<Record>(), 16);
+        assert_eq!(std::mem::size_of::<Entry>(), 24);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the timer wheel's 2^58 bound")]
+    fn a_seq_past_the_record_bound_panics() {
+        WheelQueue::with_capacity(1).push(key(5, SEQ_BOUND), 0, dst_of(0));
+    }
+
+    #[test]
+    fn the_largest_seq_keeps_its_offset() {
+        // `seq` fills the record's low 58 bits; the offset above it must
+        // survive a full one, in every band.
+        let span = (NUM_SLOTS as u64) << GRANULARITY_SHIFT;
+        both_agree(&[
+            (63, SEQ_BOUND - 1, 0),
+            (63, SEQ_BOUND - 2, 1),
+            (0, SEQ_BOUND - 3, 2),
+            (span + 63, SEQ_BOUND - 4, 3),
+        ]);
     }
 
     #[test]

@@ -288,35 +288,23 @@ pub struct PendingSummary {
     pub class: PendingClass,
 }
 
-/// Cumulative simulated CPU time per node, split by [`ComputeKind`].
+/// Cumulative simulated CPU time over all nodes, split by
+/// [`ComputeKind`]. Every reader sums over nodes, so the ledger keeps the
+/// two totals, not a column per node.
 #[derive(Clone, Debug, Default)]
 pub struct ComputeLedger {
-    /// FL-task microseconds per node.
-    pub fl_us: Vec<u64>,
-    /// DHT-task microseconds per node.
-    pub dht_us: Vec<u64>,
+    /// FL-task microseconds, summed over nodes.
+    pub fl_us: u64,
+    /// DHT-task microseconds, summed over nodes.
+    pub dht_us: u64,
 }
 
 impl ComputeLedger {
-    // Sized to the topology up front (one slot per node, like the traffic
-    // ledger), so charging never reallocates.
-    fn new(n: usize) -> Self {
-        ComputeLedger {
-            fl_us: vec![0; n],
-            dht_us: vec![0; n],
-        }
-    }
-
-    fn charge(&mut self, node: NodeIdx, kind: ComputeKind, amount: SimDuration) {
+    fn charge(&mut self, kind: ComputeKind, amount: SimDuration) {
         match kind {
-            ComputeKind::FlTask => self.fl_us[node] += amount.as_micros(),
-            ComputeKind::DhtTask => self.dht_us[node] += amount.as_micros(),
+            ComputeKind::FlTask => self.fl_us += amount.as_micros(),
+            ComputeKind::DhtTask => self.dht_us += amount.as_micros(),
         }
-    }
-
-    /// Heap bytes reserved by the two per-node columns.
-    fn heap_bytes(&self) -> usize {
-        (self.fl_us.capacity() + self.dht_us.capacity()) * std::mem::size_of::<u64>()
     }
 }
 
@@ -426,7 +414,7 @@ impl<A: Application, S: TraceSink> Simulator<A, S> {
             dropped_loss: 0,
             dropped_dead: 0,
             traffic: TrafficLedger::new(n),
-            compute: ComputeLedger::new(n),
+            compute: ComputeLedger::default(),
             sink,
             chaos: None,
             fault_filter: None,
@@ -578,11 +566,14 @@ impl<A: Application, S: TraceSink> Simulator<A, S> {
     }
 
     /// Heap bytes reserved by the simulator's per-node and per-event state:
-    /// application states, liveness bits, the event queue and both event
-    /// stores, the causal-meta side table, the traffic and compute ledgers,
-    /// and the topology's per-node tables (counted in full even when the
-    /// topology shares them with a clone). Capacity-based, so it measures
-    /// what a run reserved, not what it holds at the end.
+    /// application states, liveness bits, the event queue (16 bytes per
+    /// bucketed record, 24 per heap entry) and both event stores (a payload
+    /// slot is a `u32` link, a `u32` source and the message; a word cell is
+    /// 8 bytes), the causal-meta side table, the traffic ledger (32 bytes per
+    /// node; the compute ledger is two totals and holds no heap), and the
+    /// topology's per-node tables (counted in full even when the topology
+    /// shares them with a clone). Capacity-based, so it measures what a run
+    /// reserved, not what it holds at the end.
     pub fn state_bytes(&self) -> usize {
         self.nodes.capacity() * std::mem::size_of::<A>()
             + self.alive.heap_bytes()
@@ -590,7 +581,6 @@ impl<A: Application, S: TraceSink> Simulator<A, S> {
             + self.slab.heap_bytes()
             + self.meta_slots.capacity() * std::mem::size_of::<MsgMeta>()
             + self.traffic.heap_bytes()
-            + self.compute.heap_bytes()
             + self.topology.heap_bytes()
     }
 
@@ -1071,7 +1061,7 @@ impl<A: Application, S: TraceSink> Simulator<A, S> {
                     self.schedule(src, at, src, kind, MsgMeta::NONE);
                 }
                 Action::Compute { kind, amount } => {
-                    self.compute.charge(src, kind, amount);
+                    self.compute.charge(kind, amount);
                     if S::ENABLED {
                         let task = match kind {
                             ComputeKind::FlTask => "fl",
@@ -1206,8 +1196,7 @@ impl<A: Application, S: TraceSink> Simulator<A, S> {
         }
         if let Some((handle, refs)) = fan.parked {
             let msg = fan.msg.take().expect("a shared slot keeps the message");
-            self.slab
-                .fill(handle, refs, EventKind::Deliver { src, msg });
+            self.slab.fill(handle, refs, src, msg);
         }
     }
 }
@@ -1467,8 +1456,8 @@ mod tests {
             ctx.charge_compute(ComputeKind::FlTask, SimDuration::from_millis(2));
         });
         assert!(ran.is_some());
-        assert_eq!(sim.compute().fl_us[0], 5_000);
-        assert_eq!(sim.compute().dht_us[0], 1_000);
+        assert_eq!(sim.compute().fl_us, 5_000);
+        assert_eq!(sim.compute().dht_us, 1_000);
     }
 
     #[test]

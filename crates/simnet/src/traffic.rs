@@ -1,10 +1,13 @@
 //! Per-node traffic accounting with transport-overhead models.
 //!
 //! Figure 7 of the paper reports *traffic per node* under TCP and UDP as the
-//! number of dataflow trees grows. The ledger therefore records, for every
-//! node, payload bytes and on-the-wire bytes under both transports, where
-//! the on-the-wire size adds per-packet header overhead after segmenting the
-//! payload at the MSS.
+//! number of dataflow trees grows. The ledger records, for every node, the
+//! messages and payload bytes it sent and received, and for the whole run
+//! the packets sent after segmenting each payload at the MSS. On-the-wire
+//! bytes under either transport are payload plus per-packet header overhead
+//! (plus, for TCP, a per-message charge), so the ledger derives them from
+//! those sums instead of keeping them per node: every reader of wire bytes
+//! reads a mean over all nodes.
 
 use crate::topology::NodeIdx;
 
@@ -18,19 +21,22 @@ pub const UDP_HEADER_BYTES: usize = 28;
 /// management (SYN/ACK/FIN exchanges and pure ACKs).
 pub const TCP_PER_MESSAGE_BYTES: usize = 120;
 
+/// Packets a `payload`-byte message is segmented into (at least one).
+fn packets(payload: usize) -> usize {
+    payload.div_ceil(MSS_BYTES).max(1)
+}
+
 /// On-the-wire size of a `payload`-byte message under TCP.
 pub fn tcp_wire_bytes(payload: usize) -> usize {
-    let packets = payload.div_ceil(MSS_BYTES).max(1);
-    payload + packets * TCP_HEADER_BYTES + TCP_PER_MESSAGE_BYTES
+    payload + packets(payload) * TCP_HEADER_BYTES + TCP_PER_MESSAGE_BYTES
 }
 
 /// On-the-wire size of a `payload`-byte message under UDP.
 pub fn udp_wire_bytes(payload: usize) -> usize {
-    let packets = payload.div_ceil(MSS_BYTES).max(1);
-    payload + packets * UDP_HEADER_BYTES
+    payload + packets(payload) * UDP_HEADER_BYTES
 }
 
-/// Cumulative traffic counters for one node.
+/// Cumulative traffic counters for one node: 32 bytes.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NodeTraffic {
     /// Messages sent.
@@ -41,16 +47,15 @@ pub struct NodeTraffic {
     pub payload_sent: u64,
     /// Payload bytes received.
     pub payload_recv: u64,
-    /// Wire bytes sent if every message used TCP.
-    pub tcp_sent: u64,
-    /// Wire bytes sent if every message used UDP.
-    pub udp_sent: u64,
 }
 
 /// Traffic ledger for an entire simulation.
 #[derive(Clone, Debug, Default)]
 pub struct TrafficLedger {
     per_node: Vec<NodeTraffic>,
+    /// Packets sent by all nodes, from which [`TrafficLedger::totals`]
+    /// derives the wire bytes.
+    packets_sent: u64,
 }
 
 impl TrafficLedger {
@@ -58,6 +63,7 @@ impl TrafficLedger {
     pub fn new(n: usize) -> Self {
         TrafficLedger {
             per_node: vec![NodeTraffic::default(); n],
+            packets_sent: 0,
         }
     }
 
@@ -66,8 +72,7 @@ impl TrafficLedger {
         let t = &mut self.per_node[src];
         t.msgs_sent += 1;
         t.payload_sent += payload as u64;
-        t.tcp_sent += tcp_wire_bytes(payload) as u64;
-        t.udp_sent += udp_wire_bytes(payload) as u64;
+        self.packets_sent += packets(payload) as u64;
     }
 
     /// Records a message of `payload` bytes received at `dst`.
@@ -89,12 +94,14 @@ impl TrafficLedger {
 
     /// Mean TCP wire bytes sent per node.
     pub fn mean_tcp_sent(&self) -> f64 {
-        mean(self.per_node.iter().map(|t| t.tcp_sent))
+        let t = self.totals();
+        t.mean_per_node(t.tcp_sent, self.per_node.len())
     }
 
     /// Mean UDP wire bytes sent per node.
     pub fn mean_udp_sent(&self) -> f64 {
-        mean(self.per_node.iter().map(|t| t.udp_sent))
+        let t = self.totals();
+        t.mean_per_node(t.udp_sent, self.per_node.len())
     }
 
     /// Total messages sent across all nodes.
@@ -113,10 +120,14 @@ impl TrafficLedger {
         for t in &mut self.per_node {
             *t = NodeTraffic::default();
         }
+        self.packets_sent = 0;
     }
 
     /// Sums every node's counters into a mergeable [`TrafficTotals`] value —
-    /// the form a finished trial hands back to the benchmark harness.
+    /// the form a finished trial hands back to the benchmark harness. The
+    /// wire bytes are the per-message sums of [`tcp_wire_bytes`] and
+    /// [`udp_wire_bytes`], regrouped: payload, plus headers per packet,
+    /// plus TCP's per-message charge.
     pub fn totals(&self) -> TrafficTotals {
         let mut t = TrafficTotals::default();
         for n in &self.per_node {
@@ -124,9 +135,12 @@ impl TrafficLedger {
             t.msgs_recv += n.msgs_recv;
             t.payload_sent += n.payload_sent;
             t.payload_recv += n.payload_recv;
-            t.tcp_sent += n.tcp_sent;
-            t.udp_sent += n.udp_sent;
         }
+        let packets = self.packets_sent;
+        t.tcp_sent = t.payload_sent
+            + packets * TCP_HEADER_BYTES as u64
+            + t.msgs_sent * TCP_PER_MESSAGE_BYTES as u64;
+        t.udp_sent = t.payload_sent + packets * UDP_HEADER_BYTES as u64;
         t
     }
 }
@@ -172,20 +186,6 @@ impl TrafficTotals {
     }
 }
 
-fn mean(iter: impl Iterator<Item = u64>) -> f64 {
-    let mut sum = 0u64;
-    let mut n = 0u64;
-    for v in iter {
-        sum += v;
-        n += 1;
-    }
-    if n == 0 {
-        0.0
-    } else {
-        sum as f64 / n as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,6 +220,31 @@ mod tests {
         assert_eq!(ledger.total_msgs(), 2);
         let expected = (tcp_wire_bytes(1_000) + tcp_wire_bytes(2_000)) as f64 / 3.0;
         assert!((ledger.mean_tcp_sent() - expected).abs() < 1e-9);
+    }
+
+    #[test]
+    fn derived_wire_totals_equal_the_per_message_sums() {
+        let payloads = [0, 1, 1_460, 1_461, 1_000_000];
+        let tcp: usize = payloads.iter().map(|&p| tcp_wire_bytes(p)).sum();
+        let udp: usize = payloads.iter().map(|&p| udp_wire_bytes(p)).sum();
+        let mut ledger = TrafficLedger::new(3);
+        for round in 0..2 {
+            for (i, &p) in payloads.iter().enumerate() {
+                ledger.record_send(i % 3, p);
+            }
+            let t = ledger.totals();
+            assert_eq!(
+                (t.tcp_sent, t.udp_sent),
+                (tcp as u64, udp as u64),
+                "round {round}"
+            );
+            assert_eq!(t.payload_sent, payloads.iter().sum::<usize>() as u64);
+            assert!((ledger.mean_tcp_sent() - tcp as f64 / 3.0).abs() < 1e-9);
+            // After a reset the ledger derives from the new sends alone.
+            ledger.reset();
+            assert_eq!(ledger.totals(), TrafficTotals::default());
+        }
+        assert_eq!(std::mem::size_of::<NodeTraffic>(), 32);
     }
 
     #[test]

@@ -63,8 +63,8 @@ impl TrialReport {
             dropped_loss: sim.dropped_loss(),
             dropped_dead: sim.dropped_dead(),
             traffic: sim.traffic().totals(),
-            fl_us: sim.compute().fl_us.iter().sum(),
-            dht_us: sim.compute().dht_us.iter().sum(),
+            fl_us: sim.compute().fl_us,
+            dht_us: sim.compute().dht_us,
             memory_bytes,
             obs: sim.sink().snapshot(),
             engine_profile: sim.engine_profile(),
