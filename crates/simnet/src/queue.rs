@@ -18,10 +18,10 @@
 //!
 //! The engine runs on [`WheelQueue`], a hierarchical timer wheel for the
 //! near-horizon band with a heap spill for far-future events. Pushes into
-//! the wheel window are `O(1)` bucket appends; a due bucket is drained by
-//! one counting pass over its 64 µs offsets instead of per-event heap
-//! sifts, which is what lifts timer-heavy workloads (every node ticking
-//! maintenance) off the heap bottleneck. A bucket holds exactly one tick,
+//! the wheel window are `O(1)` bucket appends; a due bucket is drained with
+//! one contiguous sort instead of per-event heap sifts, which is what lifts
+//! timer-heavy workloads (every node ticking maintenance) off the heap
+//! bottleneck. A bucket holds exactly one tick,
 //! so its records keep only the key's offset within the tick and its
 //! `seq`: 16 bytes, where a keyed record takes 24. Buckets are lists of
 //! fixed chunks drawn from one shared pool, so the wheel holds what is in
@@ -49,20 +49,10 @@ pub struct EventKey {
     pub seq: u64,
 }
 
-impl EventKey {
-    /// The key packed into one `u128` whose integer order equals the
-    /// derived lexicographic `(time, seq)` order — a single branchless
-    /// compare for the snapshot sort.
-    #[inline]
-    fn packed(self) -> u128 {
-        (u128::from(self.time.as_micros()) << 64) | u128::from(self.seq)
-    }
-}
-
 /// A keyed `(key, handle, dst)` record ordered by key only — `handle`
-/// names storage and `dst` is cargo, not identity. 24 bytes: `dst` fills
-/// what was padding. The late and overflow heaps and [`HeapQueue`] hold
-/// these; wheel buckets hold the 16-byte [`Record`].
+/// names storage and `dst` is cargo, not identity. 24 bytes, `dst` in
+/// what would otherwise be padding. The late and overflow heaps and
+/// [`HeapQueue`] hold these; wheel buckets hold the 16-byte [`Record`].
 #[derive(Clone, Copy, Debug)]
 struct Entry {
     key: EventKey,
@@ -130,17 +120,11 @@ impl Record {
         }
     }
 
-    /// The record's µs offset within its tick: its counting-sort group.
-    #[inline]
-    fn offset(self) -> usize {
-        (self.lo >> SEQ_BITS) as usize
-    }
-
     /// The full key of this record, filed under `tick`.
     #[inline]
     fn key(self, tick: u64) -> EventKey {
         EventKey {
-            time: SimTime::from_micros(tick << GRANULARITY_SHIFT | self.offset() as u64),
+            time: SimTime::from_micros(tick << GRANULARITY_SHIFT | self.lo >> SEQ_BITS),
             seq: self.lo & (SEQ_BOUND - 1),
         }
     }
@@ -245,7 +229,7 @@ impl HeapQueue {
     /// Every queued record in ascending key order.
     pub fn snapshot(&mut self) -> Vec<Queued> {
         let mut out: Vec<Queued> = self.heap.iter().map(|Reverse(e)| e.unpack()).collect();
-        out.sort_unstable_by_key(|(k, ..)| k.packed());
+        out.sort_unstable_by_key(|(k, ..)| *k);
         out
     }
 
@@ -279,8 +263,6 @@ fn remove_from_heap(
 /// 64 µs is well under the smallest modelled network delay, so same-bucket
 /// events are few and the per-bucket ordering pass stays tiny.
 const GRANULARITY_SHIFT: u32 = 6;
-/// µs offsets within one tick: the drain's counting-sort groups.
-const OFFSETS: usize = 1 << GRANULARITY_SHIFT;
 /// Number of wheel slots (power of two). With 64 µs buckets the wheel
 /// window spans ~65 ms — wider than every hop delay in the evaluation
 /// topologies, so steady-state message traffic never touches the spill
@@ -308,7 +290,7 @@ pub const WHEEL_NUM_SLOTS: usize = NUM_SLOTS;
 /// holds the next [`NUM_SLOTS`] ticks starting at `base_tick` (the rotating
 /// window), one bucket per tick, with slot index `tick % NUM_SLOTS`;
 /// because the window is exactly `NUM_SLOTS` ticks long, a slot never holds
-/// two ticks at once, which is what lets a bucketed [`Record`] drop its
+/// two ticks at once, which is what lets a bucketed `Record` drop its
 /// tick. Events due beyond the window spill to an overflow
 /// [`HeapQueue`]-style binary heap of keyed entries and migrate into the
 /// wheel as the window advances past their tick.
@@ -324,23 +306,13 @@ pub const WHEEL_NUM_SLOTS: usize = NUM_SLOTS;
 ///
 /// # Ordering
 ///
-/// Within a bucket, records are appended in arrival order. Ordering is
-/// restored at drain time by a counting sort on the record's offset within
-/// the tick: count the 64 offsets, then scatter the bucket into the
-/// persistent `drain` buffer, sized to the bucket. That leaves each offset
-/// group in arrival order, which is key order exactly when every group
-/// arrived in ascending `seq`; the drain checks that and otherwise sorts
-/// the buffer by `lo`, so any push order drains exactly.
-///
-/// The simulator never takes that fallback. A tick's records arrive in
-/// two phases: first the overflow heap migrates the tick's spilled
-/// records into the bucket, in key order, in the same step that moves the
-/// window over the tick; only then can a push land in the tick directly.
-/// Direct pushes arrive in the order the simulator mints their `seq`, and
-/// every one of them was minted after every spilled record's. So each
-/// offset group is ascending. Only a model-checker hook that re-files an
-/// old key (`Simulator::duplicate_pending` keeps the original) can break
-/// that, and the fallback covers it.
+/// Within a bucket, records are appended in arrival order, which is *not*
+/// key order (a bucket spans 64 µs, and overflow migration can interleave
+/// with direct pushes). Ordering is restored at drain time: the due bucket
+/// is copied into the persistent `drain` buffer, grown exactly to the
+/// largest bucket drained, and sorted once by `lo` — a contiguous
+/// `sort_unstable` over keys unique within the tick, which is
+/// deterministic. Pops then walk the sorted buffer.
 ///
 /// Late pushes whose tick already drained (a callback scheduling at the
 /// current instant) go to a small `late` heap; the head is the smaller of
@@ -366,9 +338,6 @@ pub struct WheelQueue {
     drain_pos: usize,
     /// The tick the drain buffer holds.
     drain_tick: u64,
-    /// Drains whose offset groups were not all in ascending `seq`, so the
-    /// buffer was sorted instead. Zero on the simulator's push pattern.
-    fallback_sorts: u64,
     /// Late pushes: entries whose tick had already drained when they
     /// arrived, ordered by key.
     late: BinaryHeap<Reverse<Entry>>,
@@ -564,39 +533,17 @@ impl WheelQueue {
         None
     }
 
-    /// Refills the drain buffer with due tick `due`'s bucket in key order:
-    /// a counting sort on the records' offsets into a buffer sized to the
-    /// bucket, falling back to a sort by `lo` if some offset group did not
-    /// arrive in ascending `seq` (see the type's *Ordering*).
+    /// Refills the drain buffer with due tick `due`'s bucket, sorted by
+    /// `lo` (see the type's *Ordering*).
     fn drain_bucket(&mut self, due: u64) {
         let b = self.bucket_detach((due % NUM_SLOTS as u64) as usize);
-        let mut at = [0usize; OFFSETS];
-        for chunk in self.pool.slices(b) {
-            for r in chunk {
-                at[r.offset()] += 1;
-            }
-        }
-        let mut start = 0;
-        for slot in &mut at {
-            let n = *slot;
-            *slot = start;
-            start += n;
-        }
         self.drain.clear();
         self.drain.reserve_exact(b.len);
-        self.drain.resize(b.len, Record::VACANT);
         for chunk in self.pool.slices(b) {
-            for &r in chunk {
-                let slot = &mut at[r.offset()];
-                self.drain[*slot] = r;
-                *slot += 1;
-            }
+            self.drain.extend_from_slice(chunk);
         }
         self.pool.release(b);
-        if !self.drain.is_sorted_by_key(|r| r.lo) {
-            self.drain.sort_unstable_by_key(|r| r.lo);
-            self.fallback_sorts += 1;
-        }
+        self.drain.sort_unstable_by_key(|r| r.lo);
         self.drain_pos = 0;
         self.drain_tick = due;
     }
@@ -686,7 +633,6 @@ impl WheelQueue {
             drain: Vec::new(),
             drain_pos: 0,
             drain_tick: 0,
-            fallback_sorts: 0,
             late: BinaryHeap::new(),
             overflow: BinaryHeap::with_capacity(cap.min(1 << 16)),
             wheel_len: 0,
@@ -761,13 +707,6 @@ impl WheelQueue {
         self.len == 0
     }
 
-    /// How many drains found an offset group out of `seq` order and sorted
-    /// the buffer instead of trusting the counting pass. A diagnostic for
-    /// the differential tests: the simulator's own push pattern keeps it 0.
-    pub fn fallback_sorts(&self) -> u64 {
-        self.fallback_sorts
-    }
-
     /// Every queued record in ascending key order, without removing
     /// anything. `O(n log n)` — an exploration hook for the bounded model
     /// checker, never called on the hot dispatch path.
@@ -787,7 +726,7 @@ impl WheelQueue {
             }
         }
         out.extend(self.overflow.iter().map(|Reverse(e)| e.unpack()));
-        out.sort_unstable_by_key(|(k, ..)| k.packed());
+        out.sort_unstable_by_key(|(k, ..)| *k);
         out
     }
 

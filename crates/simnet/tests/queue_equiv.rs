@@ -4,14 +4,6 @@
 //! re-arming rotations, cancellations, wheel-overflow spill, same-bucket
 //! ties, and one-tick bursts that cross many bucket-chunk boundaries) are
 //! replayed through both queues in lockstep.
-//!
-//! The wheel drains a bucket by counting its records' offsets within the
-//! tick and trusts each offset group's arrival order, falling back to a
-//! sort when a group arrived out of `seq` order
-//! ([`WheelQueue::fallback_sorts`]). Schedules that push like the
-//! simulator — monotone `seq`, never before the current time — must never
-//! take the fallback; schedules with arbitrary `seq` orders must, and both
-//! must still match the heap.
 
 use proptest::prelude::*;
 use totoro_simnet::queue::{EventKey, HeapQueue, WheelQueue};
@@ -156,41 +148,7 @@ fn replay(ops: &[Op]) -> Result<(), TestCaseError> {
             break;
         }
     }
-    // Every op mints its `seq` in order and pushes at or after `now`: the
-    // simulator's pattern, which never needs the fallback sort.
-    prop_assert_eq!(wheel.fallback_sorts(), 0);
     Ok(())
-}
-
-/// Pushes `key` into both queues under a slot named by the low 30 bits
-/// of its `seq` (distinct for the `seq`s the properties below mint).
-fn push_both(heap: &mut HeapQueue, wheel: &mut WheelQueue, key: EventKey) {
-    let slot = (key.seq & ((1 << 30) - 1)) as u32;
-    heap.push(key, slot, dst_of(slot));
-    wheel.push(key, slot, dst_of(slot));
-}
-
-/// Pops both queues dry in lockstep, returning how many records came out.
-fn drain_both(heap: &mut HeapQueue, wheel: &mut WheelQueue) -> Result<usize, TestCaseError> {
-    let mut n = 0;
-    loop {
-        let (h, w) = (heap.pop(), wheel.pop());
-        prop_assert_eq!(h, w);
-        if h.is_none() {
-            return Ok(n);
-        }
-        n += 1;
-    }
-}
-
-/// Whether some offset group of one tick arrived out of `seq` order, given
-/// the tick's `(offset, seq)` pushes in arrival order.
-fn some_group_inverted(arrivals: &[(u64, u64)]) -> bool {
-    let mut last = [None; 64];
-    arrivals.iter().any(|&(offset, seq)| {
-        let prev = last[offset as usize].replace(seq);
-        prev.is_some_and(|p| p > seq)
-    })
 }
 
 proptest! {
@@ -238,83 +196,6 @@ proptest! {
     }
 }
 
-proptest! {
-    /// The simulator's pattern at the one place it could go wrong: a tick
-    /// first filled by overflow migration, then by direct pushes at the
-    /// same offsets. Spill `(tick, offset)` events three windows out, pop an
-    /// anchor that moves the window over them (migrating them in key order),
-    /// then push again at the same µs with fresh, larger `seq`s, in random
-    /// order, with pops in between. Each offset group is still ascending,
-    /// so no drain falls back, and the drain equals the heap's.
-    #[test]
-    fn spill_migrate_then_direct_pushes_never_fall_back(
-        spilled in proptest::collection::vec((0u64..6, 0u64..64), 1..300),
-        direct in proptest::collection::vec((0usize..300, 0u8..4), 0..300),
-    ) {
-        let span = 1024 * 64;
-        let base = 3 * span;
-        let mut heap = HeapQueue::with_capacity(16);
-        let mut wheel = WheelQueue::with_capacity(16);
-        let mut seq = 0u64;
-        let mut mint = |us: u64| {
-            seq += 1;
-            EventKey { time: SimTime::from_micros(us), seq }
-        };
-        let times: Vec<u64> = spilled.iter().map(|&(t, o)| base + t * 64 + o).collect();
-        for &us in &times {
-            push_both(&mut heap, &mut wheel, mint(us));
-        }
-        // Half a window before the spilled ticks: popping it jumps the
-        // window there and migrates every spilled event into its bucket.
-        push_both(&mut heap, &mut wheel, mint(base - span / 2));
-        prop_assert_eq!(heap.pop(), wheel.pop());
-        for &(pick, op) in &direct {
-            if op == 0 {
-                prop_assert_eq!(heap.pop(), wheel.pop());
-            } else {
-                let now = heap.peek().map_or(0, |(k, ..)| k.time.as_micros());
-                let us = times[pick % times.len()].max(now);
-                push_both(&mut heap, &mut wheel, mint(us));
-            }
-        }
-        drain_both(&mut heap, &mut wheel)?;
-        prop_assert_eq!(wheel.fallback_sorts(), 0);
-    }
-
-    /// Arbitrary `seq` orders, as only a model-checker hook re-filing an
-    /// old key could produce: four in-window ticks filled with unique
-    /// `seq`s in random order. Every tick with an offset group out of
-    /// order must take the fallback sort (one per such tick, and the first
-    /// tick always has one), and the drain must still equal the heap's.
-    #[test]
-    fn arbitrary_seq_orders_fall_back_and_agree(
-        pushes in proptest::collection::vec((0u64..4, 0u64..64, any::<u32>()), 0..300),
-    ) {
-        let mut heap = HeapQueue::with_capacity(16);
-        let mut wheel = WheelQueue::with_capacity(16);
-        // Unique `seq`s in random order: random high bits, the index low.
-        let keyed = pushes.iter().enumerate().map(|(i, &(tick, offset, r))| {
-            (tick, offset, u64::from(r) << 16 | (i as u64 + 2))
-        });
-        // One forced inversion, so at least the first tick falls back.
-        let arrivals: Vec<(u64, u64, u64)> = [(0, 5, 1), (0, 5, 0)].into_iter().chain(keyed).collect();
-        for &(tick, offset, seq) in &arrivals {
-            let time = SimTime::from_micros(tick * 64 + offset);
-            push_both(&mut heap, &mut wheel, EventKey { time, seq });
-        }
-        let inverted = (0..4u64)
-            .filter(|&t| {
-                let tick: Vec<(u64, u64)> =
-                    arrivals.iter().filter(|a| a.0 == t).map(|a| (a.1, a.2)).collect();
-                some_group_inverted(&tick)
-            })
-            .count();
-        prop_assert_eq!(drain_both(&mut heap, &mut wheel)?, arrivals.len());
-        prop_assert!(inverted >= 1);
-        prop_assert_eq!(wheel.fallback_sorts(), inverted as u64);
-    }
-}
-
 /// A start phase at a tenth of `engine_gossip`'s scale: every node's
 /// `Start` at time zero, one pop, then the first callbacks' sends due at
 /// 1–63 µs — late pushes into the tick just drained, each landing among
@@ -357,5 +238,4 @@ fn start_phase_late_pushes_agree() {
         drained += 1;
     }
     assert_eq!(drained, NODES - 1 + 6_300);
-    assert_eq!(wheel.fallback_sorts(), 0);
 }
