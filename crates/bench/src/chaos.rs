@@ -933,49 +933,32 @@ pub struct ShrinkResult {
     pub runs: usize,
 }
 
-/// Greedily shrinks a failing plan: repeatedly drop one atom, re-run, and
-/// keep the drop if any invariant still fires, until no single removal
-/// preserves the failure. Any planted bug stays installed throughout, so
-/// the result is the minimal fault set that *triggers* the bug.
+/// Greedily shrinks a failing plan ([`totoro_mc::shrink()`]): repeatedly
+/// drop one atom, re-run, and keep the drop if any invariant still fires,
+/// until no single removal preserves the failure. Any planted bug stays
+/// installed throughout, so the result is the minimal fault set that
+/// *triggers* the bug.
 pub fn shrink(spec: &ChaosSpec) -> ShrinkResult {
     let full = run_chaos_trial(spec, None);
-    let mut runs = 1;
     if full.violations.is_empty() {
         return ShrinkResult {
             atoms: full.atoms,
-            runs,
+            runs: 1,
         };
     }
-    let mut mask = vec![true; full.atoms.len()];
-    loop {
-        let mut changed = false;
-        for i in 0..mask.len() {
-            if !mask[i] {
-                continue;
-            }
-            let mut candidate = mask.clone();
-            candidate[i] = false;
-            runs += 1;
-            if !run_chaos_trial(spec, Some(&candidate))
-                .violations
-                .is_empty()
-            {
-                mask = candidate;
-                changed = true;
-            }
+    let all: Vec<usize> = (0..full.atoms.len()).collect();
+    let shrunk = totoro_mc::shrink(&all, (), |kept| {
+        let mut mask = vec![false; all.len()];
+        for &i in kept {
+            mask[i] = true;
         }
-        if !changed {
-            break;
-        }
+        let outcome = run_chaos_trial(spec, Some(&mask));
+        (!outcome.violations.is_empty()).then_some(())
+    });
+    ShrinkResult {
+        atoms: shrunk.kept.iter().map(|&i| full.atoms[i].clone()).collect(),
+        runs: 1 + shrunk.calls,
     }
-    let atoms = full
-        .atoms
-        .into_iter()
-        .zip(&mask)
-        .filter(|(_, &keep)| keep)
-        .map(|(a, _)| a)
-        .collect();
-    ShrinkResult { atoms, runs }
 }
 
 /// The chaos scenario: a seed sweep of N seeds × M plans through the

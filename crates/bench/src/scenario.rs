@@ -319,7 +319,7 @@ pub struct TrialReport {
     pub index: usize,
     /// The trial's setup name.
     pub setup: String,
-    /// Simulator accounting, summed if the trial ran several simulators.
+    /// Simulator accounting of the trial's one run.
     pub sim: SimAccounting,
     /// Ordered scalar results (`name`, value).
     pub metrics: Vec<(String, f64)>,

@@ -185,15 +185,14 @@ fn parse_jsonl_reads_back_every_record_field() {
     }
 }
 
-/// A report whose `sim` section carries both optional sections, and whose
-/// own sections hold strings that need escaping and floats of every shape.
+/// A report whose `sim` section, one traced run's accounting, carries both
+/// optional sections, and whose own sections hold strings that need
+/// escaping and floats of every shape.
 fn report() -> TrialReport {
-    let mut sim = traced_run(3).1;
-    sim.merge(&traced_run(4).1);
     let mut r = TrialReport {
         index: 7,
         setup: "quote\"back\\slash".to_string(),
-        sim,
+        sim: traced_run(3).1,
         ..TrialReport::default()
     };
     for (name, v) in [

@@ -29,8 +29,10 @@
 //!
 //! ## Quickstart
 //!
-//! See `examples/quickstart.rs` for an end-to-end run: build an overlay,
-//! submit applications, train to target accuracy, read the curves.
+//! `tests/fl_engine.rs`'s `single_app_trains_to_target_through_the_tree`
+//! is the smallest end-to-end run: build a [`TotoroDeployment`], submit an
+//! application, train to target accuracy, read the curve. As a command:
+//! `totoro-bench deploy --nodes 32 --apps 1 --dataset speech`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -99,6 +99,14 @@ fn many_apps_train_concurrently_with_distinct_masters() {
         max_on_one <= num_apps / 2,
         "masters concentrated: {masters:?}"
     );
+    // Many masters, many workers: some node leads (as master or
+    // aggregator) one app's tree while it is a worker in another's.
+    let topics: Vec<_> = (0..num_apps).map(|a| deploy.config(a).app_id()).collect();
+    let multi_role = totoro::role_census(deploy.sim(), &topics)
+        .iter()
+        .filter(|r| r.master + r.aggregator > 0 && r.worker > 0)
+        .count();
+    assert!(multi_role > 0, "no node holds two roles across the apps");
 }
 
 #[test]

@@ -38,6 +38,7 @@ use std::collections::BTreeSet;
 use totoro_simnet::{EventKey, NodeIdx, PendingClass, PendingSummary};
 
 use crate::schedule::Choice;
+use crate::shrink::shrink;
 
 /// A model-checkable world: a deterministic factory product that the
 /// explorer steers choice by choice. Implementations wrap a
@@ -205,34 +206,16 @@ impl<W: World, F: FnMut() -> W> Explorer<W, F> {
         world.check(true).err()
     }
 
-    /// Greedy delta-debugging: repeatedly drop any single choice whose
-    /// removal preserves *some* violation, to a fixpoint. The result is
-    /// 1-minimal (no single choice can be removed), which in practice
-    /// collapses the DFS-ordered counterexamples to their essential
-    /// faults and reorderings.
+    /// Greedy delta-debugging ([`shrink`]): repeatedly drop any single
+    /// choice whose removal preserves *some* violation, to a fixpoint. The
+    /// result is 1-minimal (no single choice can be removed), which in
+    /// practice collapses the DFS-ordered counterexamples to their
+    /// essential faults and reorderings.
     pub fn minimize(&mut self, schedule: &[Choice], detail: String) -> Violation {
-        let mut best: Vec<Choice> = schedule.to_vec();
-        let mut best_detail = detail;
-        loop {
-            let mut shrunk = false;
-            let mut i = 0;
-            while i < best.len() {
-                let mut candidate = best.clone();
-                candidate.remove(i);
-                if let Some(d) = self.violation_of(&candidate) {
-                    best = candidate;
-                    best_detail = d;
-                    shrunk = true;
-                } else {
-                    i += 1;
-                }
-            }
-            if !shrunk {
-                return Violation {
-                    schedule: best,
-                    detail: best_detail,
-                };
-            }
+        let shrunk = shrink(schedule, detail, |candidate| self.violation_of(candidate));
+        Violation {
+            schedule: shrunk.kept,
+            detail: shrunk.failure,
         }
     }
 

@@ -26,6 +26,9 @@
 //!   prefixes with replay-from-prefix execution (the simulator is not
 //!   cloneable), canonical-hash dedup, sleep-set pruning of commuting
 //!   deliveries, and greedy counterexample minimization.
+//! * [`shrink`](mod@shrink) — the greedy one-item-at-a-time minimizer
+//!   ([`shrink()`]) that counterexample minimization and the chaos
+//!   harness's plan shrinking share.
 //!
 //! Concrete worlds (the 4-node echo-forest configurations, the invariant
 //! oracles) live in the bench crate next to the chaos harness, and
@@ -35,7 +38,9 @@
 pub mod explore;
 pub mod hash;
 pub mod schedule;
+pub mod shrink;
 
 pub use explore::{Explorer, McConfig, Report, Stats, Violation, World};
 pub use hash::StableHasher;
 pub use schedule::Choice;
+pub use shrink::{shrink, Shrunk};

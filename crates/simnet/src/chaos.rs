@@ -130,13 +130,6 @@ impl FaultPlan {
         self
     }
 
-    /// Merges two plans: the union of their faults and churn events.
-    pub fn merge(mut self, other: FaultPlan) -> Self {
-        self.faults.extend(other.faults);
-        self.churn = std::mem::take(&mut self.churn).merge(other.churn);
-        self
-    }
-
     /// The plan's faults.
     pub fn faults(&self) -> &[Fault] {
         &self.faults
@@ -494,16 +487,19 @@ mod tests {
         assert_ne!(verdicts(&plan, 7), verdicts(&plan, 8));
     }
 
-    /// The satellite property: merging two plans preserves each fault's
-    /// private RNG stream. Plan A's drops and plan B's duplicates are
-    /// bit-identical whether the plans run alone or merged.
+    /// Composing faults into one plan preserves each fault's private RNG
+    /// stream. Plan A's drops and plan B's duplicates are bit-identical
+    /// whether the plans run alone or as one plan built with `with_fault`.
     #[test]
     fn merging_plans_preserves_per_stream_determinism() {
         let a = FaultPlan::none().with_fault(loss_fault());
         let b = FaultPlan::none()
             .with_fault(dup_fault())
             .with_fault(straggler_fault());
-        let merged = a.clone().merge(b.clone());
+        let merged = a
+            .clone()
+            .with_fault(dup_fault())
+            .with_fault(straggler_fault());
         assert_eq!(merged.atom_count(), 3);
 
         let va = verdicts(&a, 42);
@@ -521,8 +517,8 @@ mod tests {
                 "send {k}: straggler perturbed"
             );
         }
-        // Merge order does not matter either.
-        let vm2 = verdicts(&b.merge(a), 42);
+        // Composition order does not matter either.
+        let vm2 = verdicts(&b.with_fault(loss_fault()), 42);
         assert_eq!(vm, vm2);
     }
 

@@ -17,8 +17,7 @@
 //! * **A metrics registry** ([`MetricsRegistry`]): per-layer counters,
 //!   per-layer per-node counters, and fixed-bin histograms quantized with
 //!   the same boundary scheme as [`crate::binning`] (see
-//!   [`crate::binning::level_of`]). Snapshots serialize deterministically
-//!   and merge by summation.
+//!   [`crate::binning::level_of`]). Snapshots serialize deterministically.
 //! * **Causal spans**: every message carries a [`MsgMeta`] — a trace id
 //!   plus a parent message id — assigned by the simulator. A send issued
 //!   while handling a delivered message inherits that message's trace and
@@ -392,18 +391,6 @@ impl Histogram {
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
-
-    /// Sums another histogram's counts into this one (same bounds).
-    pub fn merge(&mut self, other: &Histogram) {
-        if self.bounds.is_empty() {
-            *self = other.clone();
-            return;
-        }
-        debug_assert_eq!(self.bounds, other.bounds, "merging unlike histograms");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-    }
 }
 
 /// `{"bounds":[..],"counts":[..]}`, the one histogram shape of every
@@ -546,7 +533,7 @@ impl MetricsRegistry {
     }
 }
 
-/// A serializable, mergeable snapshot of a [`MetricsRegistry`].
+/// A serializable snapshot of a [`MetricsRegistry`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// `layer.name` → count, sorted by key.
@@ -555,27 +542,6 @@ pub struct MetricsSnapshot {
     pub histograms: BTreeMap<String, Histogram>,
     /// `layer.name` → per-node counts, sorted by key.
     pub per_node: BTreeMap<String, Vec<u64>>,
-}
-
-impl MetricsSnapshot {
-    /// Sums another snapshot into this one.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
-        }
-        for (k, v) in &other.per_node {
-            let mine = self.per_node.entry(k.clone()).or_default();
-            if mine.len() < v.len() {
-                mine.resize(v.len(), 0);
-            }
-            for (a, b) in mine.iter_mut().zip(v) {
-                *a += b;
-            }
-        }
-    }
 }
 
 /// Keys in `BTreeMap` order, fixed field order, integers only.
@@ -964,14 +930,10 @@ mod tests {
         }
         assert_eq!(h.counts, vec![2, 2, 2]);
         assert_eq!(h.total(), 6);
-        let mut other = Histogram::new(&[10, 100]);
-        other.observe(5);
-        h.merge(&other);
-        assert_eq!(h.counts, vec![3, 2, 2]);
     }
 
     #[test]
-    fn registry_snapshot_is_deterministic_and_merges() {
+    fn registry_snapshot_is_deterministic() {
         let mut reg = MetricsRegistry::default();
         for r in chain() {
             reg.observe(&r, 4);
@@ -980,11 +942,6 @@ mod tests {
         assert_eq!(reg.counter("forest", "delivers"), 3);
         let snap = reg.snapshot();
         assert_eq!(snap.to_json(), reg.snapshot().to_json());
-        let mut merged = snap.clone();
-        merged.merge(&snap);
-        assert_eq!(merged.counters["forest.sends"], 6);
-        assert_eq!(merged.per_node["forest.node_sends"].iter().sum::<u64>(), 6);
-        assert_eq!(merged.histograms["forest.send_bytes_hist"].total(), 6);
     }
 
     #[test]

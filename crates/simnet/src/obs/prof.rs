@@ -368,27 +368,6 @@ impl EngineProfile {
     pub fn barrier_rounds(&self) -> u64 {
         3 * self.windows
     }
-
-    /// Sums another profile into this one, for
-    /// [`TrialReport::merge`](crate::trial::TrialReport::merge).
-    pub fn merge(&mut self, other: &EngineProfile) {
-        self.late += other.late;
-        self.near += other.near;
-        self.far += other.far;
-        self.migrated += other.migrated;
-        self.horizon_us.merge(&other.horizon_us);
-        self.tick_occupancy.merge(&other.tick_occupancy);
-        self.groups += other.groups;
-        self.singletons += other.singletons;
-        self.batched_events += other.batched_events;
-        self.group_sizes.merge(&other.group_sizes);
-        self.lookahead_us = self.lookahead_us.max(other.lookahead_us);
-        self.windows += other.windows;
-        self.events_per_window.merge(&other.events_per_window);
-        self.remote_msgs += other.remote_msgs;
-        self.remote_pairs += other.remote_pairs;
-        self.pair_volume.merge(&other.pair_volume);
-    }
 }
 
 /// Fixed key order, integer counters, and one fixed-precision ratio
@@ -526,10 +505,5 @@ mod tests {
         assert!(json.contains("\"singleton_ratio\":1.000000"));
         assert!(json.contains("\"remote_msgs\":3,\"remote_pairs\":2"));
         assert!(json.contains("\"barrier_rounds\":"));
-        // Merge doubles the counters and keeps the shape.
-        let mut doubled = snap.clone();
-        doubled.merge(&snap);
-        assert_eq!(doubled.groups, 2 * snap.groups);
-        assert_eq!(doubled.lookahead_us, snap.lookahead_us);
     }
 }

@@ -148,7 +148,7 @@ impl TrafficLedger {
 /// Whole-simulation traffic totals, summed over nodes.
 ///
 /// Unlike [`TrafficLedger`] this is a small plain value with no per-node
-/// vectors, so trials can return it by value and sweeps can merge it.
+/// vectors, so a trial can return it by value in its report.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TrafficTotals {
     /// Messages sent.
@@ -166,16 +166,6 @@ pub struct TrafficTotals {
 }
 
 impl TrafficTotals {
-    /// Adds another total into this one.
-    pub fn merge(&mut self, other: &TrafficTotals) {
-        self.msgs_sent += other.msgs_sent;
-        self.msgs_recv += other.msgs_recv;
-        self.payload_sent += other.payload_sent;
-        self.payload_recv += other.payload_recv;
-        self.tcp_sent += other.tcp_sent;
-        self.udp_sent += other.udp_sent;
-    }
-
     /// `count / nodes` as a float mean (0 when `nodes` is 0).
     pub fn mean_per_node(&self, count: u64, nodes: usize) -> f64 {
         if nodes == 0 {

@@ -1,11 +1,10 @@
 //! Per-trial accounting reports.
 //!
 //! A *trial* is one self-contained simulation run (one `Simulator` with its
-//! own RNG streams). Historically the experiment binaries printed traffic
-//! and compute summaries mid-loop; [`TrialReport`] instead captures the
-//! accounting *by value* when the trial ends, so independent trials can run
-//! concurrently on worker threads and be merged, serialized, or rendered
-//! later — in trial order, independent of completion order.
+//! own RNG streams). [`TrialReport`] captures that run's accounting *by
+//! value* when the trial ends, so independent trials can run concurrently
+//! on worker threads and be serialized or rendered later — in trial order,
+//! independent of completion order. A report holds one run.
 //!
 //! The report is a plain value: building one never mutates the simulator,
 //! and its [`TrialReport::to_json`] serialization is deterministic (fixed
@@ -87,30 +86,6 @@ impl TrialReport {
         self.traffic
             .mean_per_node(self.traffic.udp_sent, self.nodes)
     }
-
-    /// Folds another report into this one (summing counters, taking the
-    /// later clock). Used when one logical trial spans several simulators.
-    pub fn merge(&mut self, other: &TrialReport) {
-        self.nodes += other.nodes;
-        self.sim_end_us = self.sim_end_us.max(other.sim_end_us);
-        self.events += other.events;
-        self.dropped_loss += other.dropped_loss;
-        self.dropped_dead += other.dropped_dead;
-        self.traffic.merge(&other.traffic);
-        self.fl_us += other.fl_us;
-        self.dht_us += other.dht_us;
-        self.memory_bytes += other.memory_bytes;
-        match (&mut self.obs, &other.obs) {
-            (Some(mine), Some(theirs)) => mine.merge(theirs),
-            (None, Some(theirs)) => self.obs = Some(theirs.clone()),
-            _ => {}
-        }
-        match (&mut self.engine_profile, &other.engine_profile) {
-            (Some(mine), Some(theirs)) => mine.merge(theirs),
-            (None, Some(theirs)) => self.engine_profile = Some(theirs.clone()),
-            _ => {}
-        }
-    }
 }
 
 /// Fixed key order, integer counters. The `obs` and `engine_profile`
@@ -145,30 +120,6 @@ impl ToJson for TrialReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_sums_counters() {
-        let mut a = TrialReport {
-            nodes: 2,
-            sim_end_us: 10,
-            events: 5,
-            fl_us: 100,
-            ..TrialReport::default()
-        };
-        let b = TrialReport {
-            nodes: 3,
-            sim_end_us: 7,
-            events: 2,
-            dht_us: 50,
-            ..TrialReport::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.nodes, 5);
-        assert_eq!(a.sim_end_us, 10);
-        assert_eq!(a.events, 7);
-        assert_eq!(a.fl_us, 100);
-        assert_eq!(a.dht_us, 50);
-    }
 
     #[test]
     fn json_is_deterministic() {
@@ -232,28 +183,5 @@ mod tests {
         let profiled_json = profiled.to_json();
         assert!(profiled_json.starts_with(traced_json.trim_end_matches('}')));
         assert!(profiled_json.contains(",\"engine_profile\":{\"sched\":"));
-    }
-
-    #[test]
-    fn merge_sums_drop_split_and_obs() {
-        let mut a = TrialReport {
-            dropped_loss: 2,
-            dropped_dead: 1,
-            ..TrialReport::default()
-        };
-        let mut snap = MetricsSnapshot::default();
-        snap.counters.insert("forest.sends".into(), 5);
-        let b = TrialReport {
-            dropped_loss: 3,
-            dropped_dead: 4,
-            obs: Some(snap),
-            ..TrialReport::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.dropped_loss, 5);
-        assert_eq!(a.dropped_dead, 5);
-        assert_eq!(a.dropped(), 10);
-        a.merge(&b);
-        assert_eq!(a.obs.as_ref().unwrap().counters["forest.sends"], 10);
     }
 }

@@ -76,7 +76,7 @@ fn the_workspace_forbids_unsafe_code() {
 fn every_member_inherits_the_workspace_lints() {
     let manifest = fs::read_to_string(root().join("Cargo.toml")).expect("the root manifest");
     let dirs = members(&manifest);
-    // crates/*, examples, tests and vendor/*: the globs must expand.
+    // crates/*, tests and vendor/*: the globs must expand.
     assert!(dirs.len() >= 12, "members resolved to {dirs:?}");
     let missing: Vec<_> = dirs
         .iter()
@@ -158,7 +158,7 @@ fn rust_files(dirs: &[&str]) -> Vec<(String, String)> {
     files
 }
 
-const SOURCES: [&str; 4] = ["crates", "examples", "tests", "vendor"];
+const SOURCES: [&str; 3] = ["crates", "tests", "vendor"];
 
 /// A lint-level attribute that silences a lint: `#[expect(…)]`,
 /// `#[allow(…)]`, their inner `#![…]` forms, or either inside a
@@ -320,7 +320,7 @@ fn design_doc_suppression_audit_matches_the_tree() {
 
 #[test]
 fn workspace_has_no_determinism_violations() {
-    let files = rust_files(&["crates", "examples", "tests"]);
+    let files = rust_files(&["crates", "tests"]);
     assert!(
         files.len() > 100,
         "discovery is broken: {} files",

@@ -227,6 +227,12 @@ fn zone_restricted_training_never_leaves_home() {
     // The master is a home-zone node.
     let master = deploy.master_of(app).expect("master exists");
     assert!(master < n / 2, "master {master} is foreign");
+    // The §4.2 boundary check never fires in this run: routing keeps the
+    // restricted tree's packets home without one. The check is exercised
+    // only by `dht/tests/protocol.rs`'s hand-built cross-zone packet.
+    // ROADMAP's multi-ring item decides whether FL runs should reach it.
+    let blocked: u64 = (0..n).map(|i| deploy.sim().app(i).stats.blocked).sum();
+    assert_eq!(blocked, 0, "packets blocked at zone boundaries");
 }
 
 /// Distributed binning + multi-ring ids + FL: an end-to-end geographic run.
@@ -272,6 +278,18 @@ fn geographic_multi_ring_deployment_trains() {
         .map(|p| p.accuracy)
         .fold(0.0, f64::max);
     assert!(best >= 0.8, "geo deployment best accuracy {best}");
+    // The unrestricted tree spans every zone binning made.
+    let topic = deploy.config(app).app_id();
+    let mut spanned: Vec<u16> = (0..n)
+        .filter(|&i| {
+            let forest = &deploy.sim().app(i).upper.state;
+            forest.membership(topic).is_some_and(|m| m.attached())
+        })
+        .map(|i| zones.zone_of[i])
+        .collect();
+    spanned.sort_unstable();
+    spanned.dedup();
+    assert_eq!(spanned.len(), zones.num_zones, "zones spanned: {spanned:?}");
 }
 
 /// Secure aggregation composes with the multi-ring zone restriction: a
